@@ -7,7 +7,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use symfail_bench::{bench_fleet, bench_params};
-use symfail_core::analysis::coalesce::CoalescenceAnalysis;
+use symfail_core::analysis::coalesce::{CoalescenceAnalysis, COALESCENCE_WINDOW};
 use symfail_core::analysis::shutdown::{
     merge_hl_events, ShutdownAnalysis, SELF_SHUTDOWN_THRESHOLD,
 };
@@ -19,6 +19,7 @@ fn bench(c: &mut Criterion) {
     let fleet = bench_fleet(2005);
     let shutdowns = ShutdownAnalysis::new(&fleet, SELF_SHUTDOWN_THRESHOLD);
     let hl = merge_hl_events(fleet.freezes(), &shutdowns.self_shutdown_hl_events());
+    let coalesced = CoalescenceAnalysis::new(&fleet, &hl, COALESCENCE_WINDOW);
 
     // Print the ablation artifacts once.
     println!("--- self-shutdown threshold sweep ---");
@@ -26,9 +27,7 @@ fn bench(c: &mut Criterion) {
         println!("  threshold {th:>5} s -> {n} self-shutdowns");
     }
     println!("--- coalescence window sweep ---");
-    for (w, frac) in
-        CoalescenceAnalysis::window_sweep(&fleet, &hl, &COALESCENCE_ABLATION_WINDOWS_SECS)
-    {
+    for (w, frac) in coalesced.window_sweep(&hl, &COALESCENCE_ABLATION_WINDOWS_SECS) {
         println!("  window {w:>6} s -> {:.1}% related", 100.0 * frac);
     }
     println!("--- heartbeat period vs log volume (30-day single phone) ---");
@@ -50,9 +49,7 @@ fn bench(c: &mut Criterion) {
         b.iter(|| shutdowns.threshold_sweep(&SHUTDOWN_THRESHOLD_SWEEP_SECS))
     });
     g.bench_function("window_sweep", |b| {
-        b.iter(|| {
-            CoalescenceAnalysis::window_sweep(&fleet, &hl, &COALESCENCE_ABLATION_WINDOWS_SECS)
-        })
+        b.iter(|| coalesced.window_sweep(&hl, &COALESCENCE_ABLATION_WINDOWS_SECS))
     });
     g.bench_function("campaign_30d_single_phone", |b| {
         let mut params = bench_params();

@@ -35,8 +35,11 @@ fn bench(c: &mut Criterion) {
             b.iter(|| CoalescenceAnalysis::new(&fleet, &hl, SimDuration::from_secs(w)))
         });
     }
+    // The sweep reads the panics of an already-finished analysis, as
+    // `repro --exp fig5 --sweep` does with the report's.
+    let analysis = CoalescenceAnalysis::new(&fleet, &hl, COALESCENCE_WINDOW);
     g.bench_function("window_sweep_9_points", |b| {
-        b.iter(|| CoalescenceAnalysis::window_sweep(&fleet, &hl, &COALESCENCE_SWEEP_WINDOWS_SECS))
+        b.iter(|| analysis.window_sweep(&hl, &COALESCENCE_SWEEP_WINDOWS_SECS))
     });
     g.bench_function("window_sweep_9_points_brute_force", |b| {
         b.iter(|| {
@@ -47,7 +50,6 @@ fn bench(c: &mut Criterion) {
             )
         })
     });
-    let analysis = CoalescenceAnalysis::new(&fleet, &hl, COALESCENCE_WINDOW);
     g.bench_function("category_breakdown", |b| b.iter(|| analysis.by_category()));
     g.finish();
 
@@ -56,11 +58,7 @@ fn bench(c: &mut Criterion) {
     let reps = 10;
     let t = std::time::Instant::now();
     for _ in 0..reps {
-        black_box(CoalescenceAnalysis::window_sweep(
-            &fleet,
-            &hl,
-            &COALESCENCE_SWEEP_WINDOWS_SECS,
-        ));
+        black_box(analysis.window_sweep(&hl, &COALESCENCE_SWEEP_WINDOWS_SECS));
     }
     let fast = t.elapsed();
     let t = std::time::Instant::now();

@@ -5,13 +5,12 @@
 //! ```text
 //! repro [--exp all|table1|table2|table3|table4|fig2|fig3|fig5|fig6|mtbf|forum_marginals|ablations|targets]
 //!       [--seed N] [--phones N] [--days N] [--workers N] [--sweep]
-//!       [--pipeline fused|staged] [--engine batch|streaming]
 //!       [--analyses all|comma-list]
 //!       [--fleet default|mixed|class:share,...]
 //!       [--corruption none|light|moderate|worst] [--defects-json PATH]
 //!       [--timing-json PATH]
 //!       [--checkpoint PATH] [--checkpoint-every N] [--stop-after N]
-//!       [--mtbf-trace-json PATH] [--merge serial|sharded] [--run-len N]
+//!       [--mtbf-trace-json PATH]
 //!       [--shard i/N] [--balance uniform|static|measured]
 //!       [--costs-json PATH]
 //! repro merge-checkpoints OUT IN1 IN2 ... [--seed N] [--phones N]
@@ -30,27 +29,23 @@
 //!
 //! The default runs the full 25-phone / 14-month campaign plus the
 //! 533-report forum study and prints every reproduced artifact next to
-//! the paper's numbers. The campaign and the flash parsing run on
-//! `--workers` threads (default: all available cores); the harvest is
-//! byte-identical for any worker count — including under
+//! the paper's numbers. The campaign runs on `--workers` threads
+//! (default: all available cores): workers take contiguous runs of
+//! phones, and for each phone simulate it, parse its flash, fold every
+//! analysis pass over the dataset and drop both the flash and the
+//! dataset before the next phone, so no fleet dataset is ever
+//! materialized. Finished runs merge strictly in phone-id order, so
+//! the report is byte-identical for any worker count — including under
 //! `--corruption`, which injects deterministic flash-log damage
 //! (truncation, tail loss, bit-flips, duplicated/reordered heartbeat
-//! blocks) per phone before parsing. `--pipeline fused` (the default)
-//! removes the campaign→parse barrier: each worker parses a phone's
-//! flash right after simulating it; `--pipeline staged` keeps the two
-//! stages separate, which is what isolates parse wall-clock for
-//! throughput measurement. `--engine streaming` goes further: each
-//! worker folds every analysis pass over the phone's dataset and drops
-//! both the flash and the dataset before taking the next phone, so no
-//! fleet dataset is ever materialized — the report stays
-//! byte-identical to `--engine batch` for any worker count.
-//! `--analyses` restricts the pass registry to a comma-list of pass
-//! names. `--defects-json` dumps the fleet parse-defect report;
-//! `--timing-json` writes per-stage wall-clock timings plus
-//! allocation (cumulative and peak-live) and parse-throughput
+//! blocks) per phone before parsing; `--workers 1` is the determinism
+//! oracle. `--analyses` restricts the pass registry to a comma-list of
+//! pass names. `--defects-json` dumps the fleet parse-defect report;
+//! `--timing-json` writes the campaign stage's wall-clock time plus
+//! allocation (cumulative and peak-live), parse-throughput and merge
 //! counters to the given path.
 //!
-//! The streaming engine supports checkpointed campaigns:
+//! Campaigns can be checkpointed:
 //! `--checkpoint PATH` snapshots the merged accumulators to PATH
 //! (atomic write-rename) every `--checkpoint-every N` absorbed phones
 //! and once at the end; if PATH already holds a checkpoint for the
@@ -59,13 +54,7 @@
 //! (after flushing the checkpoint) — the crash half of an
 //! interrupt/resume test. `--mtbf-trace-json PATH` records the online
 //! MTBFr/MTBS estimate at every checkpoint boundary; its final entry
-//! equals the batch engine's estimate exactly.
-//!
-//! `--merge sharded` (the streaming default) folds contiguous runs of
-//! phones into per-worker shards and hands each shard to the merger in
-//! one lock acquisition; `--merge serial` keeps the per-phone oracle
-//! path. `--run-len N` caps the phones per shard (0 = auto). Both
-//! modes render byte-identical reports.
+//! equals the whole-campaign estimate exactly.
 //!
 //! `--shard i/N` makes the process simulate and fold only shard `i`
 //! of an `N`-way split of the phone-id space (per-phone RNG forks are
@@ -100,8 +89,8 @@
 //! campaign, config and registry; intervals disjoint and jointly
 //! covering the fleet), tree-merges them, writes the merged
 //! whole-fleet checkpoint to `out.bin`, and prints the same report a
-//! single-process `--exp all --engine streaming` run prints — byte
-//! for byte, for any N and any partition. `--partial` downgrades the
+//! single-process `--exp all` run prints — byte for byte, for any N
+//! and any partition. `--partial` downgrades the
 //! jointly-covering requirement: a best-effort report is rendered
 //! from whatever shards are present, with every missing phone
 //! interval named, and the process exits zero.
@@ -126,27 +115,21 @@ use std::process::ExitCode;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
-use symfail_core::analysis::bursts::BurstAnalysis;
 use symfail_core::analysis::checkpoint::ShardTopology;
-use symfail_core::analysis::dataset::FleetDataset;
 use symfail_core::analysis::mtbf::MtbfAnalysis;
 use symfail_core::analysis::passes::{checkpoint_coalesced, merge_shard_checkpoints};
 use symfail_core::analysis::passes::{merge_shard_checkpoints_partial, MergeStats, PassRegistry};
 use symfail_core::analysis::report::{AnalysisConfig, StudyReport};
-use symfail_core::analysis::shutdown::ShutdownAnalysis;
 use symfail_core::analysis::signature::{
     distinct_signatures, signatures_from_json, signatures_to_json, MatchMode,
 };
 use symfail_core::analysis::{
-    coalesce, targets, COALESCENCE_SWEEP_WINDOWS_SECS, SHUTDOWN_THRESHOLD_SWEEP_SECS,
+    targets, COALESCENCE_SWEEP_WINDOWS_SECS, SHUTDOWN_THRESHOLD_SWEEP_SECS,
 };
-use symfail_core::flashfs::FlashFs;
 use symfail_phone::calibration::CalibrationParams;
 use symfail_phone::composition::FleetComposition;
 use symfail_phone::corruption::CorruptionProfile;
-use symfail_phone::fleet::{
-    harvest_metas, FleetCampaign, MergeMode, PhoneMeta, ShardSpec, StreamingOptions, WorkerStats,
-};
+use symfail_phone::fleet::{FleetCampaign, PhoneMeta, ShardSpec, StreamingOptions, WorkerStats};
 use symfail_phone::plan::{BalanceMode, ShardPlan};
 use symfail_phone::repro::{extract_fleet_signatures, minimize, MinimizeOptions};
 use symfail_sim_core::SimDuration;
@@ -156,7 +139,7 @@ use symfail_sim_core::SimDuration;
 /// pipeline stage, which is the direct evidence for the zero-copy
 /// codec (the parse stage's allocs scale with distinct names, not with
 /// records) — and track the **live/peak** footprint, which is the
-/// direct evidence for the streaming engine (peak stays bounded by
+/// direct evidence for the streaming driver (peak stays bounded by
 /// `workers × per-phone state` instead of the whole fleet).
 struct CountingAlloc;
 
@@ -237,42 +220,6 @@ fn alloc_peak() -> u64 {
     ALLOC_PEAK.load(Ordering::Relaxed)
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Pipeline {
-    Fused,
-    Staged,
-}
-
-impl Pipeline {
-    fn as_str(self) -> &'static str {
-        match self {
-            Pipeline::Fused => "fused",
-            Pipeline::Staged => "staged",
-        }
-    }
-}
-
-/// How the analysis layer consumes the campaign.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Engine {
-    /// Materialize the whole [`FleetDataset`], then run the pass
-    /// registry over it (the oracle path).
-    Batch,
-    /// Fold each phone's dataset into the pass accumulators as soon as
-    /// it is parsed, dropping the flash and the dataset before the
-    /// worker takes the next phone — no fleet is ever materialized.
-    Streaming,
-}
-
-impl Engine {
-    fn as_str(self) -> &'static str {
-        match self {
-            Engine::Batch => "batch",
-            Engine::Streaming => "streaming",
-        }
-    }
-}
-
 /// Which cost model the shard planner balances on (the CLI-facing
 /// selector; [`BalanceMode`] carries the resolved cost vector).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -303,8 +250,6 @@ struct Args {
     days: u32,
     workers: usize,
     sweep: bool,
-    pipeline: Pipeline,
-    engine: Engine,
     analyses: String,
     corruption: CorruptionProfile,
     fleet: FleetComposition,
@@ -314,8 +259,6 @@ struct Args {
     checkpoint_every: u32,
     stop_after: Option<u32>,
     mtbf_trace_json: Option<String>,
-    merge: MergeMode,
-    run_len: u32,
     shard: Option<ShardSpec>,
     balance: Balance,
     costs_json: Option<String>,
@@ -335,8 +278,6 @@ fn parse_args() -> Result<Args, String> {
         days: 425,
         workers: default_workers(),
         sweep: false,
-        pipeline: Pipeline::Fused,
-        engine: Engine::Batch,
         analyses: "all".to_string(),
         corruption: CorruptionProfile::None,
         fleet: FleetComposition::default(),
@@ -346,15 +287,10 @@ fn parse_args() -> Result<Args, String> {
         checkpoint_every: 0,
         stop_after: None,
         mtbf_trace_json: None,
-        merge: MergeMode::default(),
-        run_len: 0,
         shard: None,
         balance: Balance::default(),
         costs_json: None,
     };
-    let mut pipeline_set = false;
-    let mut merge_set = false;
-    let mut balance_set = false;
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
         match flag.as_str() {
@@ -385,25 +321,6 @@ fn parse_args() -> Result<Args, String> {
                     .ok_or("--workers needs a positive integer")?
             }
             "--sweep" => args.sweep = true,
-            "--pipeline" => {
-                pipeline_set = true;
-                args.pipeline = match it.next().as_deref() {
-                    Some("fused") => Pipeline::Fused,
-                    Some("staged") => Pipeline::Staged,
-                    other => {
-                        return Err(format!("--pipeline needs fused or staged, got {other:?}"))
-                    }
-                }
-            }
-            "--engine" => {
-                args.engine = match it.next().as_deref() {
-                    Some("batch") => Engine::Batch,
-                    Some("streaming") => Engine::Streaming,
-                    other => {
-                        return Err(format!("--engine needs batch or streaming, got {other:?}"))
-                    }
-                }
-            }
             "--analyses" => args.analyses = it.next().ok_or("--analyses needs a comma-list")?,
             "--fleet" => {
                 let spec = it.next().ok_or("--fleet needs a composition spec")?;
@@ -439,41 +356,21 @@ fn parse_args() -> Result<Args, String> {
             "--mtbf-trace-json" => {
                 args.mtbf_trace_json = Some(it.next().ok_or("--mtbf-trace-json needs a path")?)
             }
-            "--merge" => {
-                merge_set = true;
-                args.merge = match it.next().as_deref() {
-                    Some("serial") => MergeMode::Serial,
-                    Some("sharded") => MergeMode::Sharded,
-                    other => return Err(format!("--merge needs serial or sharded, got {other:?}")),
-                }
-            }
-            "--run-len" => {
-                args.run_len = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&n| n > 0)
-                    .ok_or("--run-len needs a positive phone count")?
-            }
             "--shard" => {
                 let spec = it.next().ok_or("--shard needs i/N (e.g. 2/4)")?;
                 args.shard = Some(ShardSpec::parse(&spec).map_err(|e| format!("--shard: {e}"))?)
             }
-            "--balance" => {
-                balance_set = true;
-                args.balance = parse_balance(it.next().as_deref())?
-            }
+            "--balance" => args.balance = parse_balance(it.next().as_deref())?,
             "--costs-json" => args.costs_json = Some(it.next().ok_or("--costs-json needs a path")?),
             "--help" | "-h" => {
                 return Err(format!(
                     "usage: repro [--exp NAME] [--seed N] [--phones N] [--days N] \
-                     [--workers N] [--sweep] [--pipeline fused|staged] \
-                     [--engine batch|streaming] [--analyses LIST] \
+                     [--workers N] [--sweep] [--analyses LIST] \
                      [--fleet default|mixed|class:share,...] \
                      [--corruption none|light|moderate|worst] \
                      [--defects-json PATH] [--timing-json PATH] \
                      [--checkpoint PATH] [--checkpoint-every N] \
-                     [--stop-after N] [--mtbf-trace-json PATH] \
-                     [--merge serial|sharded] [--run-len N] [--shard i/N] \
+                     [--stop-after N] [--mtbf-trace-json PATH] [--shard i/N] \
                      [--balance uniform|static|measured] [--costs-json PATH]\n\
                      \x20      repro merge-checkpoints OUT IN1 IN2 ... \
                      [--seed N] [--phones N] [--days N] \
@@ -488,8 +385,6 @@ fn parse_args() -> Result<Args, String> {
                      [--signature-index I] [--max-days N] [--max-seeds N] \
                      [--match core|strict] [--start-corruption PROFILE] \
                      [--out PATH]\n\
-                     checkpoint/stop/trace/merge/shard/balance flags need \
-                     --engine streaming\n\
                      --analyses takes a comma-list of pass names \
                      (default all): {}",
                     PassRegistry::NAMES.join(",")
@@ -497,26 +392,6 @@ fn parse_args() -> Result<Args, String> {
             }
             other => return Err(format!("unknown flag {other}")),
         }
-    }
-    if args.engine == Engine::Streaming {
-        if pipeline_set && args.pipeline == Pipeline::Staged {
-            return Err("--engine streaming implies the fused pipeline; \
-                        drop --pipeline staged"
-                .to_string());
-        }
-        args.pipeline = Pipeline::Fused;
-    } else if args.checkpoint.is_some()
-        || args.checkpoint_every > 0
-        || args.stop_after.is_some()
-        || args.mtbf_trace_json.is_some()
-    {
-        return Err("--checkpoint, --checkpoint-every, --stop-after and \
-                    --mtbf-trace-json need --engine streaming"
-            .to_string());
-    } else if merge_set || args.run_len > 0 || args.shard.is_some() || balance_set {
-        return Err(
-            "--merge, --run-len, --shard and --balance need --engine streaming".to_string(),
-        );
     }
     if args.balance == Balance::Measured && args.costs_json.is_none() {
         return Err("--balance measured needs --costs-json PATH".to_string());
@@ -617,49 +492,39 @@ struct StageTiming {
 }
 
 /// A fully-run campaign: per-phone metadata, the analysis report, and
-/// the per-stage timing/allocation record. The materialized fleet
-/// dataset exists only under `--engine batch`; the streaming engine
-/// never builds it.
+/// the per-stage timing/allocation record.
 struct CampaignRun {
     report: StudyReport,
-    fleet: Option<FleetDataset>,
     metas: Vec<PhoneMeta>,
     timings: Vec<StageTiming>,
     /// Flash bytes fed to the parser (throughput numerator).
     parse_bytes: u64,
-    /// Seconds attributable to flash parsing: the parse stage's
-    /// wall-clock under `--pipeline staged`; the per-phone parse time
-    /// summed across workers under `--pipeline fused` (where parse
-    /// wall-clock overlaps simulation by design).
+    /// Seconds attributable to flash parsing: the per-phone parse time
+    /// summed across workers (parse wall-clock overlaps simulation by
+    /// design).
     parse_seconds: f64,
-    /// Flash bytes freed phone-by-phone instead of living for the
-    /// whole run (fused/streaming pipelines; zero under staged).
-    reclaimed_flash_bytes: u64,
-    /// Online MTBF estimates at each checkpoint boundary (streaming
-    /// engine with `--mtbf-trace-json`; empty otherwise).
+    /// Online MTBF estimates at each checkpoint boundary (with
+    /// `--mtbf-trace-json`; empty otherwise).
     mtbf_trace: Vec<(u32, MtbfAnalysis)>,
     /// Phones already absorbed by the checkpoint this run resumed
     /// from, if any.
     resumed_from: Option<u32>,
-    /// Per-worker parse/merge-wait/allocation counters (streaming
-    /// engine; empty otherwise).
+    /// Per-worker parse/merge-wait/allocation counters.
     worker_stats: Vec<WorkerStats>,
-    /// Merger-side shard counters (streaming engine; zero otherwise).
+    /// Merger-side shard counters.
     merge_stats: MergeStats,
-    /// Measured per-phone parse seconds, aligned with `metas`
-    /// (streaming engine; empty otherwise).
+    /// Measured per-phone parse seconds, aligned with `metas`.
     phone_parse_seconds: Vec<f64>,
     /// The shard interval this run actually folded (solo when
     /// unsharded).
     topology: ShardTopology,
-    /// The full cut table the planner chose (sharded streaming runs
-    /// only).
+    /// The full cut table the planner chose (sharded runs only).
     plan: Option<ShardPlan>,
 }
 
-/// Runs the fleet campaign and the analysis pipeline selected by
-/// `--engine` / `--analyses`, timing each stage. Fails only on
-/// checkpoint I/O or validation errors (streaming engine).
+/// Runs the fleet campaign through the streaming driver over the
+/// `--analyses` registry, timing the campaign stage. Fails only on
+/// checkpoint I/O or validation errors.
 fn run_campaign(args: &Args, registry: &PassRegistry) -> Result<CampaignRun, String> {
     let params = CalibrationParams {
         phones: args.phones,
@@ -669,132 +534,47 @@ fn run_campaign(args: &Args, registry: &PassRegistry) -> Result<CampaignRun, Str
     let campaign = FleetCampaign::new(args.seed, params)
         .with_corruption(args.corruption)
         .with_fleet(args.fleet.clone());
-    let mut timings: Vec<StageTiming> = Vec::new();
-    let mut stage = |name, t: Instant, a0: (u64, u64)| {
-        let (a1, b1) = alloc_now();
-        timings.push(StageTiming {
-            name,
-            seconds: t.elapsed().as_secs_f64(),
-            allocs: a1 - a0.0,
-            alloc_bytes: b1 - a0.1,
-        });
-    };
-
     let config = AnalysisConfig {
         uptime_gap: SimDuration::from_secs(params.heartbeat_period_secs * 3 + 60),
         ..AnalysisConfig::default()
     };
-
-    if args.engine == Engine::Streaming {
-        let opts = StreamingOptions {
-            checkpoint: args.checkpoint.as_ref().map(PathBuf::from),
-            checkpoint_every: args.checkpoint_every,
-            stop_after_phones: args.stop_after,
-            mtbf_trace: args.mtbf_trace_json.is_some(),
-            merge: args.merge,
-            run_len: args.run_len,
-            alloc_counter: Some(thread_alloc_calls),
-            shard: args.shard,
-            balance: balance_mode(args.balance, args.costs_json.as_deref(), args.phones)?,
-        };
-        let (t, a) = (Instant::now(), alloc_now());
-        let run = campaign
-            .run_streaming_opts(args.workers, config, registry, &opts)
-            .map_err(|e| format!("checkpoint error: {e}"))?;
-        stage("campaign+parse+fold", t, a);
-        if let Some(absorbed) = run.resumed_from {
-            eprintln!("resumed from checkpoint: {absorbed} phones already absorbed");
-        }
-        return Ok(CampaignRun {
-            report: run.report,
-            fleet: None,
-            metas: run.metas,
-            timings,
-            parse_bytes: run.parse_bytes,
-            parse_seconds: run.parse_cpu_seconds,
-            reclaimed_flash_bytes: run.reclaimed_flash_bytes,
-            mtbf_trace: run.mtbf_trace,
-            resumed_from: run.resumed_from,
-            worker_stats: run.worker_stats,
-            merge_stats: run.merge_stats,
-            phone_parse_seconds: run.phone_parse_seconds,
-            topology: run.topology,
-            plan: run.plan,
-        });
-    }
-
-    let (metas, fleet, parse_seconds, reclaimed_flash_bytes) = match args.pipeline {
-        Pipeline::Fused => {
-            let (t, a) = (Instant::now(), alloc_now());
-            let fused = campaign.run_fused(args.workers);
-            stage("campaign+parse", t, a);
-            (
-                fused.metas,
-                fused.dataset,
-                fused.parse_cpu_seconds,
-                fused.reclaimed_flash_bytes,
-            )
-        }
-        Pipeline::Staged => {
-            let (t, a) = (Instant::now(), alloc_now());
-            let harvest = campaign.run_parallel(args.workers);
-            stage("campaign", t, a);
-            let (t, a) = (Instant::now(), alloc_now());
-            let flash: Vec<(u32, &FlashFs)> =
-                harvest.iter().map(|h| (h.phone_id, &h.flashfs)).collect();
-            let fleet = FleetDataset::from_flash_parallel(&flash, args.workers);
-            let parse_seconds = t.elapsed().as_secs_f64();
-            stage("parse", t, a);
-            // The flash lived for the whole campaign+parse span: no
-            // early reclaim to report on this path.
-            (harvest_metas(&harvest), fleet, parse_seconds, 0)
-        }
+    let opts = StreamingOptions {
+        checkpoint: args.checkpoint.as_ref().map(PathBuf::from),
+        checkpoint_every: args.checkpoint_every,
+        stop_after_phones: args.stop_after,
+        mtbf_trace: args.mtbf_trace_json.is_some(),
+        alloc_counter: Some(thread_alloc_calls),
+        shard: args.shard,
+        balance: balance_mode(args.balance, args.costs_json.as_deref(), args.phones)?,
+        ..StreamingOptions::default()
     };
-    let parse_bytes: u64 = metas.iter().map(|m| m.flash_bytes).sum();
-
-    // Individual analysis stages, timed in isolation before the full
-    // report bundles them (the report re-runs them; these measure each
-    // stage's own cost on the indexed dataset).
-    let (t, a) = (Instant::now(), alloc_now());
-    let shutdowns = ShutdownAnalysis::new(&fleet, config.self_shutdown_threshold);
-    stage("shutdown", t, a);
-
-    let hl = symfail_core::analysis::shutdown::merge_hl_events(
-        fleet.freezes(),
-        &shutdowns.self_shutdown_hl_events(),
-    );
-    let (t, a) = (Instant::now(), alloc_now());
-    let _ = coalesce::CoalescenceAnalysis::new(&fleet, &hl, config.coalescence_window);
-    stage("coalescence", t, a);
-
-    let (t, a) = (Instant::now(), alloc_now());
-    let _ = MtbfAnalysis::new(&fleet, shutdowns.self_shutdowns().len(), config.uptime_gap);
-    stage("mtbf", t, a);
-
-    let (t, a) = (Instant::now(), alloc_now());
-    let _ = BurstAnalysis::new(&fleet, config.burst_gap);
-    stage("bursts", t, a);
-
-    let (t, a) = (Instant::now(), alloc_now());
-    let report =
-        StudyReport::analyze_with_labels(&fleet, config, registry, |id| campaign.device_labels(id));
-    stage("report_total", t, a);
-
+    let (t, (a0, b0)) = (Instant::now(), alloc_now());
+    let run = campaign
+        .run_streaming_opts(args.workers, config, registry, &opts)
+        .map_err(|e| format!("checkpoint error: {e}"))?;
+    let (a1, b1) = alloc_now();
+    let timings = vec![StageTiming {
+        name: "campaign+parse+fold",
+        seconds: t.elapsed().as_secs_f64(),
+        allocs: a1 - a0,
+        alloc_bytes: b1 - b0,
+    }];
+    if let Some(absorbed) = run.resumed_from {
+        eprintln!("resumed from checkpoint: {absorbed} phones already absorbed");
+    }
     Ok(CampaignRun {
-        report,
-        fleet: Some(fleet),
-        metas,
+        report: run.report,
+        metas: run.metas,
         timings,
-        parse_bytes,
-        parse_seconds,
-        reclaimed_flash_bytes,
-        mtbf_trace: Vec::new(),
-        resumed_from: None,
-        worker_stats: Vec::new(),
-        merge_stats: MergeStats::default(),
-        phone_parse_seconds: Vec::new(),
-        topology: ShardTopology::solo(args.phones),
-        plan: None,
+        parse_bytes: run.parse_bytes,
+        parse_seconds: run.parse_cpu_seconds,
+        mtbf_trace: run.mtbf_trace,
+        resumed_from: run.resumed_from,
+        worker_stats: run.worker_stats,
+        merge_stats: run.merge_stats,
+        phone_parse_seconds: run.phone_parse_seconds,
+        topology: run.topology,
+        plan: run.plan,
     })
 }
 
@@ -863,10 +643,8 @@ fn timing_json(args: &Args, run: &CampaignRun) -> String {
         .map(|s| format!("{s:.6}"))
         .collect();
     format!(
-        "{{\n  \"schema\": \"symfail-pipeline-timing/7\",\n  \"seed\": {},\n  \
+        "{{\n  \"schema\": \"symfail-pipeline-timing/8\",\n  \"seed\": {},\n  \
          \"phones\": {},\n  \"days\": {},\n  \"workers\": {},\n  \
-         \"pipeline\": \"{}\",\n  \"engine\": \"{}\",\n  \
-         \"merge\": \"{}\",\n  \"run_len\": {},\n  \
          \"shard_index\": {},\n  \"shard_count\": {},\n  \
          \"shard_start\": {},\n  \"shard_end\": {},\n  \
          \"balance\": \"{}\",\n  \
@@ -877,7 +655,6 @@ fn timing_json(args: &Args, run: &CampaignRun) -> String {
          \"parse_defects\": {},\n  \"parse_seconds\": {:.6},\n  \
          \"parse_bytes_per_sec\": {:.0},\n  \"total_allocs\": {},\n  \
          \"total_alloc_bytes\": {},\n  \"peak_alloc_bytes\": {},\n  \
-         \"reclaimed_flash_bytes\": {},\n  \
          \"merge_wait_seconds\": {:.6},\n  \"merge_absorbed_runs\": {},\n  \
          \"peak_pending_runs\": {},\n  \"peak_pending_phones\": {},\n  \
          \"peak_pending_bytes\": {},\n  \
@@ -886,10 +663,6 @@ fn timing_json(args: &Args, run: &CampaignRun) -> String {
         args.phones,
         args.days,
         args.workers,
-        args.pipeline.as_str(),
-        args.engine.as_str(),
-        args.merge.as_str(),
-        args.run_len,
         topology.index,
         topology.count,
         shard_lo,
@@ -908,7 +681,6 @@ fn timing_json(args: &Args, run: &CampaignRun) -> String {
         total_allocs,
         total_alloc_bytes,
         alloc_peak(),
-        run.reclaimed_flash_bytes,
         merge_wait_seconds,
         run.merge_stats.absorbed_shards,
         run.merge_stats.peak_pending_shards,
@@ -921,7 +693,7 @@ fn timing_json(args: &Args, run: &CampaignRun) -> String {
 
 /// Hand-formats the online-MTBF trace as JSON: one entry per
 /// checkpoint boundary, keyed by phones absorbed, ending with the
-/// whole-fleet estimate (which matches the batch engine exactly).
+/// whole-fleet estimate (which matches the final report exactly).
 fn mtbf_trace_json(args: &Args, run: &CampaignRun) -> String {
     let entries: Vec<String> = run
         .mtbf_trace
@@ -950,6 +722,17 @@ fn mtbf_trace_json(args: &Args, run: &CampaignRun) -> String {
     )
 }
 
+/// Prints the coalescence window sweep over the report's panics and
+/// its merged HL stream.
+fn print_window_sweep(report: &StudyReport) {
+    let sweep = report
+        .coalescence
+        .window_sweep(&report.hl_events, &COALESCENCE_SWEEP_WINDOWS_SECS);
+    for (w, frac) in sweep {
+        println!("  window {w:>6} s -> {:.1}% related", 100.0 * frac);
+    }
+}
+
 fn forum_report(seed: u64) -> String {
     use symfail_forum::corpus::CorpusGenerator;
     use symfail_forum::tables::ForumStudy;
@@ -965,8 +748,8 @@ fn forum_report(seed: u64) -> String {
 /// `repro merge-checkpoints OUT IN1 IN2 ...` — validates and merges
 /// shard checkpoints written by `--shard i/N` processes of the same
 /// campaign, writes the merged whole-fleet checkpoint to OUT, and
-/// prints the report a single-process `--exp all --engine streaming`
-/// run would print, byte for byte. The campaign flags must match the
+/// prints the report a single-process `--exp all` run would print,
+/// byte for byte. The campaign flags must match the
 /// ones the shard processes ran with: they rebuild the fingerprint
 /// and analysis config the inputs are validated against.
 fn merge_checkpoints_cmd(argv: &[String]) -> Result<(), String> {
@@ -1492,14 +1275,12 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    // Experiments that walk the materialized fleet dataset cannot run
-    // on the streaming engine, which never builds one.
-    let needs_fleet = args.exp == "ablations" || (args.exp == "fig5" && args.sweep);
-    if needs_fleet && args.engine == Engine::Streaming {
+    // The window sweep re-thresholds the coalesce pass's panics.
+    let sweeps = args.exp == "ablations" || (args.exp == "fig5" && args.sweep);
+    if sweeps && !registry.names().contains(&"coalesce") {
         eprintln!(
-            "--exp {}{} needs the materialized fleet; run it with --engine batch",
-            args.exp,
-            if args.sweep { " --sweep" } else { "" }
+            "--exp {} sweeps the coalesce pass; add it to --analyses",
+            args.exp
         );
         return ExitCode::FAILURE;
     }
@@ -1538,10 +1319,7 @@ fn main() -> ExitCode {
         }
         eprintln!("wrote defect report to {path}");
     }
-    let (report, fleet) = match &run {
-        Some(run) => (Some(&run.report), run.fleet.as_ref()),
-        None => (None, None),
-    };
+    let report = run.as_ref().map(|run| &run.report);
     match args.exp.as_str() {
         "all" => {
             let report = report.expect("campaign ran");
@@ -1566,24 +1344,12 @@ fn main() -> ExitCode {
             let report = report.expect("campaign ran");
             println!("{}", report.render_fig5());
             if args.sweep {
-                let fleet = fleet.expect("fleet present");
-                let hl = symfail_core::analysis::shutdown::merge_hl_events(
-                    fleet.freezes(),
-                    &report.shutdowns.self_shutdown_hl_events(),
-                );
                 println!("window sweep (the paper's justification for 5 minutes):");
-                for (w, frac) in coalesce::CoalescenceAnalysis::window_sweep(
-                    fleet,
-                    &hl,
-                    &COALESCENCE_SWEEP_WINDOWS_SECS,
-                ) {
-                    println!("  window {w:>6} s -> {:.1}% related", 100.0 * frac);
-                }
+                print_window_sweep(report);
             }
         }
         "ablations" => {
             let report = report.expect("campaign ran");
-            let fleet = fleet.expect("fleet present");
             println!("--- self-shutdown threshold sweep (Fig. 2's 360 s choice) ---");
             for (th, n) in report
                 .shutdowns
@@ -1592,17 +1358,7 @@ fn main() -> ExitCode {
                 println!("  threshold {th:>5} s -> {n} self-shutdowns");
             }
             println!("--- coalescence window sweep (Fig. 4/5's 5-minute choice) ---");
-            let hl = symfail_core::analysis::shutdown::merge_hl_events(
-                fleet.freezes(),
-                &report.shutdowns.self_shutdown_hl_events(),
-            );
-            for (w, frac) in coalesce::CoalescenceAnalysis::window_sweep(
-                fleet,
-                &hl,
-                &COALESCENCE_SWEEP_WINDOWS_SECS,
-            ) {
-                println!("  window {w:>6} s -> {:.1}% related", 100.0 * frac);
-            }
+            print_window_sweep(report);
             println!("--- including all shutdown events (51% -> 55% robustness) ---");
             println!(
                 "  self-shutdowns only: {:.1}% | all shutdown events: {:.1}%",
@@ -1617,8 +1373,7 @@ fn main() -> ExitCode {
         "extensions" => {
             // Post-paper extensions: baseline comparison, temporal
             // behaviour, and the user-report channel (future work).
-            // All of them run off the report and the per-phone metas —
-            // no materialized fleet — so they work under both engines.
+            // All of them run off the report and the per-phone metas.
             let run = run.as_ref().expect("campaign ran");
             let metas = &run.metas;
             let report = &run.report;
@@ -1632,8 +1387,7 @@ fn main() -> ExitCode {
                 println!("{}", ia.render("freezes + self-shutdowns"));
             }
             // Firmware breakdown comes from the registered `firmware`
-            // pass — logged data folded under either engine — instead
-            // of the old metas-walking free function.
+            // pass: logged data, not simulator metadata.
             print!("{}", report.render_firmware());
             let classes = report.render_device_classes();
             if !classes.is_empty() {

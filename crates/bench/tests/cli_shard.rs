@@ -38,7 +38,7 @@ fn oversharded_fleet_merges_at_the_cli() {
         let _ = std::fs::remove_file(&path);
         let mut cmd = repro();
         campaign_flags(&mut cmd);
-        cmd.args(["--engine", "streaming", "--workers", "2"]);
+        cmd.args(["--workers", "2"]);
         cmd.args(["--shard", &format!("{index}/{SHARDS}")]);
         cmd.args(["--checkpoint", path.to_str().unwrap()]);
         let out = cmd.output().expect("spawn repro");

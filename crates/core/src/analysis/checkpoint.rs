@@ -7,7 +7,7 @@
 //! the same property. A checkpoint captures the merger's *absorbed
 //! contiguous prefix* — the fleet [`NameTable`](crate::intern::NameTable),
 //! the next expected phone id, and every pass's accumulator serialized
-//! by [`AnalysisPass::snapshot_acc`](super::passes::AnalysisPass::snapshot_acc)
+//! by [`AnalysisPass::snapshot`](super::passes::AnalysisPass::snapshot)
 //! — so a resumed run re-simulates only phones `>= next_id` and
 //! renders a report byte-identical to an uninterrupted run.
 //!

@@ -21,6 +21,9 @@
 //! nearest-panic gap) is computed **once** into a sorted array
 //! ([`CoalescenceGaps`]), after which any window is answered by one
 //! binary search — the whole Fig 4/5 sweep costs a single merge pass.
+//! The sweep reads its panics from a finished analysis (which holds
+//! every panic, related or not), so it runs on a streamed report
+//! without a materialized fleet.
 
 use serde::{Deserialize, Serialize};
 
@@ -78,18 +81,19 @@ fn nearest_hl(slice: &[HlEvent], t: SimTime) -> Option<(u64, HlKind)> {
     Some((gap, slice[idx].kind))
 }
 
-/// Gap in ms from `t` to the nearest panic in a time-sorted slice.
-fn nearest_panic_gap(panics: &[PanicEvent], t: SimTime) -> Option<u64> {
-    if panics.is_empty() {
+/// Gap in ms from `t` to the nearest item of a slice time-sorted by
+/// `at`.
+fn nearest_gap<T>(items: &[T], at: impl Fn(&T) -> SimTime, t: SimTime) -> Option<u64> {
+    if items.is_empty() {
         return None;
     }
-    let i = panics.partition_point(|p| p.at < t);
+    let i = items.partition_point(|p| at(p) < t);
     let mut best = u64::MAX;
-    if i < panics.len() {
-        best = best.min(panics[i].at.saturating_since(t).as_millis());
+    if i < items.len() {
+        best = best.min(at(&items[i]).saturating_since(t).as_millis());
     }
     if i > 0 {
-        best = best.min(t.saturating_since(panics[i - 1].at).as_millis());
+        best = best.min(t.saturating_since(at(&items[i - 1])).as_millis());
     }
     Some(best)
 }
@@ -150,7 +154,7 @@ pub fn coalesce_phone(
     // one panic in their window.
     let hl_with_panic = hl
         .iter()
-        .filter(|e| nearest_panic_gap(panics, e.at).is_some_and(|gap| gap <= window_ms))
+        .filter(|e| nearest_gap(panics, |p| p.at, e.at).is_some_and(|gap| gap <= window_ms))
         .count();
     PhoneCoalesce {
         panics: out,
@@ -318,15 +322,13 @@ impl CoalescenceAnalysis {
     }
 
     /// The window-size sweep that justifies the five-minute choice:
-    /// `(window_secs, related_fraction)` for each candidate window.
-    /// One merge pass builds the gap index; each window is then a
-    /// single binary search (see [`CoalescenceGaps`]).
-    pub fn window_sweep(
-        fleet: &FleetDataset,
-        hl_events: &[HlEvent],
-        windows_secs: &[u64],
-    ) -> Vec<(u64, f64)> {
-        let gaps = CoalescenceGaps::new(fleet, hl_events);
+    /// `(window_secs, related_fraction)` for each candidate window,
+    /// over this analysis's panics and the HL stream it was coalesced
+    /// against (a report's `hl_events`). One merge pass builds the gap
+    /// index; each window is then a single binary search (see
+    /// [`CoalescenceGaps`]).
+    pub fn window_sweep(&self, hl_events: &[HlEvent], windows_secs: &[u64]) -> Vec<(u64, f64)> {
+        let gaps = CoalescenceGaps::new(self, hl_events);
         windows_secs
             .iter()
             .map(|&w| (w, gaps.related_fraction(SimDuration::from_secs(w))))
@@ -373,25 +375,29 @@ pub struct CoalescenceGaps {
 }
 
 impl CoalescenceGaps {
-    /// Builds the gap index in O((P+H)·log H).
-    pub fn new(fleet: &FleetDataset, hl_events: &[HlEvent]) -> Self {
+    /// Builds the gap index in O((P+H)·log(P+H)) from a finished
+    /// analysis — whose panic list is phone-ordered and time-sorted
+    /// within each phone, exactly as the per-phone folds produced it —
+    /// and the HL events it was coalesced against.
+    pub fn new(analysis: &CoalescenceAnalysis, hl_events: &[HlEvent]) -> Self {
         let hl = sorted_hl(hl_events);
-        let mut panic_gaps_ms = Vec::with_capacity(fleet.panic_count());
-        let mut hl_gaps_ms = Vec::with_capacity(hl.len());
-        for phone in fleet.phones() {
-            let slice = phone_slice(&hl, phone.phone_id());
-            for rec in phone.panics() {
-                let gap = nearest_hl(slice, rec.at).map_or(u64::MAX, |(gap, _)| gap);
-                panic_gaps_ms.push(gap);
-            }
-            for e in slice {
-                let gap = nearest_panic_gap(phone.panics(), e.at).unwrap_or(u64::MAX);
-                hl_gaps_ms.push(gap);
-            }
-        }
-        // HL events on phones outside the fleet can never coalesce.
-        let orphans = hl.len() - hl_gaps_ms.len();
-        hl_gaps_ms.extend(std::iter::repeat_n(u64::MAX, orphans));
+        let panics = analysis.panics();
+        let mut panic_gaps_ms: Vec<u64> = panics
+            .iter()
+            .map(|p| {
+                let slice = phone_slice(&hl, p.phone_id);
+                nearest_hl(slice, p.panic.at).map_or(u64::MAX, |(gap, _)| gap)
+            })
+            .collect();
+        // HL events on phones without panics can never coalesce.
+        let mut hl_gaps_ms: Vec<u64> = hl
+            .iter()
+            .map(|e| {
+                let lo = panics.partition_point(|p| p.phone_id < e.phone_id);
+                let hi = panics.partition_point(|p| p.phone_id <= e.phone_id);
+                nearest_gap(&panics[lo..hi], |p| p.panic.at, e.at).unwrap_or(u64::MAX)
+            })
+            .collect();
         panic_gaps_ms.sort_unstable();
         hl_gaps_ms.sort_unstable();
         Self {
@@ -570,7 +576,8 @@ mod tests {
             panic_rec(10_000, codes::USER_11),
         ]);
         let events = [hl(0, 160, HlKind::Freeze), hl(0, 11_000, HlKind::Freeze)];
-        let sweep = CoalescenceAnalysis::window_sweep(&f, &events, &[30, 60, 300, 2000]);
+        let sweep = CoalescenceAnalysis::new(&f, &events, COALESCENCE_WINDOW)
+            .window_sweep(&events, &[30, 60, 300, 2000]);
         for pair in sweep.windows(2) {
             assert!(pair[1].1 >= pair[0].1);
         }
@@ -593,7 +600,10 @@ mod tests {
             hl(0, 900, HlKind::SelfShutdown),
             hl(0, 90_000, HlKind::Freeze),
         ];
-        let gaps = CoalescenceGaps::new(&f, &events);
+        let gaps = CoalescenceGaps::new(
+            &CoalescenceAnalysis::new(&f, &events, COALESCENCE_WINDOW),
+            &events,
+        );
         for w in [1u64, 60, 300, 5000, 200_000] {
             let window = SimDuration::from_secs(w);
             let full = CoalescenceAnalysis::new(&f, &events, window);
@@ -612,7 +622,7 @@ mod tests {
         assert_eq!(a.related_fraction(), 0.0);
         assert_eq!(a.isolated_hl_fraction(), 0.0);
         assert_eq!(a.hl_total(), 0);
-        let gaps = CoalescenceGaps::new(&FleetDataset::default(), &[]);
+        let gaps = CoalescenceGaps::new(&a, &[]);
         assert_eq!(gaps.related_fraction(COALESCENCE_WINDOW), 0.0);
         assert_eq!(gaps.isolated_hl_fraction(COALESCENCE_WINDOW), 0.0);
     }

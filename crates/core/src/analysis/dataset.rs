@@ -530,44 +530,6 @@ impl FleetDataset {
         )
     }
 
-    /// Like [`Self::from_flash`], but parses phones on `workers`
-    /// threads with a work-stealing counter. Parsing is per-phone
-    /// independent, so the result is identical to the sequential
-    /// path; the output order is the input order regardless of
-    /// scheduling.
-    pub fn from_flash_parallel(filesystems: &[(u32, &FlashFs)], workers: usize) -> Self {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        let workers = workers.clamp(1, filesystems.len().max(1));
-        if workers == 1 {
-            return Self::from_flash(filesystems.iter().map(|&(id, fs)| (id, fs)));
-        }
-        let next = AtomicUsize::new(0);
-        let mut parsed: Vec<(usize, PhoneDataset)> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    let next = &next;
-                    scope.spawn(move || {
-                        let mut out = Vec::new();
-                        loop {
-                            let i = next.fetch_add(1, Ordering::Relaxed);
-                            let Some(&(id, fs)) = filesystems.get(i) else {
-                                break;
-                            };
-                            out.push((i, PhoneDataset::from_flashfs(id, fs)));
-                        }
-                        out
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("parse worker panicked"))
-                .collect()
-        });
-        parsed.sort_unstable_by_key(|&(i, _)| i);
-        Self::from_phones(parsed.into_iter().map(|(_, ds)| ds).collect())
-    }
-
     /// Builds a fleet dataset from already-parsed phones, merging the
     /// per-phone intern tables and deriving the fleet-wide event
     /// indexes.
@@ -775,28 +737,6 @@ mod tests {
         assert_eq!(fleet.shutdown_events().len(), 2);
         assert_eq!(fleet.freezes().len(), 2);
         assert!(!fleet.is_empty());
-    }
-
-    #[test]
-    fn parallel_parse_matches_sequential() {
-        let mut fs = FlashFs::new();
-        let mut lg = FailureLogger::new(LoggerConfig::default());
-        let ctx = PhoneContext::default();
-        lg.on_boot(&mut fs, t(0), &ctx);
-        for i in 1..=50 {
-            lg.on_tick(&mut fs, t(30 * i), &ctx);
-        }
-        let systems: Vec<(u32, &FlashFs)> = (0..7).map(|id| (id, &fs)).collect();
-        let seq = FleetDataset::from_flash(systems.iter().map(|&(id, f)| (id, f)));
-        for workers in [1, 2, 3, 16] {
-            let par = FleetDataset::from_flash_parallel(&systems, workers);
-            assert_eq!(par.len(), seq.len());
-            for (s, p) in seq.phones().iter().zip(par.phones()) {
-                assert_eq!(s.phone_id(), p.phone_id());
-                assert_eq!(s.beats(), p.beats());
-                assert_eq!(s.panics(), p.panics());
-            }
-        }
     }
 
     #[test]

@@ -22,9 +22,9 @@
 //!
 //! Every step is expressed as an [`passes::AnalysisPass`] — a
 //! per-phone fold with a phone-ordered merge — so the same code runs
-//! both as the batch driver over a materialized
-//! [`dataset::FleetDataset`] and as the streaming engine fused with
-//! the campaign (peak memory bounded by `workers × per-phone state`).
+//! both as the reference driver over a materialized
+//! [`dataset::FleetDataset`] and inside the streaming campaign driver
+//! (peak memory bounded by `workers × per-phone state`).
 
 pub mod activity;
 pub mod baseline;

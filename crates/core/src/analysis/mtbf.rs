@@ -47,9 +47,9 @@ impl MtbfAnalysis {
     }
 
     /// Derives the estimates from already-summed fleet totals — the
-    /// streaming engine's `finish` step. Summing per-phone
+    /// `mtbf` pass's `finish` step. Summing per-phone
     /// [`SimDuration`]s (integer milliseconds) before the single
-    /// float conversion keeps this bit-identical to the batch path.
+    /// float conversion keeps this bit-identical for any merge order.
     pub fn from_totals(powered_on: SimDuration, freezes: usize, self_shutdowns: usize) -> Self {
         let total_hours = powered_on.as_hours_f64();
         let div = |n: usize| (n > 0).then(|| total_hours / n as f64);

@@ -1,48 +1,44 @@
 //! The composable analysis-pass framework: per-phone map-fold with a
 //! deterministic phone-ordered merge.
 //!
-//! Every study section is an [`AnalysisPass`]: it folds one
-//! [`PhoneDataset`] into a small per-phone summary
-//! ([`AnalysisPass::fold_phone`]), merges summaries into a fleet
-//! accumulator ([`AnalysisPass::merge`]), and finishes the accumulator
-//! into its report section ([`AnalysisPass::finish`]). The contract
-//! that makes streaming safe:
+//! Every study section is an [`AnalysisPass`] with a typed
+//! accumulator: it folds one [`PhoneDataset`] into a *one-phone
+//! accumulator* ([`AnalysisPass::fold_phone`]), merges accumulators
+//! ([`AnalysisPass::merge`]), and finishes the fleet accumulator into
+//! its report section ([`AnalysisPass::finish`]). There is one merge:
+//! a phone, a contiguous run of phones and a whole checkpointed shard
+//! are all accumulators, so the same method absorbs each of them. The
+//! contract that makes streaming safe:
 //!
-//! - **merge is associative over phone order**: merging folds
-//!   `0, 1, …, n` one at a time must equal the batch analysis over the
-//!   whole fleet. Passes achieve this either by concatenating
-//!   per-phone vectors in phone-id order (shutdowns, cascades,
-//!   coalesced panics, defects) or by using order-insensitive additive
-//!   counters (`CategoricalDist`/`ContingencyTable` are
-//!   `BTreeMap`-backed).
+//! - **merge is associative over phone order**: merging the
+//!   accumulators of disjoint ascending phone runs, in any grouping,
+//!   must equal the fold over the whole fleet. Passes achieve this
+//!   either by concatenating per-phone vectors in phone-id order
+//!   (shutdowns, cascades, coalesced panics, defects) or by using
+//!   order-insensitive additive counters
+//!   (`CategoricalDist`/`ContingencyTable` are `BTreeMap`-backed).
 //! - **name ids never leak unmapped**: only coalesced panics carry
 //!   interned [`NameId`](crate::intern::NameId)s. The merge context
-//!   provides the phone's remap table (built by absorbing per-phone
-//!   [`NameTable`]s in phone-id order — the PR 3 interner discipline),
-//!   so streamed ids are bit-identical to the batch fleet table's.
-//!   Passes that need strings (running apps) resolve them at fold
-//!   time instead.
+//!   provides the absorbed run's remap table (built by absorbing its
+//!   [`NameTable`] into the receiving table in phone-id order), so
+//!   streamed ids are bit-identical to the batch fleet table's. Passes
+//!   that need strings (running apps) resolve them at fold time
+//!   instead.
 //!
-//! [`StreamMerger`] drives the streaming side: workers push
-//! [`PhoneFolds`] in any order; folds are buffered and absorbed
-//! strictly in phone-id order, so the report is byte-identical for any
-//! worker count — and byte-identical to the batch driver
-//! ([`StudyReport::analyze`]), which runs the *same* passes over a
-//! materialized fleet with an identity remap. Peak memory of the
-//! streaming engine is `workers × per-phone state` plus the folded
-//! summaries; flash bytes and datasets are dropped phone by phone.
+//! The registry stores passes behind one type-erased adapter
+//! ([`ErasedPass`], implemented once for every [`AnalysisPass`]); it is
+//! the only code that sees an accumulator as `dyn Any`.
 //!
-//! The sharded fold path batches that discipline: a worker folds a
-//! *contiguous run* of phone ids into a private [`FoldShard`] (its own
-//! accumulator chain plus shard-local name table) and hands the whole
-//! shard to the merger in one [`StreamMerger::push_shard`] — one lock
-//! acquisition per run instead of per phone. Shard-level merging
-//! ([`AnalysisPass::merge_acc`]) is associative over disjoint
-//! ascending runs for the same reason per-phone merging is, and the
-//! interner absorbs shard tables exactly as it would the phones' own,
-//! so sharded reports stay byte-identical to the serial merge for any
-//! run partition ([`tree_merge_shards`] exploits the same property to
-//! reduce shards pairwise).
+//! The streaming driver folds a *contiguous run* of phone ids into a
+//! private [`FoldShard`] (its own accumulators plus a shard-local name
+//! table) and hands the whole shard to the [`StreamMerger`] in one
+//! [`StreamMerger::push_shard`]. The merger buffers out-of-order
+//! shards and absorbs strictly in phone-id order, so the report is
+//! byte-identical for any worker count and run partition — and to the
+//! reference driver ([`StudyReport::analyze`]), which runs the *same*
+//! passes over a materialized fleet with an identity remap.
+//! [`tree_merge_shards`] exploits the same associativity to reduce
+//! shards pairwise.
 
 use std::any::Any;
 use std::collections::BTreeMap;
@@ -69,80 +65,141 @@ use super::report::{AnalysisConfig, PhoneRow, StudyReport};
 use super::runapps::RunningAppsAnalysis;
 use super::shutdown::ShutdownAnalysis;
 
-/// Type-erased per-phone summary produced by [`AnalysisPass::fold_phone`].
-pub type DynFold = Box<dyn Any + Send>;
-
-/// Type-erased fleet accumulator produced by [`AnalysisPass::new_acc`].
-pub type DynAcc = Box<dyn Any + Send>;
-
-/// Merge-time context: which phone is being absorbed and how its name
-/// ids map into the fleet table.
+/// Merge-time context: which phone run is being absorbed and how its
+/// name ids map into the receiving table.
 pub struct MergeCtx<'a> {
-    /// Phone id of the fold being merged.
+    /// First phone id of the accumulator being merged.
     pub phone_id: u32,
-    /// `remap[phone_local_id] = fleet_id`, or `None` when the fold's
-    /// ids are already fleet ids (batch driver, or an identity remap).
+    /// `remap[run_local_id] = receiving_id`, or `None` when the
+    /// accumulator's ids are already the receiver's (reference driver,
+    /// or an identity remap).
     pub remap: Option<&'a [u16]>,
 }
 
-/// One section of the study as a per-phone fold + ordered merge.
+/// One section of the study as a typed per-phone fold plus an
+/// associative, phone-ordered merge.
 ///
-/// Implementations must keep `merge` associative over phone-id order
-/// (see the module docs); the framework guarantees folds arrive in
-/// phone-id order regardless of which worker produced them.
-pub trait AnalysisPass: Send + Sync {
-    /// Stable pass name, used by `--analyses` selection.
-    fn name(&self) -> &'static str;
+/// Implementations must keep [`Self::merge`] associative over phone-id
+/// order (see the module docs); the framework guarantees accumulators
+/// are merged in phone-id order regardless of which worker built them.
+pub trait AnalysisPass: Send + Sync + 'static {
+    /// The pass's accumulator. `Default` is the empty (zero-phone)
+    /// accumulator; [`Self::fold_phone`] builds a one-phone one.
+    type Acc: Default + Send + 'static;
+
+    /// Stable pass name, used by `--analyses` selection and recorded
+    /// in checkpoint headers.
+    const NAME: &'static str;
 
     /// Whether this pass consumes the per-phone coalescence fold (so
     /// [`PhoneLens::new`] can skip computing it when nothing does).
-    fn needs_coalesce(&self) -> bool {
-        false
-    }
+    const NEEDS_COALESCE: bool = false;
 
-    /// A fresh, empty fleet accumulator.
-    fn new_acc(&self) -> DynAcc;
+    /// Folds one phone into a one-phone accumulator. Must not retain
+    /// references into the dataset: the streaming driver drops the
+    /// phone right after.
+    fn fold_phone(&self, lens: &PhoneLens<'_>) -> Self::Acc;
 
-    /// Folds one phone into a summary. Must not retain references into
-    /// the dataset: the streaming engine drops the phone right after.
-    fn fold_phone(&self, lens: &PhoneLens<'_>) -> DynFold;
-
-    /// Merges a phone's fold into the fleet accumulator.
-    fn merge(&self, acc: &mut DynAcc, fold: DynFold, ctx: &MergeCtx<'_>);
-
-    /// Merges a whole *shard* accumulator — built by [`Self::new_acc`]
-    /// plus a contiguous run of [`Self::merge`]s — into `acc`.
-    /// `ctx.remap` maps the shard's interner ids into the fleet table,
-    /// exactly like a per-phone merge. The default forwards to
-    /// [`Self::merge`], which is correct whenever fold and accumulator
-    /// share a type; passes whose accumulator is a collection of folds
-    /// override it to concatenate.
-    fn merge_acc(&self, acc: &mut DynAcc, other: DynAcc, ctx: &MergeCtx<'_>) {
-        self.merge(acc, other, ctx);
-    }
+    /// Merges the accumulator of a later, disjoint phone run into
+    /// `acc`. `ctx.remap` maps `other`'s interner ids into `acc`'s.
+    fn merge(&self, acc: &mut Self::Acc, other: Self::Acc, ctx: &MergeCtx<'_>);
 
     /// Estimated heap bytes held by an accumulator — run-buffer
-    /// accounting for the sharded merger's stats, not allocator truth.
-    /// The default claims nothing (right for flat counter folds).
-    fn acc_heap_bytes(&self, _acc: &DynAcc) -> usize {
+    /// accounting for the merger's stats, not allocator truth. The
+    /// default claims nothing (right for flat counter folds).
+    fn heap_bytes(&self, _acc: &Self::Acc) -> usize {
         0
     }
 
     /// Finishes the accumulator into the pass's report section.
+    fn finish(&self, acc: Self::Acc, config: AnalysisConfig) -> PassOutput;
+
+    /// Serializes an accumulator into a checkpoint stream (see the
+    /// [`checkpoint`](super::checkpoint) module for the format). Must
+    /// write exactly what [`Self::restore`] reads: the merger
+    /// length-prefixes each pass blob and rejects partial consumption.
+    fn snapshot(&self, acc: &Self::Acc, out: &mut ByteWriter);
+
+    /// Rebuilds an accumulator from a checkpoint stream. Interned ids
+    /// in the stream are the writer's table ids (restored alongside),
+    /// so no remapping happens here.
+    fn restore(&self, src: &mut ByteReader<'_>) -> Result<Self::Acc, CheckpointError>;
+}
+
+/// An accumulator behind the erased adapter.
+type DynAcc = Box<dyn Any + Send>;
+
+/// The object-safe face of an [`AnalysisPass`], implemented once for
+/// every pass below: the registry holds `Box<dyn ErasedPass>` and
+/// hands it [`DynAcc`]s, and these methods are the only code in the
+/// framework that downcasts one. Every slot is created by its own
+/// pass ([`PassRegistry::new_accs`], [`read_accs`]), so a type
+/// mismatch is a registry bug, never bad input.
+trait ErasedPass: Send + Sync {
+    fn name(&self) -> &'static str;
+    fn needs_coalesce(&self) -> bool;
+    fn empty(&self) -> DynAcc;
+    fn fold_into(&self, acc: &mut DynAcc, lens: &PhoneLens<'_>, ctx: &MergeCtx<'_>);
+    fn merge(&self, acc: &mut DynAcc, other: DynAcc, ctx: &MergeCtx<'_>);
+    fn heap_bytes(&self, acc: &DynAcc) -> usize;
     fn finish(&self, acc: DynAcc, config: AnalysisConfig) -> PassOutput;
+    fn snapshot(&self, acc: &DynAcc, out: &mut ByteWriter);
+    fn restore(&self, src: &mut ByteReader<'_>) -> Result<DynAcc, CheckpointError>;
+}
 
-    /// Serializes the fleet accumulator into a checkpoint stream
-    /// (see the [`checkpoint`](super::checkpoint) module for the
-    /// format). Must write exactly what [`Self::restore_acc`] reads:
-    /// the merger length-prefixes each pass blob and rejects partial
-    /// consumption.
-    fn snapshot_acc(&self, acc: &DynAcc, out: &mut ByteWriter);
+/// Pass `P`'s view of a registry slot.
+fn typed<P: AnalysisPass>(acc: &DynAcc) -> &P::Acc {
+    acc.downcast_ref()
+        .expect("registry slot holds its pass's accumulator")
+}
 
-    /// Rebuilds the fleet accumulator from a checkpoint stream.
-    /// Interned ids in the stream are fleet ids (the merger restores
-    /// the fleet [`NameTable`] alongside), so no remapping happens
-    /// here.
-    fn restore_acc(&self, src: &mut ByteReader<'_>) -> Result<DynAcc, CheckpointError>;
+fn typed_mut<P: AnalysisPass>(acc: &mut DynAcc) -> &mut P::Acc {
+    acc.downcast_mut()
+        .expect("registry slot holds its pass's accumulator")
+}
+
+fn into_typed<P: AnalysisPass>(acc: DynAcc) -> P::Acc {
+    *acc.downcast()
+        .expect("registry slot holds its pass's accumulator")
+}
+
+impl<P: AnalysisPass> ErasedPass for P {
+    fn name(&self) -> &'static str {
+        P::NAME
+    }
+
+    fn needs_coalesce(&self) -> bool {
+        P::NEEDS_COALESCE
+    }
+
+    fn empty(&self) -> DynAcc {
+        Box::new(P::Acc::default())
+    }
+
+    fn fold_into(&self, acc: &mut DynAcc, lens: &PhoneLens<'_>, ctx: &MergeCtx<'_>) {
+        let fold = AnalysisPass::fold_phone(self, lens);
+        AnalysisPass::merge(self, typed_mut::<P>(acc), fold, ctx);
+    }
+
+    fn merge(&self, acc: &mut DynAcc, other: DynAcc, ctx: &MergeCtx<'_>) {
+        AnalysisPass::merge(self, typed_mut::<P>(acc), into_typed::<P>(other), ctx);
+    }
+
+    fn heap_bytes(&self, acc: &DynAcc) -> usize {
+        AnalysisPass::heap_bytes(self, typed::<P>(acc))
+    }
+
+    fn finish(&self, acc: DynAcc, config: AnalysisConfig) -> PassOutput {
+        AnalysisPass::finish(self, into_typed::<P>(acc), config)
+    }
+
+    fn snapshot(&self, acc: &DynAcc, out: &mut ByteWriter) {
+        AnalysisPass::snapshot(self, typed::<P>(acc), out);
+    }
+
+    fn restore(&self, src: &mut ByteReader<'_>) -> Result<DynAcc, CheckpointError> {
+        Ok(Box::new(AnalysisPass::restore(self, src)?))
+    }
 }
 
 /// A finished report section, one variant per pass.
@@ -265,8 +322,8 @@ impl<'a> PhoneLens<'a> {
         Self::with_names_device(phone, phone.names(), config, needs_coalesce, device)
     }
 
-    /// [`Self::new`] with an explicit resolve table. The batch driver
-    /// passes the merged fleet table: fleet members' panics carry
+    /// [`Self::new`] with an explicit resolve table. The reference
+    /// driver passes the merged fleet table: fleet members' panics carry
     /// fleet ids and the phones no longer own table copies.
     pub fn with_names(
         phone: &'a PhoneDataset,
@@ -284,7 +341,7 @@ impl<'a> PhoneLens<'a> {
     }
 
     /// [`Self::with_names`] with explicit device labels — the
-    /// labelled batch driver's entry point.
+    /// labelled reference driver's entry point.
     pub fn with_names_device(
         phone: &'a PhoneDataset,
         names: &'a NameTable,
@@ -366,20 +423,9 @@ impl<'a> PhoneLens<'a> {
     }
 }
 
-/// One phone's folds for every registered pass, plus the phone's name
-/// table for the ordered interner merge. Workers produce these; the
-/// [`StreamMerger`] consumes them in phone-id order.
-pub struct PhoneFolds {
-    /// The phone the folds describe.
-    pub phone_id: u32,
-    /// The phone's name table, absorbed into the fleet table at merge.
-    pub names: NameTable,
-    folds: Vec<DynFold>,
-}
-
 /// An ordered set of passes: the unit `StudyReport` drives.
 pub struct PassRegistry {
-    passes: Vec<Box<dyn AnalysisPass>>,
+    passes: Vec<Box<dyn ErasedPass>>,
 }
 
 impl PassRegistry {
@@ -422,7 +468,7 @@ impl PassRegistry {
                 ));
             }
         }
-        let passes: Vec<Box<dyn AnalysisPass>> = Self::NAMES
+        let passes: Vec<Box<dyn ErasedPass>> = Self::NAMES
             .iter()
             .filter(|name| want_all || tokens.contains(name))
             .map(|name| Self::build(name))
@@ -430,25 +476,30 @@ impl PassRegistry {
         Ok(Self { passes })
     }
 
-    fn build(name: &str) -> Box<dyn AnalysisPass> {
+    fn build(name: &str) -> Box<dyn ErasedPass> {
         match name {
-            "shutdown" => Box::new(ShutdownPass),
-            "mtbf" => Box::new(MtbfPass),
-            "bursts" => Box::new(BurstsPass),
-            "coalesce" => Box::new(CoalescePass),
-            "activity" => Box::new(ActivityPass),
-            "runapps" => Box::new(RunningAppsPass),
-            "panics" => Box::new(PanicDistPass),
-            "firmware" => Box::new(FirmwarePass),
-            "defects" => Box::new(DefectsPass),
-            "perphone" => Box::new(PerPhonePass),
+            ShutdownPass::NAME => Box::new(ShutdownPass),
+            MtbfPass::NAME => Box::new(MtbfPass),
+            BurstsPass::NAME => Box::new(BurstsPass),
+            CoalescePass::NAME => Box::new(CoalescePass),
+            ActivityPass::NAME => Box::new(ActivityPass),
+            RunningAppsPass::NAME => Box::new(RunningAppsPass),
+            PanicDistPass::NAME => Box::new(PanicDistPass),
+            FirmwarePass::NAME => Box::new(FirmwarePass),
+            DefectsPass::NAME => Box::new(DefectsPass),
+            PerPhonePass::NAME => Box::new(PerPhonePass),
             _ => unreachable!("validated pass name"),
         }
     }
 
-    /// The registered passes in canonical order.
-    pub fn passes(&self) -> &[Box<dyn AnalysisPass>] {
-        &self.passes
+    /// The registered pass names in canonical order.
+    pub fn names(&self) -> Vec<&'static str> {
+        self.passes.iter().map(|p| p.name()).collect()
+    }
+
+    /// Registry slot of the pass named `name`, if selected.
+    fn position(&self, name: &str) -> Option<usize> {
+        self.passes.iter().position(|p| p.name() == name)
     }
 
     /// Whether any registered pass consumes the coalescence fold.
@@ -457,31 +508,27 @@ impl PassRegistry {
     }
 
     /// Fresh accumulators, one per pass, in registry order.
-    pub fn new_accs(&self) -> Vec<DynAcc> {
-        self.passes.iter().map(|p| p.new_acc()).collect()
+    pub(crate) fn new_accs(&self) -> Vec<DynAcc> {
+        self.passes.iter().map(|p| p.empty()).collect()
     }
 
-    /// Folds one phone for every pass. The phone's name table rides
-    /// along for the ordered interner merge.
-    pub fn fold_phone(&self, lens: &PhoneLens<'_>) -> PhoneFolds {
-        PhoneFolds {
-            phone_id: lens.phone.phone_id(),
-            names: lens.names.clone(),
-            folds: self.passes.iter().map(|p| p.fold_phone(lens)).collect(),
+    /// Folds one phone and merges it straight into `accs` — the inner
+    /// loop of both the reference driver and [`FoldShard::absorb_phone`].
+    pub(crate) fn fold_merge(&self, lens: &PhoneLens<'_>, accs: &mut [DynAcc], ctx: &MergeCtx<'_>) {
+        for (pass, acc) in self.passes.iter().zip(accs.iter_mut()) {
+            pass.fold_into(acc, lens, ctx);
         }
     }
 
-    /// Folds one phone and merges it straight into `accs` — the batch
-    /// driver's inner loop (no buffering, identity remap).
-    pub fn fold_merge(&self, lens: &PhoneLens<'_>, accs: &mut [DynAcc], ctx: &MergeCtx<'_>) {
-        for (pass, acc) in self.passes.iter().zip(accs.iter_mut()) {
-            let fold = pass.fold_phone(lens);
-            pass.merge(acc, fold, ctx);
+    /// Merges a later run's accumulators into `accs`, pass by pass.
+    fn merge_accs(&self, accs: &mut [DynAcc], other: Vec<DynAcc>, ctx: &MergeCtx<'_>) {
+        for (pass, (acc, other)) in self.passes.iter().zip(accs.iter_mut().zip(other)) {
+            pass.merge(acc, other, ctx);
         }
     }
 
     /// Finishes every accumulator into its report section.
-    pub fn finish(&self, accs: Vec<DynAcc>, config: AnalysisConfig) -> Vec<PassOutput> {
+    pub(crate) fn finish(&self, accs: Vec<DynAcc>, config: AnalysisConfig) -> Vec<PassOutput> {
         self.passes
             .iter()
             .zip(accs)
@@ -495,27 +542,36 @@ impl PassRegistry {
 /// out-of-order state it ever buffered.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MergeStats {
-    /// Shards absorbed (a per-phone push counts as a 1-phone shard).
+    /// Shards absorbed.
     pub absorbed_shards: u64,
     /// Most shards ever buffered waiting for an earlier phone.
     pub peak_pending_shards: usize,
     /// Most phones those buffered shards ever covered.
     pub peak_pending_phones: usize,
     /// Estimated heap bytes of buffered shards at their peak
-    /// ([`AnalysisPass::acc_heap_bytes`] accounting).
+    /// ([`AnalysisPass::heap_bytes`] accounting).
     pub peak_pending_bytes: usize,
 }
 
-/// A contiguous run of phones `[start, end)` folded into a private
-/// accumulator chain with a shard-local name table — the unit of work
-/// the sharded streaming driver hands to the merger, one lock
-/// acquisition per run instead of one per phone.
+/// Absorbs `names` into `into` and returns the remap a merge context
+/// needs — `None` when it is the identity (the names arrived in table
+/// order, the overwhelmingly common case), so passes skip the rewrite.
+fn absorb_names(into: &mut NameTable, names: &NameTable) -> Option<Vec<u16>> {
+    let remap = into.absorb(names);
+    let identity = remap.iter().enumerate().all(|(i, &to)| i == to as usize);
+    (!identity).then_some(remap)
+}
+
+/// A contiguous run of phones `[start, end)` folded into private
+/// accumulators with a shard-local name table — the unit of work the
+/// streaming driver hands to the merger, one lock acquisition per run
+/// instead of one per phone.
 ///
 /// The contiguous-run invariant: a shard's phones are consecutive ids
 /// folded in ascending order, so merging whole shards in `start` order
-/// performs exactly the fold the serial merger performs phone by phone
-/// — every pass's merge is associative over phone-id order, and the
-/// interner absorbs shard tables in the same order it would have
+/// performs exactly the fold the reference driver performs phone by
+/// phone — every pass's merge is associative over phone-id order, and
+/// the interner absorbs shard tables in the same order it would have
 /// absorbed the phones' own.
 pub struct FoldShard {
     start: u32,
@@ -532,29 +588,6 @@ impl FoldShard {
             end: start,
             names: NameTable::default(),
             accs: registry.new_accs(),
-        }
-    }
-
-    /// Wraps one phone's folds as a 1-phone shard (the serial merger's
-    /// buffering unit).
-    pub fn from_folds(registry: &PassRegistry, folds: PhoneFolds) -> Self {
-        let ctx = MergeCtx {
-            phone_id: folds.phone_id,
-            remap: None,
-        };
-        let mut accs = registry.new_accs();
-        for (pass, (acc, fold)) in registry
-            .passes()
-            .iter()
-            .zip(accs.iter_mut().zip(folds.folds))
-        {
-            pass.merge(acc, fold, &ctx);
-        }
-        Self {
-            start: folds.phone_id,
-            end: folds.phone_id.saturating_add(1),
-            names: folds.names,
-            accs,
         }
     }
 
@@ -585,21 +618,20 @@ impl FoldShard {
     pub fn absorb_phone(&mut self, registry: &PassRegistry, lens: &PhoneLens<'_>) {
         let id = lens.phone().phone_id();
         assert_eq!(id, self.end, "shard phones must be contiguous");
-        let remap = self.names.absorb(lens.names);
-        let identity = remap.iter().enumerate().all(|(i, &to)| i == to as usize);
+        let remap = absorb_names(&mut self.names, lens.names);
         let ctx = MergeCtx {
             phone_id: id,
-            remap: (!identity).then_some(remap.as_slice()),
+            remap: remap.as_deref(),
         };
         registry.fold_merge(lens, &mut self.accs, &ctx);
         self.end = self.end.saturating_add(1);
     }
 
     /// Merges a later shard into this one. `other` must start at or
-    /// after [`Self::end`] — id gaps are tolerated exactly as the
-    /// serial merger tolerates them at finish, overlap is a caller
-    /// bug. Remaps `other`'s interner ids through this shard's table,
-    /// preserving the phone-id-order interning discipline.
+    /// after [`Self::end`] — id gaps are tolerated (a partial merge
+    /// folds whatever slices exist), overlap is a caller bug. Remaps
+    /// `other`'s interner ids through this shard's table, preserving
+    /// the phone-id-order interning discipline.
     pub fn absorb_shard(&mut self, registry: &PassRegistry, other: FoldShard) {
         assert!(
             other.start >= self.end,
@@ -609,41 +641,34 @@ impl FoldShard {
             self.start,
             self.end
         );
-        let remap = self.names.absorb(&other.names);
-        let identity = remap.iter().enumerate().all(|(i, &to)| i == to as usize);
+        let remap = absorb_names(&mut self.names, &other.names);
         let ctx = MergeCtx {
             phone_id: other.start,
-            remap: (!identity).then_some(remap.as_slice()),
+            remap: remap.as_deref(),
         };
-        for (pass, (acc, other_acc)) in registry
-            .passes()
-            .iter()
-            .zip(self.accs.iter_mut().zip(other.accs))
-        {
-            pass.merge_acc(acc, other_acc, &ctx);
-        }
+        registry.merge_accs(&mut self.accs, other.accs, &ctx);
         self.end = other.end;
     }
 
     /// Estimated heap bytes held by the shard: its name table plus
-    /// every pass accumulator ([`AnalysisPass::acc_heap_bytes`]).
+    /// every pass accumulator ([`AnalysisPass::heap_bytes`]).
     pub fn heap_bytes(&self, registry: &PassRegistry) -> usize {
         // ~16 bytes/name covers the Box<str> header + index entry.
         let names: usize = self.names.iter().map(|n| n.len() + 16).sum();
         names
             + registry
-                .passes()
+                .passes
                 .iter()
                 .zip(&self.accs)
-                .map(|(pass, acc)| pass.acc_heap_bytes(acc))
+                .map(|(pass, acc)| pass.heap_bytes(acc))
                 .sum::<usize>()
     }
 }
 
 /// Reduces contiguous shards (any arrival order) into one by pairwise
 /// rounds — `O(log n)` merge depth. Returns `None` for an empty input.
-/// Byte-identical to left-to-right serial merging because shard
-/// merging is associative (see [`FoldShard::absorb_shard`]).
+/// Byte-identical to left-to-right merging because shard merging is
+/// associative (see [`FoldShard::absorb_shard`]).
 pub fn tree_merge_shards(registry: &PassRegistry, mut shards: Vec<FoldShard>) -> Option<FoldShard> {
     shards.sort_by_key(|s| s.start);
     while shards.len() > 1 {
@@ -660,8 +685,8 @@ pub fn tree_merge_shards(registry: &PassRegistry, mut shards: Vec<FoldShard>) ->
     shards.pop()
 }
 
-/// Phone-ordered streaming merge: accepts [`PhoneFolds`] in *any*
-/// arrival order, buffers out-of-order phones, and absorbs strictly by
+/// Phone-ordered streaming merge: accepts [`FoldShard`]s in *any*
+/// arrival order, buffers out-of-order shards, and absorbs strictly by
 /// ascending phone id — the same discipline
 /// [`FleetDataset::from_phones`](super::dataset::FleetDataset::from_phones)
 /// uses for the name interner, which is what makes streamed reports
@@ -669,17 +694,13 @@ pub fn tree_merge_shards(registry: &PassRegistry, mut shards: Vec<FoldShard>) ->
 pub struct StreamMerger<'r> {
     registry: &'r PassRegistry,
     config: AnalysisConfig,
-    names: NameTable,
-    accs: Vec<DynAcc>,
-    /// Out-of-order arrivals, keyed by shard start id. Per-phone
-    /// pushes buffer as 1-phone shards, so one mechanism serves both
-    /// the serial and the sharded driver.
+    /// The absorbed contiguous prefix `[origin, absorbed)` as one
+    /// shard: the fleet name table and every pass's fleet accumulator.
+    /// `origin` is 0 for a whole-fleet merger and the shard interval's
+    /// low end for a `--shard i/N` process.
+    absorbed: FoldShard,
+    /// Out-of-order arrivals, keyed by shard start id.
     pending: BTreeMap<u32, FoldShard>,
-    next_id: u32,
-    /// First phone id this merger owns — 0 for a whole-fleet merger,
-    /// the shard interval's low end for a `--shard i/N` process. The
-    /// covered range a snapshot records is `[origin, next_id)`.
-    origin: u32,
     stats: MergeStats,
 }
 
@@ -700,55 +721,19 @@ impl<'r> StreamMerger<'r> {
         Self {
             registry,
             config,
-            names: NameTable::default(),
-            accs: registry.new_accs(),
+            absorbed: FoldShard::new(registry, origin),
             pending: BTreeMap::new(),
-            next_id: origin,
-            origin,
             stats: MergeStats::default(),
         }
     }
 
     /// First phone id this merger owns (see [`Self::new_at`]).
     pub fn origin(&self) -> u32 {
-        self.origin
+        self.absorbed.start
     }
 
-    /// Accepts one phone's folds, absorbing every contiguously-ready
-    /// phone. Out-of-order arrivals are buffered (bounded by worker
-    /// skew: at most `workers - 1` phones wait).
-    pub fn push(&mut self, folds: PhoneFolds) {
-        self.push_each(folds, |_| {});
-    }
-
-    /// [`Self::push`] with an observer: `on_absorb` fires after *each*
-    /// single phone is absorbed (one push can absorb several buffered
-    /// phones). Because absorption happens strictly in phone-id order,
-    /// the observer sees every absorbed-count boundary exactly once
-    /// regardless of worker count or arrival order — which is what
-    /// makes checkpoint-every-N and the online MTBF trace
-    /// deterministic.
-    ///
-    /// Folds for phones below [`Self::absorbed`] (a resumed campaign
-    /// replaying an already-checkpointed phone) are dropped: absorbing
-    /// them again would double-count.
-    pub fn push_each(&mut self, folds: PhoneFolds, mut on_absorb: impl FnMut(&Self)) {
-        if folds.phone_id < self.next_id {
-            return;
-        }
-        if folds.phone_id == self.next_id {
-            // Head of line: merge the folds straight into the fleet
-            // accumulators — no shard wrapping on the hot path.
-            self.absorb(folds);
-            on_absorb(&*self);
-            self.drain_ready(&mut on_absorb);
-        } else {
-            self.buffer(FoldShard::from_folds(self.registry, folds));
-        }
-    }
-
-    /// Accepts a whole contiguous-run shard, the sharded driver's unit
-    /// of handoff. Shards fully below [`Self::absorbed`] (a resumed
+    /// Accepts a whole contiguous-run shard, the driver's unit of
+    /// handoff. Shards fully below [`Self::absorbed`] (a resumed
     /// campaign replaying already-checkpointed runs) are dropped; a
     /// shard *straddling* the watermark is a caller bug — the driver
     /// plans runs deterministically from the watermark, so a replayed
@@ -761,22 +746,26 @@ impl<'r> StreamMerger<'r> {
     /// shard (one push can unblock several buffered shards). Because
     /// shards absorb strictly in phone-id order, the observer sees
     /// every run boundary exactly once regardless of worker count —
-    /// the checkpoint-every-N discipline at run granularity.
+    /// which is what makes checkpoint-every-N and the online MTBF
+    /// trace deterministic.
     pub fn push_shard_each(&mut self, shard: FoldShard, mut on_absorb: impl FnMut(&Self)) {
-        if shard.is_empty() || shard.end() <= self.next_id {
+        let next_id = self.absorbed();
+        if shard.is_empty() || shard.end() <= next_id {
             return;
         }
         assert!(
-            shard.start() >= self.next_id,
-            "shard {}..{} straddles the absorbed watermark {}",
+            shard.start() >= next_id,
+            "shard {}..{} straddles the absorbed watermark {next_id}",
             shard.start(),
             shard.end(),
-            self.next_id
         );
-        if shard.start() == self.next_id {
+        if shard.start() == next_id {
             self.absorb_shard(shard);
             on_absorb(&*self);
-            self.drain_ready(&mut on_absorb);
+            while let Some(shard) = self.pending.remove(&self.absorbed()) {
+                self.absorb_shard(shard);
+                on_absorb(&*self);
+            }
         } else {
             self.buffer(shard);
         }
@@ -785,7 +774,7 @@ impl<'r> StreamMerger<'r> {
     /// Number of phones absorbed so far — the next expected phone id,
     /// and the resume point a snapshot taken now would encode.
     pub fn absorbed(&self) -> u32 {
-        self.next_id
+        self.absorbed.end
     }
 
     /// Phones currently buffered waiting for an earlier phone.
@@ -798,58 +787,15 @@ impl<'r> StreamMerger<'r> {
         self.stats
     }
 
-    fn absorb(&mut self, folds: PhoneFolds) {
-        let remap = self.names.absorb(&folds.names);
-        // Identity remaps (phone names arrived in fleet order — the
-        // overwhelmingly common case) skip the rewrite entirely.
-        let identity = remap.iter().enumerate().all(|(i, &to)| i == to as usize);
-        let ctx = MergeCtx {
-            phone_id: folds.phone_id,
-            remap: (!identity).then_some(remap.as_slice()),
-        };
-        for (pass, (acc, fold)) in self
-            .registry
-            .passes()
-            .iter()
-            .zip(self.accs.iter_mut().zip(folds.folds))
-        {
-            pass.merge(acc, fold, &ctx);
-        }
-        self.next_id = folds.phone_id.saturating_add(1);
-        self.stats.absorbed_shards += 1;
-    }
-
     fn absorb_shard(&mut self, shard: FoldShard) {
-        let remap = self.names.absorb(&shard.names);
-        let identity = remap.iter().enumerate().all(|(i, &to)| i == to as usize);
-        let ctx = MergeCtx {
-            phone_id: shard.start,
-            remap: (!identity).then_some(remap.as_slice()),
-        };
-        for (pass, (acc, other)) in self
-            .registry
-            .passes()
-            .iter()
-            .zip(self.accs.iter_mut().zip(shard.accs))
-        {
-            pass.merge_acc(acc, other, &ctx);
-        }
-        self.next_id = shard.end;
+        self.absorbed.absorb_shard(self.registry, shard);
         self.stats.absorbed_shards += 1;
-    }
-
-    fn drain_ready(&mut self, on_absorb: &mut impl FnMut(&Self)) {
-        while let Some(shard) = self.pending.remove(&self.next_id) {
-            self.absorb_shard(shard);
-            on_absorb(&*self);
-        }
     }
 
     fn buffer(&mut self, shard: FoldShard) {
         self.pending.insert(shard.start(), shard);
         self.stats.peak_pending_shards = self.stats.peak_pending_shards.max(self.pending.len());
-        let phones: usize = self.pending.values().map(|s| s.len() as usize).sum();
-        self.stats.peak_pending_phones = self.stats.peak_pending_phones.max(phones);
+        self.stats.peak_pending_phones = self.stats.peak_pending_phones.max(self.pending_len());
         let bytes: usize = self
             .pending
             .values()
@@ -861,44 +807,33 @@ impl<'r> StreamMerger<'r> {
     /// Absorbs any still-pending shards (in id order, gaps tolerated)
     /// and finishes every pass into the report.
     pub fn finish(mut self) -> StudyReport {
-        let pending = std::mem::take(&mut self.pending);
-        for (_, shard) in pending {
-            if shard.end() <= self.next_id {
-                continue;
+        for (_, shard) in std::mem::take(&mut self.pending) {
+            if shard.end() > self.absorbed() {
+                self.absorb_shard(shard);
             }
-            assert!(
-                shard.start() >= self.next_id,
-                "pending shard {}..{} straddles the absorbed watermark {}",
-                shard.start(),
-                shard.end(),
-                self.next_id
-            );
-            self.absorb_shard(shard);
         }
-        let outputs = self.registry.finish(self.accs, self.config);
+        let outputs = self.registry.finish(self.absorbed.accs, self.config);
         StudyReport::from_outputs(self.config, outputs)
     }
 
     /// The fleet name table merged so far (phone-id order).
     pub fn names(&self) -> &NameTable {
-        &self.names
+        &self.absorbed.names
     }
 
     /// A live MTBF estimate over the phones absorbed so far, straight
     /// from the `mtbf` pass's running totals (integer-millisecond sums,
     /// so the estimate at absorbed == fleet size is bit-identical to
-    /// the batch engine's). `None` when the registry has no `mtbf`
+    /// the reference driver's). `None` when the registry has no `mtbf`
     /// pass.
     pub fn mtbf_estimate(&self) -> Option<MtbfAnalysis> {
-        self.registry
-            .passes()
-            .iter()
-            .zip(&self.accs)
-            .find(|(pass, _)| pass.name() == "mtbf")
-            .map(|(_, acc)| {
-                let fold = acc_ref::<MtbfFold>(acc);
-                MtbfAnalysis::from_totals(fold.powered_on, fold.freezes, fold.self_shutdowns)
-            })
+        let slot = self.registry.position(MtbfPass::NAME)?;
+        let fold = typed::<MtbfPass>(&self.absorbed.accs[slot]);
+        Some(MtbfAnalysis::from_totals(
+            fold.powered_on,
+            fold.freezes,
+            fold.self_shutdowns,
+        ))
     }
 
     /// Serializes the merger's absorbed state into a versioned,
@@ -962,27 +897,29 @@ impl<'r> StreamMerger<'r> {
         // a checkpoint is refused (typed) under a different fleet mix
         // even before the fingerprint comparison explains less.
         w.str(composition);
-        w.usize(self.registry.passes().len());
-        for pass in self.registry.passes() {
-            w.str(pass.name());
+        let names = self.registry.names();
+        w.usize(names.len());
+        for name in names {
+            w.str(name);
         }
         // v4 shard-topology header: which fleet slice this process
         // owns, as an explicit [start, end) interval. The covered
-        // interval is [start, next_id); the merger's origin is by
+        // interval is [start, absorbed); the merger's origin is by
         // construction the interval's low end.
         assert_eq!(
-            topology.start, self.origin,
+            topology.start,
+            self.origin(),
             "snapshot topology {topology} does not start at merger origin {}",
-            self.origin
+            self.origin()
         );
         w.u32(topology.index);
         w.u32(topology.count);
         w.u32(topology.fleet_phones);
         w.u32(topology.start);
         w.u32(topology.end);
-        w.u32(self.next_id);
-        write_names(&mut w, &self.names);
-        write_accs(&mut w, self.registry, &self.accs);
+        w.u32(self.absorbed());
+        write_names(&mut w, self.names());
+        write_accs(&mut w, self.registry, &self.absorbed.accs);
         // v2 shard section: buffered out-of-order runs, start-ordered
         // (empty in periodic checkpoints — see the method docs).
         if with_pending {
@@ -1033,11 +970,8 @@ impl<'r> StreamMerger<'r> {
         Ok(Self {
             registry,
             config,
-            names: parsed.names,
-            accs: parsed.accs,
+            absorbed: parsed.absorbed,
             pending: parsed.pending,
-            next_id: parsed.next_id,
-            origin: parsed.topology.start,
             stats: MergeStats::default(),
         })
     }
@@ -1046,13 +980,11 @@ impl<'r> StreamMerger<'r> {
 /// A fully decoded checkpoint, before any shard-topology expectation
 /// is applied — shared by [`StreamMerger::resume`] (which demands the
 /// resuming run's topology) and [`load_shard_checkpoint`] (which
-/// accepts whatever topology the file records). The covered interval
-/// is `[topology.start, next_id)`.
+/// accepts whatever topology the file records). The absorbed shard
+/// covers `[topology.start, next_id)`.
 struct ParsedCheckpoint {
     topology: ShardTopology,
-    next_id: u32,
-    names: NameTable,
-    accs: Vec<DynAcc>,
+    absorbed: FoldShard,
     pending: BTreeMap<u32, FoldShard>,
 }
 
@@ -1103,11 +1035,7 @@ fn parse_checkpoint(
     for _ in 0..n_passes {
         found_passes.push(r.str()?);
     }
-    let expected_passes: Vec<String> = registry
-        .passes()
-        .iter()
-        .map(|p| p.name().to_string())
-        .collect();
+    let expected_passes: Vec<String> = registry.names().iter().map(|n| n.to_string()).collect();
     if found_passes != expected_passes {
         return Err(CheckpointError::RegistryMismatch {
             found: found_passes,
@@ -1156,8 +1084,12 @@ fn parse_checkpoint(
     if next_id > topology.fleet_phones {
         return Err(CheckpointError::Corrupt("watermark beyond fleet"));
     }
-    let names = read_names(&mut r)?;
-    let accs = read_accs(&mut r, registry)?;
+    let absorbed = FoldShard {
+        start: topology.start,
+        end: next_id,
+        names: read_names(&mut r)?,
+        accs: read_accs(&mut r, registry)?,
+    };
     // v2 shard section: pending out-of-order runs, validated as
     // disjoint and ascending above the absorbed watermark.
     let n_shards = r.usize()?;
@@ -1183,9 +1115,7 @@ fn parse_checkpoint(
     }
     Ok(ParsedCheckpoint {
         topology,
-        next_id,
-        names,
-        accs,
+        absorbed,
         pending,
     })
 }
@@ -1233,16 +1163,10 @@ pub fn load_shard_checkpoint(
     }
     let info = ShardInfo {
         topology: parsed.topology,
-        start: parsed.topology.start,
-        end: parsed.next_id,
+        start: parsed.absorbed.start,
+        end: parsed.absorbed.end,
     };
-    let shard = FoldShard {
-        start: parsed.topology.start,
-        end: parsed.next_id,
-        names: parsed.names,
-        accs: parsed.accs,
-    };
-    Ok((info, shard))
+    Ok((info, parsed.absorbed))
 }
 
 /// Decodes a v5 checkpoint far enough to extract fault signatures
@@ -1261,23 +1185,19 @@ pub fn checkpoint_coalesced(
     composition: &str,
     bytes: &[u8],
 ) -> Result<(NameTable, Vec<CoalescedPanic>), CheckpointError> {
-    let idx = registry
-        .passes()
-        .iter()
-        .position(|p| p.name() == "coalesce")
+    let slot = registry
+        .position(CoalescePass::NAME)
         .ok_or(CheckpointError::Corrupt(
             "signature extraction needs the coalesce pass in the registry",
         ))?;
     let parsed = parse_checkpoint(registry, config, campaign_fingerprint, composition, bytes)?;
-    let mut names = parsed.names;
+    let mut names = parsed.absorbed.names;
     let take_panics = |mut accs: Vec<DynAcc>| -> Vec<CoalescedPanic> {
-        accs.swap_remove(idx)
-            .downcast::<CoalesceAcc>()
-            .expect("coalesce accumulator type")
+        into_typed::<CoalescePass>(accs.swap_remove(slot))
             .filtered
             .panics
     };
-    let mut panics = take_panics(parsed.accs);
+    let mut panics = take_panics(parsed.absorbed.accs);
     for shard in parsed.pending.into_values() {
         let remap = names.absorb(&shard.names);
         for mut cp in take_panics(shard.accs) {
@@ -1354,8 +1274,8 @@ pub fn shard_cover_gaps(infos: &[ShardInfo]) -> Result<Vec<(u32, u32)>, MergeErr
 /// ([`load_shard_checkpoint`]), the set is proven to cover the fleet
 /// exactly once ([`validate_shard_cover`]), and the shards are
 /// reduced pairwise through [`tree_merge_shards`] — the same
-/// associative `merge_acc` + interner-remap machinery the in-process
-/// sharded driver uses, which is why the merged report is
+/// associative merge + interner-remap machinery the in-process
+/// driver uses, which is why the merged report is
 /// byte-identical to a single-process run for any shard count and any
 /// partition.
 pub fn merge_shard_checkpoints<'r>(
@@ -1455,9 +1375,9 @@ fn read_names(r: &mut ByteReader<'_>) -> Result<NameTable, CheckpointError> {
 }
 
 fn write_accs(w: &mut ByteWriter, registry: &PassRegistry, accs: &[DynAcc]) {
-    for (pass, acc) in registry.passes().iter().zip(accs) {
+    for (pass, acc) in registry.passes.iter().zip(accs) {
         let mut pw = ByteWriter::new();
-        pass.snapshot_acc(acc, &mut pw);
+        pass.snapshot(acc, &mut pw);
         let blob = pw.into_bytes();
         w.usize(blob.len());
         w.bytes(&blob);
@@ -1468,32 +1388,18 @@ fn read_accs(
     r: &mut ByteReader<'_>,
     registry: &PassRegistry,
 ) -> Result<Vec<DynAcc>, CheckpointError> {
-    let mut accs = Vec::with_capacity(registry.passes().len());
-    for pass in registry.passes() {
+    let mut accs = Vec::with_capacity(registry.passes.len());
+    for pass in &registry.passes {
         let len = r.usize()?;
         let blob = r.take(len)?;
         let mut pr = ByteReader::new(blob);
-        let acc = pass.restore_acc(&mut pr)?;
+        let acc = pass.restore(&mut pr)?;
         if pr.remaining() != 0 {
             return Err(CheckpointError::Corrupt("pass blob has trailing bytes"));
         }
         accs.push(acc);
     }
     Ok(accs)
-}
-
-fn take<T: 'static>(fold: DynFold) -> T {
-    *fold.downcast::<T>().expect("pass fold/acc type mismatch")
-}
-
-fn acc_of<T: 'static>(acc: &mut DynAcc) -> &mut T {
-    acc.downcast_mut::<T>()
-        .expect("pass fold/acc type mismatch")
-}
-
-fn acc_ref<T: 'static>(acc: &DynAcc) -> &T {
-    acc.downcast_ref::<T>()
-        .expect("pass fold/acc type mismatch")
 }
 
 // --- checkpoint codecs for the event/statistic types passes hold ---
@@ -1692,53 +1598,47 @@ fn read_table(r: &mut ByteReader<'_>) -> Result<ContingencyTable, CheckpointErro
 struct ShutdownPass;
 
 impl AnalysisPass for ShutdownPass {
-    fn name(&self) -> &'static str {
-        "shutdown"
+    type Acc = Vec<ShutdownEvent>;
+    const NAME: &'static str = "shutdown";
+
+    fn fold_phone(&self, lens: &PhoneLens<'_>) -> Self::Acc {
+        lens.phone.shutdown_events().to_vec()
     }
 
-    fn new_acc(&self) -> DynAcc {
-        Box::new(Vec::<ShutdownEvent>::new())
+    fn merge(&self, acc: &mut Self::Acc, other: Self::Acc, _ctx: &MergeCtx<'_>) {
+        acc.extend(other);
     }
 
-    fn fold_phone(&self, lens: &PhoneLens<'_>) -> DynFold {
-        Box::new(lens.phone.shutdown_events().to_vec())
+    fn heap_bytes(&self, acc: &Self::Acc) -> usize {
+        acc.capacity() * std::mem::size_of::<ShutdownEvent>()
     }
 
-    fn merge(&self, acc: &mut DynAcc, fold: DynFold, _ctx: &MergeCtx<'_>) {
-        acc_of::<Vec<ShutdownEvent>>(acc).extend(take::<Vec<ShutdownEvent>>(fold));
-    }
-
-    fn acc_heap_bytes(&self, acc: &DynAcc) -> usize {
-        acc_ref::<Vec<ShutdownEvent>>(acc).capacity() * std::mem::size_of::<ShutdownEvent>()
-    }
-
-    fn finish(&self, acc: DynAcc, config: AnalysisConfig) -> PassOutput {
+    fn finish(&self, acc: Self::Acc, config: AnalysisConfig) -> PassOutput {
         PassOutput::Shutdowns(ShutdownAnalysis::from_events(
             config.self_shutdown_threshold,
-            take::<Vec<ShutdownEvent>>(acc),
+            acc,
         ))
     }
 
-    fn snapshot_acc(&self, acc: &DynAcc, out: &mut ByteWriter) {
-        let events = acc_ref::<Vec<ShutdownEvent>>(acc);
-        out.usize(events.len());
-        for e in events {
+    fn snapshot(&self, acc: &Self::Acc, out: &mut ByteWriter) {
+        out.usize(acc.len());
+        for e in acc {
             write_shutdown_event(out, e);
         }
     }
 
-    fn restore_acc(&self, src: &mut ByteReader<'_>) -> Result<DynAcc, CheckpointError> {
+    fn restore(&self, src: &mut ByteReader<'_>) -> Result<Self::Acc, CheckpointError> {
         let n = src.usize()?;
         let mut events = Vec::new();
         for _ in 0..n {
             events.push(read_shutdown_event(src)?);
         }
-        Ok(Box::new(events))
+        Ok(events)
     }
 }
 
-/// Per-phone MTBF contributions: powered-on time (integer ms, zero for
-/// unusable phones) and failure counts.
+/// MTBF contributions: powered-on time (integer ms, zero for unusable
+/// phones) and failure counts.
 #[derive(Default)]
 struct MtbfFold {
     powered_on: SimDuration,
@@ -1749,37 +1649,29 @@ struct MtbfFold {
 struct MtbfPass;
 
 impl AnalysisPass for MtbfPass {
-    fn name(&self) -> &'static str {
-        "mtbf"
-    }
+    type Acc = MtbfFold;
+    const NAME: &'static str = "mtbf";
 
-    fn new_acc(&self) -> DynAcc {
-        Box::new(MtbfFold::default())
-    }
-
-    fn fold_phone(&self, lens: &PhoneLens<'_>) -> DynFold {
+    fn fold_phone(&self, lens: &PhoneLens<'_>) -> Self::Acc {
         let powered_on = if lens.phone.defects().unusable {
             SimDuration::ZERO
         } else {
             lens.phone.powered_on_time(lens.config.uptime_gap)
         };
-        Box::new(MtbfFold {
+        MtbfFold {
             powered_on,
             freezes: lens.phone.freezes().len(),
             self_shutdowns: lens.self_shutdowns,
-        })
+        }
     }
 
-    fn merge(&self, acc: &mut DynAcc, fold: DynFold, _ctx: &MergeCtx<'_>) {
-        let fold = take::<MtbfFold>(fold);
-        let acc = acc_of::<MtbfFold>(acc);
-        acc.powered_on += fold.powered_on;
-        acc.freezes += fold.freezes;
-        acc.self_shutdowns += fold.self_shutdowns;
+    fn merge(&self, acc: &mut Self::Acc, other: Self::Acc, _ctx: &MergeCtx<'_>) {
+        acc.powered_on += other.powered_on;
+        acc.freezes += other.freezes;
+        acc.self_shutdowns += other.self_shutdowns;
     }
 
-    fn finish(&self, acc: DynAcc, _config: AnalysisConfig) -> PassOutput {
-        let acc = take::<MtbfFold>(acc);
+    fn finish(&self, acc: Self::Acc, _config: AnalysisConfig) -> PassOutput {
         PassOutput::Mtbf(MtbfAnalysis::from_totals(
             acc.powered_on,
             acc.freezes,
@@ -1787,19 +1679,18 @@ impl AnalysisPass for MtbfPass {
         ))
     }
 
-    fn snapshot_acc(&self, acc: &DynAcc, out: &mut ByteWriter) {
-        let acc = acc_ref::<MtbfFold>(acc);
+    fn snapshot(&self, acc: &Self::Acc, out: &mut ByteWriter) {
         out.u64(acc.powered_on.as_millis());
         out.usize(acc.freezes);
         out.usize(acc.self_shutdowns);
     }
 
-    fn restore_acc(&self, src: &mut ByteReader<'_>) -> Result<DynAcc, CheckpointError> {
-        Ok(Box::new(MtbfFold {
+    fn restore(&self, src: &mut ByteReader<'_>) -> Result<Self::Acc, CheckpointError> {
+        Ok(MtbfFold {
             powered_on: SimDuration::from_millis(src.u64()?),
             freezes: src.usize()?,
             self_shutdowns: src.usize()?,
-        }))
+        })
     }
 }
 
@@ -1813,43 +1704,34 @@ struct BurstsAcc {
 struct BurstsPass;
 
 impl AnalysisPass for BurstsPass {
-    fn name(&self) -> &'static str {
-        "bursts"
-    }
+    type Acc = BurstsAcc;
+    const NAME: &'static str = "bursts";
 
-    fn new_acc(&self) -> DynAcc {
-        Box::new(BurstsAcc::default())
-    }
-
-    fn fold_phone(&self, lens: &PhoneLens<'_>) -> DynFold {
-        Box::new(BurstsAcc {
+    fn fold_phone(&self, lens: &PhoneLens<'_>) -> Self::Acc {
+        BurstsAcc {
             cascades: phone_cascades(
                 lens.phone.phone_id(),
                 lens.phone.panics(),
                 lens.config.burst_gap,
             ),
             total_panics: lens.phone.panics().len(),
-        })
+        }
     }
 
-    fn merge(&self, acc: &mut DynAcc, fold: DynFold, _ctx: &MergeCtx<'_>) {
-        let fold = take::<BurstsAcc>(fold);
-        let acc = acc_of::<BurstsAcc>(acc);
-        acc.cascades.extend(fold.cascades);
-        acc.total_panics += fold.total_panics;
+    fn merge(&self, acc: &mut Self::Acc, other: Self::Acc, _ctx: &MergeCtx<'_>) {
+        acc.cascades.extend(other.cascades);
+        acc.total_panics += other.total_panics;
     }
 
-    fn acc_heap_bytes(&self, acc: &DynAcc) -> usize {
-        acc_ref::<BurstsAcc>(acc).cascades.capacity() * std::mem::size_of::<Cascade>()
+    fn heap_bytes(&self, acc: &Self::Acc) -> usize {
+        acc.cascades.capacity() * std::mem::size_of::<Cascade>()
     }
 
-    fn finish(&self, acc: DynAcc, _config: AnalysisConfig) -> PassOutput {
-        let acc = take::<BurstsAcc>(acc);
+    fn finish(&self, acc: Self::Acc, _config: AnalysisConfig) -> PassOutput {
         PassOutput::Bursts(BurstAnalysis::from_parts(acc.cascades, acc.total_panics))
     }
 
-    fn snapshot_acc(&self, acc: &DynAcc, out: &mut ByteWriter) {
-        let acc = acc_ref::<BurstsAcc>(acc);
+    fn snapshot(&self, acc: &Self::Acc, out: &mut ByteWriter) {
         out.usize(acc.cascades.len());
         for c in &acc.cascades {
             out.u32(c.phone_id);
@@ -1858,7 +1740,7 @@ impl AnalysisPass for BurstsPass {
         out.usize(acc.total_panics);
     }
 
-    fn restore_acc(&self, src: &mut ByteReader<'_>) -> Result<DynAcc, CheckpointError> {
+    fn restore(&self, src: &mut ByteReader<'_>) -> Result<Self::Acc, CheckpointError> {
         let n = src.usize()?;
         let mut cascades = Vec::new();
         for _ in 0..n {
@@ -1867,15 +1749,15 @@ impl AnalysisPass for BurstsPass {
                 size: src.usize()?,
             });
         }
-        Ok(Box::new(BurstsAcc {
+        Ok(BurstsAcc {
             cascades,
             total_panics: src.usize()?,
-        }))
+        })
     }
 }
 
-/// Figures 4/5: per-phone coalescence folds (both the filtered and the
-/// all-shutdowns variant) plus the phone's HL slice. The only fold
+/// Figures 4/5: coalescence folds (both the filtered and the
+/// all-shutdowns variant) plus the HL stream. The only accumulator
 /// that carries interned name ids, hence the only merge that consults
 /// the remap.
 #[derive(Default)]
@@ -1888,57 +1770,45 @@ struct CoalesceAcc {
 struct CoalescePass;
 
 impl AnalysisPass for CoalescePass {
-    fn name(&self) -> &'static str {
-        "coalesce"
-    }
+    type Acc = CoalesceAcc;
+    const NAME: &'static str = "coalesce";
+    const NEEDS_COALESCE: bool = true;
 
-    fn needs_coalesce(&self) -> bool {
-        true
-    }
-
-    fn new_acc(&self) -> DynAcc {
-        Box::new(CoalesceAcc::default())
-    }
-
-    fn fold_phone(&self, lens: &PhoneLens<'_>) -> DynFold {
-        Box::new(CoalesceAcc {
+    fn fold_phone(&self, lens: &PhoneLens<'_>) -> Self::Acc {
+        CoalesceAcc {
             filtered: lens.coalesced.clone(),
             all_shutdowns: lens.coalesced_all.clone(),
             hl_events: lens.hl.clone(),
-        })
+        }
     }
 
-    fn merge(&self, acc: &mut DynAcc, fold: DynFold, ctx: &MergeCtx<'_>) {
-        let mut fold = take::<CoalesceAcc>(fold);
+    fn merge(&self, acc: &mut Self::Acc, mut other: Self::Acc, ctx: &MergeCtx<'_>) {
         if let Some(remap) = ctx.remap {
-            for p in fold
+            for p in other
                 .filtered
                 .panics
                 .iter_mut()
-                .chain(fold.all_shutdowns.panics.iter_mut())
+                .chain(other.all_shutdowns.panics.iter_mut())
             {
                 p.panic.remap(remap);
             }
         }
-        let acc = acc_of::<CoalesceAcc>(acc);
-        acc.filtered.panics.extend(fold.filtered.panics);
-        acc.filtered.hl_total += fold.filtered.hl_total;
-        acc.filtered.hl_with_panic += fold.filtered.hl_with_panic;
-        acc.all_shutdowns.panics.extend(fold.all_shutdowns.panics);
-        acc.all_shutdowns.hl_total += fold.all_shutdowns.hl_total;
-        acc.all_shutdowns.hl_with_panic += fold.all_shutdowns.hl_with_panic;
-        acc.hl_events.extend(fold.hl_events);
+        acc.filtered.panics.extend(other.filtered.panics);
+        acc.filtered.hl_total += other.filtered.hl_total;
+        acc.filtered.hl_with_panic += other.filtered.hl_with_panic;
+        acc.all_shutdowns.panics.extend(other.all_shutdowns.panics);
+        acc.all_shutdowns.hl_total += other.all_shutdowns.hl_total;
+        acc.all_shutdowns.hl_with_panic += other.all_shutdowns.hl_with_panic;
+        acc.hl_events.extend(other.hl_events);
     }
 
-    fn acc_heap_bytes(&self, acc: &DynAcc) -> usize {
-        let acc = acc_ref::<CoalesceAcc>(acc);
+    fn heap_bytes(&self, acc: &Self::Acc) -> usize {
         (acc.filtered.panics.capacity() + acc.all_shutdowns.panics.capacity())
             * std::mem::size_of::<CoalescedPanic>()
             + acc.hl_events.capacity() * std::mem::size_of::<HlEvent>()
     }
 
-    fn finish(&self, acc: DynAcc, config: AnalysisConfig) -> PassOutput {
-        let acc = take::<CoalesceAcc>(acc);
+    fn finish(&self, acc: Self::Acc, config: AnalysisConfig) -> PassOutput {
         PassOutput::Coalescence {
             filtered: CoalescenceAnalysis::from_parts(
                 config.coalescence_window,
@@ -1956,8 +1826,7 @@ impl AnalysisPass for CoalescePass {
         }
     }
 
-    fn snapshot_acc(&self, acc: &DynAcc, out: &mut ByteWriter) {
-        let acc = acc_ref::<CoalesceAcc>(acc);
+    fn snapshot(&self, acc: &Self::Acc, out: &mut ByteWriter) {
         write_phone_coalesce(out, &acc.filtered);
         write_phone_coalesce(out, &acc.all_shutdowns);
         out.usize(acc.hl_events.len());
@@ -1966,7 +1835,7 @@ impl AnalysisPass for CoalescePass {
         }
     }
 
-    fn restore_acc(&self, src: &mut ByteReader<'_>) -> Result<DynAcc, CheckpointError> {
+    fn restore(&self, src: &mut ByteReader<'_>) -> Result<Self::Acc, CheckpointError> {
         let filtered = read_phone_coalesce(src)?;
         let all_shutdowns = read_phone_coalesce(src)?;
         let n = src.usize()?;
@@ -1974,18 +1843,45 @@ impl AnalysisPass for CoalescePass {
         for _ in 0..n {
             hl_events.push(read_hl_event(src)?);
         }
-        Ok(Box::new(CoalesceAcc {
+        Ok(CoalesceAcc {
             filtered,
             all_shutdowns,
             hl_events,
-        }))
+        })
     }
 }
 
-/// A fleet accumulator sliced by device-class label: one inner
-/// accumulator per class, merged additively. The whole-fleet total is
-/// recovered at finish by absorbing the groups in label order — equal
-/// to the ungrouped phone-order fold because the inner merges are
+/// A section that merges additively: what [`Grouped`] needs of its
+/// per-class tables.
+trait Additive {
+    fn empty() -> Self;
+    fn absorb(&mut self, other: &Self);
+}
+
+impl Additive for ActivityAnalysis {
+    fn empty() -> Self {
+        ActivityAnalysis::from_coalesced(&[])
+    }
+
+    fn absorb(&mut self, other: &Self) {
+        ActivityAnalysis::absorb(self, other);
+    }
+}
+
+impl Additive for RunningAppsAnalysis {
+    fn empty() -> Self {
+        RunningAppsAnalysis::from_events(&NameTable::default(), std::iter::empty(), &[])
+    }
+
+    fn absorb(&mut self, other: &Self) {
+        RunningAppsAnalysis::absorb(self, other);
+    }
+}
+
+/// An accumulator sliced by device-class label: one inner table per
+/// class, merged additively. The whole-fleet total is recovered at
+/// finish by absorbing the groups in label order — equal to the
+/// ungrouped phone-order fold because the inner merges are
 /// order-insensitive additive counters. Checkpoint form (the v5
 /// "grouped blob"): group count, then `label + inner encoding` per
 /// group in label order.
@@ -1993,19 +1889,58 @@ struct Grouped<A> {
     groups: BTreeMap<String, A>,
 }
 
-impl<A> Grouped<A> {
-    fn new() -> Self {
+impl<A> Default for Grouped<A> {
+    fn default() -> Self {
         Self {
             groups: BTreeMap::new(),
         }
     }
+}
 
-    /// The group for `label`, created with `empty` on first use.
-    fn group(&mut self, label: &str, empty: impl FnOnce() -> A) -> &mut A {
-        if !self.groups.contains_key(label) {
-            self.groups.insert(label.to_string(), empty());
+impl<A: Additive> Grouped<A> {
+    /// A one-phone accumulator: the phone's table under its class.
+    fn single(label: &str, a: A) -> Self {
+        Self {
+            groups: BTreeMap::from([(label.to_string(), a)]),
         }
-        self.groups.get_mut(label).expect("group just ensured")
+    }
+
+    fn merge(&mut self, other: Self) {
+        for (label, a) in other.groups {
+            match self.groups.get_mut(&label) {
+                Some(group) => group.absorb(&a),
+                None => {
+                    let mut group = A::empty();
+                    group.absorb(&a);
+                    self.groups.insert(label, group);
+                }
+            }
+        }
+    }
+
+    /// The whole-fleet total plus the per-class slices, in label order.
+    fn finish(self) -> (A, Vec<(String, A)>) {
+        let mut total = A::empty();
+        for a in self.groups.values() {
+            total.absorb(a);
+        }
+        (total, self.groups.into_iter().collect())
+    }
+
+    fn restore(
+        src: &mut ByteReader<'_>,
+        read: impl Fn(&mut ByteReader<'_>) -> Result<A, CheckpointError>,
+    ) -> Result<Self, CheckpointError> {
+        let n = src.usize()?;
+        let mut grouped = Self::default();
+        for _ in 0..n {
+            let label = src.str()?;
+            let a = read(src)?;
+            if grouped.groups.insert(label, a).is_some() {
+                return Err(CheckpointError::Corrupt("duplicate group label"));
+            }
+        }
+        Ok(grouped)
     }
 }
 
@@ -2013,67 +1948,35 @@ impl<A> Grouped<A> {
 /// device class.
 struct ActivityPass;
 
-fn empty_activity() -> ActivityAnalysis {
-    ActivityAnalysis::from_coalesced(&[])
-}
-
 impl AnalysisPass for ActivityPass {
-    fn name(&self) -> &'static str {
-        "activity"
-    }
+    type Acc = Grouped<ActivityAnalysis>;
+    const NAME: &'static str = "activity";
+    const NEEDS_COALESCE: bool = true;
 
-    fn needs_coalesce(&self) -> bool {
-        true
-    }
-
-    fn new_acc(&self) -> DynAcc {
-        Box::new(Grouped::<ActivityAnalysis>::new())
-    }
-
-    fn fold_phone(&self, lens: &PhoneLens<'_>) -> DynFold {
-        Box::new((
+    fn fold_phone(&self, lens: &PhoneLens<'_>) -> Self::Acc {
+        Grouped::single(
             lens.device.device_class,
             ActivityAnalysis::from_coalesced(&lens.coalesced.panics),
-        ))
+        )
     }
 
-    fn merge(&self, acc: &mut DynAcc, fold: DynFold, _ctx: &MergeCtx<'_>) {
-        let (class, fold) = take::<(&'static str, ActivityAnalysis)>(fold);
-        acc_of::<Grouped<ActivityAnalysis>>(acc)
-            .group(class, empty_activity)
-            .absorb(&fold);
+    fn merge(&self, acc: &mut Self::Acc, other: Self::Acc, _ctx: &MergeCtx<'_>) {
+        acc.merge(other);
     }
 
-    fn merge_acc(&self, acc: &mut DynAcc, other: DynAcc, _ctx: &MergeCtx<'_>) {
-        let other = take::<Grouped<ActivityAnalysis>>(other);
-        let acc = acc_of::<Grouped<ActivityAnalysis>>(acc);
-        for (label, a) in other.groups {
-            acc.group(&label, empty_activity).absorb(&a);
-        }
-    }
-
-    fn acc_heap_bytes(&self, acc: &DynAcc) -> usize {
-        acc_ref::<Grouped<ActivityAnalysis>>(acc)
-            .groups
+    fn heap_bytes(&self, acc: &Self::Acc) -> usize {
+        acc.groups
             .iter()
             .map(|(label, a)| label.len() + 48 + table_heap_bytes(a.table()))
             .sum()
     }
 
-    fn finish(&self, acc: DynAcc, _config: AnalysisConfig) -> PassOutput {
-        let acc = take::<Grouped<ActivityAnalysis>>(acc);
-        let mut total = empty_activity();
-        for a in acc.groups.values() {
-            total.absorb(a);
-        }
-        PassOutput::Activity {
-            total,
-            by_class: acc.groups.into_iter().collect(),
-        }
+    fn finish(&self, acc: Self::Acc, _config: AnalysisConfig) -> PassOutput {
+        let (total, by_class) = acc.finish();
+        PassOutput::Activity { total, by_class }
     }
 
-    fn snapshot_acc(&self, acc: &DynAcc, out: &mut ByteWriter) {
-        let acc = acc_ref::<Grouped<ActivityAnalysis>>(acc);
+    fn snapshot(&self, acc: &Self::Acc, out: &mut ByteWriter) {
         out.usize(acc.groups.len());
         for (label, a) in &acc.groups {
             out.str(label);
@@ -2083,20 +1986,13 @@ impl AnalysisPass for ActivityPass {
         }
     }
 
-    fn restore_acc(&self, src: &mut ByteReader<'_>) -> Result<DynAcc, CheckpointError> {
-        let n = src.usize()?;
-        let mut grouped = Grouped::<ActivityAnalysis>::new();
-        for _ in 0..n {
-            let label = src.str()?;
+    fn restore(&self, src: &mut ByteReader<'_>) -> Result<Self::Acc, CheckpointError> {
+        Grouped::restore(src, |src| {
             let table = read_table(src)?;
             let total = src.usize()?;
             let real_time = src.usize()?;
-            let a = ActivityAnalysis::from_parts(table, total, real_time);
-            if grouped.groups.insert(label, a).is_some() {
-                return Err(CheckpointError::Corrupt("duplicate group label"));
-            }
-        }
-        Ok(Box::new(grouped))
+            Ok(ActivityAnalysis::from_parts(table, total, real_time))
+        })
     }
 }
 
@@ -2105,52 +2001,28 @@ impl AnalysisPass for ActivityPass {
 /// device class.
 struct RunningAppsPass;
 
-fn empty_runapps() -> RunningAppsAnalysis {
-    RunningAppsAnalysis::from_events(&NameTable::default(), std::iter::empty(), &[])
-}
-
 impl AnalysisPass for RunningAppsPass {
-    fn name(&self) -> &'static str {
-        "runapps"
-    }
+    type Acc = Grouped<RunningAppsAnalysis>;
+    const NAME: &'static str = "runapps";
+    const NEEDS_COALESCE: bool = true;
 
-    fn needs_coalesce(&self) -> bool {
-        true
-    }
-
-    fn new_acc(&self) -> DynAcc {
-        Box::new(Grouped::<RunningAppsAnalysis>::new())
-    }
-
-    fn fold_phone(&self, lens: &PhoneLens<'_>) -> DynFold {
-        Box::new((
+    fn fold_phone(&self, lens: &PhoneLens<'_>) -> Self::Acc {
+        Grouped::single(
             lens.device.device_class,
             RunningAppsAnalysis::from_events(
                 lens.names,
                 lens.phone.panics().iter(),
                 &lens.coalesced.panics,
             ),
-        ))
+        )
     }
 
-    fn merge(&self, acc: &mut DynAcc, fold: DynFold, _ctx: &MergeCtx<'_>) {
-        let (class, fold) = take::<(&'static str, RunningAppsAnalysis)>(fold);
-        acc_of::<Grouped<RunningAppsAnalysis>>(acc)
-            .group(class, empty_runapps)
-            .absorb(&fold);
+    fn merge(&self, acc: &mut Self::Acc, other: Self::Acc, _ctx: &MergeCtx<'_>) {
+        acc.merge(other);
     }
 
-    fn merge_acc(&self, acc: &mut DynAcc, other: DynAcc, _ctx: &MergeCtx<'_>) {
-        let other = take::<Grouped<RunningAppsAnalysis>>(other);
-        let acc = acc_of::<Grouped<RunningAppsAnalysis>>(acc);
-        for (label, a) in other.groups {
-            acc.group(&label, empty_runapps).absorb(&a);
-        }
-    }
-
-    fn acc_heap_bytes(&self, acc: &DynAcc) -> usize {
-        acc_ref::<Grouped<RunningAppsAnalysis>>(acc)
-            .groups
+    fn heap_bytes(&self, acc: &Self::Acc) -> usize {
+        acc.groups
             .iter()
             .map(|(label, a)| {
                 label.len()
@@ -2162,20 +2034,12 @@ impl AnalysisPass for RunningAppsPass {
             .sum()
     }
 
-    fn finish(&self, acc: DynAcc, _config: AnalysisConfig) -> PassOutput {
-        let acc = take::<Grouped<RunningAppsAnalysis>>(acc);
-        let mut total = empty_runapps();
-        for a in acc.groups.values() {
-            total.absorb(a);
-        }
-        PassOutput::RunningApps {
-            total,
-            by_class: acc.groups.into_iter().collect(),
-        }
+    fn finish(&self, acc: Self::Acc, _config: AnalysisConfig) -> PassOutput {
+        let (total, by_class) = acc.finish();
+        PassOutput::RunningApps { total, by_class }
     }
 
-    fn snapshot_acc(&self, acc: &DynAcc, out: &mut ByteWriter) {
-        let acc = acc_ref::<Grouped<RunningAppsAnalysis>>(acc);
+    fn snapshot(&self, acc: &Self::Acc, out: &mut ByteWriter) {
         out.usize(acc.groups.len());
         for (label, a) in &acc.groups {
             out.str(label);
@@ -2186,21 +2050,19 @@ impl AnalysisPass for RunningAppsPass {
         }
     }
 
-    fn restore_acc(&self, src: &mut ByteReader<'_>) -> Result<DynAcc, CheckpointError> {
-        let n = src.usize()?;
-        let mut grouped = Grouped::<RunningAppsAnalysis>::new();
-        for _ in 0..n {
-            let label = src.str()?;
+    fn restore(&self, src: &mut ByteReader<'_>) -> Result<Self::Acc, CheckpointError> {
+        Grouped::restore(src, |src| {
             let concurrency = read_dist(src)?;
             let table = read_table(src)?;
             let app_share = read_dist(src)?;
             let total_panics = src.usize()?;
-            let a = RunningAppsAnalysis::from_parts(concurrency, table, app_share, total_panics);
-            if grouped.groups.insert(label, a).is_some() {
-                return Err(CheckpointError::Corrupt("duplicate group label"));
-            }
-        }
-        Ok(Box::new(grouped))
+            Ok(RunningAppsAnalysis::from_parts(
+                concurrency,
+                table,
+                app_share,
+                total_panics,
+            ))
+        })
     }
 }
 
@@ -2208,48 +2070,42 @@ impl AnalysisPass for RunningAppsPass {
 struct PanicDistPass;
 
 impl AnalysisPass for PanicDistPass {
-    fn name(&self) -> &'static str {
-        "panics"
-    }
+    type Acc = CategoricalDist;
+    const NAME: &'static str = "panics";
 
-    fn new_acc(&self) -> DynAcc {
-        Box::new(CategoricalDist::new())
-    }
-
-    fn fold_phone(&self, lens: &PhoneLens<'_>) -> DynFold {
+    fn fold_phone(&self, lens: &PhoneLens<'_>) -> Self::Acc {
         let mut d = CategoricalDist::new();
         for p in lens.phone.panics() {
             d.add(p.code.to_string());
         }
-        Box::new(d)
+        d
     }
 
-    fn merge(&self, acc: &mut DynAcc, fold: DynFold, _ctx: &MergeCtx<'_>) {
-        acc_of::<CategoricalDist>(acc).merge(&take::<CategoricalDist>(fold));
+    fn merge(&self, acc: &mut Self::Acc, other: Self::Acc, _ctx: &MergeCtx<'_>) {
+        acc.merge(&other);
     }
 
-    fn acc_heap_bytes(&self, acc: &DynAcc) -> usize {
-        dist_heap_bytes(acc_ref::<CategoricalDist>(acc))
+    fn heap_bytes(&self, acc: &Self::Acc) -> usize {
+        dist_heap_bytes(acc)
     }
 
-    fn finish(&self, acc: DynAcc, _config: AnalysisConfig) -> PassOutput {
-        PassOutput::PanicDistribution(take::<CategoricalDist>(acc))
+    fn finish(&self, acc: Self::Acc, _config: AnalysisConfig) -> PassOutput {
+        PassOutput::PanicDistribution(acc)
     }
 
-    fn snapshot_acc(&self, acc: &DynAcc, out: &mut ByteWriter) {
-        write_dist(out, acc_ref::<CategoricalDist>(acc));
+    fn snapshot(&self, acc: &Self::Acc, out: &mut ByteWriter) {
+        write_dist(out, acc);
     }
 
-    fn restore_acc(&self, src: &mut ByteReader<'_>) -> Result<DynAcc, CheckpointError> {
-        Ok(Box::new(read_dist(src)?))
+    fn restore(&self, src: &mut ByteReader<'_>) -> Result<Self::Acc, CheckpointError> {
+        read_dist(src)
     }
 }
 
 /// The firmware/device-class pass: panics per firmware version plus
 /// the Section-4 device-class × failure-type contingency table, both
-/// order-insensitive additive counters — the registered replacement
-/// for the batch-only `panics_by_firmware` free function, so every
-/// engine (batch, streaming, sharded, merged) renders the tables.
+/// order-insensitive additive counters, so every driver (reference,
+/// streaming, merged checkpoints) renders the tables.
 #[derive(Default)]
 struct FirmwareAcc {
     /// firmware label → (phones, panics).
@@ -2258,56 +2114,28 @@ struct FirmwareAcc {
     class_failures: ContingencyTable,
 }
 
-/// One phone's firmware/class contribution.
-struct FirmwareFold {
-    firmware: &'static str,
-    class: &'static str,
-    panics: u64,
-    freezes: u64,
-    self_shutdowns: u64,
-}
-
 struct FirmwarePass;
 
 impl AnalysisPass for FirmwarePass {
-    fn name(&self) -> &'static str {
-        "firmware"
-    }
+    type Acc = FirmwareAcc;
+    const NAME: &'static str = "firmware";
 
-    fn new_acc(&self) -> DynAcc {
-        Box::new(FirmwareAcc::default())
-    }
-
-    fn fold_phone(&self, lens: &PhoneLens<'_>) -> DynFold {
-        Box::new(FirmwareFold {
-            firmware: lens.device.firmware,
-            class: lens.device.device_class,
-            panics: lens.phone.panics().len() as u64,
-            freezes: lens.phone.freezes().len() as u64,
-            self_shutdowns: lens.self_shutdowns as u64,
-        })
-    }
-
-    fn merge(&self, acc: &mut DynAcc, fold: DynFold, _ctx: &MergeCtx<'_>) {
-        let fold = take::<FirmwareFold>(fold);
-        let acc = acc_of::<FirmwareAcc>(acc);
-        let entry = acc
-            .versions
-            .entry(fold.firmware.to_string())
-            .or_insert((0, 0));
-        entry.0 += 1;
-        entry.1 += fold.panics;
+    fn fold_phone(&self, lens: &PhoneLens<'_>) -> Self::Acc {
+        let panics = lens.phone.panics().len() as u64;
+        let class = lens.device.device_class;
+        let mut class_failures = ContingencyTable::new();
         // Zero counts still create the cells, so the table keeps all
         // three failure-type columns for every present class.
-        acc.class_failures.add_n(fold.class, "panic", fold.panics);
-        acc.class_failures.add_n(fold.class, "freeze", fold.freezes);
-        acc.class_failures
-            .add_n(fold.class, "self-shutdown", fold.self_shutdowns);
+        class_failures.add_n(class, "panic", panics);
+        class_failures.add_n(class, "freeze", lens.phone.freezes().len() as u64);
+        class_failures.add_n(class, "self-shutdown", lens.self_shutdowns as u64);
+        FirmwareAcc {
+            versions: BTreeMap::from([(lens.device.firmware.to_string(), (1, panics))]),
+            class_failures,
+        }
     }
 
-    fn merge_acc(&self, acc: &mut DynAcc, other: DynAcc, _ctx: &MergeCtx<'_>) {
-        let other = take::<FirmwareAcc>(other);
-        let acc = acc_of::<FirmwareAcc>(acc);
+    fn merge(&self, acc: &mut Self::Acc, other: Self::Acc, _ctx: &MergeCtx<'_>) {
         for (label, (phones, panics)) in other.versions {
             let entry = acc.versions.entry(label).or_insert((0, 0));
             entry.0 += phones;
@@ -2316,14 +2144,12 @@ impl AnalysisPass for FirmwarePass {
         acc.class_failures.merge(&other.class_failures);
     }
 
-    fn acc_heap_bytes(&self, acc: &DynAcc) -> usize {
-        let acc = acc_ref::<FirmwareAcc>(acc);
+    fn heap_bytes(&self, acc: &Self::Acc) -> usize {
         acc.versions.keys().map(|l| l.len() + 48).sum::<usize>()
             + table_heap_bytes(&acc.class_failures)
     }
 
-    fn finish(&self, acc: DynAcc, _config: AnalysisConfig) -> PassOutput {
-        let acc = take::<FirmwareAcc>(acc);
+    fn finish(&self, acc: Self::Acc, _config: AnalysisConfig) -> PassOutput {
         PassOutput::Firmware(FirmwareBreakdown {
             versions: acc
                 .versions
@@ -2334,8 +2160,7 @@ impl AnalysisPass for FirmwarePass {
         })
     }
 
-    fn snapshot_acc(&self, acc: &DynAcc, out: &mut ByteWriter) {
-        let acc = acc_ref::<FirmwareAcc>(acc);
+    fn snapshot(&self, acc: &Self::Acc, out: &mut ByteWriter) {
         out.usize(acc.versions.len());
         for (label, (phones, panics)) in &acc.versions {
             out.str(label);
@@ -2345,7 +2170,7 @@ impl AnalysisPass for FirmwarePass {
         write_table(out, &acc.class_failures);
     }
 
-    fn restore_acc(&self, src: &mut ByteReader<'_>) -> Result<DynAcc, CheckpointError> {
+    fn restore(&self, src: &mut ByteReader<'_>) -> Result<Self::Acc, CheckpointError> {
         let n = src.usize()?;
         let mut versions = BTreeMap::new();
         for _ in 0..n {
@@ -2356,10 +2181,10 @@ impl AnalysisPass for FirmwarePass {
                 return Err(CheckpointError::Corrupt("duplicate firmware label"));
             }
         }
-        Ok(Box::new(FirmwareAcc {
+        Ok(FirmwareAcc {
             versions,
             class_failures: read_table(src)?,
-        }))
+        })
     }
 }
 
@@ -2367,41 +2192,28 @@ impl AnalysisPass for FirmwarePass {
 struct DefectsPass;
 
 impl AnalysisPass for DefectsPass {
-    fn name(&self) -> &'static str {
-        "defects"
+    type Acc = Vec<(u32, PhoneDefects)>;
+    const NAME: &'static str = "defects";
+
+    fn fold_phone(&self, lens: &PhoneLens<'_>) -> Self::Acc {
+        vec![(lens.phone.phone_id(), *lens.phone.defects())]
     }
 
-    fn new_acc(&self) -> DynAcc {
-        Box::new(Vec::<(u32, PhoneDefects)>::new())
+    fn merge(&self, acc: &mut Self::Acc, other: Self::Acc, _ctx: &MergeCtx<'_>) {
+        acc.extend(other);
     }
 
-    fn fold_phone(&self, lens: &PhoneLens<'_>) -> DynFold {
-        Box::new((lens.phone.phone_id(), *lens.phone.defects()))
+    fn heap_bytes(&self, acc: &Self::Acc) -> usize {
+        acc.capacity() * std::mem::size_of::<(u32, PhoneDefects)>()
     }
 
-    fn merge(&self, acc: &mut DynAcc, fold: DynFold, _ctx: &MergeCtx<'_>) {
-        acc_of::<Vec<(u32, PhoneDefects)>>(acc).push(take::<(u32, PhoneDefects)>(fold));
+    fn finish(&self, acc: Self::Acc, _config: AnalysisConfig) -> PassOutput {
+        PassOutput::Defects(DefectReport::from_phones(acc))
     }
 
-    fn merge_acc(&self, acc: &mut DynAcc, other: DynAcc, _ctx: &MergeCtx<'_>) {
-        acc_of::<Vec<(u32, PhoneDefects)>>(acc).extend(take::<Vec<(u32, PhoneDefects)>>(other));
-    }
-
-    fn acc_heap_bytes(&self, acc: &DynAcc) -> usize {
-        acc_ref::<Vec<(u32, PhoneDefects)>>(acc).capacity()
-            * std::mem::size_of::<(u32, PhoneDefects)>()
-    }
-
-    fn finish(&self, acc: DynAcc, _config: AnalysisConfig) -> PassOutput {
-        PassOutput::Defects(DefectReport::from_phones(take::<Vec<(u32, PhoneDefects)>>(
-            acc,
-        )))
-    }
-
-    fn snapshot_acc(&self, acc: &DynAcc, out: &mut ByteWriter) {
-        let phones = acc_ref::<Vec<(u32, PhoneDefects)>>(acc);
-        out.usize(phones.len());
-        for (id, d) in phones {
+    fn snapshot(&self, acc: &Self::Acc, out: &mut ByteWriter) {
+        out.usize(acc.len());
+        for (id, d) in acc {
             out.u32(*id);
             out.u64(d.truncated);
             out.u64(d.checksum_mismatch);
@@ -2415,7 +2227,7 @@ impl AnalysisPass for DefectsPass {
         }
     }
 
-    fn restore_acc(&self, src: &mut ByteReader<'_>) -> Result<DynAcc, CheckpointError> {
+    fn restore(&self, src: &mut ByteReader<'_>) -> Result<Self::Acc, CheckpointError> {
         let n = src.usize()?;
         let mut phones = Vec::new();
         for _ in 0..n {
@@ -2435,7 +2247,7 @@ impl AnalysisPass for DefectsPass {
                 },
             ));
         }
-        Ok(Box::new(phones))
+        Ok(phones)
     }
 }
 
@@ -2443,16 +2255,11 @@ impl AnalysisPass for DefectsPass {
 struct PerPhonePass;
 
 impl AnalysisPass for PerPhonePass {
-    fn name(&self) -> &'static str {
-        "perphone"
-    }
+    type Acc = Vec<PhoneRow>;
+    const NAME: &'static str = "perphone";
 
-    fn new_acc(&self) -> DynAcc {
-        Box::new(Vec::<PhoneRow>::new())
-    }
-
-    fn fold_phone(&self, lens: &PhoneLens<'_>) -> DynFold {
-        Box::new(PhoneRow {
+    fn fold_phone(&self, lens: &PhoneLens<'_>) -> Self::Acc {
+        vec![PhoneRow {
             phone_id: lens.phone.phone_id(),
             uptime_hours: lens
                 .phone
@@ -2461,29 +2268,24 @@ impl AnalysisPass for PerPhonePass {
             panics: lens.phone.panics().len(),
             freezes: lens.phone.freezes().len(),
             self_shutdowns: lens.self_shutdowns,
-        })
+        }]
     }
 
-    fn merge(&self, acc: &mut DynAcc, fold: DynFold, _ctx: &MergeCtx<'_>) {
-        acc_of::<Vec<PhoneRow>>(acc).push(take::<PhoneRow>(fold));
+    fn merge(&self, acc: &mut Self::Acc, other: Self::Acc, _ctx: &MergeCtx<'_>) {
+        acc.extend(other);
     }
 
-    fn merge_acc(&self, acc: &mut DynAcc, other: DynAcc, _ctx: &MergeCtx<'_>) {
-        acc_of::<Vec<PhoneRow>>(acc).extend(take::<Vec<PhoneRow>>(other));
+    fn heap_bytes(&self, acc: &Self::Acc) -> usize {
+        acc.capacity() * std::mem::size_of::<PhoneRow>()
     }
 
-    fn acc_heap_bytes(&self, acc: &DynAcc) -> usize {
-        acc_ref::<Vec<PhoneRow>>(acc).capacity() * std::mem::size_of::<PhoneRow>()
+    fn finish(&self, acc: Self::Acc, _config: AnalysisConfig) -> PassOutput {
+        PassOutput::PerPhone(acc)
     }
 
-    fn finish(&self, acc: DynAcc, _config: AnalysisConfig) -> PassOutput {
-        PassOutput::PerPhone(take::<Vec<PhoneRow>>(acc))
-    }
-
-    fn snapshot_acc(&self, acc: &DynAcc, out: &mut ByteWriter) {
-        let rows = acc_ref::<Vec<PhoneRow>>(acc);
-        out.usize(rows.len());
-        for row in rows {
+    fn snapshot(&self, acc: &Self::Acc, out: &mut ByteWriter) {
+        out.usize(acc.len());
+        for row in acc {
             out.u32(row.phone_id);
             out.f64(row.uptime_hours);
             out.usize(row.panics);
@@ -2492,7 +2294,7 @@ impl AnalysisPass for PerPhonePass {
         }
     }
 
-    fn restore_acc(&self, src: &mut ByteReader<'_>) -> Result<DynAcc, CheckpointError> {
+    fn restore(&self, src: &mut ByteReader<'_>) -> Result<Self::Acc, CheckpointError> {
         let n = src.usize()?;
         let mut rows = Vec::new();
         for _ in 0..n {
@@ -2504,13 +2306,14 @@ impl AnalysisPass for PerPhonePass {
                 self_shutdowns: src.usize()?,
             });
         }
-        Ok(Box::new(rows))
+        Ok(rows)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::analysis::dataset::FleetDataset;
     use crate::records::{LogRecord, PanicRecord};
     use symfail_symbian::panic::codes;
     use symfail_symbian::Panic;
@@ -2519,14 +2322,20 @@ mod tests {
     /// over a fleet comfortably larger than any id they absorb.
     const TOPO: ShardTopology = ShardTopology::solo(100);
 
-    fn fold_for(registry: &PassRegistry, config: AnalysisConfig, id: u32) -> PhoneFolds {
+    /// A record-less phone folded as a one-phone shard.
+    fn quiet_shard(registry: &PassRegistry, config: AnalysisConfig, id: u32) -> FoldShard {
         let phone = PhoneDataset::new(id, Vec::new(), Vec::new());
-        registry.fold_phone(&PhoneLens::new(&phone, config, registry.needs_coalesce()))
+        let mut shard = FoldShard::new(registry, id);
+        shard.absorb_phone(
+            registry,
+            &PhoneLens::new(&phone, config, registry.needs_coalesce()),
+        );
+        shard
     }
 
     /// A phone with panic records (apps force interner content and a
     /// coalesced panic), so a roundtrip exercises every codec branch.
-    fn busy_fold(registry: &PassRegistry, config: AnalysisConfig, id: u32) -> PhoneFolds {
+    fn busy_phone(id: u32) -> PhoneDataset {
         let rec = |secs: u64, apps: &[&str], act: Option<ActivityKind>| {
             LogRecord::Panic(PanicRecord {
                 at: SimTime::from_secs(secs),
@@ -2540,17 +2349,51 @@ mod tests {
             rec(100, &[&format!("App{id}"), "Messages"], None),
             rec(103, &["Camera"], Some(ActivityKind::VoiceCall)),
         ];
-        let phone = PhoneDataset::new(id, records, Vec::new());
-        registry.fold_phone(&PhoneLens::new(&phone, config, registry.needs_coalesce()))
+        PhoneDataset::new(id, records, Vec::new())
+    }
+
+    /// Folds busy phones `ids` into one contiguous shard.
+    fn shard_of(
+        registry: &PassRegistry,
+        config: AnalysisConfig,
+        ids: std::ops::Range<u32>,
+    ) -> FoldShard {
+        let mut shard = FoldShard::new(registry, ids.start);
+        for id in ids {
+            let phone = busy_phone(id);
+            shard.absorb_phone(
+                registry,
+                &PhoneLens::new(&phone, config, registry.needs_coalesce()),
+            );
+        }
+        shard
+    }
+
+    fn rendered(report: &StudyReport) -> String {
+        report.render_all() + &report.render_per_phone()
+    }
+
+    /// The reference driver's rendering of busy phones `ids`, folded
+    /// over the materialized fleet.
+    fn reference(
+        registry: &PassRegistry,
+        config: AnalysisConfig,
+        ids: std::ops::Range<u32>,
+    ) -> String {
+        let fleet = FleetDataset::from_phones(ids.map(busy_phone).collect());
+        rendered(&StudyReport::analyze_with(&fleet, config, registry))
     }
 
     #[test]
     fn registry_selects_and_dedupes() {
         let r = PassRegistry::all();
-        assert_eq!(r.passes().len(), PassRegistry::NAMES.len());
+        assert_eq!(r.names(), PassRegistry::NAMES);
         let r = PassRegistry::select("mtbf,shutdown,mtbf").unwrap();
-        let names: Vec<&str> = r.passes().iter().map(|p| p.name()).collect();
-        assert_eq!(names, vec!["shutdown", "mtbf"], "canonical order, deduped");
+        assert_eq!(
+            r.names(),
+            vec!["shutdown", "mtbf"],
+            "canonical order, deduped"
+        );
         assert!(!r.needs_coalesce());
         assert!(PassRegistry::select("coalesce").unwrap().needs_coalesce());
         assert!(PassRegistry::select("nope").is_err());
@@ -2558,74 +2401,42 @@ mod tests {
     }
 
     #[test]
-    fn stream_merger_buffers_out_of_order_phones() {
+    fn stream_merger_buffers_out_of_order_shards() {
         let registry = PassRegistry::select("defects").unwrap();
         let config = AnalysisConfig::default();
         let mut merger = StreamMerger::new(&registry, config);
-        let fold = |id: u32| {
-            let phone = PhoneDataset::new(id, Vec::new(), Vec::new());
-            registry.fold_phone(&PhoneLens::new(&phone, config, registry.needs_coalesce()))
-        };
-        merger.push(fold(2));
+        merger.push_shard(quiet_shard(&registry, config, 2));
         assert_eq!(merger.pending_len(), 1, "phone 2 waits for 0 and 1");
-        merger.push(fold(0));
+        merger.push_shard(quiet_shard(&registry, config, 0));
         assert_eq!(merger.pending_len(), 1, "phone 0 absorbed, 2 still waits");
-        merger.push(fold(1));
+        merger.push_shard(quiet_shard(&registry, config, 1));
         assert_eq!(merger.pending_len(), 0, "1 unblocks 2");
         let report = merger.finish();
         assert_eq!(report.defects.per_phone.len(), 3);
     }
 
     #[test]
-    fn push_each_fires_once_per_absorbed_phone() {
+    fn push_shard_each_fires_once_per_absorbed_shard() {
         let registry = PassRegistry::select("defects").unwrap();
         let config = AnalysisConfig::default();
         let mut merger = StreamMerger::new(&registry, config);
         let mut boundaries = Vec::new();
-        merger.push_each(fold_for(&registry, config, 2), |m| {
-            boundaries.push(m.absorbed())
-        });
-        assert!(boundaries.is_empty(), "phone 2 waits for 0 and 1");
-        merger.push_each(fold_for(&registry, config, 0), |m| {
-            boundaries.push(m.absorbed())
-        });
-        merger.push_each(fold_for(&registry, config, 1), |m| {
-            boundaries.push(m.absorbed())
-        });
+        for id in [2, 0, 1] {
+            merger.push_shard_each(quiet_shard(&registry, config, id), |m| {
+                boundaries.push(m.absorbed())
+            });
+            if id == 2 {
+                assert!(boundaries.is_empty(), "phone 2 waits for 0 and 1");
+            }
+        }
         assert_eq!(boundaries, vec![1, 2, 3], "every boundary, exactly once");
         assert_eq!(merger.absorbed(), 3);
     }
 
-    /// Builds one contiguous shard covering `ids` by absorbing
-    /// single-phone shards left to right.
-    fn shard_of(
-        registry: &PassRegistry,
-        config: AnalysisConfig,
-        ids: std::ops::Range<u32>,
-    ) -> FoldShard {
-        let mut ids = ids;
-        let first = ids.next().expect("shard must be non-empty");
-        let mut shard = FoldShard::from_folds(registry, busy_fold(registry, config, first));
-        for id in ids {
-            let single = FoldShard::from_folds(registry, busy_fold(registry, config, id));
-            shard.absorb_shard(registry, single);
-        }
-        shard
-    }
-
-    fn rendered(report: &crate::analysis::report::StudyReport) -> String {
-        report.render_all() + &report.render_per_phone()
-    }
-
     #[test]
-    fn sharded_pushes_match_serial_merger_in_any_arrival_order() {
+    fn sharded_pushes_match_reference_in_any_arrival_order() {
         let registry = PassRegistry::all();
         let config = AnalysisConfig::default();
-
-        let mut serial = StreamMerger::new(&registry, config);
-        for id in 0..6 {
-            serial.push(busy_fold(&registry, config, id));
-        }
 
         // Shards arrive out of order: [3,6) buffers, [0,2) absorbs,
         // [2,3) unblocks the buffered tail.
@@ -2646,13 +2457,13 @@ mod tests {
 
         assert_eq!(
             rendered(&sharded.finish()),
-            rendered(&serial.finish()),
-            "sharded absorption must render byte-identically to serial"
+            reference(&registry, config, 0..6),
+            "sharded absorption must render byte-identically to the reference"
         );
     }
 
     #[test]
-    fn tree_merge_matches_left_to_right_serial_merge() {
+    fn tree_merge_matches_reference() {
         let registry = PassRegistry::all();
         let config = AnalysisConfig::default();
 
@@ -2667,14 +2478,10 @@ mod tests {
 
         let mut tree = StreamMerger::new(&registry, config);
         tree.push_shard(merged);
-        let mut serial = StreamMerger::new(&registry, config);
-        for id in 0..7 {
-            serial.push(busy_fold(&registry, config, id));
-        }
         assert_eq!(
             rendered(&tree.finish()),
-            rendered(&serial.finish()),
-            "tree-merged shard must render byte-identically to serial"
+            reference(&registry, config, 0..7),
+            "tree-merged shard must render byte-identically to the reference"
         );
         assert!(tree_merge_shards(&registry, Vec::new()).is_none());
     }
@@ -2701,17 +2508,16 @@ mod tests {
         assert_eq!((resumed.absorbed(), resumed.pending_len()), (2, 0));
 
         // …the full capture resumes with them intact: filling the gap
-        // renders byte-identically to an uninterrupted serial merge.
+        // renders byte-identically to the reference.
         let mut resumed =
             StreamMerger::resume(&registry, config, 7, "default", TOPO, &full).unwrap();
         assert_eq!((resumed.absorbed(), resumed.pending_len()), (2, 2));
         resumed.push_shard(shard_of(&registry, config, 2..4));
         assert_eq!(resumed.absorbed(), 6);
-        let mut serial = StreamMerger::new(&registry, config);
-        for id in 0..6 {
-            serial.push(busy_fold(&registry, config, id));
-        }
-        assert_eq!(rendered(&resumed.finish()), rendered(&serial.finish()));
+        assert_eq!(
+            rendered(&resumed.finish()),
+            reference(&registry, config, 0..6)
+        );
     }
 
     #[test]
@@ -2719,8 +2525,8 @@ mod tests {
         let registry = PassRegistry::all();
         let config = AnalysisConfig::default();
         let mut merger = StreamMerger::new(&registry, config);
-        merger.push(busy_fold(&registry, config, 0));
-        merger.push(busy_fold(&registry, config, 1));
+        merger.push_shard(shard_of(&registry, config, 0..1));
+        merger.push_shard(shard_of(&registry, config, 1..2));
         let bytes = merger.snapshot(7, "default", TOPO);
         let mut resumed =
             StreamMerger::resume(&registry, config, 7, "default", TOPO, &bytes).unwrap();
@@ -2729,16 +2535,14 @@ mod tests {
         assert_eq!(resumed.mtbf_estimate(), merger.mtbf_estimate());
         // Replaying an already-absorbed phone must be a no-op, not a
         // double count.
-        resumed.push(busy_fold(&registry, config, 1));
+        resumed.push_shard(shard_of(&registry, config, 1..2));
         assert_eq!(resumed.absorbed(), 2);
         assert_eq!(resumed.pending_len(), 0);
-        merger.push(busy_fold(&registry, config, 2));
-        resumed.push(busy_fold(&registry, config, 2));
-        let a = merger.finish();
-        let b = resumed.finish();
+        merger.push_shard(shard_of(&registry, config, 2..3));
+        resumed.push_shard(shard_of(&registry, config, 2..3));
         assert_eq!(
-            a.render_all() + &a.render_per_phone(),
-            b.render_all() + &b.render_per_phone(),
+            rendered(&merger.finish()),
+            rendered(&resumed.finish()),
             "resumed merger must render byte-identically"
         );
     }
@@ -2748,7 +2552,7 @@ mod tests {
         let registry = PassRegistry::all();
         let config = AnalysisConfig::default();
         let mut merger = StreamMerger::new(&registry, config);
-        merger.push(busy_fold(&registry, config, 0));
+        merger.push_shard(shard_of(&registry, config, 0..1));
         let bytes = merger.snapshot(1, "default", TOPO);
 
         let mut bad = bytes.clone();
@@ -2792,7 +2596,7 @@ mod tests {
         let registry = PassRegistry::all();
         let config = AnalysisConfig::default();
         let mut merger = StreamMerger::new(&registry, config);
-        merger.push(busy_fold(&registry, config, 0));
+        merger.push_shard(shard_of(&registry, config, 0..1));
         let mut bytes = merger.snapshot(1, "default", TOPO);
         bytes[8] = 4; // little-endian version word: v5 -> v4
         let want = CheckpointError::SchemaVersion {
@@ -2834,7 +2638,7 @@ mod tests {
         let registry = PassRegistry::all();
         let config = AnalysisConfig::default();
         let mut merger = StreamMerger::new(&registry, config);
-        merger.push(busy_fold(&registry, config, 0));
+        merger.push_shard(shard_of(&registry, config, 0..1));
         let bytes = merger.snapshot(1, "default", TOPO);
 
         let subset = PassRegistry::select("mtbf").unwrap();
@@ -2877,7 +2681,7 @@ mod tests {
         let registry = PassRegistry::all();
         let config = AnalysisConfig::default();
         let mut merger = StreamMerger::new(&registry, config);
-        merger.push(busy_fold(&registry, config, 0));
+        merger.push_shard(shard_of(&registry, config, 0..1));
         let bytes = merger.snapshot(1, "default", TOPO);
 
         // Same fleet, different split: resuming a solo checkpoint in a
@@ -2898,10 +2702,10 @@ mod tests {
         let config = AnalysisConfig::default();
         let mut merger = StreamMerger::new_at(&registry, config, 3);
         assert_eq!((merger.origin(), merger.absorbed()), (3, 3));
-        merger.push(fold_for(&registry, config, 1)); // below origin: stale
+        merger.push_shard(quiet_shard(&registry, config, 1)); // below origin: stale
         assert_eq!((merger.absorbed(), merger.pending_len()), (3, 0));
-        merger.push(fold_for(&registry, config, 3));
-        merger.push(fold_for(&registry, config, 4));
+        merger.push_shard(quiet_shard(&registry, config, 3));
+        merger.push_shard(quiet_shard(&registry, config, 4));
         assert_eq!(merger.absorbed(), 5);
         let report = merger.finish();
         assert_eq!(report.defects.per_phone.len(), 2, "phones 3 and 4 only");
@@ -2926,23 +2730,16 @@ mod tests {
             start: ids.start,
             end: ids.end,
         };
-        for id in ids {
-            merger.push(busy_fold(registry, config, id));
-        }
+        merger.push_shard(shard_of(registry, config, ids));
         merger.snapshot(fingerprint, "default", topology)
     }
 
     #[test]
-    fn merge_shard_checkpoints_matches_serial_for_uneven_partitions() {
+    fn merge_shard_checkpoints_matches_reference_for_uneven_partitions() {
         let registry = PassRegistry::all();
         let config = AnalysisConfig::default();
         let fleet = 7u32;
-
-        let mut serial = StreamMerger::new(&registry, config);
-        for id in 0..fleet {
-            serial.push(busy_fold(&registry, config, id));
-        }
-        let expected = rendered(&serial.finish());
+        let expected = reference(&registry, config, 0..fleet);
 
         // An uneven hand-built partition (not the formula intervals),
         // supplied out of order.

@@ -101,15 +101,16 @@ pub struct StudyReport {
 }
 
 impl StudyReport {
-    /// Runs the whole pipeline over the fleet dataset: the batch
-    /// driver over the full [`PassRegistry`]. This *is* the streaming
-    /// engine run with an identity name remap, which is what keeps the
-    /// two paths byte-identical by construction.
+    /// Runs the whole pipeline over the fleet dataset: the reference
+    /// driver over the full [`PassRegistry`]. It folds the same passes
+    /// the streaming campaign driver does, with an identity name
+    /// remap, which is what keeps the two byte-identical by
+    /// construction.
     pub fn analyze(fleet: &FleetDataset, config: AnalysisConfig) -> Self {
         Self::analyze_with(fleet, config, &PassRegistry::all())
     }
 
-    /// The batch driver over a selected pass registry: folds each
+    /// The reference driver over a selected pass registry: folds each
     /// phone in fleet order and merges immediately. The fleet dataset
     /// already interned names fleet-wide, so the merge context carries
     /// no remap.
@@ -121,11 +122,11 @@ impl StudyReport {
         Self::analyze_with_labels(fleet, config, registry, |_| DeviceLabels::default())
     }
 
-    /// The batch driver with per-phone device labels: `labels` maps
-    /// each phone id to its device class and firmware version, which
-    /// the class-aware passes use to slice their tables. The streaming
-    /// engine feeds the same labels through [`PhoneLens`], keeping the
-    /// two paths byte-identical for any composition.
+    /// The reference driver with per-phone device labels: `labels`
+    /// maps each phone id to its device class and firmware version,
+    /// which the class-aware passes use to slice their tables. The
+    /// streaming driver feeds the same labels through [`PhoneLens`],
+    /// keeping the two byte-identical for any composition.
     pub fn analyze_with_labels(
         fleet: &FleetDataset,
         config: AnalysisConfig,
@@ -435,8 +436,8 @@ impl StudyReport {
     }
 
     /// Renders the per-firmware failure counts from the `firmware`
-    /// pass (the extensions experiment's ground-truth view, now
-    /// derivable from logged data under both engines).
+    /// pass (the extensions experiment's ground-truth view, derived
+    /// from logged data).
     pub fn render_firmware(&self) -> String {
         let mut out = String::from("panic counts by firmware version\n");
         for (version, phones, panics) in &self.firmware.versions {

@@ -17,7 +17,7 @@ use std::sync::Mutex;
 use std::time::Instant;
 
 use symfail_core::analysis::checkpoint::{fnv1a64, CheckpointError, ShardTopology};
-use symfail_core::analysis::dataset::{FleetDataset, ParseScratch, PhoneDataset};
+use symfail_core::analysis::dataset::{ParseScratch, PhoneDataset};
 use symfail_core::analysis::mtbf::MtbfAnalysis;
 use symfail_core::analysis::passes::{
     DeviceLabels, FoldShard, MergeStats, PassRegistry, PhoneLens, StreamMerger,
@@ -60,8 +60,8 @@ pub struct PhoneHarvest {
 /// Everything worth keeping about a phone once its flash has been
 /// parsed and dropped: campaign metadata, ground truth, and the few
 /// side-channel payloads (user reports) downstream experiments read
-/// straight from flash. This is what lets the fused and streaming
-/// pipelines reclaim flash buffers phone by phone.
+/// straight from flash. This is what lets the streaming driver reclaim
+/// flash buffers phone by phone.
 #[derive(Debug, Clone)]
 pub struct PhoneMeta {
     /// The phone's identifier.
@@ -102,8 +102,9 @@ impl PhoneMeta {
     }
 }
 
-/// Metadata for every harvest, in the same order — the bridge from the
-/// staged (flash-retaining) pipeline to meta-based aggregations.
+/// Metadata for every harvest, in the same order — the bridge from a
+/// retained harvest ([`FleetCampaign::run`]) to meta-based
+/// aggregations.
 pub fn harvest_metas(harvest: &[PhoneHarvest]) -> Vec<PhoneMeta> {
     harvest.iter().map(PhoneMeta::from_harvest).collect()
 }
@@ -128,13 +129,10 @@ pub struct StreamingOptions {
     /// Record a live MTBFr/MTBS estimate at every boundary (plus one
     /// final entry) into [`StreamingRun::mtbf_trace`].
     pub mtbf_trace: bool,
-    /// Merge discipline: sharded per-worker runs (default) or the
-    /// serial per-phone oracle path.
-    pub merge: MergeMode,
-    /// Sharded mode: cap on phones per contiguous run; `0` derives one
-    /// from the fleet size and worker count. Runs are additionally cut
-    /// at every `checkpoint_every` multiple, so checkpoint boundaries
-    /// land on exactly the phones serial mode checkpoints.
+    /// Cap on phones per contiguous run; `0` derives one from the
+    /// fleet size and worker count. Runs are additionally cut at every
+    /// `checkpoint_every` multiple, so checkpoints land on the same
+    /// phones for any run length and worker count.
     pub run_len: u32,
     /// Reads a monotonically-increasing allocation counter for the
     /// *calling thread* (e.g. a thread-local inside the binary's
@@ -259,29 +257,6 @@ impl ShardSpec {
     }
 }
 
-/// Which merge discipline [`FleetCampaign::run_streaming_opts`] uses.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum MergeMode {
-    /// One merger push per phone — the pre-sharding architecture, kept
-    /// as the byte-identical oracle for the sharded path.
-    Serial,
-    /// Each worker folds a contiguous run of phones into a private
-    /// [`FoldShard`] and hands the whole shard to the merger: one lock
-    /// acquisition per run instead of per phone.
-    #[default]
-    Sharded,
-}
-
-impl MergeMode {
-    /// Stable CLI/JSON label.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            MergeMode::Serial => "serial",
-            MergeMode::Sharded => "sharded",
-        }
-    }
-}
-
 /// Per-worker counters from a streaming run, for throughput
 /// diagnosis without a profiler.
 #[derive(Debug, Clone, Copy, Default)]
@@ -320,10 +295,10 @@ fn plan_runs(start: u32, stop: u32, every: u32, run_len: u32) -> Vec<(u32, u32)>
     runs
 }
 
-/// The checkpoint-boundary observer shared by both merge modes: called
-/// by the merger after every absorbed phone (serial) or run (sharded).
-/// Sharded runs are cut at `checkpoint_every` multiples, so the
-/// boundary test fires on exactly the same absorbed counts either way.
+/// The checkpoint-boundary observer: called by the merger after every
+/// absorbed run. Runs are cut at `checkpoint_every` multiples, so the
+/// boundary test fires on the same absorbed counts for any worker
+/// count.
 fn on_boundary(
     m: &StreamMerger<'_>,
     opts: &StreamingOptions,
@@ -601,7 +576,7 @@ impl FleetCampaign {
     /// Runs exactly one phone of this campaign — the single-phone
     /// scoped entry point the signature-repro machinery uses to
     /// re-simulate an individual fleet member. Identical to the
-    /// phone's harvest under any engine, worker count or shard layout
+    /// phone's harvest under any worker count or shard layout
     /// (per-phone RNG forks are independent by construction).
     pub fn run_single(&self, id: u32) -> PhoneHarvest {
         assert!(
@@ -612,154 +587,26 @@ impl FleetCampaign {
         self.run_phone(id)
     }
 
-    /// Runs the contiguous `[lo, hi)` slice of the fleet sequentially
-    /// — the same interval a `--shard` process simulates, exposed for
-    /// scoped re-simulation without the streaming driver.
-    pub fn run_interval(&self, lo: u32, hi: u32) -> Vec<PhoneHarvest> {
-        assert!(
-            lo <= hi && hi <= self.params.phones,
-            "interval [{lo}, {hi}) outside the {}-phone fleet",
-            self.params.phones
-        );
-        (lo..hi).map(|id| self.run_phone(id)).collect()
-    }
-
-    /// Runs every phone sequentially. Deterministic in the seed.
+    /// Runs every phone sequentially, retaining every flash — the
+    /// harvest the reference analysis ([`StudyReport::analyze`])
+    /// materializes. Deterministic in the seed.
     pub fn run(&self) -> Vec<PhoneHarvest> {
         (0..self.params.phones)
             .map(|id| self.run_phone(id))
             .collect()
     }
 
-    /// Runs phones across `workers` threads with work stealing: a
-    /// shared atomic counter hands out the next phone id to whichever
-    /// worker finishes first, so stragglers (late retirees, chatty
-    /// profiles) never serialize behind a static chunk boundary. The
-    /// harvest is identical to [`Self::run`] — phones own forked,
-    /// independent RNG streams, so the schedule cannot influence any
-    /// phone's bytes, and the result is sorted by phone id.
-    pub fn run_parallel(&self, workers: usize) -> Vec<PhoneHarvest> {
-        let phones = self.params.phones as usize;
-        if phones == 0 {
-            return Vec::new();
-        }
-        let workers = workers.clamp(1, phones);
-        if workers == 1 {
-            return self.run();
-        }
-        let next = AtomicUsize::new(0);
-        let mut harvests: Vec<PhoneHarvest> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    let next = &next;
-                    scope.spawn(move || {
-                        let mut out = Vec::new();
-                        loop {
-                            let id = next.fetch_add(1, Ordering::Relaxed);
-                            if id >= phones {
-                                break;
-                            }
-                            out.push(self.run_phone(id as u32));
-                        }
-                        out
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("phone worker panicked"))
-                .collect()
-        });
-        harvests.sort_unstable_by_key(|h| h.phone_id);
-        harvests
-    }
-
-    /// Runs the campaign with the campaign→parse barrier removed: each
-    /// work-stealing worker parses a phone's flash immediately after
-    /// simulating it, so simulation and parsing interleave across the
-    /// pool instead of the whole fleet simulating before the first
-    /// byte is parsed.
-    ///
-    /// Equivalence: phones own forked RNG streams and parsing is a
-    /// pure function of each phone's flash bytes, so the harvests are
-    /// byte-identical — and the datasets value-identical — to the
-    /// staged `run_parallel` + `FleetDataset::from_flash_parallel`
-    /// path for any worker count. The intern-table merge inside
-    /// [`FleetDataset::from_phones`] happens after sorting by phone
-    /// id, so fleet name ids are schedule-independent too.
-    pub fn run_fused(&self, workers: usize) -> FusedRun {
-        let phones = self.params.phones as usize;
-        if phones == 0 {
-            return FusedRun {
-                metas: Vec::new(),
-                dataset: FleetDataset::default(),
-                parse_cpu_seconds: 0.0,
-                parse_bytes: 0,
-                reclaimed_flash_bytes: 0,
-            };
-        }
-        let workers = workers.clamp(1, phones);
-        let next = AtomicUsize::new(0);
-        let mut runs: Vec<(PhoneMeta, PhoneDataset, f64)> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    let next = &next;
-                    scope.spawn(move || {
-                        let mut out = Vec::new();
-                        loop {
-                            let id = next.fetch_add(1, Ordering::Relaxed);
-                            if id >= phones {
-                                break;
-                            }
-                            let harvest = self.run_phone(id as u32);
-                            let start = Instant::now();
-                            let ds = PhoneDataset::from_flashfs(id as u32, &harvest.flashfs);
-                            let secs = start.elapsed().as_secs_f64();
-                            let meta = PhoneMeta::from_harvest(&harvest);
-                            // The harvest (and its flash buffers) dies
-                            // here: the worker holds at most one
-                            // phone's flash at a time.
-                            drop(harvest);
-                            out.push((meta, ds, secs));
-                        }
-                        out
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("fused worker panicked"))
-                .collect()
-        });
-        runs.sort_unstable_by_key(|(m, _, _)| m.phone_id);
-        let mut metas = Vec::with_capacity(runs.len());
-        let mut datasets = Vec::with_capacity(runs.len());
-        let mut parse_cpu_seconds = 0.0;
-        for (m, ds, secs) in runs {
-            metas.push(m);
-            datasets.push(ds);
-            parse_cpu_seconds += secs;
-        }
-        let parse_bytes = metas.iter().map(|m| m.flash_bytes).sum();
-        FusedRun {
-            metas,
-            dataset: FleetDataset::from_phones(datasets),
-            parse_cpu_seconds,
-            parse_bytes,
-            reclaimed_flash_bytes: parse_bytes,
-        }
-    }
-
-    /// The fully-streamed pipeline: each worker simulates a phone,
-    /// parses its flash, folds every registered analysis pass over the
-    /// dataset, then drops **both** the flash and the dataset before
-    /// stealing the next phone. Folds drain into a shared
-    /// [`StreamMerger`] that absorbs them strictly in phone-id order,
-    /// so the report is byte-identical to
-    /// [`StudyReport::analyze`] over the batch dataset for any worker
-    /// count — while peak memory stays bounded by
-    /// `workers × per-phone state` plus the folded summaries instead
-    /// of the whole fleet.
+    /// The campaign driver: workers steal contiguous runs of phone ids;
+    /// for each phone a worker simulates it, parses its flash, folds
+    /// every registered analysis pass into the run's [`FoldShard`],
+    /// then drops **both** the flash and the dataset before the next
+    /// phone. Each finished run crosses into a shared [`StreamMerger`]
+    /// in one lock acquisition, and the merger absorbs runs strictly
+    /// in phone-id order, so the report is byte-identical to
+    /// [`StudyReport::analyze`] over the materialized fleet for any
+    /// worker count and run partition — while peak memory stays
+    /// bounded by `workers × per-phone state` plus the folded
+    /// summaries instead of the whole fleet.
     pub fn run_streaming(
         &self,
         workers: usize,
@@ -781,8 +628,8 @@ impl FleetCampaign {
     /// at the end of the run; since absorption happens strictly in
     /// phone-id order, boundary phones — and therefore checkpoint
     /// bytes and the MTBF trace — are identical for any worker count.
-    /// The final report stays byte-identical to an uninterrupted
-    /// (and to a batch) run.
+    /// The final report stays byte-identical to an uninterrupted run
+    /// (and to the reference analysis).
     ///
     /// A resumed run's `metas`/parse counters cover only the phones it
     /// simulated itself (the resumed suffix); the report covers the
@@ -853,169 +700,90 @@ impl FleetCampaign {
 
         let (mut runs, worker_stats): (Vec<(PhoneMeta, f64)>, Vec<WorkerStats>) = if start < stop {
             let workers = workers.clamp(1, (stop - start) as usize);
-            match opts.merge {
-                MergeMode::Serial => {
-                    let next = AtomicUsize::new(start as usize);
-                    std::thread::scope(|scope| {
-                        let handles: Vec<_> = (0..workers)
-                            .map(|_| {
-                                let next = &next;
-                                let state = &state;
-                                scope.spawn(move || {
-                                    let mut out = Vec::new();
-                                    let mut ws = WorkerStats::default();
-                                    let allocs0 = opts.alloc_counter.map(|f| f());
-                                    let mut scratch = ParseScratch::default();
-                                    loop {
-                                        let id = next.fetch_add(1, Ordering::Relaxed);
-                                        if id >= stop as usize {
-                                            break;
-                                        }
-                                        let harvest = self.run_phone(id as u32);
-                                        let t0 = Instant::now();
-                                        let ds = PhoneDataset::from_flashfs_with(
-                                            id as u32,
-                                            &harvest.flashfs,
-                                            &mut scratch,
-                                        );
-                                        let secs = t0.elapsed().as_secs_f64();
-                                        let meta = PhoneMeta::from_harvest(&harvest);
-                                        drop(harvest);
-                                        let lens = PhoneLens::with_device(
-                                            &ds,
-                                            config,
-                                            needs_coalesce,
-                                            self.device_labels(id as u32),
-                                        );
-                                        let folds = registry.fold_phone(&lens);
-                                        drop(lens);
-                                        // The dataset's buffers go back
-                                        // into the scratch pool here; only
-                                        // the folded summaries cross into
-                                        // the merger.
-                                        ds.recycle(&mut scratch);
-                                        let t1 = Instant::now();
-                                        let mut guard = state.lock().expect("merger lock");
-                                        let MergeState {
-                                            merger,
-                                            trace,
-                                            write_error,
-                                        } = &mut *guard;
-                                        merger.push_each(folds, |m| {
-                                            on_boundary(
-                                                m,
-                                                opts,
-                                                fingerprint,
-                                                composition,
-                                                topology,
-                                                trace,
-                                                write_error,
-                                            )
-                                        });
-                                        drop(guard);
-                                        ws.merge_wait_seconds += t1.elapsed().as_secs_f64();
-                                        ws.parse_seconds += secs;
-                                        ws.phones += 1;
-                                        out.push((meta, secs));
-                                    }
-                                    ws.alloc_calls = opts
-                                        .alloc_counter
-                                        .map(|f| f().saturating_sub(allocs0.unwrap_or(0)));
-                                    (out, ws)
-                                })
-                            })
-                            .collect();
-                        join_workers(handles)
+            // Without an explicit cap (and no checkpoint grid to cut
+            // on), size runs so each worker sees a few of them — enough
+            // stealing slack to absorb straggler phones.
+            let run_len = if opts.run_len > 0 || opts.checkpoint_every > 0 {
+                opts.run_len
+            } else {
+                ((stop - start) / (workers as u32 * 8)).clamp(1, 32)
+            };
+            let plan = plan_runs(start, stop, opts.checkpoint_every, run_len);
+            let next = AtomicUsize::new(0);
+            std::thread::scope(|scope| {
+                let handles: Vec<_> = (0..workers)
+                    .map(|_| {
+                        let next = &next;
+                        let state = &state;
+                        let plan = &plan;
+                        scope.spawn(move || {
+                            let mut out = Vec::new();
+                            let mut ws = WorkerStats::default();
+                            let allocs0 = opts.alloc_counter.map(|f| f());
+                            let mut scratch = ParseScratch::default();
+                            while let Some(&(run_start, run_end)) =
+                                plan.get(next.fetch_add(1, Ordering::Relaxed))
+                            {
+                                let mut shard = FoldShard::new(registry, run_start);
+                                for id in run_start..run_end {
+                                    let harvest = self.run_phone(id);
+                                    let t0 = Instant::now();
+                                    let ds = PhoneDataset::from_flashfs_with(
+                                        id,
+                                        &harvest.flashfs,
+                                        &mut scratch,
+                                    );
+                                    let secs = t0.elapsed().as_secs_f64();
+                                    let meta = PhoneMeta::from_harvest(&harvest);
+                                    drop(harvest);
+                                    let lens = PhoneLens::with_device(
+                                        &ds,
+                                        config,
+                                        needs_coalesce,
+                                        self.device_labels(id),
+                                    );
+                                    shard.absorb_phone(registry, &lens);
+                                    drop(lens);
+                                    // The dataset's buffers go back into
+                                    // the scratch pool; only the folded
+                                    // summaries cross into the merger.
+                                    ds.recycle(&mut scratch);
+                                    ws.parse_seconds += secs;
+                                    ws.phones += 1;
+                                    out.push((meta, secs));
+                                }
+                                // One lock acquisition per run: the
+                                // whole shard crosses at once.
+                                let t1 = Instant::now();
+                                let mut guard = state.lock().expect("merger lock");
+                                let MergeState {
+                                    merger,
+                                    trace,
+                                    write_error,
+                                } = &mut *guard;
+                                merger.push_shard_each(shard, |m| {
+                                    on_boundary(
+                                        m,
+                                        opts,
+                                        fingerprint,
+                                        composition,
+                                        topology,
+                                        trace,
+                                        write_error,
+                                    )
+                                });
+                                drop(guard);
+                                ws.merge_wait_seconds += t1.elapsed().as_secs_f64();
+                            }
+                            ws.alloc_calls = opts
+                                .alloc_counter
+                                .map(|f| f().saturating_sub(allocs0.unwrap_or(0)));
+                            (out, ws)
+                        })
                     })
-                }
-                MergeMode::Sharded => {
-                    // Without an explicit cap (and no checkpoint grid
-                    // to cut on), size runs so each worker sees a few
-                    // of them — enough stealing slack to absorb
-                    // straggler phones.
-                    let run_len = if opts.run_len > 0 || opts.checkpoint_every > 0 {
-                        opts.run_len
-                    } else {
-                        ((stop - start) / (workers as u32 * 8)).clamp(1, 32)
-                    };
-                    let plan = plan_runs(start, stop, opts.checkpoint_every, run_len);
-                    let next = AtomicUsize::new(0);
-                    std::thread::scope(|scope| {
-                        let handles: Vec<_> = (0..workers)
-                            .map(|_| {
-                                let next = &next;
-                                let state = &state;
-                                let plan = &plan;
-                                scope.spawn(move || {
-                                    let mut out = Vec::new();
-                                    let mut ws = WorkerStats::default();
-                                    let allocs0 = opts.alloc_counter.map(|f| f());
-                                    let mut scratch = ParseScratch::default();
-                                    loop {
-                                        let ri = next.fetch_add(1, Ordering::Relaxed);
-                                        let Some(&(run_start, run_end)) = plan.get(ri) else {
-                                            break;
-                                        };
-                                        let mut shard = FoldShard::new(registry, run_start);
-                                        for id in run_start..run_end {
-                                            let harvest = self.run_phone(id);
-                                            let t0 = Instant::now();
-                                            let ds = PhoneDataset::from_flashfs_with(
-                                                id,
-                                                &harvest.flashfs,
-                                                &mut scratch,
-                                            );
-                                            let secs = t0.elapsed().as_secs_f64();
-                                            let meta = PhoneMeta::from_harvest(&harvest);
-                                            drop(harvest);
-                                            let lens = PhoneLens::with_device(
-                                                &ds,
-                                                config,
-                                                needs_coalesce,
-                                                self.device_labels(id),
-                                            );
-                                            shard.absorb_phone(registry, &lens);
-                                            drop(lens);
-                                            ds.recycle(&mut scratch);
-                                            ws.parse_seconds += secs;
-                                            ws.phones += 1;
-                                            out.push((meta, secs));
-                                        }
-                                        // One lock acquisition per run:
-                                        // the whole shard crosses at
-                                        // once.
-                                        let t1 = Instant::now();
-                                        let mut guard = state.lock().expect("merger lock");
-                                        let MergeState {
-                                            merger,
-                                            trace,
-                                            write_error,
-                                        } = &mut *guard;
-                                        merger.push_shard_each(shard, |m| {
-                                            on_boundary(
-                                                m,
-                                                opts,
-                                                fingerprint,
-                                                composition,
-                                                topology,
-                                                trace,
-                                                write_error,
-                                            )
-                                        });
-                                        drop(guard);
-                                        ws.merge_wait_seconds += t1.elapsed().as_secs_f64();
-                                    }
-                                    ws.alloc_calls = opts
-                                        .alloc_counter
-                                        .map(|f| f().saturating_sub(allocs0.unwrap_or(0)));
-                                    (out, ws)
-                                })
-                            })
-                            .collect();
-                        join_workers(handles)
-                    })
-                }
-            }
+                    .collect();
+                join_workers(handles)
+            })
         } else {
             (Vec::new(), Vec::new())
         };
@@ -1058,7 +826,6 @@ impl FleetCampaign {
             parse_cpu_seconds,
             phone_parse_seconds,
             parse_bytes,
-            reclaimed_flash_bytes: parse_bytes,
             mtbf_trace: st.trace,
             resumed_from,
             worker_stats,
@@ -1069,45 +836,23 @@ impl FleetCampaign {
     }
 }
 
-/// The result of a fused campaign→parse run
-/// ([`FleetCampaign::run_fused`]).
-#[derive(Debug)]
-pub struct FusedRun {
-    /// Per-phone metadata (ground truth, firmware, user reports),
-    /// sorted by phone id. Flash buffers are dropped phone by phone
-    /// during the run.
-    pub metas: Vec<PhoneMeta>,
-    /// The fleet dataset parsed from those harvests — value-identical
-    /// to `FleetDataset::from_flash_parallel` over the same flashes.
-    pub dataset: FleetDataset,
-    /// CPU seconds spent inside flash parsing, summed across workers
-    /// (wall-clock parse cost is hidden inside the simulation overlap;
-    /// this counter is what the timing report can still attribute).
-    pub parse_cpu_seconds: f64,
-    /// Total flash bytes parsed.
-    pub parse_bytes: u64,
-    /// Flash bytes freed phone-by-phone instead of being held for the
-    /// run's lifetime (equals `parse_bytes`: every flash is dropped).
-    pub reclaimed_flash_bytes: u64,
-}
-
 /// The result of a fully-streamed campaign→parse→fold run
 /// ([`FleetCampaign::run_streaming`]).
 #[derive(Debug)]
 pub struct StreamingRun {
     /// Per-phone metadata, sorted by phone id.
     pub metas: Vec<PhoneMeta>,
-    /// The finished study report, byte-identical to the batch path.
+    /// The finished study report, byte-identical to the reference
+    /// analysis.
     pub report: StudyReport,
     /// CPU seconds spent inside flash parsing, summed across workers.
     pub parse_cpu_seconds: f64,
     /// Per-phone parse seconds, aligned with `metas` — the measured
     /// cost vector a later `--balance measured` run can plan from.
     pub phone_parse_seconds: Vec<f64>,
-    /// Total flash bytes parsed.
+    /// Total flash bytes parsed; every one of them is freed phone by
+    /// phone, never held for the run's lifetime.
     pub parse_bytes: u64,
-    /// Flash bytes freed phone-by-phone (equals `parse_bytes`).
-    pub reclaimed_flash_bytes: u64,
     /// Live MTBF estimates `(phones_absorbed, estimate)` recorded at
     /// checkpoint boundaries (plus one final entry), strictly
     /// increasing in `phones_absorbed`. Empty unless
@@ -1163,6 +908,7 @@ pub fn total_stats(metas: &[PhoneMeta]) -> PhoneStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use symfail_core::analysis::dataset::FleetDataset;
 
     fn tiny_params() -> CalibrationParams {
         CalibrationParams {
@@ -1216,17 +962,30 @@ mod tests {
         }
     }
 
+    /// The streaming driver's per-phone metadata equals the sequential
+    /// harvest's, for any worker count.
+    fn assert_streamed_metas_match(c: &FleetCampaign) {
+        let seq = harvest_metas(&c.run());
+        for workers in [1, 2, 3] {
+            let run = c.run_streaming(workers, AnalysisConfig::default(), &PassRegistry::all());
+            assert_eq!(run.metas.len(), seq.len());
+            for (x, y) in seq.iter().zip(&run.metas) {
+                assert_eq!(x.phone_id, y.phone_id);
+                assert_eq!(x.stats, y.stats);
+                assert_eq!(x.injected, y.injected);
+                assert_eq!(x.flash_bytes, y.flash_bytes);
+                assert_eq!(x.ureports, y.ureports);
+            }
+            assert_eq!(
+                run.parse_bytes,
+                seq.iter().map(|m| m.flash_bytes).sum::<u64>()
+            );
+        }
+    }
+
     #[test]
     fn parallel_equals_sequential() {
-        let c = FleetCampaign::new(13, tiny_params());
-        let seq = c.run();
-        let par = c.run_parallel(3);
-        assert_eq!(seq.len(), par.len());
-        for (x, y) in seq.iter().zip(&par) {
-            assert_eq!(x.phone_id, y.phone_id);
-            assert_eq!(x.stats, y.stats);
-            assert_eq!(x.flashfs.read_bytes("beats"), y.flashfs.read_bytes("beats"));
-        }
+        assert_streamed_metas_match(&FleetCampaign::new(13, tiny_params()));
     }
 
     #[test]
@@ -1253,45 +1012,9 @@ mod tests {
 
     #[test]
     fn corrupted_parallel_equals_sequential() {
-        let c = FleetCampaign::new(13, tiny_params()).with_corruption(CorruptionProfile::Moderate);
-        let seq = c.run();
-        let par = c.run_parallel(3);
-        assert_eq!(seq.len(), par.len());
-        for (x, y) in seq.iter().zip(&par) {
-            assert_eq!(x.phone_id, y.phone_id);
-            assert_eq!(x.injected, y.injected);
-            assert_eq!(x.flashfs.read_bytes("beats"), y.flashfs.read_bytes("beats"));
-            assert_eq!(x.flashfs.read_bytes("log"), y.flashfs.read_bytes("log"));
-        }
-    }
-
-    #[test]
-    fn fused_equals_staged_pipeline() {
-        let c = FleetCampaign::new(13, tiny_params()).with_corruption(CorruptionProfile::Worst);
-        let staged_harvest = c.run_parallel(3);
-        let systems: Vec<(u32, &FlashFs)> = staged_harvest
-            .iter()
-            .map(|h| (h.phone_id, &h.flashfs))
-            .collect();
-        let staged = FleetDataset::from_flash_parallel(&systems, 3);
-        for workers in [1, 2, 3] {
-            let fused = c.run_fused(workers);
-            assert_eq!(fused.metas.len(), staged_harvest.len());
-            for (x, y) in fused.metas.iter().zip(&staged_harvest) {
-                assert_eq!(x.phone_id, y.phone_id);
-                assert_eq!(x.stats, y.stats);
-                assert_eq!(x.flash_bytes, y.flashfs.total_size());
-            }
-            assert_eq!(fused.dataset.names(), staged.names());
-            assert_eq!(fused.dataset.panic_count(), staged.panic_count());
-            for (f, s) in fused.dataset.phones().iter().zip(staged.phones()) {
-                assert_eq!(f.panics(), s.panics());
-                assert_eq!(f.beats(), s.beats());
-                assert_eq!(f.defects(), s.defects());
-            }
-            assert!(fused.parse_bytes > 0);
-            assert_eq!(fused.reclaimed_flash_bytes, fused.parse_bytes);
-        }
+        assert_streamed_metas_match(
+            &FleetCampaign::new(13, tiny_params()).with_corruption(CorruptionProfile::Moderate),
+        );
     }
 
     #[test]
@@ -1300,8 +1023,9 @@ mod tests {
         let config = AnalysisConfig::default();
         let registry = PassRegistry::all();
         let batch = {
-            let fused = c.run_fused(2);
-            StudyReport::analyze_with(&fused.dataset, config, &registry)
+            let harvest = c.run();
+            let fleet = FleetDataset::from_flash(harvest.iter().map(|h| (h.phone_id, &h.flashfs)));
+            StudyReport::analyze_with(&fleet, config, &registry)
         };
         for workers in [1, 2, 3] {
             let streamed = c.run_streaming(workers, config, &registry);
@@ -1311,7 +1035,6 @@ mod tests {
                 "streaming ({workers} workers) must be byte-identical to batch"
             );
             assert_eq!(streamed.metas.len(), 3);
-            assert_eq!(streamed.reclaimed_flash_bytes, streamed.parse_bytes);
             assert!(streamed.parse_bytes > 0);
         }
     }
@@ -1320,7 +1043,10 @@ mod tests {
     fn mixed_fleet_is_deterministic_and_classed() {
         let c = FleetCampaign::new(13, tiny_params()).with_fleet(FleetComposition::mixed());
         let a = c.run();
-        let b = c.run_parallel(3);
+        // Phones simulated one at a time in reverse order: a phone's
+        // bytes and class never depend on what ran before it.
+        let mut b: Vec<PhoneHarvest> = (0..3).rev().map(|id| c.run_single(id)).collect();
+        b.reverse();
         let mut classes = std::collections::BTreeSet::new();
         for (x, y) in a.iter().zip(&b) {
             assert_eq!(x.device_class, y.device_class);
@@ -1355,10 +1081,9 @@ mod tests {
         let config = AnalysisConfig::default();
         let registry = PassRegistry::all();
         let batch = {
-            let fused = c.run_fused(2);
-            StudyReport::analyze_with_labels(&fused.dataset, config, &registry, |id| {
-                c.device_labels(id)
-            })
+            let harvest = c.run();
+            let fleet = FleetDataset::from_flash(harvest.iter().map(|h| (h.phone_id, &h.flashfs)));
+            StudyReport::analyze_with_labels(&fleet, config, &registry, |id| c.device_labels(id))
         };
         assert!(
             batch.render_all().contains("device class"),

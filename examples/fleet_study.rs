@@ -7,14 +7,15 @@
 //! ```
 //!
 //! This is the library-API version of the `repro` binary's `--exp all`
-//! mode: it runs the calibrated fleet campaign, feeds the harvested
-//! flash files through the analysis pipeline, prints the reproduced
-//! tables/figures, and closes with the paper-vs-measured shape report.
+//! mode: it streams the calibrated fleet campaign through the analysis
+//! pipeline (each phone's flash is parsed, folded and dropped on a
+//! worker thread), prints the reproduced tables/figures, and closes
+//! with the paper-vs-measured shape report.
 
-use symfail::core::analysis::dataset::FleetDataset;
-use symfail::core::analysis::report::{AnalysisConfig, StudyReport};
+use symfail::core::analysis::passes::PassRegistry;
+use symfail::core::analysis::report::AnalysisConfig;
 use symfail::phone::calibration::CalibrationParams;
-use symfail::phone::fleet::{harvest_metas, total_stats, FleetCampaign};
+use symfail::phone::fleet::{total_stats, FleetCampaign};
 use symfail::sim::SimDuration;
 
 fn main() {
@@ -27,22 +28,20 @@ fn main() {
     let workers = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(4);
-    let harvest = campaign.run_parallel(workers);
-
-    // Simulator ground truth (the analysis below never touches it).
-    let truth = total_stats(&harvest_metas(&harvest));
-    eprintln!(
-        "ground truth: {} panics, {} freezes, {} self-shutdowns, {} calls, {} messages",
-        truth.panics, truth.freezes, truth.self_shutdowns, truth.calls, truth.messages
-    );
-
     // The analysis sees only the flash files, like the original study.
-    let fleet = FleetDataset::from_flash(harvest.iter().map(|h| (h.phone_id, &h.flashfs)));
     let config = AnalysisConfig {
         uptime_gap: SimDuration::from_secs(params.heartbeat_period_secs * 3 + 60),
         ..AnalysisConfig::default()
     };
-    let report = StudyReport::analyze(&fleet, config);
+    let run = campaign.run_streaming(workers, config, &PassRegistry::all());
+    let report = run.report;
+
+    // Simulator ground truth (the analysis above never touched it).
+    let truth = total_stats(&run.metas);
+    eprintln!(
+        "ground truth: {} panics, {} freezes, {} self-shutdowns, {} calls, {} messages",
+        truth.panics, truth.freezes, truth.self_shutdowns, truth.calls, truth.messages
+    );
 
     println!("{}", report.render_all());
     println!("=== paper-vs-measured shape report ===");

@@ -2,8 +2,11 @@
 # Clean-vs-worst-case parse throughput datapoint: runs the paper-sized
 # campaign twice — once with pristine flash, once under the `worst`
 # corruption profile — and merges the two `--timing-json` dumps into a
-# single document. Throughput = parse_bytes / the "parse" stage
-# seconds of each arm; the raw numbers are kept so CI can trend them.
+# single document that records the host's core count. Throughput =
+# parse_bytes / parse_seconds of each arm, where parse_seconds is the
+# per-phone parse time summed over workers; the default single worker
+# keeps that sum free of oversubscription skew. The raw numbers are
+# kept so CI can trend them.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -11,7 +14,8 @@ OUT="${1:-BENCH_corruption.json}"
 SEED="${SEED:-2005}"
 PHONES="${PHONES:-25}"
 DAYS="${DAYS:-425}"
-WORKERS="${WORKERS:-4}"
+WORKERS="${WORKERS:-1}"
+CORES="$(nproc 2>/dev/null || getconf _NPROCESSORS_ONLN)"
 
 cargo build --release -p symfail-bench --bin repro >/dev/null
 BIN=target/release/repro
@@ -20,13 +24,11 @@ tmp_clean="$(mktemp)"
 tmp_worst="$(mktemp)"
 trap 'rm -f "$tmp_clean" "$tmp_worst"' EXIT
 
-# Staged pipeline: the parse stage runs in isolation, so its seconds
-# are the wall-clock throughput this document exists to trend.
 "$BIN" --exp defects --seed "$SEED" --phones "$PHONES" --days "$DAYS" \
-    --workers "$WORKERS" --pipeline staged --corruption none \
+    --workers "$WORKERS" --corruption none \
     --timing-json "$tmp_clean" >/dev/null
 "$BIN" --exp defects --seed "$SEED" --phones "$PHONES" --days "$DAYS" \
-    --workers "$WORKERS" --pipeline staged --corruption worst \
+    --workers "$WORKERS" --corruption worst \
     --timing-json "$tmp_worst" >/dev/null
 
 # Indent an embedded JSON document by two spaces (first line excluded,
@@ -35,7 +37,8 @@ embed() { sed -e 's/^/  /' -e '1s/^  //' "$1"; }
 
 {
     printf '{\n'
-    printf '  "schema": "symfail-bench-corruption/1",\n'
+    printf '  "schema": "symfail-bench-corruption/2",\n'
+    printf '  "cores": %s,\n' "$CORES"
     printf '  "clean": %s,\n' "$(embed "$tmp_clean")"
     printf '  "worst": %s\n' "$(embed "$tmp_worst")"
     printf '}\n'

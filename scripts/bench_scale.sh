@@ -1,27 +1,26 @@
 #!/usr/bin/env bash
-# Fleet-scale codec/pipeline datapoints: for each phone count in
-# PHONES_LIST, runs the campaign three times — staged (isolating the
-# parse stage's wall clock, which is what the throughput number
-# means), fused (campaign+parse on the same workers, the production
-# batch path) and streaming (campaign+parse+fold with per-phone flash
-# and dataset reclaim, the bounded-memory path) — and assembles the
-# per-scale numbers into one JSON document.
+# Fleet-scale pipeline datapoints: for each phone count in PHONES_LIST,
+# runs the streaming campaign twice — once on one worker (the parse
+# rate is per-thread CPU time, so only a single worker measures it
+# without oversubscription skew) and once on WORKERS workers (wall
+# clock, peak live heap and merge counters) — and assembles the
+# per-scale numbers into one JSON document that records the host's
+# core count.
 #
 # If a previous document exists (the committed baseline, or $BASELINE),
-# the script gates on it: any phone count whose staged parse MB/s falls
-# below MIN_RATIO of the baseline fails the run. Three within-run gates
-# cover the streaming engine: at every phone count >= STREAM_GATE_MIN
-# its peak live heap must stay under STREAM_PEAK_RATIO of the batch
-# (fused) peak and its wall clock within STREAM_WALL_RATIO of the fused
-# wall clock; and across the whole sweep the *last* point's streaming
-# parse MB/s must hold at least CLIFF_RATIO of the first point's — the
-# anti-cliff gate that pins the sharded merger's flat throughput
-# profile at fleet scale. A heterogeneous MIXED_PHONES-phone datapoint
-# (`--fleet mixed`) rides under the same anti-cliff floor: device-class
-# skew concentrates cost on communicator phones, and the grouped
-# accumulators must not reopen the cliff. The fresh document is only
-# written once every gate passes, so a failing run never overwrites the
-# baseline it was judged against.
+# the script gates on it: any phone count whose one-worker parse MB/s
+# falls below MIN_RATIO of the baseline's fails the run. Two within-run
+# gates cover the streaming driver: at every phone count >=
+# STREAM_GATE_MIN its peak live heap must stay at or under
+# STREAM_PEAK_MAX_BYTES; and across the whole sweep the *last* point's
+# WORKERS-worker parse MB/s must hold at least CLIFF_RATIO of the first
+# point's — the anti-cliff gate that pins the sharded merger's flat
+# throughput profile at fleet scale. A heterogeneous MIXED_PHONES-phone
+# datapoint (`--fleet mixed`) rides under the same anti-cliff floor:
+# device-class skew concentrates cost on communicator phones, and the
+# grouped accumulators must not reopen the cliff. The fresh document is
+# only written once every gate passes, so a failing run never
+# overwrites the baseline it was judged against.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -33,20 +32,22 @@ PHONES_LIST="${PHONES_LIST:-25 250 1000}"
 BASELINE="${BASELINE:-BENCH_scale.json}"
 MIN_RATIO="${MIN_RATIO:-0.8}"
 STREAM_GATE_MIN="${STREAM_GATE_MIN:-100}"
-STREAM_PEAK_RATIO="${STREAM_PEAK_RATIO:-0.5}"
-STREAM_WALL_RATIO="${STREAM_WALL_RATIO:-1.25}"
+# 64 MiB: at least 1.6x the measured 4-worker streaming peak (~38 MB at
+# 100-1000 phones x 425 days), and under half of what a materialized
+# fleet needs from 250 phones x 425 days up (~556 MB there).
+STREAM_PEAK_MAX_BYTES="${STREAM_PEAK_MAX_BYTES:-67108864}"
 CLIFF_RATIO="${CLIFF_RATIO:-0.5}"
 MIXED_PHONES="${MIXED_PHONES:-250}"
+CORES="$(nproc 2>/dev/null || getconf _NPROCESSORS_ONLN)"
 
 cargo build --release -p symfail-bench --bin repro >/dev/null
 BIN=target/release/repro
 
-tmp_staged="$(mktemp)"
-tmp_fused="$(mktemp)"
+tmp_w1="$(mktemp)"
 tmp_stream="$(mktemp)"
 tmp_mixed="$(mktemp)"
 tmp_out="$(mktemp)"
-trap 'rm -f "$tmp_staged" "$tmp_fused" "$tmp_stream" "$tmp_mixed" "$tmp_out"' EXIT
+trap 'rm -f "$tmp_w1" "$tmp_stream" "$tmp_mixed" "$tmp_out"' EXIT
 
 # First numeric value of a key in a timing-JSON dump.
 jget() { grep -o "\"$2\": [0-9.]*" "$1" | head -n1 | awk '{print $2}'; }
@@ -55,55 +56,43 @@ jwall() {
     awk -F'"seconds": ' '/"stage"/ { split($2, a, ","); s += a[1] }
         END { printf "%.6f", s }' "$1"
 }
+# Parse MB/s of a timing-JSON dump.
+jmbps() {
+    awk -v b="$(jget "$1" parse_bytes)" -v s="$(jget "$1" parse_seconds)" \
+        'BEGIN { printf "%.2f", (s > 0) ? b / s / 1048576 : 0 }'
+}
 
 {
     printf '{\n'
-    printf '  "schema": "symfail-bench-scale/4",\n'
+    printf '  "schema": "symfail-bench-scale/5",\n'
     printf '  "seed": %s,\n' "$SEED"
     printf '  "days": %s,\n' "$DAYS"
     printf '  "workers": %s,\n' "$WORKERS"
+    printf '  "cores": %s,\n' "$CORES"
     printf '  "points": [\n'
     first=1
     for phones in $PHONES_LIST; do
         echo "bench_scale: $phones phones x $DAYS days..." >&2
         "$BIN" --exp defects --seed "$SEED" --phones "$phones" --days "$DAYS" \
-            --workers "$WORKERS" --pipeline staged \
-            --timing-json "$tmp_staged" >/dev/null 2>&1
+            --workers 1 --timing-json "$tmp_w1" >/dev/null 2>&1
         "$BIN" --exp defects --seed "$SEED" --phones "$phones" --days "$DAYS" \
-            --workers "$WORKERS" --pipeline fused \
-            --timing-json "$tmp_fused" >/dev/null 2>&1
-        "$BIN" --exp defects --seed "$SEED" --phones "$phones" --days "$DAYS" \
-            --workers "$WORKERS" --engine streaming \
-            --timing-json "$tmp_stream" >/dev/null 2>&1
-
-        parse_seconds="$(jget "$tmp_staged" parse_seconds)"
-        parse_bytes="$(jget "$tmp_staged" parse_bytes)"
-        parse_lines="$(jget "$tmp_staged" parse_lines)"
-        mbps="$(awk -v b="$parse_bytes" -v s="$parse_seconds" \
-            'BEGIN { printf "%.2f", (s > 0) ? b / s / 1048576 : 0 }')"
-        s_parse_seconds="$(jget "$tmp_stream" parse_seconds)"
-        s_parse_bytes="$(jget "$tmp_stream" parse_bytes)"
-        s_mbps="$(awk -v b="$s_parse_bytes" -v s="$s_parse_seconds" \
-            'BEGIN { printf "%.2f", (s > 0) ? b / s / 1048576 : 0 }')"
+            --workers "$WORKERS" --timing-json "$tmp_stream" >/dev/null 2>&1
         worker_allocs="$(grep -o '"worker_alloc_calls": \[[^]]*\]' "$tmp_stream" \
             | head -n1 | sed 's/.*\[/[/')"
 
         [ "$first" = 1 ] || printf ',\n'
         first=0
         printf '    {"phones": %s,\n' "$phones"
-        printf '     "parse_seconds": %s,\n' "$parse_seconds"
-        printf '     "parse_bytes": %s,\n' "$parse_bytes"
-        printf '     "parse_lines": %s,\n' "$parse_lines"
-        printf '     "parse_mb_per_s": %s,\n' "$mbps"
-        printf '     "staged_wall_seconds": %s,\n' "$(jwall "$tmp_staged")"
-        printf '     "fused_wall_seconds": %s,\n' "$(jwall "$tmp_fused")"
-        printf '     "fused_parse_cpu_seconds": %s,\n' "$(jget "$tmp_fused" parse_seconds)"
-        printf '     "fused_total_allocs": %s,\n' "$(jget "$tmp_fused" total_allocs)"
-        printf '     "fused_peak_alloc_bytes": %s,\n' "$(jget "$tmp_fused" peak_alloc_bytes)"
+        printf '     "w1_parse_seconds": %s,\n' "$(jget "$tmp_w1" parse_seconds)"
+        printf '     "w1_parse_bytes": %s,\n' "$(jget "$tmp_w1" parse_bytes)"
+        printf '     "w1_parse_lines": %s,\n' "$(jget "$tmp_w1" parse_lines)"
+        printf '     "w1_parse_mb_per_s": %s,\n' "$(jmbps "$tmp_w1")"
+        printf '     "w1_wall_seconds": %s,\n' "$(jwall "$tmp_w1")"
+        printf '     "w1_peak_alloc_bytes": %s,\n' "$(jget "$tmp_w1" peak_alloc_bytes)"
         printf '     "streaming_wall_seconds": %s,\n' "$(jwall "$tmp_stream")"
-        printf '     "streaming_peak_alloc_bytes": %s,\n' "$(jget "$tmp_stream" peak_alloc_bytes)"
-        printf '     "streaming_parse_seconds": %s,\n' "$s_parse_seconds"
-        printf '     "streaming_parse_mb_per_s": %s,\n' "$s_mbps"
+        printf '     "streaming_total_allocs": %s,\n' "$(jget "$tmp_stream" total_allocs)"
+        printf '     "streaming_parse_seconds": %s,\n' "$(jget "$tmp_stream" parse_seconds)"
+        printf '     "streaming_parse_mb_per_s": %s,\n' "$(jmbps "$tmp_stream")"
         printf '     "streaming_merge_wait_seconds": %s,\n' \
             "$(jget "$tmp_stream" merge_wait_seconds)"
         printf '     "streaming_merge_absorbed_runs": %s,\n' \
@@ -115,8 +104,8 @@ jwall() {
         printf '     "streaming_peak_pending_bytes": %s,\n' \
             "$(jget "$tmp_stream" peak_pending_bytes)"
         printf '     "streaming_worker_alloc_calls": %s,\n' "${worker_allocs:-[]}"
-        printf '     "streaming_reclaimed_flash_bytes": %s}' \
-            "$(jget "$tmp_stream" reclaimed_flash_bytes)"
+        printf '     "streaming_peak_alloc_bytes": %s}' \
+            "$(jget "$tmp_stream" peak_alloc_bytes)"
     done
     printf '\n  ],\n'
 
@@ -125,52 +114,34 @@ jwall() {
     # the per-point gates above never pick this block up by accident.
     echo "bench_scale: mixed fleet $MIXED_PHONES phones x $DAYS days..." >&2
     "$BIN" --exp defects --seed "$SEED" --phones "$MIXED_PHONES" --days "$DAYS" \
-        --workers "$WORKERS" --engine streaming --fleet mixed \
+        --workers "$WORKERS" --fleet mixed \
         --timing-json "$tmp_mixed" >/dev/null 2>&1
-    m_seconds="$(jget "$tmp_mixed" parse_seconds)"
-    m_bytes="$(jget "$tmp_mixed" parse_bytes)"
-    m_mbps="$(awk -v b="$m_bytes" -v s="$m_seconds" \
-        'BEGIN { printf "%.2f", (s > 0) ? b / s / 1048576 : 0 }')"
     printf '  "mixed_fleet": {"fleet": "mixed", "mixed_phones": %s,\n' "$MIXED_PHONES"
-    printf '    "mixed_parse_seconds": %s,\n' "$m_seconds"
-    printf '    "mixed_parse_bytes": %s,\n' "$m_bytes"
-    printf '    "mixed_parse_mbps": %s,\n' "$m_mbps"
+    printf '    "mixed_parse_seconds": %s,\n' "$(jget "$tmp_mixed" parse_seconds)"
+    printf '    "mixed_parse_bytes": %s,\n' "$(jget "$tmp_mixed" parse_bytes)"
+    printf '    "mixed_parse_mbps": %s,\n' "$(jmbps "$tmp_mixed")"
     printf '    "mixed_peak_alloc": %s}\n' "$(jget "$tmp_mixed" peak_alloc_bytes)"
     printf '}\n'
 } >"$tmp_out"
 
-# Within-run gates: the streaming engine must actually buy memory
-# (peak < STREAM_PEAK_RATIO x batch peak) without giving up throughput
-# (wall <= STREAM_WALL_RATIO x fused wall) once fleets are big enough
-# for the comparison to be meaningful.
+# Within-run memory gate: the streaming driver's peak live heap stays
+# under an absolute bound once fleets are big enough for the bound to
+# mean something.
 fail=0
-while read -r phones fpeak speak fwall swall; do
+while read -r phones speak; do
     [ "$phones" -ge "$STREAM_GATE_MIN" ] || continue
-    if ! awk -v s="$speak" -v f="$fpeak" -v r="$STREAM_PEAK_RATIO" \
-        'BEGIN { exit !(s + 0 < r * f) }'; then
+    if ! awk -v s="$speak" -v m="$STREAM_PEAK_MAX_BYTES" 'BEGIN { exit !(s + 0 <= m + 0) }'; then
         echo "bench_scale: MEMORY GATE at $phones phones:" \
-            "streaming peak $speak B >= $STREAM_PEAK_RATIO x batch peak $fpeak B" >&2
+            "streaming peak $speak B > $STREAM_PEAK_MAX_BYTES B" >&2
         fail=1
     else
         echo "bench_scale: $phones phones: streaming peak $speak B" \
-            "vs batch peak $fpeak B ok" >&2
+            "<= $STREAM_PEAK_MAX_BYTES B ok" >&2
     fi
-    if ! awk -v s="$swall" -v f="$fwall" -v r="$STREAM_WALL_RATIO" \
-        'BEGIN { exit !(s + 0 <= r * f) }'; then
-        echo "bench_scale: THROUGHPUT GATE at $phones phones:" \
-            "streaming wall ${swall}s > $STREAM_WALL_RATIO x fused wall ${fwall}s" >&2
-        fail=1
-    fi
-# Values stay strings end to end: awk's %d clamps 64-bit peaks to
-# INT_MAX on some implementations (mawk), which would corrupt the gate
-# inputs at multi-GiB batch peaks.
-done < <(awk -F'[:,]' '/"phones"/ { p = $2 }
-    /"fused_peak_alloc_bytes"/ { fp = $2 }
-    /"streaming_peak_alloc_bytes"/ { sp = $2 }
-    /"fused_wall_seconds"/ { fw = $2 }
-    /"streaming_wall_seconds"/ { sw = $2 }
-    /"streaming_reclaimed_flash_bytes"/ { printf "%s %s %s %s %s\n", p, fp, sp, fw, sw }' \
-    "$tmp_out")
+# Values stay strings end to end: awk's %d clamps 64-bit values to
+# INT_MAX on some implementations (mawk).
+done < <(awk -F'[:,}]' '/"phones"/ { p = $2 }
+    /"streaming_peak_alloc_bytes"/ { printf "%s %s\n", p, $2 }' "$tmp_out")
 [ "$fail" = 0 ] || exit 1
 
 # Anti-cliff gate: streaming parse throughput must stay flat across
@@ -202,10 +173,11 @@ fi
 echo "bench_scale: mixed-fleet gate ok: $mixed_mbps MB/s at" \
     "$MIXED_PHONES heterogeneous phones" >&2
 
-# Regression gate: staged parse MB/s per phone count vs the baseline.
+# Regression gate: one-worker parse MB/s per phone count vs the
+# baseline.
 pairs() {
     awk -F'[:,]' '/"phones"/ { p = $2 + 0 }
-        /"parse_mb_per_s"/ { printf "%d %s\n", p, $2 + 0 }' "$1"
+        /"w1_parse_mb_per_s"/ { printf "%d %s\n", p, $2 + 0 }' "$1"
 }
 if [ -f "$BASELINE" ]; then
     fail=0

@@ -45,7 +45,7 @@ elapsed() { awk -v a="$1" -v b="$2" 'BEGIN { printf "%.3f", b - a }'; }
 echo "bench_shard: single process, $PHONES phones x $DAYS days..." >&2
 t0="$(now)"
 "$BIN" --exp all --seed "$SEED" --phones "$PHONES" --days "$DAYS" \
-    --engine streaming --corruption "$CORRUPTION" --workers 1 \
+    --corruption "$CORRUPTION" --workers 1 \
     > report_single.txt
 single_wall="$(elapsed "$t0" "$(now)")"
 echo "bench_shard: single wall ${single_wall}s" >&2
@@ -63,7 +63,7 @@ for n in $SHARD_COUNTS; do
         rm -f "shard$i.bin"
         t0="$(now)"
         "$BIN" --exp targets --seed "$SEED" --phones "$PHONES" \
-            --days "$DAYS" --engine streaming --corruption "$CORRUPTION" \
+            --days "$DAYS" --corruption "$CORRUPTION" \
             --workers 1 --shard "$i/$n" --balance "$BALANCE" \
             --checkpoint "shard$i.bin" > /dev/null
         w="$(elapsed "$t0" "$(now)")"

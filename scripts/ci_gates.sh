@@ -24,22 +24,21 @@ TMP="$(mktemp -d "${TMPDIR:-/tmp}/symfail-gates.XXXXXX")"
 trap 'rm -rf "$TMP"' EXIT
 cd "$TMP"
 
-echo "ci_gates: streaming vs batch byte identity ($PHONES phones, worst corruption)" >&2
+# The report-vs-reference identity lives in the test suite
+# (parallel_determinism's streaming_engine_report_identical_to_batch_*
+# runs this same 250-phone worst-corruption campaign); here the CLI
+# must give the same bytes for any worker count, with --workers 1 as
+# the determinism oracle.
+echo "ci_gates: --workers $WORKERS vs --workers 1 byte identity ($PHONES phones, worst corruption)" >&2
 "$BIN" --exp all --seed "$SEED" --phones "$PHONES" --days "$DAYS" \
-    --engine batch --corruption worst > report_batch.txt
+    --corruption worst --workers "$WORKERS" > report_stream.txt
 "$BIN" --exp all --seed "$SEED" --phones "$PHONES" --days "$DAYS" \
-    --engine streaming --corruption worst --workers "$WORKERS" > report_stream.txt
-cmp report_batch.txt report_stream.txt
-
-echo "ci_gates: sharded vs serial merge byte identity" >&2
-"$BIN" --exp all --seed "$SEED" --phones "$PHONES" --days "$DAYS" \
-    --engine streaming --corruption worst --workers "$WORKERS" \
-    --merge serial > report_serial.txt
-cmp report_stream.txt report_serial.txt
+    --corruption worst --workers 1 > report_w1.txt
+cmp report_stream.txt report_w1.txt
 
 echo "ci_gates: streaming parse throughput floor ($MBPS_FLOOR MB/s)" >&2
 "$BIN" --exp defects --seed "$SEED" --phones "$PHONES" --days "$DAYS" \
-    --engine streaming --workers 1 --timing-json stream_250.json > /dev/null
+    --workers 1 --timing-json stream_250.json > /dev/null
 awk -F'[:,]' -v floor="$MBPS_FLOOR" '/"parse_seconds":/ { s = $2 + 0 }
     /"parse_bytes":/ { b = $2 + 0 }
     END {
@@ -50,10 +49,10 @@ awk -F'[:,]' -v floor="$MBPS_FLOOR" '/"parse_seconds":/ { s = $2 + 0 }
 
 echo "ci_gates: checkpoint interrupt/resume byte identity (kill at phone 97)" >&2
 "$BIN" --exp all --seed "$SEED" --phones "$PHONES" --days "$DAYS" \
-    --engine streaming --corruption worst --workers "$WORKERS" \
+    --corruption worst --workers "$WORKERS" \
     --checkpoint ckpt.bin --checkpoint-every 10 --stop-after 97 > /dev/null
 "$BIN" --exp all --seed "$SEED" --phones "$PHONES" --days "$DAYS" \
-    --engine streaming --corruption worst --workers "$WORKERS" \
+    --corruption worst --workers "$WORKERS" \
     --checkpoint ckpt.bin --mtbf-trace-json mtbf_trace.json > report_resumed.txt
 cmp report_stream.txt report_resumed.txt
 grep -q '"resumed_from": 97' mtbf_trace.json
@@ -61,7 +60,7 @@ grep -q '"resumed_from": 97' mtbf_trace.json
 echo "ci_gates: 4-process cost-balanced shard merge byte identity" >&2
 for i in 0 1 2 3; do
     "$BIN" --exp targets --seed "$SEED" --phones "$PHONES" --days "$DAYS" \
-        --engine streaming --corruption worst \
+        --corruption worst \
         --shard "$i/4" --balance static --checkpoint "shard$i.bin" > /dev/null
 done
 "$BIN" merge-checkpoints merged.bin shard0.bin shard1.bin shard2.bin shard3.bin \
@@ -69,18 +68,18 @@ done
     > report_merged.txt
 cmp report_stream.txt report_merged.txt
 
-echo "ci_gates: mixed-fleet sharded vs serial byte identity" >&2
+echo "ci_gates: mixed-fleet --workers $WORKERS vs --workers 1 byte identity" >&2
 # Heterogeneous composition: the device-class dimension must survive
-# the sharded merge path bit for bit, and the report must actually
+# the multi-worker merge bit for bit, and the report must actually
 # carry the device-class breakdown.
 "$BIN" --exp all --seed "$SEED" --phones "$PHONES" --days "$DAYS" \
-    --engine streaming --corruption worst --workers "$WORKERS" \
-    --fleet mixed > report_mixed_sharded.txt
+    --corruption worst --workers "$WORKERS" \
+    --fleet mixed > report_mixed.txt
 "$BIN" --exp all --seed "$SEED" --phones "$PHONES" --days "$DAYS" \
-    --engine streaming --corruption worst --workers "$WORKERS" \
-    --fleet mixed --merge serial > report_mixed_serial.txt
-cmp report_mixed_sharded.txt report_mixed_serial.txt
-grep -q "device class" report_mixed_sharded.txt
+    --corruption worst --workers 1 \
+    --fleet mixed > report_mixed_w1.txt
+cmp report_mixed.txt report_mixed_w1.txt
+grep -q "device class" report_mixed.txt
 # And the default composition must NOT grow the section: the
 # homogeneous report stays byte-compatible with the pre-fleet output.
 if grep -q "device class" report_stream.txt; then

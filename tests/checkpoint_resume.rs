@@ -6,17 +6,19 @@
 //! to an uninterrupted run, for any worker count and under worst-case
 //! flash corruption. The kill point is `StreamingOptions::
 //! stop_after_phones`, which bounds the work-stealing counter exactly
-//! like a crash between two phone absorptions would.
+//! like a crash between two phone absorptions would. A committed
+//! checkpoint fixture pins the schema-v5 byte layout across releases.
 
 use std::path::PathBuf;
 
 use symfail::core::analysis::checkpoint::CheckpointError;
+use symfail::core::analysis::dataset::FleetDataset;
 use symfail::core::analysis::passes::PassRegistry;
 use symfail::core::analysis::report::{AnalysisConfig, StudyReport};
 use symfail::phone::calibration::CalibrationParams;
 use symfail::phone::composition::FleetComposition;
 use symfail::phone::corruption::CorruptionProfile;
-use symfail::phone::fleet::{FleetCampaign, FusedRun, MergeMode, StreamingOptions};
+use symfail::phone::fleet::{FleetCampaign, StreamingOptions};
 use symfail::sim::SimDuration;
 
 const SEED: u64 = 4242;
@@ -43,6 +45,15 @@ fn campaign(corruption: CorruptionProfile) -> FleetCampaign {
 
 fn render(report: &StudyReport) -> String {
     report.render_all() + &report.render_per_phone()
+}
+
+/// The reference analysis over the campaign's sequential harvest.
+fn reference(campaign: &FleetCampaign, config: AnalysisConfig) -> StudyReport {
+    let harvest = campaign.run();
+    let fleet = FleetDataset::from_flash(harvest.iter().map(|h| (h.phone_id, &h.flashfs)));
+    StudyReport::analyze_with_labels(&fleet, config, &PassRegistry::all(), |id| {
+        campaign.device_labels(id)
+    })
 }
 
 /// Unique checkpoint path per (test, scenario): tests run in parallel
@@ -120,23 +131,15 @@ fn interrupt_anywhere_resume_is_byte_identical_under_worst_corruption() {
     sweep(CorruptionProfile::Worst);
 }
 
-/// The sharded-merger leg: multi-phone runs (checkpoint_every = 5, so
-/// runs span up to 5 phones), killed at {0, mid, last} with worker
-/// counts {1, 4, 13}, resumed sharded — and every render must match
-/// the *serial* merger's uninterrupted output byte for byte.
+/// The multi-phone-run leg: runs span up to 5 phones
+/// (checkpoint_every = 5), killed at {0, mid, last} with worker counts
+/// {1, 4, 13} and resumed — and every render must match the serial
+/// baseline (the sequential harvest under the reference analysis)
+/// byte for byte.
 fn sharded_sweep(corruption: CorruptionProfile) {
     let config = AnalysisConfig::default();
     let registry = PassRegistry::all();
-    let serial_opts = StreamingOptions {
-        merge: MergeMode::Serial,
-        ..StreamingOptions::default()
-    };
-    let baseline = render(
-        &campaign(corruption)
-            .run_streaming_opts(4, config, &registry, &serial_opts)
-            .expect("serial baseline run cannot fail")
-            .report,
-    );
+    let baseline = render(&reference(&campaign(corruption), config));
     for k in [0, PHONES / 2, PHONES] {
         for workers in [1usize, 4, PHONES as usize] {
             let tag = format!("sharded-{}-k{k}-w{workers}", corruption.as_str());
@@ -147,7 +150,6 @@ fn sharded_sweep(corruption: CorruptionProfile) {
                 checkpoint: Some(path.clone()),
                 checkpoint_every: 5,
                 stop_after_phones: Some(k),
-                merge: MergeMode::Sharded,
                 ..StreamingOptions::default()
             };
             let first = campaign
@@ -156,7 +158,6 @@ fn sharded_sweep(corruption: CorruptionProfile) {
             assert_eq!(first.resumed_from, None, "{tag}: first run must be fresh");
             let resumed = StreamingOptions {
                 checkpoint: Some(path.clone()),
-                merge: MergeMode::Sharded,
                 ..StreamingOptions::default()
             };
             let second = campaign
@@ -170,7 +171,7 @@ fn sharded_sweep(corruption: CorruptionProfile) {
             assert_eq!(
                 render(&second.report),
                 baseline,
-                "{tag}: sharded resume differs from serial uninterrupted"
+                "{tag}: resume differs from the serial baseline"
             );
             let _ = std::fs::remove_file(&path);
         }
@@ -322,7 +323,7 @@ fn mixed_fleet_checkpoint_roundtrip_and_composition_refusal() {
     let _ = std::fs::remove_file(&path);
 }
 
-/// The online MTBF estimate must converge on the batch engine's
+/// The online MTBF estimate must converge on the reference analysis's
 /// number *exactly* — the paper's 25-phone seed fleet is the anchor.
 #[test]
 fn online_mtbf_trace_converges_to_batch_estimate() {
@@ -337,12 +338,15 @@ fn online_mtbf_trace_converges_to_batch_estimate() {
         mtbf_trace: true,
         ..StreamingOptions::default()
     };
-    let run = campaign
-        .run_streaming_opts(4, config, &registry, &opts)
-        .expect("no checkpoint file, nothing can fail");
-
-    let FusedRun { dataset, .. } = campaign.run_fused(4);
-    let batch = StudyReport::analyze_with(&dataset, config, &registry);
+    // The sequential reference simulates on its own thread while the
+    // streamed run uses the rest.
+    let (run, batch) = std::thread::scope(|s| {
+        let batch = s.spawn(|| reference(&campaign, config));
+        let run = campaign
+            .run_streaming_opts(4, config, &registry, &opts)
+            .expect("no checkpoint file, nothing can fail");
+        (run, batch.join().expect("reference analysis panicked"))
+    });
 
     assert!(
         run.mtbf_trace.windows(2).all(|w| w[0].0 < w[1].0),
@@ -353,4 +357,74 @@ fn online_mtbf_trace_converges_to_batch_estimate() {
     let (phones, last) = *run.mtbf_trace.last().expect("trace is non-empty");
     assert_eq!(phones, 25);
     assert_eq!(last, batch.mtbf, "online estimate must equal batch exactly");
+}
+
+/// `tests/golden/checkpoint_v5_mixed_worst_12x120_stop8.bin` was
+/// written by an earlier release's driver for
+/// `repro --phones 12 --days 120 --fleet mixed --corruption worst
+/// --checkpoint-every 4 --stop-after 8`. The current driver must write
+/// the same bytes for the same campaign and stop point, and resuming
+/// the committed file must render the uninterrupted study.
+#[test]
+fn committed_v5_checkpoint_fixture_is_reproduced_and_resumes() {
+    let fixture = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("tests")
+        .join("golden")
+        .join("checkpoint_v5_mixed_worst_12x120_stop8.bin");
+    let want = std::fs::read(&fixture)
+        .unwrap_or_else(|e| panic!("cannot read fixture {}: {e}", fixture.display()));
+    let params = CalibrationParams {
+        phones: 12,
+        campaign_days: 120,
+        ..CalibrationParams::default()
+    };
+    let campaign = FleetCampaign::new(2005, params)
+        .with_corruption(CorruptionProfile::Worst)
+        .with_fleet(FleetComposition::mixed());
+    let config = AnalysisConfig {
+        uptime_gap: SimDuration::from_secs(params.heartbeat_period_secs * 3 + 60),
+        ..AnalysisConfig::default()
+    };
+    let registry = PassRegistry::all();
+
+    let path = ckpt_path("v5-fixture-write");
+    let _ = std::fs::remove_file(&path);
+    let opts = StreamingOptions {
+        checkpoint: Some(path.clone()),
+        checkpoint_every: 4,
+        stop_after_phones: Some(8),
+        ..StreamingOptions::default()
+    };
+    campaign
+        .run_streaming_opts(2, config, &registry, &opts)
+        .expect("interrupted run writes its checkpoint");
+    let got = std::fs::read(&path).expect("checkpoint written");
+    let _ = std::fs::remove_file(&path);
+    assert!(
+        got == want,
+        "checkpoint bytes differ from the committed v5 fixture ({} vs {} bytes)",
+        got.len(),
+        want.len()
+    );
+
+    let path = ckpt_path("v5-fixture-resume");
+    std::fs::write(&path, &want).expect("stage the fixture");
+    let resumed = campaign
+        .run_streaming_opts(
+            2,
+            config,
+            &registry,
+            &StreamingOptions {
+                checkpoint: Some(path.clone()),
+                ..StreamingOptions::default()
+            },
+        )
+        .expect("the committed fixture resumes");
+    let _ = std::fs::remove_file(&path);
+    assert_eq!(resumed.resumed_from, Some(8));
+    assert_eq!(
+        render(&resumed.report),
+        render(&reference(&campaign, config)),
+        "resuming the committed fixture differs from the uninterrupted study"
+    );
 }

@@ -1,9 +1,11 @@
 //! Determinism guarantees: the whole reproduction is a pure function
-//! of the seed. Equal seeds give byte-identical harvests (sequential
-//! or parallel); different seeds differ; and adding a phone to the
-//! fleet never perturbs the other phones' streams.
+//! of the seed. Equal seeds give byte-identical harvests, and the
+//! parallel streaming driver reproduces the sequential run; different
+//! seeds differ; and adding a phone to the fleet never perturbs the
+//! other phones' streams.
 
 use symfail::core::analysis::dataset::FleetDataset;
+use symfail::core::analysis::passes::PassRegistry;
 use symfail::core::analysis::report::{AnalysisConfig, StudyReport};
 use symfail::forum::corpus::CorpusGenerator;
 use symfail::phone::calibration::CalibrationParams;
@@ -42,14 +44,23 @@ fn equal_seeds_identical_harvest() {
 #[test]
 fn parallel_run_identical_to_sequential() {
     let campaign = FleetCampaign::new(6, params(5));
+    let config = AnalysisConfig::default();
     let seq = campaign.run();
+    let fleet = FleetDataset::from_flash(seq.iter().map(|h| (h.phone_id, &h.flashfs)));
+    let reference = StudyReport::analyze(&fleet, config);
     for workers in [1, 2, 5, 16] {
-        let par = campaign.run_parallel(workers);
-        assert_eq!(par.len(), seq.len());
-        for (x, y) in seq.iter().zip(&par) {
+        let par = campaign.run_streaming(workers, config, &PassRegistry::all());
+        assert_eq!(par.metas.len(), seq.len());
+        for (x, y) in seq.iter().zip(&par.metas) {
             assert_eq!(x.phone_id, y.phone_id);
-            assert_eq!(x.flashfs.read_bytes("log"), y.flashfs.read_bytes("log"));
+            assert_eq!(x.stats, y.stats);
+            assert_eq!(x.flashfs.total_size(), y.flash_bytes);
         }
+        assert_eq!(
+            par.report.render_all() + &par.report.render_per_phone(),
+            reference.render_all() + &reference.render_per_phone(),
+            "{workers} workers"
+        );
     }
 }
 

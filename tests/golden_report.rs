@@ -2,30 +2,63 @@
 //!
 //! `tests/golden/report_default.txt` is the committed rendering
 //! (`render_all` + `render_per_phone`) of the default 25-phone /
-//! 425-day campaign. Every engine must match it byte for byte:
+//! 425-day campaign. Every path to the report must match it byte for
+//! byte:
 //!
-//! - the batch engine over the materialized fleet dataset,
-//! - the streaming engine with the per-phone serial merge,
-//! - the streaming engine with the sharded merge,
+//! - the reference analysis over the materialized fleet dataset,
+//! - the streaming campaign driver,
 //! - a multi-process campaign: three `--shard i/3` checkpoint files
 //!   merged with `merge_shard_checkpoints`.
 //!
 //! The fixture turns silent behavior drift into a reviewable diff: a
 //! legitimate analysis change regenerates it (run with
 //! `GOLDEN_REGEN=1`) and the diff shows up in the PR; an accidental
-//! one fails four ways at once.
+//! one fails three ways at once.
+//!
+//! The coalescence window sweep, which the fixture does not render,
+//! is pinned here too: swept from the streamed report, it must equal
+//! the brute-force sweep over the reference fleet.
 
 use std::path::PathBuf;
+use std::sync::OnceLock;
 
+use symfail::core::analysis::coalesce::CoalescenceAnalysis;
 use symfail::core::analysis::dataset::FleetDataset;
 use symfail::core::analysis::passes::{merge_shard_checkpoints, PassRegistry};
 use symfail::core::analysis::report::{AnalysisConfig, StudyReport};
+use symfail::core::analysis::shutdown::{merge_hl_events, ShutdownAnalysis};
+use symfail::core::analysis::COALESCENCE_SWEEP_WINDOWS_SECS;
 use symfail::phone::calibration::CalibrationParams;
-use symfail::phone::fleet::{FleetCampaign, MergeMode, ShardSpec, StreamingOptions};
+use symfail::phone::composition::FleetComposition;
+use symfail::phone::corruption::CorruptionProfile;
+use symfail::phone::fleet::{FleetCampaign, ShardSpec, StreamingOptions};
 use symfail::sim::SimDuration;
 
 fn campaign() -> FleetCampaign {
     FleetCampaign::new(2005, CalibrationParams::default())
+}
+
+/// The reference fleet: the campaign's sequential harvest,
+/// materialized.
+fn fleet_of(campaign: &FleetCampaign) -> FleetDataset {
+    let harvest = campaign.run();
+    FleetDataset::from_flash(harvest.iter().map(|h| (h.phone_id, &h.flashfs)))
+}
+
+/// The default campaign's reference fleet and streamed report, built
+/// once and shared by the tests below.
+fn default_fleet() -> &'static FleetDataset {
+    static FLEET: OnceLock<FleetDataset> = OnceLock::new();
+    FLEET.get_or_init(|| fleet_of(&campaign()))
+}
+
+fn default_streamed() -> &'static StudyReport {
+    static REPORT: OnceLock<StudyReport> = OnceLock::new();
+    REPORT.get_or_init(|| {
+        campaign()
+            .run_streaming(3, config(), &PassRegistry::all())
+            .report
+    })
 }
 
 fn config() -> AnalysisConfig {
@@ -79,9 +112,7 @@ fn assert_matches_golden(engine: &str, got: &str) {
 
 #[test]
 fn batch_engine_matches_golden_report() {
-    let harvest = campaign().run();
-    let fleet = FleetDataset::from_flash(harvest.iter().map(|h| (h.phone_id, &h.flashfs)));
-    let report = StudyReport::analyze(&fleet, config());
+    let report = StudyReport::analyze(default_fleet(), config());
     let rendered = render(&report);
     if std::env::var_os("GOLDEN_REGEN").is_some() {
         let path = fixture_path();
@@ -91,31 +122,49 @@ fn batch_engine_matches_golden_report() {
         eprintln!("regenerated {}", path.display());
         return;
     }
-    assert_matches_golden("batch", &rendered);
-}
-
-#[test]
-fn streaming_serial_merge_matches_golden_report() {
-    let opts = StreamingOptions {
-        merge: MergeMode::Serial,
-        ..StreamingOptions::default()
-    };
-    let run = campaign()
-        .run_streaming_opts(2, config(), &PassRegistry::all(), &opts)
-        .expect("streaming serial run");
-    assert_matches_golden("streaming-serial", &render(&run.report));
+    assert_matches_golden("reference", &rendered);
 }
 
 #[test]
 fn streaming_shard_merge_matches_golden_report() {
-    let opts = StreamingOptions {
-        merge: MergeMode::Sharded,
-        ..StreamingOptions::default()
+    assert_matches_golden("streaming", &render(default_streamed()));
+}
+
+/// The sweep `repro --exp fig5 --sweep` and `--exp ablations` print:
+/// the streamed report's coalescence panics against its merged HL
+/// stream must sweep exactly like the brute-force oracle over the
+/// reference fleet, on the default campaign and on the 250-phone ×
+/// 60-day mixed-fleet, worst-corruption one (most of its phones log HL
+/// events but no panic).
+#[test]
+fn streamed_window_sweep_matches_brute_force_on_real_campaigns() {
+    let assert_sweep = |what: &str, fleet: &FleetDataset, report: &StudyReport| {
+        let shutdowns = ShutdownAnalysis::new(fleet, config().self_shutdown_threshold);
+        let hl = merge_hl_events(fleet.freezes(), &shutdowns.self_shutdown_hl_events());
+        assert_eq!(report.hl_events, hl, "{what}: streamed HL stream");
+        let windows = &COALESCENCE_SWEEP_WINDOWS_SECS;
+        assert_eq!(
+            report.coalescence.window_sweep(&report.hl_events, windows),
+            CoalescenceAnalysis::window_sweep_brute_force(fleet, &hl, windows),
+            "{what}: sweep"
+        );
     };
-    let run = campaign()
-        .run_streaming_opts(3, config(), &PassRegistry::all(), &opts)
-        .expect("streaming sharded run");
-    assert_matches_golden("streaming-sharded", &render(&run.report));
+    let params = CalibrationParams {
+        phones: 250,
+        campaign_days: 60,
+        ..CalibrationParams::default()
+    };
+    let mixed_worst = FleetCampaign::new(2005, params)
+        .with_fleet(FleetComposition::mixed())
+        .with_corruption(CorruptionProfile::Worst);
+    let report = mixed_worst
+        .run_streaming(3, config(), &PassRegistry::all())
+        .report;
+    assert_sweep("mixed/worst", &fleet_of(&mixed_worst), &report);
+
+    // Last: the default campaign's fleet and report are shared with
+    // the golden tests, which are likely still building them.
+    assert_sweep("default", default_fleet(), default_streamed());
 }
 
 #[test]

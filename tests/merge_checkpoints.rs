@@ -22,9 +22,10 @@ use proptest::prelude::*;
 use proptest::test_runner::Config as ProptestConfig;
 
 use symfail::core::analysis::checkpoint::{CheckpointError, MergeError, ShardTopology};
-use symfail::core::analysis::dataset::PhoneDataset;
+use symfail::core::analysis::dataset::{FleetDataset, PhoneDataset};
 use symfail::core::analysis::passes::{
-    merge_shard_checkpoints, merge_shard_checkpoints_partial, PassRegistry, PhoneLens, StreamMerger,
+    merge_shard_checkpoints, merge_shard_checkpoints_partial, FoldShard, PassRegistry, PhoneLens,
+    StreamMerger,
 };
 use symfail::core::analysis::report::{AnalysisConfig, StudyReport};
 use symfail::core::records::{LogRecord, PanicRecord};
@@ -322,6 +323,30 @@ fn partial_merge_names_the_missing_interval_and_folds_the_rest() {
     );
 }
 
+/// Folds hand-built phones with contiguous ids from `start` into one
+/// shard.
+fn fold_run(
+    registry: &PassRegistry,
+    config: AnalysisConfig,
+    start: u32,
+    phones: &[PhoneDataset],
+) -> FoldShard {
+    let mut shard = FoldShard::new(registry, start);
+    for phone in phones {
+        let lens = PhoneLens::new(phone, config, registry.needs_coalesce());
+        shard.absorb_phone(registry, &lens);
+    }
+    shard
+}
+
+/// The reference driver's rendering of hand-built phones.
+fn reference(config: AnalysisConfig, phones: &[PhoneDataset]) -> String {
+    render(&StudyReport::analyze(
+        &FleetDataset::from_phones(phones.to_vec()),
+        config,
+    ))
+}
+
 /// Folds `ids` into a shard-scoped merger and snapshots it under a
 /// hand-chosen topology — for refusal cases the formula-driven driver
 /// cannot produce (overlaps).
@@ -341,12 +366,12 @@ fn hand_ckpt(
         start: ids.start,
         end: ids.end,
     };
+    let phones: Vec<PhoneDataset> = ids
+        .clone()
+        .map(|id| PhoneDataset::new(id, Vec::new(), Vec::new()))
+        .collect();
     let mut merger = StreamMerger::new_at(registry, config, ids.start);
-    for id in ids {
-        let phone = PhoneDataset::new(id, Vec::new(), Vec::new());
-        let lens = PhoneLens::new(&phone, config, registry.needs_coalesce());
-        merger.push(registry.fold_phone(&lens));
-    }
+    merger.push_shard(fold_run(registry, config, ids.start, &phones));
     merger.snapshot(fingerprint, "default", topology)
 }
 
@@ -517,7 +542,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
     /// ANY contiguous partition of the phone-id space into k shard
     /// checkpoints — uneven cuts, supplied in any order — merges to
-    /// the unsharded merger's bytes. This is the file-level twin of
+    /// the reference driver's bytes. This is the file-level twin of
     /// the in-memory tree-merge partition property, run through the
     /// full snapshot → validate → merge pipeline.
     #[test]
@@ -554,14 +579,7 @@ proptest! {
         let registry = PassRegistry::all();
         let fingerprint = 0xD5A5_2007u64;
 
-        let unsharded = {
-            let mut merger = StreamMerger::new(&registry, config);
-            for phone in &phones {
-                let lens = PhoneLens::new(phone, config, registry.needs_coalesce());
-                merger.push(registry.fold_phone(&lens));
-            }
-            render(&merger.finish())
-        };
+        let unsharded = reference(config, &phones);
 
         // Arbitrary contiguous partition: dedup the cut set, keep the
         // in-range cuts, bracket with 0 and phones.len().
@@ -576,10 +594,7 @@ proptest! {
             .enumerate()
             .map(|(index, w)| {
                 let mut merger = StreamMerger::new_at(&registry, config, w[0] as u32);
-                for phone in &phones[w[0]..w[1]] {
-                    let lens = PhoneLens::new(phone, config, registry.needs_coalesce());
-                    merger.push(registry.fold_phone(&lens));
-                }
+                merger.push_shard(fold_run(&registry, config, w[0] as u32, &phones[w[0]..w[1]]));
                 merger.snapshot(fingerprint, "default", ShardTopology {
                     index: index as u32,
                     count,
@@ -609,7 +624,7 @@ proptest! {
     /// For ANY per-phone cost vector — including zeros, negatives,
     /// NaNs and infinities — the planner's cuts partition `[0, P)`
     /// exactly, and checkpoints cut at those points merge to the
-    /// unsharded merger's bytes. The cost model only moves the cuts;
+    /// reference driver's bytes. The cost model only moves the cuts;
     /// it must never be able to change the study.
     #[test]
     fn planner_cuts_partition_exactly_and_merge_byte_identical(
@@ -651,22 +666,12 @@ proptest! {
         let config = AnalysisConfig::default();
         let registry = PassRegistry::all();
         let fingerprint = 0xC057_BA1A_u64;
-        let unsharded = {
-            let mut merger = StreamMerger::new(&registry, config);
-            for phone in &phones {
-                let lens = PhoneLens::new(phone, config, registry.needs_coalesce());
-                merger.push(registry.fold_phone(&lens));
-            }
-            render(&merger.finish())
-        };
+        let unsharded = reference(config, &phones);
         let ckpts: Vec<Vec<u8>> = (0..count)
             .map(|i| {
                 let (lo, hi) = plan.interval(i);
                 let mut merger = StreamMerger::new_at(&registry, config, lo);
-                for phone in &phones[lo as usize..hi as usize] {
-                    let lens = PhoneLens::new(phone, config, registry.needs_coalesce());
-                    merger.push(registry.fold_phone(&lens));
-                }
+                merger.push_shard(fold_run(&registry, config, lo, &phones[lo as usize..hi as usize]));
                 merger.snapshot(fingerprint, "default", plan.topology(i))
             })
             .collect();

@@ -9,7 +9,7 @@
 //! operation → panic → kernel recovery → heartbeat/log records →
 //! parsing → filtering → coalescence → tables.
 
-use symfail::core::analysis::dataset::FleetDataset;
+use symfail::core::analysis::passes::PassRegistry;
 use symfail::core::analysis::report::{AnalysisConfig, StudyReport};
 use symfail::core::analysis::targets;
 use symfail::forum::corpus::CorpusGenerator;
@@ -24,13 +24,13 @@ fn full_campaign_report(seed: u64) -> StudyReport {
     let workers = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(4);
-    let harvest = campaign.run_parallel(workers);
-    let fleet = FleetDataset::from_flash(harvest.iter().map(|h| (h.phone_id, &h.flashfs)));
     let config = AnalysisConfig {
         uptime_gap: SimDuration::from_secs(params.heartbeat_period_secs * 3 + 60),
         ..AnalysisConfig::default()
     };
-    StudyReport::analyze(&fleet, config)
+    campaign
+        .run_streaming(workers, config, &PassRegistry::all())
+        .report
 }
 
 #[test]

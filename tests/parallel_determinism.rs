@@ -1,8 +1,9 @@
-//! Parallel-pipeline determinism: the work-stealing campaign and the
-//! parallel flash parser must produce byte-identical results for any
-//! worker count. Phones own forked, independent RNG streams, so the
+//! Parallel-pipeline determinism: the streaming campaign driver must
+//! produce byte-identical results for any worker count and any run
+//! partition. Phones own forked, independent RNG streams, so the
 //! thread schedule cannot leak into any phone's bytes — these tests
-//! pin that contract.
+//! pin that contract against the sequential harvest and the reference
+//! analysis over it.
 
 use symfail::core::analysis::dataset::FleetDataset;
 use symfail::core::analysis::passes::PassRegistry;
@@ -10,7 +11,8 @@ use symfail::core::analysis::report::{AnalysisConfig, StudyReport};
 use symfail::core::flashfs::FlashFs;
 use symfail::phone::calibration::CalibrationParams;
 use symfail::phone::corruption::CorruptionProfile;
-use symfail::phone::fleet::FleetCampaign;
+use symfail::phone::fleet::{harvest_metas, FleetCampaign, PhoneHarvest, StreamingOptions};
+use symfail::sim::SimDuration;
 
 fn params() -> CalibrationParams {
     CalibrationParams {
@@ -25,6 +27,27 @@ fn params() -> CalibrationParams {
     }
 }
 
+fn render(report: &StudyReport) -> String {
+    report.render_all() + &report.render_per_phone()
+}
+
+/// The reference analysis: the sequential harvest, materialized.
+fn reference(campaign: &FleetCampaign, config: AnalysisConfig) -> String {
+    let harvest = campaign.run();
+    let fleet = FleetDataset::from_flash(harvest.iter().map(|h| (h.phone_id, &h.flashfs)));
+    render(&StudyReport::analyze_with_labels(
+        &fleet,
+        config,
+        &PassRegistry::all(),
+        |id| campaign.device_labels(id),
+    ))
+}
+
+fn render_study(campaign: &FleetCampaign, workers: usize) -> String {
+    let run = campaign.run_streaming(workers, AnalysisConfig::default(), &PassRegistry::all());
+    render(&run.report)
+}
+
 fn assert_flash_identical(a: &FlashFs, b: &FlashFs, ctx: &str) {
     assert_eq!(a.file_names(), b.file_names(), "{ctx}: file sets differ");
     for name in a.file_names() {
@@ -36,29 +59,50 @@ fn assert_flash_identical(a: &FlashFs, b: &FlashFs, ctx: &str) {
     }
 }
 
-#[test]
-fn harvest_is_byte_identical_for_any_worker_count() {
-    let campaign = FleetCampaign::new(2005, params());
+/// The harvest contract: phones simulated one at a time in reverse
+/// order reproduce the sequential flash bytes, and the streaming
+/// driver's per-phone metadata equals the sequential harvest's for
+/// every worker count.
+fn assert_harvest_identical(
+    campaign: &FleetCampaign,
+    worker_counts: &[usize],
+) -> Vec<PhoneHarvest> {
     let seq = campaign.run();
-    for workers in [2usize, 3, 5, 16] {
-        let par = campaign.run_parallel(workers);
-        assert_eq!(seq.len(), par.len());
-        for (a, b) in seq.iter().zip(&par) {
+    for h in seq.iter().rev() {
+        let single = campaign.run_single(h.phone_id);
+        let ctx = format!("phone {} run alone", h.phone_id);
+        assert_eq!(h.injected, single.injected, "{ctx}");
+        assert_flash_identical(&h.flashfs, &single.flashfs, &ctx);
+    }
+    let metas = harvest_metas(&seq);
+    for &workers in worker_counts {
+        let run = campaign.run_streaming(workers, AnalysisConfig::default(), &PassRegistry::all());
+        assert_eq!(metas.len(), run.metas.len());
+        for (a, b) in metas.iter().zip(&run.metas) {
             let ctx = format!("phone {} with {} workers", a.phone_id, workers);
             assert_eq!(a.phone_id, b.phone_id, "{ctx}");
             assert_eq!(a.enrolled_day, b.enrolled_day, "{ctx}");
             assert_eq!(a.retired_day, b.retired_day, "{ctx}");
             assert_eq!(a.firmware, b.firmware, "{ctx}");
             assert_eq!(a.stats, b.stats, "{ctx}");
-            assert_flash_identical(&a.flashfs, &b.flashfs, &ctx);
+            assert_eq!(a.injected, b.injected, "{ctx}");
+            assert_eq!(a.flash_bytes, b.flash_bytes, "{ctx}");
+            assert_eq!(a.ureports, b.ureports, "{ctx}");
         }
     }
+    seq
+}
+
+#[test]
+fn harvest_is_byte_identical_for_any_worker_count() {
+    assert_harvest_identical(&FleetCampaign::new(2005, params()), &[2, 3, 5, 16]);
 }
 
 #[test]
 fn analysis_output_identical_across_worker_counts() {
     let campaign = FleetCampaign::new(7, params());
     let base = render_study(&campaign, 1);
+    assert_eq!(base, reference(&campaign, AnalysisConfig::default()));
     for workers in [2usize, 4, 8] {
         assert_eq!(
             base,
@@ -68,34 +112,17 @@ fn analysis_output_identical_across_worker_counts() {
     }
 }
 
-fn render_study(campaign: &FleetCampaign, workers: usize) -> String {
-    let harvest = campaign.run_parallel(workers);
-    let flash: Vec<(u32, &FlashFs)> = harvest.iter().map(|h| (h.phone_id, &h.flashfs)).collect();
-    let fleet = FleetDataset::from_flash_parallel(&flash, workers);
-    let report = StudyReport::analyze(&fleet, AnalysisConfig::default());
-    report.render_all() + &report.render_per_phone()
-}
-
 #[test]
 fn corrupted_harvest_is_byte_identical_for_any_worker_count() {
     // Corruption draws from a per-phone fork of the campaign seed, so
     // the damage — like the simulation itself — must not see the
     // thread schedule.
     let campaign = FleetCampaign::new(2005, params()).with_corruption(CorruptionProfile::Worst);
-    let seq = campaign.run();
+    let seq = assert_harvest_identical(&campaign, &[2, 4]);
     assert!(
         seq.iter().any(|h| h.injected.total_observable() > 0),
         "worst profile must inject observable damage"
     );
-    for workers in [2usize, 4] {
-        let par = campaign.run_parallel(workers);
-        assert_eq!(seq.len(), par.len());
-        for (a, b) in seq.iter().zip(&par) {
-            let ctx = format!("phone {} with {} workers", a.phone_id, workers);
-            assert_eq!(a.injected, b.injected, "{ctx}");
-            assert_flash_identical(&a.flashfs, &b.flashfs, &ctx);
-        }
-    }
 }
 
 #[test]
@@ -112,95 +139,66 @@ fn corrupted_analysis_identical_across_worker_counts() {
 }
 
 #[test]
-fn fused_pipeline_report_identical_across_worker_counts() {
-    // The fused pipeline parses each phone on the worker that
-    // simulated it, so the thread schedule decides *where* parsing
-    // happens — but must not decide anything about the result. Pin
-    // the whole rendered study, worst-case corruption included,
-    // across worker counts.
-    let campaign = FleetCampaign::new(2005, params()).with_corruption(CorruptionProfile::Worst);
-    let render_fused = |workers: usize| {
-        let run = campaign.run_fused(workers);
-        let report = StudyReport::analyze(&run.dataset, AnalysisConfig::default());
-        report.render_all() + &report.render_per_phone()
-    };
-    let base = render_fused(1);
-    for workers in [2usize, 8] {
-        assert_eq!(
-            base,
-            render_fused(workers),
-            "fused-pipeline study differs with {workers} workers"
-        );
-    }
-    // And the fused dataset agrees with the staged path end to end.
-    let harvest = campaign.run_parallel(4);
-    let flash: Vec<(u32, &FlashFs)> = harvest.iter().map(|h| (h.phone_id, &h.flashfs)).collect();
-    let staged = FleetDataset::from_flash_parallel(&flash, 4);
-    let staged_report = StudyReport::analyze(&staged, AnalysisConfig::default());
-    assert_eq!(
-        base,
-        staged_report.render_all() + &staged_report.render_per_phone(),
-        "fused and staged pipelines render different studies"
-    );
-}
-
-#[test]
 fn streaming_engine_report_identical_to_batch_for_any_worker_count() {
-    // The streaming engine never materializes the fleet: each worker
+    // The streaming driver never materializes the fleet: each worker
     // folds its phone's analysis passes and drops the flash and the
-    // dataset before stealing the next phone. The phone-ordered merge
-    // must make the rendered study byte-identical to the batch oracle
-    // — for any worker count, under the worst corruption profile.
+    // dataset before the next phone. The phone-ordered merge must make
+    // the rendered study byte-identical to the reference analysis —
+    // for any worker count, under the worst corruption profile.
     let campaign = FleetCampaign::new(2005, params()).with_corruption(CorruptionProfile::Worst);
     let config = AnalysisConfig::default();
-    let registry = PassRegistry::all();
-    let batch = {
-        let run = campaign.run_fused(4);
-        let report = StudyReport::analyze_with(&run.dataset, config, &registry);
-        report.render_all() + &report.render_per_phone()
-    };
+    let batch = reference(&campaign, config);
     for workers in [1usize, 4, 13] {
-        let run = campaign.run_streaming(workers, config, &registry);
         assert_eq!(
             batch,
-            run.report.render_all() + &run.report.render_per_phone(),
+            render_study(&campaign, workers),
             "streaming study differs from batch with {workers} workers"
         );
-        assert_eq!(
-            run.reclaimed_flash_bytes, run.parse_bytes,
-            "every flash byte must be reclaimed phone-by-phone"
-        );
     }
+
+    // The `repro --phones 250 --days 60 --corruption worst --workers
+    // 13` campaign, with the binary's analysis config.
+    let params = CalibrationParams {
+        phones: 250,
+        campaign_days: 60,
+        ..CalibrationParams::default()
+    };
+    let campaign = FleetCampaign::new(2005, params).with_corruption(CorruptionProfile::Worst);
+    let config = AnalysisConfig {
+        uptime_gap: SimDuration::from_secs(params.heartbeat_period_secs * 3 + 60),
+        ..AnalysisConfig::default()
+    };
+    let streamed = campaign.run_streaming(13, config, &PassRegistry::all());
+    assert_eq!(
+        reference(&campaign, config),
+        render(&streamed.report),
+        "250-phone worst-corruption study differs from batch with 13 workers"
+    );
 }
 
 #[test]
 fn sharded_merge_report_identical_to_serial_for_any_worker_count_and_run_len() {
-    // The sharded driver folds contiguous runs of phones into private
+    // The driver folds contiguous runs of phones into private
     // per-worker shards and hands whole shards to the merger. The
     // shard partition (run_len) and the thread schedule decide only
-    // *when* state reaches the merger — never what the study says.
-    use symfail::phone::fleet::{MergeMode, StreamingOptions};
+    // *when* state reaches the merger — never what the study says:
+    // every run matches the serial (one-worker) run, which matches the
+    // reference analysis.
     let campaign = FleetCampaign::new(2005, params()).with_corruption(CorruptionProfile::Worst);
     let config = AnalysisConfig::default();
     let registry = PassRegistry::all();
-    let render = |opts: &StreamingOptions, workers: usize| {
+    let render_opts = |opts: &StreamingOptions, workers: usize| {
         let run = campaign
             .run_streaming_opts(workers, config, &registry, opts)
             .expect("no checkpoint path, nothing can fail");
-        run.report.render_all() + &run.report.render_per_phone()
+        render(&run.report)
     };
-    let serial = render(
-        &StreamingOptions {
-            merge: MergeMode::Serial,
-            ..StreamingOptions::default()
-        },
-        1,
-    );
+    let serial = render_opts(&StreamingOptions::default(), 1);
+    assert_eq!(serial, reference(&campaign, config));
     for workers in [1usize, 4, 13] {
         for run_len in [0u32, 1, 2, 5] {
-            let sharded = render(
+            let sharded = render_opts(
                 &StreamingOptions {
-                    merge: MergeMode::Sharded,
                     run_len,
                     ..StreamingOptions::default()
                 },

@@ -17,6 +17,22 @@ use symfail::symbian::leave::LeaveCode;
 use symfail::symbian::panic::{codes, Panic, PanicCode};
 use symfail::symbian::servers::logdb::ActivityKind;
 
+/// Folds one hand-built phone into a one-phone shard — the merger's
+/// unit of handoff.
+fn one_phone_shard(
+    registry: &symfail::core::analysis::passes::PassRegistry,
+    config: symfail::core::analysis::report::AnalysisConfig,
+    phone: &PhoneDataset,
+) -> symfail::core::analysis::passes::FoldShard {
+    use symfail::core::analysis::passes::{FoldShard, PhoneLens};
+    let mut shard = FoldShard::new(registry, phone.phone_id());
+    shard.absorb_phone(
+        registry,
+        &PhoneLens::new(phone, config, registry.needs_coalesce()),
+    );
+    shard
+}
+
 // ---------------------------------------------------------------
 // Descriptors: the USER 10/11 bounds model never corrupts state.
 // ---------------------------------------------------------------
@@ -459,9 +475,9 @@ proptest! {
         prop_assert_eq!(fast.hl_with_panic(), brute.hl_with_panic());
     }
 
-    /// The single-pass gap-array sweep returns exactly what running
-    /// the full analysis per window would, and is monotone in the
-    /// window width.
+    /// The single-pass gap-array sweep over a finished analysis returns
+    /// exactly what running the full analysis per window would, and is
+    /// monotone in the window width.
     #[test]
     fn window_sweep_matches_brute_force_and_is_monotone(
         panic_times in prop::collection::vec(0u64..100_000, 1..30),
@@ -489,7 +505,8 @@ proptest! {
         events.sort_by_key(|e| (e.phone_id, e.at));
         let mut ws = windows;
         ws.sort_unstable();
-        let sweep = CoalescenceAnalysis::window_sweep(&fleet, &events, &ws);
+        let analysis = CoalescenceAnalysis::new(&fleet, &events, SimDuration::from_mins(5));
+        let sweep = analysis.window_sweep(&events, &ws);
         let brute = CoalescenceAnalysis::window_sweep_brute_force(&fleet, &events, &ws);
         prop_assert_eq!(sweep.len(), brute.len());
         for (&(w_fast, f_fast), &(w_brute, f_brute)) in sweep.iter().zip(&brute) {
@@ -526,7 +543,7 @@ proptest! {
         ),
         order_sel in 0u8..3,
     ) {
-        use symfail::core::analysis::passes::{PassRegistry, PhoneLens, StreamMerger};
+        use symfail::core::analysis::passes::{PassRegistry, StreamMerger};
         use symfail::core::analysis::report::{AnalysisConfig, StudyReport};
         // Disjoint-ish per-phone vocabularies force non-identity
         // interner remaps when phones merge.
@@ -566,8 +583,7 @@ proptest! {
         }
         let mut merger = StreamMerger::new(&registry, config);
         for &i in &order {
-            let lens = PhoneLens::new(&phones[i], config, registry.needs_coalesce());
-            merger.push(registry.fold_phone(&lens));
+            merger.push_shard(one_phone_shard(&registry, config, &phones[i]));
         }
         let streamed = merger.finish();
         prop_assert_eq!(
@@ -580,8 +596,9 @@ proptest! {
     /// Partitioning the fleet into *arbitrary* contiguous runs, folding
     /// each run into a private [`FoldShard`], and tree-merging the
     /// shards (in any arrival order) renders the same study, byte for
-    /// byte, as the serial per-phone merger — the legality proof of the
-    /// sharded streaming driver, for any shard count and any cut set.
+    /// byte, as the serial merge of one-phone shards in phone order —
+    /// the legality proof of the streaming driver, for any shard count
+    /// and any cut set.
     #[test]
     fn tree_merged_shards_match_serial_merger_for_any_partition(
         specs in prop::collection::vec(
@@ -622,8 +639,7 @@ proptest! {
         let serial = {
             let mut merger = StreamMerger::new(&registry, config);
             for phone in &phones {
-                let lens = PhoneLens::new(phone, config, registry.needs_coalesce());
-                merger.push(registry.fold_phone(&lens));
+                merger.push_shard(one_phone_shard(&registry, config, phone));
             }
             let report = merger.finish();
             report.render_all() + &report.render_per_phone()
@@ -665,9 +681,9 @@ proptest! {
 }
 
 // ---------------------------------------------------------------
-// Sharded streaming driver: for any run partition and worker count,
-// clean or worst-corrupted, the sharded campaign renders the serial
-// merger's bytes.
+// Streaming driver: for any run partition and worker count, clean or
+// worst-corrupted, the campaign renders the serial (one-worker, default
+// partition) run's bytes, which are the reference analysis's.
 // ---------------------------------------------------------------
 
 proptest! {
@@ -680,10 +696,10 @@ proptest! {
         worst in 0u8..2,
     ) {
         use symfail::core::analysis::passes::PassRegistry;
-        use symfail::core::analysis::report::AnalysisConfig;
+        use symfail::core::analysis::report::{AnalysisConfig, StudyReport};
         use symfail::phone::calibration::CalibrationParams;
         use symfail::phone::corruption::CorruptionProfile;
-        use symfail::phone::fleet::{FleetCampaign, MergeMode, StreamingOptions};
+        use symfail::phone::fleet::{FleetCampaign, StreamingOptions};
         let params = CalibrationParams {
             phones: 6,
             campaign_days: 20,
@@ -702,12 +718,13 @@ proptest! {
                 .expect("no checkpoint file, nothing can fail");
             run.report.render_all() + &run.report.render_per_phone()
         };
-        let serial = render(
-            &StreamingOptions { merge: MergeMode::Serial, ..StreamingOptions::default() },
-            1,
-        );
+        let serial = render(&StreamingOptions::default(), 1);
+        let harvest = campaign.run();
+        let fleet = FleetDataset::from_flash(harvest.iter().map(|h| (h.phone_id, &h.flashfs)));
+        let reference = StudyReport::analyze_with(&fleet, config, &registry);
+        prop_assert_eq!(&serial, &(reference.render_all() + &reference.render_per_phone()));
         let sharded = render(
-            &StreamingOptions { merge: MergeMode::Sharded, run_len, ..StreamingOptions::default() },
+            &StreamingOptions { run_len, ..StreamingOptions::default() },
             workers,
         );
         prop_assert_eq!(serial, sharded, "run_len {} workers {}", run_len, workers);
@@ -984,23 +1001,21 @@ proptest! {
         split_sel in 0u32..u32::MAX,
     ) {
         use symfail::core::analysis::checkpoint::ShardTopology;
-        use symfail::core::analysis::passes::{PassRegistry, PhoneLens, StreamMerger};
+        use symfail::core::analysis::passes::{PassRegistry, StreamMerger};
         use symfail::core::analysis::report::AnalysisConfig;
         let phones = checkpoint_phones(&specs);
         let split = (split_sel as usize) % (phones.len() + 1);
         let config = AnalysisConfig::default();
         let registry = PassRegistry::all();
-        let fold = |p: &PhoneDataset| {
-            registry.fold_phone(&PhoneLens::new(p, config, registry.needs_coalesce()))
-        };
+        let fold = |p: &PhoneDataset| one_phone_shard(&registry, config, p);
         let fingerprint = 0xfeed_beef_u64;
         let topology = ShardTopology::solo(phones.len() as u32);
 
         let mut direct = StreamMerger::new(&registry, config);
         let mut snapped = StreamMerger::new(&registry, config);
         for p in &phones[..split] {
-            direct.push(fold(p));
-            snapped.push(fold(p));
+            direct.push_shard(fold(p));
+            snapped.push_shard(fold(p));
         }
         let bytes = snapped.snapshot(fingerprint, "default", topology);
         let mut restored =
@@ -1008,8 +1023,8 @@ proptest! {
                 .expect("own snapshot must restore");
         prop_assert_eq!(restored.absorbed(), split as u32);
         for p in &phones[split..] {
-            direct.push(fold(p));
-            restored.push(fold(p));
+            direct.push_shard(fold(p));
+            restored.push_shard(fold(p));
         }
         let a = direct.finish();
         let b = restored.finish();
@@ -1034,7 +1049,7 @@ proptest! {
         cut_sel in 0u32..u32::MAX,
     ) {
         use symfail::core::analysis::checkpoint::ShardTopology;
-        use symfail::core::analysis::passes::{PassRegistry, PhoneLens, StreamMerger};
+        use symfail::core::analysis::passes::{PassRegistry, StreamMerger};
         use symfail::core::analysis::report::AnalysisConfig;
         let phones = checkpoint_phones(&specs);
         let config = AnalysisConfig::default();
@@ -1042,7 +1057,7 @@ proptest! {
         let topology = ShardTopology::solo(phones.len() as u32);
         let mut merger = StreamMerger::new(&registry, config);
         for p in &phones {
-            merger.push(registry.fold_phone(&PhoneLens::new(p, config, registry.needs_coalesce())));
+            merger.push_shard(one_phone_shard(&registry, config, p));
         }
         let bytes = merger.snapshot(7, "default", topology);
 

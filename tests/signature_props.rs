@@ -11,7 +11,7 @@ use proptest::test_runner::Config as ProptestConfig;
 use symfail::core::analysis::checkpoint::ShardTopology;
 use symfail::core::analysis::dataset::PhoneDataset;
 use symfail::core::analysis::passes::{
-    checkpoint_coalesced, DeviceLabels, PassRegistry, PhoneLens, StreamMerger,
+    checkpoint_coalesced, DeviceLabels, FoldShard, PassRegistry, PhoneLens, StreamMerger,
 };
 use symfail::core::analysis::report::AnalysisConfig;
 use symfail::core::analysis::signature::{distinct_signatures, FailureSignature, MatchMode};
@@ -126,8 +126,9 @@ proptest! {
     }
 
     /// Pre-merge == post-merge: fold two phones with clashing interner
-    /// numberings through the real [`StreamMerger`] (whose `MergeCtx`
-    /// remap renumbers phone 1's names into phone 0's table), snapshot,
+    /// numberings as one-phone shards through the real [`StreamMerger`]
+    /// (whose `MergeCtx` remap renumbers phone 1's names into phone
+    /// 0's table), snapshot,
     /// and re-extract from the checkpoint. The merged catalog must be
     /// exactly the sum of the per-phone pre-merge catalogs.
     #[test]
@@ -150,7 +151,9 @@ proptest! {
         let mut merger = StreamMerger::new_at(&registry, config, 0);
         for phone in &phones {
             let lens = PhoneLens::new(phone, config, registry.needs_coalesce());
-            merger.push(registry.fold_phone(&lens));
+            let mut shard = FoldShard::new(&registry, phone.phone_id());
+            shard.absorb_phone(&registry, &lens);
+            merger.push_shard(shard);
         }
         let fingerprint = 0x5160;
         let bytes = merger.snapshot(fingerprint, "default", ShardTopology::solo(2));
