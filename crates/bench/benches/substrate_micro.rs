@@ -1,11 +1,13 @@
 //! Micro-benchmarks of the OS substrate and the logger data path: the
 //! per-operation costs everything else is built from.
 
-use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
+use criterion::{black_box, criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use symfail_core::flashfs::FlashFs;
 use symfail_core::logger::{FailureLogger, LoggerConfig, PhoneContext};
 use symfail_core::records::LogRecord;
-use symfail_sim_core::{EventQueue, SimDuration, SimRng, SimTime};
+use symfail_phone::calibration::CalibrationParams;
+use symfail_phone::device::Phone;
+use symfail_sim_core::{EventQueue, SimRng, SimTime};
 use symfail_symbian::descriptor::TBuf;
 use symfail_symbian::heap::Heap;
 use symfail_symbian::object_index::{ObjectIndex, ObjectKind};
@@ -74,12 +76,17 @@ fn bench(c: &mut Criterion) {
     g.bench_function("heartbeat_tick", |b| {
         let mut fs = FlashFs::new();
         let mut logger = FailureLogger::new(LoggerConfig::default());
-        let ctx = PhoneContext::default();
-        logger.on_boot(&mut fs, SimTime::ZERO, &ctx);
+        let running = vec!["Messages".to_string(), "Clock".to_string()];
+        let ctx = PhoneContext {
+            running_apps: &running,
+            battery_percent: 80,
+            battery_low: false,
+        };
+        logger.on_boot(&mut fs, SimTime::ZERO, ctx);
         let mut t = 0u64;
         b.iter(|| {
             t += 30;
-            logger.on_tick(&mut fs, SimTime::from_secs(t), &ctx);
+            logger.on_tick(&mut fs, SimTime::from_secs(t), ctx);
         })
     });
 
@@ -97,25 +104,51 @@ fn bench(c: &mut Criterion) {
         })
     });
 
-    g.bench_function("simulate_one_phone_day", |b| {
-        use symfail_phone::calibration::CalibrationParams;
-        use symfail_phone::device::Phone;
-        let params = CalibrationParams {
-            phones: 1,
-            campaign_days: 10_000,
-            enrollment_spread_days: 1,
-            attrition_spread_days: 1,
-            ..CalibrationParams::default()
-        };
-        let mut phone = Phone::new(0, params, SimRng::seed_from(3).fork("bench", 0));
-        let mut day = 0;
-        b.iter(|| {
-            phone.simulate_day(day);
-            day += 1;
-        });
-        let _ = SimDuration::ZERO;
-    });
+    g.finish();
 
+    // `Phone::simulate_day`, 30 days at a time on a default-params
+    // phone: heartbeat ticks, action generation, the logger's encodes
+    // and the Symbian mechanisms, per simulated day.
+    let mut g = c.benchmark_group("simulate_day");
+    g.sample_size(10);
+    g.measurement_time(std::time::Duration::from_secs(2));
+    g.warm_up_time(std::time::Duration::from_millis(500));
+    g.throughput(Throughput::Elements(30));
+    let fresh_phone = || Phone::new(0, CalibrationParams::default(), SimRng::seed_from(3));
+    g.bench_function("fresh_phone_x30", |b| {
+        b.iter_batched(
+            fresh_phone,
+            |mut phone| {
+                for day in 0..30 {
+                    phone.simulate_day(day);
+                }
+                phone
+            },
+            BatchSize::LargeInput,
+        )
+    });
+    // Days 30..60 of a phone whose log database already holds 30 days
+    // of records (its retention): a per-tick scan of the database, or
+    // of any file that grows with the phone's age, shows up here as a
+    // gap to the fresh case.
+    g.bench_function("month_old_phone_x30", |b| {
+        b.iter_batched(
+            || {
+                let mut phone = fresh_phone();
+                for day in 0..30 {
+                    phone.simulate_day(day);
+                }
+                phone
+            },
+            |mut phone| {
+                for day in 30..60 {
+                    phone.simulate_day(day);
+                }
+                phone
+            },
+            BatchSize::LargeInput,
+        )
+    });
     g.finish();
 }
 

@@ -172,27 +172,29 @@ mod tests {
     fn fleet() -> FleetDataset {
         let mut fs = FlashFs::new();
         let mut lg = FailureLogger::new(LoggerConfig::default());
+        let running = vec!["Messages".to_string()];
         let ctx = PhoneContext {
-            running_apps: vec!["Messages".into()],
-            activity: Some(ActivityKind::VoiceCall),
+            running_apps: &running,
             battery_percent: 50,
             battery_low: false,
         };
-        lg.on_boot(&mut fs, SimTime::ZERO, &ctx);
+        lg.on_boot(&mut fs, SimTime::ZERO, ctx);
         lg.on_panic(
             &mut fs,
             SimTime::from_secs(100),
             &Panic::new(codes::KERN_EXEC_3, "Messages", "null"),
-            &ctx,
+            ctx,
+            Some(ActivityKind::VoiceCall),
         );
         lg.on_panic(
             &mut fs,
             SimTime::from_secs(200),
             &Panic::new(codes::USER_11, "Messages", "overflow"),
-            &PhoneContext::default(),
+            PhoneContext::default(),
+            None,
         );
         lg.on_clean_shutdown(&mut fs, SimTime::from_secs(210), ShutdownKind::Reboot);
-        lg.on_boot(&mut fs, SimTime::from_secs(300), &ctx);
+        lg.on_boot(&mut fs, SimTime::from_secs(300), ctx);
         FleetDataset::from_phones(vec![PhoneDataset::from_flashfs(0, &fs)])
     }
 

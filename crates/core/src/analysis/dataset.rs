@@ -650,23 +650,24 @@ mod tests {
         let mut fs = FlashFs::new();
         let mut lg = FailureLogger::new(LoggerConfig::default());
         let ctx = PhoneContext::default();
-        lg.on_boot(&mut fs, t(0), &ctx);
+        lg.on_boot(&mut fs, t(0), ctx);
         for i in 1..=10 {
-            lg.on_tick(&mut fs, t(30 * i), &ctx);
+            lg.on_tick(&mut fs, t(30 * i), ctx);
         }
         lg.on_panic(
             &mut fs,
             t(301),
             &Panic::new(codes::KERN_EXEC_3, "Camera", "null"),
-            &ctx,
+            ctx,
+            None,
         );
         lg.on_clean_shutdown(&mut fs, t(310), ShutdownKind::Reboot);
-        lg.on_boot(&mut fs, t(400), &ctx); // 90 s off: a self-shutdown candidate
+        lg.on_boot(&mut fs, t(400), ctx); // 90 s off: a self-shutdown candidate
         for i in 14..=16 {
-            lg.on_tick(&mut fs, t(30 * i), &ctx);
+            lg.on_tick(&mut fs, t(30 * i), ctx);
         }
         // freeze: no clean shutdown, battery pulled, reboot much later
-        lg.on_boot(&mut fs, t(4000), &ctx);
+        lg.on_boot(&mut fs, t(4000), ctx);
         PhoneDataset::from_flashfs(7, &fs)
     }
 
@@ -754,15 +755,16 @@ mod tests {
         let mut fs = FlashFs::new();
         let mut lg = FailureLogger::new(LoggerConfig::default());
         let ctx = PhoneContext::default();
-        lg.on_boot(&mut fs, t(0), &ctx);
+        lg.on_boot(&mut fs, t(0), ctx);
         for i in 1..=5 {
-            lg.on_tick(&mut fs, t(30 * i), &ctx);
+            lg.on_tick(&mut fs, t(30 * i), ctx);
         }
         lg.on_panic(
             &mut fs,
             t(200),
             &Panic::new(codes::KERN_EXEC_3, "Camera", "null"),
-            &ctx,
+            ctx,
+            None,
         );
         // Inject one of each flavour by hand.
         fs.append_line("log", "P|1|KERN-EXEC~3|a|-"); // cut: no trailer shape
@@ -809,11 +811,11 @@ mod tests {
         let mut fs = FlashFs::new();
         let mut lg = FailureLogger::new(LoggerConfig::default());
         let ctx = PhoneContext::default();
-        lg.on_boot(&mut fs, t(0), &ctx);
+        lg.on_boot(&mut fs, t(0), ctx);
         lg.on_clean_shutdown(&mut fs, t(10), ShutdownKind::LowBattery);
-        lg.on_boot(&mut fs, t(100), &ctx);
+        lg.on_boot(&mut fs, t(100), ctx);
         lg.on_clean_shutdown(&mut fs, t(110), ShutdownKind::ManualOff);
-        lg.on_boot(&mut fs, t(200), &ctx);
+        lg.on_boot(&mut fs, t(200), ctx);
         let ds = PhoneDataset::from_flashfs(0, &fs);
         assert!(ds.shutdown_events().is_empty());
         assert!(ds.freezes().is_empty());

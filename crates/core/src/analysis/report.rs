@@ -628,24 +628,25 @@ mod tests {
         for id in 0..2u32 {
             let mut fs = FlashFs::new();
             let mut lg = FailureLogger::new(LoggerConfig::default());
+            let running = vec!["Messages".to_string()];
             let ctx = PhoneContext {
-                running_apps: vec!["Messages".into()],
-                activity: None,
+                running_apps: &running,
                 battery_percent: 70,
                 battery_low: false,
             };
-            lg.on_boot(&mut fs, SimTime::ZERO, &ctx);
+            lg.on_boot(&mut fs, SimTime::ZERO, ctx);
             for i in 1..20 {
-                lg.on_tick(&mut fs, SimTime::from_secs(i * 30), &ctx);
+                lg.on_tick(&mut fs, SimTime::from_secs(i * 30), ctx);
             }
             lg.on_panic(
                 &mut fs,
                 SimTime::from_secs(590),
                 &Panic::new(codes::KERN_EXEC_3, "Messages", "null"),
-                &ctx,
+                ctx,
+                None,
             );
             lg.on_clean_shutdown(&mut fs, SimTime::from_secs(600), ShutdownKind::Reboot);
-            lg.on_boot(&mut fs, SimTime::from_secs(680), &ctx);
+            lg.on_boot(&mut fs, SimTime::from_secs(680), ctx);
             phones.push(PhoneDataset::from_flashfs(id, &fs));
         }
         FleetDataset::from_phones(phones)

@@ -142,12 +142,12 @@ mod tests {
         let mut fs = FlashFs::new();
         let mut lg = FailureLogger::new(LoggerConfig::default());
         let ctx = PhoneContext::default();
-        lg.on_boot(&mut fs, SimTime::ZERO, &ctx);
+        lg.on_boot(&mut fs, SimTime::ZERO, ctx);
         // One self-shutdown...
         lg.on_clean_shutdown(&mut fs, SimTime::from_secs(600), ShutdownKind::Reboot);
-        lg.on_boot(&mut fs, SimTime::from_secs(680), &ctx);
+        lg.on_boot(&mut fs, SimTime::from_secs(680), ctx);
         // ...and one freeze (battery pull).
-        lg.on_boot(&mut fs, SimTime::from_secs(5000), &ctx);
+        lg.on_boot(&mut fs, SimTime::from_secs(5000), ctx);
         FleetDataset::from_phones(vec![PhoneDataset::from_flashfs(0, &fs)])
     }
 

@@ -186,12 +186,12 @@ mod tests {
         let mut lg = FailureLogger::new(LoggerConfig::default());
         let ctx = PhoneContext::default();
         let mut now = 0;
-        lg.on_boot(&mut fs, t(now), &ctx);
+        lg.on_boot(&mut fs, t(now), ctx);
         for off in [80u64, 90, 30_000] {
             now += 600;
             lg.on_clean_shutdown(&mut fs, t(now), ShutdownKind::Reboot);
             now += off;
-            lg.on_boot(&mut fs, t(now), &ctx);
+            lg.on_boot(&mut fs, t(now), ctx);
         }
         FleetDataset::from_phones(vec![PhoneDataset::from_flashfs(1, &fs)])
     }

@@ -71,9 +71,21 @@ impl FlashFs {
             .lines()
     }
 
-    /// The last line of `file`, if the file exists and is non-empty.
+    /// The last line of `file`, if the file exists and is non-empty —
+    /// exactly `read_lines(file).last()`, but it scans back from the
+    /// end of the buffer and UTF-8-checks only that line, so the
+    /// boot-time heartbeat check costs the same on day 400 as on day 1.
     pub fn last_line(&self, file: &str) -> Option<&str> {
-        self.read_lines(file).last()
+        let buf = self.files.get(file)?.as_slice();
+        let body = buf.strip_suffix(b"\n").unwrap_or(buf);
+        let start = body.iter().rposition(|&b| b == b'\n').map_or(0, |i| i + 1);
+        // A '\n' is never inside a multi-byte sequence, so the tail is
+        // a whole number of characters; `lines` then applies the same
+        // `\r\n` rule to it that it applies to every line of the file.
+        std::str::from_utf8(&buf[start..])
+            .expect("flashfs content is UTF-8")
+            .lines()
+            .next()
     }
 
     /// Raw content of a file as bytes (borrowed; no copy).
@@ -160,6 +172,26 @@ mod tests {
         assert_eq!(fs.last_line("nope"), None);
         assert!(!fs.exists("nope"));
         assert_eq!(fs.size_of("nope"), 0);
+    }
+
+    #[test]
+    fn last_line_edge_cases_match_read_lines() {
+        let mut fs = FlashFs::new();
+        let cases: [(&str, &[u8], Option<&str>); 7] = [
+            ("empty", b"", None),
+            ("newline_only", b"\n", Some("")),
+            ("no_trailing_newline", b"a\nbc", Some("bc")),
+            ("blank_last_line", b"a\n\n", Some("")),
+            ("crlf", b"a\r\nbc\r\n", Some("bc")),
+            ("crlf_no_trailing_newline", b"a\r\nbc", Some("bc")),
+            ("one_line", b"only\n", Some("only")),
+        ];
+        for (name, bytes, want) in cases {
+            fs.overwrite_raw(name, bytes.to_vec());
+            assert_eq!(fs.last_line(name), want, "{name}");
+            assert_eq!(fs.last_line(name), fs.read_lines(name).last(), "{name}");
+        }
+        assert_eq!(fs.last_line("missing"), None);
     }
 
     #[test]

@@ -19,7 +19,10 @@
 //! event (`ALIVE` ⇒ the phone froze and the user pulled the battery;
 //! `REBOOT`/`LOWBT`/`MAOFF` ⇒ a clean shutdown) and records the
 //! reboot duration used to separate self-shutdowns from
-//! user-triggered shutdowns.
+//! user-triggered shutdowns. The embedding simulator hands the logger
+//! a borrowed [`logger::PhoneContext`] view (running applications,
+//! battery) at every hook, so a heartbeat tick allocates nothing; the
+//! activity in progress is read only when a panic record is written.
 //!
 //! ## The analysis (Section 6 of the paper)
 //!
@@ -39,8 +42,8 @@
 //!
 //! let mut fs = FlashFs::new();
 //! let mut logger = FailureLogger::new(LoggerConfig::default());
-//! logger.on_boot(&mut fs, SimTime::ZERO, &PhoneContext::default());
-//! logger.on_tick(&mut fs, SimTime::from_secs(30), &PhoneContext::default());
+//! logger.on_boot(&mut fs, SimTime::ZERO, PhoneContext::default());
+//! logger.on_tick(&mut fs, SimTime::from_secs(30), PhoneContext::default());
 //! assert!(fs.read_lines("beats").count() > 0);
 //! ```
 

@@ -80,15 +80,18 @@ impl Default for LoggerConfig {
     }
 }
 
-/// The phone-state snapshot the logger's active objects sample. The
-/// embedding simulator fills it from the Application Architecture
-/// Server, the Database Log Server and the System Agent Server.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct PhoneContext {
+/// The phone state the logger's active objects sample: a borrowed
+/// view of the Application Architecture Server's running list and the
+/// System Agent Server's battery status. The embedding simulator
+/// builds it in place at every hook, so a heartbeat tick copies and
+/// allocates nothing. The activity in progress is not part of the
+/// view: only the Panic Detector writes it, so it is read from the
+/// Database Log Server at the panic site and passed to
+/// [`FailureLogger::on_panic`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PhoneContext<'a> {
     /// Applications currently running (excluding the logger daemon).
-    pub running_apps: Vec<String>,
-    /// Activity in progress, if any.
-    pub activity: Option<ActivityKind>,
+    pub running_apps: &'a [String],
     /// Battery level in percent.
     pub battery_percent: u8,
     /// True when the System Agent reports the battery critically low.
@@ -120,12 +123,17 @@ pub enum ShutdownKind {
 ///
 /// let mut fs = FlashFs::new();
 /// let mut logger = FailureLogger::new(LoggerConfig::default());
-/// let ctx = PhoneContext::default();
-/// logger.on_boot(&mut fs, SimTime::ZERO, &ctx);
-/// logger.on_tick(&mut fs, SimTime::from_secs(30), &ctx);
+/// let running = ["Messages".to_string()];
+/// let ctx = PhoneContext {
+///     running_apps: &running,
+///     battery_percent: 80,
+///     battery_low: false,
+/// };
+/// logger.on_boot(&mut fs, SimTime::ZERO, ctx);
+/// logger.on_tick(&mut fs, SimTime::from_secs(30), ctx);
 /// logger.on_clean_shutdown(&mut fs, SimTime::from_secs(60), ShutdownKind::Reboot);
 /// // Next boot classifies the previous session:
-/// logger.on_boot(&mut fs, SimTime::from_secs(142), &ctx);
+/// logger.on_boot(&mut fs, SimTime::from_secs(142), ctx);
 /// let boots = logger.boot_records(&fs);
 /// assert_eq!(boots.len(), 2);
 /// assert_eq!(boots[1].off_duration.unwrap().as_secs(), 82);
@@ -164,7 +172,7 @@ impl FailureLogger {
     /// Panic Detector inspects the last heartbeat to classify how the
     /// previous session ended, then writes a boot record; the
     /// heartbeat resumes.
-    pub fn on_boot(&mut self, fs: &mut FlashFs, now: SimTime, ctx: &PhoneContext) {
+    pub fn on_boot(&mut self, fs: &mut FlashFs, now: SimTime, ctx: PhoneContext<'_>) {
         self.panicdet.on_boot(fs, now);
         self.heartbeat.beat(fs, now);
         self.snapshot(fs, now, ctx);
@@ -172,8 +180,9 @@ impl FailureLogger {
     }
 
     /// Periodic heartbeat tick; also drives the lower-frequency
-    /// snapshots of the auxiliary files.
-    pub fn on_tick(&mut self, fs: &mut FlashFs, now: SimTime, ctx: &PhoneContext) {
+    /// snapshots of the auxiliary files. Constant work: one `ALIVE`
+    /// line, plus the two snapshot lines every `snapshot_every` ticks.
+    pub fn on_tick(&mut self, fs: &mut FlashFs, now: SimTime, ctx: PhoneContext<'_>) {
         self.heartbeat.beat(fs, now);
         self.ticks_since_snapshot += 1;
         if self.ticks_since_snapshot >= self.config.snapshot_every {
@@ -195,9 +204,17 @@ impl FailureLogger {
     }
 
     /// Called when the kernel notifies a panic (the `RDebug` hook).
-    /// The Panic Detector consolidates the context into the log file.
-    pub fn on_panic(&mut self, fs: &mut FlashFs, now: SimTime, panic: &Panic, ctx: &PhoneContext) {
-        self.panicdet.on_panic(fs, now, panic, ctx);
+    /// The Panic Detector consolidates the context and the activity in
+    /// progress (read from the Database Log Server) into the log file.
+    pub fn on_panic(
+        &mut self,
+        fs: &mut FlashFs,
+        now: SimTime,
+        panic: &Panic,
+        ctx: PhoneContext<'_>,
+        activity: Option<ActivityKind>,
+    ) {
+        self.panicdet.on_panic(fs, now, panic, ctx, activity);
     }
 
     /// Called during a clean shutdown: the OS lets applications finish
@@ -212,8 +229,8 @@ impl FailureLogger {
         self.heartbeat.final_event(fs, now, event);
     }
 
-    fn snapshot(&mut self, fs: &mut FlashFs, now: SimTime, ctx: &PhoneContext) {
-        self.runapps.snapshot(fs, now, &ctx.running_apps);
+    fn snapshot(&mut self, fs: &mut FlashFs, now: SimTime, ctx: PhoneContext<'_>) {
+        self.runapps.snapshot(fs, now, ctx.running_apps);
         self.power
             .snapshot(fs, now, ctx.battery_percent, ctx.battery_low);
     }
@@ -241,12 +258,14 @@ impl FailureLogger {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::LazyLock;
     use symfail_symbian::panic::codes;
 
-    fn ctx() -> PhoneContext {
+    static RUNNING: LazyLock<Vec<String>> = LazyLock::new(|| vec!["Messages".into()]);
+
+    fn ctx() -> PhoneContext<'static> {
         PhoneContext {
-            running_apps: vec!["Messages".into()],
-            activity: Some(ActivityKind::Message),
+            running_apps: &RUNNING,
             battery_percent: 80,
             battery_low: false,
         }
@@ -260,7 +279,7 @@ mod tests {
     fn first_boot_writes_boot_record_and_alive() {
         let mut fs = FlashFs::new();
         let mut lg = FailureLogger::new(LoggerConfig::default());
-        lg.on_boot(&mut fs, t(0), &ctx());
+        lg.on_boot(&mut fs, t(0), ctx());
         let boots = lg.boot_records(&fs);
         assert_eq!(boots.len(), 1);
         assert!(!boots[0].freeze_detected, "first boot is not a freeze");
@@ -272,10 +291,10 @@ mod tests {
     fn clean_reboot_yields_off_duration() {
         let mut fs = FlashFs::new();
         let mut lg = FailureLogger::new(LoggerConfig::default());
-        lg.on_boot(&mut fs, t(0), &ctx());
-        lg.on_tick(&mut fs, t(30), &ctx());
+        lg.on_boot(&mut fs, t(0), ctx());
+        lg.on_tick(&mut fs, t(30), ctx());
         lg.on_clean_shutdown(&mut fs, t(45), ShutdownKind::Reboot);
-        lg.on_boot(&mut fs, t(125), &ctx());
+        lg.on_boot(&mut fs, t(125), ctx());
         let boots = lg.boot_records(&fs);
         assert_eq!(boots.len(), 2);
         let b = boots[1];
@@ -288,11 +307,11 @@ mod tests {
     fn battery_pull_after_freeze_detected() {
         let mut fs = FlashFs::new();
         let mut lg = FailureLogger::new(LoggerConfig::default());
-        lg.on_boot(&mut fs, t(0), &ctx());
-        lg.on_tick(&mut fs, t(30), &ctx());
+        lg.on_boot(&mut fs, t(0), ctx());
+        lg.on_tick(&mut fs, t(30), ctx());
         // Phone freezes: no clean shutdown; the user pulls the battery
         // and boots again later.
-        lg.on_boot(&mut fs, t(600), &ctx());
+        lg.on_boot(&mut fs, t(600), ctx());
         let b = lg.boot_records(&fs)[1];
         assert!(b.freeze_detected);
         assert_eq!(b.last_event, HeartbeatEvent::Alive);
@@ -304,11 +323,11 @@ mod tests {
     fn low_battery_and_manual_off_classified() {
         let mut fs = FlashFs::new();
         let mut lg = FailureLogger::new(LoggerConfig::default());
-        lg.on_boot(&mut fs, t(0), &ctx());
+        lg.on_boot(&mut fs, t(0), ctx());
         lg.on_clean_shutdown(&mut fs, t(10), ShutdownKind::LowBattery);
-        lg.on_boot(&mut fs, t(100), &ctx());
+        lg.on_boot(&mut fs, t(100), ctx());
         lg.on_clean_shutdown(&mut fs, t(200), ShutdownKind::ManualOff);
-        lg.on_boot(&mut fs, t(300), &ctx());
+        lg.on_boot(&mut fs, t(300), ctx());
         let boots = lg.boot_records(&fs);
         assert_eq!(boots[1].last_event, HeartbeatEvent::LowBattery);
         assert!(!boots[1].freeze_detected);
@@ -319,9 +338,9 @@ mod tests {
     fn panic_consolidates_context() {
         let mut fs = FlashFs::new();
         let mut lg = FailureLogger::new(LoggerConfig::default());
-        lg.on_boot(&mut fs, t(0), &ctx());
+        lg.on_boot(&mut fs, t(0), ctx());
         let p = Panic::new(codes::KERN_EXEC_3, "Messages", "dereferenced NULL");
-        lg.on_panic(&mut fs, t(33), &p, &ctx());
+        lg.on_panic(&mut fs, t(33), &p, ctx(), Some(ActivityKind::Message));
         let recs = lg.log_records(&fs);
         let panic_rec = recs
             .iter()
@@ -343,9 +362,9 @@ mod tests {
             heartbeat_period: SimDuration::from_secs(30),
             snapshot_every: 2,
         });
-        lg.on_boot(&mut fs, t(0), &ctx()); // snapshot #1
+        lg.on_boot(&mut fs, t(0), ctx()); // snapshot #1
         for i in 1..=4 {
-            lg.on_tick(&mut fs, t(30 * i), &ctx());
+            lg.on_tick(&mut fs, t(30 * i), ctx());
         }
         // boot snapshot + ticks 2 and 4
         assert_eq!(fs.read_lines(files::RUNAPP).count(), 3);
@@ -357,7 +376,7 @@ mod tests {
     fn activity_mirrored() {
         let mut fs = FlashFs::new();
         let mut lg = FailureLogger::new(LoggerConfig::default());
-        lg.on_boot(&mut fs, t(0), &ctx());
+        lg.on_boot(&mut fs, t(0), ctx());
         lg.on_activity(&mut fs, t(10), t(70), ActivityKind::VoiceCall);
         assert_eq!(fs.read_lines(files::ACTIVITY).count(), 1);
         let line = fs.last_line(files::ACTIVITY).unwrap();

@@ -14,6 +14,7 @@
 //!   self-shutdown identification.
 
 use symfail_sim_core::SimTime;
+use symfail_symbian::servers::logdb::ActivityKind;
 use symfail_symbian::Panic;
 
 use crate::flashfs::FlashFs;
@@ -41,15 +42,23 @@ impl PanicDetector {
     }
 
     /// Consolidates a notified panic with the context sampled from the
-    /// other active objects, and appends it to the log file.
-    pub fn on_panic(&mut self, fs: &mut FlashFs, now: SimTime, panic: &Panic, ctx: &PhoneContext) {
+    /// other active objects and the activity in progress, and appends
+    /// it to the log file.
+    pub fn on_panic(
+        &mut self,
+        fs: &mut FlashFs,
+        now: SimTime,
+        panic: &Panic,
+        ctx: PhoneContext<'_>,
+        activity: Option<ActivityKind>,
+    ) {
         fs.append_line_with(files::LOG, |buf| {
             encode_panic_into(
                 buf,
                 now,
                 panic,
-                &ctx.running_apps,
-                ctx.activity,
+                ctx.running_apps,
+                activity,
                 ctx.battery_percent,
             );
         });
@@ -152,7 +161,13 @@ mod tests {
         let mut fs = FlashFs::new();
         let mut pd = PanicDetector::new();
         let p = Panic::new(codes::VIEWSRV_11, "Clock", "monopolized");
-        pd.on_panic(&mut fs, SimTime::from_secs(5), &p, &PhoneContext::default());
+        pd.on_panic(
+            &mut fs,
+            SimTime::from_secs(5),
+            &p,
+            PhoneContext::default(),
+            None,
+        );
         assert_eq!(pd.panics_recorded(), 1);
         assert!(fs
             .last_line(files::LOG)

@@ -2,7 +2,8 @@
 //!
 //! CI has no registry access, so this crate provides the subset of the
 //! `criterion` API the workspace's benches use — `Criterion`,
-//! `benchmark_group`, `bench_function`, `Bencher::iter`, `Throughput`,
+//! `benchmark_group`, `bench_function`, `Bencher::iter`,
+//! `Bencher::iter_batched`, `BatchSize`, `Throughput`,
 //! `black_box`, and the `criterion_group!`/`criterion_main!` macros —
 //! backed by plain `Instant` timing. `cargo bench -- --test` runs each
 //! benchmark body once as a smoke pass, mirroring criterion's test
@@ -21,6 +22,14 @@ pub fn black_box<T>(x: T) -> T {
 pub enum Throughput {
     Elements(u64),
     Bytes(u64),
+}
+
+/// How many inputs `iter_batched` sets up per batch; accepted for API
+/// compatibility but not used (every input is set up just before its
+/// own timed call).
+#[derive(Debug, Clone, Copy)]
+pub enum BatchSize {
+    LargeInput,
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -129,6 +138,24 @@ impl Bencher {
             black_box(f());
         }
         self.elapsed = start.elapsed();
+    }
+
+    /// Times `routine` on a fresh input from `setup` per iteration;
+    /// neither the set-up nor dropping the output is timed.
+    pub fn iter_batched<I, O, S, R>(&mut self, mut setup: S, mut routine: R, _size: BatchSize)
+    where
+        S: FnMut() -> I,
+        R: FnMut(I) -> O,
+    {
+        let mut elapsed = Duration::ZERO;
+        for _ in 0..self.iters {
+            let input = setup();
+            let start = Instant::now();
+            let output = black_box(routine(input));
+            elapsed += start.elapsed();
+            drop(output);
+        }
+        self.elapsed = elapsed;
     }
 }
 

@@ -85,10 +85,17 @@ pub fn by_name(name: &str) -> Option<&'static AppSpec> {
     CATALOG.iter().find(|a| a.name == name)
 }
 
-/// The launch-weight vector, aligned with [`CATALOG`] order.
-pub fn launch_weights() -> Vec<f64> {
-    CATALOG.iter().map(|a| a.launch_weight).collect()
-}
+/// The launch weights, aligned with [`CATALOG`] order (built at
+/// compile time, so drawing an application allocates nothing).
+pub const LAUNCH_WEIGHTS: [f64; CATALOG.len()] = {
+    let mut weights = [0.0; CATALOG.len()];
+    let mut i = 0;
+    while i < CATALOG.len() {
+        weights[i] = CATALOG[i].launch_weight;
+        i += 1;
+    }
+    weights
+};
 
 #[cfg(test)]
 mod tests {
@@ -119,8 +126,9 @@ mod tests {
 
     #[test]
     fn weights_positive_and_aligned() {
-        let w = launch_weights();
-        assert_eq!(w.len(), CATALOG.len());
-        assert!(w.iter().all(|&x| x > 0.0));
+        assert!(LAUNCH_WEIGHTS.iter().all(|&x| x > 0.0));
+        for (w, app) in LAUNCH_WEIGHTS.iter().zip(&CATALOG) {
+            assert_eq!(w.to_bits(), app.launch_weight.to_bits(), "{}", app.name);
+        }
     }
 }

@@ -187,23 +187,19 @@ impl CorruptionModel {
         let mut injected = InjectedDefects::default();
         let r = &self.rates;
 
-        let mut log_lines = read_lines(fs, files::LOG);
-        let mut beat_lines = read_lines(fs, files::BEATS);
+        // Log lines are few and bit flips mutate them, so they are
+        // owned; beat lines (tens of thousands on a long-lived phone)
+        // are only dropped, copied, moved and cut, so they stay slices
+        // of the harvested buffer until the rewrite.
+        let mut log_lines: Vec<String> = fs.read_lines(files::LOG).map(str::to_string).collect();
+        let mut beat_lines: Vec<&str> = fs.read_lines(files::BEATS).collect();
 
         // 1. Tail loss (flash wear drops whole trailing pages). Capped
         // at half the file so a short log degrades instead of
         // vanishing — total loss is the separate `unusable` scenario,
         // exercised directly in tests.
-        for lines in [&mut log_lines, &mut beat_lines] {
-            if r.p_tail_loss > 0.0 && rng.chance(r.p_tail_loss) && !lines.is_empty() {
-                let k = 1 + rng.next_u64() % r.max_tail_lines.max(1);
-                let k = (k as usize).min(lines.len() / 2);
-                if k > 0 {
-                    lines.truncate(lines.len() - k);
-                    injected.tail_lines_lost += k as u64;
-                }
-            }
-        }
+        injected.tail_lines_lost += lose_tail(&mut log_lines, r, rng);
+        injected.tail_lines_lost += lose_tail(&mut beat_lines, r, rng);
 
         // 2/3. Heartbeat block duplication and reordering. Ranges are
         // chosen against the original index space, kept mutually
@@ -249,7 +245,7 @@ impl CorruptionModel {
             // not advance past an out-of-order record, so after
             // swapping A,B -> B,A it flags exactly the A-lines whose
             // timestamp is strictly below B's maximum.
-            let time = |line: &String| decode_beat(line).map(|(t, _)| t.as_millis()).ok();
+            let time = |line: &&str| decode_beat(line).map(|(t, _)| t.as_millis()).ok();
             let max_b = beat_lines[start + a..start + a + b]
                 .iter()
                 .filter_map(time)
@@ -275,10 +271,8 @@ impl CorruptionModel {
         for op in ops {
             match op {
                 BlockOp::Dup { start, len } => {
-                    let copy: Vec<String> = beat_lines[start..start + len].to_vec();
-                    for (i, line) in copy.into_iter().enumerate() {
-                        beat_lines.insert(start + len + i, line);
-                    }
+                    let copy = beat_lines[start..start + len].to_vec();
+                    beat_lines.splice(start + len..start + len, copy);
                 }
                 BlockOp::Swap { start, a, b } => {
                     beat_lines[start..start + a + b].rotate_left(a);
@@ -301,22 +295,16 @@ impl CorruptionModel {
         // 5. Final-record truncation (battery pull mid-write). Runs
         // last; cuts at least one byte and keeps at least one, so a
         // partial record remains on flash.
-        let mut cut = [false, false];
-        for (i, lines) in [&mut log_lines, &mut beat_lines].into_iter().enumerate() {
-            if r.p_truncate > 0.0 && rng.chance(r.p_truncate) {
-                if let Some(last) = lines.last_mut() {
-                    if last.len() >= 2 {
-                        let keep = 1 + rng.index(last.len() - 1);
-                        last.truncate(keep);
-                        injected.truncated += 1;
-                        cut[i] = true;
-                    }
-                }
-            }
-        }
+        let cut = [
+            cut_last(&mut log_lines, r, rng, |line, keep| line.truncate(keep)),
+            cut_last(&mut beat_lines, r, rng, |line, keep| *line = &line[..keep]),
+        ];
+        injected.truncated += cut.iter().filter(|&&c| c).count() as u64;
 
-        write_lines(fs, files::LOG, &log_lines, cut[0]);
-        write_lines(fs, files::BEATS, &beat_lines, cut[1]);
+        let log = join_lines(&log_lines, cut[0]);
+        let beats = join_lines(&beat_lines, cut[1]);
+        write_file(fs, files::LOG, log);
+        write_file(fs, files::BEATS, beats);
         injected
     }
 }
@@ -337,10 +325,6 @@ impl BlockOp {
 
 fn overlaps(used: &[(usize, usize)], lo: usize, hi: usize) -> bool {
     used.iter().any(|&(a, b)| lo < b && a < hi)
-}
-
-fn read_lines(fs: &FlashFs, file: &str) -> Vec<String> {
-    fs.read_lines(file).map(str::to_string).collect()
 }
 
 /// Flips one bit of one payload byte, re-rolling the bit if the result
@@ -368,18 +352,63 @@ fn flip_payload_byte(line: &mut String, rng: &mut SimRng) -> bool {
     flipped_any
 }
 
-/// Writes lines back. The trailing newline is kept unless the final
-/// record was cut mid-line (`cut_tail`), which is exactly the
-/// mid-write power-loss signature.
-fn write_lines(fs: &mut FlashFs, file: &str, lines: &[String], cut_tail: bool) {
-    if !fs.exists(file) {
-        return;
+/// Drops a tail of whole lines (at most half the file) with the
+/// tail-loss chance; returns how many were lost.
+fn lose_tail<S>(lines: &mut Vec<S>, r: &CorruptionRates, rng: &mut SimRng) -> u64 {
+    if r.p_tail_loss > 0.0 && rng.chance(r.p_tail_loss) && !lines.is_empty() {
+        let k = 1 + rng.next_u64() % r.max_tail_lines.max(1);
+        let k = (k as usize).min(lines.len() / 2);
+        lines.truncate(lines.len() - k);
+        return k as u64;
     }
-    let mut buf = lines.join("\n").into_bytes();
+    0
+}
+
+/// Cuts the final line mid-record with the truncation chance, keeping
+/// at least one byte and cutting at least one; `shorten` keeps the
+/// first `keep` bytes. Returns true when a cut was made.
+fn cut_last<S: AsRef<str>>(
+    lines: &mut [S],
+    r: &CorruptionRates,
+    rng: &mut SimRng,
+    shorten: impl FnOnce(&mut S, usize),
+) -> bool {
+    if r.p_truncate > 0.0 && rng.chance(r.p_truncate) {
+        if let Some(last) = lines.last_mut() {
+            let len = last.as_ref().len();
+            if len >= 2 {
+                let keep = 1 + rng.index(len - 1);
+                shorten(last, keep);
+                return true;
+            }
+        }
+    }
+    false
+}
+
+/// The new content of a file, built in one buffer. The trailing
+/// newline is kept unless the final record was cut mid-line
+/// (`cut_tail`), which is exactly the mid-write power-loss signature.
+fn join_lines<S: AsRef<str>>(lines: &[S], cut_tail: bool) -> Vec<u8> {
+    let len = lines.iter().map(|l| l.as_ref().len() + 1).sum::<usize>();
+    let mut buf = Vec::with_capacity(len);
+    for (i, line) in lines.iter().enumerate() {
+        if i > 0 {
+            buf.push(b'\n');
+        }
+        buf.extend_from_slice(line.as_ref().as_bytes());
+    }
     if !buf.is_empty() && !cut_tail {
         buf.push(b'\n');
     }
-    fs.overwrite_raw(file, buf);
+    buf
+}
+
+/// Replaces an existing file's content (a missing file stays missing).
+fn write_file(fs: &mut FlashFs, file: &str, buf: Vec<u8>) {
+    if fs.exists(file) {
+        fs.overwrite_raw(file, buf);
+    }
 }
 
 #[cfg(test)]

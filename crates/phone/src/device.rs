@@ -61,7 +61,7 @@ pub struct PhoneStats {
 }
 
 /// A timed action within one simulated day.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 enum Action {
     CallStart {
         duration: SimDuration,
@@ -174,15 +174,6 @@ impl Phone {
         self.stats
     }
 
-    fn context(&self, now: SimTime) -> PhoneContext {
-        PhoneContext {
-            running_apps: self.apps.running(),
-            activity: self.logdb.activity_at(now),
-            battery_percent: self.battery.percent(),
-            battery_low: self.battery.is_low(),
-        }
-    }
-
     /// Advances the heartbeat stream (and battery drain) up to `now`.
     fn advance(&mut self, now: SimTime) {
         match self.state {
@@ -193,8 +184,8 @@ impl Phone {
                         SimDuration::from_secs(self.params.heartbeat_period_secs),
                         SimDuration::ZERO,
                     );
-                    let ctx = self.context(beat_at);
-                    self.logger.on_tick(&mut self.fs, beat_at, &ctx);
+                    let ctx = logger_view(&self.apps, &self.battery);
+                    self.logger.on_tick(&mut self.fs, beat_at, ctx);
                     self.next_beat =
                         beat_at + SimDuration::from_secs(self.params.heartbeat_period_secs);
                 }
@@ -210,8 +201,8 @@ impl Phone {
 
     fn power_on(&mut self, at: SimTime) {
         self.apps.reset();
-        let ctx = self.context(at);
-        self.logger.on_boot(&mut self.fs, at, &ctx);
+        let ctx = logger_view(&self.apps, &self.battery);
+        self.logger.on_boot(&mut self.fs, at, ctx);
         self.state = PowerState::On;
         self.booted_once = true;
         self.next_beat = at + SimDuration::from_secs(self.params.heartbeat_period_secs);
@@ -268,7 +259,7 @@ impl Phone {
             EpisodeContext::Background => match self.apps.running().first() {
                 Some(app) => app.clone(),
                 None => {
-                    let idx = self.rng.weighted_index(&apps::launch_weights());
+                    let idx = self.rng.weighted_index(&apps::LAUNCH_WEIGHTS);
                     let app = apps::CATALOG[idx].name;
                     self.apps.notify_started(app);
                     app.to_string()
@@ -286,8 +277,11 @@ impl Phone {
                 return;
             }
             let panic = execute_fault(*code, &offender, &mut self.rng);
-            let ctx = self.context(t);
-            self.logger.on_panic(&mut self.fs, t, &panic, &ctx);
+            // The one place the logger records the activity in
+            // progress, so the only read of the log database.
+            let activity = self.logdb.activity_at(t);
+            let ctx = logger_view(&self.apps, &self.battery);
+            self.logger.on_panic(&mut self.fs, t, &panic, ctx, activity);
             self.stats.panics += 1;
             // Kernel recovery: terminate the offending application.
             self.apps.notify_exited(&offender);
@@ -298,7 +292,7 @@ impl Phone {
                 offender = match self.apps.running().first() {
                     Some(app) => app.clone(),
                     None => {
-                        let idx = self.rng.weighted_index(&apps::launch_weights());
+                        let idx = self.rng.weighted_index(&apps::LAUNCH_WEIGHTS);
                         apps::CATALOG[idx].name.to_string()
                     }
                 };
@@ -403,7 +397,7 @@ impl Phone {
         let n_sessions = sample_count(self.profile.app_sessions_per_day, &mut self.rng);
         for _ in 0..n_sessions {
             let t = at_random(&mut self.rng);
-            let idx = self.rng.weighted_index(&apps::launch_weights());
+            let idx = self.rng.weighted_index(&apps::LAUNCH_WEIGHTS);
             let spec = apps::CATALOG[idx];
             let duration = SimDuration::from_secs_f64(
                 self.rng
@@ -464,16 +458,13 @@ impl Phone {
         actions.push((sleep + SimDuration::from_secs(1), Action::EndOfDay));
         actions.sort_by_key(|(t, _)| *t);
 
-        // Expand into an executable queue (session ends, call-attached
-        // episodes) and process in time order.
-        let mut queue: Vec<(SimTime, Action)> = Vec::new();
-        for (t, action) in actions {
-            queue.push((t, action));
-        }
-        queue.sort_by_key(|(t, _)| *t);
+        // Process in time order; executing an action may insert
+        // follow-ups (session ends, call-attached episodes) into the
+        // not-yet-processed tail.
+        let mut queue = actions;
         let mut i = 0;
         while i < queue.len() {
-            let (t, action) = queue[i].clone();
+            let (t, action) = queue[i];
             i += 1;
             self.advance(t);
             if !matches!(self.state, PowerState::On) {
@@ -609,6 +600,16 @@ impl Phone {
                 }
             }
         }
+    }
+}
+
+/// The borrowed state the logger samples at a hook: the running list
+/// and the battery status, read in place.
+fn logger_view<'a>(apps: &'a AppArchServer, battery: &Battery) -> PhoneContext<'a> {
+    PhoneContext {
+        running_apps: apps.running(),
+        battery_percent: battery.percent(),
+        battery_low: battery.is_low(),
     }
 }
 

@@ -19,7 +19,7 @@ use serde::{Deserialize, Serialize};
 /// let mut apps = AppArchServer::new();
 /// apps.notify_started("Messages");
 /// apps.notify_started("Camera");
-/// assert_eq!(apps.running(), vec!["Camera".to_string(), "Messages".to_string()]);
+/// assert_eq!(apps.running(), ["Camera", "Messages"]);
 /// apps.notify_exited("Camera");
 /// assert_eq!(apps.count(), 1);
 /// ```
@@ -57,9 +57,10 @@ impl AppArchServer {
         self.running.iter().any(|a| a == app)
     }
 
-    /// Sorted snapshot of the running applications.
-    pub fn running(&self) -> Vec<String> {
-        self.running.clone()
+    /// The running applications, sorted (borrowed: the logger samples
+    /// it on every snapshot without copying).
+    pub fn running(&self) -> &[String] {
+        &self.running
     }
 
     /// Number of running applications.
@@ -96,14 +97,7 @@ mod tests {
         for app in ["TomTom", "Camera", "Messages"] {
             s.notify_started(app);
         }
-        assert_eq!(
-            s.running(),
-            vec![
-                "Camera".to_string(),
-                "Messages".to_string(),
-                "TomTom".to_string()
-            ]
-        );
+        assert_eq!(s.running(), ["Camera", "Messages", "TomTom"]);
     }
 
     #[test]

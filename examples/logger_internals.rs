@@ -36,51 +36,54 @@ fn main() {
         heartbeat_period: SimDuration::from_secs(30),
         snapshot_every: 4,
     });
+    // What the phone's servers report at every hook: a borrowed view,
+    // built in place (the simulator rebuilds it on each heartbeat).
+    let running = vec!["Messages".to_string()];
     let ctx = PhoneContext {
-        running_apps: vec!["Messages".into()],
-        activity: Some(ActivityKind::Message),
+        running_apps: &running,
         battery_percent: 76,
         battery_low: false,
     };
     let t = SimTime::from_secs;
 
     // Scenario 1: normal session ending in a clean user reboot.
-    logger.on_boot(&mut fs, t(0), &ctx);
+    logger.on_boot(&mut fs, t(0), ctx);
     for i in 1..=3 {
-        logger.on_tick(&mut fs, t(30 * i), &ctx);
+        logger.on_tick(&mut fs, t(30 * i), ctx);
     }
     logger.on_clean_shutdown(&mut fs, t(100), ShutdownKind::Reboot);
-    logger.on_boot(&mut fs, t(190), &ctx);
+    logger.on_boot(&mut fs, t(190), ctx);
     dump(
         &fs,
         "scenario 1: REBOOT then boot 90 s later -> off_duration=90s, no freeze",
     );
 
     // Scenario 2: a panic, then the kernel reboots the phone
-    // (self-shutdown) — note the panic record carrying context.
+    // (self-shutdown) — note the panic record carrying context and the
+    // activity in progress, which the Database Log Server reports.
     let panic = Panic::new(codes::KERN_EXEC_3, "Messages", "dereferenced NULL");
-    logger.on_panic(&mut fs, t(250), &panic, &ctx);
+    logger.on_panic(&mut fs, t(250), &panic, ctx, Some(ActivityKind::Message));
     logger.on_clean_shutdown(&mut fs, t(260), ShutdownKind::Reboot);
-    logger.on_boot(&mut fs, t(342), &ctx);
+    logger.on_boot(&mut fs, t(342), ctx);
     dump(
         &fs,
         "scenario 2: panic + kernel reboot -> 82 s off duration (self-shutdown signature)",
     );
 
     // Scenario 3: low battery.
-    logger.on_tick(&mut fs, t(372), &ctx);
+    logger.on_tick(&mut fs, t(372), ctx);
     logger.on_clean_shutdown(&mut fs, t(400), ShutdownKind::LowBattery);
-    logger.on_boot(&mut fs, t(4000), &ctx);
+    logger.on_boot(&mut fs, t(4000), ctx);
     dump(
         &fs,
         "scenario 3: LOWBT -> excluded from the failure statistics",
     );
 
     // Scenario 4: freeze. The heartbeat just stops; no final event.
-    logger.on_tick(&mut fs, t(4030), &ctx);
-    logger.on_tick(&mut fs, t(4060), &ctx);
+    logger.on_tick(&mut fs, t(4030), ctx);
+    logger.on_tick(&mut fs, t(4060), ctx);
     // ... the phone is frozen here; the user pulls the battery ...
-    logger.on_boot(&mut fs, t(4500), &ctx);
+    logger.on_boot(&mut fs, t(4500), ctx);
     dump(
         &fs,
         "scenario 4: heartbeat stops at ALIVE -> boot record flags a FREEZE",

@@ -18,6 +18,13 @@
 //! The coalescence window sweep, which the fixture does not render,
 //! is pinned here too: swept from the streamed report, it must equal
 //! the brute-force sweep over the reference fleet.
+//!
+//! Below the report, the harvests themselves are pinned: a digest of
+//! every flash byte and the simulator's ground-truth counters, for the
+//! default campaign and the mixed-fleet, worst-corruption one. A
+//! simulator or injector optimization must leave both unchanged; a
+//! moved RNG draw changes them. A deliberate change of the simulated
+//! dataset updates the constants, and the diff shows up in review.
 
 use std::path::PathBuf;
 use std::sync::OnceLock;
@@ -31,25 +38,122 @@ use symfail::core::analysis::COALESCENCE_SWEEP_WINDOWS_SECS;
 use symfail::phone::calibration::CalibrationParams;
 use symfail::phone::composition::FleetComposition;
 use symfail::phone::corruption::CorruptionProfile;
-use symfail::phone::fleet::{FleetCampaign, ShardSpec, StreamingOptions};
+use symfail::phone::device::PhoneStats;
+use symfail::phone::fleet::{FleetCampaign, PhoneHarvest, ShardSpec, StreamingOptions};
 use symfail::sim::SimDuration;
 
 fn campaign() -> FleetCampaign {
     FleetCampaign::new(2005, CalibrationParams::default())
 }
 
+/// The 250-phone × 60-day mixed-fleet, worst-corruption campaign.
+fn mixed_worst() -> FleetCampaign {
+    let params = CalibrationParams {
+        phones: 250,
+        campaign_days: 60,
+        ..CalibrationParams::default()
+    };
+    FleetCampaign::new(2005, params)
+        .with_fleet(FleetComposition::mixed())
+        .with_corruption(CorruptionProfile::Worst)
+}
+
+/// What a harvest is pinned by: the total flash bytes, a 64-bit FNV-1a
+/// digest over every phone's files (phones in id order, files in
+/// `FlashFs::file_names()` order, each file's name bytes then its
+/// content bytes), and the simulator counters summed over phones.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct HarvestDigest {
+    bytes: u64,
+    fnv: u64,
+    stats: PhoneStats,
+}
+
+impl HarvestDigest {
+    fn of(harvest: &[PhoneHarvest]) -> Self {
+        let mut fnv: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut bytes = 0;
+        let mut stats = PhoneStats::default();
+        for h in harvest {
+            for name in h.flashfs.file_names() {
+                let content = h.flashfs.read_bytes(name).expect("listed file exists");
+                bytes += content.len() as u64;
+                for &b in name.as_bytes().iter().chain(content) {
+                    fnv ^= u64::from(b);
+                    fnv = fnv.wrapping_mul(0x0000_0100_0000_01b3);
+                }
+            }
+            let s = h.stats;
+            stats.panics += s.panics;
+            stats.freezes += s.freezes;
+            stats.self_shutdowns += s.self_shutdowns;
+            stats.user_shutdowns += s.user_shutdowns;
+            stats.lowbt_shutdowns += s.lowbt_shutdowns;
+            stats.calls += s.calls;
+            stats.messages += s.messages;
+            stats.output_failures += s.output_failures;
+            stats.user_reports += s.user_reports;
+        }
+        Self { bytes, fnv, stats }
+    }
+}
+
+/// The default 25 × 425 harvest at seed 2005. The byte count equals
+/// the flash bytes the parse layer reads for the whole campaign.
+const DEFAULT_HARVEST: HarvestDigest = HarvestDigest {
+    bytes: 30_770_073,
+    fnv: 0x3b29_05f2_608c_3b5d,
+    stats: PhoneStats {
+        panics: 378,
+        freezes: 368,
+        self_shutdowns: 391,
+        user_shutdowns: 1247,
+        lowbt_shutdowns: 79,
+        calls: 23_287,
+        messages: 39_746,
+        output_failures: 477,
+        user_reports: 67,
+    },
+};
+
+/// The 250 × 60 mixed-fleet, worst-corruption harvest at seed 2005
+/// (after injection).
+const MIXED_WORST_HARVEST: HarvestDigest = HarvestDigest {
+    bytes: 2_816_311,
+    fnv: 0x49ef_d1c5_6a10_982d,
+    stats: PhoneStats {
+        panics: 50,
+        freezes: 38,
+        self_shutdowns: 45,
+        user_shutdowns: 307,
+        lowbt_shutdowns: 14,
+        calls: 2943,
+        messages: 5525,
+        output_failures: 58,
+        user_reports: 12,
+    },
+};
+
 /// The reference fleet: the campaign's sequential harvest,
-/// materialized.
-fn fleet_of(campaign: &FleetCampaign) -> FleetDataset {
+/// materialized, with the harvest's digest.
+fn fleet_of(campaign: &FleetCampaign) -> (FleetDataset, HarvestDigest) {
     let harvest = campaign.run();
-    FleetDataset::from_flash(harvest.iter().map(|h| (h.phone_id, &h.flashfs)))
+    let digest = HarvestDigest::of(&harvest);
+    let fleet = FleetDataset::from_flash(harvest.iter().map(|h| (h.phone_id, &h.flashfs)));
+    (fleet, digest)
 }
 
 /// The default campaign's reference fleet and streamed report, built
 /// once and shared by the tests below.
-fn default_fleet() -> &'static FleetDataset {
-    static FLEET: OnceLock<FleetDataset> = OnceLock::new();
+fn default_fleet() -> &'static (FleetDataset, HarvestDigest) {
+    static FLEET: OnceLock<(FleetDataset, HarvestDigest)> = OnceLock::new();
     FLEET.get_or_init(|| fleet_of(&campaign()))
+}
+
+/// The mixed/worst campaign's reference fleet, built once.
+fn mixed_worst_fleet() -> &'static (FleetDataset, HarvestDigest) {
+    static FLEET: OnceLock<(FleetDataset, HarvestDigest)> = OnceLock::new();
+    FLEET.get_or_init(|| fleet_of(&mixed_worst()))
 }
 
 fn default_streamed() -> &'static StudyReport {
@@ -112,7 +216,7 @@ fn assert_matches_golden(engine: &str, got: &str) {
 
 #[test]
 fn batch_engine_matches_golden_report() {
-    let report = StudyReport::analyze(default_fleet(), config());
+    let report = StudyReport::analyze(&default_fleet().0, config());
     let rendered = render(&report);
     if std::env::var_os("GOLDEN_REGEN").is_some() {
         let path = fixture_path();
@@ -149,22 +253,23 @@ fn streamed_window_sweep_matches_brute_force_on_real_campaigns() {
             "{what}: sweep"
         );
     };
-    let params = CalibrationParams {
-        phones: 250,
-        campaign_days: 60,
-        ..CalibrationParams::default()
-    };
-    let mixed_worst = FleetCampaign::new(2005, params)
-        .with_fleet(FleetComposition::mixed())
-        .with_corruption(CorruptionProfile::Worst);
-    let report = mixed_worst
+    let report = mixed_worst()
         .run_streaming(3, config(), &PassRegistry::all())
         .report;
-    assert_sweep("mixed/worst", &fleet_of(&mixed_worst), &report);
+    assert_sweep("mixed/worst", &mixed_worst_fleet().0, &report);
 
     // Last: the default campaign's fleet and report are shared with
     // the golden tests, which are likely still building them.
-    assert_sweep("default", default_fleet(), default_streamed());
+    assert_sweep("default", &default_fleet().0, default_streamed());
+}
+
+/// Every flash byte and every ground-truth counter of both harvests
+/// equals the values committed above. The fleets are the ones the
+/// tests above analyze, so no campaign is simulated twice.
+#[test]
+fn harvest_digests_are_pinned() {
+    assert_eq!(mixed_worst_fleet().1, MIXED_WORST_HARVEST, "mixed/worst");
+    assert_eq!(default_fleet().1, DEFAULT_HARVEST, "default");
 }
 
 #[test]

@@ -5,6 +5,7 @@ use proptest::test_runner::Config as ProptestConfig;
 
 use symfail::core::analysis::coalesce::CoalescenceAnalysis;
 use symfail::core::analysis::dataset::{FleetDataset, HlEvent, HlKind, PhoneDataset};
+use symfail::core::flashfs::FlashFs;
 use symfail::core::records::{
     decode_beat, encode_beat, BootRecord, HeartbeatEvent, LogRecord, PanicRecord, RecordRef,
 };
@@ -287,6 +288,29 @@ proptest! {
         let (t, e) = decode_beat(&encode_beat(SimTime::from_millis(at), ev)).unwrap();
         prop_assert_eq!(t, SimTime::from_millis(at));
         prop_assert_eq!(e, ev);
+    }
+
+    /// The backward-scanning `last_line` is exactly the last of
+    /// `read_lines` for any ASCII file: blank lines, bare and `\r\n`
+    /// carriage returns, with or without a final newline, and for a
+    /// file grown by appends.
+    #[test]
+    fn flash_last_line_matches_read_lines(
+        lines in prop::collection::vec("[ -~\r]{0,12}", 0..8),
+        trailing_newline in 0usize..2,
+    ) {
+        let mut fs = FlashFs::new();
+        let mut raw = lines.join("\n");
+        if trailing_newline == 1 {
+            raw.push('\n');
+        }
+        fs.overwrite_raw("raw", raw.into_bytes());
+        prop_assert_eq!(fs.last_line("raw"), fs.read_lines("raw").last());
+        for line in &lines {
+            fs.append_line("appended", line);
+            prop_assert_eq!(fs.last_line("appended"), fs.read_lines("appended").last());
+        }
+        prop_assert_eq!(fs.last_line("missing"), None);
     }
 }
 
