@@ -1,11 +1,14 @@
 //! Micro-benchmarks of the OS substrate and the logger data path: the
-//! per-operation costs everything else is built from.
+//! per-operation costs everything else is built from, up to one
+//! phone's simulated day and one phone's parse.
 
 use criterion::{black_box, criterion_group, criterion_main, BatchSize, Criterion, Throughput};
+use symfail_core::analysis::dataset::{ParseScratch, PhoneDataset};
 use symfail_core::flashfs::FlashFs;
 use symfail_core::logger::{FailureLogger, LoggerConfig, PhoneContext};
 use symfail_core::records::LogRecord;
 use symfail_phone::calibration::CalibrationParams;
+use symfail_phone::corruption::{CorruptionModel, CorruptionProfile};
 use symfail_phone::device::Phone;
 use symfail_sim_core::{EventQueue, SimRng, SimTime};
 use symfail_symbian::descriptor::TBuf;
@@ -149,6 +152,41 @@ fn bench(c: &mut Criterion) {
             BatchSize::LargeInput,
         )
     });
+    g.finish();
+
+    // `PhoneDataset::from_flashfs_with` over one default phone's whole
+    // 425-day harvest, recycling one `ParseScratch` the way a campaign
+    // worker does between phones: once clean, once after worst-profile
+    // corruption, whose repeated beats build the duplicate set.
+    let params = CalibrationParams::default();
+    let mut phone = Phone::new(0, params, SimRng::seed_from(3));
+    for day in 0..u64::from(params.campaign_days) {
+        phone.simulate_day(day);
+    }
+    let clean = phone.into_flashfs();
+    let mut worst = clean.clone();
+    CorruptionModel::from_profile(CorruptionProfile::Worst)
+        .inject(&mut worst, &mut SimRng::seed_from(3).fork("corruption", 0));
+    assert!(
+        PhoneDataset::from_flashfs(0, &worst).defects().duplicate > 0,
+        "the worst-profile harvest must repeat beats"
+    );
+    let mut g = c.benchmark_group("parse");
+    g.sample_size(20);
+    g.measurement_time(std::time::Duration::from_secs(2));
+    g.warm_up_time(std::time::Duration::from_millis(500));
+    for (name, fs) in [("clean_phone_425d", &clean), ("worst_phone_425d", &worst)] {
+        g.throughput(Throughput::Bytes(fs.total_size()));
+        let mut scratch = ParseScratch::default();
+        g.bench_function(name, |b| {
+            b.iter(|| {
+                let ds = PhoneDataset::from_flashfs_with(0, fs, &mut scratch);
+                let kept = ds.defects().records_kept;
+                ds.recycle(&mut scratch);
+                kept
+            })
+        });
+    }
     g.finish();
 }
 

@@ -24,8 +24,8 @@ use crate::flashfs::FlashFs;
 use crate::intern::{NameId, NameIds, NameTable};
 use crate::logger::files;
 use crate::records::{
-    decode_beat, BootRecord, HeartbeatEvent, LogRecord, PanicRecord, PanicRef, ParseDefect,
-    RecordRef,
+    decode_beat, decode_canonical_beat, BootRecord, HeartbeatEvent, LogRecord, PanicRecord,
+    PanicRef, ParseDefect, RecordRef,
 };
 
 /// A panic with its context as stored in the dataset: the hot-path
@@ -236,7 +236,8 @@ impl PhoneDataset {
     /// Parses the flash files harvested from one phone.
     ///
     /// The parse is lossy-tolerant, as the field study's had to be:
-    /// invalid UTF-8 is decoded lossily instead of panicking, every
+    /// invalid UTF-8 is flagged instead of panicking (the log is decoded
+    /// lossily, a beats line holding it is rejected), every
     /// malformed line is skipped and classified into the
     /// [`ParseDefect`] taxonomy, exact duplicate beats are dropped,
     /// and out-of-order records are kept but flagged (the index
@@ -286,49 +287,64 @@ impl PhoneDataset {
             }
         }
 
-        // Beats: exact `(timestamp, event)` repeats are duplicates and
-        // dropped — checked before the order check, so a duplicated
-        // block is counted as duplication, not also as reordering. The
-        // duplicate set is built lazily: while timestamps strictly
-        // increase (every clean harvest) no set exists at all; the
-        // first non-increasing timestamp materializes it from the
-        // beats kept so far, which are exactly the entries the eager
-        // set would contain.
-        let beats_text = lossy_text(fs, files::BEATS, &mut defects);
+        // Beats: an exact `(timestamp, event)` repeat of a kept beat is
+        // a duplicate and dropped — checked before the order check, so
+        // a duplicated block is counted as duplication, not also as
+        // reordering. A beat past the running maximum cannot repeat
+        // anything kept, so it is kept at once: that is every beat of a
+        // clean harvest. Beats kept at or past the maximum form a
+        // non-decreasing run, searched by bisection; the few kept below
+        // it (out of order) go to `strays`, which rejoin the run in file
+        // order before `index` sorts them — the same order the file
+        // gives, since a run beat that ties a stray's timestamp always
+        // precedes it in the file.
+        let raw_beats = fs.read_bytes(files::BEATS).unwrap_or(&[]);
         let mut beats: Vec<(SimTime, HeartbeatEvent)> = std::mem::take(&mut scratch.beats);
-        beats.reserve(beats_text.len() / 12);
-        let mut seen: Option<HashSet<(u64, HeartbeatEvent)>> = None;
-        let mut last_ms: Option<u64> = None;
-        for line in beats_text.lines() {
+        beats.reserve(raw_beats.len() / 12);
+        let mut strays: Vec<(SimTime, HeartbeatEvent)> = Vec::new();
+        let mut stray_set: HashSet<(SimTime, HeartbeatEvent)> = HashSet::new();
+        let mut max_at: Option<SimTime> = None;
+        let mut rest = raw_beats;
+        while !rest.is_empty() {
             defects.lines_seen += 1;
-            match decode_beat(line) {
-                Ok((at, event)) => {
-                    let ms = at.as_millis();
-                    if seen.is_none() {
-                        if last_ms.is_none_or(|max| ms > max) {
-                            last_ms = Some(ms);
-                            defects.records_kept += 1;
-                            beats.push((at, event));
-                            continue;
-                        }
-                        seen = Some(beats.iter().map(|&(t, e)| (t.as_millis(), e)).collect());
-                    }
-                    let set = seen.as_mut().expect("just materialized");
-                    if !set.insert((ms, event)) {
-                        defects.record(ParseDefect::Duplicate);
-                        continue;
-                    }
-                    if last_ms.is_some_and(|max| ms < max) {
-                        defects.record(ParseDefect::OutOfOrder);
-                    } else {
-                        last_ms = Some(ms);
-                    }
+            let (at, event) = match next_beat(&mut rest) {
+                Ok(beat) => beat,
+                Err((defect, line)) => {
+                    defects.record(defect);
+                    // A decoded beat is ASCII, so only a rejected line
+                    // can hold the invalid UTF-8 of a garbled file.
+                    defects.invalid_utf8 |= std::str::from_utf8(line).is_err();
+                    continue;
+                }
+            };
+            let max = match max_at {
+                Some(max) if at <= max => max,
+                _ => {
+                    max_at = Some(at);
                     defects.records_kept += 1;
                     beats.push((at, event));
+                    continue;
                 }
-                Err(e) => defects.record(e.defect),
+            };
+            let from = beats.partition_point(|&(t, _)| t < at);
+            let in_run = beats[from..]
+                .iter()
+                .take_while(|&&(t, _)| t == at)
+                .any(|&(_, e)| e == event);
+            if in_run || stray_set.contains(&(at, event)) {
+                defects.record(ParseDefect::Duplicate);
+                continue;
+            }
+            defects.records_kept += 1;
+            if at < max {
+                defects.record(ParseDefect::OutOfOrder);
+                stray_set.insert((at, event));
+                strays.push((at, event));
+            } else {
+                beats.push((at, event));
             }
         }
+        beats.append(&mut strays);
 
         defects.unusable = defects.lines_seen > 0 && defects.records_kept == 0;
         let mut ds = Self {
@@ -495,6 +511,29 @@ fn lossy_text<'a>(fs: &'a FlashFs, file: &str, defects: &mut PhoneDefects) -> Co
     let text = String::from_utf8_lossy(raw);
     defects.invalid_utf8 |= matches!(text, Cow::Owned(_));
     text
+}
+
+/// Splits the next line off the front of a beats buffer and decodes
+/// it. A line in the shape the logger writes decodes in place; any
+/// other is cut at its `\n` — dropping a `\r` before it, as
+/// `str::lines` does — and classified by [`decode_beat`]. A rejected
+/// line comes back as its defect and its raw bytes.
+fn next_beat<'a>(
+    rest: &mut &'a [u8],
+) -> Result<(SimTime, HeartbeatEvent), (ParseDefect, &'a [u8])> {
+    if let Some((at, event, used)) = decode_canonical_beat(rest) {
+        *rest = &rest[used..];
+        return Ok((at, event));
+    }
+    let (line, used) = match rest.iter().position(|&b| b == b'\n') {
+        Some(end) => {
+            let line = &rest[..end];
+            (line.strip_suffix(b"\r").unwrap_or(line), end + 1)
+        }
+        None => (*rest, rest.len()),
+    };
+    *rest = &rest[used..];
+    decode_beat(line).map_err(|defect| (defect, line))
 }
 
 /// The whole fleet's harvested data plus fleet-wide event indexes.

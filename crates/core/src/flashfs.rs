@@ -6,7 +6,10 @@
 //! amplification so the heartbeat-period ablation can report the log
 //! volume cost of faster detection.
 
-use std::collections::BTreeMap;
+/// Directory entries the first file creation makes room for: every
+/// file a phone's logger writes fits, so the directory is allocated
+/// once per phone.
+const DIRECTORY_SLOTS: usize = 8;
 
 /// An in-memory, reboot-persistent, line-oriented filesystem.
 ///
@@ -23,7 +26,10 @@ use std::collections::BTreeMap;
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct FlashFs {
-    files: BTreeMap<String, Vec<u8>>,
+    /// `(name, content)` sorted by name. A phone writes a handful of
+    /// files, so one equality scan finds a file faster than a tree
+    /// lookup, and the hot append path does exactly one scan.
+    files: Vec<(String, Vec<u8>)>,
     bytes_written: u64,
 }
 
@@ -39,7 +45,7 @@ impl FlashFs {
     /// construction).
     pub fn append_line(&mut self, file: &str, line: &str) {
         debug_assert!(!line.contains('\n'), "records must be single lines");
-        let buf = ensure_file(&mut self.files, file);
+        let buf = self.file_mut(file);
         buf.extend_from_slice(line.as_bytes());
         buf.push(b'\n');
         self.bytes_written += line.len() as u64 + 1;
@@ -51,7 +57,7 @@ impl FlashFs {
     /// The newline is added afterwards and the wear counter advances by
     /// exactly the bytes appended.
     pub fn append_line_with(&mut self, file: &str, write: impl FnOnce(&mut Vec<u8>)) {
-        let buf = ensure_file(&mut self.files, file);
+        let buf = self.file_mut(file);
         let start = buf.len();
         write(buf);
         debug_assert!(
@@ -64,8 +70,7 @@ impl FlashFs {
 
     /// Iterator over the lines of `file` (empty for a missing file).
     pub fn read_lines(&self, file: &str) -> impl Iterator<Item = &str> {
-        self.files
-            .get(file)
+        self.file(file)
             .map(|b| std::str::from_utf8(b).expect("flashfs content is UTF-8"))
             .unwrap_or("")
             .lines()
@@ -76,7 +81,7 @@ impl FlashFs {
     /// end of the buffer and UTF-8-checks only that line, so the
     /// boot-time heartbeat check costs the same on day 400 as on day 1.
     pub fn last_line(&self, file: &str) -> Option<&str> {
-        let buf = self.files.get(file)?.as_slice();
+        let buf = self.file(file)?.as_slice();
         let body = buf.strip_suffix(b"\n").unwrap_or(buf);
         let start = body.iter().rposition(|&b| b == b'\n').map_or(0, |i| i + 1);
         // A '\n' is never inside a multi-byte sequence, so the tail is
@@ -90,7 +95,7 @@ impl FlashFs {
 
     /// Raw content of a file as bytes (borrowed; no copy).
     pub fn read_bytes(&self, file: &str) -> Option<&[u8]> {
-        self.files.get(file).map(Vec::as_slice)
+        self.file(file).map(Vec::as_slice)
     }
 
     /// Replaces a file's raw content in place, without touching the
@@ -99,34 +104,34 @@ impl FlashFs {
     /// interleaved blocks), not a logger write path. Creates the file
     /// if it does not exist.
     pub fn overwrite_raw(&mut self, file: &str, bytes: Vec<u8>) {
-        self.files.insert(file.to_string(), bytes);
+        *self.file_mut(file) = bytes;
     }
 
     /// True when the file exists.
     pub fn exists(&self, file: &str) -> bool {
-        self.files.contains_key(file)
+        self.file(file).is_some()
     }
 
     /// Removes a file; returns true if it existed.
     pub fn remove(&mut self, file: &str) -> bool {
-        self.files.remove(file).is_some()
+        self.position(file).map(|i| self.files.remove(i)).is_some()
     }
 
     /// Truncates a file to zero length, keeping it in the directory.
     pub fn truncate(&mut self, file: &str) {
-        if let Some(buf) = self.files.get_mut(file) {
-            buf.clear();
+        if let Some(i) = self.position(file) {
+            self.files[i].1.clear();
         }
     }
 
     /// Names of all files, sorted.
     pub fn file_names(&self) -> Vec<&str> {
-        self.files.keys().map(String::as_str).collect()
+        self.files.iter().map(|(name, _)| name.as_str()).collect()
     }
 
     /// Size of a file in bytes (0 when missing).
     pub fn size_of(&self, file: &str) -> u64 {
-        self.files.get(file).map(|b| b.len() as u64).unwrap_or(0)
+        self.file(file).map(|b| b.len() as u64).unwrap_or(0)
     }
 
     /// Total bytes written over the filesystem's lifetime (the flash
@@ -137,18 +142,33 @@ impl FlashFs {
 
     /// Total current size across files.
     pub fn total_size(&self) -> u64 {
-        self.files.values().map(|b| b.len() as u64).sum()
+        self.files.iter().map(|(_, b)| b.len() as u64).sum()
     }
-}
 
-/// Returns the buffer for `file`, creating it if needed — without the
-/// per-call `String` key allocation that `entry(file.to_string())`
-/// would pay on the (overwhelmingly common) existing-file case.
-fn ensure_file<'a>(files: &'a mut BTreeMap<String, Vec<u8>>, file: &str) -> &'a mut Vec<u8> {
-    if !files.contains_key(file) {
-        files.insert(file.to_string(), Vec::new());
+    /// Index of `file` in the directory.
+    fn position(&self, file: &str) -> Option<usize> {
+        self.files.iter().position(|(name, _)| name == file)
     }
-    files.get_mut(file).expect("just ensured present")
+
+    /// Content of `file`, if it exists.
+    fn file(&self, file: &str) -> Option<&Vec<u8>> {
+        self.position(file).map(|i| &self.files[i].1)
+    }
+
+    /// The buffer for `file`, creating it at its sorted place if needed
+    /// — the name is allocated only then, never on the (overwhelmingly
+    /// common) existing-file case.
+    fn file_mut(&mut self, file: &str) -> &mut Vec<u8> {
+        let i = self.position(file).unwrap_or_else(|| {
+            if self.files.is_empty() {
+                self.files.reserve(DIRECTORY_SLOTS);
+            }
+            let at = self.files.partition_point(|(name, _)| name.as_str() < file);
+            self.files.insert(at, (file.to_string(), Vec::new()));
+            at
+        });
+        &mut self.files[i].1
+    }
 }
 
 #[cfg(test)]

@@ -61,7 +61,7 @@ mod tests {
         assert_eq!(hb.beats_written(), 2);
         let events: Vec<HeartbeatEvent> = fs
             .read_lines(files::BEATS)
-            .map(|l| decode_beat(l).unwrap().1)
+            .map(|l| decode_beat(l.as_bytes()).unwrap().1)
             .collect();
         assert_eq!(
             events,

@@ -70,7 +70,7 @@ impl PanicDetector {
     pub fn on_boot(&mut self, fs: &mut FlashFs, now: SimTime) {
         let last_beat = fs
             .last_line(files::BEATS)
-            .and_then(|line| decode_beat(line).ok());
+            .and_then(|line| decode_beat(line.as_bytes()).ok());
         let record = match last_beat {
             None => BootRecord {
                 // Very first boot: nothing to classify.

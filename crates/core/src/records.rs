@@ -39,13 +39,22 @@ impl HeartbeatEvent {
 
     /// Parses a beats-file token.
     pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "ALIVE" => Some(HeartbeatEvent::Alive),
-            "REBOOT" => Some(HeartbeatEvent::Reboot),
-            "MAOFF" => Some(HeartbeatEvent::ManualOff),
-            "LOWBT" => Some(HeartbeatEvent::LowBattery),
-            _ => None,
-        }
+        Self::from_token(s.as_bytes())
+    }
+
+    /// Every event, in token-table order.
+    const ALL: [HeartbeatEvent; 4] = [
+        HeartbeatEvent::Alive,
+        HeartbeatEvent::Reboot,
+        HeartbeatEvent::ManualOff,
+        HeartbeatEvent::LowBattery,
+    ];
+
+    /// The event whose token is exactly `token`.
+    fn from_token(token: &[u8]) -> Option<Self> {
+        Self::ALL
+            .into_iter()
+            .find(|e| e.token().as_bytes() == token)
     }
 }
 
@@ -125,19 +134,38 @@ pub fn line_checksum_bytes(payload: &[u8]) -> u16 {
     ((h ^ (h >> 16) ^ (h >> 32) ^ (h >> 48)) & 0xffff) as u16
 }
 
+/// The two ASCII digits of every value `00..=99`, back to back:
+/// [`push_u64`] writes a whole pair per division.
+const DIGIT_PAIRS: [u8; 200] = {
+    let mut table = [0u8; 200];
+    let mut i = 0;
+    while i < 100 {
+        table[2 * i] = b'0' + (i / 10) as u8;
+        table[2 * i + 1] = b'0' + (i % 10) as u8;
+        i += 1;
+    }
+    table
+};
+
 /// Appends the decimal digits of `v` to `out` — the writer path's
 /// replacement for `format!("{v}")`, allocation- and fmt-machinery
-/// free.
+/// free, two digits per step.
 pub fn push_u64(out: &mut Vec<u8>, mut v: u64) {
     let mut digits = [0u8; 20];
     let mut i = digits.len();
-    loop {
+    while v >= 100 {
+        let pair = (v % 100) as usize * 2;
+        v /= 100;
+        i -= 2;
+        digits[i..i + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+    }
+    if v >= 10 {
+        let pair = v as usize * 2;
+        i -= 2;
+        digits[i..i + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+    } else {
         i -= 1;
-        digits[i] = b'0' + (v % 10) as u8;
-        v /= 10;
-        if v == 0 {
-            break;
-        }
+        digits[i] = b'0' + v as u8;
     }
     out.extend_from_slice(&digits[i..]);
 }
@@ -754,42 +782,89 @@ pub fn encode_beat_into(out: &mut Vec<u8>, at: SimTime, event: HeartbeatEvent) {
     out.extend_from_slice(event.token().as_bytes());
 }
 
-/// True when `s` is a proper prefix of some heartbeat token — the
+/// True when `token` is a proper prefix of some heartbeat token — the
 /// signature a mid-record cut leaves on a beats line.
-fn is_token_prefix(s: &str) -> bool {
-    ["ALIVE", "REBOOT", "MAOFF", "LOWBT"]
-        .iter()
-        .any(|t| t.len() > s.len() && t.starts_with(s))
+fn is_token_prefix(token: &[u8]) -> bool {
+    HeartbeatEvent::ALL.iter().any(|e| {
+        let t = e.token().as_bytes();
+        t.len() > token.len() && t.starts_with(token)
+    })
 }
 
-/// Decodes a beats-file line.
+/// Parses a decimal `u64` field with exactly `str::parse::<u64>`'s
+/// rules: an optional leading `+`, then one or more ASCII digits, and
+/// no value above `u64::MAX`.
+fn parse_u64_field(field: &[u8]) -> Option<u64> {
+    let digits = field.strip_prefix(b"+").unwrap_or(field);
+    if digits.is_empty() {
+        return None;
+    }
+    digits.iter().try_fold(0u64, |acc, &b| {
+        let digit = b.wrapping_sub(b'0');
+        if digit > 9 {
+            return None;
+        }
+        acc.checked_mul(10)?.checked_add(u64::from(digit))
+    })
+}
+
+/// Decodes one beats-file line (without its newline).
 ///
 /// # Errors
 ///
-/// Returns a [`RecordParseError`] on malformed input. A missing
+/// Returns the line's [`ParseDefect`] on malformed input. A missing
 /// separator, an unparseable timestamp, or a token that is a proper
 /// prefix of a valid token classify as [`ParseDefect::Truncated`];
 /// any other unrecognized token is [`ParseDefect::UnknownTag`].
-pub fn decode_beat(line: &str) -> Result<(SimTime, HeartbeatEvent), RecordParseError> {
-    let err = |what: &str, defect: ParseDefect| RecordParseError {
-        line: line.to_string(),
-        what: what.to_string(),
-        defect,
-    };
-    let (ms, token) = line
-        .split_once('|')
-        .ok_or_else(|| err("beat", ParseDefect::Truncated))?;
-    let at = ms
-        .parse::<u64>()
-        .map_err(|_| err("beat timestamp", ParseDefect::Truncated))?;
-    let event = match HeartbeatEvent::parse(token) {
-        Some(e) => e,
-        None if is_token_prefix(token) => {
-            return Err(err("beat event", ParseDefect::Truncated));
+pub fn decode_beat(line: &[u8]) -> Result<(SimTime, HeartbeatEvent), ParseDefect> {
+    let sep = line
+        .iter()
+        .position(|&b| b == b'|')
+        .ok_or(ParseDefect::Truncated)?;
+    let at = parse_u64_field(&line[..sep]).ok_or(ParseDefect::Truncated)?;
+    let token = &line[sep + 1..];
+    match HeartbeatEvent::from_token(token) {
+        Some(event) => Ok((SimTime::from_millis(at), event)),
+        None if is_token_prefix(token) => Err(ParseDefect::Truncated),
+        None => Err(ParseDefect::UnknownTag),
+    }
+}
+
+/// Decodes the beats line at the start of `buf` in place when it has
+/// the shape the logger writes: 1–19 digits (never past `u64::MAX`),
+/// `|`, a whole token, then `\n` or the end of the buffer. Returns the
+/// beat and the bytes it spans, newline included; `None` for any other
+/// line, which [`decode_beat`] then classifies after the caller cuts
+/// it at its newline. Agrees with [`decode_beat`] on every line it
+/// accepts.
+pub(crate) fn decode_canonical_beat(buf: &[u8]) -> Option<(SimTime, HeartbeatEvent, usize)> {
+    // Plain indexed loops: this runs once per beat, and unoptimized
+    // test builds pay for every iterator adapter call.
+    let mut ms = 0u64;
+    let mut i = 0;
+    while i < buf.len() && buf[i].is_ascii_digit() {
+        if i == 19 {
+            return None;
         }
-        None => return Err(err("beat event", ParseDefect::UnknownTag)),
-    };
-    Ok((SimTime::from_millis(at), event))
+        ms = ms * 10 + u64::from(buf[i] - b'0');
+        i += 1;
+    }
+    if i == 0 || i == buf.len() || buf[i] != b'|' {
+        return None;
+    }
+    let rest = &buf[i + 1..];
+    for event in HeartbeatEvent::ALL {
+        let token = event.token().as_bytes();
+        if rest.starts_with(token) {
+            let end = i + 1 + token.len();
+            return match buf.get(end) {
+                None => Some((SimTime::from_millis(ms), event, end)),
+                Some(b'\n') => Some((SimTime::from_millis(ms), event, end + 1)),
+                Some(_) => None,
+            };
+        }
+    }
+    None
 }
 
 #[cfg(test)]
@@ -917,16 +992,76 @@ mod tests {
     fn beat_decode_classifies_cut_vs_unknown() {
         let line = encode_beat(SimTime::from_secs(9), HeartbeatEvent::Reboot);
         for cut in 1..line.len() {
-            let got = decode_beat(&line[..line.len() - cut]).unwrap_err();
-            assert_eq!(got.defect, ParseDefect::Truncated, "cut {cut}");
+            let got = decode_beat(&line.as_bytes()[..line.len() - cut]).unwrap_err();
+            assert_eq!(got, ParseDefect::Truncated, "cut {cut}");
         }
+        assert_eq!(decode_beat(b"12|NOPE"), Err(ParseDefect::UnknownTag));
+        assert_eq!(decode_beat(b"12|"), Err(ParseDefect::Truncated));
+    }
+
+    #[test]
+    fn beat_timestamp_follows_str_parse_rules() {
+        for field in [
+            "",
+            "+",
+            "-",
+            "+0",
+            "-0",
+            "++1",
+            "007",
+            "1 ",
+            " 1",
+            "18446744073709551615",
+            "18446744073709551616",
+            "+18446744073709551615",
+            "000000000000000000000042",
+            "99999999999999999999",
+        ] {
+            let line = format!("{field}|ALIVE");
+            assert_eq!(
+                decode_beat(line.as_bytes())
+                    .ok()
+                    .map(|(t, _)| t.as_millis()),
+                field.parse::<u64>().ok(),
+                "{field:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn canonical_beat_agrees_with_decode_beat() {
+        for line in [
+            "0|ALIVE",
+            "42|REBOOT\n7|MAOFF",
+            "1234567890123456789|LOWBT\n",
+            "12345678901234567890|ALIVE",
+            "+1|ALIVE",
+            "|ALIVE",
+            "1|ALIV",
+            "1|ALIVEX",
+            "1|ALIVE\r\n",
+            "1|alive",
+            "1|MAOFF|",
+        ] {
+            let buf = line.as_bytes();
+            let Some((at, event, used)) = decode_canonical_beat(buf) else {
+                continue;
+            };
+            let end = buf.iter().position(|&b| b == b'\n');
+            assert_eq!(used, end.map_or(buf.len(), |i| i + 1), "{line:?}");
+            let cut = &buf[..end.unwrap_or(buf.len())];
+            assert_eq!(decode_beat(cut), Ok((at, event)), "{line:?}");
+        }
+        assert!(decode_canonical_beat(b"12345678901234567890|ALIVE").is_none());
+        assert!(decode_canonical_beat(b"+1|ALIVE").is_none());
+        assert!(decode_canonical_beat(b"1|ALIVE\r\n").is_none());
         assert_eq!(
-            decode_beat("12|NOPE").unwrap_err().defect,
-            ParseDefect::UnknownTag
-        );
-        assert_eq!(
-            decode_beat("12|").unwrap_err().defect,
-            ParseDefect::Truncated
+            decode_canonical_beat(b"1234567890123456789|LOWBT"),
+            Some((
+                SimTime::from_millis(1_234_567_890_123_456_789),
+                HeartbeatEvent::LowBattery,
+                25
+            ))
         );
     }
 
@@ -944,13 +1079,13 @@ mod tests {
             HeartbeatEvent::LowBattery,
         ] {
             let line = encode_beat(SimTime::from_secs(42), ev);
-            let (t, e) = decode_beat(&line).unwrap();
+            let (t, e) = decode_beat(line.as_bytes()).unwrap();
             assert_eq!(t, SimTime::from_secs(42));
             assert_eq!(e, ev);
         }
-        assert!(decode_beat("garbage").is_err());
-        assert!(decode_beat("12|NOPE").is_err());
-        assert!(decode_beat("x|ALIVE").is_err());
+        assert!(decode_beat(b"garbage").is_err());
+        assert!(decode_beat(b"12|NOPE").is_err());
+        assert!(decode_beat(b"x|ALIVE").is_err());
     }
 
     #[test]
@@ -995,10 +1130,14 @@ mod tests {
 
     #[test]
     fn push_u64_matches_display() {
-        for v in [0, 1, 9, 10, 999, 1_000_000, u64::MAX] {
-            let mut buf = Vec::new();
+        // Every digit-count boundary: 10^k - 1, 10^k and 10^k + 1 for
+        // each power of ten a u64 holds, plus both ends of the range.
+        let powers = (0..20).map(|k| 10u64.pow(k));
+        let boundaries = powers.flat_map(|p| [p - 1, p, p + 1]);
+        for v in boundaries.chain([u64::MAX - 1, u64::MAX]) {
+            let mut buf = b"x".to_vec();
             push_u64(&mut buf, v);
-            assert_eq!(buf, v.to_string().into_bytes());
+            assert_eq!(buf[1..], *v.to_string().as_bytes(), "{v}");
         }
     }
 

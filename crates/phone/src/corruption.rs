@@ -245,7 +245,11 @@ impl CorruptionModel {
             // not advance past an out-of-order record, so after
             // swapping A,B -> B,A it flags exactly the A-lines whose
             // timestamp is strictly below B's maximum.
-            let time = |line: &&str| decode_beat(line).map(|(t, _)| t.as_millis()).ok();
+            let time = |line: &&str| {
+                decode_beat(line.as_bytes())
+                    .map(|(t, _)| t.as_millis())
+                    .ok()
+            };
             let max_b = beat_lines[start + a..start + a + b]
                 .iter()
                 .filter_map(time)

@@ -21,6 +21,11 @@ cargo test -q --test signature_props
 cargo test -q --test minimize_repro
 cargo test -q -p symfail-bench --test cli_shard
 cargo bench --workspace -- --test
+# The benchmark (perfbench/) is a workspace of its own that drives the
+# public library API: build it and run its tests here, so a library
+# change that breaks a call it makes fails tier-1 instead of the next
+# benchmark run.
+cargo test -q --offline --manifest-path perfbench/Cargo.toml
 
 # `--gates` additionally runs the CI byte-identity/throughput/resume
 # gates (the exact script the tier1 CI job runs). fmt and clippy above

@@ -130,7 +130,7 @@ fn raw_flash_lines_all_parse() {
     }
     let fs = phone.flashfs();
     for line in fs.read_lines("beats") {
-        decode_beat(line).expect("every beat line parses");
+        decode_beat(line.as_bytes()).expect("every beat line parses");
     }
     for line in fs.read_lines("log") {
         symfail::core::records::LogRecord::decode(line).expect("every log line parses");

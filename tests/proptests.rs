@@ -5,9 +5,11 @@ use proptest::test_runner::Config as ProptestConfig;
 
 use symfail::core::analysis::coalesce::CoalescenceAnalysis;
 use symfail::core::analysis::dataset::{FleetDataset, HlEvent, HlKind, PhoneDataset};
+use symfail::core::analysis::defects::PhoneDefects;
 use symfail::core::flashfs::FlashFs;
 use symfail::core::records::{
-    decode_beat, encode_beat, BootRecord, HeartbeatEvent, LogRecord, PanicRecord, RecordRef,
+    decode_beat, encode_beat, push_u64, BootRecord, HeartbeatEvent, LogRecord, PanicRecord,
+    ParseDefect, RecordRef,
 };
 use symfail::sim::{EventQueue, SimDuration, SimRng, SimTime};
 use symfail::stats::{CategoricalDist, Histogram, OnlineSummary};
@@ -285,7 +287,7 @@ proptest! {
             HeartbeatEvent::ManualOff,
             HeartbeatEvent::LowBattery,
         ][which];
-        let (t, e) = decode_beat(&encode_beat(SimTime::from_millis(at), ev)).unwrap();
+        let (t, e) = decode_beat(encode_beat(SimTime::from_millis(at), ev).as_bytes()).unwrap();
         prop_assert_eq!(t, SimTime::from_millis(at));
         prop_assert_eq!(e, ev);
     }
@@ -405,6 +407,238 @@ proptest! {
                 "verdict diverged on {:?}: zero-copy {:?} vs owned {:?}",
                 damaged, z.map(|r| r.to_owned_record()), o
             ),
+        }
+    }
+}
+
+// ---------------------------------------------------------------
+// Beats reader oracle: the one-pass byte reader must give the same
+// beats and the same defect counters as the str path it replaced —
+// whole-file `String::from_utf8_lossy`, `str::lines`, a `&str` beat
+// decoder and a hash set of every kept beat — on any byte file.
+// ---------------------------------------------------------------
+
+/// The replaced `&str` beat decoder, verbatim in behaviour.
+fn str_decode_beat(line: &str) -> Result<(SimTime, HeartbeatEvent), ParseDefect> {
+    let (ms, token) = line.split_once('|').ok_or(ParseDefect::Truncated)?;
+    let at = ms.parse::<u64>().map_err(|_| ParseDefect::Truncated)?;
+    let is_token_prefix = ["ALIVE", "REBOOT", "MAOFF", "LOWBT"]
+        .iter()
+        .any(|t| t.len() > token.len() && t.starts_with(token));
+    match HeartbeatEvent::parse(token) {
+        Some(e) => Ok((SimTime::from_millis(at), e)),
+        None if is_token_prefix => Err(ParseDefect::Truncated),
+        None => Err(ParseDefect::UnknownTag),
+    }
+}
+
+/// The replaced beats read: lossy text, `str::lines`, and a lazily
+/// built set of every kept beat for the duplicate check. Returns the
+/// beats in the dataset's order (stably sorted by time) and the
+/// defects of a flash holding only this beats file.
+fn str_path_beats(raw: &[u8]) -> (Vec<(SimTime, HeartbeatEvent)>, PhoneDefects) {
+    let mut defects = PhoneDefects::default();
+    let text = String::from_utf8_lossy(raw);
+    defects.invalid_utf8 = matches!(text, std::borrow::Cow::Owned(_));
+    let mut beats = Vec::new();
+    let mut seen: Option<std::collections::HashSet<(u64, HeartbeatEvent)>> = None;
+    let mut last_ms: Option<u64> = None;
+    for line in text.lines() {
+        defects.lines_seen += 1;
+        match str_decode_beat(line) {
+            Ok((at, event)) => {
+                let ms = at.as_millis();
+                if seen.is_none() {
+                    if last_ms.is_none_or(|max| ms > max) {
+                        last_ms = Some(ms);
+                        defects.records_kept += 1;
+                        beats.push((at, event));
+                        continue;
+                    }
+                    seen = Some(
+                        beats
+                            .iter()
+                            .map(|&(t, e): &(SimTime, _)| (t.as_millis(), e))
+                            .collect(),
+                    );
+                }
+                let set = seen.as_mut().expect("just materialized");
+                if !set.insert((ms, event)) {
+                    defects.record(ParseDefect::Duplicate);
+                    continue;
+                }
+                if last_ms.is_some_and(|max| ms < max) {
+                    defects.record(ParseDefect::OutOfOrder);
+                } else {
+                    last_ms = Some(ms);
+                }
+                defects.records_kept += 1;
+                beats.push((at, event));
+            }
+            Err(defect) => defects.record(defect),
+        }
+    }
+    defects.unusable = defects.lines_seen > 0 && defects.records_kept == 0;
+    beats.sort_by_key(|&(at, _)| at);
+    (beats, defects)
+}
+
+/// Fragments a beats file is built from: canonical lines of every
+/// token on a few shared timestamps (so sequences repeat and swap
+/// them), line endings, signs, timestamps at and past 19 digits and
+/// `u64::MAX`, cut and near-miss tokens, and bytes that are invalid,
+/// cut or valid multi-byte UTF-8. Pieces without a newline glue onto
+/// their neighbours, making still other lines.
+const BEAT_PIECES: &[&[u8]] = &[
+    b"5|ALIVE\n",
+    b"7|ALIVE\n",
+    b"9|ALIVE\n",
+    b"7|REBOOT\n",
+    b"9|MAOFF\n",
+    b"5|LOWBT\n",
+    b"12|ALIVE\n",
+    b"007|ALIVE\n",
+    b"7|ALIVE\r\n",
+    b"9|ALIVE",
+    b"\r\n",
+    b"\r",
+    b"\n",
+    b"+7|ALIVE\n",
+    b"-7|ALIVE\n",
+    b"+|ALIVE\n",
+    b"+",
+    b"-",
+    b"1234567890123456789|ALIVE\n",
+    b"18446744073709551615|REBOOT\n",
+    b"18446744073709551616|ALIVE\n",
+    b"99999999999999999999|ALIVE\n",
+    b"000000000000000000009|ALIVE\n",
+    b"100000000000000000000|LOWBT\n",
+    b"5|AL\n",
+    b"5|REBO\n",
+    b"5|ALIVEX\n",
+    b"5|alive\n",
+    b"5|\n",
+    b"|ALIVE\n",
+    b"5ALIVE\n",
+    b"7|MAOFF|\n",
+    b"|",
+    b"7",
+    b"ALIVE",
+    b"\xff",
+    b"5|AL\xff\n",
+    b"\xe2\x82",
+    b"\xc3\xa9",
+    b"5\xc3\xa9|ALIVE\n",
+];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4096))]
+
+    /// For any file glued from [`BEAT_PIECES`], the byte reader and the
+    /// str path keep the same beats in the same order and count the
+    /// same defects, `invalid_utf8` and `unusable` included.
+    #[test]
+    fn beats_reader_matches_str_path(
+        pieces in prop::collection::vec(0usize..BEAT_PIECES.len(), 0..24),
+    ) {
+        let raw: Vec<u8> = pieces.iter().flat_map(|&i| BEAT_PIECES[i].iter().copied()).collect();
+        let mut fs = FlashFs::new();
+        fs.overwrite_raw("beats", raw.clone());
+        let ds = PhoneDataset::from_flashfs(0, &fs);
+        let (beats, defects) = str_path_beats(&raw);
+        prop_assert_eq!(ds.beats(), &beats[..], "beats diverged on {:?}", String::from_utf8_lossy(&raw));
+        prop_assert_eq!(ds.defects(), &defects, "defects diverged on {:?}", String::from_utf8_lossy(&raw));
+    }
+
+    /// `push_u64` writes exactly `to_string`'s digits for values of
+    /// every length.
+    #[test]
+    fn push_u64_matches_to_string(v in 0u64..=u64::MAX, shift in 0u32..64) {
+        let v = v >> shift;
+        let mut buf = Vec::new();
+        push_u64(&mut buf, v);
+        prop_assert_eq!(buf, v.to_string().into_bytes());
+    }
+}
+
+// ---------------------------------------------------------------
+// FlashFs against a map model: the sorted-vector directory behaves
+// like a `BTreeMap<String, Vec<u8>>` under any operation sequence.
+// ---------------------------------------------------------------
+
+/// One filesystem operation on one of [`FS_NAMES`].
+#[derive(Debug, Clone)]
+enum FsOp {
+    AppendLine(usize, String),
+    AppendLineWith(usize, String),
+    OverwriteRaw(usize, String),
+    Truncate(usize),
+    Remove(usize),
+}
+
+/// A few file names, so sequences revisit files; random order creates
+/// them out of sorted order.
+const FS_NAMES: [&str; 5] = ["log", "beats", "a", "zz", "power"];
+
+fn fs_op() -> impl Strategy<Value = FsOp> {
+    let name = 0usize..FS_NAMES.len();
+    prop_oneof![
+        (name.clone(), "[a-z0-9|]{0,8}").prop_map(|(f, l)| FsOp::AppendLine(f, l)),
+        (name.clone(), "[a-z0-9|]{0,8}").prop_map(|(f, l)| FsOp::AppendLineWith(f, l)),
+        (name.clone(), "[a-z\n]{0,8}").prop_map(|(f, b)| FsOp::OverwriteRaw(f, b)),
+        name.clone().prop_map(FsOp::Truncate),
+        name.prop_map(FsOp::Remove),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn flashfs_matches_map_model(ops in prop::collection::vec(fs_op(), 0..40)) {
+        let mut fs = FlashFs::new();
+        let mut model: std::collections::BTreeMap<String, Vec<u8>> = Default::default();
+        let mut written = 0u64;
+        for op in ops {
+            match op {
+                FsOp::AppendLine(f, line) => {
+                    fs.append_line(FS_NAMES[f], &line);
+                    let buf = model.entry(FS_NAMES[f].to_string()).or_default();
+                    buf.extend_from_slice(line.as_bytes());
+                    buf.push(b'\n');
+                    written += line.len() as u64 + 1;
+                }
+                FsOp::AppendLineWith(f, line) => {
+                    fs.append_line_with(FS_NAMES[f], |buf| buf.extend_from_slice(line.as_bytes()));
+                    let buf = model.entry(FS_NAMES[f].to_string()).or_default();
+                    buf.extend_from_slice(line.as_bytes());
+                    buf.push(b'\n');
+                    written += line.len() as u64 + 1;
+                }
+                FsOp::OverwriteRaw(f, bytes) => {
+                    fs.overwrite_raw(FS_NAMES[f], bytes.clone().into_bytes());
+                    model.insert(FS_NAMES[f].to_string(), bytes.into_bytes());
+                }
+                FsOp::Truncate(f) => {
+                    fs.truncate(FS_NAMES[f]);
+                    if let Some(buf) = model.get_mut(FS_NAMES[f]) {
+                        buf.clear();
+                    }
+                }
+                FsOp::Remove(f) => {
+                    prop_assert_eq!(fs.remove(FS_NAMES[f]), model.remove(FS_NAMES[f]).is_some());
+                }
+            }
+            let names: Vec<&str> = model.keys().map(String::as_str).collect();
+            prop_assert_eq!(fs.file_names(), names);
+            for name in FS_NAMES {
+                prop_assert_eq!(fs.read_bytes(name), model.get(name).map(Vec::as_slice));
+                prop_assert_eq!(fs.exists(name), model.contains_key(name));
+                prop_assert_eq!(fs.size_of(name), model.get(name).map_or(0, |b| b.len() as u64));
+            }
+            prop_assert_eq!(fs.total_size(), model.values().map(|b| b.len() as u64).sum::<u64>());
+            prop_assert_eq!(fs.bytes_written(), written);
         }
     }
 }
