@@ -10,7 +10,7 @@ use symfail_core::records::LogRecord;
 use symfail_phone::calibration::CalibrationParams;
 use symfail_phone::corruption::{CorruptionModel, CorruptionProfile};
 use symfail_phone::device::Phone;
-use symfail_sim_core::{EventQueue, SimRng, SimTime};
+use symfail_sim_core::{SimRng, SimTime};
 use symfail_symbian::descriptor::TBuf;
 use symfail_symbian::heap::Heap;
 use symfail_symbian::object_index::{ObjectIndex, ObjectKind};
@@ -53,21 +53,6 @@ fn bench(c: &mut Criterion) {
                 idx.close(h).unwrap();
             }
             black_box(idx.len())
-        })
-    });
-
-    g.bench_function("event_queue_schedule_pop_1000", |b| {
-        let mut rng = SimRng::seed_from(1);
-        b.iter(|| {
-            let mut q = EventQueue::new();
-            for i in 0..1000u64 {
-                q.schedule(SimTime::from_millis(rng.next_u64() % 1_000_000), i);
-            }
-            let mut n = 0;
-            while q.pop().is_some() {
-                n += 1;
-            }
-            black_box(n)
         })
     });
 

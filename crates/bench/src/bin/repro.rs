@@ -112,6 +112,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::path::PathBuf;
 use std::process::ExitCode;
+use std::str::FromStr;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
@@ -132,7 +133,6 @@ use symfail_phone::corruption::CorruptionProfile;
 use symfail_phone::fleet::{FleetCampaign, PhoneMeta, ShardSpec, StreamingOptions, WorkerStats};
 use symfail_phone::plan::{BalanceMode, ShardPlan};
 use symfail_phone::repro::{extract_fleet_signatures, minimize, MinimizeOptions};
-use symfail_sim_core::SimDuration;
 
 /// A counting wrapper around the system allocator: lets
 /// `--timing-json` attribute heap-allocation counts and bytes to each
@@ -243,16 +243,104 @@ impl Balance {
     }
 }
 
-struct Args {
-    exp: String,
+/// The remaining command-line arguments of one subcommand.
+type ArgIter<'a> = std::slice::Iter<'a, String>;
+
+/// The next argument parsed as `T`, or `msg` when it is missing or
+/// does not parse.
+fn value<T: FromStr>(it: &mut ArgIter<'_>, msg: &str) -> Result<T, String> {
+    it.next()
+        .and_then(|v| v.parse().ok())
+        .ok_or_else(|| msg.to_string())
+}
+
+/// [`value`] for a count that must be positive.
+fn positive<T: FromStr + Default + PartialOrd>(
+    it: &mut ArgIter<'_>,
+    msg: &str,
+) -> Result<T, String> {
+    value(it, msg)
+        .ok()
+        .filter(|n| *n > T::default())
+        .ok_or_else(|| msg.to_string())
+}
+
+/// The next argument as a corruption profile name.
+fn corruption_profile(it: &mut ArgIter<'_>, msg: &str) -> Result<CorruptionProfile, String> {
+    let profile: String = value(it, msg)?;
+    CorruptionProfile::parse(&profile).ok_or(format!(
+        "unknown corruption profile {profile} (try none|light|moderate|worst)"
+    ))
+}
+
+/// The flags that name a campaign — `--seed`, `--phones`, `--days`,
+/// `--corruption` and `--fleet` — shared by every subcommand that
+/// runs, merges, plans or extracts from a campaign.
+struct CampaignFlags {
     seed: u64,
     phones: u32,
     days: u32,
+    corruption: CorruptionProfile,
+    fleet: FleetComposition,
+}
+
+impl Default for CampaignFlags {
+    fn default() -> Self {
+        Self {
+            seed: 2005,
+            phones: 25,
+            days: 425,
+            corruption: CorruptionProfile::None,
+            fleet: FleetComposition::default(),
+        }
+    }
+}
+
+impl CampaignFlags {
+    /// Takes one campaign flag and its value from `it`; any other flag
+    /// is refused as unknown.
+    fn take(&mut self, flag: &str, it: &mut ArgIter<'_>) -> Result<(), String> {
+        match flag {
+            "--seed" => self.seed = value(it, "--seed needs an integer")?,
+            "--phones" => self.phones = value(it, "--phones needs an integer")?,
+            "--days" => self.days = value(it, "--days needs an integer")?,
+            "--corruption" => {
+                self.corruption = corruption_profile(it, "--corruption needs a profile name")?
+            }
+            "--fleet" => {
+                let spec: String = value(it, "--fleet needs a composition spec")?;
+                self.fleet = FleetComposition::parse(&spec).map_err(|e| format!("--fleet: {e}"))?
+            }
+            other => return Err(format!("unknown flag {other}")),
+        }
+        Ok(())
+    }
+
+    fn params(&self) -> CalibrationParams {
+        CalibrationParams {
+            phones: self.phones,
+            campaign_days: self.days,
+            ..CalibrationParams::default()
+        }
+    }
+
+    fn campaign(&self) -> FleetCampaign {
+        FleetCampaign::new(self.seed, self.params())
+            .with_corruption(self.corruption)
+            .with_fleet(self.fleet.clone())
+    }
+
+    fn config(&self) -> AnalysisConfig {
+        self.params().analysis_config()
+    }
+}
+
+struct Args {
+    exp: String,
+    campaign: CampaignFlags,
     workers: usize,
     sweep: bool,
     analyses: String,
-    corruption: CorruptionProfile,
-    fleet: FleetComposition,
     defects_json: Option<String>,
     timing_json: Option<String>,
     checkpoint: Option<String>,
@@ -270,17 +358,13 @@ fn default_workers() -> usize {
         .unwrap_or(4)
 }
 
-fn parse_args() -> Result<Args, String> {
+fn parse_args(argv: &[String]) -> Result<Args, String> {
     let mut args = Args {
         exp: "all".to_string(),
-        seed: 2005,
-        phones: 25,
-        days: 425,
+        campaign: CampaignFlags::default(),
         workers: default_workers(),
         sweep: false,
         analyses: "all".to_string(),
-        corruption: CorruptionProfile::None,
-        fleet: FleetComposition::default(),
         defects_json: None,
         timing_json: None,
         checkpoint: None,
@@ -291,77 +375,36 @@ fn parse_args() -> Result<Args, String> {
         balance: Balance::default(),
         costs_json: None,
     };
-    let mut it = std::env::args().skip(1);
+    let mut it = argv.iter();
     while let Some(flag) = it.next() {
         match flag.as_str() {
-            "--exp" => args.exp = it.next().ok_or("--exp needs a value")?,
-            "--seed" => {
-                args.seed = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .ok_or("--seed needs an integer")?
-            }
-            "--phones" => {
-                args.phones = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .ok_or("--phones needs an integer")?
-            }
-            "--days" => {
-                args.days = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .ok_or("--days needs an integer")?
-            }
-            "--workers" => {
-                args.workers = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&n| n > 0)
-                    .ok_or("--workers needs a positive integer")?
-            }
+            "--exp" => args.exp = value(&mut it, "--exp needs a value")?,
+            "--workers" => args.workers = positive(&mut it, "--workers needs a positive integer")?,
             "--sweep" => args.sweep = true,
-            "--analyses" => args.analyses = it.next().ok_or("--analyses needs a comma-list")?,
-            "--fleet" => {
-                let spec = it.next().ok_or("--fleet needs a composition spec")?;
-                args.fleet = FleetComposition::parse(&spec).map_err(|e| format!("--fleet: {e}"))?
-            }
-            "--corruption" => {
-                let profile = it.next().ok_or("--corruption needs a profile name")?;
-                args.corruption = CorruptionProfile::parse(&profile).ok_or(format!(
-                    "unknown corruption profile {profile} (try none|light|moderate|worst)"
-                ))?
-            }
+            "--analyses" => args.analyses = value(&mut it, "--analyses needs a comma-list")?,
             "--defects-json" => {
-                args.defects_json = Some(it.next().ok_or("--defects-json needs a path")?)
+                args.defects_json = Some(value(&mut it, "--defects-json needs a path")?)
             }
             "--timing-json" => {
-                args.timing_json = Some(it.next().ok_or("--timing-json needs a path")?)
+                args.timing_json = Some(value(&mut it, "--timing-json needs a path")?)
             }
-            "--checkpoint" => args.checkpoint = Some(it.next().ok_or("--checkpoint needs a path")?),
+            "--checkpoint" => args.checkpoint = Some(value(&mut it, "--checkpoint needs a path")?),
             "--checkpoint-every" => {
-                args.checkpoint_every = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&n| n > 0)
-                    .ok_or("--checkpoint-every needs a positive phone count")?
+                args.checkpoint_every =
+                    positive(&mut it, "--checkpoint-every needs a positive phone count")?
             }
             "--stop-after" => {
-                args.stop_after = Some(
-                    it.next()
-                        .and_then(|v| v.parse().ok())
-                        .ok_or("--stop-after needs a phone count")?,
-                )
+                args.stop_after = Some(value(&mut it, "--stop-after needs a phone count")?)
             }
             "--mtbf-trace-json" => {
-                args.mtbf_trace_json = Some(it.next().ok_or("--mtbf-trace-json needs a path")?)
+                args.mtbf_trace_json = Some(value(&mut it, "--mtbf-trace-json needs a path")?)
             }
             "--shard" => {
-                let spec = it.next().ok_or("--shard needs i/N (e.g. 2/4)")?;
+                let spec: String = value(&mut it, "--shard needs i/N (e.g. 2/4)")?;
                 args.shard = Some(ShardSpec::parse(&spec).map_err(|e| format!("--shard: {e}"))?)
             }
-            "--balance" => args.balance = parse_balance(it.next().as_deref())?,
-            "--costs-json" => args.costs_json = Some(it.next().ok_or("--costs-json needs a path")?),
+            "--balance" => args.balance = parse_balance(it.next().map(String::as_str))?,
+            "--costs-json" => args.costs_json = Some(value(&mut it, "--costs-json needs a path")?),
             "--help" | "-h" => {
                 return Err(format!(
                     "usage: repro [--exp NAME] [--seed N] [--phones N] [--days N] \
@@ -390,7 +433,7 @@ fn parse_args() -> Result<Args, String> {
                     PassRegistry::NAMES.join(",")
                 ))
             }
-            other => return Err(format!("unknown flag {other}")),
+            other => args.campaign.take(other, &mut it)?,
         }
     }
     if args.balance == Balance::Measured && args.costs_json.is_none() {
@@ -526,18 +569,8 @@ struct CampaignRun {
 /// `--analyses` registry, timing the campaign stage. Fails only on
 /// checkpoint I/O or validation errors.
 fn run_campaign(args: &Args, registry: &PassRegistry) -> Result<CampaignRun, String> {
-    let params = CalibrationParams {
-        phones: args.phones,
-        campaign_days: args.days,
-        ..CalibrationParams::default()
-    };
-    let campaign = FleetCampaign::new(args.seed, params)
-        .with_corruption(args.corruption)
-        .with_fleet(args.fleet.clone());
-    let config = AnalysisConfig {
-        uptime_gap: SimDuration::from_secs(params.heartbeat_period_secs * 3 + 60),
-        ..AnalysisConfig::default()
-    };
+    let campaign = args.campaign.campaign();
+    let config = args.campaign.config();
     let opts = StreamingOptions {
         checkpoint: args.checkpoint.as_ref().map(PathBuf::from),
         checkpoint_every: args.checkpoint_every,
@@ -545,8 +578,11 @@ fn run_campaign(args: &Args, registry: &PassRegistry) -> Result<CampaignRun, Str
         mtbf_trace: args.mtbf_trace_json.is_some(),
         alloc_counter: Some(thread_alloc_calls),
         shard: args.shard,
-        balance: balance_mode(args.balance, args.costs_json.as_deref(), args.phones)?,
-        ..StreamingOptions::default()
+        balance: balance_mode(
+            args.balance,
+            args.costs_json.as_deref(),
+            args.campaign.phones,
+        )?,
     };
     let (t, (a0, b0)) = (Instant::now(), alloc_now());
     let run = campaign
@@ -659,9 +695,9 @@ fn timing_json(args: &Args, run: &CampaignRun) -> String {
          \"peak_pending_runs\": {},\n  \"peak_pending_phones\": {},\n  \
          \"peak_pending_bytes\": {},\n  \
          \"worker_alloc_calls\": [{}],\n  \"stages\": [\n{}\n  ]\n}}\n",
-        args.seed,
-        args.phones,
-        args.days,
+        args.campaign.seed,
+        args.campaign.phones,
+        args.campaign.days,
         args.workers,
         topology.index,
         topology.count,
@@ -671,7 +707,7 @@ fn timing_json(args: &Args, run: &CampaignRun) -> String {
         shard_plan.join(",\n"),
         phone_cost_start,
         phone_costs.join(", "),
-        args.corruption.as_str(),
+        args.campaign.corruption.as_str(),
         run.parse_bytes,
         defects.lines_seen,
         defects.records_kept,
@@ -711,11 +747,11 @@ fn mtbf_trace_json(args: &Args, run: &CampaignRun) -> String {
          \"phones\": {},\n  \"days\": {},\n  \"workers\": {},\n  \
          \"corruption\": \"{}\",\n  \"resumed_from\": {},\n  \
          \"trace\": [\n{}\n  ]\n}}\n",
-        args.seed,
-        args.phones,
-        args.days,
+        args.campaign.seed,
+        args.campaign.phones,
+        args.campaign.days,
         args.workers,
-        args.corruption.as_str(),
+        args.campaign.corruption.as_str(),
         run.resumed_from
             .map_or_else(|| "null".to_string(), |n| n.to_string()),
         entries.join(",\n")
@@ -753,51 +789,14 @@ fn forum_report(seed: u64) -> String {
 /// ones the shard processes ran with: they rebuild the fingerprint
 /// and analysis config the inputs are validated against.
 fn merge_checkpoints_cmd(argv: &[String]) -> Result<(), String> {
-    let mut seed: u64 = 2005;
-    let mut phones: u32 = 25;
-    let mut days: u32 = 425;
-    let mut corruption = CorruptionProfile::None;
-    let mut fleet = FleetComposition::default();
+    let mut flags = CampaignFlags::default();
     let mut analyses = "all".to_string();
     let mut partial = false;
     let mut paths: Vec<&str> = Vec::new();
     let mut it = argv.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
-            "--seed" => {
-                seed = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .ok_or("--seed needs an integer")?
-            }
-            "--phones" => {
-                phones = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .ok_or("--phones needs an integer")?
-            }
-            "--days" => {
-                days = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .ok_or("--days needs an integer")?
-            }
-            "--corruption" => {
-                let profile = it.next().ok_or("--corruption needs a profile name")?;
-                corruption = CorruptionProfile::parse(profile).ok_or(format!(
-                    "unknown corruption profile {profile} (try none|light|moderate|worst)"
-                ))?
-            }
-            "--fleet" => {
-                let spec = it.next().ok_or("--fleet needs a composition spec")?;
-                fleet = FleetComposition::parse(spec).map_err(|e| format!("--fleet: {e}"))?
-            }
-            "--analyses" => {
-                analyses = it
-                    .next()
-                    .ok_or("--analyses needs a comma-list")?
-                    .to_string()
-            }
+            "--analyses" => analyses = value(&mut it, "--analyses needs a comma-list")?,
             "--partial" => partial = true,
             "--help" | "-h" => {
                 return Err("usage: repro merge-checkpoints OUT IN1 IN2 ... \
@@ -806,7 +805,7 @@ fn merge_checkpoints_cmd(argv: &[String]) -> Result<(), String> {
                             [--analyses LIST] [--partial]"
                     .to_string())
             }
-            flag if flag.starts_with("--") => return Err(format!("unknown flag {flag}")),
+            flag if flag.starts_with("--") => flags.take(flag, &mut it)?,
             path => paths.push(path),
         }
     }
@@ -818,20 +817,10 @@ fn merge_checkpoints_cmd(argv: &[String]) -> Result<(), String> {
     }
 
     let registry = PassRegistry::select(&analyses)?;
-    let params = CalibrationParams {
-        phones,
-        campaign_days: days,
-        ..CalibrationParams::default()
-    };
-    let fingerprint = FleetCampaign::new(seed, params)
-        .with_corruption(corruption)
-        .with_fleet(fleet.clone())
-        .fingerprint();
-    let composition = fleet.spec_string();
-    let config = AnalysisConfig {
-        uptime_gap: SimDuration::from_secs(params.heartbeat_period_secs * 3 + 60),
-        ..AnalysisConfig::default()
-    };
+    let phones = flags.phones;
+    let fingerprint = flags.campaign().fingerprint();
+    let composition = flags.fleet.spec_string();
+    let config = flags.config();
 
     let inputs: Vec<Vec<u8>> = in_paths
         .iter()
@@ -884,7 +873,7 @@ fn merge_checkpoints_cmd(argv: &[String]) -> Result<(), String> {
     }
     println!("{}", report.render_all());
     println!("{}", report.render_per_phone());
-    println!("{}", forum_report(seed));
+    println!("{}", forum_report(flags.seed));
     println!("\n=== campaign paper-vs-measured shape report ===");
     println!("{}", report.shape_report());
     Ok(())
@@ -895,56 +884,16 @@ fn merge_checkpoints_cmd(argv: &[String]) -> Result<(), String> {
 /// shard with its `[start, end)` interval, phone count and predicted
 /// cost, plus the predicted critical path versus the uniform split.
 fn plan_shards_cmd(argv: &[String]) -> Result<(), String> {
-    let mut seed: u64 = 2005;
-    let mut phones: u32 = 25;
-    let mut days: u32 = 425;
-    let mut corruption = CorruptionProfile::None;
-    let mut fleet = FleetComposition::default();
+    let mut flags = CampaignFlags::default();
     let mut shards: u32 = 0;
     let mut balance = Balance::Static;
     let mut costs_json: Option<String> = None;
     let mut it = argv.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
-            "--seed" => {
-                seed = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .ok_or("--seed needs an integer")?
-            }
-            "--phones" => {
-                phones = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .ok_or("--phones needs an integer")?
-            }
-            "--days" => {
-                days = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .ok_or("--days needs an integer")?
-            }
-            "--corruption" => {
-                let profile = it.next().ok_or("--corruption needs a profile name")?;
-                corruption = CorruptionProfile::parse(profile).ok_or(format!(
-                    "unknown corruption profile {profile} (try none|light|moderate|worst)"
-                ))?
-            }
-            "--fleet" => {
-                let spec = it.next().ok_or("--fleet needs a composition spec")?;
-                fleet = FleetComposition::parse(spec).map_err(|e| format!("--fleet: {e}"))?
-            }
-            "--shards" => {
-                shards = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&n| n > 0)
-                    .ok_or("--shards needs a positive shard count")?
-            }
+            "--shards" => shards = positive(&mut it, "--shards needs a positive shard count")?,
             "--balance" => balance = parse_balance(it.next().map(String::as_str))?,
-            "--costs-json" => {
-                costs_json = Some(it.next().ok_or("--costs-json needs a path")?.to_string())
-            }
+            "--costs-json" => costs_json = Some(value(&mut it, "--costs-json needs a path")?),
             "--help" | "-h" => {
                 return Err("usage: repro plan-shards --shards N \
                             [--balance uniform|static|measured] [--costs-json PATH] \
@@ -952,21 +901,15 @@ fn plan_shards_cmd(argv: &[String]) -> Result<(), String> {
                             [--corruption PROFILE] [--fleet SPEC]"
                     .to_string())
             }
-            flag => return Err(format!("unknown flag {flag}")),
+            flag => flags.take(flag, &mut it)?,
         }
     }
     if shards == 0 {
         return Err("plan-shards needs --shards N (e.g. --shards 4)".to_string());
     }
+    let phones = flags.phones;
     let mode = balance_mode(balance, costs_json.as_deref(), phones)?;
-    let params = CalibrationParams {
-        phones,
-        campaign_days: days,
-        ..CalibrationParams::default()
-    };
-    let campaign = FleetCampaign::new(seed, params)
-        .with_corruption(corruption)
-        .with_fleet(fleet.clone());
+    let campaign = flags.campaign();
     // Cost the uniform comparison under the SAME vector the chosen
     // mode balances on, so the printed ratio is apples to apples.
     let costs = match &mode {
@@ -979,10 +922,11 @@ fn plan_shards_cmd(argv: &[String]) -> Result<(), String> {
     };
     let uniform = ShardPlan::uniform(&costs, shards);
     println!(
-        "shard plan: {phones} phones x {days} days, corruption {}, \
+        "shard plan: {phones} phones x {} days, corruption {}, \
          fleet {}, {shards} shards, balance {}",
-        corruption.as_str(),
-        fleet.spec_string(),
+        flags.days,
+        flags.corruption.as_str(),
+        flags.fleet.spec_string(),
         balance.as_str()
     );
     println!("  shard  interval            phones  predicted_cost");
@@ -1011,86 +955,29 @@ fn plan_shards_cmd(argv: &[String]) -> Result<(), String> {
 /// come out of a v5 checkpoint's coalesce accumulators without
 /// re-simulating; otherwise the campaign streams phone by phone.
 fn extract_signatures_cmd(argv: &[String]) -> Result<(), String> {
-    let mut seed: u64 = 2005;
-    let mut phones: u32 = 25;
-    let mut days: u32 = 425;
-    let mut corruption = CorruptionProfile::None;
-    let mut fleet = FleetComposition::default();
+    let mut flags = CampaignFlags::default();
     let mut analyses = "all".to_string();
     let mut from_checkpoint: Option<String> = None;
     let mut out: Option<String> = None;
     let mut it = argv.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
-            "--seed" => {
-                seed = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .ok_or("--seed needs an integer")?
-            }
-            "--phones" => {
-                phones = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .ok_or("--phones needs an integer")?
-            }
-            "--days" => {
-                days = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .ok_or("--days needs an integer")?
-            }
-            "--corruption" => {
-                let profile = it.next().ok_or("--corruption needs a profile name")?;
-                corruption = CorruptionProfile::parse(profile).ok_or(format!(
-                    "unknown corruption profile {profile} (try none|light|moderate|worst)"
-                ))?
-            }
-            "--fleet" => {
-                let spec = it.next().ok_or("--fleet needs a composition spec")?;
-                fleet = FleetComposition::parse(spec).map_err(|e| format!("--fleet: {e}"))?
-            }
-            "--analyses" => {
-                analyses = it
-                    .next()
-                    .ok_or("--analyses needs a comma-list")?
-                    .to_string()
-            }
+            "--analyses" => analyses = value(&mut it, "--analyses needs a comma-list")?,
             "--from-checkpoint" => {
-                from_checkpoint = Some(
-                    it.next()
-                        .ok_or("--from-checkpoint needs a path")?
-                        .to_string(),
-                )
+                from_checkpoint = Some(value(&mut it, "--from-checkpoint needs a path")?)
             }
-            "--signature-json" => {
-                out = Some(
-                    it.next()
-                        .ok_or("--signature-json needs a path")?
-                        .to_string(),
-                )
-            }
+            "--signature-json" => out = Some(value(&mut it, "--signature-json needs a path")?),
             "--help" | "-h" => {
                 return Err("usage: repro extract-signatures [--signature-json OUT] \
                             [--from-checkpoint PATH] [--seed N] [--phones N] [--days N] \
                             [--corruption PROFILE] [--fleet SPEC] [--analyses LIST]"
                     .to_string())
             }
-            flag => return Err(format!("unknown flag {flag}")),
+            flag => flags.take(flag, &mut it)?,
         }
     }
-    let params = CalibrationParams {
-        phones,
-        campaign_days: days,
-        ..CalibrationParams::default()
-    };
-    let config = AnalysisConfig {
-        uptime_gap: SimDuration::from_secs(params.heartbeat_period_secs * 3 + 60),
-        ..AnalysisConfig::default()
-    };
-    let campaign = FleetCampaign::new(seed, params)
-        .with_corruption(corruption)
-        .with_fleet(fleet.clone());
+    let config = flags.config();
+    let campaign = flags.campaign();
     let sigs = match &from_checkpoint {
         Some(path) => {
             let registry = PassRegistry::select(&analyses)?;
@@ -1099,7 +986,7 @@ fn extract_signatures_cmd(argv: &[String]) -> Result<(), String> {
                 &registry,
                 config,
                 campaign.fingerprint(),
-                &fleet.spec_string(),
+                &flags.fleet.spec_string(),
                 &bytes,
             )
             .map_err(|e| format!("cannot extract from {path}: {e}"))?;
@@ -1129,56 +1016,30 @@ fn minimize_cmd(argv: &[String]) -> Result<(), String> {
     let mut sig_path: Option<String> = None;
     let mut index: usize = 0;
     let mut opts = MinimizeOptions {
-        config: AnalysisConfig {
-            uptime_gap: SimDuration::from_secs(
-                CalibrationParams::default().heartbeat_period_secs * 3 + 60,
-            ),
-            ..AnalysisConfig::default()
-        },
+        config: CalibrationParams::default().analysis_config(),
         ..MinimizeOptions::default()
     };
     let mut out: Option<String> = None;
     let mut it = argv.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
-            "--signature-json" => {
-                sig_path = Some(
-                    it.next()
-                        .ok_or("--signature-json needs a path")?
-                        .to_string(),
-                )
-            }
-            "--signature-index" => {
-                index = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .ok_or("--signature-index needs an integer")?
-            }
+            "--signature-json" => sig_path = Some(value(&mut it, "--signature-json needs a path")?),
+            "--signature-index" => index = value(&mut it, "--signature-index needs an integer")?,
             "--max-days" => {
-                opts.max_days = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&n| n > 0)
-                    .ok_or("--max-days needs a positive day count")?
+                opts.max_days = positive(&mut it, "--max-days needs a positive day count")?
             }
             "--max-seeds" => {
-                opts.max_seeds = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&n| n > 0)
-                    .ok_or("--max-seeds needs a positive seed count")?
+                opts.max_seeds = positive(&mut it, "--max-seeds needs a positive seed count")?
             }
             "--match" => {
-                let name = it.next().ok_or("--match needs core|strict")?;
-                opts.mode = MatchMode::parse(name).ok_or(format!("unknown match mode {name}"))?
+                let name: String = value(&mut it, "--match needs core|strict")?;
+                opts.mode = MatchMode::parse(&name).ok_or(format!("unknown match mode {name}"))?
             }
             "--start-corruption" => {
-                let profile = it.next().ok_or("--start-corruption needs a profile name")?;
-                opts.corruption = CorruptionProfile::parse(profile).ok_or(format!(
-                    "unknown corruption profile {profile} (try none|light|moderate|worst)"
-                ))?
+                opts.corruption =
+                    corruption_profile(&mut it, "--start-corruption needs a profile name")?
             }
-            "--out" => out = Some(it.next().ok_or("--out needs a path")?.to_string()),
+            "--out" => out = Some(value(&mut it, "--out needs a path")?),
             "--help" | "-h" => {
                 return Err("usage: repro minimize --signature-json PATH \
                             [--signature-index I] [--max-days N] [--max-seeds N] \
@@ -1224,99 +1085,38 @@ fn minimize_cmd(argv: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn main() -> ExitCode {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    for (name, cmd) in [
-        (
-            "extract-signatures",
-            extract_signatures_cmd as fn(&[String]) -> Result<(), String>,
-        ),
-        ("minimize", minimize_cmd),
-    ] {
-        if argv.first().map(String::as_str) == Some(name) {
-            return match cmd(&argv[1..]) {
-                Ok(()) => ExitCode::SUCCESS,
-                Err(msg) => {
-                    eprintln!("{msg}");
-                    ExitCode::FAILURE
-                }
-            };
-        }
-    }
-    if argv.first().map(String::as_str) == Some("merge-checkpoints") {
-        return match merge_checkpoints_cmd(&argv[1..]) {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(msg) => {
-                eprintln!("{msg}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-    if argv.first().map(String::as_str) == Some("plan-shards") {
-        return match plan_shards_cmd(&argv[1..]) {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(msg) => {
-                eprintln!("{msg}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-    let args = match parse_args() {
-        Ok(a) => a,
-        Err(msg) => {
-            eprintln!("{msg}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let registry = match PassRegistry::select(&args.analyses) {
-        Ok(r) => r,
-        Err(msg) => {
-            eprintln!("{msg}");
-            return ExitCode::FAILURE;
-        }
-    };
+/// The default command: runs the campaign and prints `--exp`'s
+/// artifacts.
+fn experiment_cmd(argv: &[String]) -> Result<(), String> {
+    let args = parse_args(argv)?;
+    let registry = PassRegistry::select(&args.analyses)?;
     // The window sweep re-thresholds the coalesce pass's panics.
     let sweeps = args.exp == "ablations" || (args.exp == "fig5" && args.sweep);
     if sweeps && !registry.names().contains(&"coalesce") {
-        eprintln!(
+        return Err(format!(
             "--exp {} sweeps the coalesce pass; add it to --analyses",
             args.exp
-        );
-        return ExitCode::FAILURE;
+        ));
     }
     let needs_campaign = args.exp != "table1" && args.exp != "forum_marginals";
     let run = if needs_campaign {
-        match run_campaign(&args, &registry) {
-            Ok(run) => Some(run),
-            Err(msg) => {
-                eprintln!("{msg}");
-                return ExitCode::FAILURE;
-            }
-        }
+        Some(run_campaign(&args, &registry)?)
     } else {
         None
     };
+    let write = |path: &str, text: String| {
+        std::fs::write(path, text).map_err(|e| format!("cannot write {path}: {e}"))
+    };
     if let (Some(path), Some(run)) = (&args.mtbf_trace_json, &run) {
-        let json = mtbf_trace_json(&args, run);
-        if let Err(e) = std::fs::write(path, json) {
-            eprintln!("cannot write {path}: {e}");
-            return ExitCode::FAILURE;
-        }
+        write(path, mtbf_trace_json(&args, run))?;
         eprintln!("wrote MTBF trace to {path}");
     }
     if let (Some(path), Some(run)) = (&args.timing_json, &run) {
-        let json = timing_json(&args, run);
-        if let Err(e) = std::fs::write(path, json) {
-            eprintln!("cannot write {path}: {e}");
-            return ExitCode::FAILURE;
-        }
+        write(path, timing_json(&args, run))?;
         eprintln!("wrote stage timings to {path}");
     }
     if let (Some(path), Some(run)) = (&args.defects_json, &run) {
-        if let Err(e) = std::fs::write(path, run.report.defects.to_json()) {
-            eprintln!("cannot write {path}: {e}");
-            return ExitCode::FAILURE;
-        }
+        write(path, run.report.defects.to_json())?;
         eprintln!("wrote defect report to {path}");
     }
     let report = run.as_ref().map(|run| &run.report);
@@ -1325,12 +1125,12 @@ fn main() -> ExitCode {
             let report = report.expect("campaign ran");
             println!("{}", report.render_all());
             println!("{}", report.render_per_phone());
-            println!("{}", forum_report(args.seed));
+            println!("{}", forum_report(args.campaign.seed));
             println!("\n=== campaign paper-vs-measured shape report ===");
             println!("{}", report.shape_report());
         }
         "table1" | "forum_marginals" => {
-            println!("{}", forum_report(args.seed));
+            println!("{}", forum_report(args.campaign.seed));
         }
         "table2" => println!("{}", report.expect("campaign ran").render_table2()),
         "table3" => println!("{}", report.expect("campaign ran").render_table3()),
@@ -1422,10 +1222,30 @@ fn main() -> ExitCode {
                 targets::SHUTDOWN_EVENTS
             );
         }
-        other => {
-            eprintln!("unknown experiment {other}");
-            return ExitCode::FAILURE;
+        other => return Err(format!("unknown experiment {other}")),
+    }
+    Ok(())
+}
+
+/// Dispatches to the subcommand `argv` names, or to the default
+/// experiment command.
+fn run_cmd(argv: &[String]) -> Result<(), String> {
+    match argv.first().map(String::as_str) {
+        Some("merge-checkpoints") => merge_checkpoints_cmd(&argv[1..]),
+        Some("plan-shards") => plan_shards_cmd(&argv[1..]),
+        Some("extract-signatures") => extract_signatures_cmd(&argv[1..]),
+        Some("minimize") => minimize_cmd(&argv[1..]),
+        _ => experiment_cmd(argv),
+    }
+}
+
+fn main() -> ExitCode {
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    match run_cmd(&argv) {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(msg) => {
+            eprintln!("{msg}");
+            ExitCode::FAILURE
         }
     }
-    ExitCode::SUCCESS
 }

@@ -13,7 +13,6 @@ use symfail_core::analysis::dataset::FleetDataset;
 use symfail_core::analysis::report::{AnalysisConfig, StudyReport};
 use symfail_phone::calibration::CalibrationParams;
 use symfail_phone::fleet::FleetCampaign;
-use symfail_sim_core::SimDuration;
 
 /// Calibration for a bench-sized campaign: fewer phones and days than
 /// the paper's deployment, with accelerated fault rates so the
@@ -35,10 +34,7 @@ pub fn bench_params() -> CalibrationParams {
 
 /// The analysis configuration matching [`bench_params`]'s heartbeat.
 pub fn bench_analysis_config() -> AnalysisConfig {
-    AnalysisConfig {
-        uptime_gap: SimDuration::from_secs(bench_params().heartbeat_period_secs * 3 + 60),
-        ..AnalysisConfig::default()
-    }
+    bench_params().analysis_config()
 }
 
 /// Runs the bench campaign and parses the harvest into a dataset.

@@ -20,19 +20,15 @@
 //!   | start u32 | end u32
 //! next_id u32 | name table (u64 count, length-prefixed names)
 //! per-pass blobs (u64 byte length + pass-private encoding, registry order)
-//! shard section: u64 count, then per pending shard (ascending,
-//!   disjoint, above next_id): start u32 | end u32 | name table |
-//!   per-pass blobs (same encodings as the merged prefix)
+//! pending-shard count u64, always 0
 //! FNV-1a 64 checksum u64 over every preceding byte
 //! ```
 //!
-//! The pending-shard section (schema v2) lets a snapshot carry the
-//! sharded merger's *pending* out-of-order runs as well as the merged
-//! prefix. Periodic checkpoints always write it empty — the merged
-//! prefix is byte-identical for every worker count, while pending
-//! shards depend on worker skew — but
-//! [`snapshot_with_pending`](super::passes::StreamMerger::snapshot_with_pending)
-//! captures full state without quiescing the fold pipeline.
+//! The pending-shard count (schema v2) is always written as 0: a
+//! checkpoint holds the merged prefix only, which is byte-identical
+//! for every worker count, while the merger's out-of-order runs depend
+//! on worker skew. A file with any other count is refused as
+//! [`CheckpointError::Corrupt`].
 //!
 //! The shard-topology header (schema v3, extended in v4) makes every
 //! checkpoint self-describing about *which slice of the fleet it

@@ -18,15 +18,15 @@
 //!   order-insensitive additive counters
 //!   (`CategoricalDist`/`ContingencyTable` are `BTreeMap`-backed).
 //! - **name ids never leak unmapped**: only coalesced panics carry
-//!   interned [`NameId`](crate::intern::NameId)s. The merge context
+//!   interned [`NameId`]s. The merge context
 //!   provides the absorbed run's remap table (built by absorbing its
 //!   [`NameTable`] into the receiving table in phone-id order), so
 //!   streamed ids are bit-identical to the batch fleet table's. Passes
 //!   that need strings (running apps) resolve them at fold time
 //!   instead.
 //!
-//! The registry stores passes behind one type-erased adapter
-//! ([`ErasedPass`], implemented once for every [`AnalysisPass`]); it is
+//! The registry stores passes behind one private type-erased adapter
+//! (`ErasedPass`, implemented once for every [`AnalysisPass`]); it is
 //! the only code that sees an accumulator as `dyn Any`.
 //!
 //! The streaming driver folds a *contiguous run* of phone ids into a
@@ -115,7 +115,7 @@ pub trait AnalysisPass: Send + Sync + 'static {
     fn finish(&self, acc: Self::Acc, config: AnalysisConfig) -> PassOutput;
 
     /// Serializes an accumulator into a checkpoint stream (see the
-    /// [`checkpoint`](super::checkpoint) module for the format). Must
+    /// [`checkpoint`] module for the format). Must
     /// write exactly what [`Self::restore`] reads: the merger
     /// length-prefixes each pass blob and rejects partial consumption.
     fn snapshot(&self, acc: &Self::Acc, out: &mut ByteWriter);
@@ -837,10 +837,9 @@ impl<'r> StreamMerger<'r> {
     }
 
     /// Serializes the merger's absorbed state into a versioned,
-    /// checksummed checkpoint (see [`checkpoint`](super::checkpoint)
-    /// for the byte layout). Pending (out-of-order) shards are
-    /// deliberately **not** serialized here: the periodic checkpoint
-    /// writer needs files that represent the contiguous prefix
+    /// checksummed checkpoint (see [`checkpoint`] for the byte
+    /// layout). Pending (out-of-order) shards are deliberately **not**
+    /// serialized: a checkpoint represents the contiguous prefix
     /// `[0, absorbed)` only, because that prefix — unlike the pending
     /// buffer, which depends on worker skew — is byte-identical for
     /// every worker count. A resumed campaign re-simulates everything
@@ -857,33 +856,6 @@ impl<'r> StreamMerger<'r> {
         campaign_fingerprint: u64,
         composition: &str,
         topology: ShardTopology,
-    ) -> Vec<u8> {
-        self.snapshot_impl(campaign_fingerprint, composition, topology, false)
-    }
-
-    /// [`Self::snapshot`] plus the buffered out-of-order shards — a
-    /// *full* state capture that skips re-simulating buffered runs on
-    /// resume. The shard section rides behind the same versioned
-    /// header. Caveat: a file carrying shards must be resumed under
-    /// the same run partition (the driver replans runs
-    /// deterministically from its options, so this holds unless
-    /// `checkpoint_every`/`run_len` change between runs; a replayed
-    /// run straddling a buffered shard is refused at push).
-    pub fn snapshot_with_pending(
-        &self,
-        campaign_fingerprint: u64,
-        composition: &str,
-        topology: ShardTopology,
-    ) -> Vec<u8> {
-        self.snapshot_impl(campaign_fingerprint, composition, topology, true)
-    }
-
-    fn snapshot_impl(
-        &self,
-        campaign_fingerprint: u64,
-        composition: &str,
-        topology: ShardTopology,
-        with_pending: bool,
     ) -> Vec<u8> {
         let mut w = ByteWriter::new();
         w.bytes(&CHECKPOINT_MAGIC);
@@ -920,19 +892,8 @@ impl<'r> StreamMerger<'r> {
         w.u32(self.absorbed());
         write_names(&mut w, self.names());
         write_accs(&mut w, self.registry, &self.absorbed.accs);
-        // v2 shard section: buffered out-of-order runs, start-ordered
-        // (empty in periodic checkpoints — see the method docs).
-        if with_pending {
-            w.usize(self.pending.len());
-            for shard in self.pending.values() {
-                w.u32(shard.start);
-                w.u32(shard.end);
-                write_names(&mut w, &shard.names);
-                write_accs(&mut w, self.registry, &shard.accs);
-            }
-        } else {
-            w.usize(0);
-        }
+        // v2 pending-shard count: always empty (see the method docs).
+        w.usize(0);
         let mut bytes = w.into_bytes();
         let checksum = checkpoint::fnv1a64(&bytes);
         bytes.extend_from_slice(&checksum.to_le_bytes());
@@ -943,9 +904,7 @@ impl<'r> StreamMerger<'r> {
     /// fixed order: magic, schema version, whole-payload checksum,
     /// then pass registry / analysis config / campaign fingerprint /
     /// shard topology against the resuming run's. The pending buffer
-    /// starts empty (unless the file was written with
-    /// [`Self::snapshot_with_pending`]) — workers must restart at
-    /// [`Self::absorbed`].
+    /// starts empty — workers must restart at [`Self::absorbed`].
     ///
     /// # Errors
     ///
@@ -971,7 +930,7 @@ impl<'r> StreamMerger<'r> {
             registry,
             config,
             absorbed: parsed.absorbed,
-            pending: parsed.pending,
+            pending: BTreeMap::new(),
             stats: MergeStats::default(),
         })
     }
@@ -985,7 +944,6 @@ impl<'r> StreamMerger<'r> {
 struct ParsedCheckpoint {
     topology: ShardTopology,
     absorbed: FoldShard,
-    pending: BTreeMap<u32, FoldShard>,
 }
 
 fn parse_checkpoint(
@@ -1090,34 +1048,17 @@ fn parse_checkpoint(
         names: read_names(&mut r)?,
         accs: read_accs(&mut r, registry)?,
     };
-    // v2 shard section: pending out-of-order runs, validated as
-    // disjoint and ascending above the absorbed watermark.
-    let n_shards = r.usize()?;
-    let mut pending = BTreeMap::new();
-    let mut watermark = next_id;
-    for _ in 0..n_shards {
-        let start = r.u32()?;
-        let end = r.u32()?;
-        if start < watermark || end <= start {
-            return Err(CheckpointError::Corrupt("shard ids overlap or regress"));
-        }
-        let shard = FoldShard {
-            start,
-            end,
-            names: read_names(&mut r)?,
-            accs: read_accs(&mut r, registry)?,
-        };
-        watermark = end;
-        pending.insert(start, shard);
+    // v2 pending-shard count: a checkpoint holds the absorbed prefix
+    // only, so the count is always 0.
+    if r.usize()? != 0 {
+        return Err(CheckpointError::Corrupt(
+            "pending-shard section is not empty",
+        ));
     }
     if r.remaining() != 0 {
         return Err(CheckpointError::Corrupt("trailing bytes after shards"));
     }
-    Ok(ParsedCheckpoint {
-        topology,
-        absorbed,
-        pending,
-    })
+    Ok(ParsedCheckpoint { topology, absorbed })
 }
 
 /// What [`load_shard_checkpoint`] learned about one merge input: the
@@ -1145,9 +1086,7 @@ impl ShardInfo {
 /// applying the full resume-grade validation chain (magic, version,
 /// checksum, registry, config, campaign) but accepting any shard
 /// topology — topology consistency across *all* inputs is
-/// [`merge_shard_checkpoints`]'s job. Files carrying a pending-shard
-/// section are refused: a merge input must be a finished slice, not a
-/// mid-run full-state capture.
+/// [`merge_shard_checkpoints`]'s job.
 pub fn load_shard_checkpoint(
     registry: &PassRegistry,
     config: AnalysisConfig,
@@ -1156,11 +1095,6 @@ pub fn load_shard_checkpoint(
     bytes: &[u8],
 ) -> Result<(ShardInfo, FoldShard), CheckpointError> {
     let parsed = parse_checkpoint(registry, config, campaign_fingerprint, composition, bytes)?;
-    if !parsed.pending.is_empty() {
-        return Err(CheckpointError::Corrupt(
-            "merge input carries pending shards",
-        ));
-    }
     let info = ShardInfo {
         topology: parsed.topology,
         start: parsed.absorbed.start,
@@ -1174,10 +1108,7 @@ pub fn load_shard_checkpoint(
 /// coalesced-panic stream of the filtered (freeze +
 /// threshold-self-shutdown) coalescence accumulator. The registry the
 /// checkpoint was written under must include the `coalesce` pass.
-/// Mid-run captures work too: any pending out-of-order shards are
-/// absorbed through the same interner-remap discipline the resuming
-/// merger applies, so every returned panic's ids resolve against the
-/// returned table.
+/// Every returned panic's ids resolve against the returned table.
 pub fn checkpoint_coalesced(
     registry: &PassRegistry,
     config: AnalysisConfig,
@@ -1190,22 +1121,12 @@ pub fn checkpoint_coalesced(
         .ok_or(CheckpointError::Corrupt(
             "signature extraction needs the coalesce pass in the registry",
         ))?;
-    let parsed = parse_checkpoint(registry, config, campaign_fingerprint, composition, bytes)?;
-    let mut names = parsed.absorbed.names;
-    let take_panics = |mut accs: Vec<DynAcc>| -> Vec<CoalescedPanic> {
-        into_typed::<CoalescePass>(accs.swap_remove(slot))
-            .filtered
-            .panics
-    };
-    let mut panics = take_panics(parsed.absorbed.accs);
-    for shard in parsed.pending.into_values() {
-        let remap = names.absorb(&shard.names);
-        for mut cp in take_panics(shard.accs) {
-            cp.panic.remap(&remap);
-            panics.push(cp);
-        }
-    }
-    Ok((names, panics))
+    let mut absorbed =
+        parse_checkpoint(registry, config, campaign_fingerprint, composition, bytes)?.absorbed;
+    let panics = into_typed::<CoalescePass>(absorbed.accs.swap_remove(slot))
+        .filtered
+        .panics;
+    Ok((absorbed.names, panics))
 }
 
 /// Proves a set of shard checkpoints forms one exact cover of the
@@ -2487,7 +2408,7 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_with_pending_roundtrips_buffered_shards() {
+    fn snapshot_excludes_pending_shards() {
         let registry = PassRegistry::all();
         let config = AnalysisConfig::default();
 
@@ -2495,28 +2416,51 @@ mod tests {
         merger.push_shard(shard_of(&registry, config, 0..2));
         merger.push_shard(shard_of(&registry, config, 4..6)); // buffered
         assert_eq!(merger.pending_len(), 2);
+        let bytes = merger.snapshot(7, "default", TOPO);
 
-        let plain = merger.snapshot(7, "default", TOPO);
-        let full = merger.snapshot_with_pending(7, "default", TOPO);
-        assert!(
-            full.len() > plain.len(),
-            "pending shards must add bytes only to the full capture"
-        );
-
-        // The plain snapshot resumes with the pending shards dropped…
-        let resumed = StreamMerger::resume(&registry, config, 7, "default", TOPO, &plain).unwrap();
+        // The snapshot resumes with the pending shards dropped…
+        let resumed = StreamMerger::resume(&registry, config, 7, "default", TOPO, &bytes).unwrap();
         assert_eq!((resumed.absorbed(), resumed.pending_len()), (2, 0));
 
-        // …the full capture resumes with them intact: filling the gap
-        // renders byte-identically to the reference.
-        let mut resumed =
-            StreamMerger::resume(&registry, config, 7, "default", TOPO, &full).unwrap();
-        assert_eq!((resumed.absorbed(), resumed.pending_len()), (2, 2));
-        resumed.push_shard(shard_of(&registry, config, 2..4));
-        assert_eq!(resumed.absorbed(), 6);
+        // …and is byte for byte the snapshot of a merger that never
+        // saw them.
+        let mut prefix_only = StreamMerger::new(&registry, config);
+        prefix_only.push_shard(shard_of(&registry, config, 0..2));
+        assert_eq!(bytes, prefix_only.snapshot(7, "default", TOPO));
+    }
+
+    /// A checkpoint whose pending-shard count is not 0 is refused as
+    /// corrupt by every reader, even when its checksum is valid.
+    #[test]
+    fn nonzero_pending_shard_count_is_refused_as_corrupt() {
+        let registry = PassRegistry::all();
+        let config = AnalysisConfig::default();
+        let mut merger = StreamMerger::new(&registry, config);
+        merger.push_shard(shard_of(&registry, config, 0..2));
+        let mut bytes = merger.snapshot(7, "default", TOPO);
+        // The count is the last u64 before the checksum; re-seal the
+        // file so only the count is wrong.
+        let count_at = bytes.len() - 16;
+        bytes.truncate(bytes.len() - 8);
+        bytes[count_at..].copy_from_slice(&1u64.to_le_bytes());
+        let checksum = checkpoint::fnv1a64(&bytes);
+        bytes.extend_from_slice(&checksum.to_le_bytes());
+
+        let corrupt = CheckpointError::Corrupt("pending-shard section is not empty");
         assert_eq!(
-            rendered(&resumed.finish()),
-            reference(&registry, config, 0..6)
+            StreamMerger::resume(&registry, config, 7, "default", TOPO, &bytes).err(),
+            Some(corrupt.clone())
+        );
+        assert_eq!(
+            merge_shard_checkpoints(&registry, config, 7, "default", &[bytes.clone()]).err(),
+            Some(MergeError::Input {
+                input: 0,
+                error: corrupt.clone(),
+            })
+        );
+        assert_eq!(
+            checkpoint_coalesced(&registry, config, 7, "default", &bytes).err(),
+            Some(corrupt)
         );
     }
 

@@ -16,6 +16,8 @@
 
 use serde::{Deserialize, Serialize};
 
+use symfail_core::analysis::report::AnalysisConfig;
+use symfail_sim_core::SimDuration;
 use symfail_symbian::panic::codes;
 use symfail_symbian::PanicCode;
 
@@ -233,6 +235,17 @@ impl Default for CalibrationParams {
 }
 
 impl CalibrationParams {
+    /// The analysis configuration matching this campaign's logger: the
+    /// paper's thresholds, with the powered-on heartbeat gap set to
+    /// three heartbeat periods plus a minute, so one or two missed
+    /// beats still count as powered-on time.
+    pub fn analysis_config(&self) -> AnalysisConfig {
+        AnalysisConfig {
+            uptime_gap: SimDuration::from_secs(self.heartbeat_period_secs * 3 + 60),
+            ..AnalysisConfig::default()
+        }
+    }
+
     /// The code-weight table for an episode context.
     pub fn code_weights(context: EpisodeContext) -> &'static [(PanicCode, f64)] {
         match context {
@@ -300,6 +313,20 @@ mod tests {
         }
         assert!(p.phones > 0 && p.campaign_days > 0);
         assert!(p.enrollment_spread_days < p.campaign_days);
+    }
+
+    #[test]
+    fn analysis_config_gap_is_three_heartbeats_plus_a_minute() {
+        let config = CalibrationParams::default().analysis_config();
+        assert_eq!(config.uptime_gap, SimDuration::from_secs(960));
+        assert_eq!(
+            AnalysisConfig {
+                uptime_gap: AnalysisConfig::default().uptime_gap,
+                ..config
+            },
+            AnalysisConfig::default(),
+            "only the uptime gap differs from the paper's defaults"
+        );
     }
 
     #[test]

@@ -11,7 +11,8 @@
 //!
 //! Every injection step records how many defects the lossy parser is
 //! *expected to observe* in [`InjectedDefects`], which is what the
-//! proptests pin against the parser's [`DefectReport`] counts:
+//! proptests pin against the parser's
+//! [`DefectReport`](symfail_core::analysis::defects::DefectReport) counts:
 //!
 //! * truncation counts are exact;
 //! * tail loss is silent by construction (whole lines vanish — no

@@ -129,11 +129,6 @@ pub struct StreamingOptions {
     /// Record a live MTBFr/MTBS estimate at every boundary (plus one
     /// final entry) into [`StreamingRun::mtbf_trace`].
     pub mtbf_trace: bool,
-    /// Cap on phones per contiguous run; `0` derives one from the
-    /// fleet size and worker count. Runs are additionally cut at every
-    /// `checkpoint_every` multiple, so checkpoints land on the same
-    /// phones for any run length and worker count.
-    pub run_len: u32,
     /// Reads a monotonically-increasing allocation counter for the
     /// *calling thread* (e.g. a thread-local inside the binary's
     /// counting allocator). Sampled at worker start and end to
@@ -274,21 +269,20 @@ pub struct WorkerStats {
 }
 
 /// Cuts `[start, stop)` into contiguous runs with boundaries at every
-/// multiple of `every` and of `run_len` (both anchored at phone 0, so
-/// the partition depends only on the cut grid — never on `start`,
-/// worker count, or resume point), plus one final cut at `stop`.
+/// multiple of `grid` (anchored at phone 0, so the partition depends
+/// only on the grid — never on `start`, worker count, or resume
+/// point), plus one final cut at `stop`; a `grid` of 0 plans one run.
 /// Anchoring at zero is what makes a resumed run checkpoint on exactly
 /// the same phones as an uninterrupted one.
-fn plan_runs(start: u32, stop: u32, every: u32, run_len: u32) -> Vec<(u32, u32)> {
-    // Next grid line strictly above `id`; no cut when the grid is 0.
-    let cut = |id: u32, grid: u32| match id.checked_div(grid) {
-        Some(q) => q.saturating_add(1).saturating_mul(grid),
-        None => u32::MAX,
-    };
+fn plan_runs(start: u32, stop: u32, grid: u32) -> Vec<(u32, u32)> {
     let mut runs = Vec::new();
     let mut id = start;
     while id < stop {
-        let next = stop.min(cut(id, every)).min(cut(id, run_len));
+        // Next grid line strictly above `id`.
+        let next = match id.checked_div(grid) {
+            Some(q) => stop.min(q.saturating_add(1).saturating_mul(grid)),
+            None => stop,
+        };
         runs.push((id, next));
         id = next;
     }
@@ -496,9 +490,9 @@ impl FleetCampaign {
     /// parse time is linear in log lines, and a phone writes one
     /// heartbeat per period over its powered span plus a few lines per
     /// user event, for every active day of its enrollment window.
-    /// Derived from the same [`Self::phone_setup`] draw the simulator
-    /// uses, so the estimate tracks each phone's true window and
-    /// volumes without simulating anything.
+    /// Derived from the same per-phone setup draw the simulator uses,
+    /// so the estimate tracks each phone's true window and volumes
+    /// without simulating anything.
     pub fn estimate_phone_costs(&self) -> Vec<f64> {
         (0..self.params.phones)
             .map(|id| {
@@ -700,15 +694,15 @@ impl FleetCampaign {
 
         let (mut runs, worker_stats): (Vec<(PhoneMeta, f64)>, Vec<WorkerStats>) = if start < stop {
             let workers = workers.clamp(1, (stop - start) as usize);
-            // Without an explicit cap (and no checkpoint grid to cut
-            // on), size runs so each worker sees a few of them — enough
-            // stealing slack to absorb straggler phones.
-            let run_len = if opts.run_len > 0 || opts.checkpoint_every > 0 {
-                opts.run_len
+            // Runs end on checkpoint boundaries. Without a checkpoint
+            // grid, size runs so each worker sees a few of them —
+            // enough stealing slack to absorb straggler phones.
+            let grid = if opts.checkpoint_every > 0 {
+                opts.checkpoint_every
             } else {
                 ((stop - start) / (workers as u32 * 8)).clamp(1, 32)
             };
-            let plan = plan_runs(start, stop, opts.checkpoint_every, run_len);
+            let plan = plan_runs(start, stop, grid);
             let next = AtomicUsize::new(0);
             std::thread::scope(|scope| {
                 let handles: Vec<_> = (0..workers)
@@ -935,19 +929,18 @@ mod tests {
         };
 
         // No grid at all: one run covering everything.
-        assert_eq!(plan_runs(0, 10, 0, 0), vec![(0, 10)]);
-        // Pure run_len grid, anchored at phone 0 even when start isn't.
-        assert_eq!(plan_runs(3, 10, 0, 4), vec![(3, 4), (4, 8), (8, 10)]);
-        // checkpoint_every cuts compose with run_len cuts: a run never
-        // straddles a multiple of either.
-        let runs = plan_runs(0, 20, 5, 3);
+        assert_eq!(plan_runs(0, 10, 0), vec![(0, 10)]);
+        // The grid is anchored at phone 0 even when start isn't.
+        assert_eq!(plan_runs(3, 10, 4), vec![(3, 4), (4, 8), (8, 10)]);
+        // A run never straddles a grid line.
+        let runs = plan_runs(0, 20, 3);
         assert_partition(&runs, 0, 20);
         for &(a, b) in &runs {
-            assert!(b % 5 == 0 || b % 3 == 0 || b == 20, "bad cut at {a}..{b}");
-            assert!(a / 5 == (b - 1) / 5, "run {a}..{b} straddles a checkpoint");
+            assert!(b % 3 == 0 || b == 20, "bad cut at {a}..{b}");
+            assert!(a / 3 == (b - 1) / 3, "run {a}..{b} straddles a grid line");
         }
         // Empty range plans nothing.
-        assert!(plan_runs(7, 7, 5, 3).is_empty());
+        assert!(plan_runs(7, 7, 5).is_empty());
     }
 
     #[test]

@@ -285,7 +285,8 @@ impl ReproConfig {
     /// Parses a config written by [`Self::to_json`].
     pub fn parse_json(text: &str) -> Result<Self, String> {
         let seed = json_u64(text, "seed").ok_or("repro config: missing seed")?;
-        let days = json_u64(text, "days").ok_or("repro config: missing days")? as u32;
+        let days = json_u64(text, "days").ok_or("repro config: missing days")?;
+        let days = u32::try_from(days).map_err(|_| "repro config: days out of range")?;
         let channels = json_name_array(text, "channels")
             .ok_or("repro config: missing channels")?
             .iter()
@@ -621,6 +622,16 @@ mod tests {
         };
         let parsed = ReproConfig::parse_json(&cfg.to_json()).unwrap();
         assert_eq!(parsed, cfg);
+        // A day count past u32 is refused, not truncated (2^32 + 1
+        // would otherwise read back as 1 day).
+        let too_long = cfg
+            .to_json()
+            .replace("\"days\": 7,", "\"days\": 4294967297,");
+        assert_ne!(too_long, cfg.to_json());
+        assert_eq!(
+            ReproConfig::parse_json(&too_long),
+            Err("repro config: days out of range".to_string())
+        );
     }
 
     #[test]

@@ -21,9 +21,9 @@
 //!
 //! The design follows the OS described in Section 2 of the paper: a
 //! micro-kernel with system services provided by server applications,
-//! two-level multitasking (preemptive threads and cooperatively
-//! scheduled active objects), and memory management built around the
-//! cleanup stack, the trap/leave technique and two-phase construction.
+//! cooperatively scheduled active objects inside each thread, and
+//! memory management built around the cleanup stack, the trap/leave
+//! technique and two-phase construction.
 //!
 //! Mechanisms report failures as `Result<_, Panic>`; the embedding
 //! simulator (the `symfail-phone` crate) routes raised panics into the
@@ -52,12 +52,10 @@ pub mod descriptor;
 pub mod exec;
 pub mod heap;
 pub mod ipc;
-pub mod kernel;
 pub mod leave;
 pub mod object_index;
 pub mod panic;
 pub mod servers;
-pub mod threads;
 pub mod timer;
 
 pub use leave::LeaveCode;

@@ -6,8 +6,6 @@
 //!
 //! * [`applist`] — the Application Architecture Server, source of the
 //!   running-applications list the logger snapshots;
-//! * [`flogger`] — the built-in file logger server, whose
-//!   undocumented-directory design motivated the paper's own logger;
 //! * [`logdb`] — the Database Log Server, recording phone activity
 //!   (voice calls, messages) the logger correlates panics with;
 //! * [`sysagent`] — the System Agent Server, source of battery status;
@@ -17,7 +15,6 @@
 //! * [`telephony`] — the built-in Phone application.
 
 pub mod applist;
-pub mod flogger;
 pub mod logdb;
 pub mod media;
 pub mod sysagent;

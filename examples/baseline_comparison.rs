@@ -14,12 +14,11 @@
 
 use symfail::core::analysis::baseline::BaselineComparison;
 use symfail::core::analysis::dataset::FleetDataset;
-use symfail::core::analysis::report::{AnalysisConfig, StudyReport};
+use symfail::core::analysis::report::StudyReport;
 use symfail::core::flashfs::FlashFs;
 use symfail::core::logger::DExcLogger;
 use symfail::phone::calibration::CalibrationParams;
 use symfail::phone::fleet::FleetCampaign;
-use symfail::sim::SimDuration;
 use symfail::stats::CategoricalDist;
 
 fn main() {
@@ -34,10 +33,7 @@ fn main() {
     };
     let harvest = FleetCampaign::new(7, params).run();
     let fleet = FleetDataset::from_flash(harvest.iter().map(|h| (h.phone_id, &h.flashfs)));
-    let config = AnalysisConfig {
-        uptime_gap: SimDuration::from_secs(params.heartbeat_period_secs * 3 + 60),
-        ..AnalysisConfig::default()
-    };
+    let config = params.analysis_config();
     let report = StudyReport::analyze(&fleet, config);
 
     // Replay the same panic notifications into a D_EXC collector —

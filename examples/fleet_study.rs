@@ -13,10 +13,8 @@
 //! with the paper-vs-measured shape report.
 
 use symfail::core::analysis::passes::PassRegistry;
-use symfail::core::analysis::report::AnalysisConfig;
 use symfail::phone::calibration::CalibrationParams;
 use symfail::phone::fleet::{total_stats, FleetCampaign};
-use symfail::sim::SimDuration;
 
 fn main() {
     let params = CalibrationParams::default();
@@ -29,10 +27,7 @@ fn main() {
         .map(|n| n.get())
         .unwrap_or(4);
     // The analysis sees only the flash files, like the original study.
-    let config = AnalysisConfig {
-        uptime_gap: SimDuration::from_secs(params.heartbeat_period_secs * 3 + 60),
-        ..AnalysisConfig::default()
-    };
+    let config = params.analysis_config();
     let run = campaign.run_streaming(workers, config, &PassRegistry::all());
     let report = run.report;
 

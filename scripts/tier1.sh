@@ -20,6 +20,7 @@ cargo test -q --test golden_report
 cargo test -q --test signature_props
 cargo test -q --test minimize_repro
 cargo test -q -p symfail-bench --test cli_shard
+cargo test -q -p symfail-bench --test cli_args
 cargo bench --workspace -- --test
 # The benchmark (perfbench/) is a workspace of its own that drives the
 # public library API: build it and run its tests here, so a library
@@ -27,10 +28,13 @@ cargo bench --workspace -- --test
 # benchmark run.
 cargo test -q --offline --manifest-path perfbench/Cargo.toml
 
-# `--gates` additionally runs the CI byte-identity/throughput/resume
-# gates (the exact script the tier1 CI job runs). fmt and clippy above
-# already failed fast if CI's lint job would — so a green
-# `tier1.sh --gates` is a green CI, minus the runner.
+# `--gates` additionally runs CI's rustdoc check (the rest of its lint
+# job is fmt and clippy above; rustdoc stays off the default path
+# because it re-documents the workspace, ≈20 s after a core change)
+# and the CI byte-identity/throughput/resume gates (the exact script
+# the tier1 CI job runs) — so a green `tier1.sh --gates` is a green
+# CI, minus the runner.
 if [ "${1:-}" = "--gates" ]; then
+    RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
     scripts/ci_gates.sh
 fi

@@ -16,8 +16,8 @@
 //!   (corpus generation and rule-based classification);
 //! * [`stats`] (`symfail-stats`) — histograms, contingency tables and
 //!   the paper-vs-measured shape checks;
-//! * [`sim`] (`symfail-sim-core`) — the deterministic discrete-event
-//!   engine underneath it all.
+//! * [`sim`] (`symfail-sim-core`) — the deterministic virtual clock
+//!   and forked RNG streams underneath it all.
 //!
 //! # Quickstart
 //!

@@ -381,10 +381,7 @@ fn committed_v5_checkpoint_fixture_is_reproduced_and_resumes() {
     let campaign = FleetCampaign::new(2005, params)
         .with_corruption(CorruptionProfile::Worst)
         .with_fleet(FleetComposition::mixed());
-    let config = AnalysisConfig {
-        uptime_gap: SimDuration::from_secs(params.heartbeat_period_secs * 3 + 60),
-        ..AnalysisConfig::default()
-    };
+    let config = params.analysis_config();
     let registry = PassRegistry::all();
 
     let path = ckpt_path("v5-fixture-write");

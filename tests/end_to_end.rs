@@ -4,10 +4,9 @@
 //! must be conserved at every stage.
 
 use symfail::core::analysis::dataset::{FleetDataset, HlKind};
-use symfail::core::analysis::report::{AnalysisConfig, StudyReport};
+use symfail::core::analysis::report::StudyReport;
 use symfail::phone::calibration::CalibrationParams;
 use symfail::phone::fleet::{harvest_metas, total_stats, FleetCampaign};
-use symfail::sim::SimDuration;
 
 fn small_params() -> CalibrationParams {
     CalibrationParams {
@@ -36,10 +35,7 @@ fn analyze(
     let harvest = campaign.run();
     let truth = total_stats(&harvest_metas(&harvest));
     let fleet = FleetDataset::from_flash(harvest.iter().map(|h| (h.phone_id, &h.flashfs)));
-    let config = AnalysisConfig {
-        uptime_gap: SimDuration::from_secs(small_params().heartbeat_period_secs * 3 + 60),
-        ..AnalysisConfig::default()
-    };
+    let config = small_params().analysis_config();
     (StudyReport::analyze(&fleet, config), truth, fleet)
 }
 
@@ -137,13 +133,7 @@ fn mtbf_scales_with_observation_time() {
     long_params.campaign_days = 240;
     let harvest = FleetCampaign::new(23, long_params).run();
     let fleet = FleetDataset::from_flash(harvest.iter().map(|h| (h.phone_id, &h.flashfs)));
-    let long_report = StudyReport::analyze(
-        &fleet,
-        AnalysisConfig {
-            uptime_gap: SimDuration::from_secs(long_params.heartbeat_period_secs * 3 + 60),
-            ..AnalysisConfig::default()
-        },
-    );
+    let long_report = StudyReport::analyze(&fleet, long_params.analysis_config());
     // Double observation, same rates: total hours roughly double while
     // MTBF stays in the same band.
     assert!(long_report.mtbf.total_hours > short_report.mtbf.total_hours * 1.5);

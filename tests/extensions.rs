@@ -12,7 +12,6 @@ use symfail::core::analysis::severity::SeverityAnalysis;
 use symfail::phone::calibration::CalibrationParams;
 use symfail::phone::firmware::SymbianVersion;
 use symfail::phone::fleet::{harvest_metas, total_stats, FleetCampaign};
-use symfail::sim::SimDuration;
 
 fn params() -> CalibrationParams {
     CalibrationParams {
@@ -30,10 +29,7 @@ fn params() -> CalibrationParams {
 }
 
 fn config() -> AnalysisConfig {
-    AnalysisConfig {
-        uptime_gap: SimDuration::from_secs(params().heartbeat_period_secs * 3 + 60),
-        ..AnalysisConfig::default()
-    }
+    params().analysis_config()
 }
 
 #[test]

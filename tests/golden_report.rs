@@ -40,7 +40,6 @@ use symfail::phone::composition::FleetComposition;
 use symfail::phone::corruption::CorruptionProfile;
 use symfail::phone::device::PhoneStats;
 use symfail::phone::fleet::{FleetCampaign, PhoneHarvest, ShardSpec, StreamingOptions};
-use symfail::sim::SimDuration;
 
 fn campaign() -> FleetCampaign {
     FleetCampaign::new(2005, CalibrationParams::default())
@@ -166,12 +165,7 @@ fn default_streamed() -> &'static StudyReport {
 }
 
 fn config() -> AnalysisConfig {
-    AnalysisConfig {
-        uptime_gap: SimDuration::from_secs(
-            CalibrationParams::default().heartbeat_period_secs * 3 + 60,
-        ),
-        ..AnalysisConfig::default()
-    }
+    CalibrationParams::default().analysis_config()
 }
 
 fn render(report: &StudyReport) -> String {

@@ -26,7 +26,6 @@ use symfail::phone::calibration::CalibrationParams;
 use symfail::phone::composition::FleetComposition;
 use symfail::phone::fleet::{FleetCampaign, StreamingOptions};
 use symfail::phone::repro::{extract_fleet_signatures, minimize, MinimizeOptions};
-use symfail::sim::SimDuration;
 
 /// The 1000-phone heterogeneous scale campaign the signatures are
 /// sampled from — the same fleet size the throughput experiments use,
@@ -39,10 +38,7 @@ fn scale_campaign() -> (FleetCampaign, AnalysisConfig) {
         attrition_spread_days: 10,
         ..CalibrationParams::default()
     };
-    let config = AnalysisConfig {
-        uptime_gap: SimDuration::from_secs(params.heartbeat_period_secs * 3 + 60),
-        ..AnalysisConfig::default()
-    };
+    let config = params.analysis_config();
     let campaign = FleetCampaign::new(2005, params)
         .with_fleet(FleetComposition::parse("mixed").expect("mixed is a built-in composition"));
     (campaign, config)

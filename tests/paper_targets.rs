@@ -10,13 +10,12 @@
 //! parsing → filtering → coalescence → tables.
 
 use symfail::core::analysis::passes::PassRegistry;
-use symfail::core::analysis::report::{AnalysisConfig, StudyReport};
+use symfail::core::analysis::report::StudyReport;
 use symfail::core::analysis::targets;
 use symfail::forum::corpus::CorpusGenerator;
 use symfail::forum::tables::ForumStudy;
 use symfail::phone::calibration::CalibrationParams;
 use symfail::phone::fleet::FleetCampaign;
-use symfail::sim::SimDuration;
 
 fn full_campaign_report(seed: u64) -> StudyReport {
     let params = CalibrationParams::default();
@@ -24,10 +23,7 @@ fn full_campaign_report(seed: u64) -> StudyReport {
     let workers = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(4);
-    let config = AnalysisConfig {
-        uptime_gap: SimDuration::from_secs(params.heartbeat_period_secs * 3 + 60),
-        ..AnalysisConfig::default()
-    };
+    let config = params.analysis_config();
     campaign
         .run_streaming(workers, config, &PassRegistry::all())
         .report

@@ -12,7 +12,6 @@ use symfail::core::flashfs::FlashFs;
 use symfail::phone::calibration::CalibrationParams;
 use symfail::phone::corruption::CorruptionProfile;
 use symfail::phone::fleet::{harvest_metas, FleetCampaign, PhoneHarvest, StreamingOptions};
-use symfail::sim::SimDuration;
 
 fn params() -> CalibrationParams {
     CalibrationParams {
@@ -164,10 +163,7 @@ fn streaming_engine_report_identical_to_batch_for_any_worker_count() {
         ..CalibrationParams::default()
     };
     let campaign = FleetCampaign::new(2005, params).with_corruption(CorruptionProfile::Worst);
-    let config = AnalysisConfig {
-        uptime_gap: SimDuration::from_secs(params.heartbeat_period_secs * 3 + 60),
-        ..AnalysisConfig::default()
-    };
+    let config = params.analysis_config();
     let streamed = campaign.run_streaming(13, config, &PassRegistry::all());
     assert_eq!(
         reference(&campaign, config),
@@ -180,10 +176,12 @@ fn streaming_engine_report_identical_to_batch_for_any_worker_count() {
 fn sharded_merge_report_identical_to_serial_for_any_worker_count_and_run_len() {
     // The driver folds contiguous runs of phones into private
     // per-worker shards and hands whole shards to the merger. The
-    // shard partition (run_len) and the thread schedule decide only
-    // *when* state reaches the merger — never what the study says:
-    // every run matches the serial (one-worker) run, which matches the
-    // reference analysis.
+    // shard partition and the thread schedule decide only *when*
+    // state reaches the merger — never what the study says: every run
+    // matches the serial (one-worker) run, which matches the reference
+    // analysis. Runs end on `checkpoint_every` multiples (0 picks the
+    // automatic run length); without a checkpoint path nothing is
+    // written, so the option only moves the cuts.
     let campaign = FleetCampaign::new(2005, params()).with_corruption(CorruptionProfile::Worst);
     let config = AnalysisConfig::default();
     let registry = PassRegistry::all();
@@ -199,7 +197,7 @@ fn sharded_merge_report_identical_to_serial_for_any_worker_count_and_run_len() {
         for run_len in [0u32, 1, 2, 5] {
             let sharded = render_opts(
                 &StreamingOptions {
-                    run_len,
+                    checkpoint_every: run_len,
                     ..StreamingOptions::default()
                 },
                 workers,

@@ -11,7 +11,7 @@ use symfail::core::records::{
     decode_beat, encode_beat, push_u64, BootRecord, HeartbeatEvent, LogRecord, PanicRecord,
     ParseDefect, RecordRef,
 };
-use symfail::sim::{EventQueue, SimDuration, SimRng, SimTime};
+use symfail::sim::{SimDuration, SimRng, SimTime};
 use symfail::stats::{CategoricalDist, Histogram, OnlineSummary};
 use symfail::symbian::cleanup::CleanupStack;
 use symfail::symbian::descriptor::TBuf;
@@ -219,28 +219,6 @@ proptest! {
         prop_assert!((d_ab - d_ba).abs() < 1e-12);
         prop_assert!((0.0..=1.0).contains(&d_ab));
         prop_assert!(a.total_variation(&a).unwrap() < 1e-12);
-    }
-}
-
-// ---------------------------------------------------------------
-// Event queue: time ordering under arbitrary schedules.
-// ---------------------------------------------------------------
-
-proptest! {
-    #[test]
-    fn event_queue_pops_sorted(times in prop::collection::vec(0u64..1_000_000, 0..200)) {
-        let mut q = EventQueue::new();
-        for (i, &t) in times.iter().enumerate() {
-            q.schedule(SimTime::from_millis(t), i);
-        }
-        let mut last = SimTime::ZERO;
-        let mut popped = 0;
-        while let Some((t, _)) = q.pop() {
-            prop_assert!(t >= last);
-            last = t;
-            popped += 1;
-        }
-        prop_assert_eq!(popped, times.len());
     }
 }
 
@@ -941,7 +919,10 @@ proptest! {
 // ---------------------------------------------------------------
 // Streaming driver: for any run partition and worker count, clean or
 // worst-corrupted, the campaign renders the serial (one-worker, default
-// partition) run's bytes, which are the reference analysis's.
+// partition) run's bytes, which are the reference analysis's. Runs end
+// on `checkpoint_every` multiples, so the run length is varied through
+// it (0 picks the automatic length; with no checkpoint path nothing is
+// written).
 // ---------------------------------------------------------------
 
 proptest! {
@@ -982,7 +963,7 @@ proptest! {
         let reference = StudyReport::analyze_with(&fleet, config, &registry);
         prop_assert_eq!(&serial, &(reference.render_all() + &reference.render_per_phone()));
         let sharded = render(
-            &StreamingOptions { run_len, ..StreamingOptions::default() },
+            &StreamingOptions { checkpoint_every: run_len, ..StreamingOptions::default() },
             workers,
         );
         prop_assert_eq!(serial, sharded, "run_len {} workers {}", run_len, workers);
