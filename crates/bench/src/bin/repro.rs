@@ -3,7 +3,8 @@
 //! Usage:
 //!
 //! ```text
-//! repro [--exp all|table1|table2|table3|table4|fig2|fig3|fig5|fig6|mtbf|forum_marginals|ablations|targets]
+//! repro [--exp all|table1|forum_marginals|table2|table3|table4|fig2|fig3|fig5|fig6|
+//!             mtbf|defects|ablations|perphone|extensions|stats|targets]
 //!       [--seed N] [--phones N] [--days N] [--workers N] [--sweep]
 //!       [--analyses all|comma-list]
 //!       [--fleet default|mixed|class:share,...]
@@ -117,9 +118,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 use symfail_core::analysis::checkpoint::ShardTopology;
-use symfail_core::analysis::mtbf::MtbfAnalysis;
 use symfail_core::analysis::passes::{checkpoint_coalesced, merge_shard_checkpoints};
-use symfail_core::analysis::passes::{merge_shard_checkpoints_partial, MergeStats, PassRegistry};
+use symfail_core::analysis::passes::{merge_shard_checkpoints_partial, PassRegistry};
 use symfail_core::analysis::report::{AnalysisConfig, StudyReport};
 use symfail_core::analysis::signature::{
     distinct_signatures, signatures_from_json, signatures_to_json, MatchMode,
@@ -130,7 +130,7 @@ use symfail_core::analysis::{
 use symfail_phone::calibration::CalibrationParams;
 use symfail_phone::composition::FleetComposition;
 use symfail_phone::corruption::CorruptionProfile;
-use symfail_phone::fleet::{FleetCampaign, PhoneMeta, ShardSpec, StreamingOptions, WorkerStats};
+use symfail_phone::fleet::{FleetCampaign, ShardSpec, StreamingOptions, StreamingRun};
 use symfail_phone::plan::{BalanceMode, ShardPlan};
 use symfail_phone::repro::{extract_fleet_signatures, minimize, MinimizeOptions};
 
@@ -436,12 +436,7 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
             other => args.campaign.take(other, &mut it)?,
         }
     }
-    if args.balance == Balance::Measured && args.costs_json.is_none() {
-        return Err("--balance measured needs --costs-json PATH".to_string());
-    }
-    if args.costs_json.is_some() && args.balance != Balance::Measured {
-        return Err("--costs-json only applies with --balance measured".to_string());
-    }
+    check_balance(args.balance, args.costs_json.as_deref())?;
     Ok(args)
 }
 
@@ -450,9 +445,23 @@ fn parse_balance(v: Option<&str>) -> Result<Balance, String> {
         Some("uniform") => Ok(Balance::Uniform),
         Some("static") => Ok(Balance::Static),
         Some("measured") => Ok(Balance::Measured),
-        other => Err(format!(
-            "--balance needs uniform, static or measured, got {other:?}"
+        Some(other) => Err(format!(
+            "--balance needs uniform, static or measured, got {other}"
         )),
+        None => Err("--balance needs uniform, static or measured".to_string()),
+    }
+}
+
+/// Refuses a `--balance` / `--costs-json` pair that cannot go
+/// together: measured balancing needs the cost file, and the cost file
+/// means nothing to the other modes.
+fn check_balance(balance: Balance, costs_json: Option<&str>) -> Result<(), String> {
+    match (balance, costs_json) {
+        (Balance::Measured, None) => Err("--balance measured needs --costs-json PATH".to_string()),
+        (Balance::Uniform | Balance::Static, Some(_)) => {
+            Err("--costs-json only applies with --balance measured".to_string())
+        }
+        _ => Ok(()),
     }
 }
 
@@ -524,51 +533,23 @@ fn json_f64_array(text: &str, key: &str) -> Option<Vec<f64>> {
     body.split(',').map(|tok| tok.trim().parse().ok()).collect()
 }
 
-/// One timed pipeline stage: wall-clock seconds plus the
-/// heap-allocation calls and bytes the stage performed (process-wide
-/// deltas from the counting allocator).
+/// The campaign stage's wall-clock seconds plus the heap-allocation
+/// calls and bytes it performed (process-wide deltas from the counting
+/// allocator). The campaign simulates, parses and folds in one
+/// streamed stage.
 struct StageTiming {
-    name: &'static str,
     seconds: f64,
     allocs: u64,
     alloc_bytes: u64,
 }
 
-/// A fully-run campaign: per-phone metadata, the analysis report, and
-/// the per-stage timing/allocation record.
-struct CampaignRun {
-    report: StudyReport,
-    metas: Vec<PhoneMeta>,
-    timings: Vec<StageTiming>,
-    /// Flash bytes fed to the parser (throughput numerator).
-    parse_bytes: u64,
-    /// Seconds attributable to flash parsing: the per-phone parse time
-    /// summed across workers (parse wall-clock overlaps simulation by
-    /// design).
-    parse_seconds: f64,
-    /// Online MTBF estimates at each checkpoint boundary (with
-    /// `--mtbf-trace-json`; empty otherwise).
-    mtbf_trace: Vec<(u32, MtbfAnalysis)>,
-    /// Phones already absorbed by the checkpoint this run resumed
-    /// from, if any.
-    resumed_from: Option<u32>,
-    /// Per-worker parse/merge-wait/allocation counters.
-    worker_stats: Vec<WorkerStats>,
-    /// Merger-side shard counters.
-    merge_stats: MergeStats,
-    /// Measured per-phone parse seconds, aligned with `metas`.
-    phone_parse_seconds: Vec<f64>,
-    /// The shard interval this run actually folded (solo when
-    /// unsharded).
-    topology: ShardTopology,
-    /// The full cut table the planner chose (sharded runs only).
-    plan: Option<ShardPlan>,
-}
-
 /// Runs the fleet campaign through the streaming driver over the
 /// `--analyses` registry, timing the campaign stage. Fails only on
 /// checkpoint I/O or validation errors.
-fn run_campaign(args: &Args, registry: &PassRegistry) -> Result<CampaignRun, String> {
+fn run_campaign(
+    args: &Args,
+    registry: &PassRegistry,
+) -> Result<(StreamingRun, StageTiming), String> {
     let campaign = args.campaign.campaign();
     let config = args.campaign.config();
     let opts = StreamingOptions {
@@ -589,49 +570,24 @@ fn run_campaign(args: &Args, registry: &PassRegistry) -> Result<CampaignRun, Str
         .run_streaming_opts(args.workers, config, registry, &opts)
         .map_err(|e| format!("checkpoint error: {e}"))?;
     let (a1, b1) = alloc_now();
-    let timings = vec![StageTiming {
-        name: "campaign+parse+fold",
+    let stage = StageTiming {
         seconds: t.elapsed().as_secs_f64(),
         allocs: a1 - a0,
         alloc_bytes: b1 - b0,
-    }];
+    };
     if let Some(absorbed) = run.resumed_from {
         eprintln!("resumed from checkpoint: {absorbed} phones already absorbed");
     }
-    Ok(CampaignRun {
-        report: run.report,
-        metas: run.metas,
-        timings,
-        parse_bytes: run.parse_bytes,
-        parse_seconds: run.parse_cpu_seconds,
-        mtbf_trace: run.mtbf_trace,
-        resumed_from: run.resumed_from,
-        worker_stats: run.worker_stats,
-        merge_stats: run.merge_stats,
-        phone_parse_seconds: run.phone_parse_seconds,
-        topology: run.topology,
-        plan: run.plan,
-    })
+    Ok((run, stage))
 }
 
-/// Hand-formats the stage timings plus the allocation and
+/// Hand-formats the campaign stage's timing plus the allocation and
 /// parse-throughput counters as JSON (no serializer dependency).
-fn timing_json(args: &Args, run: &CampaignRun) -> String {
-    let stages: Vec<String> = run
-        .timings
-        .iter()
-        .map(|s| {
-            format!(
-                "    {{\"stage\": \"{}\", \"seconds\": {:.6}, \
-                 \"allocs\": {}, \"alloc_bytes\": {}}}",
-                s.name, s.seconds, s.allocs, s.alloc_bytes
-            )
-        })
-        .collect();
+fn timing_json(args: &Args, run: &StreamingRun, stage: &StageTiming) -> String {
     let defects = &run.report.defects.fleet;
     let (total_allocs, total_alloc_bytes) = alloc_now();
-    let parse_bytes_per_sec = if run.parse_seconds > 0.0 {
-        run.parse_bytes as f64 / run.parse_seconds
+    let parse_bytes_per_sec = if run.parse_cpu_seconds > 0.0 {
+        run.parse_bytes as f64 / run.parse_cpu_seconds
     } else {
         0.0
     };
@@ -679,7 +635,7 @@ fn timing_json(args: &Args, run: &CampaignRun) -> String {
         .map(|s| format!("{s:.6}"))
         .collect();
     format!(
-        "{{\n  \"schema\": \"symfail-pipeline-timing/8\",\n  \"seed\": {},\n  \
+        "{{\n  \"schema\": \"symfail-pipeline-timing/9\",\n  \"seed\": {},\n  \
          \"phones\": {},\n  \"days\": {},\n  \"workers\": {},\n  \
          \"shard_index\": {},\n  \"shard_count\": {},\n  \
          \"shard_start\": {},\n  \"shard_end\": {},\n  \
@@ -693,8 +649,9 @@ fn timing_json(args: &Args, run: &CampaignRun) -> String {
          \"total_alloc_bytes\": {},\n  \"peak_alloc_bytes\": {},\n  \
          \"merge_wait_seconds\": {:.6},\n  \"merge_absorbed_runs\": {},\n  \
          \"peak_pending_runs\": {},\n  \"peak_pending_phones\": {},\n  \
-         \"peak_pending_bytes\": {},\n  \
-         \"worker_alloc_calls\": [{}],\n  \"stages\": [\n{}\n  ]\n}}\n",
+         \"worker_alloc_calls\": [{}],\n  \"stages\": [\n    \
+         {{\"stage\": \"campaign+parse+fold\", \"seconds\": {:.6}, \
+         \"allocs\": {}, \"alloc_bytes\": {}}}\n  ]\n}}\n",
         args.campaign.seed,
         args.campaign.phones,
         args.campaign.days,
@@ -712,7 +669,7 @@ fn timing_json(args: &Args, run: &CampaignRun) -> String {
         defects.lines_seen,
         defects.records_kept,
         defects.total(),
-        run.parse_seconds,
+        run.parse_cpu_seconds,
         parse_bytes_per_sec,
         total_allocs,
         total_alloc_bytes,
@@ -721,16 +678,17 @@ fn timing_json(args: &Args, run: &CampaignRun) -> String {
         run.merge_stats.absorbed_shards,
         run.merge_stats.peak_pending_shards,
         run.merge_stats.peak_pending_phones,
-        run.merge_stats.peak_pending_bytes,
         worker_alloc_calls.join(", "),
-        stages.join(",\n")
+        stage.seconds,
+        stage.allocs,
+        stage.alloc_bytes
     )
 }
 
 /// Hand-formats the online-MTBF trace as JSON: one entry per
 /// checkpoint boundary, keyed by phones absorbed, ending with the
 /// whole-fleet estimate (which matches the final report exactly).
-fn mtbf_trace_json(args: &Args, run: &CampaignRun) -> String {
+fn mtbf_trace_json(args: &Args, run: &StreamingRun) -> String {
     let entries: Vec<String> = run
         .mtbf_trace
         .iter()
@@ -907,6 +865,7 @@ fn plan_shards_cmd(argv: &[String]) -> Result<(), String> {
     if shards == 0 {
         return Err("plan-shards needs --shards N (e.g. --shards 4)".to_string());
     }
+    check_balance(balance, costs_json.as_deref())?;
     let phones = flags.phones;
     let mode = balance_mode(balance, costs_json.as_deref(), phones)?;
     let campaign = flags.campaign();
@@ -1085,10 +1044,36 @@ fn minimize_cmd(argv: &[String]) -> Result<(), String> {
     Ok(())
 }
 
+/// Every `--exp` name the default command knows.
+const EXPERIMENTS: [&str; 17] = [
+    "all",
+    "table1",
+    "forum_marginals",
+    "table2",
+    "table3",
+    "table4",
+    "fig2",
+    "fig3",
+    "fig5",
+    "fig6",
+    "mtbf",
+    "defects",
+    "ablations",
+    "perphone",
+    "extensions",
+    "stats",
+    "targets",
+];
+
 /// The default command: runs the campaign and prints `--exp`'s
 /// artifacts.
 fn experiment_cmd(argv: &[String]) -> Result<(), String> {
     let args = parse_args(argv)?;
+    // Before the campaign, so a typo costs no simulation and writes
+    // no `--timing-json`/`--defects-json`/`--mtbf-trace-json` file.
+    if !EXPERIMENTS.contains(&args.exp.as_str()) {
+        return Err(format!("unknown experiment {}", args.exp));
+    }
     let registry = PassRegistry::select(&args.analyses)?;
     // The window sweep re-thresholds the coalesce pass's panics.
     let sweeps = args.exp == "ablations" || (args.exp == "fig5" && args.sweep);
@@ -1107,18 +1092,19 @@ fn experiment_cmd(argv: &[String]) -> Result<(), String> {
     let write = |path: &str, text: String| {
         std::fs::write(path, text).map_err(|e| format!("cannot write {path}: {e}"))
     };
-    if let (Some(path), Some(run)) = (&args.mtbf_trace_json, &run) {
+    if let (Some(path), Some((run, _))) = (&args.mtbf_trace_json, &run) {
         write(path, mtbf_trace_json(&args, run))?;
         eprintln!("wrote MTBF trace to {path}");
     }
-    if let (Some(path), Some(run)) = (&args.timing_json, &run) {
-        write(path, timing_json(&args, run))?;
+    if let (Some(path), Some((run, stage))) = (&args.timing_json, &run) {
+        write(path, timing_json(&args, run, stage))?;
         eprintln!("wrote stage timings to {path}");
     }
-    if let (Some(path), Some(run)) = (&args.defects_json, &run) {
+    if let (Some(path), Some((run, _))) = (&args.defects_json, &run) {
         write(path, run.report.defects.to_json())?;
         eprintln!("wrote defect report to {path}");
     }
+    let run = run.map(|(run, _)| run);
     let report = run.as_ref().map(|run| &run.report);
     match args.exp.as_str() {
         "all" => {
@@ -1222,7 +1208,7 @@ fn experiment_cmd(argv: &[String]) -> Result<(), String> {
                 targets::SHUTDOWN_EVENTS
             );
         }
-        other => return Err(format!("unknown experiment {other}")),
+        other => unreachable!("experiment {other} was checked against EXPERIMENTS"),
     }
     Ok(())
 }

@@ -35,6 +35,7 @@ const REFUSED: &[(&[&str], &str)] = &[
     ),
     // Missing and malformed values.
     (&["--exp"], "--exp needs a value"),
+    (&["--exp", "bogus"], "unknown experiment bogus"),
     (&["--seed"], "--seed needs an integer"),
     (&["--seed", "x"], "--seed needs an integer"),
     (&["--phones", "-1"], "--phones needs an integer"),
@@ -58,7 +59,11 @@ const REFUSED: &[(&[&str], &str)] = &[
     (&["--fleet"], "--fleet needs a composition spec"),
     (
         &["--balance", "bogus"],
-        "--balance needs uniform, static or measured, got Some(\"bogus\")",
+        "--balance needs uniform, static or measured, got bogus",
+    ),
+    (
+        &["--balance"],
+        "--balance needs uniform, static or measured",
     ),
     (
         &["--analyses", "nope"],
@@ -133,6 +138,18 @@ const REFUSED: &[(&[&str], &str)] = &[
         "--balance measured needs --costs-json PATH",
     ),
     (
+        &[
+            "plan-shards",
+            "--shards",
+            "2",
+            "--phones",
+            "4",
+            "--costs-json",
+            "/nonexistent.json",
+        ],
+        "--costs-json only applies with --balance measured",
+    ),
+    (
         &["plan-shards", "--shards", "2", "--fleet", "nope:1"],
         "--fleet: unknown device class \"nope\" (try communicator|smartphone|entry-level)",
     ),
@@ -171,6 +188,25 @@ fn bad_arguments_are_refused_with_their_exact_message() {
         );
         assert!(out.stdout.is_empty(), "stdout for {argv:?}");
     }
+}
+
+/// An unknown experiment is refused before the campaign runs, so none
+/// of the run's output files is written.
+#[test]
+fn unknown_experiment_writes_no_timing_file() {
+    let path = std::env::temp_dir().join(format!(
+        "symfail-cliargs-{}-timing.json",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_file(&path);
+    let out = repro(&["--exp", "bogus", "--timing-json", path.to_str().unwrap()]);
+    assert_eq!(out.status.code(), Some(1));
+    assert_eq!(
+        String::from_utf8_lossy(&out.stderr),
+        "unknown experiment bogus\n"
+    );
+    assert!(out.stdout.is_empty());
+    assert!(!path.exists(), "{} was written", path.display());
 }
 
 #[test]

@@ -96,3 +96,90 @@ fn oversharded_fleet_merges_at_the_cli() {
         let _ = std::fs::remove_file(p);
     }
 }
+
+/// Plans shards from a measured cost file: a real `--workers 1` run
+/// writes `--timing-json`, and `plan-shards --balance measured` reads
+/// its `phone_costs` back. At 6 phones × 30 days every measured cost
+/// prints as `0.000`, so this pins the reader and the table's shape,
+/// not the values. The file is refused for a different `--phones` and
+/// when it comes from a sharded run.
+#[test]
+fn plan_shards_balances_on_a_measured_timing_file() {
+    let campaign = ["--phones", "6", "--days", "30"];
+    let timing = |name: &str, extra: &[&str]| {
+        let path = std::env::temp_dir().join(format!(
+            "symfail-clishard-{}-{name}.json",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_file(&path);
+        let out = repro()
+            .args(["--exp", "mtbf", "--workers", "1"])
+            .args(campaign)
+            .args(extra)
+            .args(["--timing-json", path.to_str().unwrap()])
+            .output()
+            .expect("spawn repro");
+        assert!(
+            out.status.success(),
+            "timing run exited nonzero:\n{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        path
+    };
+    let plan = |costs: &std::path::Path, phones: &str| {
+        repro()
+            .args(["plan-shards", "--shards", "2", "--balance", "measured"])
+            .args(["--costs-json", costs.to_str().unwrap()])
+            .args(["--phones", phones, "--days", "30"])
+            .output()
+            .expect("spawn repro plan-shards")
+    };
+
+    let whole = timing("costs", &[]);
+    let out = plan(&whole, "6");
+    assert!(
+        out.status.success(),
+        "plan-shards exited nonzero:\n{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let mut lines = stdout.lines();
+    let header = lines.next().expect("plan header");
+    assert!(header.ends_with("2 shards, balance measured"), "{header}");
+    // The cut table: one `[lo, hi)` row per shard, chaining from 0 to
+    // the fleet size.
+    let cuts: Vec<(u32, u32)> = lines
+        .filter_map(|line| {
+            let (lo, hi) = line.split_once('[')?.1.split_once(')')?.0.split_once(',')?;
+            Some((lo.trim().parse().ok()?, hi.trim().parse().ok()?))
+        })
+        .collect();
+    assert_eq!(cuts.len(), 2, "{stdout}");
+    assert_eq!(cuts[0].0, 0, "{stdout}");
+    assert_eq!(cuts[0].1, cuts[1].0, "{stdout}");
+    assert_eq!(cuts[1].1, 6, "{stdout}");
+
+    let refused = |out: std::process::Output, message: String| {
+        assert_eq!(out.status.code(), Some(1));
+        assert_eq!(String::from_utf8_lossy(&out.stderr), message + "\n");
+        assert!(out.stdout.is_empty());
+    };
+    refused(
+        plan(&whole, "7"),
+        format!(
+            "{}: phone_costs has 6 entries, --phones says 7",
+            whole.display()
+        ),
+    );
+    let sharded = timing("costs-shard", &["--shard", "1/2"]);
+    refused(
+        plan(&sharded, "6"),
+        format!(
+            "{}: phone_cost_start is 3, need a whole-fleet (unsharded) timing file",
+            sharded.display()
+        ),
+    );
+    for p in [whole, sharded] {
+        let _ = std::fs::remove_file(p);
+    }
+}

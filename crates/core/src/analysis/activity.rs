@@ -13,7 +13,10 @@ use serde::{Deserialize, Serialize};
 use symfail_stats::ContingencyTable;
 use symfail_symbian::servers::logdb::ActivityKind;
 
+use super::checkpoint::{read_table, write_table, ByteReader, ByteWriter, CheckpointError};
 use super::coalesce::{CoalescedPanic, CoalescenceAnalysis};
+use super::passes::{Additive, AnalysisPass, Grouped, PhoneLens};
+use super::report::StudyReport;
 
 /// Row label for panics with no registered activity.
 pub const UNSPECIFIED: &str = "unspecified";
@@ -35,8 +38,7 @@ impl ActivityAnalysis {
     }
 
     /// Builds the table from a coalesced-panic slice directly — the
-    /// per-phone fold of the streaming
-    /// [`AnalysisPass`](crate::analysis::passes::AnalysisPass) engine.
+    /// per-phone fold of the `activity` pass.
     pub fn from_coalesced(panics: &[CoalescedPanic]) -> Self {
         let mut table = ContingencyTable::new();
         let mut total = 0;
@@ -64,17 +66,6 @@ impl ActivityAnalysis {
         }
     }
 
-    /// Reassembles an analysis from its serialized parts — the
-    /// checkpoint restore path of the streaming
-    /// [`AnalysisPass`](crate::analysis::passes::AnalysisPass) engine.
-    pub fn from_parts(table: ContingencyTable, total: usize, real_time: usize) -> Self {
-        Self {
-            table,
-            total,
-            real_time,
-        }
-    }
-
     /// Merges another phone's fold into this accumulator. Counts are
     /// additive and the table is order-insensitive, so absorbing folds
     /// in any associative grouping yields the batch result.
@@ -94,12 +85,6 @@ impl ActivityAnalysis {
         self.total
     }
 
-    /// Number of HL-related panics recorded during real-time
-    /// activities (the numerator of [`Self::real_time_fraction`]).
-    pub fn real_time_count(&self) -> usize {
-        self.real_time
-    }
-
     /// Fraction of HL-related panics recorded during real-time
     /// activities (voice call / message) — the paper's ~45%.
     pub fn real_time_fraction(&self) -> f64 {
@@ -113,6 +98,64 @@ impl ActivityAnalysis {
     pub fn activity_percent(&self, activity: Option<ActivityKind>) -> f64 {
         let row = activity.map(ActivityKind::as_str).unwrap_or(UNSPECIFIED);
         self.table.row_percent(row).unwrap_or(0.0)
+    }
+}
+
+impl Additive for ActivityAnalysis {
+    fn empty() -> Self {
+        ActivityAnalysis::from_coalesced(&[])
+    }
+
+    fn absorb(&mut self, other: &Self) {
+        ActivityAnalysis::absorb(self, other);
+    }
+}
+
+/// Table 3: per-phone activity tables, additively merged, grouped by
+/// device class.
+pub(super) struct ActivityPass;
+
+impl AnalysisPass for ActivityPass {
+    type Acc = Grouped<ActivityAnalysis>;
+    const NAME: &'static str = "activity";
+    const NEEDS_COALESCE: bool = true;
+
+    fn fold_phone(&self, lens: &PhoneLens<'_>) -> Self::Acc {
+        Grouped::single(
+            lens.device.device_class,
+            ActivityAnalysis::from_coalesced(&lens.coalesced.panics),
+        )
+    }
+
+    fn merge(&self, acc: &mut Self::Acc, other: Self::Acc, _remap: Option<&[u16]>) {
+        acc.merge(other);
+    }
+
+    fn finish(&self, acc: Self::Acc, report: &mut StudyReport) {
+        (report.activity, report.activity_by_class) = acc.finish();
+    }
+
+    fn snapshot(&self, acc: &Self::Acc, out: &mut ByteWriter) {
+        out.usize(acc.groups.len());
+        for (label, a) in &acc.groups {
+            out.str(label);
+            write_table(out, a.table());
+            out.usize(a.total());
+            out.usize(a.real_time);
+        }
+    }
+
+    fn restore(&self, src: &mut ByteReader<'_>) -> Result<Self::Acc, CheckpointError> {
+        Grouped::restore(src, |src| {
+            let table = read_table(src)?;
+            let total = src.usize()?;
+            let real_time = src.usize()?;
+            Ok(ActivityAnalysis {
+                table,
+                total,
+                real_time,
+            })
+        })
     }
 }
 

@@ -12,7 +12,10 @@ use serde::{Deserialize, Serialize};
 use symfail_sim_core::SimDuration;
 use symfail_stats::CategoricalDist;
 
+use super::checkpoint::{ByteReader, ByteWriter, CheckpointError};
 use super::dataset::{FleetDataset, PanicEvent};
+use super::passes::{AnalysisPass, PhoneLens};
+use super::report::StudyReport;
 
 /// Default gap under which two subsequent panics on the same phone
 /// belong to one cascade.
@@ -29,16 +32,15 @@ pub struct Cascade {
 }
 
 /// The Figure 3 analysis result.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct BurstAnalysis {
     cascades: Vec<Cascade>,
     total_panics: usize,
 }
 
 /// Groups one phone's time-ordered panics into cascades — the
-/// per-phone unit of work shared by the batch analysis and the
-/// streaming [`AnalysisPass`](crate::analysis::passes::AnalysisPass)
-/// engine.
+/// per-phone unit of work shared by [`BurstAnalysis::new`] and the
+/// `bursts` pass.
 pub fn phone_cascades(phone_id: u32, panics: &[PanicEvent], gap: SimDuration) -> Vec<Cascade> {
     let mut cascades = Vec::new();
     let mut size = 0usize;
@@ -74,15 +76,6 @@ impl BurstAnalysis {
         Self {
             cascades,
             total_panics: total,
-        }
-    }
-
-    /// Reassembles an analysis from per-phone cascade folds — the
-    /// streaming engine's `finish` step.
-    pub fn from_parts(cascades: Vec<Cascade>, total_panics: usize) -> Self {
-        Self {
-            cascades,
-            total_panics,
         }
     }
 
@@ -125,6 +118,67 @@ impl BurstAnalysis {
     /// Largest cascade observed.
     pub fn max_cascade(&self) -> usize {
         self.cascades.iter().map(|c| c.size).max().unwrap_or(0)
+    }
+}
+
+/// Figure 3: per-phone cascades, concatenated in phone order.
+#[derive(Default)]
+pub(super) struct BurstsAcc {
+    cascades: Vec<Cascade>,
+    total_panics: usize,
+}
+
+pub(super) struct BurstsPass;
+
+impl AnalysisPass for BurstsPass {
+    type Acc = BurstsAcc;
+    const NAME: &'static str = "bursts";
+
+    fn fold_phone(&self, lens: &PhoneLens<'_>) -> Self::Acc {
+        BurstsAcc {
+            cascades: phone_cascades(
+                lens.phone.phone_id(),
+                lens.phone.panics(),
+                lens.config.burst_gap,
+            ),
+            total_panics: lens.phone.panics().len(),
+        }
+    }
+
+    fn merge(&self, acc: &mut Self::Acc, other: Self::Acc, _remap: Option<&[u16]>) {
+        acc.cascades.extend(other.cascades);
+        acc.total_panics += other.total_panics;
+    }
+
+    fn finish(&self, acc: Self::Acc, report: &mut StudyReport) {
+        report.bursts = BurstAnalysis {
+            cascades: acc.cascades,
+            total_panics: acc.total_panics,
+        };
+    }
+
+    fn snapshot(&self, acc: &Self::Acc, out: &mut ByteWriter) {
+        out.usize(acc.cascades.len());
+        for c in &acc.cascades {
+            out.u32(c.phone_id);
+            out.usize(c.size);
+        }
+        out.usize(acc.total_panics);
+    }
+
+    fn restore(&self, src: &mut ByteReader<'_>) -> Result<Self::Acc, CheckpointError> {
+        let n = src.usize()?;
+        let mut cascades = Vec::new();
+        for _ in 0..n {
+            cascades.push(Cascade {
+                phone_id: src.u32()?,
+                size: src.usize()?,
+            });
+        }
+        Ok(BurstsAcc {
+            cascades,
+            total_panics: src.usize()?,
+        })
     }
 }
 

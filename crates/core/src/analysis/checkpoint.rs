@@ -52,6 +52,8 @@
 
 use std::fmt;
 
+use symfail_stats::{CategoricalDist, ContingencyTable};
+
 /// File magic: the first eight bytes of every checkpoint.
 pub const CHECKPOINT_MAGIC: [u8; 8] = *b"SYMFCKPT";
 
@@ -485,6 +487,54 @@ impl<'a> ByteReader<'a> {
         String::from_utf8(bytes.to_vec())
             .map_err(|_| CheckpointError::Corrupt("string is not UTF-8"))
     }
+}
+
+// --- codecs for the statistic types several passes hold ---
+//
+// Each pass encodes its own accumulator in its own module; these two
+// are shared. Labels are written in the types' own (sorted) iteration
+// order, so equal values always encode to equal bytes.
+
+pub(super) fn write_dist(w: &mut ByteWriter, d: &CategoricalDist) {
+    let entries: Vec<(&str, u64)> = d.iter().collect();
+    w.usize(entries.len());
+    for (label, n) in entries {
+        w.str(label);
+        w.u64(n);
+    }
+}
+
+pub(super) fn read_dist(r: &mut ByteReader<'_>) -> Result<CategoricalDist, CheckpointError> {
+    let n = r.usize()?;
+    let mut d = CategoricalDist::new();
+    for _ in 0..n {
+        let label = r.str()?;
+        let count = r.u64()?;
+        d.add_n(label, count);
+    }
+    Ok(d)
+}
+
+pub(super) fn write_table(w: &mut ByteWriter, t: &ContingencyTable) {
+    let entries: Vec<(&str, &str, u64)> = t.iter().collect();
+    w.usize(entries.len());
+    for (row, col, n) in entries {
+        w.str(row);
+        w.str(col);
+        w.u64(n);
+    }
+}
+
+pub(super) fn read_table(r: &mut ByteReader<'_>) -> Result<ContingencyTable, CheckpointError> {
+    let n = r.usize()?;
+    let mut t = ContingencyTable::new();
+    for _ in 0..n {
+        let row = r.str()?;
+        let col = r.str()?;
+        let count = r.u64()?;
+        t.add_n(row, col, count);
+    }
+    Ok(t)
 }
 
 #[cfg(test)]

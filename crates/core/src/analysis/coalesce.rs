@@ -29,8 +29,16 @@ use serde::{Deserialize, Serialize};
 
 use symfail_sim_core::{SimDuration, SimTime};
 use symfail_stats::CategoricalDist;
+use symfail_symbian::panic::PanicCategory;
+use symfail_symbian::servers::logdb::ActivityKind;
+use symfail_symbian::PanicCode;
 
+use crate::intern::NameId;
+
+use super::checkpoint::{ByteReader, ByteWriter, CheckpointError};
 use super::dataset::{FleetDataset, HlEvent, HlKind, PanicEvent};
+use super::passes::{AnalysisPass, PhoneLens};
+use super::report::StudyReport;
 
 /// The paper's coalescence window.
 pub const COALESCENCE_WINDOW: SimDuration = SimDuration::from_mins(5);
@@ -115,9 +123,8 @@ fn phone_slice(hl: &[HlEvent], phone_id: u32) -> &[HlEvent] {
 }
 
 /// One phone's coalescence fold: the per-phone unit of work shared by
-/// the batch analysis and the streaming
-/// [`AnalysisPass`](crate::analysis::passes::AnalysisPass) engine, so
-/// both paths run literally the same kernel.
+/// [`CoalescenceAnalysis::new`] and the `coalesce` pass, so both run
+/// literally the same kernel.
 #[derive(Debug, Clone, Default)]
 pub struct PhoneCoalesce {
     /// The phone's panics with their coalescence outcome, in time
@@ -182,22 +189,6 @@ impl CoalescenceAnalysis {
             window,
             panics,
             hl_total: hl_events.len(),
-            hl_with_panic,
-        }
-    }
-
-    /// Reassembles an analysis from per-phone folds merged in phone-id
-    /// order — the streaming engine's `finish` step.
-    pub fn from_parts(
-        window: SimDuration,
-        panics: Vec<CoalescedPanic>,
-        hl_total: usize,
-        hl_with_panic: usize,
-    ) -> Self {
-        Self {
-            window,
-            panics,
-            hl_total,
             hl_with_panic,
         }
     }
@@ -444,6 +435,204 @@ impl CoalescenceGaps {
         }
         (self.hl_gaps_ms.len() - self.hl_with_panic(window)) as f64 / self.hl_gaps_ms.len() as f64
     }
+}
+
+/// Figures 4/5: coalescence folds (both the filtered and the
+/// all-shutdowns variant) plus the HL stream. The only accumulator
+/// that carries interned name ids, hence the only merge that consults
+/// the remap.
+#[derive(Default)]
+pub(super) struct CoalesceAcc {
+    pub(super) filtered: PhoneCoalesce,
+    all_shutdowns: PhoneCoalesce,
+    hl_events: Vec<HlEvent>,
+}
+
+pub(super) struct CoalescePass;
+
+impl AnalysisPass for CoalescePass {
+    type Acc = CoalesceAcc;
+    const NAME: &'static str = "coalesce";
+    const NEEDS_COALESCE: bool = true;
+
+    fn fold_phone(&self, lens: &PhoneLens<'_>) -> Self::Acc {
+        CoalesceAcc {
+            filtered: lens.coalesced.clone(),
+            all_shutdowns: lens.coalesced_all.clone(),
+            hl_events: lens.hl.clone(),
+        }
+    }
+
+    fn merge(&self, acc: &mut Self::Acc, mut other: Self::Acc, remap: Option<&[u16]>) {
+        if let Some(remap) = remap {
+            for p in other
+                .filtered
+                .panics
+                .iter_mut()
+                .chain(other.all_shutdowns.panics.iter_mut())
+            {
+                p.panic.remap(remap);
+            }
+        }
+        acc.filtered.panics.extend(other.filtered.panics);
+        acc.filtered.hl_total += other.filtered.hl_total;
+        acc.filtered.hl_with_panic += other.filtered.hl_with_panic;
+        acc.all_shutdowns.panics.extend(other.all_shutdowns.panics);
+        acc.all_shutdowns.hl_total += other.all_shutdowns.hl_total;
+        acc.all_shutdowns.hl_with_panic += other.all_shutdowns.hl_with_panic;
+        acc.hl_events.extend(other.hl_events);
+    }
+
+    fn finish(&self, acc: Self::Acc, report: &mut StudyReport) {
+        let window = report.config().coalescence_window;
+        let analysis = |fold: PhoneCoalesce| CoalescenceAnalysis {
+            window,
+            panics: fold.panics,
+            hl_total: fold.hl_total,
+            hl_with_panic: fold.hl_with_panic,
+        };
+        report.coalescence = analysis(acc.filtered);
+        report.coalescence_all_shutdowns = analysis(acc.all_shutdowns);
+        report.hl_events = acc.hl_events;
+    }
+
+    fn snapshot(&self, acc: &Self::Acc, out: &mut ByteWriter) {
+        write_phone_coalesce(out, &acc.filtered);
+        write_phone_coalesce(out, &acc.all_shutdowns);
+        out.usize(acc.hl_events.len());
+        for e in &acc.hl_events {
+            write_hl_event(out, e);
+        }
+    }
+
+    fn restore(&self, src: &mut ByteReader<'_>) -> Result<Self::Acc, CheckpointError> {
+        let filtered = read_phone_coalesce(src)?;
+        let all_shutdowns = read_phone_coalesce(src)?;
+        let n = src.usize()?;
+        let mut hl_events = Vec::new();
+        for _ in 0..n {
+            hl_events.push(read_hl_event(src)?);
+        }
+        Ok(CoalesceAcc {
+            filtered,
+            all_shutdowns,
+            hl_events,
+        })
+    }
+}
+
+fn write_hl_event(w: &mut ByteWriter, e: &HlEvent) {
+    w.u32(e.phone_id);
+    w.u64(e.at.as_millis());
+    w.u8(match e.kind {
+        HlKind::Freeze => 0,
+        HlKind::SelfShutdown => 1,
+    });
+}
+
+fn read_hl_event(r: &mut ByteReader<'_>) -> Result<HlEvent, CheckpointError> {
+    Ok(HlEvent {
+        phone_id: r.u32()?,
+        at: SimTime::from_millis(r.u64()?),
+        kind: match r.u8()? {
+            0 => HlKind::Freeze,
+            1 => HlKind::SelfShutdown,
+            _ => return Err(CheckpointError::Corrupt("HL kind out of range")),
+        },
+    })
+}
+
+fn write_panic_event(w: &mut ByteWriter, p: &PanicEvent) {
+    w.u64(p.at.as_millis());
+    let category = PanicCategory::ALL
+        .iter()
+        .position(|c| *c == p.code.category)
+        .expect("every category is in PanicCategory::ALL");
+    w.u8(category as u8);
+    w.u16(p.code.panic_type);
+    w.u16(p.raised_by.0);
+    w.u16(p.reason.0);
+    w.u32(p.apps.len() as u32);
+    for id in p.apps.iter() {
+        w.u16(id.0);
+    }
+    w.u8(match p.activity {
+        None => 0,
+        Some(ActivityKind::VoiceCall) => 1,
+        Some(ActivityKind::Message) => 2,
+        Some(ActivityKind::DataSession) => 3,
+    });
+    w.u8(p.battery);
+}
+
+fn read_panic_event(r: &mut ByteReader<'_>) -> Result<PanicEvent, CheckpointError> {
+    let at = SimTime::from_millis(r.u64()?);
+    let category = *PanicCategory::ALL
+        .get(r.u8()? as usize)
+        .ok_or(CheckpointError::Corrupt("panic category out of range"))?;
+    let code = PanicCode::new(category, r.u16()?);
+    let raised_by = NameId(r.u16()?);
+    let reason = NameId(r.u16()?);
+    let n_apps = r.u32()?;
+    let apps = (0..n_apps)
+        .map(|_| r.u16().map(NameId))
+        .collect::<Result<_, _>>()?;
+    let activity = match r.u8()? {
+        0 => None,
+        1 => Some(ActivityKind::VoiceCall),
+        2 => Some(ActivityKind::Message),
+        3 => Some(ActivityKind::DataSession),
+        _ => return Err(CheckpointError::Corrupt("activity kind out of range")),
+    };
+    Ok(PanicEvent {
+        at,
+        code,
+        raised_by,
+        reason,
+        apps,
+        activity,
+        battery: r.u8()?,
+    })
+}
+
+fn write_phone_coalesce(w: &mut ByteWriter, pc: &PhoneCoalesce) {
+    w.usize(pc.panics.len());
+    for p in &pc.panics {
+        w.u32(p.phone_id);
+        write_panic_event(w, &p.panic);
+        w.u8(match p.related {
+            None => 0,
+            Some(HlKind::Freeze) => 1,
+            Some(HlKind::SelfShutdown) => 2,
+        });
+    }
+    w.usize(pc.hl_total);
+    w.usize(pc.hl_with_panic);
+}
+
+fn read_phone_coalesce(r: &mut ByteReader<'_>) -> Result<PhoneCoalesce, CheckpointError> {
+    let n = r.usize()?;
+    let mut panics = Vec::new();
+    for _ in 0..n {
+        let phone_id = r.u32()?;
+        let panic = read_panic_event(r)?;
+        let related = match r.u8()? {
+            0 => None,
+            1 => Some(HlKind::Freeze),
+            2 => Some(HlKind::SelfShutdown),
+            _ => return Err(CheckpointError::Corrupt("related HL kind out of range")),
+        };
+        panics.push(CoalescedPanic {
+            phone_id,
+            panic,
+            related,
+        });
+    }
+    Ok(PhoneCoalesce {
+        panics,
+        hl_total: r.usize()?,
+        hl_with_panic: r.usize()?,
+    })
 }
 
 #[cfg(test)]

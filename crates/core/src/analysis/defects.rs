@@ -16,6 +16,10 @@ use serde::{Deserialize, Serialize};
 
 use crate::records::ParseDefect;
 
+use super::checkpoint::{ByteReader, ByteWriter, CheckpointError};
+use super::passes::{AnalysisPass, PhoneLens};
+use super::report::StudyReport;
+
 /// Defect counters for one phone's flash files (or, aggregated, for
 /// the whole fleet).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -214,6 +218,65 @@ impl DefectReport {
         out.push_str(&body.join(",\n"));
         out.push_str("\n  }\n}\n");
         out
+    }
+}
+
+/// Parse-defect accounting, concatenated in phone order.
+pub(super) struct DefectsPass;
+
+impl AnalysisPass for DefectsPass {
+    type Acc = Vec<(u32, PhoneDefects)>;
+    const NAME: &'static str = "defects";
+
+    fn fold_phone(&self, lens: &PhoneLens<'_>) -> Self::Acc {
+        vec![(lens.phone.phone_id(), *lens.phone.defects())]
+    }
+
+    fn merge(&self, acc: &mut Self::Acc, other: Self::Acc, _remap: Option<&[u16]>) {
+        acc.extend(other);
+    }
+
+    fn finish(&self, acc: Self::Acc, report: &mut StudyReport) {
+        report.defects = DefectReport::from_phones(acc);
+    }
+
+    fn snapshot(&self, acc: &Self::Acc, out: &mut ByteWriter) {
+        out.usize(acc.len());
+        for (id, d) in acc {
+            out.u32(*id);
+            out.u64(d.truncated);
+            out.u64(d.checksum_mismatch);
+            out.u64(d.out_of_order);
+            out.u64(d.duplicate);
+            out.u64(d.unknown_tag);
+            out.u64(d.lines_seen);
+            out.u64(d.records_kept);
+            out.bool(d.invalid_utf8);
+            out.bool(d.unusable);
+        }
+    }
+
+    fn restore(&self, src: &mut ByteReader<'_>) -> Result<Self::Acc, CheckpointError> {
+        let n = src.usize()?;
+        let mut phones = Vec::new();
+        for _ in 0..n {
+            let id = src.u32()?;
+            phones.push((
+                id,
+                PhoneDefects {
+                    truncated: src.u64()?,
+                    checksum_mismatch: src.u64()?,
+                    out_of_order: src.u64()?,
+                    duplicate: src.u64()?,
+                    unknown_tag: src.u64()?,
+                    lines_seen: src.u64()?,
+                    records_kept: src.u64()?,
+                    invalid_utf8: src.bool()?,
+                    unusable: src.bool()?,
+                },
+            ));
+        }
+        Ok(phones)
     }
 }
 

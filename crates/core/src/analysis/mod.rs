@@ -24,7 +24,9 @@
 //! per-phone fold with a phone-ordered merge — so the same code runs
 //! both as the reference driver over a materialized
 //! [`dataset::FleetDataset`] and inside the streaming campaign driver
-//! (peak memory bounded by `workers × per-phone state`).
+//! (peak memory bounded by `workers × per-phone state`). Each step's
+//! pass lives in the step's own module, beside the section it builds;
+//! [`passes`] holds the framework they share.
 
 pub mod activity;
 pub mod baseline;
@@ -33,6 +35,7 @@ pub mod checkpoint;
 pub mod coalesce;
 pub mod dataset;
 pub mod defects;
+pub mod firmware;
 pub mod interarrival;
 pub mod mtbf;
 pub mod output_failures;

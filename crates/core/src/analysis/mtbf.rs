@@ -11,7 +11,10 @@ use serde::{Deserialize, Serialize};
 use symfail_sim_core::SimDuration;
 use symfail_stats::OnlineSummary;
 
+use super::checkpoint::{ByteReader, ByteWriter, CheckpointError};
 use super::dataset::FleetDataset;
+use super::passes::{AnalysisPass, PhoneLens};
+use super::report::StudyReport;
 
 /// Heartbeat-gap ceiling used when reconstructing powered-on time from
 /// the beats stream (gaps longer than this mean off/frozen).
@@ -109,6 +112,59 @@ impl MtbfAnalysis {
                 (freezes + shutdowns) as f64
             })
             .collect()
+    }
+}
+
+/// MTBF contributions: powered-on time (integer ms, zero for unusable
+/// phones) and failure counts.
+#[derive(Default)]
+pub(super) struct MtbfFold {
+    pub(super) powered_on: SimDuration,
+    pub(super) freezes: usize,
+    pub(super) self_shutdowns: usize,
+}
+
+pub(super) struct MtbfPass;
+
+impl AnalysisPass for MtbfPass {
+    type Acc = MtbfFold;
+    const NAME: &'static str = "mtbf";
+
+    fn fold_phone(&self, lens: &PhoneLens<'_>) -> Self::Acc {
+        let powered_on = if lens.phone.defects().unusable {
+            SimDuration::ZERO
+        } else {
+            lens.phone.powered_on_time(lens.config.uptime_gap)
+        };
+        MtbfFold {
+            powered_on,
+            freezes: lens.phone.freezes().len(),
+            self_shutdowns: lens.self_shutdowns,
+        }
+    }
+
+    fn merge(&self, acc: &mut Self::Acc, other: Self::Acc, _remap: Option<&[u16]>) {
+        acc.powered_on += other.powered_on;
+        acc.freezes += other.freezes;
+        acc.self_shutdowns += other.self_shutdowns;
+    }
+
+    fn finish(&self, acc: Self::Acc, report: &mut StudyReport) {
+        report.mtbf = MtbfAnalysis::from_totals(acc.powered_on, acc.freezes, acc.self_shutdowns);
+    }
+
+    fn snapshot(&self, acc: &Self::Acc, out: &mut ByteWriter) {
+        out.u64(acc.powered_on.as_millis());
+        out.usize(acc.freezes);
+        out.usize(acc.self_shutdowns);
+    }
+
+    fn restore(&self, src: &mut ByteReader<'_>) -> Result<Self::Acc, CheckpointError> {
+        Ok(MtbfFold {
+            powered_on: SimDuration::from_millis(src.u64()?),
+            freezes: src.usize()?,
+            self_shutdowns: src.usize()?,
+        })
     }
 }
 

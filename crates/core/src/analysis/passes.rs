@@ -5,10 +5,10 @@
 //! accumulator: it folds one [`PhoneDataset`] into a *one-phone
 //! accumulator* ([`AnalysisPass::fold_phone`]), merges accumulators
 //! ([`AnalysisPass::merge`]), and finishes the fleet accumulator into
-//! its report section ([`AnalysisPass::finish`]). There is one merge:
-//! a phone, a contiguous run of phones and a whole checkpointed shard
-//! are all accumulators, so the same method absorbs each of them. The
-//! contract that makes streaming safe:
+//! its section of the [`StudyReport`] ([`AnalysisPass::finish`]).
+//! There is one merge: a phone, a contiguous run of phones and a whole
+//! checkpointed shard are all accumulators, so the same method absorbs
+//! each of them. The contract that makes streaming safe:
 //!
 //! - **merge is associative over phone order**: merging the
 //!   accumulators of disjoint ascending phone runs, in any grouping,
@@ -18,16 +18,24 @@
 //!   order-insensitive additive counters
 //!   (`CategoricalDist`/`ContingencyTable` are `BTreeMap`-backed).
 //! - **name ids never leak unmapped**: only coalesced panics carry
-//!   interned [`NameId`]s. The merge context
-//!   provides the absorbed run's remap table (built by absorbing its
-//!   [`NameTable`] into the receiving table in phone-id order), so
-//!   streamed ids are bit-identical to the batch fleet table's. Passes
-//!   that need strings (running apps) resolve them at fold time
-//!   instead.
+//!   interned [`NameId`](crate::intern::NameId)s. A merge receives the
+//!   absorbed run's remap table (built by absorbing its [`NameTable`]
+//!   into the receiving table in phone-id order), so streamed ids are
+//!   bit-identical to the batch fleet table's. Passes that need strings
+//!   (running apps) resolve them at fold time instead.
 //!
-//! The registry stores passes behind one private type-erased adapter
-//! (`ErasedPass`, implemented once for every [`AnalysisPass`]); it is
-//! the only code that sees an accumulator as `dyn Any`.
+//! Each pass lives with the section it builds, together with its
+//! accumulator and checkpoint codec: `shutdown`, `mtbf`, `bursts`,
+//! `coalesce`, `activity`, `runapps`, `firmware` and `defects` in the
+//! modules of those names, `panics` and `perphone` in
+//! [`report`](super::report). A new pass is one such module plus its
+//! entry in [`PassRegistry`]. This module holds what every pass shares:
+//! the trait, the per-phone [`PhoneLens`], the registry, the shard
+//! merge ([`FoldShard`], [`StreamMerger`]) and the checkpoint container
+//! around the passes' blobs. The registry stores passes behind one
+//! private type-erased adapter (`ErasedPass`, implemented once for
+//! every [`AnalysisPass`]); it is the only code that sees an
+//! accumulator as `dyn Any`.
 //!
 //! The streaming driver folds a *contiguous run* of phone ids into a
 //! private [`FoldShard`] (its own accumulators plus a shard-local name
@@ -43,38 +51,24 @@
 use std::any::Any;
 use std::collections::BTreeMap;
 
-use symfail_sim_core::{SimDuration, SimTime};
-use symfail_stats::{CategoricalDist, ContingencyTable};
-use symfail_symbian::panic::PanicCategory;
-use symfail_symbian::servers::logdb::ActivityKind;
-use symfail_symbian::PanicCode;
+use symfail_sim_core::SimDuration;
 
-use crate::intern::{NameId, NameTable};
+use crate::intern::NameTable;
 
-use super::activity::ActivityAnalysis;
-use super::bursts::{phone_cascades, BurstAnalysis, Cascade};
+use super::activity::ActivityPass;
+use super::bursts::BurstsPass;
 use super::checkpoint::{
     self, ByteReader, ByteWriter, CheckpointError, MergeError, ShardTopology, CHECKPOINT_MAGIC,
     CHECKPOINT_SCHEMA_VERSION,
 };
-use super::coalesce::{coalesce_phone, CoalescedPanic, CoalescenceAnalysis, PhoneCoalesce};
-use super::dataset::{HlEvent, HlKind, PanicEvent, PhoneDataset, ShutdownEvent};
-use super::defects::{DefectReport, PhoneDefects};
-use super::mtbf::MtbfAnalysis;
-use super::report::{AnalysisConfig, PhoneRow, StudyReport};
-use super::runapps::RunningAppsAnalysis;
-use super::shutdown::ShutdownAnalysis;
-
-/// Merge-time context: which phone run is being absorbed and how its
-/// name ids map into the receiving table.
-pub struct MergeCtx<'a> {
-    /// First phone id of the accumulator being merged.
-    pub phone_id: u32,
-    /// `remap[run_local_id] = receiving_id`, or `None` when the
-    /// accumulator's ids are already the receiver's (reference driver,
-    /// or an identity remap).
-    pub remap: Option<&'a [u16]>,
-}
+use super::coalesce::{coalesce_phone, CoalescePass, CoalescedPanic, PhoneCoalesce};
+use super::dataset::{HlEvent, HlKind, PhoneDataset, ShutdownEvent};
+use super::defects::DefectsPass;
+use super::firmware::FirmwarePass;
+use super::mtbf::{MtbfAnalysis, MtbfPass};
+use super::report::{AnalysisConfig, PanicDistPass, PerPhonePass, StudyReport};
+use super::runapps::RunningAppsPass;
+use super::shutdown::ShutdownPass;
 
 /// One section of the study as a typed per-phone fold plus an
 /// associative, phone-ordered merge.
@@ -101,18 +95,14 @@ pub trait AnalysisPass: Send + Sync + 'static {
     fn fold_phone(&self, lens: &PhoneLens<'_>) -> Self::Acc;
 
     /// Merges the accumulator of a later, disjoint phone run into
-    /// `acc`. `ctx.remap` maps `other`'s interner ids into `acc`'s.
-    fn merge(&self, acc: &mut Self::Acc, other: Self::Acc, ctx: &MergeCtx<'_>);
+    /// `acc`. `remap[other_id] = acc_id` maps `other`'s interner ids
+    /// into `acc`'s; `None` when they already agree (the reference
+    /// driver, or an identity remap).
+    fn merge(&self, acc: &mut Self::Acc, other: Self::Acc, remap: Option<&[u16]>);
 
-    /// Estimated heap bytes held by an accumulator — run-buffer
-    /// accounting for the merger's stats, not allocator truth. The
-    /// default claims nothing (right for flat counter folds).
-    fn heap_bytes(&self, _acc: &Self::Acc) -> usize {
-        0
-    }
-
-    /// Finishes the accumulator into the pass's report section.
-    fn finish(&self, acc: Self::Acc, config: AnalysisConfig) -> PassOutput;
+    /// Finishes the accumulator into the pass's section of `report`,
+    /// whose [`StudyReport::config`] is the analysis configuration.
+    fn finish(&self, acc: Self::Acc, report: &mut StudyReport);
 
     /// Serializes an accumulator into a checkpoint stream (see the
     /// [`checkpoint`] module for the format). Must
@@ -130,7 +120,7 @@ pub trait AnalysisPass: Send + Sync + 'static {
 type DynAcc = Box<dyn Any + Send>;
 
 /// The object-safe face of an [`AnalysisPass`], implemented once for
-/// every pass below: the registry holds `Box<dyn ErasedPass>` and
+/// every pass: the registry holds `Box<dyn ErasedPass>` and
 /// hands it [`DynAcc`]s, and these methods are the only code in the
 /// framework that downcasts one. Every slot is created by its own
 /// pass ([`PassRegistry::new_accs`], [`read_accs`]), so a type
@@ -139,10 +129,9 @@ trait ErasedPass: Send + Sync {
     fn name(&self) -> &'static str;
     fn needs_coalesce(&self) -> bool;
     fn empty(&self) -> DynAcc;
-    fn fold_into(&self, acc: &mut DynAcc, lens: &PhoneLens<'_>, ctx: &MergeCtx<'_>);
-    fn merge(&self, acc: &mut DynAcc, other: DynAcc, ctx: &MergeCtx<'_>);
-    fn heap_bytes(&self, acc: &DynAcc) -> usize;
-    fn finish(&self, acc: DynAcc, config: AnalysisConfig) -> PassOutput;
+    fn fold_into(&self, acc: &mut DynAcc, lens: &PhoneLens<'_>, remap: Option<&[u16]>);
+    fn merge(&self, acc: &mut DynAcc, other: DynAcc, remap: Option<&[u16]>);
+    fn finish(&self, acc: DynAcc, report: &mut StudyReport);
     fn snapshot(&self, acc: &DynAcc, out: &mut ByteWriter);
     fn restore(&self, src: &mut ByteReader<'_>) -> Result<DynAcc, CheckpointError>;
 }
@@ -176,21 +165,17 @@ impl<P: AnalysisPass> ErasedPass for P {
         Box::new(P::Acc::default())
     }
 
-    fn fold_into(&self, acc: &mut DynAcc, lens: &PhoneLens<'_>, ctx: &MergeCtx<'_>) {
+    fn fold_into(&self, acc: &mut DynAcc, lens: &PhoneLens<'_>, remap: Option<&[u16]>) {
         let fold = AnalysisPass::fold_phone(self, lens);
-        AnalysisPass::merge(self, typed_mut::<P>(acc), fold, ctx);
+        AnalysisPass::merge(self, typed_mut::<P>(acc), fold, remap);
     }
 
-    fn merge(&self, acc: &mut DynAcc, other: DynAcc, ctx: &MergeCtx<'_>) {
-        AnalysisPass::merge(self, typed_mut::<P>(acc), into_typed::<P>(other), ctx);
+    fn merge(&self, acc: &mut DynAcc, other: DynAcc, remap: Option<&[u16]>) {
+        AnalysisPass::merge(self, typed_mut::<P>(acc), into_typed::<P>(other), remap);
     }
 
-    fn heap_bytes(&self, acc: &DynAcc) -> usize {
-        AnalysisPass::heap_bytes(self, typed::<P>(acc))
-    }
-
-    fn finish(&self, acc: DynAcc, config: AnalysisConfig) -> PassOutput {
-        AnalysisPass::finish(self, into_typed::<P>(acc), config)
+    fn finish(&self, acc: DynAcc, report: &mut StudyReport) {
+        AnalysisPass::finish(self, into_typed::<P>(acc), report);
     }
 
     fn snapshot(&self, acc: &DynAcc, out: &mut ByteWriter) {
@@ -200,62 +185,6 @@ impl<P: AnalysisPass> ErasedPass for P {
     fn restore(&self, src: &mut ByteReader<'_>) -> Result<DynAcc, CheckpointError> {
         Ok(Box::new(AnalysisPass::restore(self, src)?))
     }
-}
-
-/// A finished report section, one variant per pass.
-#[derive(Debug, Clone)]
-pub enum PassOutput {
-    /// Figure 2 section.
-    Shutdowns(ShutdownAnalysis),
-    /// MTBF section.
-    Mtbf(MtbfAnalysis),
-    /// Figure 3 section.
-    Bursts(BurstAnalysis),
-    /// Figures 4/5 sections plus the merged HL event stream.
-    Coalescence {
-        /// Coalescence against freezes + filtered self-shutdowns.
-        filtered: CoalescenceAnalysis,
-        /// The robustness variant including all shutdown events.
-        all_shutdowns: CoalescenceAnalysis,
-        /// Freezes + self-shutdown HL events, `(phone, time)`-sorted.
-        hl_events: Vec<HlEvent>,
-    },
-    /// Table 3 section, sliced by device class.
-    Activity {
-        /// The whole-fleet table (all classes merged).
-        total: ActivityAnalysis,
-        /// Per-device-class slices, in label order.
-        by_class: Vec<(String, ActivityAnalysis)>,
-    },
-    /// Table 4 / Figure 6 section, sliced by device class.
-    RunningApps {
-        /// The whole-fleet table (all classes merged).
-        total: RunningAppsAnalysis,
-        /// Per-device-class slices, in label order.
-        by_class: Vec<(String, RunningAppsAnalysis)>,
-    },
-    /// Table 2 panic distribution.
-    PanicDistribution(CategoricalDist),
-    /// Firmware-version table plus the Section-4-style device-class ×
-    /// failure-type contingency table.
-    Firmware(FirmwareBreakdown),
-    /// Parse-defect accounting.
-    Defects(DefectReport),
-    /// Per-phone breakdown rows.
-    PerPhone(Vec<PhoneRow>),
-}
-
-/// The firmware pass's finished section: the panics-by-firmware table
-/// the batch-only `panics_by_firmware` free function used to compute,
-/// plus the paper's Section-4 device-class × failure-type contingency
-/// table.
-#[derive(Debug, Clone, Default)]
-pub struct FirmwareBreakdown {
-    /// `(firmware label, phones, panics)` rows in label order.
-    pub versions: Vec<(String, u64, u64)>,
-    /// Device class (rows) × failure type (`panic` / `freeze` /
-    /// `self-shutdown` columns) counts.
-    pub class_failures: ContingencyTable,
 }
 
 /// The device-profile labels a phone folds under: which device class
@@ -283,23 +212,27 @@ impl Default for DeviceLabels {
 /// Everything a pass may want from one phone, computed once and shared
 /// by all passes: the dataset view plus the derived per-phone HL
 /// stream and coalescence folds (skipped when no selected pass needs
-/// them).
+/// them). The passes, which live in the section modules, read its
+/// fields directly.
 pub struct PhoneLens<'a> {
-    phone: &'a PhoneDataset,
+    pub(super) phone: &'a PhoneDataset,
     /// Table the phone's panic ids resolve against: the phone's own
     /// for standalone datasets, the merged fleet table for fleet
     /// members (whose panics carry fleet ids).
-    names: &'a NameTable,
-    config: AnalysisConfig,
+    pub(super) names: &'a NameTable,
+    pub(super) config: AnalysisConfig,
     /// Shutdowns classified as self-shutdowns by the config threshold.
-    self_shutdowns: usize,
+    pub(super) self_shutdowns: usize,
     /// Freezes + self-shutdown HL events, time-sorted (freezes first
     /// on ties — the fleet merge's stable-sort discipline).
-    hl: Vec<HlEvent>,
-    coalesced: PhoneCoalesce,
-    coalesced_all: PhoneCoalesce,
+    pub(super) hl: Vec<HlEvent>,
+    /// The phone's panics coalesced against `hl`.
+    pub(super) coalesced: PhoneCoalesce,
+    /// The phone's panics coalesced against freezes plus every
+    /// shutdown event (the paper's robustness variant).
+    pub(super) coalesced_all: PhoneCoalesce,
     /// Device class + firmware labels the phone folds under.
-    device: DeviceLabels,
+    pub(super) device: DeviceLabels,
 }
 
 impl<'a> PhoneLens<'a> {
@@ -308,7 +241,7 @@ impl<'a> PhoneLens<'a> {
     /// [`PassRegistry::needs_coalesce`]). The device labels default to
     /// the homogeneous fleet's.
     pub fn new(phone: &'a PhoneDataset, config: AnalysisConfig, needs_coalesce: bool) -> Self {
-        Self::with_names(phone, phone.names(), config, needs_coalesce)
+        Self::with_device(phone, config, needs_coalesce, DeviceLabels::default())
     }
 
     /// [`Self::new`] with explicit device labels — the streaming
@@ -322,26 +255,10 @@ impl<'a> PhoneLens<'a> {
         Self::with_names_device(phone, phone.names(), config, needs_coalesce, device)
     }
 
-    /// [`Self::new`] with an explicit resolve table. The reference
-    /// driver passes the merged fleet table: fleet members' panics carry
-    /// fleet ids and the phones no longer own table copies.
-    pub fn with_names(
-        phone: &'a PhoneDataset,
-        names: &'a NameTable,
-        config: AnalysisConfig,
-        needs_coalesce: bool,
-    ) -> Self {
-        Self::with_names_device(
-            phone,
-            names,
-            config,
-            needs_coalesce,
-            DeviceLabels::default(),
-        )
-    }
-
-    /// [`Self::with_names`] with explicit device labels — the
-    /// labelled reference driver's entry point.
+    /// [`Self::with_device`] with an explicit resolve table — the
+    /// reference driver's entry point. It passes the merged fleet
+    /// table: fleet members' panics carry fleet ids, and a fleet member
+    /// holds no table of its own.
     pub fn with_names_device(
         phone: &'a PhoneDataset,
         names: &'a NameTable,
@@ -405,21 +322,6 @@ impl<'a> PhoneLens<'a> {
             coalesced_all,
             device,
         }
-    }
-
-    /// The phone under the lens.
-    pub fn phone(&self) -> &PhoneDataset {
-        self.phone
-    }
-
-    /// The intern table the phone's panic ids resolve against.
-    pub fn names(&self) -> &NameTable {
-        self.names
-    }
-
-    /// The device labels the phone folds under.
-    pub fn device(&self) -> DeviceLabels {
-        self.device
     }
 }
 
@@ -514,26 +416,32 @@ impl PassRegistry {
 
     /// Folds one phone and merges it straight into `accs` — the inner
     /// loop of both the reference driver and [`FoldShard::absorb_phone`].
-    pub(crate) fn fold_merge(&self, lens: &PhoneLens<'_>, accs: &mut [DynAcc], ctx: &MergeCtx<'_>) {
+    pub(crate) fn fold_merge(
+        &self,
+        lens: &PhoneLens<'_>,
+        accs: &mut [DynAcc],
+        remap: Option<&[u16]>,
+    ) {
         for (pass, acc) in self.passes.iter().zip(accs.iter_mut()) {
-            pass.fold_into(acc, lens, ctx);
+            pass.fold_into(acc, lens, remap);
         }
     }
 
     /// Merges a later run's accumulators into `accs`, pass by pass.
-    fn merge_accs(&self, accs: &mut [DynAcc], other: Vec<DynAcc>, ctx: &MergeCtx<'_>) {
+    fn merge_accs(&self, accs: &mut [DynAcc], other: Vec<DynAcc>, remap: Option<&[u16]>) {
         for (pass, (acc, other)) in self.passes.iter().zip(accs.iter_mut().zip(other)) {
-            pass.merge(acc, other, ctx);
+            pass.merge(acc, other, remap);
         }
     }
 
-    /// Finishes every accumulator into its report section.
-    pub(crate) fn finish(&self, accs: Vec<DynAcc>, config: AnalysisConfig) -> Vec<PassOutput> {
-        self.passes
-            .iter()
-            .zip(accs)
-            .map(|(pass, acc)| pass.finish(acc, config))
-            .collect()
+    /// Finishes every accumulator into its section of one report. The
+    /// sections of passes this registry does not hold stay empty.
+    pub(crate) fn finish(&self, accs: Vec<DynAcc>, config: AnalysisConfig) -> StudyReport {
+        let mut report = StudyReport::empty(config);
+        for (pass, acc) in self.passes.iter().zip(accs) {
+            pass.finish(acc, &mut report);
+        }
+        report
     }
 }
 
@@ -548,12 +456,9 @@ pub struct MergeStats {
     pub peak_pending_shards: usize,
     /// Most phones those buffered shards ever covered.
     pub peak_pending_phones: usize,
-    /// Estimated heap bytes of buffered shards at their peak
-    /// ([`AnalysisPass::heap_bytes`] accounting).
-    pub peak_pending_bytes: usize,
 }
 
-/// Absorbs `names` into `into` and returns the remap a merge context
+/// Absorbs `names` into `into` and returns the remap a merge
 /// needs — `None` when it is the identity (the names arrived in table
 /// order, the overwhelmingly common case), so passes skip the rewrite.
 fn absorb_names(into: &mut NameTable, names: &NameTable) -> Option<Vec<u16>> {
@@ -616,14 +521,10 @@ impl FoldShard {
     /// table shard-locally (ids are remapped again, shard-to-fleet,
     /// when the shard itself merges).
     pub fn absorb_phone(&mut self, registry: &PassRegistry, lens: &PhoneLens<'_>) {
-        let id = lens.phone().phone_id();
+        let id = lens.phone.phone_id();
         assert_eq!(id, self.end, "shard phones must be contiguous");
         let remap = absorb_names(&mut self.names, lens.names);
-        let ctx = MergeCtx {
-            phone_id: id,
-            remap: remap.as_deref(),
-        };
-        registry.fold_merge(lens, &mut self.accs, &ctx);
+        registry.fold_merge(lens, &mut self.accs, remap.as_deref());
         self.end = self.end.saturating_add(1);
     }
 
@@ -642,26 +543,8 @@ impl FoldShard {
             self.end
         );
         let remap = absorb_names(&mut self.names, &other.names);
-        let ctx = MergeCtx {
-            phone_id: other.start,
-            remap: remap.as_deref(),
-        };
-        registry.merge_accs(&mut self.accs, other.accs, &ctx);
+        registry.merge_accs(&mut self.accs, other.accs, remap.as_deref());
         self.end = other.end;
-    }
-
-    /// Estimated heap bytes held by the shard: its name table plus
-    /// every pass accumulator ([`AnalysisPass::heap_bytes`]).
-    pub fn heap_bytes(&self, registry: &PassRegistry) -> usize {
-        // ~16 bytes/name covers the Box<str> header + index entry.
-        let names: usize = self.names.iter().map(|n| n.len() + 16).sum();
-        names
-            + registry
-                .passes
-                .iter()
-                .zip(&self.accs)
-                .map(|(pass, acc)| pass.heap_bytes(acc))
-                .sum::<usize>()
     }
 }
 
@@ -796,12 +679,6 @@ impl<'r> StreamMerger<'r> {
         self.pending.insert(shard.start(), shard);
         self.stats.peak_pending_shards = self.stats.peak_pending_shards.max(self.pending.len());
         self.stats.peak_pending_phones = self.stats.peak_pending_phones.max(self.pending_len());
-        let bytes: usize = self
-            .pending
-            .values()
-            .map(|s| s.heap_bytes(self.registry))
-            .sum();
-        self.stats.peak_pending_bytes = self.stats.peak_pending_bytes.max(bytes);
     }
 
     /// Absorbs any still-pending shards (in id order, gaps tolerated)
@@ -812,8 +689,7 @@ impl<'r> StreamMerger<'r> {
                 self.absorb_shard(shard);
             }
         }
-        let outputs = self.registry.finish(self.absorbed.accs, self.config);
-        StudyReport::from_outputs(self.config, outputs)
+        self.registry.finish(self.absorbed.accs, self.config)
     }
 
     /// The fleet name table merged so far (phone-id order).
@@ -1323,480 +1199,11 @@ fn read_accs(
     Ok(accs)
 }
 
-// --- checkpoint codecs for the event/statistic types passes hold ---
-//
-// All domain enums are encoded as small fixed integers (`HlKind`,
-// `ActivityKind`, the `PanicCategory::ALL` index) so a checkpoint is
-// independent of string representations; decodes reject out-of-range
-// values instead of panicking.
-
-fn write_shutdown_event(w: &mut ByteWriter, e: &ShutdownEvent) {
-    w.u32(e.phone_id);
-    w.u64(e.off_at.as_millis());
-    w.u64(e.on_at.as_millis());
-    w.u64(e.duration.as_millis());
-}
-
-fn read_shutdown_event(r: &mut ByteReader<'_>) -> Result<ShutdownEvent, CheckpointError> {
-    Ok(ShutdownEvent {
-        phone_id: r.u32()?,
-        off_at: SimTime::from_millis(r.u64()?),
-        on_at: SimTime::from_millis(r.u64()?),
-        duration: SimDuration::from_millis(r.u64()?),
-    })
-}
-
-fn write_hl_event(w: &mut ByteWriter, e: &HlEvent) {
-    w.u32(e.phone_id);
-    w.u64(e.at.as_millis());
-    w.u8(match e.kind {
-        HlKind::Freeze => 0,
-        HlKind::SelfShutdown => 1,
-    });
-}
-
-fn read_hl_event(r: &mut ByteReader<'_>) -> Result<HlEvent, CheckpointError> {
-    Ok(HlEvent {
-        phone_id: r.u32()?,
-        at: SimTime::from_millis(r.u64()?),
-        kind: match r.u8()? {
-            0 => HlKind::Freeze,
-            1 => HlKind::SelfShutdown,
-            _ => return Err(CheckpointError::Corrupt("HL kind out of range")),
-        },
-    })
-}
-
-fn write_panic_event(w: &mut ByteWriter, p: &PanicEvent) {
-    w.u64(p.at.as_millis());
-    let category = PanicCategory::ALL
-        .iter()
-        .position(|c| *c == p.code.category)
-        .expect("every category is in PanicCategory::ALL");
-    w.u8(category as u8);
-    w.u16(p.code.panic_type);
-    w.u16(p.raised_by.0);
-    w.u16(p.reason.0);
-    w.u32(p.apps.len() as u32);
-    for id in p.apps.iter() {
-        w.u16(id.0);
-    }
-    w.u8(match p.activity {
-        None => 0,
-        Some(ActivityKind::VoiceCall) => 1,
-        Some(ActivityKind::Message) => 2,
-        Some(ActivityKind::DataSession) => 3,
-    });
-    w.u8(p.battery);
-}
-
-fn read_panic_event(r: &mut ByteReader<'_>) -> Result<PanicEvent, CheckpointError> {
-    let at = SimTime::from_millis(r.u64()?);
-    let category = *PanicCategory::ALL
-        .get(r.u8()? as usize)
-        .ok_or(CheckpointError::Corrupt("panic category out of range"))?;
-    let code = PanicCode::new(category, r.u16()?);
-    let raised_by = NameId(r.u16()?);
-    let reason = NameId(r.u16()?);
-    let n_apps = r.u32()?;
-    let apps = (0..n_apps)
-        .map(|_| r.u16().map(NameId))
-        .collect::<Result<_, _>>()?;
-    let activity = match r.u8()? {
-        0 => None,
-        1 => Some(ActivityKind::VoiceCall),
-        2 => Some(ActivityKind::Message),
-        3 => Some(ActivityKind::DataSession),
-        _ => return Err(CheckpointError::Corrupt("activity kind out of range")),
-    };
-    Ok(PanicEvent {
-        at,
-        code,
-        raised_by,
-        reason,
-        apps,
-        activity,
-        battery: r.u8()?,
-    })
-}
-
-fn write_phone_coalesce(w: &mut ByteWriter, pc: &PhoneCoalesce) {
-    w.usize(pc.panics.len());
-    for p in &pc.panics {
-        w.u32(p.phone_id);
-        write_panic_event(w, &p.panic);
-        w.u8(match p.related {
-            None => 0,
-            Some(HlKind::Freeze) => 1,
-            Some(HlKind::SelfShutdown) => 2,
-        });
-    }
-    w.usize(pc.hl_total);
-    w.usize(pc.hl_with_panic);
-}
-
-fn read_phone_coalesce(r: &mut ByteReader<'_>) -> Result<PhoneCoalesce, CheckpointError> {
-    let n = r.usize()?;
-    let mut panics = Vec::new();
-    for _ in 0..n {
-        let phone_id = r.u32()?;
-        let panic = read_panic_event(r)?;
-        let related = match r.u8()? {
-            0 => None,
-            1 => Some(HlKind::Freeze),
-            2 => Some(HlKind::SelfShutdown),
-            _ => return Err(CheckpointError::Corrupt("related HL kind out of range")),
-        };
-        panics.push(CoalescedPanic {
-            phone_id,
-            panic,
-            related,
-        });
-    }
-    Ok(PhoneCoalesce {
-        panics,
-        hl_total: r.usize()?,
-        hl_with_panic: r.usize()?,
-    })
-}
-
-// Run-buffer size estimates for the merge stats: label bytes plus
-// ~48 bytes of BTreeMap node overhead per entry. An estimate, not
-// allocator truth — it only has to trend with the real footprint.
-fn dist_heap_bytes(d: &CategoricalDist) -> usize {
-    d.iter().map(|(label, _)| label.len() + 48).sum()
-}
-
-fn table_heap_bytes(t: &ContingencyTable) -> usize {
-    t.iter()
-        .map(|(row, col, _)| row.len() + col.len() + 48)
-        .sum()
-}
-
-fn write_dist(w: &mut ByteWriter, d: &CategoricalDist) {
-    let entries: Vec<(&str, u64)> = d.iter().collect();
-    w.usize(entries.len());
-    for (label, n) in entries {
-        w.str(label);
-        w.u64(n);
-    }
-}
-
-fn read_dist(r: &mut ByteReader<'_>) -> Result<CategoricalDist, CheckpointError> {
-    let n = r.usize()?;
-    let mut d = CategoricalDist::new();
-    for _ in 0..n {
-        let label = r.str()?;
-        let count = r.u64()?;
-        d.add_n(label, count);
-    }
-    Ok(d)
-}
-
-fn write_table(w: &mut ByteWriter, t: &ContingencyTable) {
-    let entries: Vec<(&str, &str, u64)> = t.iter().collect();
-    w.usize(entries.len());
-    for (row, col, n) in entries {
-        w.str(row);
-        w.str(col);
-        w.u64(n);
-    }
-}
-
-fn read_table(r: &mut ByteReader<'_>) -> Result<ContingencyTable, CheckpointError> {
-    let n = r.usize()?;
-    let mut t = ContingencyTable::new();
-    for _ in 0..n {
-        let row = r.str()?;
-        let col = r.str()?;
-        let count = r.u64()?;
-        t.add_n(row, col, count);
-    }
-    Ok(t)
-}
-
-/// Figure 2: per-phone shutdown events, concatenated in phone order.
-struct ShutdownPass;
-
-impl AnalysisPass for ShutdownPass {
-    type Acc = Vec<ShutdownEvent>;
-    const NAME: &'static str = "shutdown";
-
-    fn fold_phone(&self, lens: &PhoneLens<'_>) -> Self::Acc {
-        lens.phone.shutdown_events().to_vec()
-    }
-
-    fn merge(&self, acc: &mut Self::Acc, other: Self::Acc, _ctx: &MergeCtx<'_>) {
-        acc.extend(other);
-    }
-
-    fn heap_bytes(&self, acc: &Self::Acc) -> usize {
-        acc.capacity() * std::mem::size_of::<ShutdownEvent>()
-    }
-
-    fn finish(&self, acc: Self::Acc, config: AnalysisConfig) -> PassOutput {
-        PassOutput::Shutdowns(ShutdownAnalysis::from_events(
-            config.self_shutdown_threshold,
-            acc,
-        ))
-    }
-
-    fn snapshot(&self, acc: &Self::Acc, out: &mut ByteWriter) {
-        out.usize(acc.len());
-        for e in acc {
-            write_shutdown_event(out, e);
-        }
-    }
-
-    fn restore(&self, src: &mut ByteReader<'_>) -> Result<Self::Acc, CheckpointError> {
-        let n = src.usize()?;
-        let mut events = Vec::new();
-        for _ in 0..n {
-            events.push(read_shutdown_event(src)?);
-        }
-        Ok(events)
-    }
-}
-
-/// MTBF contributions: powered-on time (integer ms, zero for unusable
-/// phones) and failure counts.
-#[derive(Default)]
-struct MtbfFold {
-    powered_on: SimDuration,
-    freezes: usize,
-    self_shutdowns: usize,
-}
-
-struct MtbfPass;
-
-impl AnalysisPass for MtbfPass {
-    type Acc = MtbfFold;
-    const NAME: &'static str = "mtbf";
-
-    fn fold_phone(&self, lens: &PhoneLens<'_>) -> Self::Acc {
-        let powered_on = if lens.phone.defects().unusable {
-            SimDuration::ZERO
-        } else {
-            lens.phone.powered_on_time(lens.config.uptime_gap)
-        };
-        MtbfFold {
-            powered_on,
-            freezes: lens.phone.freezes().len(),
-            self_shutdowns: lens.self_shutdowns,
-        }
-    }
-
-    fn merge(&self, acc: &mut Self::Acc, other: Self::Acc, _ctx: &MergeCtx<'_>) {
-        acc.powered_on += other.powered_on;
-        acc.freezes += other.freezes;
-        acc.self_shutdowns += other.self_shutdowns;
-    }
-
-    fn finish(&self, acc: Self::Acc, _config: AnalysisConfig) -> PassOutput {
-        PassOutput::Mtbf(MtbfAnalysis::from_totals(
-            acc.powered_on,
-            acc.freezes,
-            acc.self_shutdowns,
-        ))
-    }
-
-    fn snapshot(&self, acc: &Self::Acc, out: &mut ByteWriter) {
-        out.u64(acc.powered_on.as_millis());
-        out.usize(acc.freezes);
-        out.usize(acc.self_shutdowns);
-    }
-
-    fn restore(&self, src: &mut ByteReader<'_>) -> Result<Self::Acc, CheckpointError> {
-        Ok(MtbfFold {
-            powered_on: SimDuration::from_millis(src.u64()?),
-            freezes: src.usize()?,
-            self_shutdowns: src.usize()?,
-        })
-    }
-}
-
-/// Figure 3: per-phone cascades, concatenated in phone order.
-#[derive(Default)]
-struct BurstsAcc {
-    cascades: Vec<Cascade>,
-    total_panics: usize,
-}
-
-struct BurstsPass;
-
-impl AnalysisPass for BurstsPass {
-    type Acc = BurstsAcc;
-    const NAME: &'static str = "bursts";
-
-    fn fold_phone(&self, lens: &PhoneLens<'_>) -> Self::Acc {
-        BurstsAcc {
-            cascades: phone_cascades(
-                lens.phone.phone_id(),
-                lens.phone.panics(),
-                lens.config.burst_gap,
-            ),
-            total_panics: lens.phone.panics().len(),
-        }
-    }
-
-    fn merge(&self, acc: &mut Self::Acc, other: Self::Acc, _ctx: &MergeCtx<'_>) {
-        acc.cascades.extend(other.cascades);
-        acc.total_panics += other.total_panics;
-    }
-
-    fn heap_bytes(&self, acc: &Self::Acc) -> usize {
-        acc.cascades.capacity() * std::mem::size_of::<Cascade>()
-    }
-
-    fn finish(&self, acc: Self::Acc, _config: AnalysisConfig) -> PassOutput {
-        PassOutput::Bursts(BurstAnalysis::from_parts(acc.cascades, acc.total_panics))
-    }
-
-    fn snapshot(&self, acc: &Self::Acc, out: &mut ByteWriter) {
-        out.usize(acc.cascades.len());
-        for c in &acc.cascades {
-            out.u32(c.phone_id);
-            out.usize(c.size);
-        }
-        out.usize(acc.total_panics);
-    }
-
-    fn restore(&self, src: &mut ByteReader<'_>) -> Result<Self::Acc, CheckpointError> {
-        let n = src.usize()?;
-        let mut cascades = Vec::new();
-        for _ in 0..n {
-            cascades.push(Cascade {
-                phone_id: src.u32()?,
-                size: src.usize()?,
-            });
-        }
-        Ok(BurstsAcc {
-            cascades,
-            total_panics: src.usize()?,
-        })
-    }
-}
-
-/// Figures 4/5: coalescence folds (both the filtered and the
-/// all-shutdowns variant) plus the HL stream. The only accumulator
-/// that carries interned name ids, hence the only merge that consults
-/// the remap.
-#[derive(Default)]
-struct CoalesceAcc {
-    filtered: PhoneCoalesce,
-    all_shutdowns: PhoneCoalesce,
-    hl_events: Vec<HlEvent>,
-}
-
-struct CoalescePass;
-
-impl AnalysisPass for CoalescePass {
-    type Acc = CoalesceAcc;
-    const NAME: &'static str = "coalesce";
-    const NEEDS_COALESCE: bool = true;
-
-    fn fold_phone(&self, lens: &PhoneLens<'_>) -> Self::Acc {
-        CoalesceAcc {
-            filtered: lens.coalesced.clone(),
-            all_shutdowns: lens.coalesced_all.clone(),
-            hl_events: lens.hl.clone(),
-        }
-    }
-
-    fn merge(&self, acc: &mut Self::Acc, mut other: Self::Acc, ctx: &MergeCtx<'_>) {
-        if let Some(remap) = ctx.remap {
-            for p in other
-                .filtered
-                .panics
-                .iter_mut()
-                .chain(other.all_shutdowns.panics.iter_mut())
-            {
-                p.panic.remap(remap);
-            }
-        }
-        acc.filtered.panics.extend(other.filtered.panics);
-        acc.filtered.hl_total += other.filtered.hl_total;
-        acc.filtered.hl_with_panic += other.filtered.hl_with_panic;
-        acc.all_shutdowns.panics.extend(other.all_shutdowns.panics);
-        acc.all_shutdowns.hl_total += other.all_shutdowns.hl_total;
-        acc.all_shutdowns.hl_with_panic += other.all_shutdowns.hl_with_panic;
-        acc.hl_events.extend(other.hl_events);
-    }
-
-    fn heap_bytes(&self, acc: &Self::Acc) -> usize {
-        (acc.filtered.panics.capacity() + acc.all_shutdowns.panics.capacity())
-            * std::mem::size_of::<CoalescedPanic>()
-            + acc.hl_events.capacity() * std::mem::size_of::<HlEvent>()
-    }
-
-    fn finish(&self, acc: Self::Acc, config: AnalysisConfig) -> PassOutput {
-        PassOutput::Coalescence {
-            filtered: CoalescenceAnalysis::from_parts(
-                config.coalescence_window,
-                acc.filtered.panics,
-                acc.filtered.hl_total,
-                acc.filtered.hl_with_panic,
-            ),
-            all_shutdowns: CoalescenceAnalysis::from_parts(
-                config.coalescence_window,
-                acc.all_shutdowns.panics,
-                acc.all_shutdowns.hl_total,
-                acc.all_shutdowns.hl_with_panic,
-            ),
-            hl_events: acc.hl_events,
-        }
-    }
-
-    fn snapshot(&self, acc: &Self::Acc, out: &mut ByteWriter) {
-        write_phone_coalesce(out, &acc.filtered);
-        write_phone_coalesce(out, &acc.all_shutdowns);
-        out.usize(acc.hl_events.len());
-        for e in &acc.hl_events {
-            write_hl_event(out, e);
-        }
-    }
-
-    fn restore(&self, src: &mut ByteReader<'_>) -> Result<Self::Acc, CheckpointError> {
-        let filtered = read_phone_coalesce(src)?;
-        let all_shutdowns = read_phone_coalesce(src)?;
-        let n = src.usize()?;
-        let mut hl_events = Vec::new();
-        for _ in 0..n {
-            hl_events.push(read_hl_event(src)?);
-        }
-        Ok(CoalesceAcc {
-            filtered,
-            all_shutdowns,
-            hl_events,
-        })
-    }
-}
-
 /// A section that merges additively: what [`Grouped`] needs of its
 /// per-class tables.
-trait Additive {
+pub(super) trait Additive {
     fn empty() -> Self;
     fn absorb(&mut self, other: &Self);
-}
-
-impl Additive for ActivityAnalysis {
-    fn empty() -> Self {
-        ActivityAnalysis::from_coalesced(&[])
-    }
-
-    fn absorb(&mut self, other: &Self) {
-        ActivityAnalysis::absorb(self, other);
-    }
-}
-
-impl Additive for RunningAppsAnalysis {
-    fn empty() -> Self {
-        RunningAppsAnalysis::from_events(&NameTable::default(), std::iter::empty(), &[])
-    }
-
-    fn absorb(&mut self, other: &Self) {
-        RunningAppsAnalysis::absorb(self, other);
-    }
 }
 
 /// An accumulator sliced by device-class label: one inner table per
@@ -1806,8 +1213,8 @@ impl Additive for RunningAppsAnalysis {
 /// order-insensitive additive counters. Checkpoint form (the v5
 /// "grouped blob"): group count, then `label + inner encoding` per
 /// group in label order.
-struct Grouped<A> {
-    groups: BTreeMap<String, A>,
+pub(super) struct Grouped<A> {
+    pub(super) groups: BTreeMap<String, A>,
 }
 
 impl<A> Default for Grouped<A> {
@@ -1820,13 +1227,13 @@ impl<A> Default for Grouped<A> {
 
 impl<A: Additive> Grouped<A> {
     /// A one-phone accumulator: the phone's table under its class.
-    fn single(label: &str, a: A) -> Self {
+    pub(super) fn single(label: &str, a: A) -> Self {
         Self {
             groups: BTreeMap::from([(label.to_string(), a)]),
         }
     }
 
-    fn merge(&mut self, other: Self) {
+    pub(super) fn merge(&mut self, other: Self) {
         for (label, a) in other.groups {
             match self.groups.get_mut(&label) {
                 Some(group) => group.absorb(&a),
@@ -1840,7 +1247,7 @@ impl<A: Additive> Grouped<A> {
     }
 
     /// The whole-fleet total plus the per-class slices, in label order.
-    fn finish(self) -> (A, Vec<(String, A)>) {
+    pub(super) fn finish(self) -> (A, Vec<(String, A)>) {
         let mut total = A::empty();
         for a in self.groups.values() {
             total.absorb(a);
@@ -1848,7 +1255,7 @@ impl<A: Additive> Grouped<A> {
         (total, self.groups.into_iter().collect())
     }
 
-    fn restore(
+    pub(super) fn restore(
         src: &mut ByteReader<'_>,
         read: impl Fn(&mut ByteReader<'_>) -> Result<A, CheckpointError>,
     ) -> Result<Self, CheckpointError> {
@@ -1865,378 +1272,14 @@ impl<A: Additive> Grouped<A> {
     }
 }
 
-/// Table 3: per-phone activity tables, additively merged, grouped by
-/// device class.
-struct ActivityPass;
-
-impl AnalysisPass for ActivityPass {
-    type Acc = Grouped<ActivityAnalysis>;
-    const NAME: &'static str = "activity";
-    const NEEDS_COALESCE: bool = true;
-
-    fn fold_phone(&self, lens: &PhoneLens<'_>) -> Self::Acc {
-        Grouped::single(
-            lens.device.device_class,
-            ActivityAnalysis::from_coalesced(&lens.coalesced.panics),
-        )
-    }
-
-    fn merge(&self, acc: &mut Self::Acc, other: Self::Acc, _ctx: &MergeCtx<'_>) {
-        acc.merge(other);
-    }
-
-    fn heap_bytes(&self, acc: &Self::Acc) -> usize {
-        acc.groups
-            .iter()
-            .map(|(label, a)| label.len() + 48 + table_heap_bytes(a.table()))
-            .sum()
-    }
-
-    fn finish(&self, acc: Self::Acc, _config: AnalysisConfig) -> PassOutput {
-        let (total, by_class) = acc.finish();
-        PassOutput::Activity { total, by_class }
-    }
-
-    fn snapshot(&self, acc: &Self::Acc, out: &mut ByteWriter) {
-        out.usize(acc.groups.len());
-        for (label, a) in &acc.groups {
-            out.str(label);
-            write_table(out, a.table());
-            out.usize(a.total());
-            out.usize(a.real_time_count());
-        }
-    }
-
-    fn restore(&self, src: &mut ByteReader<'_>) -> Result<Self::Acc, CheckpointError> {
-        Grouped::restore(src, |src| {
-            let table = read_table(src)?;
-            let total = src.usize()?;
-            let real_time = src.usize()?;
-            Ok(ActivityAnalysis::from_parts(table, total, real_time))
-        })
-    }
-}
-
-/// Table 4 / Figure 6: per-phone app tables with names resolved to
-/// strings at fold time (no remapping needed at merge), grouped by
-/// device class.
-struct RunningAppsPass;
-
-impl AnalysisPass for RunningAppsPass {
-    type Acc = Grouped<RunningAppsAnalysis>;
-    const NAME: &'static str = "runapps";
-    const NEEDS_COALESCE: bool = true;
-
-    fn fold_phone(&self, lens: &PhoneLens<'_>) -> Self::Acc {
-        Grouped::single(
-            lens.device.device_class,
-            RunningAppsAnalysis::from_events(
-                lens.names,
-                lens.phone.panics().iter(),
-                &lens.coalesced.panics,
-            ),
-        )
-    }
-
-    fn merge(&self, acc: &mut Self::Acc, other: Self::Acc, _ctx: &MergeCtx<'_>) {
-        acc.merge(other);
-    }
-
-    fn heap_bytes(&self, acc: &Self::Acc) -> usize {
-        acc.groups
-            .iter()
-            .map(|(label, a)| {
-                label.len()
-                    + 48
-                    + dist_heap_bytes(a.concurrency())
-                    + table_heap_bytes(a.table())
-                    + dist_heap_bytes(a.app_share())
-            })
-            .sum()
-    }
-
-    fn finish(&self, acc: Self::Acc, _config: AnalysisConfig) -> PassOutput {
-        let (total, by_class) = acc.finish();
-        PassOutput::RunningApps { total, by_class }
-    }
-
-    fn snapshot(&self, acc: &Self::Acc, out: &mut ByteWriter) {
-        out.usize(acc.groups.len());
-        for (label, a) in &acc.groups {
-            out.str(label);
-            write_dist(out, a.concurrency());
-            write_table(out, a.table());
-            write_dist(out, a.app_share());
-            out.usize(a.total_panics());
-        }
-    }
-
-    fn restore(&self, src: &mut ByteReader<'_>) -> Result<Self::Acc, CheckpointError> {
-        Grouped::restore(src, |src| {
-            let concurrency = read_dist(src)?;
-            let table = read_table(src)?;
-            let app_share = read_dist(src)?;
-            let total_panics = src.usize()?;
-            Ok(RunningAppsAnalysis::from_parts(
-                concurrency,
-                table,
-                app_share,
-                total_panics,
-            ))
-        })
-    }
-}
-
-/// Table 2: panic-code distribution, additively merged.
-struct PanicDistPass;
-
-impl AnalysisPass for PanicDistPass {
-    type Acc = CategoricalDist;
-    const NAME: &'static str = "panics";
-
-    fn fold_phone(&self, lens: &PhoneLens<'_>) -> Self::Acc {
-        let mut d = CategoricalDist::new();
-        for p in lens.phone.panics() {
-            d.add(p.code.to_string());
-        }
-        d
-    }
-
-    fn merge(&self, acc: &mut Self::Acc, other: Self::Acc, _ctx: &MergeCtx<'_>) {
-        acc.merge(&other);
-    }
-
-    fn heap_bytes(&self, acc: &Self::Acc) -> usize {
-        dist_heap_bytes(acc)
-    }
-
-    fn finish(&self, acc: Self::Acc, _config: AnalysisConfig) -> PassOutput {
-        PassOutput::PanicDistribution(acc)
-    }
-
-    fn snapshot(&self, acc: &Self::Acc, out: &mut ByteWriter) {
-        write_dist(out, acc);
-    }
-
-    fn restore(&self, src: &mut ByteReader<'_>) -> Result<Self::Acc, CheckpointError> {
-        read_dist(src)
-    }
-}
-
-/// The firmware/device-class pass: panics per firmware version plus
-/// the Section-4 device-class × failure-type contingency table, both
-/// order-insensitive additive counters, so every driver (reference,
-/// streaming, merged checkpoints) renders the tables.
-#[derive(Default)]
-struct FirmwareAcc {
-    /// firmware label → (phones, panics).
-    versions: BTreeMap<String, (u64, u64)>,
-    /// device class × failure type.
-    class_failures: ContingencyTable,
-}
-
-struct FirmwarePass;
-
-impl AnalysisPass for FirmwarePass {
-    type Acc = FirmwareAcc;
-    const NAME: &'static str = "firmware";
-
-    fn fold_phone(&self, lens: &PhoneLens<'_>) -> Self::Acc {
-        let panics = lens.phone.panics().len() as u64;
-        let class = lens.device.device_class;
-        let mut class_failures = ContingencyTable::new();
-        // Zero counts still create the cells, so the table keeps all
-        // three failure-type columns for every present class.
-        class_failures.add_n(class, "panic", panics);
-        class_failures.add_n(class, "freeze", lens.phone.freezes().len() as u64);
-        class_failures.add_n(class, "self-shutdown", lens.self_shutdowns as u64);
-        FirmwareAcc {
-            versions: BTreeMap::from([(lens.device.firmware.to_string(), (1, panics))]),
-            class_failures,
-        }
-    }
-
-    fn merge(&self, acc: &mut Self::Acc, other: Self::Acc, _ctx: &MergeCtx<'_>) {
-        for (label, (phones, panics)) in other.versions {
-            let entry = acc.versions.entry(label).or_insert((0, 0));
-            entry.0 += phones;
-            entry.1 += panics;
-        }
-        acc.class_failures.merge(&other.class_failures);
-    }
-
-    fn heap_bytes(&self, acc: &Self::Acc) -> usize {
-        acc.versions.keys().map(|l| l.len() + 48).sum::<usize>()
-            + table_heap_bytes(&acc.class_failures)
-    }
-
-    fn finish(&self, acc: Self::Acc, _config: AnalysisConfig) -> PassOutput {
-        PassOutput::Firmware(FirmwareBreakdown {
-            versions: acc
-                .versions
-                .into_iter()
-                .map(|(label, (phones, panics))| (label, phones, panics))
-                .collect(),
-            class_failures: acc.class_failures,
-        })
-    }
-
-    fn snapshot(&self, acc: &Self::Acc, out: &mut ByteWriter) {
-        out.usize(acc.versions.len());
-        for (label, (phones, panics)) in &acc.versions {
-            out.str(label);
-            out.u64(*phones);
-            out.u64(*panics);
-        }
-        write_table(out, &acc.class_failures);
-    }
-
-    fn restore(&self, src: &mut ByteReader<'_>) -> Result<Self::Acc, CheckpointError> {
-        let n = src.usize()?;
-        let mut versions = BTreeMap::new();
-        for _ in 0..n {
-            let label = src.str()?;
-            let phones = src.u64()?;
-            let panics = src.u64()?;
-            if versions.insert(label, (phones, panics)).is_some() {
-                return Err(CheckpointError::Corrupt("duplicate firmware label"));
-            }
-        }
-        Ok(FirmwareAcc {
-            versions,
-            class_failures: read_table(src)?,
-        })
-    }
-}
-
-/// Parse-defect accounting, concatenated in phone order.
-struct DefectsPass;
-
-impl AnalysisPass for DefectsPass {
-    type Acc = Vec<(u32, PhoneDefects)>;
-    const NAME: &'static str = "defects";
-
-    fn fold_phone(&self, lens: &PhoneLens<'_>) -> Self::Acc {
-        vec![(lens.phone.phone_id(), *lens.phone.defects())]
-    }
-
-    fn merge(&self, acc: &mut Self::Acc, other: Self::Acc, _ctx: &MergeCtx<'_>) {
-        acc.extend(other);
-    }
-
-    fn heap_bytes(&self, acc: &Self::Acc) -> usize {
-        acc.capacity() * std::mem::size_of::<(u32, PhoneDefects)>()
-    }
-
-    fn finish(&self, acc: Self::Acc, _config: AnalysisConfig) -> PassOutput {
-        PassOutput::Defects(DefectReport::from_phones(acc))
-    }
-
-    fn snapshot(&self, acc: &Self::Acc, out: &mut ByteWriter) {
-        out.usize(acc.len());
-        for (id, d) in acc {
-            out.u32(*id);
-            out.u64(d.truncated);
-            out.u64(d.checksum_mismatch);
-            out.u64(d.out_of_order);
-            out.u64(d.duplicate);
-            out.u64(d.unknown_tag);
-            out.u64(d.lines_seen);
-            out.u64(d.records_kept);
-            out.bool(d.invalid_utf8);
-            out.bool(d.unusable);
-        }
-    }
-
-    fn restore(&self, src: &mut ByteReader<'_>) -> Result<Self::Acc, CheckpointError> {
-        let n = src.usize()?;
-        let mut phones = Vec::new();
-        for _ in 0..n {
-            let id = src.u32()?;
-            phones.push((
-                id,
-                PhoneDefects {
-                    truncated: src.u64()?,
-                    checksum_mismatch: src.u64()?,
-                    out_of_order: src.u64()?,
-                    duplicate: src.u64()?,
-                    unknown_tag: src.u64()?,
-                    lines_seen: src.u64()?,
-                    records_kept: src.u64()?,
-                    invalid_utf8: src.bool()?,
-                    unusable: src.bool()?,
-                },
-            ));
-        }
-        Ok(phones)
-    }
-}
-
-/// Per-phone breakdown rows, concatenated in phone order.
-struct PerPhonePass;
-
-impl AnalysisPass for PerPhonePass {
-    type Acc = Vec<PhoneRow>;
-    const NAME: &'static str = "perphone";
-
-    fn fold_phone(&self, lens: &PhoneLens<'_>) -> Self::Acc {
-        vec![PhoneRow {
-            phone_id: lens.phone.phone_id(),
-            uptime_hours: lens
-                .phone
-                .powered_on_time(lens.config.uptime_gap)
-                .as_hours_f64(),
-            panics: lens.phone.panics().len(),
-            freezes: lens.phone.freezes().len(),
-            self_shutdowns: lens.self_shutdowns,
-        }]
-    }
-
-    fn merge(&self, acc: &mut Self::Acc, other: Self::Acc, _ctx: &MergeCtx<'_>) {
-        acc.extend(other);
-    }
-
-    fn heap_bytes(&self, acc: &Self::Acc) -> usize {
-        acc.capacity() * std::mem::size_of::<PhoneRow>()
-    }
-
-    fn finish(&self, acc: Self::Acc, _config: AnalysisConfig) -> PassOutput {
-        PassOutput::PerPhone(acc)
-    }
-
-    fn snapshot(&self, acc: &Self::Acc, out: &mut ByteWriter) {
-        out.usize(acc.len());
-        for row in acc {
-            out.u32(row.phone_id);
-            out.f64(row.uptime_hours);
-            out.usize(row.panics);
-            out.usize(row.freezes);
-            out.usize(row.self_shutdowns);
-        }
-    }
-
-    fn restore(&self, src: &mut ByteReader<'_>) -> Result<Self::Acc, CheckpointError> {
-        let n = src.usize()?;
-        let mut rows = Vec::new();
-        for _ in 0..n {
-            rows.push(PhoneRow {
-                phone_id: src.u32()?,
-                uptime_hours: src.f64()?,
-                panics: src.usize()?,
-                freezes: src.usize()?,
-                self_shutdowns: src.usize()?,
-            });
-        }
-        Ok(rows)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::analysis::dataset::FleetDataset;
     use crate::records::{LogRecord, PanicRecord};
+    use symfail_sim_core::SimTime;
     use symfail_symbian::panic::codes;
+    use symfail_symbian::servers::logdb::ActivityKind;
     use symfail_symbian::Panic;
 
     /// Topology the snapshot tests write and expect back: a solo run
@@ -2374,7 +1417,6 @@ mod tests {
         assert_eq!(stats.absorbed_shards, 3);
         assert_eq!(stats.peak_pending_shards, 1);
         assert_eq!(stats.peak_pending_phones, 3);
-        assert!(stats.peak_pending_bytes > 0, "busy folds hold heap state");
 
         assert_eq!(
             rendered(&sharded.finish()),

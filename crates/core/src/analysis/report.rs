@@ -10,13 +10,13 @@ use symfail_stats::{
 
 use super::activity::ActivityAnalysis;
 use super::bursts::{BurstAnalysis, DEFAULT_BURST_GAP};
+use super::checkpoint::{read_dist, write_dist, ByteReader, ByteWriter, CheckpointError};
 use super::coalesce::{CoalescenceAnalysis, COALESCENCE_WINDOW};
 use super::dataset::{FleetDataset, HlEvent};
 use super::defects::DefectReport;
+use super::firmware::FirmwareBreakdown;
 use super::mtbf::{MtbfAnalysis, DEFAULT_UPTIME_GAP};
-use super::passes::{
-    DeviceLabels, FirmwareBreakdown, MergeCtx, PassOutput, PassRegistry, PhoneLens,
-};
+use super::passes::{AnalysisPass, DeviceLabels, PassRegistry, PhoneLens};
 use super::runapps::RunningAppsAnalysis;
 use super::shutdown::{ShutdownAnalysis, SELF_SHUTDOWN_THRESHOLD};
 use super::targets;
@@ -112,8 +112,7 @@ impl StudyReport {
 
     /// The reference driver over a selected pass registry: folds each
     /// phone in fleet order and merges immediately. The fleet dataset
-    /// already interned names fleet-wide, so the merge context carries
-    /// no remap.
+    /// already interned names fleet-wide, so no merge needs a remap.
     pub fn analyze_with(
         fleet: &FleetDataset,
         config: AnalysisConfig,
@@ -145,25 +144,22 @@ impl StudyReport {
                 needs_coalesce,
                 labels(phone.phone_id()),
             );
-            let ctx = MergeCtx {
-                phone_id: phone.phone_id(),
-                remap: None,
-            };
-            registry.fold_merge(&lens, &mut accs, &ctx);
+            registry.fold_merge(&lens, &mut accs, None);
         }
-        Self::from_outputs(config, registry.finish(accs, config))
+        registry.finish(accs, config)
     }
 
-    /// Assembles a report from finished pass outputs. Sections whose
-    /// pass was not selected stay empty.
-    pub fn from_outputs(config: AnalysisConfig, outputs: Vec<PassOutput>) -> Self {
+    /// The report of a zero-phone fleet: every section empty. A
+    /// registry's `finish` starts from it and each pass writes its own
+    /// section, so sections whose pass was not selected stay empty.
+    pub(super) fn empty(config: AnalysisConfig) -> Self {
         let empty_coalesce =
-            || CoalescenceAnalysis::from_parts(config.coalescence_window, Vec::new(), 0, 0);
-        let mut report = Self {
+            || CoalescenceAnalysis::new(&FleetDataset::default(), &[], config.coalescence_window);
+        Self {
             config,
             shutdowns: ShutdownAnalysis::from_events(config.self_shutdown_threshold, Vec::new()),
             mtbf: MtbfAnalysis::from_totals(SimDuration::ZERO, 0, 0),
-            bursts: BurstAnalysis::from_parts(Vec::new(), 0),
+            bursts: BurstAnalysis::default(),
             coalescence: empty_coalesce(),
             coalescence_all_shutdowns: empty_coalesce(),
             activity: ActivityAnalysis::from_coalesced(&[]),
@@ -179,36 +175,7 @@ impl StudyReport {
             defects: DefectReport::default(),
             per_phone: Vec::new(),
             hl_events: Vec::new(),
-        };
-        for output in outputs {
-            match output {
-                PassOutput::Shutdowns(a) => report.shutdowns = a,
-                PassOutput::Mtbf(a) => report.mtbf = a,
-                PassOutput::Bursts(a) => report.bursts = a,
-                PassOutput::Coalescence {
-                    filtered,
-                    all_shutdowns,
-                    hl_events,
-                } => {
-                    report.coalescence = filtered;
-                    report.coalescence_all_shutdowns = all_shutdowns;
-                    report.hl_events = hl_events;
-                }
-                PassOutput::Activity { total, by_class } => {
-                    report.activity = total;
-                    report.activity_by_class = by_class;
-                }
-                PassOutput::RunningApps { total, by_class } => {
-                    report.runapps = total;
-                    report.runapps_by_class = by_class;
-                }
-                PassOutput::Firmware(b) => report.firmware = b,
-                PassOutput::PanicDistribution(d) => report.panic_distribution = d,
-                PassOutput::Defects(d) => report.defects = d,
-                PassOutput::PerPhone(rows) => report.per_phone = rows,
-            }
         }
-        report
     }
 
     /// The configuration used.
@@ -610,6 +577,93 @@ impl StudyReport {
             0.0,
         ));
         r
+    }
+}
+
+/// Table 2: panic-code distribution, additively merged.
+pub(super) struct PanicDistPass;
+
+impl AnalysisPass for PanicDistPass {
+    type Acc = CategoricalDist;
+    const NAME: &'static str = "panics";
+
+    fn fold_phone(&self, lens: &PhoneLens<'_>) -> Self::Acc {
+        let mut d = CategoricalDist::new();
+        for p in lens.phone.panics() {
+            d.add(p.code.to_string());
+        }
+        d
+    }
+
+    fn merge(&self, acc: &mut Self::Acc, other: Self::Acc, _remap: Option<&[u16]>) {
+        acc.merge(&other);
+    }
+
+    fn finish(&self, acc: Self::Acc, report: &mut StudyReport) {
+        report.panic_distribution = acc;
+    }
+
+    fn snapshot(&self, acc: &Self::Acc, out: &mut ByteWriter) {
+        write_dist(out, acc);
+    }
+
+    fn restore(&self, src: &mut ByteReader<'_>) -> Result<Self::Acc, CheckpointError> {
+        read_dist(src)
+    }
+}
+
+/// Per-phone breakdown rows, concatenated in phone order.
+pub(super) struct PerPhonePass;
+
+impl AnalysisPass for PerPhonePass {
+    type Acc = Vec<PhoneRow>;
+    const NAME: &'static str = "perphone";
+
+    fn fold_phone(&self, lens: &PhoneLens<'_>) -> Self::Acc {
+        vec![PhoneRow {
+            phone_id: lens.phone.phone_id(),
+            uptime_hours: lens
+                .phone
+                .powered_on_time(lens.config.uptime_gap)
+                .as_hours_f64(),
+            panics: lens.phone.panics().len(),
+            freezes: lens.phone.freezes().len(),
+            self_shutdowns: lens.self_shutdowns,
+        }]
+    }
+
+    fn merge(&self, acc: &mut Self::Acc, other: Self::Acc, _remap: Option<&[u16]>) {
+        acc.extend(other);
+    }
+
+    fn finish(&self, acc: Self::Acc, report: &mut StudyReport) {
+        report.per_phone = acc;
+    }
+
+    fn snapshot(&self, acc: &Self::Acc, out: &mut ByteWriter) {
+        out.usize(acc.len());
+        for row in acc {
+            out.u32(row.phone_id);
+            out.f64(row.uptime_hours);
+            out.usize(row.panics);
+            out.usize(row.freezes);
+            out.usize(row.self_shutdowns);
+        }
+    }
+
+    fn restore(&self, src: &mut ByteReader<'_>) -> Result<Self::Acc, CheckpointError> {
+        let n = src.usize()?;
+        let mut rows = Vec::new();
+        for _ in 0..n {
+            rows.push(PhoneRow {
+                phone_id: src.u32()?,
+                uptime_hours: src.f64()?,
+                panics: src.usize()?,
+                freezes: src.usize()?,
+                self_shutdowns: src.usize()?,
+            });
+        }
+        Ok(rows)
     }
 }
 

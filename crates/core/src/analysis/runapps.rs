@@ -14,8 +14,13 @@ use symfail_stats::{CategoricalDist, ContingencyTable};
 
 use crate::intern::NameTable;
 
+use super::checkpoint::{
+    read_dist, read_table, write_dist, write_table, ByteReader, ByteWriter, CheckpointError,
+};
 use super::coalesce::{CoalescedPanic, CoalescenceAnalysis};
 use super::dataset::{FleetDataset, HlKind, PanicEvent};
+use super::passes::{Additive, AnalysisPass, Grouped, PhoneLens};
+use super::report::StudyReport;
 
 /// The Figure 6 / Table 4 analysis result.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -43,8 +48,7 @@ impl RunningAppsAnalysis {
     }
 
     /// Builds the analysis from raw events — the per-phone fold of the
-    /// streaming [`AnalysisPass`](crate::analysis::passes::AnalysisPass)
-    /// engine. Application ids resolve against `names` *at fold time*,
+    /// `runapps` pass. Application ids resolve against `names` *at fold time*,
     /// so per-phone folds carry strings and need no id remapping when
     /// merged across phones.
     pub fn from_events<'a>(
@@ -81,23 +85,6 @@ impl RunningAppsAnalysis {
             table,
             app_share,
             total_panics: total,
-        }
-    }
-
-    /// Reassembles an analysis from its serialized parts — the
-    /// checkpoint restore path of the streaming
-    /// [`AnalysisPass`](crate::analysis::passes::AnalysisPass) engine.
-    pub fn from_parts(
-        concurrency: CategoricalDist,
-        table: ContingencyTable,
-        app_share: CategoricalDist,
-        total_panics: usize,
-    ) -> Self {
-        Self {
-            concurrency,
-            table,
-            app_share,
-            total_panics,
         }
     }
 
@@ -142,15 +129,75 @@ impl RunningAppsAnalysis {
             .collect()
     }
 
-    /// Per-application panic-time occurrence counts (the numerators
-    /// behind [`Self::top_apps`]).
-    pub fn app_share(&self) -> &CategoricalDist {
-        &self.app_share
-    }
-
     /// Total panics considered for the concurrency distribution.
     pub fn total_panics(&self) -> usize {
         self.total_panics
+    }
+}
+
+impl Additive for RunningAppsAnalysis {
+    fn empty() -> Self {
+        RunningAppsAnalysis::from_events(&NameTable::default(), std::iter::empty(), &[])
+    }
+
+    fn absorb(&mut self, other: &Self) {
+        RunningAppsAnalysis::absorb(self, other);
+    }
+}
+
+/// Table 4 / Figure 6: per-phone app tables with names resolved to
+/// strings at fold time (no remapping needed at merge), grouped by
+/// device class.
+pub(super) struct RunningAppsPass;
+
+impl AnalysisPass for RunningAppsPass {
+    type Acc = Grouped<RunningAppsAnalysis>;
+    const NAME: &'static str = "runapps";
+    const NEEDS_COALESCE: bool = true;
+
+    fn fold_phone(&self, lens: &PhoneLens<'_>) -> Self::Acc {
+        Grouped::single(
+            lens.device.device_class,
+            RunningAppsAnalysis::from_events(
+                lens.names,
+                lens.phone.panics().iter(),
+                &lens.coalesced.panics,
+            ),
+        )
+    }
+
+    fn merge(&self, acc: &mut Self::Acc, other: Self::Acc, _remap: Option<&[u16]>) {
+        acc.merge(other);
+    }
+
+    fn finish(&self, acc: Self::Acc, report: &mut StudyReport) {
+        (report.runapps, report.runapps_by_class) = acc.finish();
+    }
+
+    fn snapshot(&self, acc: &Self::Acc, out: &mut ByteWriter) {
+        out.usize(acc.groups.len());
+        for (label, a) in &acc.groups {
+            out.str(label);
+            write_dist(out, a.concurrency());
+            write_table(out, a.table());
+            write_dist(out, &a.app_share);
+            out.usize(a.total_panics());
+        }
+    }
+
+    fn restore(&self, src: &mut ByteReader<'_>) -> Result<Self::Acc, CheckpointError> {
+        Grouped::restore(src, |src| {
+            let concurrency = read_dist(src)?;
+            let table = read_table(src)?;
+            let app_share = read_dist(src)?;
+            let total_panics = src.usize()?;
+            Ok(RunningAppsAnalysis {
+                concurrency,
+                table,
+                app_share,
+                total_panics,
+            })
+        })
     }
 }
 

@@ -11,10 +11,13 @@
 
 use serde::{Deserialize, Serialize};
 
-use symfail_sim_core::SimDuration;
+use symfail_sim_core::{SimDuration, SimTime};
 use symfail_stats::{Ecdf, Histogram};
 
+use super::checkpoint::{ByteReader, ByteWriter, CheckpointError};
 use super::dataset::{FleetDataset, HlEvent, HlKind, ShutdownEvent};
+use super::passes::{AnalysisPass, PhoneLens};
+use super::report::StudyReport;
 
 /// The paper's self-shutdown duration threshold.
 pub const SELF_SHUTDOWN_THRESHOLD: SimDuration = SimDuration::from_secs(360);
@@ -35,8 +38,8 @@ impl ShutdownAnalysis {
         Self::from_events(threshold, fleet.shutdown_events().to_vec())
     }
 
-    /// Classifies an already-collected event list — the streaming
-    /// engine's `finish` step, fed events concatenated in phone-id
+    /// Classifies an already-collected event list — the `shutdown`
+    /// pass's `finish` step, fed events concatenated in phone-id
     /// order.
     pub fn from_events(threshold: SimDuration, events: Vec<ShutdownEvent>) -> Self {
         let self_shutdowns = events
@@ -165,6 +168,59 @@ pub fn merge_hl_events(freezes: &[HlEvent], self_shutdowns: &[HlEvent]) -> Vec<H
     let mut all: Vec<HlEvent> = freezes.iter().chain(self_shutdowns).copied().collect();
     all.sort_by_key(|e| (e.phone_id, e.at));
     all
+}
+
+/// Figure 2: per-phone shutdown events, concatenated in phone order.
+pub(super) struct ShutdownPass;
+
+impl AnalysisPass for ShutdownPass {
+    type Acc = Vec<ShutdownEvent>;
+    const NAME: &'static str = "shutdown";
+
+    fn fold_phone(&self, lens: &PhoneLens<'_>) -> Self::Acc {
+        lens.phone.shutdown_events().to_vec()
+    }
+
+    fn merge(&self, acc: &mut Self::Acc, other: Self::Acc, _remap: Option<&[u16]>) {
+        acc.extend(other);
+    }
+
+    fn finish(&self, acc: Self::Acc, report: &mut StudyReport) {
+        report.shutdowns =
+            ShutdownAnalysis::from_events(report.config().self_shutdown_threshold, acc);
+    }
+
+    fn snapshot(&self, acc: &Self::Acc, out: &mut ByteWriter) {
+        out.usize(acc.len());
+        for e in acc {
+            write_shutdown_event(out, e);
+        }
+    }
+
+    fn restore(&self, src: &mut ByteReader<'_>) -> Result<Self::Acc, CheckpointError> {
+        let n = src.usize()?;
+        let mut events = Vec::new();
+        for _ in 0..n {
+            events.push(read_shutdown_event(src)?);
+        }
+        Ok(events)
+    }
+}
+
+fn write_shutdown_event(w: &mut ByteWriter, e: &ShutdownEvent) {
+    w.u32(e.phone_id);
+    w.u64(e.off_at.as_millis());
+    w.u64(e.on_at.as_millis());
+    w.u64(e.duration.as_millis());
+}
+
+fn read_shutdown_event(r: &mut ByteReader<'_>) -> Result<ShutdownEvent, CheckpointError> {
+    Ok(ShutdownEvent {
+        phone_id: r.u32()?,
+        off_at: SimTime::from_millis(r.u64()?),
+        on_at: SimTime::from_millis(r.u64()?),
+        duration: SimDuration::from_millis(r.u64()?),
+    })
 }
 
 #[cfg(test)]

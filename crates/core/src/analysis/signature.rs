@@ -25,9 +25,9 @@
 //! pins the full app set and the coalesced high-level outcome — the
 //! form the remap-invariance proptests exercise.
 
-use super::coalesce::{coalesce_phone, CoalescedPanic, PhoneCoalesce};
-use super::dataset::{HlEvent, HlKind, PanicEvent, PhoneDataset, ShutdownEvent};
-use super::passes::DeviceLabels;
+use super::coalesce::CoalescedPanic;
+use super::dataset::{HlKind, PanicEvent, PhoneDataset};
+use super::passes::{DeviceLabels, PhoneLens};
 use super::report::AnalysisConfig;
 use crate::intern::NameTable;
 use symfail_symbian::PanicCode;
@@ -122,14 +122,16 @@ impl FailureSignature {
     }
 
     /// Every signature in one phone's dataset, in panic order: the
-    /// same freeze + filtered-self-shutdown coalescence fold the
-    /// analysis passes compute, then one signature per panic.
+    /// phone's [`PhoneLens`] coalescence fold (freezes + filtered
+    /// self-shutdowns), the one the analysis passes consume, then one
+    /// signature per panic.
     pub fn from_phone(
         phone: &PhoneDataset,
         config: &AnalysisConfig,
         device: DeviceLabels,
     ) -> Vec<Self> {
-        phone_coalesce(phone, config)
+        PhoneLens::new(phone, *config, true)
+            .coalesced
             .panics
             .iter()
             .map(|cp| Self::from_coalesced(cp, phone.names(), device))
@@ -169,7 +171,8 @@ impl FailureSignature {
         if self.device_class != device.device_class || self.firmware != device.firmware {
             return false;
         }
-        phone_coalesce(phone, config)
+        PhoneLens::new(phone, *config, true)
+            .coalesced
             .panics
             .iter()
             .any(|cp| self.matches(&Self::from_coalesced(cp, phone.names(), device), mode))
@@ -220,37 +223,6 @@ impl FailureSignature {
             firmware: json_str_field(text, "firmware").ok_or("signature: missing firmware")?,
         })
     }
-}
-
-/// The per-phone coalescence fold the signature layer matches
-/// against: freezes plus threshold-filtered self-shutdowns, stably
-/// time-sorted — byte-for-byte the fold `PhoneLens` feeds the
-/// coalesce pass.
-pub fn phone_coalesce(phone: &PhoneDataset, config: &AnalysisConfig) -> PhoneCoalesce {
-    let shutdown_hl = |e: &ShutdownEvent| HlEvent {
-        phone_id: e.phone_id,
-        at: e.off_at,
-        kind: HlKind::SelfShutdown,
-    };
-    let mut hl: Vec<HlEvent> = phone
-        .freezes()
-        .iter()
-        .copied()
-        .chain(
-            phone
-                .shutdown_events()
-                .iter()
-                .filter(|e| e.duration <= config.self_shutdown_threshold)
-                .map(shutdown_hl),
-        )
-        .collect();
-    hl.sort_by_key(|e| e.at);
-    coalesce_phone(
-        phone.phone_id(),
-        phone.panics(),
-        &hl,
-        config.coalescence_window,
-    )
 }
 
 /// Extracts the distinct signatures of a coalesced-panic stream (the

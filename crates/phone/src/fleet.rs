@@ -256,10 +256,6 @@ impl ShardSpec {
 /// diagnosis without a profiler.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct WorkerStats {
-    /// Phones this worker simulated and parsed.
-    pub phones: u32,
-    /// Seconds inside flash parsing on this worker.
-    pub parse_seconds: f64,
     /// Wall seconds spent acquiring and feeding the shared merger
     /// (lock wait + absorb).
     pub merge_wait_seconds: f64,
@@ -742,8 +738,6 @@ impl FleetCampaign {
                                     // the scratch pool; only the folded
                                     // summaries cross into the merger.
                                     ds.recycle(&mut scratch);
-                                    ws.parse_seconds += secs;
-                                    ws.phones += 1;
                                     out.push((meta, secs));
                                 }
                                 // One lock acquisition per run: the
@@ -856,12 +850,12 @@ pub struct StreamingRun {
     /// absorbed phones; `metas` and the parse counters then cover only
     /// the resumed suffix.
     pub resumed_from: Option<u32>,
-    /// One entry per spawned worker (spawn order): phones handled,
-    /// parse seconds, merge-wait seconds, and — when the caller wired
-    /// an [`StreamingOptions::alloc_counter`] — allocator calls.
+    /// One entry per spawned worker (spawn order): merge-wait seconds
+    /// and — when the caller wired an
+    /// [`StreamingOptions::alloc_counter`] — allocator calls.
     pub worker_stats: Vec<WorkerStats>,
     /// Merger-side counters: shards absorbed and peak pending
-    /// buffering (shards / phones / estimated heap bytes).
+    /// buffering (shards / phones).
     pub merge_stats: MergeStats,
     /// The fleet slice this run owned ([`ShardTopology::solo`] when
     /// unsharded).

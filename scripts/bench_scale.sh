@@ -64,7 +64,7 @@ jmbps() {
 
 {
     printf '{\n'
-    printf '  "schema": "symfail-bench-scale/5",\n'
+    printf '  "schema": "symfail-bench-scale/6",\n'
     printf '  "seed": %s,\n' "$SEED"
     printf '  "days": %s,\n' "$DAYS"
     printf '  "workers": %s,\n' "$WORKERS"
@@ -101,8 +101,6 @@ jmbps() {
             "$(jget "$tmp_stream" peak_pending_runs)"
         printf '     "streaming_peak_pending_phones": %s,\n' \
             "$(jget "$tmp_stream" peak_pending_phones)"
-        printf '     "streaming_peak_pending_bytes": %s,\n' \
-            "$(jget "$tmp_stream" peak_pending_bytes)"
         printf '     "streaming_worker_alloc_calls": %s,\n' "${worker_allocs:-[]}"
         printf '     "streaming_peak_alloc_bytes": %s}' \
             "$(jget "$tmp_stream" peak_alloc_bytes)"

@@ -127,9 +127,8 @@ proptest! {
 
     /// Pre-merge == post-merge: fold two phones with clashing interner
     /// numberings as one-phone shards through the real [`StreamMerger`]
-    /// (whose `MergeCtx` remap renumbers phone 1's names into phone
-    /// 0's table), snapshot,
-    /// and re-extract from the checkpoint. The merged catalog must be
+    /// (whose merge remap renumbers phone 1's names into phone 0's
+    /// table), snapshot, and re-extract from the checkpoint. The merged catalog must be
     /// exactly the sum of the per-phone pre-merge catalogs.
     #[test]
     fn signature_catalog_invariant_under_merge_remap(
