@@ -10,7 +10,7 @@ use symfail_core::records::LogRecord;
 use symfail_phone::calibration::CalibrationParams;
 use symfail_phone::corruption::{CorruptionModel, CorruptionProfile};
 use symfail_phone::device::Phone;
-use symfail_sim_core::{SimRng, SimTime};
+use symfail_sim_core::{SimDuration, SimRng, SimTime};
 use symfail_symbian::descriptor::TBuf;
 use symfail_symbian::heap::Heap;
 use symfail_symbian::object_index::{ObjectIndex, ObjectKind};
@@ -64,9 +64,8 @@ fn bench(c: &mut Criterion) {
     g.bench_function("heartbeat_tick", |b| {
         let mut fs = FlashFs::new();
         let mut logger = FailureLogger::new(LoggerConfig::default());
-        let running = vec!["Messages".to_string(), "Clock".to_string()];
         let ctx = PhoneContext {
-            running_apps: &running,
+            running_apps: &["Messages", "Clock"],
             battery_percent: 80,
             battery_low: false,
         };
@@ -92,6 +91,62 @@ fn bench(c: &mut Criterion) {
         })
     });
 
+    g.finish();
+
+    // One powered day at the default 300 s period — 288 heartbeat
+    // ticks, with the runapp and power snapshots every 10th — written
+    // as runs cut at the snapshot ticks (what `Phone::advance` does)
+    // and as one `on_tick` per tick. Each iteration starts from a
+    // freshly booted logger on an empty filesystem.
+    const DAY_TICKS: u32 = 288;
+    let mut g = c.benchmark_group("heartbeat_run");
+    g.sample_size(20);
+    g.measurement_time(std::time::Duration::from_secs(2));
+    g.warm_up_time(std::time::Duration::from_millis(500));
+    g.throughput(Throughput::Elements(u64::from(DAY_TICKS)));
+    let period = SimDuration::from_secs(300);
+    let ctx = PhoneContext {
+        running_apps: &["Clock", "Messages"],
+        battery_percent: 80,
+        battery_low: false,
+    };
+    let booted = || {
+        let mut fs = FlashFs::new();
+        let mut logger = FailureLogger::new(LoggerConfig {
+            heartbeat_period: period,
+            snapshot_every: 10,
+        });
+        logger.on_boot(&mut fs, SimTime::ZERO, ctx);
+        (logger, fs)
+    };
+    let tick_at = |i: u32| SimTime::ZERO + period * u64::from(i + 1);
+    g.bench_function("runs_288", |b| {
+        b.iter_batched(
+            booted,
+            |(mut logger, mut fs)| {
+                let mut done = 0;
+                while done < DAY_TICKS {
+                    let run = logger.ticks_until_snapshot().min(DAY_TICKS - done);
+                    logger.on_ticks(&mut fs, tick_at(done), run, || ctx);
+                    done += run;
+                }
+                fs
+            },
+            BatchSize::LargeInput,
+        )
+    });
+    g.bench_function("single_ticks_288", |b| {
+        b.iter_batched(
+            booted,
+            |(mut logger, mut fs)| {
+                for i in 0..DAY_TICKS {
+                    logger.on_tick(&mut fs, tick_at(i), ctx);
+                }
+                fs
+            },
+            BatchSize::LargeInput,
+        )
+    });
     g.finish();
 
     // `Phone::simulate_day`, 30 days at a time on a default-params

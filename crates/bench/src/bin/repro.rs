@@ -64,8 +64,9 @@
 //! `uniform` (the default) keeps the fixed `i/N` formula split;
 //! `static` runs the cost-balanced planner over per-phone cost
 //! estimates derived from the campaign config (enrollment window ×
-//! usage profile); `measured` balances on per-phone parse seconds
-//! read from a prior run's `--timing-json` file via `--costs-json`.
+//! usage profile); `measured` balances on per-phone seconds (simulate
+//! through fold) read from a prior run's `--timing-json` file via
+//! `--costs-json`.
 //! All three modes produce byte-identical merged reports — only the
 //! cut points (and hence the critical path) move. `repro plan-shards`
 //! prints the planned cut table and predicted max-shard cost without
@@ -229,7 +230,7 @@ enum Balance {
     Uniform,
     /// Static per-phone cost estimates from the campaign config.
     Static,
-    /// Measured per-phone parse seconds from a `--costs-json` file.
+    /// Measured per-phone seconds from a `--costs-json` file.
     Measured,
 }
 
@@ -533,6 +534,19 @@ fn json_f64_array(text: &str, key: &str) -> Option<Vec<f64>> {
     body.split(',').map(|tok| tok.trim().parse().ok()).collect()
 }
 
+/// A predicted shard cost with three decimals, or with as many more as
+/// four significant digits need: a static cost (log lines) prints as
+/// `872.907`, and a measured cost of a fraction of a millisecond as
+/// `0.0004123` rather than `0.000`.
+fn fmt_cost(cost: f64) -> String {
+    let decimals = if cost > 0.0 && cost.is_finite() {
+        (3 - cost.log10().floor() as i32).max(3) as usize
+    } else {
+        3
+    };
+    format!("{cost:.decimals$}")
+}
+
 /// The campaign stage's wall-clock seconds plus the heap-allocation
 /// calls and bytes it performed (process-wide deltas from the counting
 /// allocator). The campaign simulates, parses and folds in one
@@ -604,8 +618,8 @@ fn timing_json(args: &Args, run: &StreamingRun, stage: &StageTiming) -> String {
     let (shard_lo, shard_hi) = topology.interval();
     // The cut table the planner chose, with the predicted cost per
     // shard and — for the one shard this process actually ran — the
-    // measured per-phone parse seconds to calibrate against.
-    let own_measured: f64 = run.phone_parse_seconds.iter().sum();
+    // measured per-phone seconds to calibrate against.
+    let own_measured: f64 = run.phone_seconds.iter().sum();
     let shard_plan: Vec<String> = run
         .plan
         .iter()
@@ -613,29 +627,29 @@ fn timing_json(args: &Args, run: &StreamingRun, stage: &StageTiming) -> String {
         .map(|(plan, i)| {
             let (lo, hi) = plan.interval(i);
             let measured = if i == topology.index {
-                format!("{own_measured:.6}")
+                format!("{own_measured:.9}")
             } else {
                 "null".to_string()
             };
             format!(
                 "    {{\"index\": {}, \"start\": {}, \"end\": {}, \
-                 \"predicted_cost\": {:.3}, \"measured_seconds\": {}}}",
+                 \"predicted_cost\": {}, \"measured_seconds\": {}}}",
                 i,
                 lo,
                 hi,
-                plan.predicted_cost(i),
+                fmt_cost(plan.predicted_cost(i)),
                 measured
             )
         })
         .collect();
     let phone_cost_start = run.metas.first().map(|m| m.phone_id).unwrap_or(shard_lo);
     let phone_costs: Vec<String> = run
-        .phone_parse_seconds
+        .phone_seconds
         .iter()
-        .map(|s| format!("{s:.6}"))
+        .map(|s| format!("{s:.9}"))
         .collect();
     format!(
-        "{{\n  \"schema\": \"symfail-pipeline-timing/9\",\n  \"seed\": {},\n  \
+        "{{\n  \"schema\": \"symfail-pipeline-timing/10\",\n  \"seed\": {},\n  \
          \"phones\": {},\n  \"days\": {},\n  \"workers\": {},\n  \
          \"shard_index\": {},\n  \"shard_count\": {},\n  \
          \"shard_start\": {},\n  \"shard_end\": {},\n  \
@@ -892,17 +906,18 @@ fn plan_shards_cmd(argv: &[String]) -> Result<(), String> {
     for i in 0..plan.count() {
         let (lo, hi) = plan.interval(i);
         println!(
-            "  {i:>5}  [{lo:>6}, {hi:>6})    {:>6}  {:>14.3}",
+            "  {i:>5}  [{lo:>6}, {hi:>6})    {:>6}  {:>14}",
             hi - lo,
-            plan.predicted_cost(i)
+            fmt_cost(plan.predicted_cost(i))
         );
     }
     let best = plan.max_predicted_cost();
     let flat = uniform.max_predicted_cost();
-    println!("predicted max-shard cost: {best:.3}");
+    println!("predicted max-shard cost: {}", fmt_cost(best));
     if balance != Balance::Uniform && best > 0.0 {
         println!(
-            "uniform i/N split would cost {flat:.3} ({:.2}x the balanced critical path)",
+            "uniform i/N split would cost {} ({:.2}x the balanced critical path)",
+            fmt_cost(flat),
             flat / best
         );
     }
@@ -1074,6 +1089,23 @@ fn experiment_cmd(argv: &[String]) -> Result<(), String> {
     if !EXPERIMENTS.contains(&args.exp.as_str()) {
         return Err(format!("unknown experiment {}", args.exp));
     }
+    let needs_campaign = args.exp != "table1" && args.exp != "forum_marginals";
+    if !needs_campaign {
+        // These files record a campaign; refuse them rather than exit
+        // 0 having written none.
+        let outputs = [
+            ("--timing-json", &args.timing_json),
+            ("--defects-json", &args.defects_json),
+            ("--mtbf-trace-json", &args.mtbf_trace_json),
+            ("--checkpoint", &args.checkpoint),
+        ];
+        if let Some((flag, _)) = outputs.iter().find(|(_, path)| path.is_some()) {
+            return Err(format!(
+                "{flag} needs a campaign, and --exp {} runs none",
+                args.exp
+            ));
+        }
+    }
     let registry = PassRegistry::select(&args.analyses)?;
     // The window sweep re-thresholds the coalesce pass's panics.
     let sweeps = args.exp == "ablations" || (args.exp == "fig5" && args.sweep);
@@ -1083,7 +1115,6 @@ fn experiment_cmd(argv: &[String]) -> Result<(), String> {
             args.exp
         ));
     }
-    let needs_campaign = args.exp != "table1" && args.exp != "forum_marginals";
     let run = if needs_campaign {
         Some(run_campaign(&args, &registry)?)
     } else {

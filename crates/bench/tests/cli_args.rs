@@ -95,6 +95,24 @@ const REFUSED: &[(&[&str], &str)] = &[
         &["--costs-json", "costs.json"],
         "--costs-json only applies with --balance measured",
     ),
+    // Output files that only a campaign writes, under the two
+    // experiments that run none.
+    (
+        &["--exp", "table1", "--timing-json", "t1.json"],
+        "--timing-json needs a campaign, and --exp table1 runs none",
+    ),
+    (
+        &["--exp", "table1", "--defects-json", "d1.json"],
+        "--defects-json needs a campaign, and --exp table1 runs none",
+    ),
+    (
+        &["--exp", "forum_marginals", "--mtbf-trace-json", "m1.json"],
+        "--mtbf-trace-json needs a campaign, and --exp forum_marginals runs none",
+    ),
+    (
+        &["--exp", "forum_marginals", "--checkpoint", "c1.bin"],
+        "--checkpoint needs a campaign, and --exp forum_marginals runs none",
+    ),
     (
         &["merge-checkpoints"],
         "merge-checkpoints needs OUT plus at least one input checkpoint",

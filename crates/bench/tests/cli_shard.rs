@@ -99,10 +99,11 @@ fn oversharded_fleet_merges_at_the_cli() {
 
 /// Plans shards from a measured cost file: a real `--workers 1` run
 /// writes `--timing-json`, and `plan-shards --balance measured` reads
-/// its `phone_costs` back. At 6 phones × 30 days every measured cost
-/// prints as `0.000`, so this pins the reader and the table's shape,
-/// not the values. The file is refused for a different `--phones` and
-/// when it comes from a sharded run.
+/// its `phone_costs` back. At 6 phones × 30 days a shard costs a
+/// fraction of a millisecond, so this pins the reader, the table's shape
+/// and that every shard's cost prints non-zero, not the values. The
+/// file is refused for a different `--phones` and when it comes from
+/// a sharded run.
 #[test]
 fn plan_shards_balances_on_a_measured_timing_file() {
     let campaign = ["--phones", "6", "--days", "30"];
@@ -147,17 +148,29 @@ fn plan_shards_balances_on_a_measured_timing_file() {
     let header = lines.next().expect("plan header");
     assert!(header.ends_with("2 shards, balance measured"), "{header}");
     // The cut table: one `[lo, hi)` row per shard, chaining from 0 to
-    // the fleet size.
-    let cuts: Vec<(u32, u32)> = lines
+    // the fleet size, each with a non-zero predicted cost.
+    let rows: Vec<(u32, u32, f64)> = lines
         .filter_map(|line| {
-            let (lo, hi) = line.split_once('[')?.1.split_once(')')?.0.split_once(',')?;
-            Some((lo.trim().parse().ok()?, hi.trim().parse().ok()?))
+            let (range, rest) = line.split_once('[')?.1.split_once(')')?;
+            let (lo, hi) = range.split_once(',')?;
+            let cost = rest.split_whitespace().last()?;
+            Some((
+                lo.trim().parse().ok()?,
+                hi.trim().parse().ok()?,
+                cost.parse().ok()?,
+            ))
         })
         .collect();
-    assert_eq!(cuts.len(), 2, "{stdout}");
-    assert_eq!(cuts[0].0, 0, "{stdout}");
-    assert_eq!(cuts[0].1, cuts[1].0, "{stdout}");
-    assert_eq!(cuts[1].1, 6, "{stdout}");
+    assert_eq!(rows.len(), 2, "{stdout}");
+    assert_eq!(rows[0].0, 0, "{stdout}");
+    assert_eq!(rows[0].1, rows[1].0, "{stdout}");
+    assert_eq!(rows[1].1, 6, "{stdout}");
+    for &(_, _, cost) in &rows {
+        assert!(
+            cost > 0.0,
+            "a shard's measured cost prints as zero:\n{stdout}"
+        );
+    }
 
     let refused = |out: std::process::Output, message: String| {
         assert_eq!(out.status.code(), Some(1));

@@ -172,9 +172,8 @@ mod tests {
     fn fleet() -> FleetDataset {
         let mut fs = FlashFs::new();
         let mut lg = FailureLogger::new(LoggerConfig::default());
-        let running = vec!["Messages".to_string()];
         let ctx = PhoneContext {
-            running_apps: &running,
+            running_apps: &["Messages"],
             battery_percent: 50,
             battery_low: false,
         };

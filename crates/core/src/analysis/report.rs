@@ -682,9 +682,8 @@ mod tests {
         for id in 0..2u32 {
             let mut fs = FlashFs::new();
             let mut lg = FailureLogger::new(LoggerConfig::default());
-            let running = vec!["Messages".to_string()];
             let ctx = PhoneContext {
-                running_apps: &running,
+                running_apps: &["Messages"],
                 battery_percent: 70,
                 battery_low: false,
             };

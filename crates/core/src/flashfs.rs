@@ -44,27 +44,38 @@ impl FlashFs {
     /// rejected by debug assertion (records are single lines by
     /// construction).
     pub fn append_line(&mut self, file: &str, line: &str) {
-        debug_assert!(!line.contains('\n'), "records must be single lines");
-        let buf = self.file_mut(file);
-        buf.extend_from_slice(line.as_bytes());
-        buf.push(b'\n');
-        self.bytes_written += line.len() as u64 + 1;
+        self.append_line_with(file, |buf| buf.extend_from_slice(line.as_bytes()));
     }
 
     /// Appends one line to `file` by letting `write` encode it
     /// directly into the file's own buffer — the zero-allocation twin
     /// of [`Self::append_line`] used by the logger's hot write paths.
-    /// The newline is added afterwards and the wear counter advances by
-    /// exactly the bytes appended.
+    /// The newline is added afterwards.
     pub fn append_line_with(&mut self, file: &str, write: impl FnOnce(&mut Vec<u8>)) {
+        self.append_lines_with(file, |buf| {
+            let start = buf.len();
+            write(buf);
+            debug_assert!(
+                !buf[start..].contains(&b'\n'),
+                "records must be single lines"
+            );
+            buf.push(b'\n');
+        });
+    }
+
+    /// Appends whole lines to `file` by letting `write` encode them
+    /// directly into the file's own buffer, each ended by its `\n` —
+    /// one directory lookup for a whole run of records, such as a
+    /// heartbeat run. The wear counter advances by exactly the bytes
+    /// appended. Every other append goes through here.
+    pub fn append_lines_with(&mut self, file: &str, write: impl FnOnce(&mut Vec<u8>)) {
         let buf = self.file_mut(file);
         let start = buf.len();
         write(buf);
         debug_assert!(
-            !buf[start..].contains(&b'\n'),
-            "records must be single lines"
+            buf.len() == start || buf.last() == Some(&b'\n'),
+            "appended lines end with a newline"
         );
-        buf.push(b'\n');
         self.bytes_written += (buf.len() - start) as u64;
     }
 

@@ -91,7 +91,7 @@ impl Default for LoggerConfig {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PhoneContext<'a> {
     /// Applications currently running (excluding the logger daemon).
-    pub running_apps: &'a [String],
+    pub running_apps: &'a [&'static str],
     /// Battery level in percent.
     pub battery_percent: u8,
     /// True when the System Agent reports the battery critically low.
@@ -123,7 +123,7 @@ pub enum ShutdownKind {
 ///
 /// let mut fs = FlashFs::new();
 /// let mut logger = FailureLogger::new(LoggerConfig::default());
-/// let running = ["Messages".to_string()];
+/// let running = ["Messages"];
 /// let ctx = PhoneContext {
 ///     running_apps: &running,
 ///     battery_percent: 80,
@@ -180,13 +180,53 @@ impl FailureLogger {
     }
 
     /// Periodic heartbeat tick; also drives the lower-frequency
-    /// snapshots of the auxiliary files. Constant work: one `ALIVE`
-    /// line, plus the two snapshot lines every `snapshot_every` ticks.
+    /// snapshots of the auxiliary files. The one-tick run of
+    /// [`Self::on_ticks`].
     pub fn on_tick(&mut self, fs: &mut FlashFs, now: SimTime, ctx: PhoneContext<'_>) {
-        self.heartbeat.beat(fs, now);
-        self.ticks_since_snapshot += 1;
+        self.on_ticks(fs, now, 1, || ctx);
+    }
+
+    /// The most ticks the next [`Self::on_ticks`] run may hold: the
+    /// ticks up to and including the next snapshot tick (at least 1).
+    pub fn ticks_until_snapshot(&self) -> u32 {
+        self.config
+            .snapshot_every
+            .saturating_sub(self.ticks_since_snapshot)
+            .max(1)
+    }
+
+    /// A run of `n` heartbeat ticks at `first`, `first + period`, …
+    /// (the configured period): `n` `ALIVE` lines through one file
+    /// lookup, and — when the run reaches the snapshot tick, which can
+    /// only be its last — the `runapp` and `power` snapshot lines at
+    /// that tick. `ctx` is sampled only then, so a caller that steps
+    /// its state once per tick samples it only where a snapshot is
+    /// written. The bytes and counters equal those of `n` single
+    /// [`Self::on_tick`] calls.
+    ///
+    /// # Panics
+    ///
+    /// When `n` exceeds [`Self::ticks_until_snapshot`].
+    pub fn on_ticks<'a>(
+        &mut self,
+        fs: &mut FlashFs,
+        first: SimTime,
+        n: u32,
+        ctx: impl FnOnce() -> PhoneContext<'a>,
+    ) {
+        assert!(
+            n <= self.ticks_until_snapshot(),
+            "a tick run of {n} passes the snapshot due in {}",
+            self.ticks_until_snapshot()
+        );
+        if n == 0 {
+            return;
+        }
+        let period = self.config.heartbeat_period;
+        self.heartbeat.beats(fs, first, period, n);
+        self.ticks_since_snapshot += n;
         if self.ticks_since_snapshot >= self.config.snapshot_every {
-            self.snapshot(fs, now, ctx);
+            self.snapshot(fs, first + period * u64::from(n - 1), ctx());
             self.ticks_since_snapshot = 0;
         }
     }
@@ -258,14 +298,13 @@ impl FailureLogger {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::LazyLock;
+    use crate::records::encode_beat_into;
+    use proptest::prelude::*;
     use symfail_symbian::panic::codes;
-
-    static RUNNING: LazyLock<Vec<String>> = LazyLock::new(|| vec!["Messages".into()]);
 
     fn ctx() -> PhoneContext<'static> {
         PhoneContext {
-            running_apps: &RUNNING,
+            running_apps: &["Messages"],
             battery_percent: 80,
             battery_low: false,
         }
@@ -370,6 +409,103 @@ mod tests {
         assert_eq!(fs.read_lines(files::RUNAPP).count(), 3);
         assert_eq!(fs.read_lines(files::POWER).count(), 3);
         assert_eq!(fs.read_lines(files::BEATS).count(), 5);
+    }
+
+    #[test]
+    fn zero_tick_run_writes_nothing() {
+        let mut fs = FlashFs::new();
+        let mut lg = FailureLogger::new(LoggerConfig {
+            heartbeat_period: SimDuration::from_secs(30),
+            snapshot_every: 0,
+        });
+        lg.on_ticks(&mut fs, t(30), 0, ctx);
+        assert!(fs.file_names().is_empty());
+        assert_eq!(lg.ticks_until_snapshot(), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "passes the snapshot")]
+    fn tick_run_past_the_snapshot_is_refused() {
+        let mut fs = FlashFs::new();
+        let mut lg = FailureLogger::new(LoggerConfig {
+            heartbeat_period: SimDuration::from_secs(30),
+            snapshot_every: 10,
+        });
+        lg.on_ticks(&mut fs, t(30), 11, ctx);
+    }
+
+    /// The phone state at tick `i` of a run: a battery level that moves
+    /// every tick, so a snapshot sampled at the wrong tick shows.
+    fn ctx_at(i: u64) -> PhoneContext<'static> {
+        PhoneContext {
+            running_apps: &["Camera", "Messages"],
+            battery_percent: (i % 101) as u8,
+            battery_low: i.is_multiple_of(7),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+        /// Tick runs cut at the snapshot ticks write the same `beats`,
+        /// `runapp` and `power` bytes, wear and logger counters as one
+        /// `on_tick` per tick, across digit-count rollovers of the
+        /// timestamp (…999 → 1…000, up to 20 digits), any period,
+        /// snapshot cadence and starting snapshot phase.
+        #[test]
+        fn tick_runs_equal_single_ticks(
+            start in prop_oneof![
+                0u64..1_000_000_000_000,
+                (1u32..19, 0u64..2_000).prop_map(|(k, below)| 10u64.pow(k).saturating_sub(1 + below)),
+                1_000_000_000_000_000_000u64..10_000_000_000_000_000_000,
+            ],
+            period_ms in prop_oneof![
+                Just(1u64),
+                Just(300_000u64),
+                1u64..10_000_000_000,
+                (1u64..1_000, 0u32..10).prop_map(|(m, k)| m * 10u64.pow(k)),
+            ],
+            n in 0u64..300,
+            snapshot_every in prop_oneof![Just(0u32), Just(1u32), Just(10u32), 0u32..40],
+            phase in 0u32..40,
+        ) {
+            let config = LoggerConfig {
+                heartbeat_period: SimDuration::from_millis(period_ms),
+                snapshot_every,
+            };
+            let (mut fs_one, mut fs_run) = (FlashFs::new(), FlashFs::new());
+            let (mut one, mut run) = (FailureLogger::new(config), FailureLogger::new(config));
+            for lg_fs in [(&mut one, &mut fs_one), (&mut run, &mut fs_run)] {
+                let (lg, fs) = lg_fs;
+                lg.on_boot(fs, SimTime::ZERO, ctx_at(0));
+                for i in 0..u64::from(phase) {
+                    lg.on_tick(fs, SimTime::from_millis(i), ctx_at(i));
+                }
+            }
+            for i in 0..n {
+                one.on_tick(&mut fs_one, SimTime::from_millis(start + i * period_ms), ctx_at(i));
+            }
+            let run_from = fs_run.size_of(files::BEATS) as usize;
+            let mut done = 0;
+            while done < n {
+                let len = run.ticks_until_snapshot().min((n - done) as u32);
+                let last = done + u64::from(len) - 1;
+                let first = SimTime::from_millis(start + done * period_ms);
+                run.on_ticks(&mut fs_run, first, len, || ctx_at(last));
+                done += u64::from(len);
+            }
+            // The odometer against the canonical beat encoder.
+            let mut want = Vec::new();
+            for i in 0..n {
+                encode_beat_into(&mut want, SimTime::from_millis(start + i * period_ms), HeartbeatEvent::Alive);
+                want.push(b'\n');
+            }
+            prop_assert_eq!(&fs_run.read_bytes(files::BEATS).unwrap_or_default()[run_from..], &want[..]);
+            for file in [files::BEATS, files::RUNAPP, files::POWER] {
+                prop_assert_eq!(fs_run.read_bytes(file), fs_one.read_bytes(file), "{}", file);
+            }
+            prop_assert_eq!(fs_run.bytes_written(), fs_one.bytes_written());
+            prop_assert_eq!(format!("{run:?}"), format!("{one:?}"));
+        }
     }
 
     #[test]

@@ -26,7 +26,7 @@ impl RunningAppsDetector {
     }
 
     /// Writes one snapshot line: `<ms>|app1,app2,…`.
-    pub fn snapshot(&mut self, fs: &mut FlashFs, now: SimTime, apps: &[String]) {
+    pub fn snapshot(&mut self, fs: &mut FlashFs, now: SimTime, apps: &[&str]) {
         fs.append_line_with(files::RUNAPP, |buf| {
             push_u64(buf, now.as_millis());
             buf.push(b'|');
@@ -67,7 +67,7 @@ mod tests {
     fn snapshot_round_trip() {
         let mut fs = FlashFs::new();
         let mut det = RunningAppsDetector::new();
-        det.snapshot(&mut fs, SimTime::from_secs(5), &["A".into(), "B".into()]);
+        det.snapshot(&mut fs, SimTime::from_secs(5), &["A", "B"]);
         det.snapshot(&mut fs, SimTime::from_secs(10), &[]);
         assert_eq!(det.snapshots(), 2);
         let (at, apps) = RunningAppsDetector::latest(&fs).unwrap();

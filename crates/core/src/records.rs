@@ -150,8 +150,16 @@ const DIGIT_PAIRS: [u8; 200] = {
 /// Appends the decimal digits of `v` to `out` — the writer path's
 /// replacement for `format!("{v}")`, allocation- and fmt-machinery
 /// free, two digits per step.
-pub fn push_u64(out: &mut Vec<u8>, mut v: u64) {
+pub fn push_u64(out: &mut Vec<u8>, v: u64) {
     let mut digits = [0u8; 20];
+    let start = write_u64_digits(&mut digits, v);
+    out.extend_from_slice(&digits[start..]);
+}
+
+/// Writes the decimal digits of `v` right-aligned into `digits`
+/// (20 places hold any `u64`) and returns the index of the first; the
+/// places before it are left as they were.
+pub(crate) fn write_u64_digits(digits: &mut [u8], mut v: u64) -> usize {
     let mut i = digits.len();
     while v >= 100 {
         let pair = (v % 100) as usize * 2;
@@ -167,7 +175,7 @@ pub fn push_u64(out: &mut Vec<u8>, mut v: u64) {
         i -= 1;
         digits[i] = b'0' + v as u8;
     }
-    out.extend_from_slice(&digits[i..]);
+    i
 }
 
 /// Appends `v` as exactly four lowercase hex digits (the checksum
@@ -474,7 +482,7 @@ pub fn encode_panic_into(
     out: &mut Vec<u8>,
     at: SimTime,
     panic: &Panic,
-    running_apps: &[String],
+    running_apps: &[impl AsRef<str>],
     activity: Option<ActivityKind>,
     battery: u8,
 ) {
@@ -497,7 +505,7 @@ pub fn encode_panic_into(
         if i > 0 {
             out.push(b',');
         }
-        out.extend_from_slice(app.as_bytes());
+        out.extend_from_slice(app.as_ref().as_bytes());
     }
     out.push(b'|');
     out.extend_from_slice(panic.reason.as_bytes());

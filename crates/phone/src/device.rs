@@ -111,6 +111,9 @@ pub struct Phone {
     next_beat: SimTime,
     stats: PhoneStats,
     booted_once: bool,
+    /// The day's action queue, kept between days so its buffer is
+    /// allocated once per phone.
+    queue: Vec<(SimTime, Action)>,
 }
 
 impl Phone {
@@ -123,12 +126,21 @@ impl Phone {
 
     /// Creates a phone with a caller-chosen behaviour profile (the
     /// fleet campaign stratifies traits across phones).
+    ///
+    /// # Panics
+    ///
+    /// When `params.heartbeat_period_secs` is zero: the heartbeat
+    /// would never advance.
     pub fn with_profile(
         id: u32,
         params: CalibrationParams,
         profile: UserProfile,
         rng: SimRng,
     ) -> Self {
+        assert!(
+            params.heartbeat_period_secs > 0,
+            "heartbeat_period_secs must be positive: a zero period never advances the heartbeat"
+        );
         let logger = FailureLogger::new(LoggerConfig {
             heartbeat_period: SimDuration::from_secs(params.heartbeat_period_secs),
             snapshot_every: 10,
@@ -149,6 +161,7 @@ impl Phone {
             next_beat: SimTime::ZERO,
             stats: PhoneStats::default(),
             booted_once: false,
+            queue: Vec::new(),
         }
     }
 
@@ -174,20 +187,33 @@ impl Phone {
         self.stats
     }
 
-    /// Advances the heartbeat stream (and battery drain) up to `now`.
+    /// Advances the heartbeat stream (and battery drain) up to `now`:
+    /// the due ticks go to the logger in runs that end at its snapshot
+    /// ticks. The battery drains once per tick, so its floating-point
+    /// levels do not depend on how the ticks are cut into runs, and
+    /// the logger samples the phone only where it writes a snapshot.
     fn advance(&mut self, now: SimTime) {
         match self.state {
             PowerState::On => {
-                while self.next_beat <= now {
-                    let beat_at = self.next_beat;
-                    self.battery.drain(
-                        SimDuration::from_secs(self.params.heartbeat_period_secs),
-                        SimDuration::ZERO,
-                    );
-                    let ctx = logger_view(&self.apps, &self.battery);
-                    self.logger.on_tick(&mut self.fs, beat_at, ctx);
-                    self.next_beat =
-                        beat_at + SimDuration::from_secs(self.params.heartbeat_period_secs);
+                if self.next_beat > now {
+                    return;
+                }
+                let period = SimDuration::from_secs(self.params.heartbeat_period_secs);
+                let mut due =
+                    now.saturating_since(self.next_beat).as_millis() / period.as_millis() + 1;
+                while due > 0 {
+                    let run = u32::try_from(due)
+                        .unwrap_or(u32::MAX)
+                        .min(self.logger.ticks_until_snapshot());
+                    for _ in 0..run {
+                        self.battery.drain(period, SimDuration::ZERO);
+                    }
+                    let (apps, battery) = (&self.apps, &self.battery);
+                    self.logger.on_ticks(&mut self.fs, self.next_beat, run, || {
+                        logger_view(apps, battery)
+                    });
+                    self.next_beat += period * u64::from(run);
+                    due -= u64::from(run);
                 }
             }
             PowerState::Off(until) | PowerState::Frozen(until) => {
@@ -253,30 +279,27 @@ impl Phone {
         let episode = plan_episode(&self.params, context, &mut self.rng);
         // Make sure some application is in the foreground: faults
         // activate under use.
-        let foreground: String = match context {
-            EpisodeContext::VoiceCall => "Telephone".to_string(),
-            EpisodeContext::Message | EpisodeContext::DeferredMessaging => "Messages".to_string(),
+        let mut offender = match context {
+            EpisodeContext::VoiceCall => "Telephone",
+            EpisodeContext::Message | EpisodeContext::DeferredMessaging => "Messages",
             EpisodeContext::Background => match self.apps.running().first() {
-                Some(app) => app.clone(),
+                Some(&app) => app,
                 None => {
                     let idx = self.rng.weighted_index(&apps::LAUNCH_WEIGHTS);
                     let app = apps::CATALOG[idx].name;
                     self.apps.notify_started(app);
-                    app.to_string()
+                    app
                 }
             },
         };
         let mut t = at;
-        let mut offender = foreground;
-        let codes: Vec<_> = std::iter::once(episode.primary)
-            .chain(episode.cascade.iter().copied())
-            .collect();
-        for (i, code) in codes.iter().enumerate() {
+        let codes = std::iter::once(episode.primary).chain(episode.cascade.iter().copied());
+        for (i, code) in codes.enumerate() {
             self.advance(t);
             if self.state != PowerState::On {
                 return;
             }
-            let panic = execute_fault(*code, &offender, &mut self.rng);
+            let panic = execute_fault(code, offender, &mut self.rng);
             // The one place the logger records the activity in
             // progress, so the only read of the log database.
             let activity = self.logdb.activity_at(t);
@@ -284,16 +307,16 @@ impl Phone {
             self.logger.on_panic(&mut self.fs, t, &panic, ctx, activity);
             self.stats.panics += 1;
             // Kernel recovery: terminate the offending application.
-            self.apps.notify_exited(&offender);
+            self.apps.notify_exited(offender);
             // Error propagation: the next panic in the cascade hits
             // another component shortly after.
-            if i + 1 < codes.len() {
+            if i < episode.cascade.len() {
                 t += SimDuration::from_secs(3 + self.rng.next_u64() % 27);
                 offender = match self.apps.running().first() {
-                    Some(app) => app.clone(),
+                    Some(&app) => app,
                     None => {
                         let idx = self.rng.weighted_index(&apps::LAUNCH_WEIGHTS);
-                        apps::CATALOG[idx].name.to_string()
+                        apps::CATALOG[idx].name
                     }
                 };
             }
@@ -354,7 +377,9 @@ impl Phone {
         }
         self.advance(wake);
 
-        let mut actions: Vec<(SimTime, Action)> = Vec::new();
+        // Today's actions, in yesterday's buffer.
+        let mut actions = std::mem::take(&mut self.queue);
+        actions.clear();
         let at_random =
             |rng: &mut SimRng| wake + SimDuration::from_secs(rng.next_u64() % waking_secs);
 
@@ -600,6 +625,7 @@ impl Phone {
                 }
             }
         }
+        self.queue = queue;
     }
 }
 
@@ -692,6 +718,16 @@ mod tests {
         assert!(phone.stats().calls > 0);
         assert!(phone.stats().messages > 0);
         assert!(phone.flashfs().read_lines("activity").count() > 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "heartbeat_period_secs must be positive")]
+    fn zero_heartbeat_period_is_refused() {
+        let params = CalibrationParams {
+            heartbeat_period_secs: 0,
+            ..small_params()
+        };
+        Phone::new(0, params, SimRng::seed_from(1));
     }
 
     #[test]

@@ -316,16 +316,20 @@ fn on_boundary(
     }
 }
 
-/// What each streaming worker thread returns: `(meta, parse seconds)`
-/// per phone it handled, plus its own counters.
-type WorkerYield = (Vec<(PhoneMeta, f64)>, WorkerStats);
+/// One phone a streaming worker handled: its meta, its parse seconds
+/// and its whole seconds (simulate through fold).
+type PhoneTiming = (PhoneMeta, f64, f64);
+
+/// What each streaming worker thread returns: one [`PhoneTiming`] per
+/// phone it handled, plus its own counters.
+type WorkerYield = (Vec<PhoneTiming>, WorkerStats);
 
 /// Joins a streaming worker pool, splitting per-phone results from
 /// per-worker stats (one [`WorkerStats`] entry per spawned worker, in
 /// spawn order).
 fn join_workers(
     handles: Vec<std::thread::ScopedJoinHandle<'_, WorkerYield>>,
-) -> (Vec<(PhoneMeta, f64)>, Vec<WorkerStats>) {
+) -> (Vec<PhoneTiming>, Vec<WorkerStats>) {
     let mut runs = Vec::new();
     let mut stats = Vec::new();
     for h in handles {
@@ -688,7 +692,7 @@ impl FleetCampaign {
             write_error: None,
         });
 
-        let (mut runs, worker_stats): (Vec<(PhoneMeta, f64)>, Vec<WorkerStats>) = if start < stop {
+        let (mut runs, worker_stats): (Vec<PhoneTiming>, Vec<WorkerStats>) = if start < stop {
             let workers = workers.clamp(1, (stop - start) as usize);
             // Runs end on checkpoint boundaries. Without a checkpoint
             // grid, size runs so each worker sees a few of them —
@@ -716,14 +720,18 @@ impl FleetCampaign {
                             {
                                 let mut shard = FoldShard::new(registry, run_start);
                                 for id in run_start..run_end {
-                                    let harvest = self.run_phone(id);
+                                    // The phone's whole cost — simulate,
+                                    // corrupt, parse and fold — is what a
+                                    // measured shard plan balances.
                                     let t0 = Instant::now();
+                                    let harvest = self.run_phone(id);
+                                    let t_parse = Instant::now();
                                     let ds = PhoneDataset::from_flashfs_with(
                                         id,
                                         &harvest.flashfs,
                                         &mut scratch,
                                     );
-                                    let secs = t0.elapsed().as_secs_f64();
+                                    let parse_secs = t_parse.elapsed().as_secs_f64();
                                     let meta = PhoneMeta::from_harvest(&harvest);
                                     drop(harvest);
                                     let lens = PhoneLens::with_device(
@@ -738,7 +746,8 @@ impl FleetCampaign {
                                     // the scratch pool; only the folded
                                     // summaries cross into the merger.
                                     ds.recycle(&mut scratch);
-                                    out.push((meta, secs));
+                                    let secs = t0.elapsed().as_secs_f64();
+                                    out.push((meta, parse_secs, secs));
                                 }
                                 // One lock acquisition per run: the
                                 // whole shard crosses at once.
@@ -797,14 +806,14 @@ impl FleetCampaign {
                 }
             }
         }
-        runs.sort_unstable_by_key(|(m, _)| m.phone_id);
+        runs.sort_unstable_by_key(|(m, _, _)| m.phone_id);
         let mut metas = Vec::with_capacity(runs.len());
-        let mut phone_parse_seconds = Vec::with_capacity(runs.len());
+        let mut phone_seconds = Vec::with_capacity(runs.len());
         let mut parse_cpu_seconds = 0.0;
-        for (m, secs) in runs {
+        for (m, parse_secs, secs) in runs {
             metas.push(m);
-            phone_parse_seconds.push(secs);
-            parse_cpu_seconds += secs;
+            parse_cpu_seconds += parse_secs;
+            phone_seconds.push(secs);
         }
         let parse_bytes = metas.iter().map(|m| m.flash_bytes).sum();
         let merge_stats = st.merger.merge_stats();
@@ -812,7 +821,7 @@ impl FleetCampaign {
             metas,
             report: st.merger.finish(),
             parse_cpu_seconds,
-            phone_parse_seconds,
+            phone_seconds,
             parse_bytes,
             mtbf_trace: st.trace,
             resumed_from,
@@ -833,11 +842,14 @@ pub struct StreamingRun {
     /// The finished study report, byte-identical to the reference
     /// analysis.
     pub report: StudyReport,
-    /// CPU seconds spent inside flash parsing, summed across workers.
+    /// Seconds spent inside flash parsing, summed across workers (the
+    /// parse rate's denominator).
     pub parse_cpu_seconds: f64,
-    /// Per-phone parse seconds, aligned with `metas` — the measured
-    /// cost vector a later `--balance measured` run can plan from.
-    pub phone_parse_seconds: Vec<f64>,
+    /// Per-phone seconds from the start of its simulation to the end
+    /// of its fold — simulate, corrupt, parse and fold — aligned with
+    /// `metas`: the measured cost vector a later `--balance measured`
+    /// run can plan from.
+    pub phone_seconds: Vec<f64>,
     /// Total flash bytes parsed; every one of them is freed phone by
     /// phone, never held for the run's lifetime.
     pub parse_bytes: u64,

@@ -23,9 +23,14 @@ use serde::{Deserialize, Serialize};
 /// apps.notify_exited("Camera");
 /// assert_eq!(apps.count(), 1);
 /// ```
+///
+/// Application names are `'static`: every application a phone runs
+/// comes from a fixed catalogue, so a start or an exit copies no
+/// string.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct AppArchServer {
-    running: Vec<String>,
+    /// Sorted, without duplicates.
+    running: Vec<&'static str>,
 }
 
 impl AppArchServer {
@@ -34,12 +39,16 @@ impl AppArchServer {
         Self::default()
     }
 
+    /// Where `app` sits in the sorted list, or where it would go.
+    fn find(&self, app: &str) -> Result<usize, usize> {
+        self.running.binary_search_by(|a| (*a).cmp(app))
+    }
+
     /// Registers an application start. Starting an already-running
     /// application is a no-op (it comes to the foreground instead).
-    pub fn notify_started(&mut self, app: &str) {
-        if !self.running.iter().any(|a| a == app) {
-            self.running.push(app.to_string());
-            self.running.sort();
+    pub fn notify_started(&mut self, app: &'static str) {
+        if let Err(at) = self.find(app) {
+            self.running.insert(at, app);
         }
     }
 
@@ -47,19 +56,17 @@ impl AppArchServer {
     /// termination after a panic). Returns true if the app was
     /// running.
     pub fn notify_exited(&mut self, app: &str) -> bool {
-        let before = self.running.len();
-        self.running.retain(|a| a != app);
-        self.running.len() != before
+        self.find(app).map(|at| self.running.remove(at)).is_ok()
     }
 
     /// True when the application is currently running.
     pub fn is_running(&self, app: &str) -> bool {
-        self.running.iter().any(|a| a == app)
+        self.find(app).is_ok()
     }
 
     /// The running applications, sorted (borrowed: the logger samples
     /// it on every snapshot without copying).
-    pub fn running(&self) -> &[String] {
+    pub fn running(&self) -> &[&'static str] {
         &self.running
     }
 

@@ -36,11 +36,11 @@ fn main() {
         heartbeat_period: SimDuration::from_secs(30),
         snapshot_every: 4,
     });
-    // What the phone's servers report at every hook: a borrowed view,
-    // built in place (the simulator rebuilds it on each heartbeat).
-    let running = vec!["Messages".to_string()];
+    // What the phone's servers report at a hook: a borrowed view,
+    // built in place (the simulator builds it where a record samples
+    // it).
     let ctx = PhoneContext {
-        running_apps: &running,
+        running_apps: &["Messages"],
         battery_percent: 76,
         battery_low: false,
     };
