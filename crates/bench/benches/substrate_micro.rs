@@ -1,6 +1,7 @@
 //! Micro-benchmarks of the OS substrate and the logger data path: the
 //! per-operation costs everything else is built from, up to one
-//! phone's simulated day and one phone's parse.
+//! phone's simulated day, one phone's parse and one phone's flash
+//! damage.
 
 use criterion::{black_box, criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use symfail_core::analysis::dataset::{ParseScratch, PhoneDataset};
@@ -227,6 +228,27 @@ fn bench(c: &mut Criterion) {
             })
         });
     }
+    g.finish();
+
+    // `CorruptionModel::inject` at the worst profile on a fresh clone
+    // of the same 425-day harvest, with the stream the `parse` group's
+    // worst harvest was damaged from: the clone is set-up, untimed.
+    let mut g = c.benchmark_group("corrupt");
+    g.sample_size(20);
+    g.measurement_time(std::time::Duration::from_secs(2));
+    g.warm_up_time(std::time::Duration::from_millis(500));
+    g.throughput(Throughput::Bytes(clean.total_size()));
+    let worst_model = CorruptionModel::from_profile(CorruptionProfile::Worst);
+    g.bench_function("worst_phone_425d", |b| {
+        b.iter_batched(
+            || (clean.clone(), SimRng::seed_from(3).fork("corruption", 0)),
+            |(mut fs, mut rng)| {
+                let injected = worst_model.inject(&mut fs, &mut rng);
+                (fs, injected)
+            },
+            BatchSize::LargeInput,
+        )
+    });
     g.finish();
 }
 

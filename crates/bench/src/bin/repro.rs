@@ -349,7 +349,8 @@ struct Args {
     stop_after: Option<u32>,
     mtbf_trace_json: Option<String>,
     shard: Option<ShardSpec>,
-    balance: Balance,
+    /// `None` when `--balance` was not given: uniform.
+    balance: Option<Balance>,
     costs_json: Option<String>,
 }
 
@@ -373,7 +374,7 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
         stop_after: None,
         mtbf_trace_json: None,
         shard: None,
-        balance: Balance::default(),
+        balance: None,
         costs_json: None,
     };
     let mut it = argv.iter();
@@ -404,7 +405,7 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
                 let spec: String = value(&mut it, "--shard needs i/N (e.g. 2/4)")?;
                 args.shard = Some(ShardSpec::parse(&spec).map_err(|e| format!("--shard: {e}"))?)
             }
-            "--balance" => args.balance = parse_balance(it.next().map(String::as_str))?,
+            "--balance" => args.balance = Some(parse_balance(it.next().map(String::as_str))?),
             "--costs-json" => args.costs_json = Some(value(&mut it, "--costs-json needs a path")?),
             "--help" | "-h" => {
                 return Err(format!(
@@ -437,7 +438,7 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
             other => args.campaign.take(other, &mut it)?,
         }
     }
-    check_balance(args.balance, args.costs_json.as_deref())?;
+    check_balance(args.balance.unwrap_or_default(), args.costs_json.as_deref())?;
     Ok(args)
 }
 
@@ -574,7 +575,7 @@ fn run_campaign(
         alloc_counter: Some(thread_alloc_calls),
         shard: args.shard,
         balance: balance_mode(
-            args.balance,
+            args.balance.unwrap_or_default(),
             args.costs_json.as_deref(),
             args.campaign.phones,
         )?,
@@ -674,7 +675,7 @@ fn timing_json(args: &Args, run: &StreamingRun, stage: &StageTiming) -> String {
         topology.count,
         shard_lo,
         shard_hi,
-        args.balance.as_str(),
+        args.balance.unwrap_or_default().as_str(),
         shard_plan.join(",\n"),
         phone_cost_start,
         phone_costs.join(", "),
@@ -1091,15 +1092,19 @@ fn experiment_cmd(argv: &[String]) -> Result<(), String> {
     }
     let needs_campaign = args.exp != "table1" && args.exp != "forum_marginals";
     if !needs_campaign {
-        // These files record a campaign; refuse them rather than exit
-        // 0 having written none.
-        let outputs = [
-            ("--timing-json", &args.timing_json),
-            ("--defects-json", &args.defects_json),
-            ("--mtbf-trace-json", &args.mtbf_trace_json),
-            ("--checkpoint", &args.checkpoint),
+        // These flags write or shape a campaign; refuse them rather
+        // than exit 0 having run none.
+        let campaign_flags = [
+            ("--timing-json", args.timing_json.is_some()),
+            ("--defects-json", args.defects_json.is_some()),
+            ("--mtbf-trace-json", args.mtbf_trace_json.is_some()),
+            ("--checkpoint", args.checkpoint.is_some()),
+            ("--checkpoint-every", args.checkpoint_every > 0),
+            ("--stop-after", args.stop_after.is_some()),
+            ("--shard", args.shard.is_some()),
+            ("--balance", args.balance.is_some()),
         ];
-        if let Some((flag, _)) = outputs.iter().find(|(_, path)| path.is_some()) {
+        if let Some((flag, _)) = campaign_flags.iter().find(|(_, given)| *given) {
             return Err(format!(
                 "{flag} needs a campaign, and --exp {} runs none",
                 args.exp

@@ -113,6 +113,23 @@ const REFUSED: &[(&[&str], &str)] = &[
         &["--exp", "forum_marginals", "--checkpoint", "c1.bin"],
         "--checkpoint needs a campaign, and --exp forum_marginals runs none",
     ),
+    // ... and the flags that shape one.
+    (
+        &["--exp", "table1", "--shard", "1/2"],
+        "--shard needs a campaign, and --exp table1 runs none",
+    ),
+    (
+        &["--exp", "table1", "--stop-after", "3"],
+        "--stop-after needs a campaign, and --exp table1 runs none",
+    ),
+    (
+        &["--exp", "forum_marginals", "--checkpoint-every", "5"],
+        "--checkpoint-every needs a campaign, and --exp forum_marginals runs none",
+    ),
+    (
+        &["--exp", "forum_marginals", "--balance", "static"],
+        "--balance needs a campaign, and --exp forum_marginals runs none",
+    ),
     (
         &["merge-checkpoints"],
         "merge-checkpoints needs OUT plus at least one input checkpoint",

@@ -109,13 +109,22 @@ impl FlashFs {
         self.file(file).map(Vec::as_slice)
     }
 
-    /// Replaces a file's raw content in place, without touching the
-    /// wear counter. This is a damage hook — it models flash-level
-    /// corruption of already-written bytes (bit rot, lost tail pages,
-    /// interleaved blocks), not a logger write path. Creates the file
-    /// if it does not exist.
+    /// Replaces a file's raw content, creating the file if it does not
+    /// exist, without touching the wear counter: the way to lay
+    /// hand-made bytes (malformed lines, invalid UTF-8) on flash. Not a
+    /// logger write path.
     pub fn overwrite_raw(&mut self, file: &str, bytes: Vec<u8>) {
         *self.file_mut(file) = bytes;
+    }
+
+    /// The bytes of an existing file, to be damaged in place. This is
+    /// the damage hook: it models flash-level corruption of
+    /// already-written bytes (bit rot, lost tail pages, interleaved
+    /// blocks), not a logger write path, so the wear counter does not
+    /// move, and a missing file stays missing (`None`).
+    pub fn damage(&mut self, file: &str) -> Option<&mut Vec<u8>> {
+        let i = self.position(file)?;
+        Some(&mut self.files[i].1)
     }
 
     /// True when the file exists.

@@ -184,236 +184,307 @@ impl CorruptionModel {
     /// then log bit-flips, then final-record truncation — so the one
     /// damage class that can mask another (truncation) always runs
     /// last and masks at most one line per file.
+    ///
+    /// The `log` and `beats` files are damaged as bytes through
+    /// [`FlashFs::damage`]: a line is the bytes up to its `\n`, and
+    /// every other byte, `\r` and invalid UTF-8 included, is payload.
+    /// A file whose last line lacks its `\n` gets one unless that line
+    /// is cut; a missing file draws like an empty one and stays
+    /// missing.
     pub fn inject(&self, fs: &mut FlashFs, rng: &mut SimRng) -> InjectedDefects {
         let mut injected = InjectedDefects::default();
         let r = &self.rates;
-
-        // Log lines are few and bit flips mutate them, so they are
-        // owned; beat lines (tens of thousands on a long-lived phone)
-        // are only dropped, copied, moved and cut, so they stay slices
-        // of the harvested buffer until the rewrite.
-        let mut log_lines: Vec<String> = fs.read_lines(files::LOG).map(str::to_string).collect();
-        let mut beat_lines: Vec<&str> = fs.read_lines(files::BEATS).collect();
 
         // 1. Tail loss (flash wear drops whole trailing pages). Capped
         // at half the file so a short log degrades instead of
         // vanishing — total loss is the separate `unusable` scenario,
         // exercised directly in tests.
-        injected.tail_lines_lost += lose_tail(&mut log_lines, r, rng);
-        injected.tail_lines_lost += lose_tail(&mut beat_lines, r, rng);
+        injected.tail_lines_lost += with_file(fs, files::LOG, |log| {
+            let lines = terminate_last_line(log);
+            lose_tail(log, lines, r, rng) as u64
+        });
+        let beat_lines = with_file(fs, files::BEATS, |beats| {
+            let lines = terminate_last_line(beats);
+            let lost = lose_tail(beats, lines, r, rng);
+            injected.tail_lines_lost += lost as u64;
+            lines - lost
+        });
 
-        // 2/3. Heartbeat block duplication and reordering. Ranges are
-        // chosen against the original index space, kept mutually
-        // disjoint, and applied back-to-front so earlier indexes stay
-        // valid.
-        let mut used: Vec<(usize, usize)> = Vec::new();
-        let mut dups: Vec<(usize, usize)> = Vec::new();
-        for _ in 0..r.dup_attempts {
-            if r.p_dup_block == 0.0 || !rng.chance(r.p_dup_block) {
-                continue;
-            }
-            let n = beat_lines.len();
-            if n == 0 {
-                continue;
-            }
-            let len = 1 + rng.index(3.min(n));
-            let start = rng.index(n - len + 1);
-            if overlaps(&used, start, start + len) {
-                continue;
-            }
-            used.push((start, start + len));
-            dups.push((start, len));
-            injected.duplicated += len as u64;
-        }
-        let mut swaps: Vec<(usize, usize, usize)> = Vec::new();
-        for _ in 0..r.reorder_attempts {
-            if r.p_reorder_block == 0.0 || !rng.chance(r.p_reorder_block) {
-                continue;
-            }
-            let n = beat_lines.len();
-            if n < 2 {
-                continue;
-            }
-            let a = 1 + rng.index(3.min(n - 1));
-            let b = 1 + rng.index(3.min(n - a));
-            let start = rng.index(n - a - b + 1);
-            if overlaps(&used, start, start + a + b) {
-                continue;
-            }
-            used.push((start, start + a + b));
-            swaps.push((start, a, b));
-            // The parser keeps a running timestamp maximum that does
-            // not advance past an out-of-order record, so after
-            // swapping A,B -> B,A it flags exactly the A-lines whose
-            // timestamp is strictly below B's maximum.
-            let time = |line: &&str| {
-                decode_beat(line.as_bytes())
-                    .map(|(t, _)| t.as_millis())
-                    .ok()
-            };
-            let max_b = beat_lines[start + a..start + a + b]
-                .iter()
-                .filter_map(time)
-                .max();
-            if let Some(max_b) = max_b {
-                injected.out_of_order += beat_lines[start..start + a]
-                    .iter()
-                    .filter_map(time)
-                    .filter(|&t| t < max_b)
-                    .count() as u64;
-            }
-        }
-        let mut ops: Vec<BlockOp> = dups
-            .into_iter()
-            .map(|(start, len)| BlockOp::Dup { start, len })
-            .chain(
-                swaps
-                    .into_iter()
-                    .map(|(start, a, b)| BlockOp::Swap { start, a, b }),
-            )
-            .collect();
-        ops.sort_by_key(|op| std::cmp::Reverse(op.start()));
-        for op in ops {
-            match op {
-                BlockOp::Dup { start, len } => {
-                    let copy = beat_lines[start..start + len].to_vec();
-                    beat_lines.splice(start + len..start + len, copy);
-                }
-                BlockOp::Swap { start, a, b } => {
-                    beat_lines[start..start + a + b].rotate_left(a);
-                }
-            }
-        }
+        // 2/3. Heartbeat block duplication and reordering, drawn
+        // against the post-tail-loss line numbers on mutually disjoint
+        // ranges, then applied in one forward pass over the file.
+        let blocks = draw_blocks(beat_lines, r, rng);
+        injected.merge(&with_file(fs, files::BEATS, |beats| {
+            apply_blocks(beats, &blocks)
+        }));
 
         // 4. Bit-flips in log record payloads. The payload region
         // excludes the checksum trailer (`|cXXXX`, 6 bytes), so the
         // trailer keeps its shape and the parser classifies the line
         // as checksum-mismatch, not truncation.
-        if r.p_bitflip > 0.0 {
-            for line in &mut log_lines {
-                if line.len() > 6 && rng.chance(r.p_bitflip) && flip_payload_byte(line, rng) {
-                    injected.checksum_garbled += 1;
-                }
-            }
-        }
-
+        //
         // 5. Final-record truncation (battery pull mid-write). Runs
         // last; cuts at least one byte and keeps at least one, so a
         // partial record remains on flash.
-        let cut = [
-            cut_last(&mut log_lines, r, rng, |line, keep| line.truncate(keep)),
-            cut_last(&mut beat_lines, r, rng, |line, keep| *line = &line[..keep]),
-        ];
-        injected.truncated += cut.iter().filter(|&&c| c).count() as u64;
-
-        let log = join_lines(&log_lines, cut[0]);
-        let beats = join_lines(&beat_lines, cut[1]);
-        write_file(fs, files::LOG, log);
-        write_file(fs, files::BEATS, beats);
+        let log_cut = with_file(fs, files::LOG, |log| {
+            if r.p_bitflip > 0.0 {
+                // The empty piece after the final `\n` draws nothing.
+                for line in log.split_mut(|&b| b == b'\n') {
+                    if line.len() > 6 && rng.chance(r.p_bitflip) && flip_payload_byte(line, rng) {
+                        injected.checksum_garbled += 1;
+                    }
+                }
+            }
+            cut_last(log, r, rng)
+        });
+        let beats_cut = with_file(fs, files::BEATS, |beats| cut_last(beats, r, rng));
+        injected.truncated += u64::from(log_cut) + u64::from(beats_cut);
         injected
     }
 }
 
-/// A block-level mutation of the beats file, in original index space.
-enum BlockOp {
-    Dup { start: usize, len: usize },
-    Swap { start: usize, a: usize, b: usize },
-}
-
-impl BlockOp {
-    fn start(&self) -> usize {
-        match *self {
-            BlockOp::Dup { start, .. } | BlockOp::Swap { start, .. } => start,
-        }
+/// Runs `damage` on `file`'s bytes in place. A missing file is damaged
+/// as an empty one, so the draws do not depend on whether it exists,
+/// and stays missing.
+fn with_file<R>(fs: &mut FlashFs, file: &str, damage: impl FnOnce(&mut Vec<u8>) -> R) -> R {
+    match fs.damage(file) {
+        Some(bytes) => damage(bytes),
+        None => damage(&mut Vec::new()),
     }
 }
 
-fn overlaps(used: &[(usize, usize)], lo: usize, hi: usize) -> bool {
-    used.iter().any(|&(a, b)| lo < b && a < hi)
+/// Ends a last line that lacks its `\n` with one, so every line below
+/// is `\n`-terminated; returns the line count.
+fn terminate_last_line(bytes: &mut Vec<u8>) -> usize {
+    if bytes.last().is_some_and(|&b| b != b'\n') {
+        bytes.push(b'\n');
+    }
+    count_newlines(bytes)
 }
 
-/// Flips one bit of one payload byte, re-rolling the bit if the result
-/// would be a newline (the damage model is bad cells, not lost
-/// framing). Flipping one of bits 0–6 of an ASCII byte keeps the line
-/// ASCII, so non-ASCII lines are left alone (returns false).
-fn flip_payload_byte(line: &mut String, rng: &mut SimRng) -> bool {
-    let payload_len = line.len() - 6; // keep the `|cXXXX` trailer intact
-    let pos = rng.index(payload_len);
-    let first_bit = rng.index(7); // bit 7 would leave ASCII
-    if !line.is_ascii() {
-        return false;
-    }
-    let mut bytes = std::mem::take(line).into_bytes();
-    let mut flipped_any = false;
-    for step in 0..7 {
-        let flipped = bytes[pos] ^ (1 << ((first_bit + step) % 7));
-        if flipped != b'\n' && flipped != b'\r' {
-            bytes[pos] = flipped;
-            flipped_any = true;
-            break;
-        }
-    }
-    *line = String::from_utf8(bytes).expect("ascii bit flip stays utf-8");
-    flipped_any
+/// Bytes per block of the newline count: 64 one-byte lanes, so a
+/// block's count fits the `u8` the compiler vectorises the sum in.
+const BLOCK: usize = 64;
+
+/// The newlines in one block.
+fn block_newlines(block: &[u8; BLOCK]) -> usize {
+    usize::from(block.iter().map(|&b| u8::from(b == b'\n')).sum::<u8>())
 }
 
-/// Drops a tail of whole lines (at most half the file) with the
-/// tail-loss chance; returns how many were lost.
-fn lose_tail<S>(lines: &mut Vec<S>, r: &CorruptionRates, rng: &mut SimRng) -> u64 {
-    if r.p_tail_loss > 0.0 && rng.chance(r.p_tail_loss) && !lines.is_empty() {
+/// The newlines in `bytes`, counted a block at a time.
+fn count_newlines(bytes: &[u8]) -> usize {
+    let (blocks, rest) = bytes.as_chunks::<BLOCK>();
+    blocks.iter().map(block_newlines).sum::<usize>() + rest.iter().filter(|&&b| b == b'\n').count()
+}
+
+/// Where the line ended by the `\n` at `end` starts.
+fn line_start(bytes: &[u8], end: usize) -> usize {
+    bytes[..end]
+        .iter()
+        .rposition(|&b| b == b'\n')
+        .map_or(0, |i| i + 1)
+}
+
+/// Drops a tail of whole lines (at most half the file's `lines`) with
+/// the tail-loss chance; returns how many were lost.
+fn lose_tail(bytes: &mut Vec<u8>, lines: usize, r: &CorruptionRates, rng: &mut SimRng) -> usize {
+    if r.p_tail_loss > 0.0 && rng.chance(r.p_tail_loss) && lines > 0 {
         let k = 1 + rng.next_u64() % r.max_tail_lines.max(1);
-        let k = (k as usize).min(lines.len() / 2);
-        lines.truncate(lines.len() - k);
-        return k as u64;
+        let k = (k as usize).min(lines / 2);
+        let mut end = bytes.len();
+        for _ in 0..k {
+            end = line_start(bytes, end - 1);
+        }
+        bytes.truncate(end);
+        return k;
     }
     0
 }
 
+/// A heartbeat-block mutation, in the line numbers of the file after
+/// tail loss.
+#[derive(Debug, Clone, Copy)]
+enum Block {
+    /// Lines `start..start + len` are written twice in a row.
+    Dup { start: usize, len: usize },
+    /// Lines `start..start + a` trade places with the `b` lines after
+    /// them.
+    Swap { start: usize, a: usize, b: usize },
+}
+
+impl Block {
+    fn lines(&self) -> std::ops::Range<usize> {
+        match *self {
+            Block::Dup { start, len } => start..start + len,
+            Block::Swap { start, a, b } => start..start + a + b,
+        }
+    }
+}
+
+/// Draws the duplication then the reorder attempts against a file of
+/// `n` lines, keeping each block that overlaps none kept before it;
+/// returns the kept blocks sorted by their first line.
+fn draw_blocks(n: usize, r: &CorruptionRates, rng: &mut SimRng) -> Vec<Block> {
+    let mut blocks: Vec<Block> = Vec::new();
+    let mut keep = |block: Block| {
+        let new = block.lines();
+        if blocks.iter().all(|b| {
+            let old = b.lines();
+            new.end <= old.start || old.end <= new.start
+        }) {
+            blocks.push(block);
+        }
+    };
+    for _ in 0..r.dup_attempts {
+        if r.p_dup_block == 0.0 || !rng.chance(r.p_dup_block) || n == 0 {
+            continue;
+        }
+        let len = 1 + rng.index(3.min(n));
+        let start = rng.index(n - len + 1);
+        keep(Block::Dup { start, len });
+    }
+    for _ in 0..r.reorder_attempts {
+        if r.p_reorder_block == 0.0 || !rng.chance(r.p_reorder_block) || n < 2 {
+            continue;
+        }
+        let a = 1 + rng.index(3.min(n - 1));
+        let b = 1 + rng.index(3.min(n - a));
+        let start = rng.index(n - a - b + 1);
+        keep(Block::Swap { start, a, b });
+    }
+    blocks.sort_unstable_by_key(|b| b.lines().start);
+    blocks
+}
+
+/// Applies `blocks` (sorted, disjoint) to `\n`-terminated `bytes` in
+/// one forward pass; returns the duplicated and out-of-order counts.
+fn apply_blocks(bytes: &mut Vec<u8>, blocks: &[Block]) -> InjectedDefects {
+    let mut injected = InjectedDefects::default();
+    let mut dups: Vec<std::ops::Range<usize>> = Vec::new();
+    let mut cursor = LineCursor::default();
+    for block in blocks {
+        match *block {
+            Block::Dup { start, len } => {
+                let lo = cursor.seek(bytes, start);
+                dups.push(lo..cursor.seek(bytes, start + len));
+                injected.duplicated += len as u64;
+            }
+            Block::Swap { start, a, b } => {
+                let lo = cursor.seek(bytes, start);
+                let mid = cursor.seek(bytes, start + a);
+                let hi = cursor.seek(bytes, start + a + b);
+                injected.out_of_order += displaced(&bytes[lo..mid], &bytes[mid..hi]);
+                bytes[lo..hi].rotate_left(mid - lo);
+            }
+        }
+    }
+    insert_copies(bytes, &dups);
+    injected
+}
+
+/// A forward position in a buffer of `\n`-terminated lines.
+#[derive(Default)]
+struct LineCursor {
+    line: usize,
+    pos: usize,
+}
+
+impl LineCursor {
+    /// Moves to the start of line `target` (the buffer's end when
+    /// `target` is the line count) and returns its byte offset. Whole
+    /// blocks are skipped by their newline count while they end before
+    /// the target line.
+    fn seek(&mut self, bytes: &[u8], target: usize) -> usize {
+        while self.line < target {
+            let rest = &bytes[self.pos..];
+            if let Some(block) = rest.first_chunk::<BLOCK>() {
+                let n = block_newlines(block);
+                if n < target - self.line {
+                    self.pos += BLOCK;
+                    self.line += n;
+                    continue;
+                }
+            }
+            let end = rest
+                .iter()
+                .position(|&b| b == b'\n')
+                .expect("the target line is in the buffer");
+            self.pos += end + 1;
+            self.line += 1;
+        }
+        self.pos
+    }
+}
+
+/// The parser keeps a running timestamp maximum that does not advance
+/// past an out-of-order record, so after swapping A,B -> B,A it flags
+/// exactly the A-lines whose timestamp is strictly below B's maximum.
+fn displaced(a: &[u8], b: &[u8]) -> u64 {
+    beat_times(b).max().map_or(0, |max_b| {
+        beat_times(a).filter(|&t| t < max_b).count() as u64
+    })
+}
+
+/// The timestamps of the lines of a block that decode as beats.
+fn beat_times(block: &[u8]) -> impl Iterator<Item = u64> + '_ {
+    block
+        .split(|&b| b == b'\n')
+        .filter_map(|line| decode_beat(line).ok().map(|(t, _)| t.as_millis()))
+}
+
+/// Writes a copy of each range (sorted, disjoint) right after it,
+/// shifting the bytes behind each one once: back to front, each stretch
+/// moves straight to its final place.
+fn insert_copies(bytes: &mut Vec<u8>, ranges: &[std::ops::Range<usize>]) {
+    let mut src_end = bytes.len();
+    bytes.resize(
+        src_end + ranges.iter().map(ExactSizeIterator::len).sum::<usize>(),
+        0,
+    );
+    let mut dst_end = bytes.len();
+    for range in ranges.iter().rev() {
+        let after = src_end - range.end;
+        bytes.copy_within(range.end..src_end, dst_end - after);
+        dst_end -= after + range.len();
+        bytes.copy_within(range.clone(), dst_end);
+        src_end = range.end;
+    }
+}
+
+/// Flips one bit of one payload byte, re-rolling the bit if the result
+/// would be a line break (the damage model is bad cells, not lost
+/// framing). Flipping one of bits 0–6 of an ASCII byte keeps the line
+/// ASCII, so non-ASCII lines are left alone (returns false).
+fn flip_payload_byte(line: &mut [u8], rng: &mut SimRng) -> bool {
+    let pos = rng.index(line.len() - 6); // keep the `|cXXXX` trailer intact
+    let first_bit = rng.index(7); // bit 7 would leave ASCII
+    if !line.is_ascii() {
+        return false;
+    }
+    let flipped = (0..7)
+        .map(|step| line[pos] ^ (1 << ((first_bit + step) % 7)))
+        .find(|&b| b != b'\n' && b != b'\r');
+    if let Some(b) = flipped {
+        line[pos] = b;
+    }
+    flipped.is_some()
+}
+
 /// Cuts the final line mid-record with the truncation chance, keeping
-/// at least one byte and cutting at least one; `shorten` keeps the
-/// first `keep` bytes. Returns true when a cut was made.
-fn cut_last<S: AsRef<str>>(
-    lines: &mut [S],
-    r: &CorruptionRates,
-    rng: &mut SimRng,
-    shorten: impl FnOnce(&mut S, usize),
-) -> bool {
+/// at least one byte and cutting at least one (its `\n` goes with the
+/// cut bytes). Returns true when a cut was made.
+fn cut_last(bytes: &mut Vec<u8>, r: &CorruptionRates, rng: &mut SimRng) -> bool {
     if r.p_truncate > 0.0 && rng.chance(r.p_truncate) {
-        if let Some(last) = lines.last_mut() {
-            let len = last.as_ref().len();
-            if len >= 2 {
-                let keep = 1 + rng.index(len - 1);
-                shorten(last, keep);
+        if let Some(end) = bytes.len().checked_sub(1) {
+            let start = line_start(bytes, end);
+            if end - start >= 2 {
+                let keep = 1 + rng.index(end - start - 1);
+                bytes.truncate(start + keep);
                 return true;
             }
         }
     }
     false
-}
-
-/// The new content of a file, built in one buffer. The trailing
-/// newline is kept unless the final record was cut mid-line
-/// (`cut_tail`), which is exactly the mid-write power-loss signature.
-fn join_lines<S: AsRef<str>>(lines: &[S], cut_tail: bool) -> Vec<u8> {
-    let len = lines.iter().map(|l| l.as_ref().len() + 1).sum::<usize>();
-    let mut buf = Vec::with_capacity(len);
-    for (i, line) in lines.iter().enumerate() {
-        if i > 0 {
-            buf.push(b'\n');
-        }
-        buf.extend_from_slice(line.as_ref().as_bytes());
-    }
-    if !buf.is_empty() && !cut_tail {
-        buf.push(b'\n');
-    }
-    buf
-}
-
-/// Replaces an existing file's content (a missing file stays missing).
-fn write_file(fs: &mut FlashFs, file: &str, buf: Vec<u8>) {
-    if fs.exists(file) {
-        fs.overwrite_raw(file, buf);
-    }
 }
 
 #[cfg(test)]

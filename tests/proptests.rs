@@ -551,6 +551,7 @@ enum FsOp {
     AppendLine(usize, String),
     AppendLineWith(usize, String),
     OverwriteRaw(usize, String),
+    Damage(usize, String),
     Truncate(usize),
     Remove(usize),
 }
@@ -565,6 +566,7 @@ fn fs_op() -> impl Strategy<Value = FsOp> {
         (name.clone(), "[a-z0-9|]{0,8}").prop_map(|(f, l)| FsOp::AppendLine(f, l)),
         (name.clone(), "[a-z0-9|]{0,8}").prop_map(|(f, l)| FsOp::AppendLineWith(f, l)),
         (name.clone(), "[a-z\n]{0,8}").prop_map(|(f, b)| FsOp::OverwriteRaw(f, b)),
+        (name.clone(), "[a-z\n]{0,8}").prop_map(|(f, b)| FsOp::Damage(f, b)),
         name.clone().prop_map(FsOp::Truncate),
         name.prop_map(FsOp::Remove),
     ]
@@ -597,6 +599,15 @@ proptest! {
                 FsOp::OverwriteRaw(f, bytes) => {
                     fs.overwrite_raw(FS_NAMES[f], bytes.clone().into_bytes());
                     model.insert(FS_NAMES[f].to_string(), bytes.into_bytes());
+                }
+                FsOp::Damage(f, bytes) => {
+                    // Edits in place without wear; a missing file stays missing.
+                    if let Some(buf) = fs.damage(FS_NAMES[f]) {
+                        buf.extend_from_slice(bytes.as_bytes());
+                    }
+                    if let Some(buf) = model.get_mut(FS_NAMES[f]) {
+                        buf.extend_from_slice(bytes.as_bytes());
+                    }
                 }
                 FsOp::Truncate(f) => {
                     fs.truncate(FS_NAMES[f]);
@@ -1180,6 +1191,298 @@ proptest! {
         let (inj, d) = inject_and_parse(seed, CorruptionRates::default());
         prop_assert_eq!(inj.total_observable(), 0);
         prop_assert!(d.is_clean(), "clean harvest must have no defects: {:?}", d);
+    }
+}
+
+// ---------------------------------------------------------------
+// Byte-level flash damage: `CorruptionModel::inject` damages the
+// `log` and `beats` buffers in place. On logger-shaped files it must
+// equal the line-vector injector it replaced, byte for byte and draw
+// for draw; on any bytes at all it must not panic.
+// ---------------------------------------------------------------
+
+/// The replaced injector, verbatim in behaviour: every line of `log`
+/// and `beats` collected with `read_lines`, damaged as a vector of
+/// lines, and each file rebuilt line by line and written back whole.
+fn line_vector_inject(
+    r: &symfail::phone::corruption::CorruptionRates,
+    fs: &mut FlashFs,
+    rng: &mut SimRng,
+) -> symfail::phone::corruption::InjectedDefects {
+    use symfail::core::logger::files;
+    use symfail::phone::corruption::{CorruptionRates, InjectedDefects};
+
+    fn lose_tail<S>(lines: &mut Vec<S>, r: &CorruptionRates, rng: &mut SimRng) -> u64 {
+        if r.p_tail_loss > 0.0 && rng.chance(r.p_tail_loss) && !lines.is_empty() {
+            let k = 1 + rng.next_u64() % r.max_tail_lines.max(1);
+            let k = (k as usize).min(lines.len() / 2);
+            lines.truncate(lines.len() - k);
+            return k as u64;
+        }
+        0
+    }
+    fn cut_last<S: AsRef<str>>(
+        lines: &mut [S],
+        r: &CorruptionRates,
+        rng: &mut SimRng,
+        shorten: impl FnOnce(&mut S, usize),
+    ) -> bool {
+        if r.p_truncate > 0.0 && rng.chance(r.p_truncate) {
+            if let Some(last) = lines.last_mut() {
+                let len = last.as_ref().len();
+                if len >= 2 {
+                    let keep = 1 + rng.index(len - 1);
+                    shorten(last, keep);
+                    return true;
+                }
+            }
+        }
+        false
+    }
+    fn join_lines<S: AsRef<str>>(lines: &[S], cut_tail: bool) -> Vec<u8> {
+        let mut buf = lines
+            .iter()
+            .map(AsRef::as_ref)
+            .collect::<Vec<_>>()
+            .join("\n")
+            .into_bytes();
+        if !buf.is_empty() && !cut_tail {
+            buf.push(b'\n');
+        }
+        buf
+    }
+    let overlaps =
+        |used: &[(usize, usize)], lo: usize, hi: usize| used.iter().any(|&(a, b)| lo < b && a < hi);
+    let time = |line: &&str| {
+        decode_beat(line.as_bytes())
+            .map(|(t, _)| t.as_millis())
+            .ok()
+    };
+
+    let mut injected = InjectedDefects::default();
+    let mut log_lines: Vec<String> = fs.read_lines(files::LOG).map(str::to_string).collect();
+    let mut beat_lines: Vec<&str> = fs.read_lines(files::BEATS).collect();
+    injected.tail_lines_lost += lose_tail(&mut log_lines, r, rng);
+    injected.tail_lines_lost += lose_tail(&mut beat_lines, r, rng);
+
+    let mut used: Vec<(usize, usize)> = Vec::new();
+    let mut dups: Vec<(usize, usize)> = Vec::new();
+    for _ in 0..r.dup_attempts {
+        if r.p_dup_block == 0.0 || !rng.chance(r.p_dup_block) {
+            continue;
+        }
+        let n = beat_lines.len();
+        if n == 0 {
+            continue;
+        }
+        let len = 1 + rng.index(3.min(n));
+        let start = rng.index(n - len + 1);
+        if overlaps(&used, start, start + len) {
+            continue;
+        }
+        used.push((start, start + len));
+        dups.push((start, len));
+        injected.duplicated += len as u64;
+    }
+    let mut swaps: Vec<(usize, usize, usize)> = Vec::new();
+    for _ in 0..r.reorder_attempts {
+        if r.p_reorder_block == 0.0 || !rng.chance(r.p_reorder_block) {
+            continue;
+        }
+        let n = beat_lines.len();
+        if n < 2 {
+            continue;
+        }
+        let a = 1 + rng.index(3.min(n - 1));
+        let b = 1 + rng.index(3.min(n - a));
+        let start = rng.index(n - a - b + 1);
+        if overlaps(&used, start, start + a + b) {
+            continue;
+        }
+        used.push((start, start + a + b));
+        swaps.push((start, a, b));
+        let max_b = beat_lines[start + a..start + a + b]
+            .iter()
+            .filter_map(time)
+            .max();
+        if let Some(max_b) = max_b {
+            injected.out_of_order += beat_lines[start..start + a]
+                .iter()
+                .filter_map(time)
+                .filter(|&t| t < max_b)
+                .count() as u64;
+        }
+    }
+    // `(start, dup len, swap a, swap b)`, applied back to front.
+    let mut ops: Vec<(usize, usize, usize, usize)> = dups
+        .into_iter()
+        .map(|(start, len)| (start, len, 0, 0))
+        .chain(swaps.into_iter().map(|(start, a, b)| (start, 0, a, b)))
+        .collect();
+    ops.sort_by_key(|op| std::cmp::Reverse(op.0));
+    for (start, len, a, b) in ops {
+        if len > 0 {
+            let copy = beat_lines[start..start + len].to_vec();
+            beat_lines.splice(start + len..start + len, copy);
+        } else {
+            beat_lines[start..start + a + b].rotate_left(a);
+        }
+    }
+
+    if r.p_bitflip > 0.0 {
+        for line in &mut log_lines {
+            if line.len() > 6 && rng.chance(r.p_bitflip) {
+                let pos = rng.index(line.len() - 6);
+                let first_bit = rng.index(7);
+                if !line.is_ascii() {
+                    continue;
+                }
+                let mut bytes = std::mem::take(line).into_bytes();
+                let mut flipped_any = false;
+                for step in 0..7 {
+                    let flipped = bytes[pos] ^ (1 << ((first_bit + step) % 7));
+                    if flipped != b'\n' && flipped != b'\r' {
+                        bytes[pos] = flipped;
+                        flipped_any = true;
+                        break;
+                    }
+                }
+                *line = String::from_utf8(bytes).expect("ascii bit flip stays utf-8");
+                injected.checksum_garbled += u64::from(flipped_any);
+            }
+        }
+    }
+
+    let cut = [
+        cut_last(&mut log_lines, r, rng, |line, keep| line.truncate(keep)),
+        cut_last(&mut beat_lines, r, rng, |line, keep| *line = &line[..keep]),
+    ];
+    injected.truncated += cut.iter().filter(|&&c| c).count() as u64;
+    let log = join_lines(&log_lines, cut[0]);
+    let beats = join_lines(&beat_lines, cut[1]);
+    for (file, buf) in [(files::LOG, log), (files::BEATS, beats)] {
+        if fs.exists(file) {
+            fs.overwrite_raw(file, buf);
+        }
+    }
+    injected
+}
+
+/// Damage rates with each probability 0, 1 or in between, 0–12 tail
+/// lines and 0–6 attempts per block class.
+fn corruption_rates() -> impl Strategy<Value = symfail::phone::corruption::CorruptionRates> {
+    let p = || prop_oneof![Just(0.0), Just(1.0), 0.0f64..1.0];
+    ((p(), p(), p(), p(), p()), (0u64..13, 0u32..7, 0u32..7)).prop_map(
+        |((tail, dup, reorder, bitflip, truncate), (max_tail_lines, dups, reorders))| {
+            symfail::phone::corruption::CorruptionRates {
+                p_tail_loss: tail,
+                max_tail_lines,
+                p_dup_block: dup,
+                dup_attempts: dups,
+                p_reorder_block: reorder,
+                reorder_attempts: reorders,
+                p_bitflip: bitflip,
+                p_truncate: truncate,
+            }
+        },
+    )
+}
+
+/// One logger-shaped line: a heartbeat (so swaps displace decodable
+/// timestamps) or any printable ASCII, never empty and never `\r`.
+fn logger_line() -> impl Strategy<Value = String> {
+    (0u64..2_000_000, 0usize..5, "[ -~]{1,40}").prop_map(|(ms, kind, text)| match kind {
+        0 | 1 => format!("{ms}|ALIVE"),
+        2 => format!("{ms}|REBOOT"),
+        _ => text,
+    })
+}
+
+/// A flash file: `(0, _, _)` is missing; otherwise the lines, with
+/// (`(_, _, 1..)`) or without the final newline.
+type RawFile = (usize, Vec<String>, usize);
+
+/// A logger-shaped file of up to `max_lines` lines, missing one time
+/// in six and without a final newline one time in three.
+fn logger_file(max_lines: usize) -> impl Strategy<Value = RawFile> {
+    (
+        0usize..6,
+        prop::collection::vec(logger_line(), 0..max_lines),
+        0usize..3,
+    )
+}
+
+/// Writes `file` to `fs` as `name`, or nothing if it is missing.
+fn lay_out(fs: &mut FlashFs, name: &str, (present, lines, newline): &RawFile) {
+    if *present > 0 {
+        let mut bytes = lines.join("\n").into_bytes();
+        if *newline > 0 && !lines.is_empty() {
+            bytes.push(b'\n');
+        }
+        fs.overwrite_raw(name, bytes);
+    }
+}
+
+/// Any byte, with line breaks, `\r` and NUL drawn often.
+fn any_byte() -> impl Strategy<Value = u8> {
+    prop_oneof![Just(b'\n'), Just(b'\r'), Just(0u8), 0u8..=255, 0x20u8..0x7f]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2048))]
+
+    /// On logger-shaped `log` and `beats` files — present or missing,
+    /// empty, one line or many, with or without a final newline — the
+    /// in-place injector writes the replaced injector's bytes, counts
+    /// its defects, leaves the wear counter alone and draws exactly as
+    /// many numbers from the stream.
+    #[test]
+    fn byte_injector_matches_line_vector_injector(
+        log in logger_file(30),
+        beats in logger_file(60),
+        rates in corruption_rates(),
+        seed in 0u64..u64::MAX,
+    ) {
+        use symfail::core::logger::files;
+        use symfail::phone::corruption::CorruptionModel;
+        let mut fs = FlashFs::new();
+        lay_out(&mut fs, files::LOG, &log);
+        lay_out(&mut fs, files::BEATS, &beats);
+        fs.append_line("power", "0|80|0");
+        let mut want_fs = fs.clone();
+        let mut want_rng = SimRng::seed_from(seed);
+        let want = line_vector_inject(&rates, &mut want_fs, &mut want_rng);
+        let mut rng = SimRng::seed_from(seed);
+        let got = CorruptionModel::new(rates).inject(&mut fs, &mut rng);
+        prop_assert_eq!(got, want);
+        prop_assert_eq!(fs.file_names(), want_fs.file_names());
+        for name in want_fs.file_names() {
+            prop_assert_eq!(fs.read_bytes(name), want_fs.read_bytes(name), "file {}", name);
+        }
+        prop_assert_eq!(fs.bytes_written(), want_fs.bytes_written());
+        prop_assert_eq!(rng.next_u64(), want_rng.next_u64());
+    }
+
+    /// Any bytes at all — invalid UTF-8, `\r`, NUL, no newline — are
+    /// damaged without a panic, and each file stays present or absent.
+    #[test]
+    fn byte_injector_takes_any_bytes(
+        log in (0usize..4, prop::collection::vec(any_byte(), 0..200)),
+        beats in (0usize..4, prop::collection::vec(any_byte(), 0..400)),
+        rates in corruption_rates(),
+        seed in 0u64..u64::MAX,
+    ) {
+        use symfail::core::logger::files;
+        use symfail::phone::corruption::CorruptionModel;
+        let mut fs = FlashFs::new();
+        for (name, (present, bytes)) in [(files::LOG, &log), (files::BEATS, &beats)] {
+            if *present > 0 {
+                fs.overwrite_raw(name, bytes.clone());
+            }
+        }
+        let names: Vec<String> = fs.file_names().into_iter().map(str::to_string).collect();
+        CorruptionModel::new(rates).inject(&mut fs, &mut SimRng::seed_from(seed));
+        prop_assert_eq!(fs.file_names(), names);
     }
 }
 
