@@ -6,20 +6,16 @@
 //!   the tuning discussed in the logger's companion paper [1]).
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use symfail_bench::{bench_fleet, bench_params};
-use symfail_core::analysis::coalesce::{CoalescenceAnalysis, COALESCENCE_WINDOW};
-use symfail_core::analysis::shutdown::{
-    merge_hl_events, ShutdownAnalysis, SELF_SHUTDOWN_THRESHOLD,
-};
+use symfail_bench::{bench_analysis_config, bench_fleet, bench_params};
+use symfail_core::analysis::passes::PassRegistry;
+use symfail_core::analysis::report::StudyReport;
 use symfail_core::analysis::{COALESCENCE_ABLATION_WINDOWS_SECS, SHUTDOWN_THRESHOLD_SWEEP_SECS};
 use symfail_phone::fleet::FleetCampaign;
-use symfail_sim_core::SimDuration;
 
 fn bench(c: &mut Criterion) {
-    let fleet = bench_fleet(2005);
-    let shutdowns = ShutdownAnalysis::new(&fleet, SELF_SHUTDOWN_THRESHOLD);
-    let hl = merge_hl_events(fleet.freezes(), &shutdowns.self_shutdown_hl_events());
-    let coalesced = CoalescenceAnalysis::new(&fleet, &hl, COALESCENCE_WINDOW);
+    let registry = PassRegistry::select("shutdown,coalesce").expect("known passes");
+    let report = StudyReport::analyze_with(&bench_fleet(2005), bench_analysis_config(), &registry);
+    let (shutdowns, coalesced, hl) = (&report.shutdowns, &report.coalescence, &report.hl_events);
 
     // Print the ablation artifacts once.
     println!("--- self-shutdown threshold sweep ---");
@@ -27,7 +23,7 @@ fn bench(c: &mut Criterion) {
         println!("  threshold {th:>5} s -> {n} self-shutdowns");
     }
     println!("--- coalescence window sweep ---");
-    for (w, frac) in coalesced.window_sweep(&hl, &COALESCENCE_ABLATION_WINDOWS_SECS) {
+    for (w, frac) in coalesced.window_sweep(hl, &COALESCENCE_ABLATION_WINDOWS_SECS) {
         println!("  window {w:>6} s -> {:.1}% related", 100.0 * frac);
     }
     println!("--- heartbeat period vs log volume (30-day single phone) ---");
@@ -49,7 +45,7 @@ fn bench(c: &mut Criterion) {
         b.iter(|| shutdowns.threshold_sweep(&SHUTDOWN_THRESHOLD_SWEEP_SECS))
     });
     g.bench_function("window_sweep", |b| {
-        b.iter(|| coalesced.window_sweep(&hl, &COALESCENCE_ABLATION_WINDOWS_SECS))
+        b.iter(|| coalesced.window_sweep(hl, &COALESCENCE_ABLATION_WINDOWS_SECS))
     });
     g.bench_function("campaign_30d_single_phone", |b| {
         let mut params = bench_params();
@@ -57,7 +53,6 @@ fn bench(c: &mut Criterion) {
         params.campaign_days = 30;
         b.iter(|| FleetCampaign::new(7, params).run())
     });
-    let _ = SimDuration::ZERO;
     g.finish();
 }
 

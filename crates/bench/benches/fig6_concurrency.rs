@@ -1,35 +1,30 @@
-//! Figure 6 bench: the running-application concurrency distribution at
-//! panic time.
+//! Figure 6 bench: the `runapps` pass, whose concurrency distribution
+//! counts the running applications at panic time.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use symfail_bench::{bench_analysis_config, bench_fleet};
-use symfail_core::analysis::coalesce::{CoalescenceAnalysis, COALESCENCE_WINDOW};
+use symfail_core::analysis::passes::PassRegistry;
 use symfail_core::analysis::report::StudyReport;
-use symfail_core::analysis::runapps::RunningAppsAnalysis;
-use symfail_core::analysis::shutdown::{
-    merge_hl_events, ShutdownAnalysis, SELF_SHUTDOWN_THRESHOLD,
-};
 
 fn bench(c: &mut Criterion) {
     let fleet = bench_fleet(2005);
-    let report = StudyReport::analyze(&fleet, bench_analysis_config());
+    let config = bench_analysis_config();
+    let report = StudyReport::analyze(&fleet, config);
     println!("{}", report.render_fig6());
 
-    let shutdowns = ShutdownAnalysis::new(&fleet, SELF_SHUTDOWN_THRESHOLD);
-    let hl = merge_hl_events(fleet.freezes(), &shutdowns.self_shutdown_hl_events());
-    let co = CoalescenceAnalysis::new(&fleet, &hl, COALESCENCE_WINDOW);
-    let analysis = RunningAppsAnalysis::new(&fleet, &co);
-
+    let registry = PassRegistry::select("runapps").expect("known pass");
     let mut g = c.benchmark_group("fig6_concurrency");
     g.sample_size(20);
     g.measurement_time(std::time::Duration::from_secs(2));
     g.warm_up_time(std::time::Duration::from_millis(500));
     g.bench_function("concurrency_distribution", |b| {
         b.iter(|| {
-            let a = RunningAppsAnalysis::new(black_box(&fleet), &co);
-            a.modal_concurrency()
+            StudyReport::analyze_with(black_box(&fleet), config, &registry)
+                .runapps
+                .modal_concurrency()
         })
     });
+    let analysis = &report.runapps;
     g.bench_function("modal_lookup", |b| b.iter(|| analysis.modal_concurrency()));
     g.finish();
 }

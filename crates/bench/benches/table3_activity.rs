@@ -1,32 +1,26 @@
-//! Table 3 bench: the panic-activity contingency over HL-related
-//! panics.
+//! Table 3 bench: the `activity` pass, the panic-activity contingency
+//! over HL-related panics.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use symfail_bench::{bench_analysis_config, bench_fleet};
-use symfail_core::analysis::activity::ActivityAnalysis;
-use symfail_core::analysis::coalesce::{CoalescenceAnalysis, COALESCENCE_WINDOW};
+use symfail_core::analysis::passes::PassRegistry;
 use symfail_core::analysis::report::StudyReport;
-use symfail_core::analysis::shutdown::{
-    merge_hl_events, ShutdownAnalysis, SELF_SHUTDOWN_THRESHOLD,
-};
 
 fn bench(c: &mut Criterion) {
     let fleet = bench_fleet(2005);
-    let report = StudyReport::analyze(&fleet, bench_analysis_config());
+    let config = bench_analysis_config();
+    let report = StudyReport::analyze(&fleet, config);
     println!("{}", report.render_table3());
 
-    let shutdowns = ShutdownAnalysis::new(&fleet, SELF_SHUTDOWN_THRESHOLD);
-    let hl = merge_hl_events(fleet.freezes(), &shutdowns.self_shutdown_hl_events());
-    let co = CoalescenceAnalysis::new(&fleet, &hl, COALESCENCE_WINDOW);
-
+    let registry = PassRegistry::select("activity").expect("known pass");
     let mut g = c.benchmark_group("table3_activity");
     g.sample_size(20);
     g.measurement_time(std::time::Duration::from_secs(2));
     g.warm_up_time(std::time::Duration::from_millis(500));
     g.bench_function("build_activity_table", |b| {
-        b.iter(|| ActivityAnalysis::new(black_box(&co)))
+        b.iter(|| StudyReport::analyze_with(black_box(&fleet), config, &registry))
     });
-    let analysis = ActivityAnalysis::new(&co);
+    let analysis = &report.activity;
     g.bench_function("chi_square_independence", |b| {
         b.iter(|| analysis.table().chi_square_independence())
     });

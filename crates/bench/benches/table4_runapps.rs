@@ -1,31 +1,26 @@
-//! Table 4 bench: the panic-running-applications analysis.
+//! Table 4 bench: the `runapps` pass, the panic-running-applications
+//! contingency.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use symfail_bench::{bench_analysis_config, bench_fleet};
-use symfail_core::analysis::coalesce::{CoalescenceAnalysis, COALESCENCE_WINDOW};
+use symfail_core::analysis::passes::PassRegistry;
 use symfail_core::analysis::report::StudyReport;
-use symfail_core::analysis::runapps::RunningAppsAnalysis;
-use symfail_core::analysis::shutdown::{
-    merge_hl_events, ShutdownAnalysis, SELF_SHUTDOWN_THRESHOLD,
-};
 
 fn bench(c: &mut Criterion) {
     let fleet = bench_fleet(2005);
-    let report = StudyReport::analyze(&fleet, bench_analysis_config());
+    let config = bench_analysis_config();
+    let report = StudyReport::analyze(&fleet, config);
     println!("{}", report.render_table4());
 
-    let shutdowns = ShutdownAnalysis::new(&fleet, SELF_SHUTDOWN_THRESHOLD);
-    let hl = merge_hl_events(fleet.freezes(), &shutdowns.self_shutdown_hl_events());
-    let co = CoalescenceAnalysis::new(&fleet, &hl, COALESCENCE_WINDOW);
-
+    let registry = PassRegistry::select("runapps").expect("known pass");
     let mut g = c.benchmark_group("table4_runapps");
     g.sample_size(20);
     g.measurement_time(std::time::Duration::from_secs(2));
     g.warm_up_time(std::time::Duration::from_millis(500));
     g.bench_function("build_runapps_table", |b| {
-        b.iter(|| RunningAppsAnalysis::new(black_box(&fleet), &co))
+        b.iter(|| StudyReport::analyze_with(black_box(&fleet), config, &registry))
     });
-    let analysis = RunningAppsAnalysis::new(&fleet, &co);
+    let analysis = &report.runapps;
     g.bench_function("top_apps_10", |b| b.iter(|| analysis.top_apps(10)));
     g.bench_function("render", |b| {
         b.iter(|| analysis.table().render_percent("Table 4", &[]))

@@ -112,6 +112,7 @@
 //! the emitted JSON is byte-identical across runs.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::io::Write;
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::str::FromStr;
@@ -134,6 +135,17 @@ use symfail_phone::corruption::CorruptionProfile;
 use symfail_phone::fleet::{FleetCampaign, ShardSpec, StreamingOptions, StreamingRun};
 use symfail_phone::plan::{BalanceMode, ShardPlan};
 use symfail_phone::repro::{extract_fleet_signatures, minimize, MinimizeOptions};
+
+/// `println!` into a command's stdout text, which `main` writes once.
+macro_rules! outln {
+    ($out:expr) => {
+        $out.push('\n')
+    };
+    ($out:expr, $($arg:tt)*) => {{
+        $out.push_str(&format!($($arg)*));
+        $out.push('\n');
+    }};
+}
 
 /// A counting wrapper around the system allocator: lets
 /// `--timing-json` attribute heap-allocation counts and bytes to each
@@ -731,14 +743,14 @@ fn mtbf_trace_json(args: &Args, run: &StreamingRun) -> String {
     )
 }
 
-/// Prints the coalescence window sweep over the report's panics and
+/// Appends the coalescence window sweep over the report's panics and
 /// its merged HL stream.
-fn print_window_sweep(report: &StudyReport) {
+fn push_window_sweep(out: &mut String, report: &StudyReport) {
     let sweep = report
         .coalescence
         .window_sweep(&report.hl_events, &COALESCENCE_SWEEP_WINDOWS_SECS);
     for (w, frac) in sweep {
-        println!("  window {w:>6} s -> {:.1}% related", 100.0 * frac);
+        outln!(out, "  window {w:>6} s -> {:.1}% related", 100.0 * frac);
     }
 }
 
@@ -761,7 +773,7 @@ fn forum_report(seed: u64) -> String {
 /// byte for byte. The campaign flags must match the
 /// ones the shard processes ran with: they rebuild the fingerprint
 /// and analysis config the inputs are validated against.
-fn merge_checkpoints_cmd(argv: &[String]) -> Result<(), String> {
+fn merge_checkpoints_cmd(argv: &[String]) -> Result<String, String> {
     let mut flags = CampaignFlags::default();
     let mut analyses = "all".to_string();
     let mut partial = false;
@@ -838,25 +850,29 @@ fn merge_checkpoints_cmd(argv: &[String]) -> Result<(), String> {
     }
 
     let report = merger.finish();
+    let mut out = String::new();
     if !gaps.is_empty() {
-        println!("=== PARTIAL report: best-effort from an incomplete shard cover ===");
+        outln!(
+            out,
+            "=== PARTIAL report: best-effort from an incomplete shard cover ==="
+        );
         for &(from, to) in &gaps {
-            println!("=== missing phone interval [{from}, {to}) ===");
+            outln!(out, "=== missing phone interval [{from}, {to}) ===");
         }
     }
-    println!("{}", report.render_all());
-    println!("{}", report.render_per_phone());
-    println!("{}", forum_report(flags.seed));
-    println!("\n=== campaign paper-vs-measured shape report ===");
-    println!("{}", report.shape_report());
-    Ok(())
+    outln!(out, "{}", report.render_all());
+    outln!(out, "{}", report.render_per_phone());
+    outln!(out, "{}", forum_report(flags.seed));
+    outln!(out, "\n=== campaign paper-vs-measured shape report ===");
+    outln!(out, "{}", report.shape_report());
+    Ok(out)
 }
 
 /// `repro plan-shards --shards N` — prints the cut table the planner
 /// would choose for the campaign (no simulation runs): one line per
 /// shard with its `[start, end)` interval, phone count and predicted
 /// cost, plus the predicted critical path versus the uniform split.
-fn plan_shards_cmd(argv: &[String]) -> Result<(), String> {
+fn plan_shards_cmd(argv: &[String]) -> Result<String, String> {
     let mut flags = CampaignFlags::default();
     let mut shards: u32 = 0;
     let mut balance = Balance::Static;
@@ -895,7 +911,9 @@ fn plan_shards_cmd(argv: &[String]) -> Result<(), String> {
         _ => ShardPlan::from_costs(&costs, shards),
     };
     let uniform = ShardPlan::uniform(&costs, shards);
-    println!(
+    let mut out = String::new();
+    outln!(
+        out,
         "shard plan: {phones} phones x {} days, corruption {}, \
          fleet {}, {shards} shards, balance {}",
         flags.days,
@@ -903,10 +921,11 @@ fn plan_shards_cmd(argv: &[String]) -> Result<(), String> {
         flags.fleet.spec_string(),
         balance.as_str()
     );
-    println!("  shard  interval            phones  predicted_cost");
+    outln!(out, "  shard  interval            phones  predicted_cost");
     for i in 0..plan.count() {
         let (lo, hi) = plan.interval(i);
-        println!(
+        outln!(
+            out,
             "  {i:>5}  [{lo:>6}, {hi:>6})    {:>6}  {:>14}",
             hi - lo,
             fmt_cost(plan.predicted_cost(i))
@@ -914,22 +933,23 @@ fn plan_shards_cmd(argv: &[String]) -> Result<(), String> {
     }
     let best = plan.max_predicted_cost();
     let flat = uniform.max_predicted_cost();
-    println!("predicted max-shard cost: {}", fmt_cost(best));
+    outln!(out, "predicted max-shard cost: {}", fmt_cost(best));
     if balance != Balance::Uniform && best > 0.0 {
-        println!(
+        outln!(
+            out,
             "uniform i/N split would cost {} ({:.2}x the balanced critical path)",
             fmt_cost(flat),
             flat / best
         );
     }
-    Ok(())
+    Ok(out)
 }
 
 /// `repro extract-signatures` — distills a campaign into its distinct
 /// fault-signature catalog. With `--from-checkpoint` the signatures
 /// come out of a v5 checkpoint's coalesce accumulators without
 /// re-simulating; otherwise the campaign streams phone by phone.
-fn extract_signatures_cmd(argv: &[String]) -> Result<(), String> {
+fn extract_signatures_cmd(argv: &[String]) -> Result<String, String> {
     let mut flags = CampaignFlags::default();
     let mut analyses = "all".to_string();
     let mut from_checkpoint: Option<String> = None;
@@ -978,16 +998,16 @@ fn extract_signatures_cmd(argv: &[String]) -> Result<(), String> {
                 "{} distinct signatures ({total} coalesced panics) written to {path}",
                 sigs.len()
             );
+            Ok(String::new())
         }
-        None => print!("{json}"),
+        None => Ok(json),
     }
-    Ok(())
 }
 
 /// `repro minimize` — picks one signature out of an
 /// `extract-signatures` catalog and emits the minimal single-phone
 /// repro campaign, replay-verified before it is written.
-fn minimize_cmd(argv: &[String]) -> Result<(), String> {
+fn minimize_cmd(argv: &[String]) -> Result<String, String> {
     let mut sig_path: Option<String> = None;
     let mut index: usize = 0;
     let mut opts = MinimizeOptions {
@@ -1054,10 +1074,10 @@ fn minimize_cmd(argv: &[String]) -> Result<(), String> {
         Some(path) => {
             std::fs::write(path, &json).map_err(|e| format!("cannot write {path}: {e}"))?;
             eprintln!("wrote minimal campaign config to {path}");
+            Ok(String::new())
         }
-        None => print!("{json}"),
+        None => Ok(json),
     }
-    Ok(())
 }
 
 /// Every `--exp` name the default command knows.
@@ -1083,7 +1103,7 @@ const EXPERIMENTS: [&str; 17] = [
 
 /// The default command: runs the campaign and prints `--exp`'s
 /// artifacts.
-fn experiment_cmd(argv: &[String]) -> Result<(), String> {
+fn experiment_cmd(argv: &[String]) -> Result<String, String> {
     let args = parse_args(argv)?;
     // Before the campaign, so a typo costs no simulation and writes
     // no `--timing-json`/`--defects-json`/`--mtbf-trace-json` file.
@@ -1110,6 +1130,17 @@ fn experiment_cmd(argv: &[String]) -> Result<(), String> {
                 args.exp
             ));
         }
+    }
+    // A stopped campaign is worth something only as a checkpoint to
+    // resume; without one it would report on the first N phones as if
+    // they were the fleet.
+    if args.stop_after.is_some() && args.checkpoint.is_none() {
+        return Err("--stop-after needs --checkpoint PATH".to_string());
+    }
+    // Balancing only moves shard cuts; without a shard it changes
+    // nothing.
+    if args.balance.is_some() && args.shard.is_none() {
+        return Err("--balance only applies with --shard i/N".to_string());
     }
     let registry = PassRegistry::select(&args.analyses)?;
     // The window sweep re-thresholds the coalesce pass's panics.
@@ -1142,47 +1173,61 @@ fn experiment_cmd(argv: &[String]) -> Result<(), String> {
     }
     let run = run.map(|(run, _)| run);
     let report = run.as_ref().map(|run| &run.report);
+    let mut out = String::new();
     match args.exp.as_str() {
         "all" => {
             let report = report.expect("campaign ran");
-            println!("{}", report.render_all());
-            println!("{}", report.render_per_phone());
-            println!("{}", forum_report(args.campaign.seed));
-            println!("\n=== campaign paper-vs-measured shape report ===");
-            println!("{}", report.shape_report());
+            outln!(out, "{}", report.render_all());
+            outln!(out, "{}", report.render_per_phone());
+            outln!(out, "{}", forum_report(args.campaign.seed));
+            outln!(out, "\n=== campaign paper-vs-measured shape report ===");
+            outln!(out, "{}", report.shape_report());
         }
         "table1" | "forum_marginals" => {
-            println!("{}", forum_report(args.campaign.seed));
+            outln!(out, "{}", forum_report(args.campaign.seed));
         }
-        "table2" => println!("{}", report.expect("campaign ran").render_table2()),
-        "table3" => println!("{}", report.expect("campaign ran").render_table3()),
-        "table4" => println!("{}", report.expect("campaign ran").render_table4()),
-        "fig2" => println!("{}", report.expect("campaign ran").render_fig2()),
-        "fig3" => println!("{}", report.expect("campaign ran").render_fig3()),
-        "fig6" => println!("{}", report.expect("campaign ran").render_fig6()),
-        "mtbf" => println!("{}", report.expect("campaign ran").render_mtbf()),
-        "defects" => println!("{}", report.expect("campaign ran").render_defects()),
+        "table2" => outln!(out, "{}", report.expect("campaign ran").render_table2()),
+        "table3" => outln!(out, "{}", report.expect("campaign ran").render_table3()),
+        "table4" => outln!(out, "{}", report.expect("campaign ran").render_table4()),
+        "fig2" => outln!(out, "{}", report.expect("campaign ran").render_fig2()),
+        "fig3" => outln!(out, "{}", report.expect("campaign ran").render_fig3()),
+        "fig6" => outln!(out, "{}", report.expect("campaign ran").render_fig6()),
+        "mtbf" => outln!(out, "{}", report.expect("campaign ran").render_mtbf()),
+        "defects" => outln!(out, "{}", report.expect("campaign ran").render_defects()),
         "fig5" => {
             let report = report.expect("campaign ran");
-            println!("{}", report.render_fig5());
+            outln!(out, "{}", report.render_fig5());
             if args.sweep {
-                println!("window sweep (the paper's justification for 5 minutes):");
-                print_window_sweep(report);
+                outln!(
+                    out,
+                    "window sweep (the paper's justification for 5 minutes):"
+                );
+                push_window_sweep(&mut out, report);
             }
         }
         "ablations" => {
             let report = report.expect("campaign ran");
-            println!("--- self-shutdown threshold sweep (Fig. 2's 360 s choice) ---");
+            outln!(
+                out,
+                "--- self-shutdown threshold sweep (Fig. 2's 360 s choice) ---"
+            );
             for (th, n) in report
                 .shutdowns
                 .threshold_sweep(&SHUTDOWN_THRESHOLD_SWEEP_SECS)
             {
-                println!("  threshold {th:>5} s -> {n} self-shutdowns");
+                outln!(out, "  threshold {th:>5} s -> {n} self-shutdowns");
             }
-            println!("--- coalescence window sweep (Fig. 4/5's 5-minute choice) ---");
-            print_window_sweep(report);
-            println!("--- including all shutdown events (51% -> 55% robustness) ---");
-            println!(
+            outln!(
+                out,
+                "--- coalescence window sweep (Fig. 4/5's 5-minute choice) ---"
+            );
+            push_window_sweep(&mut out, report);
+            outln!(
+                out,
+                "--- including all shutdown events (51% -> 55% robustness) ---"
+            );
+            outln!(
+                out,
                 "  self-shutdowns only: {:.1}% | all shutdown events: {:.1}%",
                 100.0 * report.coalescence.related_fraction(),
                 100.0 * report.coalescence_all_shutdowns.related_fraction()
@@ -1190,7 +1235,7 @@ fn experiment_cmd(argv: &[String]) -> Result<(), String> {
         }
         "perphone" => {
             let report = report.expect("campaign ran");
-            println!("{}", report.render_per_phone());
+            outln!(out, "{}", report.render_per_phone());
         }
         "extensions" => {
             // Post-paper extensions: baseline comparison, temporal
@@ -1199,44 +1244,43 @@ fn experiment_cmd(argv: &[String]) -> Result<(), String> {
             let run = run.as_ref().expect("campaign ran");
             let metas = &run.metas;
             let report = &run.report;
-            println!(
+            outln!(
+                out,
                 "{}",
                 symfail_core::analysis::baseline::BaselineComparison::new(report).render()
             );
             if let Some(ia) =
                 symfail_core::analysis::interarrival::InterArrivalAnalysis::new(&report.hl_events)
             {
-                println!("{}", ia.render("freezes + self-shutdowns"));
+                outln!(out, "{}", ia.render("freezes + self-shutdowns"));
             }
             // Firmware breakdown comes from the registered `firmware`
             // pass: logged data, not simulator metadata.
-            print!("{}", report.render_firmware());
-            let classes = report.render_device_classes();
-            if !classes.is_empty() {
-                print!("{classes}");
-            }
-            println!();
+            out.push_str(&report.render_firmware());
+            out.push_str(&report.render_device_classes());
+            outln!(out);
             let sev = symfail_core::analysis::severity::SeverityAnalysis::from_counts(
                 report.mtbf.freezes,
                 report.mtbf.self_shutdowns,
                 report.mtbf.total_hours,
             );
-            println!("{}", sev.render());
+            outln!(out, "{}", sev.render());
             let truth = symfail_phone::fleet::total_stats(metas);
             let ureports =
                 symfail_core::analysis::output_failures::OutputFailureAnalysis::from_reports(
                     metas.iter().map(|m| (m.phone_id, m.ureports.as_slice())),
                 );
-            println!("{}", ureports.render(Some(truth.output_failures)));
+            outln!(out, "{}", ureports.render(Some(truth.output_failures)));
         }
         "stats" => {
             let run = run.as_ref().expect("campaign ran");
-            println!("{:#?}", symfail_phone::fleet::total_stats(&run.metas));
+            outln!(out, "{:#?}", symfail_phone::fleet::total_stats(&run.metas));
         }
         "targets" => {
             let report = report.expect("campaign ran");
-            println!("{}", report.shape_report());
-            println!(
+            outln!(out, "{}", report.shape_report());
+            outln!(
+                out,
                 "\npaper totals: {} panics, {} freezes, {} self-shutdowns, {} shutdown events",
                 targets::TOTAL_PANICS,
                 targets::FREEZES,
@@ -1246,12 +1290,12 @@ fn experiment_cmd(argv: &[String]) -> Result<(), String> {
         }
         other => unreachable!("experiment {other} was checked against EXPERIMENTS"),
     }
-    Ok(())
+    Ok(out)
 }
 
 /// Dispatches to the subcommand `argv` names, or to the default
 /// experiment command.
-fn run_cmd(argv: &[String]) -> Result<(), String> {
+fn run_cmd(argv: &[String]) -> Result<String, String> {
     match argv.first().map(String::as_str) {
         Some("merge-checkpoints") => merge_checkpoints_cmd(&argv[1..]),
         Some("plan-shards") => plan_shards_cmd(&argv[1..]),
@@ -1261,10 +1305,28 @@ fn run_cmd(argv: &[String]) -> Result<(), String> {
     }
 }
 
+/// Writes a command's whole stdout text. A reader that closes the
+/// pipe early (`repro ... | head`) wants no more of it, so a broken
+/// pipe is a quiet success.
+fn write_stdout(text: &str) -> ExitCode {
+    let mut stdout = std::io::stdout().lock();
+    match stdout
+        .write_all(text.as_bytes())
+        .and_then(|()| stdout.flush())
+    {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("cannot write stdout: {e}");
+            ExitCode::FAILURE
+        }
+    }
+}
+
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     match run_cmd(&argv) {
-        Ok(()) => ExitCode::SUCCESS,
+        Ok(stdout) => write_stdout(&stdout),
         Err(msg) => {
             eprintln!("{msg}");
             ExitCode::FAILURE

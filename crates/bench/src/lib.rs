@@ -1,16 +1,19 @@
 //! Shared fixtures for the symfail benchmark suite.
 //!
-//! Every table/figure bench measures the analysis stage that
-//! regenerates the corresponding artifact, over a pre-built campaign
-//! harvest (building the harvest is benchmarked separately in the
-//! `substrate_micro` group). The `repro` binary in `src/bin` prints
-//! the artifacts themselves.
+//! Every table/figure bench times the pass that builds its artifact,
+//! as the reference driver runs it: `StudyReport::analyze_with` over a
+//! pre-built fleet with the registry narrowed to that pass (a pass
+//! that reads coalesced panics also pays for the per-phone coalescence
+//! its lens computes), then the queries over the finished section.
+//! Building the harvest is benchmarked separately in the
+//! `substrate_micro` group. The `repro` binary in `src/bin` prints the
+//! artifacts themselves.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use symfail_core::analysis::dataset::FleetDataset;
-use symfail_core::analysis::report::{AnalysisConfig, StudyReport};
+use symfail_core::analysis::report::AnalysisConfig;
 use symfail_phone::calibration::CalibrationParams;
 use symfail_phone::fleet::FleetCampaign;
 
@@ -40,17 +43,5 @@ pub fn bench_analysis_config() -> AnalysisConfig {
 /// Runs the bench campaign and parses the harvest into a dataset.
 pub fn bench_fleet(seed: u64) -> FleetDataset {
     let harvest = FleetCampaign::new(seed, bench_params()).run();
-    FleetDataset::from_flash(harvest.iter().map(|h| (h.phone_id, &h.flashfs)))
-}
-
-/// Full analysis over the bench fleet.
-pub fn bench_report(seed: u64) -> StudyReport {
-    StudyReport::analyze(&bench_fleet(seed), bench_analysis_config())
-}
-
-/// The paper-sized campaign (25 phones / 425 days), for the benches
-/// that measure end-to-end regeneration cost.
-pub fn paper_fleet(seed: u64) -> FleetDataset {
-    let harvest = FleetCampaign::new(seed, CalibrationParams::default()).run();
     FleetDataset::from_flash(harvest.iter().map(|h| (h.phone_id, &h.flashfs)))
 }

@@ -1,9 +1,10 @@
 //! The `repro` command-line contract: for every subcommand, which
 //! flags it accepts, the exact message each bad argument earns, and
 //! the exit code. Every case here fails before any campaign runs, so
-//! the table is cheap; one `plan-shards` case pins a full stdout.
+//! the table is cheap; one `plan-shards` case pins a full stdout, and
+//! one closes stdout under a running command.
 
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
 
 fn repro(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_repro"))
@@ -130,6 +131,25 @@ const REFUSED: &[(&[&str], &str)] = &[
         &["--exp", "forum_marginals", "--balance", "static"],
         "--balance needs a campaign, and --exp forum_marginals runs none",
     ),
+    // A campaign flag that would do nothing: a stop with nowhere to
+    // resume from, a balance with no shard to cut.
+    (
+        &[
+            "--exp",
+            "targets",
+            "--phones",
+            "6",
+            "--days",
+            "30",
+            "--stop-after",
+            "2",
+        ],
+        "--stop-after needs --checkpoint PATH",
+    ),
+    (
+        &["--phones", "4", "--days", "10", "--balance", "static"],
+        "--balance only applies with --shard i/N",
+    ),
     (
         &["merge-checkpoints"],
         "merge-checkpoints needs OUT plus at least one input checkpoint",
@@ -242,6 +262,32 @@ fn unknown_experiment_writes_no_timing_file() {
     );
     assert!(out.stdout.is_empty());
     assert!(!path.exists(), "{} was written", path.display());
+}
+
+/// A reader that closes `repro`'s stdout before it is written
+/// (`repro --exp table1 | true`) ends the run quietly: exit 0 and
+/// nothing on stderr, not a broken-pipe panic.
+#[test]
+fn closed_stdout_exits_quietly() {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(["--exp", "table1"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn repro");
+    drop(child.stdout.take());
+    let out = child.wait_with_output().expect("wait for repro");
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "stderr: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(
+        out.stderr.is_empty(),
+        "stderr: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
 }
 
 #[test]

@@ -11,18 +11,17 @@
 use serde::{Deserialize, Serialize};
 
 use symfail_stats::ContingencyTable;
-use symfail_symbian::servers::logdb::ActivityKind;
 
 use super::checkpoint::{read_table, write_table, ByteReader, ByteWriter, CheckpointError};
-use super::coalesce::{CoalescedPanic, CoalescenceAnalysis};
+use super::coalesce::CoalescedPanic;
 use super::passes::{Additive, AnalysisPass, Grouped, PhoneLens};
 use super::report::StudyReport;
 
 /// Row label for panics with no registered activity.
 pub const UNSPECIFIED: &str = "unspecified";
 
-/// The Table 3 analysis result.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// The Table 3 analysis result. `Default` is the zero-phone table.
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct ActivityAnalysis {
     table: ContingencyTable,
     total: usize,
@@ -30,15 +29,9 @@ pub struct ActivityAnalysis {
 }
 
 impl ActivityAnalysis {
-    /// Builds the activity table from a coalescence analysis,
-    /// considering only panics that led to an HL event (as the paper
-    /// does for Table 3).
-    pub fn new(coalescence: &CoalescenceAnalysis) -> Self {
-        Self::from_coalesced(coalescence.panics())
-    }
-
-    /// Builds the table from a coalesced-panic slice directly — the
-    /// per-phone fold of the `activity` pass.
+    /// Builds the table from a coalesced-panic slice, considering only
+    /// panics that led to an HL event (as the paper does for Table 3)
+    /// — the per-phone fold of the `activity` pass.
     pub fn from_coalesced(panics: &[CoalescedPanic]) -> Self {
         let mut table = ContingencyTable::new();
         let mut total = 0;
@@ -66,15 +59,6 @@ impl ActivityAnalysis {
         }
     }
 
-    /// Merges another phone's fold into this accumulator. Counts are
-    /// additive and the table is order-insensitive, so absorbing folds
-    /// in any associative grouping yields the batch result.
-    pub fn absorb(&mut self, other: &ActivityAnalysis) {
-        self.table.merge(&other.table);
-        self.total += other.total;
-        self.real_time += other.real_time;
-    }
-
     /// The activity × panic-category contingency table.
     pub fn table(&self) -> &ContingencyTable {
         &self.table
@@ -93,21 +77,15 @@ impl ActivityAnalysis {
         }
         self.real_time as f64 / self.total as f64
     }
-
-    /// Row percentage for an activity (of the HL-related panics).
-    pub fn activity_percent(&self, activity: Option<ActivityKind>) -> f64 {
-        let row = activity.map(ActivityKind::as_str).unwrap_or(UNSPECIFIED);
-        self.table.row_percent(row).unwrap_or(0.0)
-    }
 }
 
+/// Counts are additive and the table is order-insensitive, so
+/// absorbing folds in any associative grouping yields the batch result.
 impl Additive for ActivityAnalysis {
-    fn empty() -> Self {
-        ActivityAnalysis::from_coalesced(&[])
-    }
-
     fn absorb(&mut self, other: &Self) {
-        ActivityAnalysis::absorb(self, other);
+        self.table.merge(&other.table);
+        self.total += other.total;
+        self.real_time += other.real_time;
     }
 }
 
@@ -123,7 +101,7 @@ impl AnalysisPass for ActivityPass {
     fn fold_phone(&self, lens: &PhoneLens<'_>) -> Self::Acc {
         Grouped::single(
             lens.device.device_class,
-            ActivityAnalysis::from_coalesced(&lens.coalesced.panics),
+            ActivityAnalysis::from_coalesced(lens.coalesced.panics()),
         )
     }
 
@@ -162,11 +140,12 @@ impl AnalysisPass for ActivityPass {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::analysis::coalesce::COALESCENCE_WINDOW;
-    use crate::analysis::dataset::{FleetDataset, HlEvent, HlKind, PhoneDataset};
+    use crate::analysis::coalesce::{coalesce_phone, COALESCENCE_WINDOW};
+    use crate::analysis::dataset::{HlEvent, HlKind, PhoneDataset};
     use crate::records::{LogRecord, PanicRecord};
     use symfail_sim_core::SimTime;
     use symfail_symbian::panic::codes;
+    use symfail_symbian::servers::logdb::ActivityKind;
     use symfail_symbian::{Panic, PanicCode};
 
     fn rec(secs: u64, code: PanicCode, act: Option<ActivityKind>) -> LogRecord {
@@ -179,8 +158,10 @@ mod tests {
         })
     }
 
+    /// The `activity` pass's fold of one phone whose panics coalesce
+    /// against freezes at `hl_secs`.
     fn analysis(records: Vec<LogRecord>, hl_secs: &[u64]) -> ActivityAnalysis {
-        let fleet = FleetDataset::from_phones(vec![PhoneDataset::new(0, records, Vec::new())]);
+        let phone = PhoneDataset::new(0, records, Vec::new());
         let events: Vec<HlEvent> = hl_secs
             .iter()
             .map(|&s| HlEvent {
@@ -189,8 +170,8 @@ mod tests {
                 kind: HlKind::Freeze,
             })
             .collect();
-        let co = CoalescenceAnalysis::new(&fleet, &events, COALESCENCE_WINDOW);
-        ActivityAnalysis::new(&co)
+        let co = coalesce_phone(0, phone.panics(), &events, COALESCENCE_WINDOW);
+        ActivityAnalysis::from_coalesced(co.panics())
     }
 
     #[test]
@@ -239,9 +220,6 @@ mod tests {
         assert_eq!(t.count("voice call", "KERN-EXEC"), 1);
         assert_eq!(t.count("voice call", "ViewSrv"), 1);
         assert_eq!(t.count(UNSPECIFIED, "KERN-EXEC"), 2);
-        assert!((a.activity_percent(Some(ActivityKind::VoiceCall)) - 50.0).abs() < 1e-9);
-        assert!((a.activity_percent(None) - 50.0).abs() < 1e-9);
-        assert_eq!(a.activity_percent(Some(ActivityKind::Message)), 0.0);
     }
 
     #[test]

@@ -6,6 +6,11 @@
 //! observable consequence is the termination of multiple applications.
 //! The paper found that in 25% of cases a cascade of more than one
 //! panic event is recorded.
+//!
+//! The `bursts` pass groups each phone's panics with
+//! [`phone_cascades`] and concatenates the cascades in phone order
+//! into a [`BurstAnalysis`], which is both the Figure 3 section and
+//! the pass's accumulator.
 
 use serde::{Deserialize, Serialize};
 
@@ -13,7 +18,7 @@ use symfail_sim_core::SimDuration;
 use symfail_stats::CategoricalDist;
 
 use super::checkpoint::{ByteReader, ByteWriter, CheckpointError};
-use super::dataset::{FleetDataset, PanicEvent};
+use super::dataset::PanicEvent;
 use super::passes::{AnalysisPass, PhoneLens};
 use super::report::StudyReport;
 
@@ -31,16 +36,17 @@ pub struct Cascade {
     pub size: usize,
 }
 
-/// The Figure 3 analysis result.
+/// The Figure 3 analysis result, and the `bursts` pass's accumulator:
+/// per-phone cascades concatenated in phone order.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct BurstAnalysis {
     cascades: Vec<Cascade>,
     total_panics: usize,
 }
 
-/// Groups one phone's time-ordered panics into cascades — the
-/// per-phone unit of work shared by [`BurstAnalysis::new`] and the
-/// `bursts` pass.
+/// Groups one phone's time-ordered panics into cascades: two
+/// subsequent panics at most `gap` apart belong to one cascade. The
+/// `bursts` pass's per-phone kernel.
 pub fn phone_cascades(phone_id: u32, panics: &[PanicEvent], gap: SimDuration) -> Vec<Cascade> {
     let mut cascades = Vec::new();
     let mut size = 0usize;
@@ -64,21 +70,6 @@ pub fn phone_cascades(phone_id: u32, panics: &[PanicEvent], gap: SimDuration) ->
 }
 
 impl BurstAnalysis {
-    /// Groups each phone's time-ordered panics into cascades using the
-    /// given gap.
-    pub fn new(fleet: &FleetDataset, gap: SimDuration) -> Self {
-        let mut cascades = Vec::new();
-        let mut total = 0;
-        for phone in fleet.phones() {
-            total += phone.panics().len();
-            cascades.extend(phone_cascades(phone.phone_id(), phone.panics(), gap));
-        }
-        Self {
-            cascades,
-            total_panics: total,
-        }
-    }
-
     /// The detected cascades.
     pub fn cascades(&self) -> &[Cascade] {
         &self.cascades
@@ -114,28 +105,17 @@ impl BurstAnalysis {
             .sum();
         in_bursts as f64 / self.total_panics as f64
     }
-
-    /// Largest cascade observed.
-    pub fn max_cascade(&self) -> usize {
-        self.cascades.iter().map(|c| c.size).max().unwrap_or(0)
-    }
 }
 
 /// Figure 3: per-phone cascades, concatenated in phone order.
-#[derive(Default)]
-pub(super) struct BurstsAcc {
-    cascades: Vec<Cascade>,
-    total_panics: usize,
-}
-
 pub(super) struct BurstsPass;
 
 impl AnalysisPass for BurstsPass {
-    type Acc = BurstsAcc;
+    type Acc = BurstAnalysis;
     const NAME: &'static str = "bursts";
 
     fn fold_phone(&self, lens: &PhoneLens<'_>) -> Self::Acc {
-        BurstsAcc {
+        BurstAnalysis {
             cascades: phone_cascades(
                 lens.phone.phone_id(),
                 lens.phone.panics(),
@@ -151,10 +131,7 @@ impl AnalysisPass for BurstsPass {
     }
 
     fn finish(&self, acc: Self::Acc, report: &mut StudyReport) {
-        report.bursts = BurstAnalysis {
-            cascades: acc.cascades,
-            total_panics: acc.total_panics,
-        };
+        report.bursts = acc;
     }
 
     fn snapshot(&self, acc: &Self::Acc, out: &mut ByteWriter) {
@@ -175,7 +152,7 @@ impl AnalysisPass for BurstsPass {
                 size: src.usize()?,
             });
         }
-        Ok(BurstsAcc {
+        Ok(BurstAnalysis {
             cascades,
             total_panics: src.usize()?,
         })
@@ -185,7 +162,9 @@ impl AnalysisPass for BurstsPass {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::analysis::dataset::PhoneDataset;
+    use crate::analysis::dataset::{FleetDataset, PhoneDataset};
+    use crate::analysis::passes::PassRegistry;
+    use crate::analysis::report::AnalysisConfig;
     use crate::records::{LogRecord, PanicRecord};
     use symfail_sim_core::SimTime;
     use symfail_symbian::panic::codes;
@@ -201,8 +180,10 @@ mod tests {
         })
     }
 
-    fn fleet_with(times: &[&[u64]]) -> FleetDataset {
-        FleetDataset::from_phones(
+    /// The `bursts` section of a fleet with one phone per entry of
+    /// `times`, at the paper's 60 s gap.
+    fn bursts(times: &[&[u64]]) -> BurstAnalysis {
+        let fleet = FleetDataset::from_phones(
             times
                 .iter()
                 .enumerate()
@@ -214,47 +195,47 @@ mod tests {
                     )
                 })
                 .collect(),
-        )
+        );
+        let registry = PassRegistry::select("bursts").unwrap();
+        StudyReport::analyze_with(&fleet, AnalysisConfig::default(), &registry).bursts
     }
 
     #[test]
     fn isolated_panics_form_singleton_cascades() {
-        let b = BurstAnalysis::new(&fleet_with(&[&[10, 500, 1000]]), DEFAULT_BURST_GAP);
+        let b = bursts(&[&[10, 500, 1000]]);
         assert_eq!(b.cascades().len(), 3);
         assert!(b.cascades().iter().all(|c| c.size == 1));
         assert_eq!(b.cascaded_fraction(), 0.0);
-        assert_eq!(b.max_cascade(), 1);
     }
 
     #[test]
     fn close_panics_cascade() {
         // 10,20,30 form one cascade of 3; 500 isolated.
-        let b = BurstAnalysis::new(&fleet_with(&[&[10, 20, 30, 500]]), DEFAULT_BURST_GAP);
+        let b = bursts(&[&[10, 20, 30, 500]]);
         let sizes: Vec<usize> = b.cascades().iter().map(|c| c.size).collect();
         assert_eq!(sizes, vec![3, 1]);
         assert_eq!(b.total_panics(), 4);
         assert!((b.cascaded_fraction() - 0.75).abs() < 1e-12);
-        assert_eq!(b.max_cascade(), 3);
     }
 
     #[test]
     fn gap_boundary_inclusive() {
-        let b = BurstAnalysis::new(&fleet_with(&[&[0, 60]]), DEFAULT_BURST_GAP);
+        let b = bursts(&[&[0, 60]]);
         assert_eq!(b.cascades().len(), 1);
-        let b = BurstAnalysis::new(&fleet_with(&[&[0, 61]]), DEFAULT_BURST_GAP);
+        let b = bursts(&[&[0, 61]]);
         assert_eq!(b.cascades().len(), 2);
     }
 
     #[test]
     fn cascades_do_not_cross_phones() {
-        let b = BurstAnalysis::new(&fleet_with(&[&[0], &[10]]), DEFAULT_BURST_GAP);
+        let b = bursts(&[&[0], &[10]]);
         assert_eq!(b.cascades().len(), 2);
         assert_eq!(b.cascaded_fraction(), 0.0);
     }
 
     #[test]
     fn share_distribution_weights_by_panics() {
-        let b = BurstAnalysis::new(&fleet_with(&[&[0, 10, 1000]]), DEFAULT_BURST_GAP);
+        let b = bursts(&[&[0, 10, 1000]]);
         let d = b.panic_share_by_cascade_size();
         assert_eq!(d.count("2"), 2, "two panics live in the size-2 cascade");
         assert_eq!(d.count("1"), 1);
@@ -263,9 +244,8 @@ mod tests {
 
     #[test]
     fn empty_dataset() {
-        let b = BurstAnalysis::new(&FleetDataset::default(), DEFAULT_BURST_GAP);
+        let b = bursts(&[]);
         assert_eq!(b.total_panics(), 0);
         assert_eq!(b.cascaded_fraction(), 0.0);
-        assert_eq!(b.max_cascade(), 0);
     }
 }

@@ -12,11 +12,14 @@
 //!
 //! # Algorithm
 //!
-//! [`CoalescenceAnalysis::new`] runs a sorted merge: HL events are
-//! sorted by `(phone, time)` once, and each panic binary-searches its
-//! phone's HL slice for the nearest neighbour — O((P+H)·log H)
-//! instead of the O(P×H) scan kept as the oracle in
-//! [`CoalescenceAnalysis::new_brute_force`]. The window sweep goes
+//! [`coalesce_phone`] is the kernel the `coalesce` pass runs on every
+//! phone: it merges the phone's time-sorted panics against the phone's
+//! time-sorted HL events, each panic binary-searching the HL slice for
+//! its nearest neighbour — O((P+H)·log H) instead of the O(P×H) scan
+//! kept as the oracle in [`CoalescenceAnalysis::new_brute_force`]. A
+//! phone's result is a [`CoalescenceAnalysis`] of its own, and
+//! [`CoalescenceAnalysis::absorb`] concatenates phones in phone order:
+//! the section is its pass's accumulator. The window sweep goes
 //! further: each panic's nearest-HL gap (and each HL event's
 //! nearest-panic gap) is computed **once** into a sorted array
 //! ([`CoalescenceGaps`]), after which any window is answered by one
@@ -55,12 +58,18 @@ pub struct CoalescedPanic {
     pub related: Option<HlKind>,
 }
 
-/// The Figure 5 analysis result.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// The Figure 5 analysis result, and the `coalesce` pass's
+/// accumulator: one phone's [`coalesce_phone`] result, or the
+/// absorbed concatenation of a phone run's. `Default` is the
+/// zero-phone analysis.
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct CoalescenceAnalysis {
-    window: SimDuration,
-    panics: Vec<CoalescedPanic>,
+    /// Panics with their coalescence outcome: phone-ordered, and
+    /// time-ordered within each phone.
+    pub(super) panics: Vec<CoalescedPanic>,
+    /// HL events considered.
     hl_total: usize,
+    /// HL events with at least one panic in their window.
     hl_with_panic: usize,
 }
 
@@ -106,7 +115,8 @@ fn nearest_gap<T>(items: &[T], at: impl Fn(&T) -> SimTime, t: SimTime) -> Option
     Some(best)
 }
 
-/// HL events sorted by `(phone, time)`; the merge currency.
+/// HL events sorted by `(phone, time)`, so each phone's events form
+/// one [`phone_slice`].
 fn sorted_hl(hl_events: &[HlEvent]) -> Vec<HlEvent> {
     let mut hl = hl_events.to_vec();
     // Stable: events at the same instant keep their caller order, so
@@ -122,29 +132,18 @@ fn phone_slice(hl: &[HlEvent], phone_id: u32) -> &[HlEvent] {
     &hl[lo..hi]
 }
 
-/// One phone's coalescence fold: the per-phone unit of work shared by
-/// [`CoalescenceAnalysis::new`] and the `coalesce` pass, so both run
-/// literally the same kernel.
-#[derive(Debug, Clone, Default)]
-pub struct PhoneCoalesce {
-    /// The phone's panics with their coalescence outcome, in time
-    /// order.
-    pub panics: Vec<CoalescedPanic>,
-    /// HL events considered on this phone.
-    pub hl_total: usize,
-    /// HL events with at least one panic in their window.
-    pub hl_with_panic: usize,
-}
-
 /// Coalesces one phone's time-sorted panics against its time-sorted
-/// HL slice. Tie discipline matches the fleet merge: equidistant (or
-/// same-instant) events resolve to the earliest in slice order.
+/// HL slice within `window`: the per-phone kernel of the `coalesce`
+/// pass. If several HL events fall in the window, the closest wins;
+/// equidistant (or same-instant) events resolve to the earliest in
+/// slice order, which is what the brute-force oracle's `min_by_key`
+/// picks for sorted input.
 pub fn coalesce_phone(
     phone_id: u32,
     panics: &[PanicEvent],
     hl: &[HlEvent],
     window: SimDuration,
-) -> PhoneCoalesce {
+) -> CoalescenceAnalysis {
     let window_ms = window.as_millis();
     let mut out = Vec::with_capacity(panics.len());
     for rec in panics {
@@ -163,7 +162,7 @@ pub fn coalesce_phone(
         .iter()
         .filter(|e| nearest_gap(panics, |p| p.at, e.at).is_some_and(|gap| gap <= window_ms))
         .count();
-    PhoneCoalesce {
+    CoalescenceAnalysis {
         panics: out,
         hl_total: hl.len(),
         hl_with_panic,
@@ -171,31 +170,18 @@ pub fn coalesce_phone(
 }
 
 impl CoalescenceAnalysis {
-    /// Coalesces each panic with the HL events of the same phone
-    /// within `window`. If several HL events fall in the window, the
-    /// closest wins (ties: the earliest). Sorted-merge implementation,
-    /// O((P+H)·log H); see [`Self::new_brute_force`] for the oracle.
-    pub fn new(fleet: &FleetDataset, hl_events: &[HlEvent], window: SimDuration) -> Self {
-        let hl = sorted_hl(hl_events);
-        let mut panics = Vec::with_capacity(fleet.panic_count());
-        let mut hl_with_panic = 0;
-        for phone in fleet.phones() {
-            let slice = phone_slice(&hl, phone.phone_id());
-            let fold = coalesce_phone(phone.phone_id(), phone.panics(), slice, window);
-            panics.extend(fold.panics);
-            hl_with_panic += fold.hl_with_panic;
-        }
-        Self {
-            window,
-            panics,
-            hl_total: hl_events.len(),
-            hl_with_panic,
-        }
+    /// Appends a later phone run's analysis: the `coalesce` pass's
+    /// merge (after remapping `other`'s name ids into this run's).
+    pub fn absorb(&mut self, other: CoalescenceAnalysis) {
+        self.panics.extend(other.panics);
+        self.hl_total += other.hl_total;
+        self.hl_with_panic += other.hl_with_panic;
     }
 
-    /// The O(P×H) reference implementation `new` is verified against
-    /// (property tests and the `fig5_coalescence` bench). Scans every
-    /// HL event per panic; do not use outside tests/benches.
+    /// The O(P×H) reference implementation [`coalesce_phone`] is
+    /// verified against (property tests and the `fig5_coalescence`
+    /// bench). Scans every HL event per panic; do not use outside
+    /// tests/benches.
     pub fn new_brute_force(
         fleet: &FleetDataset,
         hl_events: &[HlEvent],
@@ -238,16 +224,10 @@ impl CoalescenceAnalysis {
             })
             .count();
         Self {
-            window,
             panics,
             hl_total: hl_events.len(),
             hl_with_panic,
         }
-    }
-
-    /// The window used.
-    pub fn window(&self) -> SimDuration {
-        self.window
     }
 
     /// All panics with their outcome.
@@ -397,16 +377,6 @@ impl CoalescenceGaps {
         }
     }
 
-    /// Number of panics in the index.
-    pub fn panic_total(&self) -> usize {
-        self.panic_gaps_ms.len()
-    }
-
-    /// Number of HL events in the index.
-    pub fn hl_total(&self) -> usize {
-        self.hl_gaps_ms.len()
-    }
-
     /// Panics whose nearest HL event lies within `window`.
     pub fn related_panics(&self, window: SimDuration) -> usize {
         self.panic_gaps_ms
@@ -443,8 +413,8 @@ impl CoalescenceGaps {
 /// the remap.
 #[derive(Default)]
 pub(super) struct CoalesceAcc {
-    pub(super) filtered: PhoneCoalesce,
-    all_shutdowns: PhoneCoalesce,
+    pub(super) filtered: CoalescenceAnalysis,
+    all_shutdowns: CoalescenceAnalysis,
     hl_events: Vec<HlEvent>,
 }
 
@@ -474,31 +444,20 @@ impl AnalysisPass for CoalescePass {
                 p.panic.remap(remap);
             }
         }
-        acc.filtered.panics.extend(other.filtered.panics);
-        acc.filtered.hl_total += other.filtered.hl_total;
-        acc.filtered.hl_with_panic += other.filtered.hl_with_panic;
-        acc.all_shutdowns.panics.extend(other.all_shutdowns.panics);
-        acc.all_shutdowns.hl_total += other.all_shutdowns.hl_total;
-        acc.all_shutdowns.hl_with_panic += other.all_shutdowns.hl_with_panic;
+        acc.filtered.absorb(other.filtered);
+        acc.all_shutdowns.absorb(other.all_shutdowns);
         acc.hl_events.extend(other.hl_events);
     }
 
     fn finish(&self, acc: Self::Acc, report: &mut StudyReport) {
-        let window = report.config().coalescence_window;
-        let analysis = |fold: PhoneCoalesce| CoalescenceAnalysis {
-            window,
-            panics: fold.panics,
-            hl_total: fold.hl_total,
-            hl_with_panic: fold.hl_with_panic,
-        };
-        report.coalescence = analysis(acc.filtered);
-        report.coalescence_all_shutdowns = analysis(acc.all_shutdowns);
+        report.coalescence = acc.filtered;
+        report.coalescence_all_shutdowns = acc.all_shutdowns;
         report.hl_events = acc.hl_events;
     }
 
     fn snapshot(&self, acc: &Self::Acc, out: &mut ByteWriter) {
-        write_phone_coalesce(out, &acc.filtered);
-        write_phone_coalesce(out, &acc.all_shutdowns);
+        write_coalescence(out, &acc.filtered);
+        write_coalescence(out, &acc.all_shutdowns);
         out.usize(acc.hl_events.len());
         for e in &acc.hl_events {
             write_hl_event(out, e);
@@ -506,8 +465,8 @@ impl AnalysisPass for CoalescePass {
     }
 
     fn restore(&self, src: &mut ByteReader<'_>) -> Result<Self::Acc, CheckpointError> {
-        let filtered = read_phone_coalesce(src)?;
-        let all_shutdowns = read_phone_coalesce(src)?;
+        let filtered = read_coalescence(src)?;
+        let all_shutdowns = read_coalescence(src)?;
         let n = src.usize()?;
         let mut hl_events = Vec::new();
         for _ in 0..n {
@@ -595,7 +554,7 @@ fn read_panic_event(r: &mut ByteReader<'_>) -> Result<PanicEvent, CheckpointErro
     })
 }
 
-fn write_phone_coalesce(w: &mut ByteWriter, pc: &PhoneCoalesce) {
+fn write_coalescence(w: &mut ByteWriter, pc: &CoalescenceAnalysis) {
     w.usize(pc.panics.len());
     for p in &pc.panics {
         w.u32(p.phone_id);
@@ -610,7 +569,7 @@ fn write_phone_coalesce(w: &mut ByteWriter, pc: &PhoneCoalesce) {
     w.usize(pc.hl_with_panic);
 }
 
-fn read_phone_coalesce(r: &mut ByteReader<'_>) -> Result<PhoneCoalesce, CheckpointError> {
+fn read_coalescence(r: &mut ByteReader<'_>) -> Result<CoalescenceAnalysis, CheckpointError> {
     let n = r.usize()?;
     let mut panics = Vec::new();
     for _ in 0..n {
@@ -628,7 +587,7 @@ fn read_phone_coalesce(r: &mut ByteReader<'_>) -> Result<PhoneCoalesce, Checkpoi
             related,
         });
     }
-    Ok(PhoneCoalesce {
+    Ok(CoalescenceAnalysis {
         panics,
         hl_total: r.usize()?,
         hl_with_panic: r.usize()?,
@@ -666,8 +625,26 @@ mod tests {
         FleetDataset::from_phones(vec![PhoneDataset::new(0, panics, Vec::new())])
     }
 
+    /// The fold the `coalesce` pass performs: each phone's panics
+    /// against its own slice of the `(phone, time)`-sorted HL events,
+    /// absorbed in phone order.
+    fn coalesce(f: &FleetDataset, events: &[HlEvent], window: SimDuration) -> CoalescenceAnalysis {
+        let hl = sorted_hl(events);
+        let mut acc = CoalescenceAnalysis::default();
+        for phone in f.phones() {
+            let slice = phone_slice(&hl, phone.phone_id());
+            acc.absorb(coalesce_phone(
+                phone.phone_id(),
+                phone.panics(),
+                slice,
+                window,
+            ));
+        }
+        acc
+    }
+
     fn assert_matches_brute(f: &FleetDataset, events: &[HlEvent], window: SimDuration) {
-        let fast = CoalescenceAnalysis::new(f, events, window);
+        let fast = coalesce(f, events, window);
         let brute = CoalescenceAnalysis::new_brute_force(f, events, window);
         assert_eq!(fast.panics(), brute.panics());
         assert_eq!(fast.hl_total(), brute.hl_total());
@@ -678,7 +655,7 @@ mod tests {
     fn panic_relates_to_nearby_hl() {
         let f = fleet(vec![panic_rec(100, codes::KERN_EXEC_3)]);
         let events = [hl(0, 150, HlKind::Freeze)];
-        let a = CoalescenceAnalysis::new(&f, &events, COALESCENCE_WINDOW);
+        let a = coalesce(&f, &events, COALESCENCE_WINDOW);
         assert_eq!(a.related_fraction(), 1.0);
         assert_eq!(a.panics()[0].related, Some(HlKind::Freeze));
         assert_eq!(a.hl_with_panic(), 1);
@@ -691,11 +668,11 @@ mod tests {
         let f = fleet(vec![panic_rec(1000, codes::KERN_EXEC_3)]);
         // HL event *before* the panic, inside the window.
         let before = [hl(0, 800, HlKind::SelfShutdown)];
-        let a = CoalescenceAnalysis::new(&f, &before, COALESCENCE_WINDOW);
+        let a = coalesce(&f, &before, COALESCENCE_WINDOW);
         assert_eq!(a.related_fraction(), 1.0);
         // Outside the window.
         let far = [hl(0, 1000 + 301, HlKind::Freeze)];
-        let a = CoalescenceAnalysis::new(&f, &far, COALESCENCE_WINDOW);
+        let a = coalesce(&f, &far, COALESCENCE_WINDOW);
         assert_eq!(a.related_fraction(), 0.0);
         assert_eq!(a.isolated_hl_fraction(), 1.0);
         assert_matches_brute(&f, &before, COALESCENCE_WINDOW);
@@ -709,7 +686,7 @@ mod tests {
             hl(0, 1200, HlKind::Freeze),
             hl(0, 1050, HlKind::SelfShutdown),
         ];
-        let a = CoalescenceAnalysis::new(&f, &events, COALESCENCE_WINDOW);
+        let a = coalesce(&f, &events, COALESCENCE_WINDOW);
         assert_eq!(a.panics()[0].related, Some(HlKind::SelfShutdown));
         assert_matches_brute(&f, &events, COALESCENCE_WINDOW);
     }
@@ -723,21 +700,25 @@ mod tests {
             hl(0, 950, HlKind::SelfShutdown),
             hl(0, 1050, HlKind::Freeze),
         ];
-        let a = CoalescenceAnalysis::new(&f, &events, COALESCENCE_WINDOW);
+        let a = coalesce(&f, &events, COALESCENCE_WINDOW);
         assert_eq!(a.panics()[0].related, Some(HlKind::SelfShutdown));
         assert_matches_brute(&f, &events, COALESCENCE_WINDOW);
         // Two events at the same instant: the first in sorted order.
         let same = [hl(0, 990, HlKind::Freeze), hl(0, 990, HlKind::SelfShutdown)];
-        let a = CoalescenceAnalysis::new(&f, &same, COALESCENCE_WINDOW);
+        let a = coalesce(&f, &same, COALESCENCE_WINDOW);
         assert_eq!(a.panics()[0].related, Some(HlKind::Freeze));
         assert_matches_brute(&f, &same, COALESCENCE_WINDOW);
     }
 
     #[test]
     fn other_phones_events_do_not_match() {
-        let f = fleet(vec![panic_rec(1000, codes::KERN_EXEC_3)]);
+        // Phone 9 logs an HL event at the instant phone 0 panics.
+        let f = FleetDataset::from_phones(vec![
+            PhoneDataset::new(0, vec![panic_rec(1000, codes::KERN_EXEC_3)], Vec::new()),
+            PhoneDataset::new(9, Vec::new(), Vec::new()),
+        ]);
         let events = [hl(9, 1000, HlKind::Freeze)];
-        let a = CoalescenceAnalysis::new(&f, &events, COALESCENCE_WINDOW);
+        let a = coalesce(&f, &events, COALESCENCE_WINDOW);
         assert_eq!(a.related_fraction(), 0.0);
         assert_matches_brute(&f, &events, COALESCENCE_WINDOW);
     }
@@ -749,7 +730,7 @@ mod tests {
             panic_rec(5000, codes::EIKON_LISTBOX_5),
         ]);
         let events = [hl(0, 110, HlKind::Freeze)];
-        let a = CoalescenceAnalysis::new(&f, &events, COALESCENCE_WINDOW);
+        let a = coalesce(&f, &events, COALESCENCE_WINDOW);
         let (related, isolated) = a.by_category();
         assert_eq!(related.count("KERN-EXEC"), 1);
         assert_eq!(isolated.count("EIKON-LISTBOX"), 1);
@@ -765,8 +746,8 @@ mod tests {
             panic_rec(10_000, codes::USER_11),
         ]);
         let events = [hl(0, 160, HlKind::Freeze), hl(0, 11_000, HlKind::Freeze)];
-        let sweep = CoalescenceAnalysis::new(&f, &events, COALESCENCE_WINDOW)
-            .window_sweep(&events, &[30, 60, 300, 2000]);
+        let sweep =
+            coalesce(&f, &events, COALESCENCE_WINDOW).window_sweep(&events, &[30, 60, 300, 2000]);
         for pair in sweep.windows(2) {
             assert!(pair[1].1 >= pair[0].1);
         }
@@ -789,13 +770,10 @@ mod tests {
             hl(0, 900, HlKind::SelfShutdown),
             hl(0, 90_000, HlKind::Freeze),
         ];
-        let gaps = CoalescenceGaps::new(
-            &CoalescenceAnalysis::new(&f, &events, COALESCENCE_WINDOW),
-            &events,
-        );
+        let gaps = CoalescenceGaps::new(&coalesce(&f, &events, COALESCENCE_WINDOW), &events);
         for w in [1u64, 60, 300, 5000, 200_000] {
             let window = SimDuration::from_secs(w);
-            let full = CoalescenceAnalysis::new(&f, &events, window);
+            let full = coalesce(&f, &events, window);
             assert_eq!(gaps.related_fraction(window), full.related_fraction());
             assert_eq!(gaps.hl_with_panic(window), full.hl_with_panic());
             assert_eq!(
@@ -807,7 +785,7 @@ mod tests {
 
     #[test]
     fn empty_inputs() {
-        let a = CoalescenceAnalysis::new(&FleetDataset::default(), &[], COALESCENCE_WINDOW);
+        let a = CoalescenceAnalysis::default();
         assert_eq!(a.related_fraction(), 0.0);
         assert_eq!(a.isolated_hl_fraction(), 0.0);
         assert_eq!(a.hl_total(), 0);

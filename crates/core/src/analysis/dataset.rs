@@ -3,11 +3,13 @@
 //! Parsing is the only pass that touches raw flash bytes. Everything
 //! the downstream analyses need — panics, boots, shutdown events,
 //! freezes, beat-gap spans — is extracted **once**, here, into a
-//! per-phone sorted event index. The analysis passes (`shutdown`,
-//! `mtbf`, `bursts`, `severity`, `baseline`, `report`, `coalesce`)
-//! then borrow slices out of the index instead of re-scanning and
-//! re-allocating event vectors on every call, which is what lets the
-//! same code scale from the paper's 25 phones to fleets of thousands.
+//! per-phone sorted event index. Every analysis pass folds one phone
+//! at a time through a [`PhoneLens`](super::passes::PhoneLens) that
+//! borrows slices out of that index instead of re-scanning and
+//! re-allocating event vectors, which is what lets the same code scale
+//! from the paper's 25 phones to fleets of thousands. A
+//! [`FleetDataset`] is only the parsed phones under one merged name
+//! table, which the reference driver folds phone by phone.
 
 use std::borrow::Cow;
 use std::collections::HashSet;
@@ -19,7 +21,7 @@ use symfail_sim_core::{SimDuration, SimTime};
 use symfail_symbian::servers::logdb::ActivityKind;
 use symfail_symbian::{Panic, PanicCode};
 
-use crate::analysis::defects::{DefectReport, PhoneDefects};
+use crate::analysis::defects::PhoneDefects;
 use crate::flashfs::FlashFs;
 use crate::intern::{NameId, NameIds, NameTable};
 use crate::logger::files;
@@ -536,11 +538,10 @@ fn next_beat<'a>(
     decode_beat(line).map_err(|defect| (defect, line))
 }
 
-/// The whole fleet's harvested data plus fleet-wide event indexes.
-///
-/// The fleet-level views (`panics`, `shutdown_events`, `freezes`) are
-/// materialized once at construction — ordered by `(phone, time)` —
-/// and borrowed thereafter.
+/// The whole fleet's harvested data: the parsed phones under one
+/// merged name table — what the reference driver
+/// ([`StudyReport::analyze`](super::report::StudyReport::analyze))
+/// folds phone by phone.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct FleetDataset {
     phones: Vec<PhoneDataset>,
@@ -551,8 +552,6 @@ pub struct FleetDataset {
     /// `(phone index, panic index)` pairs in `(phone, time)` order —
     /// a flat view over the per-phone panic storage.
     panic_locs: Vec<(u32, u32)>,
-    shutdowns: Vec<ShutdownEvent>,
-    freezes: Vec<HlEvent>,
 }
 
 impl FleetDataset {
@@ -570,8 +569,7 @@ impl FleetDataset {
     }
 
     /// Builds a fleet dataset from already-parsed phones, merging the
-    /// per-phone intern tables and deriving the fleet-wide event
-    /// indexes.
+    /// per-phone intern tables.
     ///
     /// The merge absorbs tables in phone (vector) order, so the
     /// resulting fleet ids depend only on the phones' own contents —
@@ -595,19 +593,13 @@ impl FleetDataset {
             phone.names = NameTable::default();
         }
         let mut panic_locs = Vec::new();
-        let mut shutdowns = Vec::new();
-        let mut freezes = Vec::new();
         for (pi, phone) in phones.iter().enumerate() {
             panic_locs.extend((0..phone.panics.len()).map(|ri| (pi as u32, ri as u32)));
-            shutdowns.extend_from_slice(&phone.shutdowns);
-            freezes.extend_from_slice(&phone.freezes);
         }
         Self {
             phones,
             names,
             panic_locs,
-            shutdowns,
-            freezes,
         }
     }
 
@@ -640,42 +632,13 @@ impl FleetDataset {
             (phone.phone_id, &phone.panics[ri as usize])
         })
     }
-
-    /// Total number of panics across the fleet.
-    pub fn panic_count(&self) -> usize {
-        self.panic_locs.len()
-    }
-
-    /// All measurable shutdown events, `(phone, time)`-ordered.
-    pub fn shutdown_events(&self) -> &[ShutdownEvent] {
-        &self.shutdowns
-    }
-
-    /// All freeze events, `(phone, time)`-ordered.
-    pub fn freezes(&self) -> &[HlEvent] {
-        &self.freezes
-    }
-
-    /// Fleet-wide powered-on time. Phones whose flash was unusable
-    /// (nothing decoded) are excluded, keeping them out of the MTBF
-    /// denominators downstream.
-    pub fn powered_on_time(&self, max_gap: SimDuration) -> SimDuration {
-        self.phones
-            .iter()
-            .filter(|p| !p.defects.unusable)
-            .fold(SimDuration::ZERO, |acc, p| acc + p.powered_on_time(max_gap))
-    }
-
-    /// Aggregates every phone's parse-defect counters into the fleet
-    /// [`DefectReport`].
-    pub fn defect_report(&self) -> DefectReport {
-        DefectReport::from_phones(self.phones.iter().map(|p| (p.phone_id, p.defects)))
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::analysis::passes::PassRegistry;
+    use crate::analysis::report::{AnalysisConfig, StudyReport};
     use crate::logger::{FailureLogger, LoggerConfig, PhoneContext, ShutdownKind};
     use symfail_symbian::panic::codes;
     use symfail_symbian::Panic;
@@ -773,10 +736,10 @@ mod tests {
         let fleet = FleetDataset::from_phones(vec![a, b]);
         assert_eq!(fleet.len(), 2);
         assert_eq!(fleet.panics().len(), 2);
-        assert_eq!(fleet.panic_count(), 2);
-        assert_eq!(fleet.shutdown_events().len(), 2);
-        assert_eq!(fleet.freezes().len(), 2);
         assert!(!fleet.is_empty());
+        let report = StudyReport::analyze(&fleet, AnalysisConfig::default());
+        assert_eq!(report.shutdowns.all_events().len(), 2);
+        assert_eq!(report.mtbf.freezes, 2);
     }
 
     #[test]
@@ -834,13 +797,15 @@ mod tests {
         assert!(dead.defects().unusable);
 
         let good = session();
-        let uptime_alone = good.powered_on_time(SimDuration::from_mins(5));
+        let config = AnalysisConfig::default();
+        let uptime_alone = good.powered_on_time(config.uptime_gap);
         let fleet = FleetDataset::from_phones(vec![good, dead]);
-        let report = fleet.defect_report();
-        assert_eq!(report.unusable_phones, vec![9]);
+        let registry = PassRegistry::select("mtbf,defects").unwrap();
+        let report = StudyReport::analyze_with(&fleet, config, &registry);
+        assert_eq!(report.defects.unusable_phones, vec![9]);
         assert_eq!(
-            fleet.powered_on_time(SimDuration::from_mins(5)),
-            uptime_alone,
+            report.mtbf.total_hours,
+            uptime_alone.as_hours_f64(),
             "unusable phone contributes no powered-on time"
         );
     }

@@ -16,34 +16,25 @@ use super::checkpoint::{read_table, write_table, ByteReader, ByteWriter, Checkpo
 use super::passes::{AnalysisPass, PhoneLens};
 use super::report::StudyReport;
 
-/// The firmware pass's finished section: panics per firmware version
-/// plus the paper's Section-4 device-class × failure-type contingency
-/// table.
+/// The firmware pass's section and accumulator: panics per firmware
+/// version plus the paper's Section-4 device-class × failure-type
+/// contingency table. Both are order-insensitive additive counters, so
+/// every driver (reference, streaming, merged checkpoints) renders the
+/// same tables.
 #[derive(Debug, Clone, Default)]
 pub struct FirmwareBreakdown {
-    /// `(firmware label, phones, panics)` rows in label order.
-    pub versions: Vec<(String, u64, u64)>,
+    /// Firmware label → `(phones, panics)`, in label order.
+    pub versions: BTreeMap<String, (u64, u64)>,
     /// Device class (rows) × failure type (`panic` / `freeze` /
     /// `self-shutdown` columns) counts.
     pub class_failures: ContingencyTable,
 }
 
-/// The firmware/device-class pass: panics per firmware version plus
-/// the Section-4 device-class × failure-type contingency table, both
-/// order-insensitive additive counters, so every driver (reference,
-/// streaming, merged checkpoints) renders the tables.
-#[derive(Default)]
-pub(super) struct FirmwareAcc {
-    /// firmware label → (phones, panics).
-    versions: BTreeMap<String, (u64, u64)>,
-    /// device class × failure type.
-    class_failures: ContingencyTable,
-}
-
+/// The firmware/device-class pass.
 pub(super) struct FirmwarePass;
 
 impl AnalysisPass for FirmwarePass {
-    type Acc = FirmwareAcc;
+    type Acc = FirmwareBreakdown;
     const NAME: &'static str = "firmware";
 
     fn fold_phone(&self, lens: &PhoneLens<'_>) -> Self::Acc {
@@ -55,7 +46,7 @@ impl AnalysisPass for FirmwarePass {
         class_failures.add_n(class, "panic", panics);
         class_failures.add_n(class, "freeze", lens.phone.freezes().len() as u64);
         class_failures.add_n(class, "self-shutdown", lens.self_shutdowns as u64);
-        FirmwareAcc {
+        FirmwareBreakdown {
             versions: BTreeMap::from([(lens.device.firmware.to_string(), (1, panics))]),
             class_failures,
         }
@@ -71,14 +62,7 @@ impl AnalysisPass for FirmwarePass {
     }
 
     fn finish(&self, acc: Self::Acc, report: &mut StudyReport) {
-        report.firmware = FirmwareBreakdown {
-            versions: acc
-                .versions
-                .into_iter()
-                .map(|(label, (phones, panics))| (label, phones, panics))
-                .collect(),
-            class_failures: acc.class_failures,
-        };
+        report.firmware = acc;
     }
 
     fn snapshot(&self, acc: &Self::Acc, out: &mut ByteWriter) {
@@ -102,7 +86,7 @@ impl AnalysisPass for FirmwarePass {
                 return Err(CheckpointError::Corrupt("duplicate firmware label"));
             }
         }
-        Ok(FirmwareAcc {
+        Ok(FirmwareBreakdown {
             versions,
             class_failures: read_table(src)?,
         })

@@ -16,7 +16,7 @@ use std::collections::BTreeMap;
 use serde::{Deserialize, Serialize};
 
 use symfail_sim_core::SimTime;
-use symfail_stats::{Ecdf, OnlineSummary};
+use symfail_stats::OnlineSummary;
 
 use super::dataset::HlEvent;
 
@@ -91,15 +91,6 @@ impl InterArrivalAnalysis {
     /// fitted exponential.
     pub fn ks_to_exponential(&self) -> f64 {
         self.ks_to_exponential
-    }
-
-    /// Empirical quantile of the gaps (hours).
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`symfail_stats::StatsError`] for an invalid `q`.
-    pub fn quantile_hours(&self, q: f64) -> Result<f64, symfail_stats::StatsError> {
-        Ecdf::from_samples(self.gaps_hours.iter().copied())?.quantile(q)
     }
 
     /// Renders a short summary.
@@ -192,10 +183,9 @@ mod tests {
     }
 
     #[test]
-    fn quantiles_and_render() {
+    fn render_reports_count_and_label() {
         let events = [event(0, 0), event(0, 10), event(0, 30)];
         let a = InterArrivalAnalysis::new(&events).unwrap();
-        assert!((a.quantile_hours(0.5).unwrap() - 15.0).abs() < 1e-9);
         let s = a.render("freezes");
         assert!(s.contains("n=2"));
         assert!(s.contains("freezes"));

@@ -9,10 +9,8 @@
 use serde::{Deserialize, Serialize};
 
 use symfail_sim_core::SimDuration;
-use symfail_stats::OnlineSummary;
 
 use super::checkpoint::{ByteReader, ByteWriter, CheckpointError};
-use super::dataset::FleetDataset;
 use super::passes::{AnalysisPass, PhoneLens};
 use super::report::StudyReport;
 
@@ -38,17 +36,6 @@ pub struct MtbfAnalysis {
 }
 
 impl MtbfAnalysis {
-    /// Estimates MTBFs from the fleet dataset. `self_shutdowns` is the
-    /// count produced by the Figure 2 classification (it is a
-    /// *derived* quantity, so it is passed in rather than recomputed).
-    pub fn new(fleet: &FleetDataset, self_shutdowns: usize, uptime_gap: SimDuration) -> Self {
-        Self::from_totals(
-            fleet.powered_on_time(uptime_gap),
-            fleet.freezes().len(),
-            self_shutdowns,
-        )
-    }
-
     /// Derives the estimates from already-summed fleet totals — the
     /// `mtbf` pass's `finish` step. Summing per-phone
     /// [`SimDuration`]s (integer milliseconds) before the single
@@ -93,25 +80,6 @@ impl MtbfAnalysis {
             (Some(fr), Some(ss)) => Some((fr / 24.0 + ss / 24.0) / 2.0),
             _ => None,
         }
-    }
-
-    /// Per-phone failure-count dispersion: summary of (freezes +
-    /// self-shutdown candidates) per phone, to show the fleet is not
-    /// dominated by one bad device.
-    pub fn per_phone_failure_summary(fleet: &FleetDataset) -> OnlineSummary {
-        fleet
-            .phones()
-            .iter()
-            .map(|p| {
-                let freezes = p.freezes().len();
-                let shutdowns = p
-                    .shutdown_events()
-                    .iter()
-                    .filter(|e| e.duration <= super::shutdown::SELF_SHUTDOWN_THRESHOLD)
-                    .count();
-                (freezes + shutdowns) as f64
-            })
-            .collect()
     }
 }
 
@@ -171,7 +139,9 @@ impl AnalysisPass for MtbfPass {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::analysis::dataset::PhoneDataset;
+    use crate::analysis::dataset::{FleetDataset, PhoneDataset};
+    use crate::analysis::passes::PassRegistry;
+    use crate::analysis::report::AnalysisConfig;
     use crate::flashfs::FlashFs;
     use crate::logger::{FailureLogger, LoggerConfig, PhoneContext, ShutdownKind};
     use symfail_sim_core::SimTime;
@@ -201,10 +171,17 @@ mod tests {
         FleetDataset::from_phones(vec![PhoneDataset::from_flashfs(0, &fs)])
     }
 
+    /// The `mtbf` section at the paper's 5-minute uptime gap.
+    fn mtbf(fleet: &FleetDataset) -> MtbfAnalysis {
+        let config = AnalysisConfig::default();
+        assert_eq!(config.uptime_gap, DEFAULT_UPTIME_GAP);
+        let registry = PassRegistry::select("mtbf").unwrap();
+        StudyReport::analyze_with(fleet, config, &registry).mtbf
+    }
+
     #[test]
     fn estimates_follow_counts() {
-        let f = fleet();
-        let m = MtbfAnalysis::new(&f, 1, DEFAULT_UPTIME_GAP);
+        let m = mtbf(&fleet());
         assert_eq!(m.freezes, 1);
         assert_eq!(m.self_shutdowns, 1);
         let hours = m.total_hours;
@@ -217,7 +194,7 @@ mod tests {
 
     #[test]
     fn zero_failures_give_none() {
-        let m = MtbfAnalysis::new(&FleetDataset::default(), 0, DEFAULT_UPTIME_GAP);
+        let m = mtbf(&FleetDataset::default());
         assert!(m.mtbfr_hours.is_none());
         assert!(m.mtbs_hours.is_none());
         assert!(m.mtbf_any_hours.is_none());
@@ -233,13 +210,5 @@ mod tests {
         assert!(j.contains("\"mtbfr_hours\":1"));
         assert!(j.contains("\"mtbs_hours\":null"));
         assert!(j.contains("\"mtbf_any_hours\":1"));
-    }
-
-    #[test]
-    fn per_phone_summary_counts_both_kinds() {
-        let f = fleet();
-        let s = MtbfAnalysis::per_phone_failure_summary(&f);
-        assert_eq!(s.count(), 1);
-        assert_eq!(s.mean(), Some(2.0));
     }
 }

@@ -14,8 +14,7 @@ use serde::{Deserialize, Serialize};
 use symfail_sim_core::SimTime;
 use symfail_stats::CategoricalDist;
 
-use crate::flashfs::FlashFs;
-use crate::logger::{UserReportChannel, UserReportKind};
+use crate::logger::UserReportKind;
 
 /// Summary of the user reports harvested from a fleet.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -25,20 +24,10 @@ pub struct OutputFailureAnalysis {
 }
 
 impl OutputFailureAnalysis {
-    /// Parses the user reports of every phone's flash filesystem.
-    pub fn from_flash<'a, I>(filesystems: I) -> Self
-    where
-        I: IntoIterator<Item = (u32, &'a FlashFs)>,
-    {
-        let parsed: Vec<(u32, Vec<(SimTime, UserReportKind)>)> = filesystems
-            .into_iter()
-            .map(|(phone_id, fs)| (phone_id, UserReportChannel::parse(fs)))
-            .collect();
-        Self::from_reports(parsed.iter().map(|(p, r)| (*p, r.as_slice())))
-    }
-
-    /// Builds the summary from already-parsed reports — the streaming
-    /// pipeline keeps these per-phone while dropping the flash itself.
+    /// Builds the summary from each phone's parsed reports
+    /// ([`UserReportChannel::parse`](crate::logger::UserReportChannel::parse)),
+    /// which the streaming pipeline keeps per phone while dropping the
+    /// flash itself.
     pub fn from_reports<'a, I>(per_phone: I) -> Self
     where
         I: IntoIterator<Item = (u32, &'a [(SimTime, UserReportKind)])>,
@@ -110,6 +99,23 @@ impl OutputFailureAnalysis {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::flashfs::FlashFs;
+    use crate::logger::UserReportChannel;
+
+    /// The summary of phones `0..` with these flash filesystems, as
+    /// the campaign driver builds it from their parsed reports.
+    fn from_flash(filesystems: &[&FlashFs]) -> OutputFailureAnalysis {
+        let parsed: Vec<_> = filesystems
+            .iter()
+            .map(|fs| UserReportChannel::parse(fs))
+            .collect();
+        OutputFailureAnalysis::from_reports(
+            parsed
+                .iter()
+                .enumerate()
+                .map(|(id, r)| (id as u32, r.as_slice())),
+        )
+    }
 
     fn fs_with(reports: &[(u64, UserReportKind)]) -> FlashFs {
         let mut fs = FlashFs::new();
@@ -127,7 +133,7 @@ mod tests {
             (5, UserReportKind::OutputFailure),
             (8, UserReportKind::InputFailure),
         ]);
-        let analysis = OutputFailureAnalysis::from_flash([(0, &a), (1, &b)]);
+        let analysis = from_flash(&[&a, &b]);
         assert_eq!(analysis.len(), 3);
         assert_eq!(analysis.count_of(UserReportKind::OutputFailure), 2);
         assert_eq!(analysis.count_of(UserReportKind::InputFailure), 1);
@@ -144,7 +150,7 @@ mod tests {
     #[test]
     fn coverage() {
         let a = fs_with(&[(10, UserReportKind::OutputFailure)]);
-        let analysis = OutputFailureAnalysis::from_flash([(0, &a)]);
+        let analysis = from_flash(&[&a]);
         assert_eq!(analysis.coverage_against(4), Some(0.25));
         assert_eq!(analysis.coverage_against(0), None);
     }
@@ -152,7 +158,7 @@ mod tests {
     #[test]
     fn render_mentions_unreliability_with_truth() {
         let a = fs_with(&[(10, UserReportKind::OutputFailure)]);
-        let analysis = OutputFailureAnalysis::from_flash([(0, &a)]);
+        let analysis = from_flash(&[&a]);
         let s = analysis.render(Some(10));
         assert!(s.contains("coverage 10%"));
         assert!(s.contains("unreliable"));

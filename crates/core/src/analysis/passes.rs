@@ -61,7 +61,7 @@ use super::checkpoint::{
     self, ByteReader, ByteWriter, CheckpointError, MergeError, ShardTopology, CHECKPOINT_MAGIC,
     CHECKPOINT_SCHEMA_VERSION,
 };
-use super::coalesce::{coalesce_phone, CoalescePass, CoalescedPanic, PhoneCoalesce};
+use super::coalesce::{coalesce_phone, CoalescePass, CoalescedPanic, CoalescenceAnalysis};
 use super::dataset::{HlEvent, HlKind, PhoneDataset, ShutdownEvent};
 use super::defects::DefectsPass;
 use super::firmware::FirmwarePass;
@@ -224,13 +224,13 @@ pub struct PhoneLens<'a> {
     /// Shutdowns classified as self-shutdowns by the config threshold.
     pub(super) self_shutdowns: usize,
     /// Freezes + self-shutdown HL events, time-sorted (freezes first
-    /// on ties — the fleet merge's stable-sort discipline).
+    /// on ties).
     pub(super) hl: Vec<HlEvent>,
     /// The phone's panics coalesced against `hl`.
-    pub(super) coalesced: PhoneCoalesce,
+    pub(super) coalesced: CoalescenceAnalysis,
     /// The phone's panics coalesced against freezes plus every
     /// shutdown event (the paper's robustness variant).
-    pub(super) coalesced_all: PhoneCoalesce,
+    pub(super) coalesced_all: CoalescenceAnalysis,
     /// Device class + firmware labels the phone folds under.
     pub(super) device: DeviceLabels,
 }
@@ -278,9 +278,9 @@ impl<'a> PhoneLens<'a> {
                 kind: HlKind::SelfShutdown,
             };
             // Chain freezes before shutdown events, then stable-sort
-            // by time: per phone this is exactly the slice the fleet
-            // `merge_hl_events` + `(phone, time)` sort produces, so
-            // nearest-HL tie-breaking is identical.
+            // by time: on ties a freeze comes first, and the report's
+            // `hl_events` (these slices concatenated in phone order)
+            // is `(phone, time)`-sorted.
             let mut hl: Vec<HlEvent> = phone
                 .freezes()
                 .iter()
@@ -308,8 +308,8 @@ impl<'a> PhoneLens<'a> {
         } else {
             (
                 Vec::new(),
-                PhoneCoalesce::default(),
-                PhoneCoalesce::default(),
+                CoalescenceAnalysis::default(),
+                CoalescenceAnalysis::default(),
             )
         };
         Self {
@@ -1200,9 +1200,9 @@ fn read_accs(
 }
 
 /// A section that merges additively: what [`Grouped`] needs of its
-/// per-class tables.
-pub(super) trait Additive {
-    fn empty() -> Self;
+/// per-class tables. `Default` is the zero-phone table.
+pub(super) trait Additive: Default {
+    /// Merges another phone run's table into this one.
     fn absorb(&mut self, other: &Self);
 }
 
@@ -1235,20 +1235,13 @@ impl<A: Additive> Grouped<A> {
 
     pub(super) fn merge(&mut self, other: Self) {
         for (label, a) in other.groups {
-            match self.groups.get_mut(&label) {
-                Some(group) => group.absorb(&a),
-                None => {
-                    let mut group = A::empty();
-                    group.absorb(&a);
-                    self.groups.insert(label, group);
-                }
-            }
+            self.groups.entry(label).or_default().absorb(&a);
         }
     }
 
     /// The whole-fleet total plus the per-class slices, in label order.
     pub(super) fn finish(self) -> (A, Vec<(String, A)>) {
-        let mut total = A::empty();
+        let mut total = A::default();
         for a in self.groups.values() {
             total.absorb(a);
         }

@@ -153,22 +153,16 @@ impl StudyReport {
     /// registry's `finish` starts from it and each pass writes its own
     /// section, so sections whose pass was not selected stay empty.
     pub(super) fn empty(config: AnalysisConfig) -> Self {
-        let empty_coalesce =
-            || CoalescenceAnalysis::new(&FleetDataset::default(), &[], config.coalescence_window);
         Self {
             config,
             shutdowns: ShutdownAnalysis::from_events(config.self_shutdown_threshold, Vec::new()),
             mtbf: MtbfAnalysis::from_totals(SimDuration::ZERO, 0, 0),
             bursts: BurstAnalysis::default(),
-            coalescence: empty_coalesce(),
-            coalescence_all_shutdowns: empty_coalesce(),
-            activity: ActivityAnalysis::from_coalesced(&[]),
+            coalescence: CoalescenceAnalysis::default(),
+            coalescence_all_shutdowns: CoalescenceAnalysis::default(),
+            activity: ActivityAnalysis::default(),
             activity_by_class: Vec::new(),
-            runapps: RunningAppsAnalysis::from_events(
-                &crate::intern::NameTable::default(),
-                std::iter::empty(),
-                &[],
-            ),
+            runapps: RunningAppsAnalysis::default(),
             runapps_by_class: Vec::new(),
             firmware: FirmwareBreakdown::default(),
             panic_distribution: CategoricalDist::new(),
@@ -407,7 +401,7 @@ impl StudyReport {
     /// from logged data).
     pub fn render_firmware(&self) -> String {
         let mut out = String::from("panic counts by firmware version\n");
-        for (version, phones, panics) in &self.firmware.versions {
+        for (version, (phones, panics)) in &self.firmware.versions {
             let per_phone = *panics as f64 / (*phones).max(1) as f64;
             out.push_str(&format!(
                 "  {version:<12} {phones:>2} phones  {panics:>4} panics  ({per_phone:.1}/phone)\n"

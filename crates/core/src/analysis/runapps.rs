@@ -17,13 +17,14 @@ use crate::intern::NameTable;
 use super::checkpoint::{
     read_dist, read_table, write_dist, write_table, ByteReader, ByteWriter, CheckpointError,
 };
-use super::coalesce::{CoalescedPanic, CoalescenceAnalysis};
-use super::dataset::{FleetDataset, HlKind, PanicEvent};
+use super::coalesce::CoalescedPanic;
+use super::dataset::{HlKind, PanicEvent};
 use super::passes::{Additive, AnalysisPass, Grouped, PhoneLens};
 use super::report::StudyReport;
 
-/// The Figure 6 / Table 4 analysis result.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// The Figure 6 / Table 4 analysis result. `Default` is the
+/// zero-phone analysis.
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct RunningAppsAnalysis {
     concurrency: CategoricalDist,
     table: ContingencyTable,
@@ -32,25 +33,16 @@ pub struct RunningAppsAnalysis {
 }
 
 impl RunningAppsAnalysis {
-    /// Builds the concurrency distribution over *all* panics and the
-    /// Table 4 contingency over panics with their HL outcome.
+    /// Builds the concurrency distribution over *all* `panics` and the
+    /// Table 4 contingency over the `coalesced` panics with their HL
+    /// outcome — the per-phone fold of the `runapps` pass.
     ///
     /// A panic with k running applications contributes one count to
     /// concurrency bin k, and one count per application to the
     /// contingency table (matching the paper's per-application
-    /// percentages).
-    pub fn new(fleet: &FleetDataset, coalescence: &CoalescenceAnalysis) -> Self {
-        Self::from_events(
-            fleet.names(),
-            fleet.panics().map(|(_, p)| p),
-            coalescence.panics(),
-        )
-    }
-
-    /// Builds the analysis from raw events — the per-phone fold of the
-    /// `runapps` pass. Application ids resolve against `names` *at fold time*,
-    /// so per-phone folds carry strings and need no id remapping when
-    /// merged across phones.
+    /// percentages). Application ids resolve against `names` *at fold
+    /// time*, so per-phone folds carry strings and need no id
+    /// remapping when merged across phones.
     pub fn from_events<'a>(
         names: &NameTable,
         panics: impl Iterator<Item = &'a PanicEvent>,
@@ -86,16 +78,6 @@ impl RunningAppsAnalysis {
             app_share,
             total_panics: total,
         }
-    }
-
-    /// Merges another phone's fold into this accumulator. All four
-    /// components are additive string-keyed counters, so absorbing
-    /// folds in any associative grouping yields the batch result.
-    pub fn absorb(&mut self, other: &RunningAppsAnalysis) {
-        self.concurrency.merge(&other.concurrency);
-        self.table.merge(&other.table);
-        self.app_share.merge(&other.app_share);
-        self.total_panics += other.total_panics;
     }
 
     /// Figure 6: distribution of the number of running applications at
@@ -135,13 +117,14 @@ impl RunningAppsAnalysis {
     }
 }
 
+/// All four components are additive string-keyed counters, so
+/// absorbing folds in any associative grouping yields the batch result.
 impl Additive for RunningAppsAnalysis {
-    fn empty() -> Self {
-        RunningAppsAnalysis::from_events(&NameTable::default(), std::iter::empty(), &[])
-    }
-
     fn absorb(&mut self, other: &Self) {
-        RunningAppsAnalysis::absorb(self, other);
+        self.concurrency.merge(&other.concurrency);
+        self.table.merge(&other.table);
+        self.app_share.merge(&other.app_share);
+        self.total_panics += other.total_panics;
     }
 }
 
@@ -161,7 +144,7 @@ impl AnalysisPass for RunningAppsPass {
             RunningAppsAnalysis::from_events(
                 lens.names,
                 lens.phone.panics().iter(),
-                &lens.coalesced.panics,
+                lens.coalesced.panics(),
             ),
         )
     }
@@ -204,7 +187,7 @@ impl AnalysisPass for RunningAppsPass {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::analysis::coalesce::COALESCENCE_WINDOW;
+    use crate::analysis::coalesce::{coalesce_phone, COALESCENCE_WINDOW};
     use crate::analysis::dataset::{HlEvent, PhoneDataset};
     use crate::records::{LogRecord, PanicRecord};
     use symfail_sim_core::SimTime;
@@ -221,8 +204,10 @@ mod tests {
         })
     }
 
+    /// The `runapps` pass's fold of one phone whose panics coalesce
+    /// against freezes at `hl_secs`.
     fn build(records: Vec<LogRecord>, hl_secs: &[u64]) -> RunningAppsAnalysis {
-        let fleet = FleetDataset::from_phones(vec![PhoneDataset::new(0, records, Vec::new())]);
+        let phone = PhoneDataset::new(0, records, Vec::new());
         let events: Vec<HlEvent> = hl_secs
             .iter()
             .map(|&s| HlEvent {
@@ -231,8 +216,8 @@ mod tests {
                 kind: HlKind::Freeze,
             })
             .collect();
-        let co = CoalescenceAnalysis::new(&fleet, &events, COALESCENCE_WINDOW);
-        RunningAppsAnalysis::new(&fleet, &co)
+        let co = coalesce_phone(0, phone.panics(), &events, COALESCENCE_WINDOW);
+        RunningAppsAnalysis::from_events(phone.names(), phone.panics().iter(), co.panics())
     }
 
     #[test]

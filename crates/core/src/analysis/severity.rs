@@ -15,9 +15,6 @@ use serde::{Deserialize, Serialize};
 
 use symfail_stats::CategoricalDist;
 
-use super::dataset::{FleetDataset, HlKind};
-use super::shutdown::ShutdownAnalysis;
-
 /// Severity grade of one detected failure (user-recovery scale).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum FailureSeverity {
@@ -32,14 +29,6 @@ pub enum FailureSeverity {
 }
 
 impl FailureSeverity {
-    /// Grade of a detected high-level event: freezes cost the user a
-    /// battery pull, self-shutdowns a (self-)reboot — both medium.
-    pub fn of_hl(kind: HlKind) -> FailureSeverity {
-        match kind {
-            HlKind::Freeze | HlKind::SelfShutdown => FailureSeverity::Medium,
-        }
-    }
-
     /// Label used in tables.
     pub fn as_str(self) -> &'static str {
         match self {
@@ -62,21 +51,11 @@ pub struct SeverityAnalysis {
 }
 
 impl SeverityAnalysis {
-    /// Builds the summary. `total_hours` is the fleet's powered-on
-    /// observation time (from the MTBF analysis), used to normalize
-    /// the burden.
-    pub fn new(fleet: &FleetDataset, shutdowns: &ShutdownAnalysis, total_hours: f64) -> Self {
-        Self::from_counts(
-            fleet.freezes().len(),
-            shutdowns.self_shutdowns().len(),
-            total_hours,
-        )
-    }
-
-    /// Builds the summary from already-counted failures — lets the
-    /// streaming pipeline derive severity straight from a
-    /// [`StudyReport`](super::report::StudyReport) (whose MTBF section
-    /// carries the same counts) without a materialized fleet.
+    /// Builds the summary from counted failures: freezes are battery
+    /// pulls, self-shutdowns unwanted reboots, and `total_hours` — the
+    /// fleet's powered-on observation time — normalizes the burden. A
+    /// [`StudyReport`](super::report::StudyReport)'s MTBF section
+    /// carries all three.
     pub fn from_counts(battery_pulls: usize, unwanted_reboots: usize, total_hours: f64) -> Self {
         let mut distribution = CategoricalDist::new();
         distribution.add_n(
@@ -132,8 +111,9 @@ impl SeverityAnalysis {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::analysis::dataset::PhoneDataset;
-    use crate::analysis::shutdown::SELF_SHUTDOWN_THRESHOLD;
+    use crate::analysis::dataset::{FleetDataset, PhoneDataset};
+    use crate::analysis::passes::PassRegistry;
+    use crate::analysis::report::{AnalysisConfig, StudyReport};
     use crate::flashfs::FlashFs;
     use crate::logger::{FailureLogger, LoggerConfig, PhoneContext, ShutdownKind};
     use symfail_sim_core::SimTime;
@@ -151,11 +131,21 @@ mod tests {
         FleetDataset::from_phones(vec![PhoneDataset::from_flashfs(0, &fs)])
     }
 
+    /// The severity summary of the fixture's counted failures over
+    /// `total_hours` of use.
+    fn severity(total_hours: f64) -> SeverityAnalysis {
+        let registry = PassRegistry::select("shutdown,mtbf").unwrap();
+        let report = StudyReport::analyze_with(&fleet(), AnalysisConfig::default(), &registry);
+        SeverityAnalysis::from_counts(
+            report.mtbf.freezes,
+            report.shutdowns.self_shutdowns().len(),
+            total_hours,
+        )
+    }
+
     #[test]
     fn counts_and_grades() {
-        let f = fleet();
-        let sh = ShutdownAnalysis::new(&f, SELF_SHUTDOWN_THRESHOLD);
-        let s = SeverityAnalysis::new(&f, &sh, 730.0);
+        let s = severity(730.0);
         assert_eq!(s.battery_pulls(), 1);
         assert_eq!(s.unwanted_reboots(), 1);
         assert_eq!(s.distribution().count("medium"), 2);
@@ -167,31 +157,14 @@ mod tests {
 
     #[test]
     fn zero_hours_gives_no_burden() {
-        let f = fleet();
-        let sh = ShutdownAnalysis::new(&f, SELF_SHUTDOWN_THRESHOLD);
-        let s = SeverityAnalysis::new(&f, &sh, 0.0);
+        let s = severity(0.0);
         assert!(s.burden_per_phone_month().is_none());
         assert!(s.render().contains("n/a"));
     }
 
     #[test]
-    fn hl_mapping_is_medium() {
-        assert_eq!(
-            FailureSeverity::of_hl(HlKind::Freeze),
-            FailureSeverity::Medium
-        );
-        assert_eq!(
-            FailureSeverity::of_hl(HlKind::SelfShutdown),
-            FailureSeverity::Medium
-        );
-    }
-
-    #[test]
     fn render_contains_counts() {
-        let f = fleet();
-        let sh = ShutdownAnalysis::new(&f, SELF_SHUTDOWN_THRESHOLD);
-        let s = SeverityAnalysis::new(&f, &sh, 730.0);
-        let out = s.render();
+        let out = severity(730.0).render();
         assert!(out.contains("battery pulls"));
         assert!(out.contains("per phone-month"));
     }

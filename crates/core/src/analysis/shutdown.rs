@@ -15,7 +15,7 @@ use symfail_sim_core::{SimDuration, SimTime};
 use symfail_stats::{Ecdf, Histogram};
 
 use super::checkpoint::{ByteReader, ByteWriter, CheckpointError};
-use super::dataset::{FleetDataset, HlEvent, HlKind, ShutdownEvent};
+use super::dataset::ShutdownEvent;
 use super::passes::{AnalysisPass, PhoneLens};
 use super::report::StudyReport;
 
@@ -25,22 +25,15 @@ pub const SELF_SHUTDOWN_THRESHOLD: SimDuration = SimDuration::from_secs(360);
 /// Result of the Figure 2 analysis.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ShutdownAnalysis {
-    threshold: SimDuration,
     events: Vec<ShutdownEvent>,
     self_shutdowns: Vec<ShutdownEvent>,
 }
 
 impl ShutdownAnalysis {
-    /// Classifies the fleet's shutdown events with the given duration
-    /// threshold (use [`SELF_SHUTDOWN_THRESHOLD`] for the paper's
-    /// 360 s).
-    pub fn new(fleet: &FleetDataset, threshold: SimDuration) -> Self {
-        Self::from_events(threshold, fleet.shutdown_events().to_vec())
-    }
-
-    /// Classifies an already-collected event list — the `shutdown`
-    /// pass's `finish` step, fed events concatenated in phone-id
-    /// order.
+    /// Classifies a shutdown-event list with the given duration
+    /// threshold (the paper's is [`SELF_SHUTDOWN_THRESHOLD`]) — the
+    /// `shutdown` pass's `finish` step, fed events concatenated in
+    /// phone-id order.
     pub fn from_events(threshold: SimDuration, events: Vec<ShutdownEvent>) -> Self {
         let self_shutdowns = events
             .iter()
@@ -48,15 +41,9 @@ impl ShutdownAnalysis {
             .filter(|e| e.duration <= threshold)
             .collect();
         Self {
-            threshold,
             events,
             self_shutdowns,
         }
-    }
-
-    /// The threshold in effect.
-    pub fn threshold(&self) -> SimDuration {
-        self.threshold
     }
 
     /// Every measurable shutdown event (the 1778 of the paper).
@@ -67,33 +54,6 @@ impl ShutdownAnalysis {
     /// The events classified as self-shutdowns (the 471 of the paper).
     pub fn self_shutdowns(&self) -> &[ShutdownEvent] {
         &self.self_shutdowns
-    }
-
-    /// Self-shutdowns as high-level events for coalescence, timed at
-    /// the instant the phone went down.
-    pub fn self_shutdown_hl_events(&self) -> Vec<HlEvent> {
-        self.self_shutdowns
-            .iter()
-            .map(|e| HlEvent {
-                phone_id: e.phone_id,
-                at: e.off_at,
-                kind: HlKind::SelfShutdown,
-            })
-            .collect()
-    }
-
-    /// *All* shutdowns as HL events — used by the paper's robustness
-    /// check (including every shutdown only raises the
-    /// panic-relatedness from 51% to 55%).
-    pub fn all_shutdown_hl_events(&self) -> Vec<HlEvent> {
-        self.events
-            .iter()
-            .map(|e| HlEvent {
-                phone_id: e.phone_id,
-                at: e.off_at,
-                kind: HlKind::SelfShutdown,
-            })
-            .collect()
     }
 
     /// Fraction of shutdown events classified as self-shutdowns.
@@ -162,14 +122,6 @@ impl ShutdownAnalysis {
     }
 }
 
-/// Convenience: the instant a freeze or self-shutdown list places its
-/// events, merged and sorted per phone — used by coalescence.
-pub fn merge_hl_events(freezes: &[HlEvent], self_shutdowns: &[HlEvent]) -> Vec<HlEvent> {
-    let mut all: Vec<HlEvent> = freezes.iter().chain(self_shutdowns).copied().collect();
-    all.sort_by_key(|e| (e.phone_id, e.at));
-    all
-}
-
 /// Figure 2: per-phone shutdown events, concatenated in phone order.
 pub(super) struct ShutdownPass;
 
@@ -226,7 +178,9 @@ fn read_shutdown_event(r: &mut ByteReader<'_>) -> Result<ShutdownEvent, Checkpoi
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::analysis::dataset::PhoneDataset;
+    use crate::analysis::dataset::{FleetDataset, HlKind, PhoneDataset};
+    use crate::analysis::passes::PassRegistry;
+    use crate::analysis::report::AnalysisConfig;
     use crate::flashfs::FlashFs;
     use crate::logger::{FailureLogger, LoggerConfig, PhoneContext, ShutdownKind};
     use symfail_sim_core::SimTime;
@@ -252,68 +206,66 @@ mod tests {
         FleetDataset::from_phones(vec![PhoneDataset::from_flashfs(1, &fs)])
     }
 
+    /// The report sections of `passes` over `fleet`, at the paper's
+    /// 360 s threshold.
+    fn report(fleet: &FleetDataset, passes: &str) -> StudyReport {
+        let config = AnalysisConfig::default();
+        assert_eq!(config.self_shutdown_threshold, SELF_SHUTDOWN_THRESHOLD);
+        StudyReport::analyze_with(fleet, config, &PassRegistry::select(passes).unwrap())
+    }
+
+    fn analysis(fleet: &FleetDataset) -> ShutdownAnalysis {
+        report(fleet, "shutdown").shutdowns
+    }
+
     #[test]
     fn classification_by_threshold() {
-        let a = ShutdownAnalysis::new(&fleet(), SELF_SHUTDOWN_THRESHOLD);
+        let a = analysis(&fleet());
         assert_eq!(a.all_events().len(), 3);
         assert_eq!(a.self_shutdowns().len(), 2);
         assert!((a.self_shutdown_fraction() - 2.0 / 3.0).abs() < 1e-12);
-        assert_eq!(a.threshold(), SELF_SHUTDOWN_THRESHOLD);
     }
 
     #[test]
     fn median_of_self_shutdowns() {
-        let a = ShutdownAnalysis::new(&fleet(), SELF_SHUTDOWN_THRESHOLD);
+        let a = analysis(&fleet());
         assert_eq!(a.median_self_shutdown_secs(), Some(85.0));
     }
 
     #[test]
     fn empty_fleet_degenerates_gracefully() {
-        let a = ShutdownAnalysis::new(&FleetDataset::default(), SELF_SHUTDOWN_THRESHOLD);
+        let a = analysis(&FleetDataset::default());
         assert_eq!(a.self_shutdown_fraction(), 0.0);
         assert!(a.median_self_shutdown_secs().is_none());
     }
 
     #[test]
     fn histograms_partition_events() {
-        let a = ShutdownAnalysis::new(&fleet(), SELF_SHUTDOWN_THRESHOLD);
+        let a = analysis(&fleet());
         let h = a.duration_histogram(40_000.0, 80).unwrap();
         assert_eq!(h.total(), 3);
         let z = a.zoomed_histogram(50).unwrap();
         assert_eq!(z.total(), 2, "only sub-500 s durations in the inset");
     }
 
+    /// The coalescence HL stream holds the self-shutdowns the 360 s
+    /// filter keeps; the all-shutdowns variant coalesces against every
+    /// shutdown.
     #[test]
     fn hl_event_views() {
-        let a = ShutdownAnalysis::new(&fleet(), SELF_SHUTDOWN_THRESHOLD);
-        assert_eq!(a.self_shutdown_hl_events().len(), 2);
-        assert_eq!(a.all_shutdown_hl_events().len(), 3);
-        for e in a.self_shutdown_hl_events() {
+        let r = report(&fleet(), "shutdown,coalesce");
+        assert_eq!(r.hl_events.len(), 2);
+        for e in &r.hl_events {
             assert_eq!(e.kind, HlKind::SelfShutdown);
         }
+        assert_eq!(r.coalescence.hl_total(), 2);
+        assert_eq!(r.coalescence_all_shutdowns.hl_total(), 3);
     }
 
     #[test]
     fn threshold_sweep_monotone() {
-        let a = ShutdownAnalysis::new(&fleet(), SELF_SHUTDOWN_THRESHOLD);
+        let a = analysis(&fleet());
         let sweep = a.threshold_sweep(&[60, 85, 360, 40_000]);
         assert_eq!(sweep, vec![(60, 0), (85, 1), (360, 2), (40_000, 3)]);
-    }
-
-    #[test]
-    fn merge_hl_events_sorts() {
-        let f = [HlEvent {
-            phone_id: 2,
-            at: t(10),
-            kind: HlKind::Freeze,
-        }];
-        let s = [HlEvent {
-            phone_id: 1,
-            at: t(99),
-            kind: HlKind::SelfShutdown,
-        }];
-        let merged = merge_hl_events(&f, &s);
-        assert_eq!(merged[0].phone_id, 1);
-        assert_eq!(merged[1].phone_id, 2);
     }
 }

@@ -132,7 +132,7 @@ impl FailureSignature {
     ) -> Vec<Self> {
         PhoneLens::new(phone, *config, true)
             .coalesced
-            .panics
+            .panics()
             .iter()
             .map(|cp| Self::from_coalesced(cp, phone.names(), device))
             .collect()
@@ -173,7 +173,7 @@ impl FailureSignature {
         }
         PhoneLens::new(phone, *config, true)
             .coalesced
-            .panics
+            .panics()
             .iter()
             .any(|cp| self.matches(&Self::from_coalesced(cp, phone.names(), device), mode))
     }

@@ -11,7 +11,8 @@ cargo clippy --workspace --all-targets -- -D warnings
 cargo build --release --workspace
 cargo test -q --workspace
 # The crash-resume harness, the multi-process merge harness, the
-# golden-report pin and the signature/minimize replay layer are the
+# golden-report pin, the signature/minimize replay layer and the CLI
+# pins (flags and messages, the ablations/extensions output) are the
 # tier-1 gates; run them by name so a test filter or workspace change
 # can never silently drop them.
 cargo test -q --test checkpoint_resume
@@ -21,6 +22,7 @@ cargo test -q --test signature_props
 cargo test -q --test minimize_repro
 cargo test -q -p symfail-bench --test cli_shard
 cargo test -q -p symfail-bench --test cli_args
+cargo test -q -p symfail-bench --test cli_golden
 cargo bench --workspace -- --test
 # The benchmark (perfbench/) is a workspace of its own that drives the
 # public library API: build it and run its tests here, so a library

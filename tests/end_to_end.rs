@@ -107,7 +107,7 @@ fn activity_and_runapps_totals_consistent() {
     // Freeze timestamps come from the last ALIVE beat, so every freeze
     // HL event predates its phone's reboot.
     let (_, _, fleet) = analyze(17);
-    for f in fleet.freezes() {
+    for f in fleet.phones().iter().flat_map(|p| p.freezes()) {
         assert_eq!(f.kind, HlKind::Freeze);
     }
 }

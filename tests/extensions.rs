@@ -3,7 +3,7 @@
 //! by a real (small) campaign.
 
 use symfail::core::analysis::baseline::BaselineComparison;
-use symfail::core::analysis::dataset::FleetDataset;
+use symfail::core::analysis::dataset::{FleetDataset, HlKind};
 use symfail::core::analysis::interarrival::InterArrivalAnalysis;
 use symfail::core::analysis::output_failures::OutputFailureAnalysis;
 use symfail::core::analysis::passes::PassRegistry;
@@ -76,8 +76,10 @@ fn user_reports_undercount_output_failures() {
         truth.output_failures > 20,
         "scenario produces output failures"
     );
-    let analysis =
-        OutputFailureAnalysis::from_flash(harvest.iter().map(|h| (h.phone_id, &h.flashfs)));
+    let metas = harvest_metas(&harvest);
+    let analysis = OutputFailureAnalysis::from_reports(
+        metas.iter().map(|m| (m.phone_id, m.ureports.as_slice())),
+    );
     assert_eq!(analysis.len() as u64, truth.user_reports);
     let coverage = analysis.coverage_against(truth.output_failures).unwrap();
     assert!(
@@ -92,9 +94,21 @@ fn severity_burden_matches_detected_failures() {
     let harvest = FleetCampaign::new(43, params()).run();
     let fleet = FleetDataset::from_flash(harvest.iter().map(|h| (h.phone_id, &h.flashfs)));
     let report = StudyReport::analyze(&fleet, config());
-    let sev = SeverityAnalysis::new(&fleet, &report.shutdowns, report.mtbf.total_hours);
+    // Battery pulls counted off the coalescence HL stream, unwanted
+    // reboots off the Figure 2 classification.
+    let hl_freezes = report
+        .hl_events
+        .iter()
+        .filter(|e| e.kind == HlKind::Freeze)
+        .count();
+    let sev = SeverityAnalysis::from_counts(
+        hl_freezes,
+        report.shutdowns.self_shutdowns().len(),
+        report.mtbf.total_hours,
+    );
     assert_eq!(sev.battery_pulls(), report.mtbf.freezes);
-    // The counts-only constructor (the streaming path) agrees.
+    // The MTBF section's counts, which `repro --exp extensions`
+    // passes, agree.
     let from_counts = SeverityAnalysis::from_counts(
         report.mtbf.freezes,
         report.mtbf.self_shutdowns,
@@ -119,19 +133,16 @@ fn firmware_mix_and_breakdown() {
         campaign.device_labels(id)
     });
     let breakdown = &report.firmware.versions;
-    let phones: u64 = breakdown.iter().map(|(_, n, _)| n).sum();
+    let phones: u64 = breakdown.values().map(|(n, _)| n).sum();
     assert_eq!(phones, params().phones as u64);
     // The majority version is represented.
-    let v80 = breakdown
-        .iter()
-        .find(|(v, _, _)| v == SymbianVersion::V8_0.as_str())
-        .unwrap();
+    let (v80_phones, _) = breakdown[SymbianVersion::V8_0.as_str()];
     assert!(
-        v80.1 >= phones / 2,
+        v80_phones >= phones / 2,
         "8.0 is the fleet majority: {breakdown:?}"
     );
     // The pass counts every logged panic, sliced by firmware.
-    let total_panics: u64 = breakdown.iter().map(|(_, _, p)| p).sum();
+    let total_panics: u64 = breakdown.values().map(|(_, p)| p).sum();
     assert_eq!(total_panics, report.panic_distribution.total());
     // Firmware assignment is deterministic.
     let again = FleetCampaign::new(48, params()).run();

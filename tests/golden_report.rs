@@ -30,10 +30,9 @@ use std::path::PathBuf;
 use std::sync::OnceLock;
 
 use symfail::core::analysis::coalesce::CoalescenceAnalysis;
-use symfail::core::analysis::dataset::FleetDataset;
+use symfail::core::analysis::dataset::{FleetDataset, HlEvent, HlKind};
 use symfail::core::analysis::passes::{merge_shard_checkpoints, PassRegistry};
 use symfail::core::analysis::report::{AnalysisConfig, StudyReport};
-use symfail::core::analysis::shutdown::{merge_hl_events, ShutdownAnalysis};
 use symfail::core::analysis::COALESCENCE_SWEEP_WINDOWS_SECS;
 use symfail::phone::calibration::CalibrationParams;
 use symfail::phone::composition::FleetComposition;
@@ -228,6 +227,33 @@ fn streaming_shard_merge_matches_golden_report() {
     assert_matches_golden("streaming", &render(default_streamed()));
 }
 
+/// The HL stream oracle, built fleet-wide from the parsed phones: every
+/// freeze, then every self-shutdown the config's threshold keeps (timed
+/// when the phone went down), stable-sorted by `(phone, time)` — so on
+/// a tie a freeze comes first.
+fn hl_stream(fleet: &FleetDataset) -> Vec<HlEvent> {
+    let threshold = config().self_shutdown_threshold;
+    let phones = fleet.phones();
+    let mut hl: Vec<HlEvent> = phones
+        .iter()
+        .flat_map(|p| p.freezes())
+        .copied()
+        .chain(
+            phones
+                .iter()
+                .flat_map(|p| p.shutdown_events())
+                .filter(|e| e.duration <= threshold)
+                .map(|e| HlEvent {
+                    phone_id: e.phone_id,
+                    at: e.off_at,
+                    kind: HlKind::SelfShutdown,
+                }),
+        )
+        .collect();
+    hl.sort_by_key(|e| (e.phone_id, e.at));
+    hl
+}
+
 /// The sweep `repro --exp fig5 --sweep` and `--exp ablations` print:
 /// the streamed report's coalescence panics against its merged HL
 /// stream must sweep exactly like the brute-force oracle over the
@@ -237,8 +263,7 @@ fn streaming_shard_merge_matches_golden_report() {
 #[test]
 fn streamed_window_sweep_matches_brute_force_on_real_campaigns() {
     let assert_sweep = |what: &str, fleet: &FleetDataset, report: &StudyReport| {
-        let shutdowns = ShutdownAnalysis::new(fleet, config().self_shutdown_threshold);
-        let hl = merge_hl_events(fleet.freezes(), &shutdowns.self_shutdown_hl_events());
+        let hl = hl_stream(fleet);
         assert_eq!(report.hl_events, hl, "{what}: streamed HL stream");
         let windows = &COALESCENCE_SWEEP_WINDOWS_SECS;
         assert_eq!(

@@ -3,7 +3,7 @@
 use proptest::prelude::*;
 use proptest::test_runner::Config as ProptestConfig;
 
-use symfail::core::analysis::coalesce::CoalescenceAnalysis;
+use symfail::core::analysis::coalesce::{coalesce_phone, CoalescenceAnalysis};
 use symfail::core::analysis::dataset::{FleetDataset, HlEvent, HlKind, PhoneDataset};
 use symfail::core::analysis::defects::PhoneDefects;
 use symfail::core::flashfs::FlashFs;
@@ -637,26 +637,57 @@ proptest! {
 // event layouts.
 // ---------------------------------------------------------------
 
+/// The `coalesce` pass's fold over `fleet`: each phone's panics
+/// coalesced by the per-phone kernel against that phone's HL events in
+/// time order (stable, so same-instant events keep their input order),
+/// absorbed in phone order.
+fn coalesce_fleet(
+    fleet: &FleetDataset,
+    events: &[HlEvent],
+    window: SimDuration,
+) -> CoalescenceAnalysis {
+    let mut acc = CoalescenceAnalysis::default();
+    for phone in fleet.phones() {
+        let mut hl: Vec<HlEvent> = events
+            .iter()
+            .filter(|e| e.phone_id == phone.phone_id())
+            .copied()
+            .collect();
+        hl.sort_by_key(|e| e.at);
+        acc.absorb(coalesce_phone(
+            phone.phone_id(),
+            phone.panics(),
+            &hl,
+            window,
+        ));
+    }
+    acc
+}
+
 proptest! {
     #[test]
     fn coalescence_monotone_in_window(
         panic_times in prop::collection::vec(0u64..500_000, 1..40),
         hl_times in prop::collection::vec(0u64..500_000, 0..20),
     ) {
-        let fleet = FleetDataset::from_phones(vec![PhoneDataset::new(
-            0,
-            panic_times
-                .iter()
-                .map(|&t| LogRecord::Panic(PanicRecord {
-                    at: SimTime::from_secs(t),
-                    panic: Panic::new(codes::KERN_EXEC_3, "X", "r"),
-                    running_apps: Vec::new(),
-                    activity: None,
-                    battery: 50,
-                }))
-                .collect(),
-            Vec::new(),
-        )]);
+        // Phone 1 logs no panic of its own.
+        let fleet = FleetDataset::from_phones(vec![
+            PhoneDataset::new(
+                0,
+                panic_times
+                    .iter()
+                    .map(|&t| LogRecord::Panic(PanicRecord {
+                        at: SimTime::from_secs(t),
+                        panic: Panic::new(codes::KERN_EXEC_3, "X", "r"),
+                        running_apps: Vec::new(),
+                        activity: None,
+                        battery: 50,
+                    }))
+                    .collect(),
+                Vec::new(),
+            ),
+            PhoneDataset::new(1, Vec::new(), Vec::new()),
+        ]);
         let events: Vec<HlEvent> = hl_times
             .iter()
             .map(|&t| HlEvent {
@@ -667,7 +698,7 @@ proptest! {
             .collect();
         let mut last = 0.0;
         for w in [1u64, 10, 60, 300, 3600, 100_000] {
-            let a = CoalescenceAnalysis::new(&fleet, &events, SimDuration::from_secs(w));
+            let a = coalesce_fleet(&fleet, &events, SimDuration::from_secs(w));
             prop_assert!(a.related_fraction() + 1e-12 >= last);
             last = a.related_fraction();
         }
@@ -676,13 +707,15 @@ proptest! {
             .iter()
             .map(|e| HlEvent { phone_id: 1, ..*e })
             .collect();
-        let cross = CoalescenceAnalysis::new(&fleet, &other, SimDuration::from_secs(100_000));
+        let cross = coalesce_fleet(&fleet, &other, SimDuration::from_secs(100_000));
         prop_assert_eq!(cross.related_fraction(), 0.0);
+        prop_assert_eq!(cross.hl_total(), other.len());
     }
 
-    /// The sorted-merge coalescence agrees with the O(P·H) brute-force
-    /// oracle on arbitrary multi-phone event layouts — per-panic
-    /// outcomes included, not just the aggregate counts.
+    /// The per-phone sorted-merge kernel, folded over the fleet,
+    /// agrees with the O(P·H) brute-force oracle on arbitrary
+    /// multi-phone event layouts — per-panic outcomes included, not
+    /// just the aggregate counts.
     #[test]
     fn coalescence_fast_matches_brute_force(
         panics0 in prop::collection::vec(0u64..200_000, 0..25),
@@ -711,11 +744,12 @@ proptest! {
                 kind: HlKind::SelfShutdown,
             }))
             .collect();
-        // Sorted input is the production contract (`merge_hl_events`);
-        // it also makes the two tie-break orders coincide.
+        // Sorted input is the production contract (the report's
+        // `hl_events`); it also makes the two tie-break orders
+        // coincide.
         events.sort_by_key(|e| (e.phone_id, e.at));
         let w = SimDuration::from_secs(window);
-        let fast = CoalescenceAnalysis::new(&fleet, &events, w);
+        let fast = coalesce_fleet(&fleet, &events, w);
         let brute = CoalescenceAnalysis::new_brute_force(&fleet, &events, w);
         prop_assert_eq!(fast.panics(), brute.panics());
         prop_assert_eq!(fast.hl_total(), brute.hl_total());
@@ -752,7 +786,7 @@ proptest! {
         events.sort_by_key(|e| (e.phone_id, e.at));
         let mut ws = windows;
         ws.sort_unstable();
-        let analysis = CoalescenceAnalysis::new(&fleet, &events, SimDuration::from_mins(5));
+        let analysis = coalesce_fleet(&fleet, &events, SimDuration::from_mins(5));
         let sweep = analysis.window_sweep(&events, &ws);
         let brute = CoalescenceAnalysis::window_sweep_brute_force(&fleet, &events, &ws);
         prop_assert_eq!(sweep.len(), brute.len());
@@ -1039,6 +1073,8 @@ fn inject_and_parse(
     symfail::phone::corruption::InjectedDefects,
     symfail::core::analysis::defects::PhoneDefects,
 ) {
+    use symfail::core::analysis::passes::PassRegistry;
+    use symfail::core::analysis::report::{AnalysisConfig, StudyReport};
     use symfail::phone::calibration::CalibrationParams;
     use symfail::phone::corruption::{CorruptionModel, InjectedDefects};
     use symfail::phone::fleet::FleetCampaign;
@@ -1059,7 +1095,9 @@ fn inject_and_parse(
         injected.merge(&model.inject(&mut h.flashfs, &mut rng));
     }
     let fleet = FleetDataset::from_flash(harvest.iter().map(|h| (h.phone_id, &h.flashfs)));
-    (injected, fleet.defect_report().fleet)
+    let registry = PassRegistry::select("defects").expect("known pass");
+    let report = StudyReport::analyze_with(&fleet, AnalysisConfig::default(), &registry);
+    (injected, report.defects.fleet)
 }
 
 proptest! {
