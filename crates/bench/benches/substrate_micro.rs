@@ -1,16 +1,20 @@
 //! Micro-benchmarks of the OS substrate and the logger data path: the
 //! per-operation costs everything else is built from, up to one
-//! phone's simulated day, one phone's parse and one phone's flash
-//! damage.
+//! phone's simulated day, one phone's parse, one phone's flash damage
+//! and one repro probe.
 
 use criterion::{black_box, criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use symfail_core::analysis::dataset::{ParseScratch, PhoneDataset};
+use symfail_core::analysis::signature::{FailureSignature, MatchMode};
 use symfail_core::flashfs::FlashFs;
-use symfail_core::logger::{FailureLogger, LoggerConfig, PhoneContext};
+use symfail_core::logger::{files, FailureLogger, LoggerConfig, PhoneContext};
 use symfail_core::records::LogRecord;
 use symfail_phone::calibration::CalibrationParams;
+use symfail_phone::composition::{DeviceClass, DeviceProfile};
 use symfail_phone::corruption::{CorruptionModel, CorruptionProfile};
 use symfail_phone::device::Phone;
+use symfail_phone::firmware::SymbianVersion;
+use symfail_phone::repro::{FaultChannel, ReproCampaign};
 use symfail_sim_core::{SimDuration, SimRng, SimTime};
 use symfail_symbian::descriptor::TBuf;
 use symfail_symbian::heap::Heap;
@@ -198,7 +202,9 @@ fn bench(c: &mut Criterion) {
     // `PhoneDataset::from_flashfs_with` over one default phone's whole
     // 425-day harvest, recycling one `ParseScratch` the way a campaign
     // worker does between phones: once clean, once after worst-profile
-    // corruption, whose repeated beats build the duplicate set.
+    // corruption, whose repeated beats build the duplicate set. Then
+    // `PhoneDataset::from_log` over the clean harvest's log alone, the
+    // parse signature extraction and repro probes run.
     let params = CalibrationParams::default();
     let mut phone = Phone::new(0, params, SimRng::seed_from(3));
     for day in 0..u64::from(params.campaign_days) {
@@ -228,6 +234,10 @@ fn bench(c: &mut Criterion) {
             })
         });
     }
+    g.throughput(Throughput::Bytes(clean.size_of(files::LOG)));
+    g.bench_function("log_only_425d", |b| {
+        b.iter(|| PhoneDataset::from_log(0, &clean).defects().records_kept)
+    });
     g.finish();
 
     // `CorruptionModel::inject` at the worst profile on a fresh clone
@@ -249,6 +259,46 @@ fn bench(c: &mut Criterion) {
             BatchSize::LargeInput,
         )
     });
+    g.finish();
+
+    // One `minimize` probe of a boosted 10-day repro phone, matched
+    // under `Core` against a signature of its own: simulated afresh
+    // (clean harvest, log-only parse, match), and answered at 5 days
+    // from a kept 10-day harvest (cut, log-only parse, match) as the
+    // corruption drop and the day bisections are.
+    let probe = ReproCampaign {
+        seed: 11,
+        days: 10,
+        channels: FaultChannel::ALL.to_vec(),
+        corruption: CorruptionProfile::None,
+        device: DeviceProfile {
+            class: DeviceClass::Smartphone,
+            firmware: SymbianVersion::V8_0,
+        },
+    };
+    let config = params.analysis_config();
+    let kept = probe.harvest();
+    let signature = FailureSignature::from_phone(
+        &PhoneDataset::from_log(0, &kept.cut(5)),
+        &config,
+        probe.labels(),
+    )
+    .pop()
+    .expect("a boosted 5-day repro phone panics");
+    let matches = |fs: &FlashFs| {
+        signature.matches_phone(
+            &PhoneDataset::from_log(0, fs),
+            &config,
+            probe.labels(),
+            MatchMode::Core,
+        )
+    };
+    let mut g = c.benchmark_group("repro_probe");
+    g.sample_size(20);
+    g.measurement_time(std::time::Duration::from_secs(2));
+    g.warm_up_time(std::time::Duration::from_millis(500));
+    g.bench_function("fresh_10d", |b| b.iter(|| matches(probe.harvest().flash())));
+    g.bench_function("cut_5d_of_kept_10d", |b| b.iter(|| matches(&kept.cut(5))));
     g.finish();
 }
 

@@ -102,14 +102,18 @@
 //! apps, concurrent activity, related high-level event, device class
 //! and firmware line — either by streaming the campaign phone by
 //! phone (no checkpoint needed) or straight from a v5 checkpoint via
-//! `--from-checkpoint`, which never re-simulates. `repro minimize`
-//! takes one signature from that catalog and runs the ddmin-style
-//! search of `symfail_phone::repro`: seed hunt, corruption drop, day
-//! bisection, greedy fault-channel drop, final re-bisection — every
-//! probe a full simulate→parse→match run — and emits the minimal
-//! single-phone campaign config, replay-verified before it is
-//! written. The search is a pure function of (signature, budgets), so
-//! the emitted JSON is byte-identical across runs.
+//! `--from-checkpoint`, which never re-simulates; `--analyses` names
+//! the passes that checkpoint was written with and is refused
+//! without it. `repro minimize` takes one signature from that catalog
+//! and runs the ddmin-style search of `symfail_phone::repro`: seed
+//! hunt, corruption drop, day bisection, greedy fault-channel drop,
+//! final re-bisection — every probe a simulate→parse→match run over
+//! the phone's log, where a probe of fewer days of an already
+//! simulated phone is cut from its kept harvest — and emits the
+//! minimal single-phone campaign config, replay-verified by a fresh
+//! simulation before it is written. The search is a pure function of
+//! (signature, budgets), so the emitted JSON is byte-identical across
+//! runs.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::io::Write;
@@ -951,13 +955,13 @@ fn plan_shards_cmd(argv: &[String]) -> Result<String, String> {
 /// re-simulating; otherwise the campaign streams phone by phone.
 fn extract_signatures_cmd(argv: &[String]) -> Result<String, String> {
     let mut flags = CampaignFlags::default();
-    let mut analyses = "all".to_string();
+    let mut analyses: Option<String> = None;
     let mut from_checkpoint: Option<String> = None;
     let mut out: Option<String> = None;
     let mut it = argv.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
-            "--analyses" => analyses = value(&mut it, "--analyses needs a comma-list")?,
+            "--analyses" => analyses = Some(value(&mut it, "--analyses needs a comma-list")?),
             "--from-checkpoint" => {
                 from_checkpoint = Some(value(&mut it, "--from-checkpoint needs a path")?)
             }
@@ -971,11 +975,16 @@ fn extract_signatures_cmd(argv: &[String]) -> Result<String, String> {
             flag => flags.take(flag, &mut it)?,
         }
     }
+    // Only a checkpoint carries the passes `--analyses` names; a
+    // simulated extraction runs the coalescence fold alone.
+    if analyses.is_some() && from_checkpoint.is_none() {
+        return Err("--analyses only applies with --from-checkpoint PATH".to_string());
+    }
     let config = flags.config();
     let campaign = flags.campaign();
     let sigs = match &from_checkpoint {
         Some(path) => {
-            let registry = PassRegistry::select(&analyses)?;
+            let registry = PassRegistry::select(analyses.as_deref().unwrap_or("all"))?;
             let bytes = std::fs::read(path).map_err(|e| format!("cannot read {path}: {e}"))?;
             let (names, panics) = checkpoint_coalesced(
                 &registry,

@@ -180,6 +180,24 @@ const REFUSED: &[(&[&str], &str)] = &[
         &["extract-signatures", "--from-checkpoint"],
         "--from-checkpoint needs a path",
     ),
+    // `--analyses` selects the passes a checkpoint is read with; a
+    // simulated extraction has none to select.
+    (
+        &["extract-signatures", "--analyses", "coalesce"],
+        "--analyses only applies with --from-checkpoint PATH",
+    ),
+    (
+        &[
+            "extract-signatures",
+            "--analyses",
+            "bogus",
+            "--phones",
+            "2",
+            "--days",
+            "5",
+        ],
+        "--analyses only applies with --from-checkpoint PATH",
+    ),
     (
         &["plan-shards"],
         "plan-shards needs --shards N (e.g. --shards 4)",

@@ -257,37 +257,10 @@ impl PhoneDataset {
     /// the phone has been folded.
     pub fn from_flashfs_with(phone_id: u32, fs: &FlashFs, scratch: &mut ParseScratch) -> Self {
         let mut defects = PhoneDefects::default();
-
-        // Consolidated log: checksum-verified records, decoded through
-        // the zero-copy [`RecordRef`] path and interned straight into
-        // the event index — no owned `LogRecord` exists on this path.
-        // Out-of-order records (timestamp below the running maximum)
-        // are kept but counted; the max does not advance past them so
-        // one displaced block counts each displaced line exactly once.
         let mut names = NameTable::default();
         let mut panics = std::mem::take(&mut scratch.panics);
         let mut boots = std::mem::take(&mut scratch.boots);
-        let log_text = lossy_text(fs, files::LOG, &mut defects);
-        let mut last_ms: Option<u64> = None;
-        for line in log_text.lines() {
-            defects.lines_seen += 1;
-            match RecordRef::decode(line) {
-                Ok(rec) => {
-                    let ms = rec.at().as_millis();
-                    if last_ms.is_some_and(|max| ms < max) {
-                        defects.record(ParseDefect::OutOfOrder);
-                    } else {
-                        last_ms = Some(ms);
-                    }
-                    defects.records_kept += 1;
-                    match rec {
-                        RecordRef::Panic(p) => panics.push(PanicEvent::from_ref(&p, &mut names)),
-                        RecordRef::Boot(b) => boots.push(b),
-                    }
-                }
-                Err(e) => defects.record(e.defect),
-            }
-        }
+        read_log(fs, &mut names, &mut panics, &mut boots, &mut defects);
 
         // Beats: an exact `(timestamp, event)` repeat of a kept beat is
         // a duplicate and dropped — checked before the order check, so
@@ -361,6 +334,35 @@ impl PhoneDataset {
             gap_prefix_ms: std::mem::take(&mut scratch.gap_prefix_ms),
             defects,
         };
+        ds.index();
+        ds
+    }
+
+    /// Parses only the consolidated `log` file: the panics, the boot
+    /// records, and the shutdown events and freezes derived from the
+    /// boots, through the same lossy loop [`Self::from_flashfs`] runs.
+    /// The beats file is not read, so [`Self::beats`] is empty,
+    /// [`Self::powered_on_time`] is zero and [`Self::defects`] counts
+    /// the log's lines alone.
+    ///
+    /// A fault signature is a function of the log alone: the Panic
+    /// Detector writes every panic there with its activity and running
+    /// applications, and the boot-time heartbeat check writes each
+    /// freeze and shutdown into a boot record in the same file. Signature
+    /// extraction and every repro probe parse through here.
+    pub fn from_log(phone_id: u32, fs: &FlashFs) -> Self {
+        let mut ds = Self {
+            phone_id,
+            ..Self::default()
+        };
+        read_log(
+            fs,
+            &mut ds.names,
+            &mut ds.panics,
+            &mut ds.boots,
+            &mut ds.defects,
+        );
+        ds.defects.unusable = ds.defects.lines_seen > 0 && ds.defects.records_kept == 0;
         ds.index();
         ds
     }
@@ -502,6 +504,43 @@ impl PhoneDataset {
     /// datasets built via [`Self::new`] from already-decoded records.
     pub fn defects(&self) -> &PhoneDefects {
         &self.defects
+    }
+}
+
+/// Decodes the consolidated log into `panics` and `boots`: every
+/// checksum-verified record, through the zero-copy [`RecordRef`] path
+/// and interned straight into the event index — no owned `LogRecord`
+/// exists on this path. Out-of-order records (timestamp below the
+/// running maximum) are kept but counted; the max does not advance
+/// past them, so one displaced block counts each displaced line
+/// exactly once.
+fn read_log(
+    fs: &FlashFs,
+    names: &mut NameTable,
+    panics: &mut Vec<PanicEvent>,
+    boots: &mut Vec<BootRecord>,
+    defects: &mut PhoneDefects,
+) {
+    let log_text = lossy_text(fs, files::LOG, defects);
+    let mut last_ms: Option<u64> = None;
+    for line in log_text.lines() {
+        defects.lines_seen += 1;
+        match RecordRef::decode(line) {
+            Ok(rec) => {
+                let ms = rec.at().as_millis();
+                if last_ms.is_some_and(|max| ms < max) {
+                    defects.record(ParseDefect::OutOfOrder);
+                } else {
+                    last_ms = Some(ms);
+                }
+                defects.records_kept += 1;
+                match rec {
+                    RecordRef::Panic(p) => panics.push(PanicEvent::from_ref(&p, names)),
+                    RecordRef::Boot(b) => boots.push(b),
+                }
+            }
+            Err(e) => defects.record(e.defect),
+        }
     }
 }
 

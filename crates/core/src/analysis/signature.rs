@@ -25,6 +25,8 @@
 //! pins the full app set and the coalesced high-level outcome — the
 //! form the remap-invariance proptests exercise.
 
+use std::fmt;
+
 use super::coalesce::CoalescedPanic;
 use super::dataset::{HlKind, PanicEvent, PhoneDataset};
 use super::passes::{DeviceLabels, PhoneLens};
@@ -158,9 +160,14 @@ impl FailureSignature {
     }
 
     /// Whether `phone`'s log contains a panic matching this signature
-    /// under `mode`. Runs the same per-phone coalescence fold the
-    /// passes run, so the `related` outcome is judged exactly as the
-    /// study judges it.
+    /// under `mode` — the verdict of [`Self::matches`] against every
+    /// signature [`Self::from_phone`] extracts, without allocating one
+    /// per panic. Coalescence never changes a core field, so `Core`
+    /// compares each panic's code, raiser and activity in place.
+    /// `Strict` runs the same per-phone coalescence fold the passes
+    /// run, so the `related` outcome is judged exactly as the study
+    /// judges it, and builds a full signature only for the panics
+    /// whose core fields already match.
     pub fn matches_phone(
         &self,
         phone: &PhoneDataset,
@@ -171,11 +178,33 @@ impl FailureSignature {
         if self.device_class != device.device_class || self.firmware != device.firmware {
             return false;
         }
-        PhoneLens::new(phone, *config, true)
-            .coalesced
-            .panics()
-            .iter()
-            .any(|cp| self.matches(&Self::from_coalesced(cp, phone.names(), device), mode))
+        // A code string no panic renders as (a hand-edited `KERN-EXEC 03`)
+        // and a raiser the phone never logged match nothing.
+        let Some(code) = self.panic_code().filter(|c| renders_as(c, &self.code)) else {
+            return false;
+        };
+        let Some(raised_by) = phone.names().lookup(&self.raised_by) else {
+            return false;
+        };
+        let core = |p: &PanicEvent| {
+            p.code == code
+                && p.raised_by == raised_by
+                && p.activity.map(|a| a.as_str()) == self.activity.as_deref()
+        };
+        match mode {
+            MatchMode::Core => phone.panics().iter().any(core),
+            MatchMode::Strict => {
+                phone.panics().iter().any(core)
+                    && PhoneLens::new(phone, *config, true)
+                        .coalesced
+                        .panics()
+                        .iter()
+                        .filter(|cp| core(&cp.panic))
+                        .any(|cp| {
+                            self.matches(&Self::from_coalesced(cp, phone.names(), device), mode)
+                        })
+            }
+        }
     }
 
     /// A stable dedup key covering the full (strict) identity.
@@ -300,6 +329,20 @@ fn balanced_object(text: &str) -> Option<&str> {
         }
     }
     None
+}
+
+/// Whether `value` renders exactly as `text` — `value.to_string() ==
+/// text`, compared as the text is written instead of built.
+fn renders_as(value: &impl fmt::Display, text: &str) -> bool {
+    struct Rest<'t>(&'t str);
+    impl fmt::Write for Rest<'_> {
+        fn write_str(&mut self, s: &str) -> fmt::Result {
+            self.0 = self.0.strip_prefix(s).ok_or(fmt::Error)?;
+            Ok(())
+        }
+    }
+    let mut rest = Rest(text);
+    fmt::write(&mut rest, format_args!("{value}")).is_ok() && rest.0.is_empty()
 }
 
 fn json_string(s: &str) -> String {

@@ -7,35 +7,54 @@
 //!
 //! 1. **Seed search.** Probe single-phone campaigns at the full fault
 //!    mix and the day budget, seed 0, 1, 2, … — the first reproducing
-//!    seed wins. Every probe is a complete simulate → parse → match
-//!    run over the phone's harvested flash, never a simulator-internal
-//!    shortcut.
+//!    seed wins. Every probe is a complete simulate → corrupt → parse
+//!    → match run over the phone's harvested flash, never a
+//!    simulator-internal shortcut. The parse reads the `log` file only
+//!    ([`PhoneDataset::from_log`]): the Panic Detector writes every
+//!    panic there with its context, and the boot-time heartbeat check
+//!    writes every freeze and shutdown into a boot record there, so a
+//!    signature is a function of the log alone.
 //! 2. **Corruption drop.** If the starting profile injected flash
 //!    damage, try the clean profile first — damage is part of the
 //!    campaign config, not of the failure class.
-//! 3. **Day bisection.** With spreads zeroed a phone's RNG stream does
-//!    not depend on `campaign_days`, so a shorter campaign's log is a
-//!    byte prefix of a longer one's — core-mode matching is monotone
-//!    in days and plain binary search finds the least reproducing day
-//!    count.
+//! 3. **Day bisection.** With spreads zeroed a repro phone never reads
+//!    `campaign_days`, so a shorter campaign's harvest is a longer
+//!    one's with every file cut at the length it had after the shorter
+//!    campaign's last day (pinned by a proptest). Plain binary search
+//!    then looks for the least reproducing day count; it runs under the
+//!    search's own match mode, and `Strict` is not monotone in days (a
+//!    later day can add a freeze inside a panic's coalescence window
+//!    and flip its `related` outcome), so under `Strict` it finds *a*
+//!    reproducing day count, not always the least. The search keeps
+//!    the clean harvest of its last simulated probe that reproduced,
+//!    with each file's length after every day
+//!    ([`ReproHarvest`]): a later probe of the same seed and channels
+//!    and no more days — the corruption drop and both bisections — is
+//!    answered from that harvest cut at its day count, and corrupted
+//!    from the campaign's own stream when its profile is not `none`,
+//!    instead of simulating again. The answer is the fresh probe's.
 //! 4. **Greedy channel drop.** Disable fault channels one at a time in
 //!    fixed order, keeping each drop only if the repro still holds
 //!    (dropping a channel removes its RNG draws, so the remaining
-//!    stream shifts — every drop is re-proven by a full probe).
+//!    stream shifts — every drop is re-proven by a freshly simulated
+//!    probe).
 //! 5. **Final re-bisection** of days under the surviving channel set.
 //!
 //! Every accepted shrink step is itself a reproducing config and is
 //! recorded on the [`Minimized::trail`], which is what the replay
-//! harness re-runs. The whole search is a pure function of
-//! `(signature, options)`, so the emitted [`ReproConfig`] JSON is
-//! byte-identical across runs and machines.
+//! harness re-runs; [`ReproConfig::replay`] always simulates afresh.
+//! The whole search is a pure function of `(signature, options)`, so
+//! the emitted [`ReproConfig`] JSON is byte-identical across runs and
+//! machines.
 
+use std::borrow::Cow;
 use std::fmt;
 
 use symfail_core::analysis::dataset::PhoneDataset;
 use symfail_core::analysis::passes::DeviceLabels;
 use symfail_core::analysis::report::AnalysisConfig;
 use symfail_core::analysis::signature::{FailureSignature, MatchMode};
+use symfail_core::flashfs::FlashFs;
 use symfail_sim_core::SimRng;
 
 use crate::calibration::CalibrationParams;
@@ -187,10 +206,11 @@ impl ReproCampaign {
         }
     }
 
-    /// Runs the campaign and parses the harvested flash — the same
-    /// simulate → corrupt → parse chain [`FleetCampaign`] applies to
-    /// each member, with phone id 0 and the pinned device profile.
-    pub fn run(&self) -> PhoneDataset {
+    /// Simulates the campaign's clean harvest — the simulate step
+    /// [`FleetCampaign`] applies to each member, with phone id 0 and the
+    /// pinned device profile — marking every file's length at the end
+    /// of each day.
+    pub fn harvest(&self) -> ReproHarvest {
         let params = self
             .device
             .scale_params(&repro_params(self.days, &self.channels));
@@ -198,27 +218,121 @@ impl ReproCampaign {
         let profile = UserProfile::sample_with_nightly(&params, &mut rng, false);
         let mut phone = Phone::with_profile(0, params, profile, rng.fork("device", 0));
         phone.set_firmware(self.device.firmware);
+        let mut harvest = ReproHarvest {
+            flash: FlashFs::new(),
+            names: Vec::new(),
+            ends: Vec::new(),
+            rows: vec![0],
+        };
+        harvest.mark(phone.flashfs());
         for day in 0..self.days as u64 {
             phone.simulate_day(day);
+            harvest.mark(phone.flashfs());
         }
-        let mut fs = phone.into_flashfs();
+        harvest.flash = phone.into_flashfs();
+        harvest
+    }
+
+    /// Damages `fs` as the campaign's corruption profile prescribes,
+    /// drawing from the campaign's own `fork("corruption", 0)` stream;
+    /// profile `none` leaves it untouched.
+    pub fn corrupt(&self, fs: &mut FlashFs) {
         if self.corruption != CorruptionProfile::None {
             let mut crng = SimRng::seed_from(self.seed).fork("corruption", 0);
             let rates = self.device.scale_corruption(self.corruption.rates());
-            CorruptionModel::new(rates).inject(&mut fs, &mut crng);
+            CorruptionModel::new(rates).inject(fs, &mut crng);
         }
-        PhoneDataset::from_flashfs(0, &fs)
+    }
+
+    /// Simulates the campaign and corrupts its harvest — the simulate →
+    /// corrupt chain [`FleetCampaign`] applies to each member.
+    fn flash(&self) -> FlashFs {
+        let mut fs = self.harvest().flash;
+        self.corrupt(&mut fs);
+        fs
     }
 
     /// Whether this campaign reproduces `signature` under `mode` — one
-    /// full deterministic probe.
+    /// full deterministic probe: a fresh simulation, corrupted, its log
+    /// parsed and matched.
     pub fn reproduces(
         &self,
         signature: &FailureSignature,
         config: &AnalysisConfig,
         mode: MatchMode,
     ) -> bool {
-        signature.matches_phone(&self.run(), config, self.labels(), mode)
+        self.log_matches(&self.flash(), signature, config, mode)
+    }
+
+    /// Whether the log on `fs`, this campaign's (corrupted) harvest,
+    /// holds a panic matching `signature` — read through
+    /// [`PhoneDataset::from_log`], since a signature is a function of
+    /// the log alone.
+    fn log_matches(
+        &self,
+        fs: &FlashFs,
+        signature: &FailureSignature,
+        config: &AnalysisConfig,
+        mode: MatchMode,
+    ) -> bool {
+        signature.matches_phone(&PhoneDataset::from_log(0, fs), config, self.labels(), mode)
+    }
+}
+
+/// A repro phone's clean flash and every file's length at the end of
+/// each simulated day. With spreads zeroed a repro phone never reads
+/// `campaign_days`, so the harvest of the same campaign run for fewer
+/// days is this one cut back to a day's lengths ([`Self::cut`]).
+#[derive(Debug, Clone)]
+pub struct ReproHarvest {
+    /// The flash after the last day, before any corruption.
+    flash: FlashFs,
+    /// The files the phone wrote, in the order they appeared.
+    names: Vec<String>,
+    /// Day `d`'s row, `ends[rows[d]..rows[d + 1]]`, holds the length of
+    /// each of `names`' first files after `d` days; a file, once
+    /// written, never goes away. Row 0 is the empty flash before the
+    /// first day.
+    ends: Vec<usize>,
+    rows: Vec<usize>,
+}
+
+impl ReproHarvest {
+    /// The flash after the last simulated day.
+    pub fn flash(&self) -> &FlashFs {
+        &self.flash
+    }
+
+    /// The flash the same campaign leaves after `days` days: every file
+    /// that existed then, cut to the length it had then. The wear
+    /// counter is not carried over.
+    ///
+    /// # Panics
+    ///
+    /// When `days` exceeds the days simulated.
+    pub fn cut(&self, days: u32) -> FlashFs {
+        let row = &self.ends[self.rows[days as usize]..self.rows[days as usize + 1]];
+        let mut fs = FlashFs::new();
+        for (name, &end) in self.names.iter().zip(row) {
+            let bytes = self
+                .flash
+                .read_bytes(name)
+                .expect("a file once written stays");
+            fs.overwrite_raw(name, bytes[..end].to_vec());
+        }
+        fs
+    }
+
+    /// Appends the row of `fs`'s current file lengths.
+    fn mark(&mut self, fs: &FlashFs) {
+        for name in fs.file_names() {
+            if !self.names.iter().any(|n| n == name) {
+                self.names.push(name.to_string());
+            }
+        }
+        self.ends
+            .extend(self.names.iter().map(|name| fs.size_of(name) as usize));
+        self.rows.push(self.ends.len());
     }
 }
 
@@ -396,7 +510,8 @@ pub struct Minimized {
     pub config: ReproConfig,
     /// Every accepted search state, first (full) to last (minimal).
     pub trail: Vec<ReproConfig>,
-    /// Full simulate→parse→match probes the search ran.
+    /// Probes the search ran, each a simulate→parse→match verdict
+    /// whether simulated afresh or cut from a kept harvest.
     pub probes: u64,
 }
 
@@ -450,17 +565,20 @@ pub fn minimize(
     opts: &MinimizeOptions,
 ) -> Result<Minimized, MinimizeError> {
     let device = device_of(signature).map_err(MinimizeError::UnknownDevice)?;
-    let mut probes = 0u64;
+    let mut prober = Prober {
+        signature,
+        opts,
+        probes: 0,
+        kept: None,
+    };
     let mut probe = |seed: u64, days: u32, channels: &[FaultChannel], corruption| {
-        probes += 1;
-        ReproCampaign {
+        prober.probe(ReproCampaign {
             seed,
             days,
             channels: channels.to_vec(),
             corruption,
             device,
-        }
-        .reproduces(signature, &opts.config, opts.mode)
+        })
     };
 
     // 1. Seed search at the full mix and the day budget.
@@ -490,10 +608,10 @@ pub fn minimize(
         trail.push(cur.clone());
     }
 
-    // 3 / 5. Day bisection, also rerun after channel drops. Sound
-    // because with zero spreads the log at d days is a byte prefix of
-    // the log at D > d days (see module docs), so matching is
-    // monotone in `days`.
+    // 3 / 5. Day bisection, also rerun after channel drops. The last
+    // simulated probe that reproduced ran this seed and channel set at
+    // `cur.days`, so every probe here is cut from its harvest
+    // (see module docs).
     fn bisect_days<F: FnMut(u64, u32, &[FaultChannel], CorruptionProfile) -> bool>(
         cur: &mut ReproConfig,
         trail: &mut Vec<ReproConfig>,
@@ -532,8 +650,48 @@ pub fn minimize(
     Ok(Minimized {
         config: cur,
         trail,
-        probes,
+        probes: prober.probes,
     })
+}
+
+/// Answers [`minimize`]'s probes of one signature and counts them.
+struct Prober<'a> {
+    signature: &'a FailureSignature,
+    opts: &'a MinimizeOptions,
+    probes: u64,
+    /// The last simulated probe that reproduced, with its clean
+    /// harvest. A later probe of the same seed and channels and no more
+    /// days — the corruption drop and both bisections — is answered
+    /// from it, cut at its day count, instead of simulating again.
+    kept: Option<(ReproCampaign, ReproHarvest)>,
+}
+
+impl Prober<'_> {
+    /// Whether `campaign` reproduces the signature: the verdict of
+    /// [`ReproCampaign::reproduces`], from the kept harvest when it can
+    /// answer.
+    fn probe(&mut self, campaign: ReproCampaign) -> bool {
+        self.probes += 1;
+        let (signature, config, mode) = (self.signature, &self.opts.config, self.opts.mode);
+        if let Some((_, harvest)) = self.kept.as_ref().filter(|(k, _)| {
+            k.seed == campaign.seed && k.channels == campaign.channels && campaign.days <= k.days
+        }) {
+            let mut fs = harvest.cut(campaign.days);
+            campaign.corrupt(&mut fs);
+            return campaign.log_matches(&fs, signature, config, mode);
+        }
+        let harvest = campaign.harvest();
+        // The kept harvest stays clean: only a copy is damaged.
+        let mut fs = Cow::Borrowed(harvest.flash());
+        if campaign.corruption != CorruptionProfile::None {
+            campaign.corrupt(fs.to_mut());
+        }
+        let hit = campaign.log_matches(&fs, signature, config, mode);
+        if hit {
+            self.kept = Some((campaign, harvest));
+        }
+        hit
+    }
 }
 
 /// Streams the fleet campaign phone by phone and extracts the
@@ -548,7 +706,7 @@ pub fn extract_fleet_signatures(
     let mut out: Vec<(FailureSignature, u64)> = Vec::new();
     for id in 0..campaign.params().phones {
         let harvest = campaign.run_single(id);
-        let phone = PhoneDataset::from_flashfs(id, &harvest.flashfs);
+        let phone = PhoneDataset::from_log(id, &harvest.flashfs);
         for sig in FailureSignature::from_phone(&phone, config, campaign.device_labels(id)) {
             match out.iter_mut().find(|(s, _)| *s == sig) {
                 Some((_, n)) => *n += 1,
@@ -578,7 +736,7 @@ mod tests {
                 firmware: SymbianVersion::V8_0,
             },
         };
-        let phone = campaign.run();
+        let phone = PhoneDataset::from_log(0, &campaign.flash());
         let sigs =
             FailureSignature::from_phone(&phone, &AnalysisConfig::default(), campaign.labels());
         sigs.into_iter().next().expect("boosted run panics")
@@ -596,10 +754,11 @@ mod tests {
                 firmware: SymbianVersion::V7_0,
             },
         };
-        let a = campaign.run();
-        let b = campaign.run();
-        assert_eq!(a.panics(), b.panics());
-        assert_eq!(a.names(), b.names());
+        let (a, b) = (campaign.flash(), campaign.flash());
+        assert_eq!(a.file_names(), b.file_names());
+        for name in a.file_names() {
+            assert_eq!(a.read_bytes(name), b.read_bytes(name), "{name}");
+        }
     }
 
     #[test]
@@ -653,6 +812,65 @@ mod tests {
         let b = minimize(&sig, &opts).unwrap();
         assert_eq!(a.config.to_json(), b.config.to_json());
         assert_eq!(a.probes, b.probes);
+    }
+
+    /// A probe answered from the kept harvest — fewer days, any
+    /// corruption profile — gives the verdict of a fresh simulation.
+    #[test]
+    fn kept_harvest_answers_as_fresh_probes_do() {
+        let config = AnalysisConfig::default();
+        for seed in [11, 12] {
+            let full = ReproCampaign {
+                seed,
+                days: 8,
+                channels: FaultChannel::ALL.to_vec(),
+                corruption: CorruptionProfile::None,
+                device: DeviceProfile {
+                    class: DeviceClass::Communicator,
+                    firmware: SymbianVersion::V7_0,
+                },
+            };
+            let phone = PhoneDataset::from_log(0, &full.flash());
+            let sigs = FailureSignature::from_phone(&phone, &config, full.labels());
+            assert!(sigs.len() > 2, "a boosted 8-day phone panics");
+            for (i, signature) in sigs.iter().enumerate().step_by(sigs.len() / 3) {
+                let mode = [MatchMode::Core, MatchMode::Strict][i % 2];
+                let opts = MinimizeOptions {
+                    mode,
+                    config,
+                    ..MinimizeOptions::default()
+                };
+                let mut prober = Prober {
+                    signature,
+                    opts: &opts,
+                    probes: 0,
+                    kept: None,
+                };
+                assert!(prober.probe(full.clone()), "its own panic reproduces");
+                for days in (1..=8).rev() {
+                    for corruption in [
+                        CorruptionProfile::None,
+                        CorruptionProfile::Light,
+                        CorruptionProfile::Moderate,
+                        CorruptionProfile::Worst,
+                    ] {
+                        let probe = ReproCampaign {
+                            days,
+                            corruption,
+                            ..full.clone()
+                        };
+                        assert_eq!(
+                            prober.probe(probe.clone()),
+                            probe.reproduces(signature, &config, mode),
+                            "{} at {days} days, {}",
+                            signature.key(),
+                            corruption.as_str()
+                        );
+                    }
+                }
+                assert_eq!(prober.probes, 1 + 8 * 4);
+            }
+        }
     }
 
     #[test]

@@ -11,15 +11,16 @@ cargo clippy --workspace --all-targets -- -D warnings
 cargo build --release --workspace
 cargo test -q --workspace
 # The crash-resume harness, the multi-process merge harness, the
-# golden-report pin, the signature/minimize replay layer and the CLI
-# pins (flags and messages, the ablations/extensions output) are the
-# tier-1 gates; run them by name so a test filter or workspace change
-# can never silently drop them.
+# golden-report pin, the signature/minimize replay layer, the minimize
+# output pin and the CLI pins (flags and messages, the
+# ablations/extensions output) are the tier-1 gates; run them by name
+# so a test filter or workspace change can never silently drop them.
 cargo test -q --test checkpoint_resume
 cargo test -q --test merge_checkpoints
 cargo test -q --test golden_report
 cargo test -q --test signature_props
 cargo test -q --test minimize_repro
+cargo test -q --test minimize_golden minimize_output_matches_golden_pin
 cargo test -q -p symfail-bench --test cli_shard
 cargo test -q -p symfail-bench --test cli_args
 cargo test -q -p symfail-bench --test cli_golden

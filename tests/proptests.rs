@@ -1747,3 +1747,77 @@ proptest! {
         }
     }
 }
+
+// ---------------------------------------------------------------
+// Repro campaigns are prefix-closed in days. With spreads zeroed a
+// repro phone never reads `campaign_days`, so the d-day harvest is the
+// D-day harvest with every file cut at the length it had after day d —
+// the property that lets `minimize` answer its corruption drop and
+// both day bisections from one simulation. The injector damages what
+// the files hold, so the cut and the fresh harvest also corrupt alike.
+// ---------------------------------------------------------------
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    #[test]
+    fn shorter_repro_harvest_is_the_longer_one_cut_at_its_day(
+        seed in 0u64..1_000_000,
+        mask in 0u32..256,
+        class in 0usize..3,
+        firmware in 0usize..4,
+        days in 1u32..=30,
+        profile in 0usize..4,
+    ) {
+        use symfail::phone::composition::{DeviceClass, DeviceProfile};
+        use symfail::phone::corruption::CorruptionProfile;
+        use symfail::phone::firmware::SymbianVersion;
+        use symfail::phone::repro::{FaultChannel, ReproCampaign};
+        let corruption = [
+            CorruptionProfile::None,
+            CorruptionProfile::Light,
+            CorruptionProfile::Moderate,
+            CorruptionProfile::Worst,
+        ][profile];
+        let channels: Vec<FaultChannel> = FaultChannel::ALL
+            .into_iter()
+            .enumerate()
+            .filter(|&(i, _)| mask >> i & 1 == 1)
+            .map(|(_, c)| c)
+            .collect();
+        let campaign = |days| ReproCampaign {
+            seed,
+            days,
+            channels: channels.clone(),
+            corruption,
+            device: DeviceProfile {
+                class: DeviceClass::ALL[class],
+                firmware: SymbianVersion::ALL[firmware],
+            },
+        };
+        let long = campaign(days).harvest();
+        for d in 0..=days {
+            let short = match d {
+                d if d == days => long.flash().clone(),
+                d => campaign(d).harvest().flash().clone(),
+            };
+            let cut = long.cut(d);
+            let (mut short_damaged, mut cut_damaged) = (short.clone(), cut.clone());
+            campaign(d).corrupt(&mut short_damaged);
+            campaign(d).corrupt(&mut cut_damaged);
+            for (short, cut, state) in [
+                (&short, &cut, "clean"),
+                (&short_damaged, &cut_damaged, corruption.as_str()),
+            ] {
+                prop_assert_eq!(short.file_names(), cut.file_names(), "files after day {}", d);
+                for name in short.file_names() {
+                    prop_assert!(
+                        short.read_bytes(name) == cut.read_bytes(name),
+                        "{} {} after day {} of {} is not the cut of the longer harvest",
+                        state, name, d, days
+                    );
+                }
+            }
+        }
+    }
+}

@@ -9,13 +9,20 @@ use proptest::prelude::*;
 use proptest::test_runner::Config as ProptestConfig;
 
 use symfail::core::analysis::checkpoint::ShardTopology;
-use symfail::core::analysis::dataset::PhoneDataset;
+use symfail::core::analysis::dataset::{HlKind, PhoneDataset};
 use symfail::core::analysis::passes::{
     checkpoint_coalesced, DeviceLabels, FoldShard, PassRegistry, PhoneLens, StreamMerger,
 };
 use symfail::core::analysis::report::AnalysisConfig;
 use symfail::core::analysis::signature::{distinct_signatures, FailureSignature, MatchMode};
+use symfail::core::flashfs::FlashFs;
 use symfail::core::records::{LogRecord, PanicRecord};
+use symfail::phone::calibration::CalibrationParams;
+use symfail::phone::composition::{DeviceClass, DeviceProfile, FleetComposition};
+use symfail::phone::corruption::CorruptionProfile;
+use symfail::phone::firmware::SymbianVersion;
+use symfail::phone::fleet::FleetCampaign;
+use symfail::phone::repro::{FaultChannel, ReproCampaign};
 use symfail::sim::SimTime;
 use symfail::symbian::panic::{codes, Panic};
 use symfail::symbian::servers::logdb::ActivityKind;
@@ -164,5 +171,207 @@ proptest! {
             .map(|(sig, n)| (sig.key(), n))
             .collect();
         prop_assert_eq!(pre, post);
+    }
+}
+
+// ---------------------------------------------------------------
+// The log-only parse and the in-place matcher. A signature is a
+// function of the consolidated log alone, so `PhoneDataset::from_log`
+// must yield everything a signature reads exactly as the full parse
+// does — on fleet phones and repro phones, clean or damaged — and
+// `matches_phone` must give the verdict of the comparison it replaced:
+// build every signature the phone's coalescence fold yields and match
+// each one.
+// ---------------------------------------------------------------
+
+const PROFILES: [CorruptionProfile; 4] = [
+    CorruptionProfile::None,
+    CorruptionProfile::Light,
+    CorruptionProfile::Moderate,
+    CorruptionProfile::Worst,
+];
+
+/// The matcher `matches_phone` replaced, kept as its oracle.
+fn lens_matches(
+    sig: &FailureSignature,
+    phone: &PhoneDataset,
+    config: &AnalysisConfig,
+    device: DeviceLabels,
+    mode: MatchMode,
+) -> bool {
+    sig.device_class == device.device_class
+        && sig.firmware == device.firmware
+        && FailureSignature::from_phone(phone, config, device)
+            .iter()
+            .any(|s| sig.matches(s, mode))
+}
+
+/// `sig` and copies of it with one field changed: each core field to
+/// another value (the code also to a spelling no panic renders as, the
+/// raiser also to a name no phone logs), and the strict-only fields.
+fn with_one_field_changed(sig: &FailureSignature) -> Vec<FailureSignature> {
+    let mut out = vec![sig.clone()];
+    let mut push = |edit: &dyn Fn(&mut FailureSignature)| {
+        let mut s = sig.clone();
+        edit(&mut s);
+        out.push(s);
+    };
+    push(&|s| {
+        s.code = codes::ALL[(codes::ALL
+            .iter()
+            .position(|c| c.0.to_string() == s.code)
+            .unwrap_or(0)
+            + 1)
+            % codes::ALL.len()]
+        .0
+        .to_string()
+    });
+    push(&|s| s.code = s.code.replace(' ', " 0"));
+    push(&|s| {
+        s.raised_by = if s.raised_by == "Telephone" {
+            "Camera"
+        } else {
+            "Telephone"
+        }
+        .to_string()
+    });
+    push(&|s| s.raised_by = "NoSuchComponent".to_string());
+    push(&|s| {
+        s.activity = match s.activity.as_deref() {
+            None => Some(ActivityKind::VoiceCall.as_str().to_string()),
+            Some(_) => None,
+        }
+    });
+    push(&|s| {
+        s.activity = Some(
+            match s.activity.as_deref() {
+                Some(a) if a == ActivityKind::Message.as_str() => ActivityKind::DataSession,
+                _ => ActivityKind::Message,
+            }
+            .as_str()
+            .to_string(),
+        )
+    });
+    push(&|s| {
+        if s.apps.pop().is_none() {
+            s.apps.push("Camera".to_string());
+        }
+    });
+    push(&|s| {
+        s.related = match s.related {
+            None => Some(HlKind::Freeze.as_str().to_string()),
+            Some(_) => None,
+        }
+    });
+    push(&|s| s.device_class = "communicator".to_string());
+    push(&|s| s.firmware = "Symbian 6.1".to_string());
+    out
+}
+
+/// Checks the log-only parse of `fs` against the full parse, and the
+/// matcher against its oracle for every signature the phone yields and
+/// every one-field variant of them (plus `extra` signatures from other
+/// phones).
+fn check_log_only(
+    what: &str,
+    fs: &FlashFs,
+    device: DeviceLabels,
+    extra: &[FailureSignature],
+) -> Vec<FailureSignature> {
+    let config = CalibrationParams::default().analysis_config();
+    let full = PhoneDataset::from_flashfs(3, fs);
+    let log = PhoneDataset::from_log(3, fs);
+    assert_eq!(log.panics(), full.panics(), "{what}: panics");
+    assert_eq!(log.boots(), full.boots(), "{what}: boots");
+    assert_eq!(log.names(), full.names(), "{what}: names");
+    assert_eq!(
+        log.shutdown_events(),
+        full.shutdown_events(),
+        "{what}: shutdowns"
+    );
+    assert_eq!(log.freezes(), full.freezes(), "{what}: freezes");
+    assert!(log.beats().is_empty(), "{what}: beats are not read");
+    let sigs = FailureSignature::from_phone(&full, &config, device);
+    assert_eq!(
+        FailureSignature::from_phone(&log, &config, device),
+        sigs,
+        "{what}: signatures"
+    );
+    for sig in sigs.iter().chain(extra) {
+        for probe in with_one_field_changed(sig) {
+            for mode in [MatchMode::Core, MatchMode::Strict] {
+                let want = lens_matches(&probe, &full, &config, device, mode);
+                assert_eq!(
+                    probe.matches_phone(&log, &config, device, mode),
+                    want,
+                    "{what}: {} under {} on the log-only parse",
+                    probe.key(),
+                    mode.as_str()
+                );
+                assert_eq!(
+                    probe.matches_phone(&full, &config, device, mode),
+                    want,
+                    "{what}: {} under {} on the full parse",
+                    probe.key(),
+                    mode.as_str()
+                );
+            }
+        }
+    }
+    sigs
+}
+
+#[test]
+fn log_only_parse_and_matcher_agree_on_fleet_phones() {
+    let params = CalibrationParams {
+        phones: 8,
+        campaign_days: 90,
+        enrollment_spread_days: 10,
+        attrition_spread_days: 10,
+        ..CalibrationParams::default()
+    };
+    for profile in PROFILES {
+        let campaign = FleetCampaign::new(2005, params)
+            .with_fleet(FleetComposition::mixed())
+            .with_corruption(profile);
+        let mut seen: Vec<FailureSignature> = Vec::new();
+        for harvest in campaign.run() {
+            let id = harvest.phone_id;
+            let what = format!("fleet phone {id}, corruption {}", profile.as_str());
+            let labels = campaign.device_labels(id);
+            let sigs = check_log_only(&what, &harvest.flashfs, labels, &seen);
+            seen.extend(sigs.into_iter().take(3));
+        }
+        assert!(!seen.is_empty(), "the fleet panics somewhere");
+    }
+}
+
+#[test]
+fn log_only_parse_and_matcher_agree_on_repro_phones() {
+    let devices = [
+        (DeviceClass::Smartphone, SymbianVersion::V8_0),
+        (DeviceClass::Communicator, SymbianVersion::V7_0),
+        (DeviceClass::EntryLevel, SymbianVersion::V6_1),
+    ];
+    for profile in PROFILES {
+        let mut seen: Vec<FailureSignature> = Vec::new();
+        for (seed, (class, firmware)) in (40..46).zip(devices.iter().cycle()) {
+            let campaign = ReproCampaign {
+                seed,
+                days: 6,
+                channels: FaultChannel::ALL.to_vec(),
+                corruption: profile,
+                device: DeviceProfile {
+                    class: *class,
+                    firmware: *firmware,
+                },
+            };
+            let mut fs = campaign.harvest().flash().clone();
+            campaign.corrupt(&mut fs);
+            let what = format!("repro seed {seed}, corruption {}", profile.as_str());
+            let sigs = check_log_only(&what, &fs, campaign.labels(), &seen);
+            seen.extend(sigs.into_iter().take(3));
+        }
+        assert!(!seen.is_empty(), "boosted repro phones panic");
     }
 }
