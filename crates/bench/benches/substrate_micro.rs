@@ -1,7 +1,7 @@
 //! Micro-benchmarks of the OS substrate and the logger data path: the
 //! per-operation costs everything else is built from, up to one
 //! phone's simulated day, one phone's parse, one phone's flash damage
-//! and one repro probe.
+//! and one repro probe's log scan.
 
 use criterion::{black_box, criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use symfail_core::analysis::dataset::{ParseScratch, PhoneDataset};
@@ -234,9 +234,10 @@ fn bench(c: &mut Criterion) {
             })
         });
     }
-    g.throughput(Throughput::Bytes(clean.size_of(files::LOG)));
+    let clean_log = clean.read_bytes(files::LOG).unwrap_or_default();
+    g.throughput(Throughput::Bytes(clean_log.len() as u64));
     g.bench_function("log_only_425d", |b| {
-        b.iter(|| PhoneDataset::from_log(0, &clean).defects().records_kept)
+        b.iter(|| PhoneDataset::from_log(0, clean_log).defects().records_kept)
     });
     g.finish();
 
@@ -261,10 +262,11 @@ fn bench(c: &mut Criterion) {
     });
     g.finish();
 
-    // One `minimize` probe of a boosted 10-day repro phone, matched
-    // under `Core` against a signature of its own: simulated afresh
-    // (clean harvest, log-only parse, match), and answered at 5 days
-    // from a kept 10-day harvest (cut, log-only parse, match) as the
+    // One `minimize` probe of a boosted 10-day repro phone, judged under
+    // `Core`: simulated afresh against a signature its log does not
+    // hold (clean harvest, then a scan of the whole log), and answered
+    // at 5 days from a kept 10-day harvest against a signature of its
+    // own (a scan of the kept log's 5-day prefix, in place), as the
     // corruption drop and the day bisections are.
     let probe = ReproCampaign {
         seed: 11,
@@ -278,27 +280,35 @@ fn bench(c: &mut Criterion) {
     };
     let config = params.analysis_config();
     let kept = probe.harvest();
+    let matches = |signature: &FailureSignature, log: &[u8]| {
+        signature.matches_log(log, &config, probe.labels(), MatchMode::Core)
+    };
     let signature = FailureSignature::from_phone(
-        &PhoneDataset::from_log(0, &kept.cut(5)),
+        &PhoneDataset::from_log(0, kept.log(5)),
         &config,
         probe.labels(),
     )
     .pop()
     .expect("a boosted 5-day repro phone panics");
-    let matches = |fs: &FlashFs| {
-        signature.matches_phone(
-            &PhoneDataset::from_log(0, fs),
-            &config,
-            probe.labels(),
-            MatchMode::Core,
-        )
-    };
+    assert!(matches(&signature, kept.log(5)));
+    let absent = codes::ALL
+        .iter()
+        .map(|(code, _)| FailureSignature {
+            code: code.to_string(),
+            ..signature.clone()
+        })
+        .find(|s| !matches(s, kept.log(10)))
+        .expect("the 10-day log lacks some code of the signature's raiser");
     let mut g = c.benchmark_group("repro_probe");
     g.sample_size(20);
     g.measurement_time(std::time::Duration::from_secs(2));
     g.warm_up_time(std::time::Duration::from_millis(500));
-    g.bench_function("fresh_10d", |b| b.iter(|| matches(probe.harvest().flash())));
-    g.bench_function("cut_5d_of_kept_10d", |b| b.iter(|| matches(&kept.cut(5))));
+    g.bench_function("fresh_10d", |b| {
+        b.iter(|| matches(&absent, probe.harvest().log(10)))
+    });
+    g.bench_function("cut_5d_of_kept_10d", |b| {
+        b.iter(|| matches(&signature, kept.log(5)))
+    });
     g.finish();
 }
 

@@ -107,9 +107,9 @@
 //! without it. `repro minimize` takes one signature from that catalog
 //! and runs the ddmin-style search of `symfail_phone::repro`: seed
 //! hunt, corruption drop, day bisection, greedy fault-channel drop,
-//! final re-bisection — every probe a simulate→parse→match run over
+//! final re-bisection — every probe a simulate→corrupt→scan run over
 //! the phone's log, where a probe of fewer days of an already
-//! simulated phone is cut from its kept harvest — and emits the
+//! simulated phone is answered from its kept harvest — and emits the
 //! minimal single-phone campaign config, replay-verified by a fresh
 //! simulation before it is written. The search is a pure function of
 //! (signature, budgets), so the emitted JSON is byte-identical across

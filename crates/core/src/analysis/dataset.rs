@@ -260,7 +260,8 @@ impl PhoneDataset {
         let mut names = NameTable::default();
         let mut panics = std::mem::take(&mut scratch.panics);
         let mut boots = std::mem::take(&mut scratch.boots);
-        read_log(fs, &mut names, &mut panics, &mut boots, &mut defects);
+        let log = fs.read_bytes(files::LOG).unwrap_or_default();
+        read_log(log, &mut names, &mut panics, &mut boots, &mut defects);
 
         // Beats: an exact `(timestamp, event)` repeat of a kept beat is
         // a duplicate and dropped — checked before the order check, so
@@ -338,7 +339,8 @@ impl PhoneDataset {
         ds
     }
 
-    /// Parses only the consolidated `log` file: the panics, the boot
+    /// Parses only the consolidated log, given as its bytes (a
+    /// harvest's `log` file, or any prefix of it): the panics, the boot
     /// records, and the shutdown events and freezes derived from the
     /// boots, through the same lossy loop [`Self::from_flashfs`] runs.
     /// The beats file is not read, so [`Self::beats`] is empty,
@@ -349,14 +351,16 @@ impl PhoneDataset {
     /// Detector writes every panic there with its activity and running
     /// applications, and the boot-time heartbeat check writes each
     /// freeze and shutdown into a boot record in the same file. Signature
-    /// extraction and every repro probe parse through here.
-    pub fn from_log(phone_id: u32, fs: &FlashFs) -> Self {
+    /// extraction parses through here, and so does a `Strict` repro
+    /// probe once its log holds a panic of the signature's core
+    /// identity.
+    pub fn from_log(phone_id: u32, log: &[u8]) -> Self {
         let mut ds = Self {
             phone_id,
             ..Self::default()
         };
         read_log(
-            fs,
+            log,
             &mut ds.names,
             &mut ds.panics,
             &mut ds.boots,
@@ -515,15 +519,16 @@ impl PhoneDataset {
 /// past them, so one displaced block counts each displaced line
 /// exactly once.
 fn read_log(
-    fs: &FlashFs,
+    log: &[u8],
     names: &mut NameTable,
     panics: &mut Vec<PanicEvent>,
     boots: &mut Vec<BootRecord>,
     defects: &mut PhoneDefects,
 ) {
-    let log_text = lossy_text(fs, files::LOG, defects);
+    let text = log_text(log);
+    defects.invalid_utf8 |= matches!(text, Cow::Owned(_));
     let mut last_ms: Option<u64> = None;
-    for line in log_text.lines() {
+    for line in text.lines() {
         defects.lines_seen += 1;
         match RecordRef::decode(line) {
             Ok(rec) => {
@@ -544,14 +549,16 @@ fn read_log(
     }
 }
 
-/// Reads a flash file as text, decoding invalid UTF-8 lossily and
-/// flagging it, so garbled bytes degrade to replacement characters
-/// (and checksum mismatches) instead of a panic.
-fn lossy_text<'a>(fs: &'a FlashFs, file: &str, defects: &mut PhoneDefects) -> Cow<'a, str> {
-    let raw = fs.read_bytes(file).unwrap_or(&[]);
-    let text = String::from_utf8_lossy(raw);
-    defects.invalid_utf8 |= matches!(text, Cow::Owned(_));
-    text
+/// The consolidated log's text as every reader of it sees it: the
+/// bytes themselves when they are valid UTF-8, else their lossy decode
+/// (owned), in which garbled bytes degrade to replacement characters,
+/// and so to checksum mismatches, instead of a panic. Every reader
+/// splits it with `str::lines`.
+pub(crate) fn log_text(log: &[u8]) -> Cow<'_, str> {
+    match std::str::from_utf8(log) {
+        Ok(text) => Cow::Borrowed(text),
+        Err(_) => String::from_utf8_lossy(log),
+    }
 }
 
 /// Splits the next line off the front of a beats buffer and decodes

@@ -28,10 +28,12 @@
 use std::fmt;
 
 use super::coalesce::CoalescedPanic;
-use super::dataset::{HlKind, PanicEvent, PhoneDataset};
+use super::dataset::{log_text, HlKind, PanicEvent, PhoneDataset};
 use super::passes::{DeviceLabels, PhoneLens};
 use super::report::AnalysisConfig;
 use crate::intern::NameTable;
+use crate::records::RecordRef;
+use symfail_symbian::servers::logdb::ActivityKind;
 use symfail_symbian::PanicCode;
 
 /// How strictly [`FailureSignature::matches`] compares two signatures.
@@ -159,18 +161,26 @@ impl FailureSignature {
         }
     }
 
-    /// Whether `phone`'s log contains a panic matching this signature
-    /// under `mode` — the verdict of [`Self::matches`] against every
-    /// signature [`Self::from_phone`] extracts, without allocating one
-    /// per panic. Coalescence never changes a core field, so `Core`
-    /// compares each panic's code, raiser and activity in place.
-    /// `Strict` runs the same per-phone coalescence fold the passes
-    /// run, so the `related` outcome is judged exactly as the study
-    /// judges it, and builds a full signature only for the panics
-    /// whose core fields already match.
-    pub fn matches_phone(
+    /// Whether the consolidated log `log` (a harvest's `log` file, or a
+    /// prefix of it) holds a panic matching this signature under
+    /// `mode`: the verdict of [`Self::matches`] against every signature
+    /// [`Self::from_phone`] extracts from [`PhoneDataset::from_log`] of
+    /// the same bytes, without parsing the whole log.
+    ///
+    /// The log is read as that parse reads it: as UTF-8, decoded lossily
+    /// only when it is not, and split with `str::lines`. `Core`
+    /// decodes, checksum included, only the lines that contain
+    /// `|<raiser>|`, and stops at the first panic whose code, raiser
+    /// and activity match; a decoded panic's raiser is a `|`-delimited
+    /// field of its own line, so no match is skipped, and coalescence
+    /// never changes a core field. `Strict` runs the same scan, and
+    /// only on a hit parses the log and runs the per-phone coalescence
+    /// fold the passes run, so the `related` outcome is judged exactly
+    /// as the study judges it; it builds a full signature only for the
+    /// panics whose core fields match.
+    pub fn matches_log(
         &self,
-        phone: &PhoneDataset,
+        log: &[u8],
         config: &AnalysisConfig,
         device: DeviceLabels,
         mode: MatchMode,
@@ -179,32 +189,38 @@ impl FailureSignature {
             return false;
         }
         // A code string no panic renders as (a hand-edited `KERN-EXEC 03`)
-        // and a raiser the phone never logged match nothing.
+        // matches nothing.
         let Some(code) = self.panic_code().filter(|c| renders_as(c, &self.code)) else {
             return false;
         };
-        let Some(raised_by) = phone.names().lookup(&self.raised_by) else {
-            return false;
+        let core = |c: PanicCode, raised_by: &str, activity: Option<ActivityKind>| {
+            c == code
+                && raised_by == self.raised_by
+                && activity.map(|a| a.as_str()) == self.activity.as_deref()
         };
-        let core = |p: &PanicEvent| {
-            p.code == code
-                && p.raised_by == raised_by
-                && p.activity.map(|a| a.as_str()) == self.activity.as_deref()
-        };
-        match mode {
-            MatchMode::Core => phone.panics().iter().any(core),
-            MatchMode::Strict => {
-                phone.panics().iter().any(core)
-                    && PhoneLens::new(phone, *config, true)
-                        .coalesced
-                        .panics()
-                        .iter()
-                        .filter(|cp| core(&cp.panic))
-                        .any(|cp| {
-                            self.matches(&Self::from_coalesced(cp, phone.names(), device), mode)
-                        })
-            }
+        let field = format!("|{}|", self.raised_by);
+        let text = log_text(log);
+        let hit = text
+            .lines()
+            .filter(|line| line.contains(&field))
+            .any(|line| {
+                matches!(RecordRef::decode(line),
+                    Ok(RecordRef::Panic(p)) if core(p.code, p.raised_by, p.activity))
+            });
+        if !hit || mode == MatchMode::Core {
+            return hit;
         }
+        let phone = PhoneDataset::from_log(0, log);
+        let names = phone.names();
+        PhoneLens::new(&phone, *config, true)
+            .coalesced
+            .panics()
+            .iter()
+            .filter(|cp| {
+                let p = &cp.panic;
+                core(p.code, names.resolve(p.raised_by), p.activity)
+            })
+            .any(|cp| self.matches(&Self::from_coalesced(cp, names, device), mode))
     }
 
     /// A stable dedup key covering the full (strict) identity.
@@ -447,7 +463,6 @@ mod tests {
     use crate::intern::NameIds;
     use symfail_sim_core::SimTime;
     use symfail_symbian::panic::codes;
-    use symfail_symbian::servers::logdb::ActivityKind;
     use symfail_symbian::PanicCategory;
 
     fn sample_panic(names: &mut NameTable) -> PanicEvent {

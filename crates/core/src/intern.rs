@@ -17,6 +17,7 @@
 //! assembled, so the resulting ids are identical for any worker count.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
@@ -27,6 +28,10 @@ use serde::{Deserialize, Serialize};
 pub struct NameId(pub u16);
 
 /// An append-only string interner: distinct names get dense `u16` ids.
+///
+/// Each name is allocated once and shared by the id-ordered list and
+/// the name-to-id index. Every panic's reason text is a name, so the
+/// table grows with a phone's panics, not only with its applications.
 ///
 /// # Example
 ///
@@ -43,8 +48,8 @@ pub struct NameId(pub u16);
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct NameTable {
-    names: Vec<Box<str>>,
-    index: HashMap<Box<str>, u16>,
+    names: Vec<Arc<str>>,
+    index: HashMap<Arc<str>, u16>,
 }
 
 impl PartialEq for NameTable {
@@ -72,8 +77,9 @@ impl NameTable {
         }
         let id = u16::try_from(self.names.len())
             .expect("name table overflow: more than 65536 distinct names");
-        self.names.push(name.into());
-        self.index.insert(name.into(), id);
+        let name: Arc<str> = name.into();
+        self.index.insert(Arc::clone(&name), id);
+        self.names.push(name);
         NameId(id)
     }
 

@@ -7,13 +7,16 @@
 //!
 //! 1. **Seed search.** Probe single-phone campaigns at the full fault
 //!    mix and the day budget, seed 0, 1, 2, … — the first reproducing
-//!    seed wins. Every probe is a complete simulate → corrupt → parse
-//!    → match run over the phone's harvested flash, never a
-//!    simulator-internal shortcut. The parse reads the `log` file only
-//!    ([`PhoneDataset::from_log`]): the Panic Detector writes every
+//!    seed wins. Every probe simulates the phone, corrupts its flash
+//!    and scans the harvested `log` file for the signature, never a
+//!    simulator-internal shortcut: the Panic Detector writes every
 //!    panic there with its context, and the boot-time heartbeat check
 //!    writes every freeze and shutdown into a boot record there, so a
-//!    signature is a function of the log alone.
+//!    signature is a function of the log alone. The scan
+//!    ([`FailureSignature::matches_log`]) decodes only the lines that
+//!    name the signature's raiser; the log is parsed in full
+//!    ([`PhoneDataset::from_log`]) only under `Strict`, after the scan
+//!    found a panic of the signature's core identity.
 //! 2. **Corruption drop.** If the starting profile injected flash
 //!    damage, try the clean profile first — damage is part of the
 //!    campaign config, not of the failure class.
@@ -30,9 +33,11 @@
 //!    with each file's length after every day
 //!    ([`ReproHarvest`]): a later probe of the same seed and channels
 //!    and no more days — the corruption drop and both bisections — is
-//!    answered from that harvest cut at its day count, and corrupted
-//!    from the campaign's own stream when its profile is not `none`,
-//!    instead of simulating again. The answer is the fresh probe's.
+//!    answered from that harvest instead of simulating again: a clean
+//!    probe scans the kept log's prefix up to the day's length in
+//!    place, and a corrupted one cuts every file at its day's length
+//!    and corrupts the cut from the campaign's own stream. The answer
+//!    is the fresh probe's.
 //! 4. **Greedy channel drop.** Disable fault channels one at a time in
 //!    fixed order, keeping each drop only if the repro still holds
 //!    (dropping a channel removes its RNG draws, so the remaining
@@ -47,7 +52,6 @@
 //! the emitted [`ReproConfig`] JSON is byte-identical across runs and
 //! machines.
 
-use std::borrow::Cow;
 use std::fmt;
 
 use symfail_core::analysis::dataset::PhoneDataset;
@@ -55,6 +59,7 @@ use symfail_core::analysis::passes::DeviceLabels;
 use symfail_core::analysis::report::AnalysisConfig;
 use symfail_core::analysis::signature::{FailureSignature, MatchMode};
 use symfail_core::flashfs::FlashFs;
+use symfail_core::logger::files;
 use symfail_sim_core::SimRng;
 
 use crate::calibration::CalibrationParams;
@@ -254,29 +259,33 @@ impl ReproCampaign {
 
     /// Whether this campaign reproduces `signature` under `mode` — one
     /// full deterministic probe: a fresh simulation, corrupted, its log
-    /// parsed and matched.
+    /// scanned for the signature.
     pub fn reproduces(
         &self,
         signature: &FailureSignature,
         config: &AnalysisConfig,
         mode: MatchMode,
     ) -> bool {
-        self.log_matches(&self.flash(), signature, config, mode)
+        self.log_matches(log_of(&self.flash()), signature, config, mode)
     }
 
-    /// Whether the log on `fs`, this campaign's (corrupted) harvest,
-    /// holds a panic matching `signature` — read through
-    /// [`PhoneDataset::from_log`], since a signature is a function of
-    /// the log alone.
+    /// Whether `log`, this campaign's (corrupted) harvest's log, holds
+    /// a panic matching `signature` — a signature is a function of the
+    /// log alone.
     fn log_matches(
         &self,
-        fs: &FlashFs,
+        log: &[u8],
         signature: &FailureSignature,
         config: &AnalysisConfig,
         mode: MatchMode,
     ) -> bool {
-        signature.matches_phone(&PhoneDataset::from_log(0, fs), config, self.labels(), mode)
+        signature.matches_log(log, config, self.labels(), mode)
     }
+}
+
+/// The consolidated log on `fs` (empty when the phone wrote none).
+fn log_of(fs: &FlashFs) -> &[u8] {
+    fs.read_bytes(files::LOG).unwrap_or_default()
 }
 
 /// A repro phone's clean flash and every file's length at the end of
@@ -311,9 +320,8 @@ impl ReproHarvest {
     ///
     /// When `days` exceeds the days simulated.
     pub fn cut(&self, days: u32) -> FlashFs {
-        let row = &self.ends[self.rows[days as usize]..self.rows[days as usize + 1]];
         let mut fs = FlashFs::new();
-        for (name, &end) in self.names.iter().zip(row) {
+        for (name, &end) in self.names.iter().zip(self.row(days)) {
             let bytes = self
                 .flash
                 .read_bytes(name)
@@ -321,6 +329,26 @@ impl ReproHarvest {
             fs.overwrite_raw(name, bytes[..end].to_vec());
         }
         fs
+    }
+
+    /// The `log` file the same campaign leaves after `days` days: the
+    /// kept log's prefix up to the length it had then, borrowed in
+    /// place — `cut(days)`'s log without copying any file.
+    ///
+    /// # Panics
+    ///
+    /// When `days` exceeds the days simulated.
+    pub fn log(&self, days: u32) -> &[u8] {
+        let row = self.row(days);
+        match self.names.iter().position(|n| n == files::LOG) {
+            Some(i) if i < row.len() => &log_of(&self.flash)[..row[i]],
+            _ => &[],
+        }
+    }
+
+    /// The length of each of `names`' first files after `days` days.
+    fn row(&self, days: u32) -> &[usize] {
+        &self.ends[self.rows[days as usize]..self.rows[days as usize + 1]]
     }
 
     /// Appends the row of `fs`'s current file lengths.
@@ -510,8 +538,8 @@ pub struct Minimized {
     pub config: ReproConfig,
     /// Every accepted search state, first (full) to last (minimal).
     pub trail: Vec<ReproConfig>,
-    /// Probes the search ran, each a simulate→parse→match verdict
-    /// whether simulated afresh or cut from a kept harvest.
+    /// Probes the search ran, each a simulate → corrupt → match verdict
+    /// whether simulated afresh or answered from a kept harvest.
     pub probes: u64,
 }
 
@@ -662,7 +690,7 @@ struct Prober<'a> {
     /// The last simulated probe that reproduced, with its clean
     /// harvest. A later probe of the same seed and channels and no more
     /// days — the corruption drop and both bisections — is answered
-    /// from it, cut at its day count, instead of simulating again.
+    /// from it at its day count instead of simulating again.
     kept: Option<(ReproCampaign, ReproHarvest)>,
 }
 
@@ -672,21 +700,25 @@ impl Prober<'_> {
     /// answer.
     fn probe(&mut self, campaign: ReproCampaign) -> bool {
         self.probes += 1;
-        let (signature, config, mode) = (self.signature, &self.opts.config, self.opts.mode);
+        let (signature, opts) = (self.signature, self.opts);
+        // A clean harvest answers at any of its day counts; the harvest
+        // itself stays clean, so only a cut of it is ever damaged.
+        let answer = |harvest: &ReproHarvest| {
+            if campaign.corruption == CorruptionProfile::None {
+                let log = harvest.log(campaign.days);
+                return campaign.log_matches(log, signature, &opts.config, opts.mode);
+            }
+            let mut fs = harvest.cut(campaign.days);
+            campaign.corrupt(&mut fs);
+            campaign.log_matches(log_of(&fs), signature, &opts.config, opts.mode)
+        };
         if let Some((_, harvest)) = self.kept.as_ref().filter(|(k, _)| {
             k.seed == campaign.seed && k.channels == campaign.channels && campaign.days <= k.days
         }) {
-            let mut fs = harvest.cut(campaign.days);
-            campaign.corrupt(&mut fs);
-            return campaign.log_matches(&fs, signature, config, mode);
+            return answer(harvest);
         }
         let harvest = campaign.harvest();
-        // The kept harvest stays clean: only a copy is damaged.
-        let mut fs = Cow::Borrowed(harvest.flash());
-        if campaign.corruption != CorruptionProfile::None {
-            campaign.corrupt(fs.to_mut());
-        }
-        let hit = campaign.log_matches(&fs, signature, config, mode);
+        let hit = answer(&harvest);
         if hit {
             self.kept = Some((campaign, harvest));
         }
@@ -706,7 +738,7 @@ pub fn extract_fleet_signatures(
     let mut out: Vec<(FailureSignature, u64)> = Vec::new();
     for id in 0..campaign.params().phones {
         let harvest = campaign.run_single(id);
-        let phone = PhoneDataset::from_log(id, &harvest.flashfs);
+        let phone = PhoneDataset::from_log(id, log_of(&harvest.flashfs));
         for sig in FailureSignature::from_phone(&phone, config, campaign.device_labels(id)) {
             match out.iter_mut().find(|(s, _)| *s == sig) {
                 Some((_, n)) => *n += 1,
@@ -736,7 +768,7 @@ mod tests {
                 firmware: SymbianVersion::V8_0,
             },
         };
-        let phone = PhoneDataset::from_log(0, &campaign.flash());
+        let phone = PhoneDataset::from_log(0, log_of(&campaign.flash()));
         let sigs =
             FailureSignature::from_phone(&phone, &AnalysisConfig::default(), campaign.labels());
         sigs.into_iter().next().expect("boosted run panics")
@@ -815,7 +847,9 @@ mod tests {
     }
 
     /// A probe answered from the kept harvest — fewer days, any
-    /// corruption profile — gives the verdict of a fresh simulation.
+    /// corruption profile — gives the verdict of a fresh simulation. A
+    /// clean one reads the kept log's prefix in place, which is the
+    /// log of the harvest cut at its day count.
     #[test]
     fn kept_harvest_answers_as_fresh_probes_do() {
         let config = AnalysisConfig::default();
@@ -830,7 +864,7 @@ mod tests {
                     firmware: SymbianVersion::V7_0,
                 },
             };
-            let phone = PhoneDataset::from_log(0, &full.flash());
+            let phone = PhoneDataset::from_log(0, log_of(&full.flash()));
             let sigs = FailureSignature::from_phone(&phone, &config, full.labels());
             assert!(sigs.len() > 2, "a boosted 8-day phone panics");
             for (i, signature) in sigs.iter().enumerate().step_by(sigs.len() / 3) {
@@ -848,6 +882,8 @@ mod tests {
                 };
                 assert!(prober.probe(full.clone()), "its own panic reproduces");
                 for days in (1..=8).rev() {
+                    let (_, kept) = prober.kept.as_ref().expect("a reproducing probe is kept");
+                    assert_eq!(kept.log(days), log_of(&kept.cut(days)), "{days} days");
                     for corruption in [
                         CorruptionProfile::None,
                         CorruptionProfile::Light,

@@ -22,6 +22,12 @@ MBPS_FLOOR="${MBPS_FLOOR:-627.70}"
 cargo build --release -p symfail-bench --bin repro >/dev/null
 BIN="$ROOT/target/release/repro"
 
+# The minimizer's output for the whole seed-2005 catalog (190
+# signatures x core/strict x clean/worst start), pinned by digest: the
+# debug test run pins only every 19th signature.
+echo "ci_gates: whole-catalog minimize output digest" >&2
+cargo test -q --release --test minimize_golden -- --ignored
+
 TMP="$(mktemp -d "${TMPDIR:-/tmp}/symfail-gates.XXXXXX")"
 trap 'rm -rf "$TMP"' EXIT
 cd "$TMP"

@@ -6,6 +6,10 @@
 //! started clean and started from worst-profile flash corruption: the
 //! minimal [`ReproConfig`](symfail::phone::repro::ReproConfig) JSON,
 //! the probe count and the trail length (or the no-repro verdict).
+//! The same text for every signature of the catalog is pinned by its
+//! digest and line count ([`whole_catalog_minimize_output_matches_its_digest`],
+//! ignored by default: run it in release with `--ignored`, as
+//! `scripts/ci_gates.sh` does).
 //!
 //! The search is a pure function of `(signature, options)`, so any
 //! change to how probes are answered — which log bytes are parsed,
@@ -17,6 +21,7 @@
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
+use symfail::core::analysis::checkpoint::fnv1a64;
 use symfail::core::analysis::signature::MatchMode;
 use symfail::phone::calibration::CalibrationParams;
 use symfail::phone::corruption::CorruptionProfile;
@@ -26,21 +31,31 @@ use symfail::phone::repro::{extract_fleet_signatures, minimize, MinimizeOptions}
 /// Every `STRIDE`th catalog entry is pinned, starting at the first.
 const STRIDE: usize = 19;
 
+/// FNV-1a-64 of the whole catalog's rendering (`render(1)`).
+const WHOLE_CATALOG_FNV: u64 = 0xd687_279d_5a7a_46e3;
+
+/// Line count of the whole catalog's rendering (`render(1)`).
+const WHOLE_CATALOG_LINES: usize = 8073;
+
 fn fixture_path() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/minimize_default.txt")
 }
 
-/// Minimizes the pinned sample of the default catalog and renders the
-/// outcomes in fixture form.
-fn render() -> String {
+/// Minimizes every `stride`th signature of the default catalog and
+/// renders the outcomes in fixture form.
+fn render(stride: usize) -> String {
     let params = CalibrationParams::default();
     let config = params.analysis_config();
     let catalog = extract_fleet_signatures(&FleetCampaign::new(2005, params), &config);
+    let sample = match stride {
+        1 => "all".to_string(),
+        n => format!("every {n}th"),
+    };
     let mut out = format!(
-        "# minimize, seed-2005 default catalog: {} signatures, every {STRIDE}th pinned\n",
+        "# minimize, seed-2005 default catalog: {} signatures, {sample} pinned\n",
         catalog.len()
     );
-    for (i, (sig, _)) in catalog.iter().enumerate().step_by(STRIDE) {
+    for (i, (sig, _)) in catalog.iter().enumerate().step_by(stride) {
         for mode in [MatchMode::Core, MatchMode::Strict] {
             for start in [CorruptionProfile::None, CorruptionProfile::Worst] {
                 let opts = MinimizeOptions {
@@ -72,7 +87,7 @@ fn render() -> String {
 
 #[test]
 fn minimize_output_matches_golden_pin() {
-    let rendered = render();
+    let rendered = render(STRIDE);
     let path = fixture_path();
     if std::env::var_os("GOLDEN_REGEN").is_some() {
         std::fs::write(&path, &rendered)
@@ -97,4 +112,20 @@ fn minimize_output_matches_golden_pin() {
             want.lines().nth(first)
         );
     }
+}
+
+/// The fixture's text for the whole catalog: 190 signatures × two
+/// match modes × two starting profiles. Too slow for the debug test
+/// run, so it is ignored there and run in release by
+/// `scripts/ci_gates.sh`.
+#[test]
+#[ignore = "minimizes the whole catalog four times; run in release with --ignored"]
+fn whole_catalog_minimize_output_matches_its_digest() {
+    let rendered = render(1);
+    let (fnv, lines) = (fnv1a64(rendered.as_bytes()), rendered.lines().count());
+    assert_eq!(
+        (fnv, lines),
+        (WHOLE_CATALOG_FNV, WHOLE_CATALOG_LINES),
+        "whole-catalog minimize output moved: digest {fnv:#018x}, {lines} lines"
+    );
 }

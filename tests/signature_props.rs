@@ -9,14 +9,15 @@ use proptest::prelude::*;
 use proptest::test_runner::Config as ProptestConfig;
 
 use symfail::core::analysis::checkpoint::ShardTopology;
-use symfail::core::analysis::dataset::{HlKind, PhoneDataset};
+use symfail::core::analysis::dataset::{HlKind, PanicEvent, PhoneDataset};
 use symfail::core::analysis::passes::{
     checkpoint_coalesced, DeviceLabels, FoldShard, PassRegistry, PhoneLens, StreamMerger,
 };
 use symfail::core::analysis::report::AnalysisConfig;
 use symfail::core::analysis::signature::{distinct_signatures, FailureSignature, MatchMode};
 use symfail::core::flashfs::FlashFs;
-use symfail::core::records::{LogRecord, PanicRecord};
+use symfail::core::logger::files;
+use symfail::core::records::{encode_panic_into, line_checksum, LogRecord, PanicRecord};
 use symfail::phone::calibration::CalibrationParams;
 use symfail::phone::composition::{DeviceClass, DeviceProfile, FleetComposition};
 use symfail::phone::corruption::CorruptionProfile;
@@ -26,6 +27,7 @@ use symfail::phone::repro::{FaultChannel, ReproCampaign};
 use symfail::sim::SimTime;
 use symfail::symbian::panic::{codes, Panic};
 use symfail::symbian::servers::logdb::ActivityKind;
+use symfail::symbian::PanicCode;
 
 const VOCAB: [&str; 5] = ["Alpha", "Bravo", "Charlie", "Delta", "Echo"];
 const LABELS: DeviceLabels = DeviceLabels {
@@ -64,14 +66,13 @@ fn arb_rows() -> impl Strategy<Value = Vec<Row>> {
     )
 }
 
-/// Builds the rows into a phone's log, rotating each record's
+/// Builds the rows into a phone's log records, rotating each record's
 /// running-app list by `rot`. The rotation changes first-appearance
 /// order and therefore every interner id, without changing the set of
 /// facts the log states.
-fn dataset(phone_id: u32, rows: &[Row], rot: usize) -> PhoneDataset {
+fn records(rows: &[Row], rot: usize) -> Vec<LogRecord> {
     let mut at = 0u64;
-    let records = rows
-        .iter()
+    rows.iter()
         .map(|row| {
             at += row.gap_secs * 1000;
             let mut apps: Vec<String> = row.apps.iter().map(|&i| VOCAB[i].to_string()).collect();
@@ -92,8 +93,20 @@ fn dataset(phone_id: u32, rows: &[Row], rot: usize) -> PhoneDataset {
                 battery: 80,
             })
         })
-        .collect();
-    PhoneDataset::new(phone_id, records, Vec::new())
+        .collect()
+}
+
+/// The phone [`records`] describes, as its dataset.
+fn dataset(phone_id: u32, rows: &[Row], rot: usize) -> PhoneDataset {
+    PhoneDataset::new(phone_id, records(rows, rot), Vec::new())
+}
+
+/// The phone [`records`] describes, as its consolidated log's bytes.
+fn log(rows: &[Row], rot: usize) -> Vec<u8> {
+    records(rows, rot)
+        .iter()
+        .flat_map(|rec| rec.encode().into_bytes().into_iter().chain([b'\n']))
+        .collect()
 }
 
 /// The distinct-signature histogram of one phone, keyed for
@@ -127,8 +140,8 @@ proptest! {
         for (sa, sb) in sigs_a.iter().zip(&sigs_b) {
             prop_assert!(sa.matches(sb, MatchMode::Strict), "strict: {} vs {}", sa.key(), sb.key());
             prop_assert!(sa.matches(sb, MatchMode::Core));
-            prop_assert!(sa.matches_phone(&b, &config, LABELS, MatchMode::Strict));
-            prop_assert!(sb.matches_phone(&a, &config, LABELS, MatchMode::Strict));
+            prop_assert!(sa.matches_log(&log(&rows, rot), &config, LABELS, MatchMode::Strict));
+            prop_assert!(sb.matches_log(&log(&rows, 0), &config, LABELS, MatchMode::Strict));
         }
     }
 
@@ -175,13 +188,14 @@ proptest! {
 }
 
 // ---------------------------------------------------------------
-// The log-only parse and the in-place matcher. A signature is a
-// function of the consolidated log alone, so `PhoneDataset::from_log`
-// must yield everything a signature reads exactly as the full parse
-// does — on fleet phones and repro phones, clean or damaged — and
-// `matches_phone` must give the verdict of the comparison it replaced:
-// build every signature the phone's coalescence fold yields and match
-// each one.
+// The log-only parse and the log scan. A signature is a function of
+// the consolidated log alone, so `PhoneDataset::from_log` must yield
+// everything a signature reads exactly as the full parse does — on
+// fleet phones and repro phones, clean or damaged — and `matches_log`
+// must give the verdict of the matcher it replaced, `phone_matches`
+// below, over `from_log` of the same bytes, which in turn gives the
+// verdict of building every signature the phone's coalescence fold
+// yields and matching each one.
 // ---------------------------------------------------------------
 
 const PROFILES: [CorruptionProfile; 4] = [
@@ -191,7 +205,43 @@ const PROFILES: [CorruptionProfile; 4] = [
     CorruptionProfile::Worst,
 ];
 
-/// The matcher `matches_phone` replaced, kept as its oracle.
+/// The matcher `matches_log` replaced, over a parsed phone, kept as
+/// its oracle: `Core` compares each panic's code, raiser id and
+/// activity; `Strict` also runs the coalescence fold (through
+/// `from_phone`) and compares full signatures.
+fn phone_matches(
+    sig: &FailureSignature,
+    phone: &PhoneDataset,
+    config: &AnalysisConfig,
+    device: DeviceLabels,
+    mode: MatchMode,
+) -> bool {
+    if sig.device_class != device.device_class || sig.firmware != device.firmware {
+        return false;
+    }
+    let Some(code) = sig.panic_code().filter(|c| c.to_string() == sig.code) else {
+        return false;
+    };
+    let Some(raised_by) = phone.names().lookup(&sig.raised_by) else {
+        return false;
+    };
+    let core = |p: &PanicEvent| {
+        p.code == code
+            && p.raised_by == raised_by
+            && p.activity.map(|a| a.as_str()) == sig.activity.as_deref()
+    };
+    match mode {
+        MatchMode::Core => phone.panics().iter().any(core),
+        MatchMode::Strict => {
+            phone.panics().iter().any(core)
+                && FailureSignature::from_phone(phone, config, device)
+                    .iter()
+                    .any(|s| sig.matches(s, mode))
+        }
+    }
+}
+
+/// The verdict `phone_matches` replaced, kept as its oracle.
 fn lens_matches(
     sig: &FailureSignature,
     phone: &PhoneDataset,
@@ -236,6 +286,7 @@ fn with_one_field_changed(sig: &FailureSignature) -> Vec<FailureSignature> {
         .to_string()
     });
     push(&|s| s.raised_by = "NoSuchComponent".to_string());
+    push(&|s| s.raised_by = format!("{}|-", s.raised_by));
     push(&|s| {
         s.activity = match s.activity.as_deref() {
             None => Some(ActivityKind::VoiceCall.as_str().to_string()),
@@ -269,9 +320,9 @@ fn with_one_field_changed(sig: &FailureSignature) -> Vec<FailureSignature> {
 }
 
 /// Checks the log-only parse of `fs` against the full parse, and the
-/// matcher against its oracle for every signature the phone yields and
-/// every one-field variant of them (plus `extra` signatures from other
-/// phones).
+/// log scan against its oracles for every signature the phone yields
+/// and every one-field variant of them (plus `extra` signatures from
+/// other phones).
 fn check_log_only(
     what: &str,
     fs: &FlashFs,
@@ -280,7 +331,8 @@ fn check_log_only(
 ) -> Vec<FailureSignature> {
     let config = CalibrationParams::default().analysis_config();
     let full = PhoneDataset::from_flashfs(3, fs);
-    let log = PhoneDataset::from_log(3, fs);
+    let bytes = fs.read_bytes(files::LOG).unwrap_or_default();
+    let log = PhoneDataset::from_log(3, bytes);
     assert_eq!(log.panics(), full.panics(), "{what}: panics");
     assert_eq!(log.boots(), full.boots(), "{what}: boots");
     assert_eq!(log.names(), full.names(), "{what}: names");
@@ -302,16 +354,16 @@ fn check_log_only(
             for mode in [MatchMode::Core, MatchMode::Strict] {
                 let want = lens_matches(&probe, &full, &config, device, mode);
                 assert_eq!(
-                    probe.matches_phone(&log, &config, device, mode),
+                    phone_matches(&probe, &log, &config, device, mode),
                     want,
-                    "{what}: {} under {} on the log-only parse",
+                    "{what}: {} under {}: the oracle on the log-only parse",
                     probe.key(),
                     mode.as_str()
                 );
                 assert_eq!(
-                    probe.matches_phone(&full, &config, device, mode),
+                    probe.matches_log(bytes, &config, device, mode),
                     want,
-                    "{what}: {} under {} on the full parse",
+                    "{what}: {} under {}: the log scan",
                     probe.key(),
                     mode.as_str()
                 );
@@ -373,5 +425,105 @@ fn log_only_parse_and_matcher_agree_on_repro_phones() {
             seen.extend(sigs.into_iter().take(3));
         }
         assert!(!seen.is_empty(), "boosted repro phones panic");
+    }
+}
+
+/// `matches_log` over hand-made logs that a harvest rarely or never
+/// holds: CRLF line ends, invalid UTF-8, a matching line whose checksum
+/// fails, raisers that occur in a line only as an app or reason name,
+/// and a raiser containing the field separator (here spanning the code
+/// and raiser fields of a line). Each case states the verdict it
+/// expects, and the oracle must give it too.
+#[test]
+fn log_scan_reads_the_log_as_the_parse_does() {
+    let config = AnalysisConfig::default();
+    let (kern3, user11) = (codes::KERN_EXEC_3, codes::USER_11);
+    let voice = Some(ActivityKind::VoiceCall);
+    // One panic line with one running app.
+    let line = |at: u64, code: PanicCode, raiser: &str, app: &str, reason: &str| {
+        let (at, panic) = (SimTime::from_secs(at), Panic::new(code, raiser, reason));
+        let mut out = Vec::new();
+        encode_panic_into(&mut out, at, &panic, &[app], voice, 70);
+        out.push(b'\n');
+        out
+    };
+    // `line` with the first byte of `text`'s first occurrence set to `to`.
+    let edit = |mut line: Vec<u8>, text: &str, to: u8| {
+        let at = line.windows(text.len()).position(|w| w == text.as_bytes());
+        line[at.unwrap()] = to;
+        line
+    };
+    let messages = line(10, user11, "Messages", "Messages", "overflow");
+    let camera = line(30, kern3, "Camera", "Camera", "null");
+    // `Telephone` runs only as an app here, and `Clock` is only a reason.
+    let log_line = line(20, user11, "Log", "Telephone", "Clock");
+    let clean = [messages.clone(), log_line, camera.clone()].concat();
+    let crlf: Vec<u8> = clean
+        .split_inclusive(|&b| b == b'\n')
+        .flat_map(|l| [&l[..l.len() - 1], b"\r\n"].concat())
+        .collect();
+    // An invalid line of its own, and an invalid byte in the reason of
+    // the `Messages` panic, whose checksum then fails on the lossy text.
+    let garbled = [
+        b"\xff\xfe\n".to_vec(),
+        edit(messages.clone(), "overflow", 0xff),
+        camera.clone(),
+    ]
+    .concat();
+    // A raiser spelled with an invalid byte: the lossy text reads
+    // U+FFFD there, and the line's checksum was taken over that text.
+    let lossy = line(40, kern3, "Cam\u{fffd}ra", "Cam\u{fffd}ra", "null");
+    let lossy = String::from_utf8(lossy).unwrap();
+    let lossy = lossy
+        .split('\u{fffd}')
+        .map(str::as_bytes)
+        .collect::<Vec<_>>()
+        .join(&0xff);
+    // The `Camera` panic with one reason byte changed: every field
+    // still parses, but the checksum does not match; then the same line
+    // with its checksum retaken, which matches again.
+    let bad_checksum = [messages, edit(camera, "null", b'N')].concat();
+    let retaken = {
+        let text = String::from_utf8(bad_checksum.clone()).unwrap();
+        let body = text.lines().nth(1).unwrap();
+        let payload = &body[..body.rfind('|').unwrap()];
+        format!("{payload}|c{:04x}\n", line_checksum(payload)).into_bytes()
+    };
+    let cases: [(&str, &[u8], PanicCode, &str, bool); 14] = [
+        ("lf", &clean, kern3, "Camera", true),
+        ("lf, other code", &clean, user11, "Camera", false),
+        ("crlf, first line", &crlf, user11, "Messages", true),
+        ("crlf, last line", &crlf, kern3, "Camera", true),
+        ("garbled, intact", &garbled, kern3, "Camera", true),
+        ("garbled reason", &garbled, user11, "Messages", false),
+        ("lossy raiser", &lossy, kern3, "Cam\u{fffd}ra", true),
+        ("lossy as bytes", &lossy, kern3, "Camera", false),
+        ("bad checksum", &bad_checksum, kern3, "Camera", false),
+        ("retaken", &retaken, kern3, "Camera", true),
+        ("only an app", &clean, user11, "Telephone", false),
+        ("only a reason", &clean, user11, "Clock", false),
+        ("another code", &clean, kern3, "Messages", false),
+        ("separator", &clean, user11, "USER~11|Log", false),
+    ];
+    for (what, log, code, raiser, want) in cases {
+        let sig = FailureSignature {
+            code: code.to_string(),
+            raised_by: raiser.to_string(),
+            apps: vec![raiser.to_string()],
+            activity: voice.map(|a| a.as_str().to_string()),
+            related: None,
+            device_class: LABELS.device_class.to_string(),
+            firmware: LABELS.firmware.to_string(),
+        };
+        let phone = PhoneDataset::from_log(0, log);
+        // The panics lie minutes apart with no freeze or shutdown near,
+        // so none is related and `Strict` agrees with `Core`.
+        for mode in [MatchMode::Core, MatchMode::Strict] {
+            let on = mode.as_str();
+            let oracle = phone_matches(&sig, &phone, &config, LABELS, mode);
+            assert_eq!(oracle, want, "{what}: the oracle under {on}");
+            let scan = sig.matches_log(log, &config, LABELS, mode);
+            assert_eq!(scan, want, "{what}: the log scan under {on}");
+        }
     }
 }
