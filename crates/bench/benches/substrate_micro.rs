@@ -264,10 +264,12 @@ fn bench(c: &mut Criterion) {
 
     // One `minimize` probe of a boosted 10-day repro phone, judged under
     // `Core`: simulated afresh against a signature its log does not
-    // hold (clean harvest, then a scan of the whole log), and answered
-    // at 5 days from a kept 10-day harvest against a signature of its
-    // own (a scan of the kept log's 5-day prefix, in place), as the
-    // corruption drop and the day bisections are.
+    // hold (the log-only harvest a clean probe runs, then a scan of the
+    // whole log), the same with every file written (the harvest a probe
+    // under a damaging profile needs before its corruption), and
+    // answered at 5 days from a kept 10-day harvest against a signature
+    // of its own (a scan of the kept log's 5-day prefix, in place), as
+    // the corruption drop and the day bisections are.
     let probe = ReproCampaign {
         seed: 11,
         days: 10,
@@ -305,6 +307,13 @@ fn bench(c: &mut Criterion) {
     g.warm_up_time(std::time::Duration::from_millis(500));
     g.bench_function("fresh_10d", |b| {
         b.iter(|| matches(&absent, probe.harvest().log(10)))
+    });
+    let full_flash = ReproCampaign {
+        corruption: CorruptionProfile::Worst,
+        ..probe.clone()
+    };
+    g.bench_function("fresh_10d_full_flash", |b| {
+        b.iter(|| matches(&absent, full_flash.harvest().log(10)))
     });
     g.bench_function("cut_5d_of_kept_10d", |b| {
         b.iter(|| matches(&signature, kept.log(5)))

@@ -1070,12 +1070,13 @@ fn minimize_cmd(argv: &[String]) -> Result<String, String> {
     let channels: Vec<&str> = min.config.channels.iter().map(|c| c.as_str()).collect();
     eprintln!(
         "minimal repro: seed {} x {} days, channels [{}], corruption {} \
-         ({} probes, {} accepted shrink steps, replay-verified)",
+         ({} probes, {} simulated, {} accepted shrink steps, replay-verified)",
         min.config.seed,
         min.config.days,
         channels.join(", "),
         min.config.corruption.as_str(),
         min.probes,
+        min.simulated,
         min.trail.len()
     );
     let json = min.config.to_json();

@@ -89,8 +89,8 @@ impl FlashFs {
 
     /// The last line of `file`, if the file exists and is non-empty —
     /// exactly `read_lines(file).last()`, but it scans back from the
-    /// end of the buffer and UTF-8-checks only that line, so the
-    /// boot-time heartbeat check costs the same on day 400 as on day 1.
+    /// end of the buffer and UTF-8-checks only that line, so reading a
+    /// file's latest record costs the same on day 400 as on day 1.
     pub fn last_line(&self, file: &str) -> Option<&str> {
         let buf = self.file(file)?.as_slice();
         let body = buf.strip_suffix(b"\n").unwrap_or(buf);

@@ -5,7 +5,9 @@
 //! applications complete their tasks — enough for the Heartbeat to
 //! write the final `REBOOT`, `MAOFF` or `LOWBT` event. A freeze or a
 //! battery pull writes nothing, which is precisely the signature the
-//! boot-time check keys on.
+//! boot-time check keys on. The AO remembers the last event it wrote,
+//! which is the last line of the `beats` file as long as nothing else
+//! touches that file, and the boot-time check asks it for that event.
 
 use symfail_sim_core::{SimDuration, SimTime};
 
@@ -71,6 +73,8 @@ impl Odometer {
 #[derive(Debug, Clone, Default)]
 pub struct HeartbeatAo {
     beats_written: u64,
+    /// The last event emitted, with its time.
+    last: Option<(SimTime, HeartbeatEvent)>,
 }
 
 impl HeartbeatAo {
@@ -80,7 +84,7 @@ impl HeartbeatAo {
     }
 
     /// Writes an `ALIVE` beat: the one-beat run of [`Self::beats`].
-    pub fn beat(&mut self, fs: &mut FlashFs, now: SimTime) {
+    pub fn beat(&mut self, fs: Option<&mut FlashFs>, now: SimTime) {
         self.beats(fs, now, SimDuration::ZERO, 1);
     }
 
@@ -88,11 +92,16 @@ impl HeartbeatAo {
     /// … with one file lookup; each timestamp after the first is the
     /// previous one's digits plus the period, carried in place. The
     /// bytes are exactly those of `n` single beats at the same times.
-    /// The last timestamp must fit in a `u64`.
-    pub fn beats(&mut self, fs: &mut FlashFs, first: SimTime, period: SimDuration, n: u32) {
+    /// The last timestamp must fit in a `u64`. With `fs` `None` (a
+    /// log-only logger) nothing is written, but the run is counted and
+    /// its last beat remembered all the same.
+    pub fn beats(&mut self, fs: Option<&mut FlashFs>, first: SimTime, period: SimDuration, n: u32) {
         if n == 0 {
             return;
         }
+        self.beats_written += u64::from(n);
+        self.last = Some((first + period * u64::from(n - 1), HeartbeatEvent::Alive));
+        let Some(fs) = fs else { return };
         fs.append_lines_with(files::BEATS, |buf| {
             let mut at = Odometer::new(first.as_millis());
             at.push_alive(buf);
@@ -108,16 +117,27 @@ impl HeartbeatAo {
                 }
             }
         });
-        self.beats_written += u64::from(n);
     }
 
-    /// Writes the final event of a clean shutdown.
-    pub fn final_event(&mut self, fs: &mut FlashFs, now: SimTime, event: HeartbeatEvent) {
+    /// Writes the final event of a clean shutdown; with `fs` `None`,
+    /// only remembers it.
+    pub fn final_event(&mut self, fs: Option<&mut FlashFs>, now: SimTime, event: HeartbeatEvent) {
         debug_assert!(event != HeartbeatEvent::Alive, "final event is never ALIVE");
-        fs.append_line_with(files::BEATS, |buf| encode_beat_into(buf, now, event));
+        self.last = Some((now, event));
+        if let Some(fs) = fs {
+            fs.append_line_with(files::BEATS, |buf| encode_beat_into(buf, now, event));
+        }
     }
 
-    /// Number of ALIVE beats written (log-volume metric).
+    /// The last event written (or, log-only, that would have been),
+    /// with its time: `None` before the first beat. This is what the
+    /// boot-time check classifies the previous session by.
+    pub fn last_event(&self) -> Option<(SimTime, HeartbeatEvent)> {
+        self.last
+    }
+
+    /// Number of ALIVE beats emitted, whether or not written
+    /// (log-volume metric).
     pub fn beats_written(&self) -> u64 {
         self.beats_written
     }
@@ -132,9 +152,14 @@ mod tests {
     fn beats_accumulate() {
         let mut fs = FlashFs::new();
         let mut hb = HeartbeatAo::new();
-        hb.beat(&mut fs, SimTime::from_secs(1));
-        hb.beat(&mut fs, SimTime::from_secs(2));
-        hb.final_event(&mut fs, SimTime::from_secs(3), HeartbeatEvent::Reboot);
+        assert_eq!(hb.last_event(), None);
+        hb.beat(Some(&mut fs), SimTime::from_secs(1));
+        hb.beat(Some(&mut fs), SimTime::from_secs(2));
+        assert_eq!(
+            hb.last_event(),
+            Some((SimTime::from_secs(2), HeartbeatEvent::Alive))
+        );
+        hb.final_event(Some(&mut fs), SimTime::from_secs(3), HeartbeatEvent::Reboot);
         assert_eq!(hb.beats_written(), 2);
         let events: Vec<HeartbeatEvent> = fs
             .read_lines(files::BEATS)

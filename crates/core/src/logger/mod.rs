@@ -20,7 +20,10 @@
 //!   heartbeat to classify what ended the previous session.
 //!
 //! [`FailureLogger`] wires the five together behind the narrow hook
-//! API the device simulator drives.
+//! API the device simulator drives. A logger built
+//! [`LoggerFiles::LogOnly`] runs every AO on the same schedule but
+//! writes only the consolidated log: the harvest a reader of that file
+//! alone needs.
 
 mod dexc;
 mod heartbeat;
@@ -98,6 +101,27 @@ pub struct PhoneContext<'a> {
     pub battery_low: bool,
 }
 
+/// Which flash files a logger writes, fixed when it is built.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum LoggerFiles {
+    /// Every file: `beats`, `runapp`, `activity`, `power`, the
+    /// embedding simulator's `ureport` and the consolidated `log` — the
+    /// deployed logger.
+    All,
+    /// The consolidated `log` alone. The AOs keep their schedule and
+    /// the Heartbeat AO still remembers its last event, so the boot
+    /// records, panic records and every byte of `log` equal the full
+    /// logger's; only the other files are never written.
+    LogOnly,
+}
+
+impl LoggerFiles {
+    /// `fs`, when files beside the consolidated log are written.
+    pub fn side_files(self, fs: &mut FlashFs) -> Option<&mut FlashFs> {
+        (self == LoggerFiles::All).then_some(fs)
+    }
+}
+
 /// How a clean shutdown was initiated (drives the final heartbeat
 /// event).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -141,6 +165,7 @@ pub enum ShutdownKind {
 #[derive(Debug, Clone)]
 pub struct FailureLogger {
     config: LoggerConfig,
+    files: LoggerFiles,
     heartbeat: HeartbeatAo,
     runapps: RunningAppsDetector,
     logengine: LogEngine,
@@ -150,10 +175,18 @@ pub struct FailureLogger {
 }
 
 impl FailureLogger {
-    /// Creates a logger with the given configuration.
+    /// Creates a logger with the given configuration that writes every
+    /// file.
     pub fn new(config: LoggerConfig) -> Self {
+        Self::with_files(config, LoggerFiles::All)
+    }
+
+    /// Creates a logger with the given configuration that writes
+    /// `files`.
+    pub fn with_files(config: LoggerConfig, files: LoggerFiles) -> Self {
         Self {
             config,
+            files,
             heartbeat: HeartbeatAo::new(),
             runapps: RunningAppsDetector::new(),
             logengine: LogEngine::new(),
@@ -168,14 +201,22 @@ impl FailureLogger {
         self.config
     }
 
+    /// The files this logger writes.
+    pub fn files(&self) -> LoggerFiles {
+        self.files
+    }
+
     /// Called when the phone (and thus the logger daemon) starts. The
-    /// Panic Detector inspects the last heartbeat to classify how the
-    /// previous session ended, then writes a boot record; the
-    /// heartbeat resumes.
+    /// Panic Detector asks the Heartbeat AO for the previous session's
+    /// last event to classify how it ended, then writes a boot record;
+    /// the heartbeat resumes.
     pub fn on_boot(&mut self, fs: &mut FlashFs, now: SimTime, ctx: PhoneContext<'_>) {
-        self.panicdet.on_boot(fs, now);
-        self.heartbeat.beat(fs, now);
-        self.snapshot(fs, now, ctx);
+        self.panicdet.on_boot(fs, now, self.heartbeat.last_event());
+        let mut side = self.files.side_files(fs);
+        self.heartbeat.beat(side.as_deref_mut(), now);
+        if let Some(fs) = side {
+            self.snapshot(fs, now, ctx);
+        }
         self.ticks_since_snapshot = 0;
     }
 
@@ -201,8 +242,8 @@ impl FailureLogger {
     /// only be its last — the `runapp` and `power` snapshot lines at
     /// that tick. `ctx` is sampled only then, so a caller that steps
     /// its state once per tick samples it only where a snapshot is
-    /// written. The bytes and counters equal those of `n` single
-    /// [`Self::on_tick`] calls.
+    /// written (never, log-only). The bytes and counters equal those of
+    /// `n` single [`Self::on_tick`] calls.
     ///
     /// # Panics
     ///
@@ -223,10 +264,13 @@ impl FailureLogger {
             return;
         }
         let period = self.config.heartbeat_period;
-        self.heartbeat.beats(fs, first, period, n);
+        let mut side = self.files.side_files(fs);
+        self.heartbeat.beats(side.as_deref_mut(), first, period, n);
         self.ticks_since_snapshot += n;
         if self.ticks_since_snapshot >= self.config.snapshot_every {
-            self.snapshot(fs, first + period * u64::from(n - 1), ctx());
+            if let Some(fs) = side {
+                self.snapshot(fs, first + period * u64::from(n - 1), ctx());
+            }
             self.ticks_since_snapshot = 0;
         }
     }
@@ -240,7 +284,9 @@ impl FailureLogger {
         end: SimTime,
         kind: ActivityKind,
     ) {
-        self.logengine.record(fs, start, end, kind);
+        if let Some(fs) = self.files.side_files(fs) {
+            self.logengine.record(fs, start, end, kind);
+        }
     }
 
     /// Called when the kernel notifies a panic (the `RDebug` hook).
@@ -266,7 +312,8 @@ impl FailureLogger {
             ShutdownKind::ManualOff => HeartbeatEvent::ManualOff,
             ShutdownKind::LowBattery => HeartbeatEvent::LowBattery,
         };
-        self.heartbeat.final_event(fs, now, event);
+        self.heartbeat
+            .final_event(self.files.side_files(fs), now, event);
     }
 
     fn snapshot(&mut self, fs: &mut FlashFs, now: SimTime, ctx: PhoneContext<'_>) {
@@ -392,6 +439,53 @@ mod tests {
         assert_eq!(panic_rec.running_apps, vec!["Messages".to_string()]);
         assert_eq!(panic_rec.activity, Some(ActivityKind::Message));
         assert_eq!(panic_rec.battery, 80);
+    }
+
+    /// A log-only logger runs the full one's schedule and writes its
+    /// `log` byte for byte, boot classifications included, but no other
+    /// file.
+    #[test]
+    fn log_only_logger_writes_the_full_loggers_log_alone() {
+        let config = LoggerConfig {
+            heartbeat_period: SimDuration::from_secs(30),
+            snapshot_every: 3,
+        };
+        let p = Panic::new(codes::KERN_EXEC_3, "Messages", "dereferenced NULL");
+        let [full, log_only] = [LoggerFiles::All, LoggerFiles::LogOnly].map(|written| {
+            let mut fs = FlashFs::new();
+            let mut lg = FailureLogger::with_files(config, written);
+            lg.on_boot(&mut fs, t(0), ctx());
+            lg.on_ticks(&mut fs, t(30), 2, ctx);
+            lg.on_activity(&mut fs, t(40), t(70), ActivityKind::VoiceCall);
+            lg.on_panic(&mut fs, t(75), &p, ctx(), Some(ActivityKind::VoiceCall));
+            lg.on_tick(&mut fs, t(90), ctx());
+            lg.on_clean_shutdown(&mut fs, t(100), ShutdownKind::LowBattery);
+            lg.on_boot(&mut fs, t(900), ctx());
+            lg.on_ticks(&mut fs, t(930), 3, ctx);
+            // A freeze: the session ends without a final event.
+            lg.on_boot(&mut fs, t(2000), ctx());
+            (lg, fs)
+        });
+        assert_eq!(
+            full.1.file_names(),
+            [
+                files::ACTIVITY,
+                files::BEATS,
+                files::LOG,
+                files::POWER,
+                files::RUNAPP
+            ]
+        );
+        assert_eq!(log_only.1.file_names(), [files::LOG]);
+        assert_eq!(
+            log_only.1.read_bytes(files::LOG),
+            full.1.read_bytes(files::LOG)
+        );
+        let boots = log_only.0.boot_records(&log_only.1);
+        assert_eq!(boots[1].last_event, HeartbeatEvent::LowBattery);
+        assert_eq!(boots[1].off_duration, Some(SimDuration::from_secs(800)));
+        assert!(boots[2].freeze_detected);
+        assert_eq!(boots[2].last_event_at, t(990), "the run's last beat");
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! services of the Kernel Server) and consolidates the data produced
 //! by the other active objects into the single consolidated log file.
 //! It also runs the boot-time heartbeat check: when the logger starts,
-//! it inspects the last event in the `beats` file —
+//! it inspects the last heartbeat event of the previous session —
 //!
 //! * `ALIVE` ⇒ the phone was shut down by pulling out the battery,
 //!   which (per the paper) means the phone was **frozen**: pulling the
@@ -12,15 +12,21 @@
 //! * `REBOOT` / `LOWBT` / `MAOFF` ⇒ a clean shutdown whose duration
 //!   (phone off-time) is measurable and recorded for the Figure 2
 //!   self-shutdown identification.
+//!
+//! The event is the one the Heartbeat AO remembers writing
+//! ([`super::HeartbeatAo::last_event`]), not a decode of the `beats`
+//! file's last line. The two are equal: only the Heartbeat AO writes
+//! that file, and flash is damaged only after the harvest, never while
+//! the phone runs. So the check costs the same with or without the
+//! file, and a log-only logger classifies its boots exactly as the
+//! full one does.
 
 use symfail_sim_core::SimTime;
 use symfail_symbian::servers::logdb::ActivityKind;
 use symfail_symbian::Panic;
 
 use crate::flashfs::FlashFs;
-use crate::records::{
-    decode_beat, encode_boot_into, encode_panic_into, BootRecord, HeartbeatEvent,
-};
+use crate::records::{encode_boot_into, encode_panic_into, BootRecord, HeartbeatEvent};
 
 use super::{files, PhoneContext};
 
@@ -66,11 +72,14 @@ impl PanicDetector {
     }
 
     /// The boot-time heartbeat check. Writes a [`BootRecord`]
-    /// classifying how the previous session ended.
-    pub fn on_boot(&mut self, fs: &mut FlashFs, now: SimTime) {
-        let last_beat = fs
-            .last_line(files::BEATS)
-            .and_then(|line| decode_beat(line.as_bytes()).ok());
+    /// classifying how the previous session ended, from its last
+    /// heartbeat event (`None` on the very first boot).
+    pub fn on_boot(
+        &mut self,
+        fs: &mut FlashFs,
+        now: SimTime,
+        last_beat: Option<(SimTime, HeartbeatEvent)>,
+    ) {
         let record = match last_beat {
             None => BootRecord {
                 // Very first boot: nothing to classify.
@@ -102,14 +111,14 @@ impl PanicDetector {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::records::{encode_beat, LogRecord};
+    use crate::records::LogRecord;
     use symfail_symbian::panic::codes;
 
     #[test]
     fn boot_with_no_beats_is_first_boot() {
         let mut fs = FlashFs::new();
         let mut pd = PanicDetector::new();
-        pd.on_boot(&mut fs, SimTime::from_secs(1));
+        pd.on_boot(&mut fs, SimTime::from_secs(1), None);
         let rec = LogRecord::decode(fs.last_line(files::LOG).unwrap()).unwrap();
         match rec {
             LogRecord::Boot(b) => {
@@ -123,12 +132,9 @@ mod tests {
     #[test]
     fn boot_after_alive_flags_freeze() {
         let mut fs = FlashFs::new();
-        fs.append_line(
-            files::BEATS,
-            &encode_beat(SimTime::from_secs(100), HeartbeatEvent::Alive),
-        );
         let mut pd = PanicDetector::new();
-        pd.on_boot(&mut fs, SimTime::from_secs(400));
+        let last = (SimTime::from_secs(100), HeartbeatEvent::Alive);
+        pd.on_boot(&mut fs, SimTime::from_secs(400), Some(last));
         match LogRecord::decode(fs.last_line(files::LOG).unwrap()).unwrap() {
             LogRecord::Boot(b) => {
                 assert!(b.freeze_detected);
@@ -141,12 +147,9 @@ mod tests {
     #[test]
     fn boot_after_reboot_measures_off_duration() {
         let mut fs = FlashFs::new();
-        fs.append_line(
-            files::BEATS,
-            &encode_beat(SimTime::from_secs(100), HeartbeatEvent::Reboot),
-        );
         let mut pd = PanicDetector::new();
-        pd.on_boot(&mut fs, SimTime::from_secs(182));
+        let last = (SimTime::from_secs(100), HeartbeatEvent::Reboot);
+        pd.on_boot(&mut fs, SimTime::from_secs(182), Some(last));
         match LogRecord::decode(fs.last_line(files::LOG).unwrap()).unwrap() {
             LogRecord::Boot(b) => {
                 assert!(!b.freeze_detected);

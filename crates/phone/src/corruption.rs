@@ -23,7 +23,7 @@
 //!   observation into a `truncated` one.
 
 use symfail_core::flashfs::FlashFs;
-use symfail_core::logger::files;
+use symfail_core::logger::{files, LoggerFiles};
 use symfail_core::records::decode_beat;
 use symfail_sim_core::SimRng;
 
@@ -61,6 +61,17 @@ impl CorruptionProfile {
             Self::Light => "light",
             Self::Moderate => "moderate",
             Self::Worst => "worst",
+        }
+    }
+
+    /// The files a phone must write when only its consolidated log is
+    /// read after damage under this profile: the log alone under
+    /// `none`; every file otherwise, since the injector draws the log's
+    /// damage after the beats file's line count.
+    pub(crate) fn log_reader_files(self) -> LoggerFiles {
+        match self {
+            Self::None => LoggerFiles::LogOnly,
+            _ => LoggerFiles::All,
         }
     }
 

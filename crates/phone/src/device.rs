@@ -7,11 +7,14 @@
 //! `On`, the embedded failure logger receives heartbeat ticks; a
 //! freeze silences the heartbeat without a final event, and a clean
 //! shutdown writes one, exactly reproducing the signatures the
-//! paper's boot-time check discriminates.
+//! paper's boot-time check discriminates. The logger's files are fixed
+//! when the phone is built ([`LoggerFiles`]): a log-only phone draws
+//! every random number a full one draws and writes the same `log`.
 
 use symfail_core::flashfs::FlashFs;
 use symfail_core::logger::{
-    FailureLogger, LoggerConfig, PhoneContext, ShutdownKind, UserReportChannel, UserReportKind,
+    FailureLogger, LoggerConfig, LoggerFiles, PhoneContext, ShutdownKind, UserReportChannel,
+    UserReportKind,
 };
 use symfail_sim_core::{SimDuration, SimRng, SimTime};
 use symfail_symbian::servers::applist::AppArchServer;
@@ -117,15 +120,17 @@ pub struct Phone {
 }
 
 impl Phone {
-    /// Creates a phone; `rng` must be an independent stream for this
-    /// phone.
+    /// Creates a phone whose logger writes every file; `rng` must be
+    /// an independent stream for this phone.
     pub fn new(id: u32, params: CalibrationParams, mut rng: SimRng) -> Self {
         let profile = UserProfile::sample(&params, &mut rng);
-        Self::with_profile(id, params, profile, rng)
+        Self::with_profile(id, params, profile, rng, LoggerFiles::All)
     }
 
     /// Creates a phone with a caller-chosen behaviour profile (the
-    /// fleet campaign stratifies traits across phones).
+    /// fleet campaign stratifies traits across phones) whose logger
+    /// writes `files`: [`LoggerFiles::LogOnly`] when the harvest's
+    /// reader reads the consolidated log alone.
     ///
     /// # Panics
     ///
@@ -136,15 +141,19 @@ impl Phone {
         params: CalibrationParams,
         profile: UserProfile,
         rng: SimRng,
+        files: LoggerFiles,
     ) -> Self {
         assert!(
             params.heartbeat_period_secs > 0,
             "heartbeat_period_secs must be positive: a zero period never advances the heartbeat"
         );
-        let logger = FailureLogger::new(LoggerConfig {
-            heartbeat_period: SimDuration::from_secs(params.heartbeat_period_secs),
-            snapshot_every: 10,
-        });
+        let logger = FailureLogger::with_files(
+            LoggerConfig {
+                heartbeat_period: SimDuration::from_secs(params.heartbeat_period_secs),
+                snapshot_every: 10,
+            },
+            files,
+        );
         Self {
             id,
             profile,
@@ -584,8 +593,9 @@ impl Phone {
                             1 => UserReportKind::InputFailure,
                             _ => UserReportKind::UnstableBehavior,
                         };
-                        self.user_reports
-                            .on_user_report(&mut self.fs, t + delay, kind);
+                        if let Some(fs) = self.logger.files().side_files(&mut self.fs) {
+                            self.user_reports.on_user_report(fs, t + delay, kind);
+                        }
                         self.stats.user_reports += 1;
                     }
                 }

@@ -24,7 +24,7 @@ use symfail_core::analysis::passes::{
 };
 use symfail_core::analysis::report::{AnalysisConfig, StudyReport};
 use symfail_core::flashfs::FlashFs;
-use symfail_core::logger::{UserReportChannel, UserReportKind};
+use symfail_core::logger::{LoggerFiles, UserReportChannel, UserReportKind};
 use symfail_sim_core::{SimRng, SimTime};
 
 use crate::calibration::CalibrationParams;
@@ -538,10 +538,23 @@ impl FleetCampaign {
         }
     }
 
-    fn run_phone(&self, id: u32) -> PhoneHarvest {
+    /// Simulates phone `id` with a logger that writes `files`, then
+    /// corrupts its harvest under the campaign's profile. A log-only
+    /// harvest is never corrupted: the injector's draws depend on the
+    /// beats file.
+    fn run_phone(&self, id: u32, files: LoggerFiles) -> PhoneHarvest {
+        assert!(
+            id < self.params.phones,
+            "phone {id} outside the {}-phone fleet",
+            self.params.phones
+        );
+        debug_assert!(
+            files == LoggerFiles::All || self.corruption == CorruptionProfile::None,
+            "a log-only harvest cannot be corrupted as the full one is"
+        );
         let (rng, (enrolled_day, retired_day), profile, params) = self.phone_setup(id);
         let device = self.composition.profile(id, self.params.phones);
-        let mut phone = Phone::with_profile(id, params, profile, rng.fork("device", 0));
+        let mut phone = Phone::with_profile(id, params, profile, rng.fork("device", 0), files);
         phone.set_firmware(device.firmware);
         for day in enrolled_day..retired_day {
             phone.simulate_day(day);
@@ -573,12 +586,19 @@ impl FleetCampaign {
     /// phone's harvest under any worker count or shard layout
     /// (per-phone RNG forks are independent by construction).
     pub fn run_single(&self, id: u32) -> PhoneHarvest {
-        assert!(
-            id < self.params.phones,
-            "phone {id} outside the {}-phone fleet",
-            self.params.phones
-        );
-        self.run_phone(id)
+        self.run_phone(id, LoggerFiles::All)
+    }
+
+    /// Runs exactly one phone of this campaign for a reader of its
+    /// consolidated log alone, such as signature extraction. On a clean
+    /// campaign the phone's logger writes only `log`
+    /// ([`LoggerFiles::LogOnly`]): the harvest's log and stats are
+    /// [`Self::run_single`]'s, and no other file exists. A corrupted
+    /// campaign's phone keeps every file, because the injector draws the
+    /// log's damage after the beats file's line count, so its harvest
+    /// is [`Self::run_single`]'s.
+    pub fn run_single_for_log(&self, id: u32) -> PhoneHarvest {
+        self.run_phone(id, self.corruption.log_reader_files())
     }
 
     /// Runs every phone sequentially, retaining every flash — the
@@ -586,7 +606,7 @@ impl FleetCampaign {
     /// materializes. Deterministic in the seed.
     pub fn run(&self) -> Vec<PhoneHarvest> {
         (0..self.params.phones)
-            .map(|id| self.run_phone(id))
+            .map(|id| self.run_phone(id, LoggerFiles::All))
             .collect()
     }
 
@@ -724,7 +744,7 @@ impl FleetCampaign {
                                     // corrupt, parse and fold — is what a
                                     // measured shard plan balances.
                                     let t0 = Instant::now();
-                                    let harvest = self.run_phone(id);
+                                    let harvest = self.run_phone(id, LoggerFiles::All);
                                     let t_parse = Instant::now();
                                     let ds = PhoneDataset::from_flashfs_with(
                                         id,

@@ -12,7 +12,12 @@
 //!    simulator-internal shortcut: the Panic Detector writes every
 //!    panic there with its context, and the boot-time heartbeat check
 //!    writes every freeze and shutdown into a boot record there, so a
-//!    signature is a function of the log alone. The scan
+//!    signature is a function of the log alone. A probe whose
+//!    corruption profile is `none` therefore simulates a log-only
+//!    phone ([`LoggerFiles::LogOnly`]), which writes that log byte for
+//!    byte and no other file; a corrupted probe simulates every file,
+//!    because the injector draws the log's damage after the beats
+//!    file's line count. The scan
 //!    ([`FailureSignature::matches_log`]) decodes only the lines that
 //!    name the signature's raiser; the log is parsed in full
 //!    ([`PhoneDataset::from_log`]) only under `Strict`, after the scan
@@ -36,8 +41,9 @@
 //!    answered from that harvest instead of simulating again: a clean
 //!    probe scans the kept log's prefix up to the day's length in
 //!    place, and a corrupted one cuts every file at its day's length
-//!    and corrupts the cut from the campaign's own stream. The answer
-//!    is the fresh probe's.
+//!    and corrupts the cut from the campaign's own stream — when the
+//!    kept harvest holds every file; a log-only one cannot answer it,
+//!    so that probe simulates afresh. The answer is the fresh probe's.
 //! 4. **Greedy channel drop.** Disable fault channels one at a time in
 //!    fixed order, keeping each drop only if the repro still holds
 //!    (dropping a channel removes its RNG draws, so the remaining
@@ -47,7 +53,8 @@
 //!
 //! Every accepted shrink step is itself a reproducing config and is
 //! recorded on the [`Minimized::trail`], which is what the replay
-//! harness re-runs; [`ReproConfig::replay`] always simulates afresh.
+//! harness re-runs; [`ReproConfig::replay`] always simulates afresh,
+//! log-only when its profile is `none`.
 //! The whole search is a pure function of `(signature, options)`, so
 //! the emitted [`ReproConfig`] JSON is byte-identical across runs and
 //! machines.
@@ -59,13 +66,13 @@ use symfail_core::analysis::passes::DeviceLabels;
 use symfail_core::analysis::report::AnalysisConfig;
 use symfail_core::analysis::signature::{FailureSignature, MatchMode};
 use symfail_core::flashfs::FlashFs;
-use symfail_core::logger::files;
+use symfail_core::logger::{files, LoggerFiles};
 use symfail_sim_core::SimRng;
 
 use crate::calibration::CalibrationParams;
 use crate::composition::{DeviceClass, DeviceProfile};
 use crate::corruption::{CorruptionModel, CorruptionProfile};
-use crate::device::Phone;
+use crate::device::{Phone, PhoneStats};
 use crate::firmware::SymbianVersion;
 use crate::fleet::FleetCampaign;
 use crate::user::UserProfile;
@@ -214,17 +221,22 @@ impl ReproCampaign {
     /// Simulates the campaign's clean harvest — the simulate step
     /// [`FleetCampaign`] applies to each member, with phone id 0 and the
     /// pinned device profile — marking every file's length at the end
-    /// of each day.
+    /// of each day. Every verdict reads the log alone, so under profile
+    /// `none` the phone writes only `log` ([`LoggerFiles::LogOnly`]); a
+    /// profile that damages flash needs every file.
     pub fn harvest(&self) -> ReproHarvest {
         let params = self
             .device
             .scale_params(&repro_params(self.days, &self.channels));
         let mut rng = SimRng::seed_from(self.seed).fork("phone", 0);
         let profile = UserProfile::sample_with_nightly(&params, &mut rng, false);
-        let mut phone = Phone::with_profile(0, params, profile, rng.fork("device", 0));
+        let files = self.corruption.log_reader_files();
+        let mut phone = Phone::with_profile(0, params, profile, rng.fork("device", 0), files);
         phone.set_firmware(self.device.firmware);
         let mut harvest = ReproHarvest {
             flash: FlashFs::new(),
+            files,
+            stats: PhoneStats::default(),
             names: Vec::new(),
             ends: Vec::new(),
             rows: vec![0],
@@ -234,6 +246,7 @@ impl ReproCampaign {
             phone.simulate_day(day);
             harvest.mark(phone.flashfs());
         }
+        harvest.stats = phone.stats();
         harvest.flash = phone.into_flashfs();
         harvest
     }
@@ -288,14 +301,19 @@ fn log_of(fs: &FlashFs) -> &[u8] {
     fs.read_bytes(files::LOG).unwrap_or_default()
 }
 
-/// A repro phone's clean flash and every file's length at the end of
-/// each simulated day. With spreads zeroed a repro phone never reads
-/// `campaign_days`, so the harvest of the same campaign run for fewer
-/// days is this one cut back to a day's lengths ([`Self::cut`]).
+/// A repro phone's clean flash, its ground-truth counters and every
+/// file's length at the end of each simulated day. With spreads zeroed
+/// a repro phone never reads `campaign_days`, so the harvest of the
+/// same campaign run for fewer days is this one cut back to a day's
+/// lengths ([`Self::cut`]).
 #[derive(Debug, Clone)]
 pub struct ReproHarvest {
     /// The flash after the last day, before any corruption.
     flash: FlashFs,
+    /// The files the phone's logger wrote.
+    files: LoggerFiles,
+    /// The simulator's counters after the last day.
+    stats: PhoneStats,
     /// The files the phone wrote, in the order they appeared.
     names: Vec<String>,
     /// Day `d`'s row, `ends[rows[d]..rows[d + 1]]`, holds the length of
@@ -307,9 +325,20 @@ pub struct ReproHarvest {
 }
 
 impl ReproHarvest {
-    /// The flash after the last simulated day.
+    /// The flash after the last simulated day: only its `log` file when
+    /// [`Self::files`] is [`LoggerFiles::LogOnly`].
     pub fn flash(&self) -> &FlashFs {
         &self.flash
+    }
+
+    /// The files the phone's logger wrote.
+    pub fn files(&self) -> LoggerFiles {
+        self.files
+    }
+
+    /// The simulator's ground-truth counters after the last day.
+    pub fn stats(&self) -> PhoneStats {
+        self.stats
     }
 
     /// The flash the same campaign leaves after `days` days: every file
@@ -531,7 +560,7 @@ impl Default for MinimizeOptions {
 
 /// A finished minimization: the minimal config, the accepted-shrink
 /// trail (every entry reproduces; the last is `config`), and the
-/// probe count the search spent.
+/// probe and simulation counts the search spent.
 #[derive(Debug, Clone)]
 pub struct Minimized {
     /// The minimal reproducing config.
@@ -541,6 +570,9 @@ pub struct Minimized {
     /// Probes the search ran, each a simulate → corrupt → match verdict
     /// whether simulated afresh or answered from a kept harvest.
     pub probes: u64,
+    /// The probes that simulated afresh; the rest were answered from a
+    /// kept harvest.
+    pub simulated: u64,
 }
 
 /// Why [`minimize`] found nothing.
@@ -597,6 +629,7 @@ pub fn minimize(
         signature,
         opts,
         probes: 0,
+        simulated: 0,
         kept: None,
     };
     let mut probe = |seed: u64, days: u32, channels: &[FaultChannel], corruption| {
@@ -679,6 +712,7 @@ pub fn minimize(
         config: cur,
         trail,
         probes: prober.probes,
+        simulated: prober.simulated,
     })
 }
 
@@ -687,10 +721,12 @@ struct Prober<'a> {
     signature: &'a FailureSignature,
     opts: &'a MinimizeOptions,
     probes: u64,
+    simulated: u64,
     /// The last simulated probe that reproduced, with its clean
     /// harvest. A later probe of the same seed and channels and no more
     /// days — the corruption drop and both bisections — is answered
-    /// from it at its day count instead of simulating again.
+    /// from it at its day count instead of simulating again, unless the
+    /// probe damages flash and the harvest holds only the log.
     kept: Option<(ReproCampaign, ReproHarvest)>,
 }
 
@@ -712,11 +748,15 @@ impl Prober<'_> {
             campaign.corrupt(&mut fs);
             campaign.log_matches(log_of(&fs), signature, &opts.config, opts.mode)
         };
-        if let Some((_, harvest)) = self.kept.as_ref().filter(|(k, _)| {
-            k.seed == campaign.seed && k.channels == campaign.channels && campaign.days <= k.days
+        if let Some((_, harvest)) = self.kept.as_ref().filter(|(k, h)| {
+            k.seed == campaign.seed
+                && k.channels == campaign.channels
+                && campaign.days <= k.days
+                && (campaign.corruption == CorruptionProfile::None || h.files == LoggerFiles::All)
         }) {
             return answer(harvest);
         }
+        self.simulated += 1;
         let harvest = campaign.harvest();
         let hit = answer(&harvest);
         if hit {
@@ -731,13 +771,21 @@ impl Prober<'_> {
 /// key — without ever materializing the fleet. Each phone's panics
 /// resolve against its own name table; interner independence makes
 /// the result identical to extraction from the merged fleet.
+///
+/// A signature is a function of the consolidated log alone, so each
+/// phone runs through [`FleetCampaign::run_single_for_log`]: on a
+/// clean campaign its logger writes only `log`, byte for byte the log
+/// the full phone writes, and skips the beats, snapshot and activity
+/// files nothing here reads. A corrupted campaign's phones write every
+/// file, since the injector draws the log's damage after the beats
+/// file's line count.
 pub fn extract_fleet_signatures(
     campaign: &FleetCampaign,
     config: &AnalysisConfig,
 ) -> Vec<(FailureSignature, u64)> {
     let mut out: Vec<(FailureSignature, u64)> = Vec::new();
     for id in 0..campaign.params().phones {
-        let harvest = campaign.run_single(id);
+        let harvest = campaign.run_single_for_log(id);
         let phone = PhoneDataset::from_log(id, log_of(&harvest.flashfs));
         for sig in FailureSignature::from_phone(&phone, config, campaign.device_labels(id)) {
             match out.iter_mut().find(|(s, _)| *s == sig) {
@@ -878,6 +926,7 @@ mod tests {
                     signature,
                     opts: &opts,
                     probes: 0,
+                    simulated: 0,
                     kept: None,
                 };
                 assert!(prober.probe(full.clone()), "its own panic reproduces");

@@ -13,13 +13,23 @@
 # own tree's root (perfbench reads `tests/golden/report_default.txt`).
 # Prints every run's pass and op counts and metrics, each pair in the
 # order it ran, then for each end-to-end metric of BENCHMARK.json both
-# sides' quartiles and median, the median ratio (change / base) and how
-# many pairs the change won (ties count for neither side), plus the
-# runs' core count. Quartiles interpolate linearly between order
-# statistics. A faster side runs more passes in the same SECONDS, and
-# perfbench keeps every pass's op latencies, so its `peak_heap_mb` can
-# read higher for that alone. Nothing is left behind: the temp
-# directory goes on exit.
+# sides' quartiles and median, the median ratio (change / base), how
+# many pairs the change won (ties count for neither side), the spread
+# and a verdict, plus the runs' core count. Quartiles interpolate
+# linearly between order statistics. The spread is the wider side's
+# quartile distance (p75 - p25) as a fraction of the base median. The
+# verdict weighs both against the metric's `bound` in BENCHMARK.json:
+#
+#   worse       the change median is worse than the base median by more
+#               than the bound;
+#   unresolved  otherwise, the spread exceeds the bound, unless every
+#               change run beats every base run;
+#   within      otherwise.
+#
+# A faster side runs more passes in the same SECONDS, and perfbench
+# keeps every pass's op latencies, so its `peak_heap_mb` can read
+# higher for that alone. Nothing is left behind: the temp directory
+# goes on exit.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 ROOT="$(pwd)"
@@ -95,10 +105,12 @@ for ((i = 0; i < PAIRS; i++)); do
     done
 done
 
-# The end-to-end metrics and which way is better, from BENCHMARK.json.
+# The end-to-end metrics, which way is better and the bound by which
+# each may worsen, from BENCHMARK.json.
 awk '/"end_to_end"/ { on = 1 } on && /^  \]/ { on = 0 }
      on && /"name":/ { gsub(/[",]/, "", $2); name = $2 }
-     on && /"better":/ { gsub(/[",]/, "", $2); print name, $2 }' \
+     on && /"better":/ { gsub(/[",]/, "", $2); better = $2 }
+     on && /"bound":/ { gsub(/[",]/, "", $2); print name, better, $2 }' \
     "$ROOT/BENCHMARK.json" >"$TMP/metrics.txt"
 
 awk -v base="$BASE_SHA" -v workload="$WORKLOAD" -v pairs="$PAIRS" \
@@ -116,7 +128,10 @@ awk -v base="$BASE_SHA" -v workload="$WORKLOAD" -v pairs="$PAIRS" \
     }
     FILENAME ~ /cores.txt$/ { cores[$1] = 1; next }
     FILENAME ~ /first.txt$/ { first[$1] = $2; next }
-    FILENAME ~ /metrics.txt$/ { order[++nm] = $1; better[$1] = $2; next }
+    # A difference as a fraction of the base median; any difference
+    # from a zero median counts as unbounded.
+    function frac(x, m) { return m != 0 ? x / (m < 0 ? -m : m) : (x == 0 ? 0 : 1e300) }
+    FILENAME ~ /metrics.txt$/ { order[++nm] = $1; better[$1] = $2; bound[$1] = $3; next }
     { v[$1, $2, $3] = $4 }
     END {
         cs = ""; for (k in cores) cs = cs (cs == "" ? "" : ",") k
@@ -130,13 +145,17 @@ awk -v base="$BASE_SHA" -v workload="$WORKLOAD" -v pairs="$PAIRS" \
             for (k = 1; k <= 2; k++) {
                 side = k == 1 ? first[s] : second
                 printf "%-6d %-6s %6s %6s", s, side, v[side, s, "passes"], v[side, s, "ops"]
-                for (m = 1; m <= nm; m++) printf " %16.6g", v[side, s, order[m]]
+                # Test membership first: reading an absent entry would
+                # create it, and the summary below would count it as 0.
+                for (m = 1; m <= nm; m++)
+                    printf " %16s", ((side, s, order[m]) in v) ? sprintf("%.6g", v[side, s, order[m]]) : "-"
                 printf "\n"
             }
         }
         printf "\n"
-        printf "%-17s %-6s %-32s %-32s %-8s %s\n", "metric", "better",
-            "base p25 / median / p75", "change p25 / median / p75", "ratio", "wins"
+        printf "%-17s %-6s %-6s %-32s %-32s %-8s %-6s %-7s %s\n", "metric", "better",
+            "bound", "base p25 / median / p75", "change p25 / median / p75", "ratio", "wins",
+            "spread", "verdict"
         for (m = 1; m <= nm; m++) {
             name = order[m]; n = 0; wins = 0
             for (s = seed0; s < seed0 + pairs; s++) {
@@ -147,9 +166,19 @@ awk -v base="$BASE_SHA" -v workload="$WORKLOAD" -v pairs="$PAIRS" \
             if (n == 0) { printf "%-17s %-6s (no runs reported it)\n", name, better[name]; continue }
             sort(bv, n); sort(cv, n)
             bm = quantile(bv, n, 0.5); cm = quantile(cv, n, 0.5)
-            printf "%-17s %-6s %-32s %-32s %-8s %d/%d\n", name, better[name],
-                sprintf("%.4g / %.4g / %.4g", quantile(bv, n, 0.25), bm, quantile(bv, n, 0.75)),
-                sprintf("%.4g / %.4g / %.4g", quantile(cv, n, 0.25), cm, quantile(cv, n, 0.75)),
-                bm == 0 ? "-" : sprintf("%.3f", cm / bm), wins, n
+            b25 = quantile(bv, n, 0.25); b75 = quantile(bv, n, 0.75)
+            c25 = quantile(cv, n, 0.25); c75 = quantile(cv, n, 0.75)
+            spread = frac((b75 - b25 > c75 - c25) ? b75 - b25 : c75 - c25, bm)
+            lower = (better[name] == "lower")
+            # Every change run beats every base run.
+            apart = lower ? (cv[n] < bv[1]) : (cv[1] > bv[n])
+            if (frac(lower ? cm - bm : bm - cm, bm) > bound[name]) verdict = "worse"
+            else if (spread > bound[name] && !apart) verdict = "unresolved"
+            else verdict = "within"
+            printf "%-17s %-6s %-6s %-32s %-32s %-8s %-6s %-7s %s\n", name, better[name],
+                bound[name], sprintf("%.4g / %.4g / %.4g", b25, bm, b75),
+                sprintf("%.4g / %.4g / %.4g", c25, cm, c75),
+                bm == 0 ? "-" : sprintf("%.3f", cm / bm), wins "/" n,
+                (spread >= 1e300) ? "inf" : sprintf("%.3f", spread), verdict
         }
     }' "$TMP/cores.txt" "$TMP/first.txt" "$TMP/metrics.txt" "$TMP/runs.txt"

@@ -13,17 +13,20 @@
 //!    matching panic.
 //! 3. Minimization is a pure function: re-minimizing the same
 //!    signature yields byte-identical config JSON and the same probe
-//!    count.
+//!    and simulation counts.
 //! 4. Every accepted shrink step on the trail is itself a reproducing
 //!    config — ddmin never records a step it did not prove.
 //! 5. Signature extraction from a v5 checkpoint (no re-simulation)
-//!    agrees exactly with extraction by streaming the campaign.
+//!    agrees exactly with extraction by streaming the campaign, clean
+//!    (log-only phones) and under worst-profile corruption (full
+//!    flash).
 
 use symfail::core::analysis::passes::{checkpoint_coalesced, PassRegistry};
 use symfail::core::analysis::report::AnalysisConfig;
 use symfail::core::analysis::signature::distinct_signatures;
 use symfail::phone::calibration::CalibrationParams;
 use symfail::phone::composition::FleetComposition;
+use symfail::phone::corruption::CorruptionProfile;
 use symfail::phone::fleet::{FleetCampaign, StreamingOptions};
 use symfail::phone::repro::{extract_fleet_signatures, minimize, MinimizeOptions};
 
@@ -103,10 +106,19 @@ fn scale_campaign_signatures_minimize_and_replay() {
         }
         assert_eq!(min.trail.last().unwrap(), &min.config);
         // Determinism: same signature + options → byte-identical
-        // config JSON and an identical probe sequence.
+        // config JSON and an identical probe sequence, answered from
+        // the same simulations.
         let again = minimize(sig, &opts).expect("second minimize of a reproducing signature");
         assert_eq!(again.config.to_json(), min.config.to_json());
         assert_eq!(again.probes, min.probes);
+        assert_eq!(again.simulated, min.simulated);
+        assert!(
+            (1..=min.probes).contains(&min.simulated),
+            "{}: {} simulations for {} probes",
+            sig.key(),
+            min.simulated,
+            min.probes
+        );
         reproduced += 1;
     }
     assert!(
@@ -120,6 +132,14 @@ fn scale_campaign_signatures_minimize_and_replay() {
 
 #[test]
 fn checkpoint_extraction_matches_streamed_extraction() {
+    // Clean, extraction simulates log-only phones; under corruption,
+    // full ones. The driver always simulates full phones.
+    for corruption in [CorruptionProfile::None, CorruptionProfile::Worst] {
+        checkpoint_extraction_matches_streamed_extraction_under(corruption);
+    }
+}
+
+fn checkpoint_extraction_matches_streamed_extraction_under(corruption: CorruptionProfile) {
     // The merge_checkpoints idiom: a small accelerated campaign whose
     // streaming run writes a schema-v5 checkpoint.
     let params = CalibrationParams {
@@ -135,8 +155,14 @@ fn checkpoint_extraction_matches_streamed_extraction() {
     let config = AnalysisConfig::default();
     let fleet = FleetComposition::parse("mixed").expect("mixed is a built-in composition");
     let spec = fleet.spec_string();
-    let campaign = FleetCampaign::new(7117, params).with_fleet(fleet);
-    let path = std::env::temp_dir().join(format!("symfail-sigextract-{}.bin", std::process::id()));
+    let campaign = FleetCampaign::new(7117, params)
+        .with_fleet(fleet)
+        .with_corruption(corruption);
+    let path = std::env::temp_dir().join(format!(
+        "symfail-sigextract-{}-{}.bin",
+        std::process::id(),
+        corruption.as_str()
+    ));
     let _ = std::fs::remove_file(&path);
     let opts = StreamingOptions {
         checkpoint: Some(path.clone()),
@@ -159,7 +185,9 @@ fn checkpoint_extraction_matches_streamed_extraction() {
         "accelerated campaign panics somewhere"
     );
     assert_eq!(
-        from_ckpt, streamed,
-        "checkpoint-loaded catalog diverges from streamed extraction"
+        from_ckpt,
+        streamed,
+        "checkpoint-loaded catalog diverges from streamed extraction under {}",
+        corruption.as_str()
     );
 }

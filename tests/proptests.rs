@@ -1821,3 +1821,99 @@ proptest! {
         }
     }
 }
+
+// ---------------------------------------------------------------
+// A log-only phone is the full phone without its other files. Its
+// logger keeps the tick cadence, the battery drain and every RNG draw,
+// and its boot check asks the Heartbeat AO for the event the full
+// phone's beats file ends with, so it writes the full phone's `log`
+// byte for byte and reaches the same ground-truth counters — the
+// property that lets clean repro probes and clean signature extraction
+// simulate only the log.
+// ---------------------------------------------------------------
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    #[test]
+    fn log_only_repro_phones_write_the_full_phones_log(
+        seed in 0u64..1_000_000,
+        mask in 0u32..256,
+        days in 1u32..=12,
+    ) {
+        use symfail::core::logger::{files, LoggerFiles};
+        use symfail::phone::composition::{DeviceClass, DeviceProfile};
+        use symfail::phone::corruption::CorruptionProfile;
+        use symfail::phone::firmware::SymbianVersion;
+        use symfail::phone::repro::{FaultChannel, ReproCampaign};
+        let channels: Vec<FaultChannel> = FaultChannel::ALL
+            .into_iter()
+            .enumerate()
+            .filter(|&(i, _)| mask >> i & 1 == 1)
+            .map(|(_, c)| c)
+            .collect();
+        for class in DeviceClass::ALL {
+            for firmware in SymbianVersion::ALL {
+                // A harvest is never damaged; the profile picks the
+                // files the probe's verdict needs.
+                let harvest = |corruption| {
+                    ReproCampaign {
+                        seed,
+                        days,
+                        channels: channels.clone(),
+                        corruption,
+                        device: DeviceProfile { class, firmware },
+                    }
+                    .harvest()
+                };
+                let log_only = harvest(CorruptionProfile::None);
+                let full = harvest(CorruptionProfile::Worst);
+                prop_assert_eq!(log_only.files(), LoggerFiles::LogOnly);
+                prop_assert_eq!(full.files(), LoggerFiles::All);
+                prop_assert_eq!(log_only.flash().file_names(), vec![files::LOG]);
+                for d in 0..=days {
+                    prop_assert!(
+                        log_only.log(d) == full.log(d),
+                        "{} {} log after day {} of {}",
+                        class.as_str(), firmware.as_str(), d, days
+                    );
+                }
+                prop_assert_eq!(log_only.stats(), full.stats());
+            }
+        }
+    }
+
+    #[test]
+    fn log_only_fleet_phones_write_the_full_phones_log(
+        seed in 0u64..1_000_000,
+        phones in 1u32..=4,
+        days in 5u32..=40,
+        enrollment in 1u32..20,
+        attrition in 1u32..20,
+        mixed in 0usize..2,
+    ) {
+        use symfail::core::logger::files;
+        use symfail::phone::calibration::CalibrationParams;
+        use symfail::phone::composition::FleetComposition;
+        use symfail::phone::fleet::FleetCampaign;
+        let params = CalibrationParams {
+            phones,
+            campaign_days: days,
+            enrollment_spread_days: enrollment.min(days - 1),
+            attrition_spread_days: attrition.min(days - 1),
+            ..CalibrationParams::default()
+        };
+        let composition = FleetComposition::parse(["default", "mixed"][mixed])
+            .expect("a built-in composition");
+        let campaign = FleetCampaign::new(seed, params).with_fleet(composition);
+        for id in 0..phones {
+            let (log_only, full) = (campaign.run_single_for_log(id), campaign.run_single(id));
+            prop_assert_eq!(log_only.flashfs.file_names(), vec![files::LOG]);
+            prop_assert!(
+                log_only.flashfs.read_bytes(files::LOG) == full.flashfs.read_bytes(files::LOG),
+                "phone {} of {} over {} days", id, phones, days
+            );
+            prop_assert_eq!(log_only.stats, full.stats);
+        }
+    }
+}
