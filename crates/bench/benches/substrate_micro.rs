@@ -1,10 +1,12 @@
 //! Micro-benchmarks of the OS substrate and the logger data path: the
 //! per-operation costs everything else is built from, up to one
-//! phone's simulated day, one phone's parse, one phone's flash damage
-//! and one repro probe's log scan.
+//! phone's simulated day, one phone's parse, one phone's flash damage,
+//! one repro probe's log scan and one small fleet through the campaign
+//! driver.
 
 use criterion::{black_box, criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use symfail_core::analysis::dataset::{ParseScratch, PhoneDataset};
+use symfail_core::analysis::passes::PassRegistry;
 use symfail_core::analysis::signature::{FailureSignature, MatchMode};
 use symfail_core::flashfs::FlashFs;
 use symfail_core::logger::{files, FailureLogger, LoggerConfig, PhoneContext};
@@ -14,6 +16,7 @@ use symfail_phone::composition::{DeviceClass, DeviceProfile};
 use symfail_phone::corruption::{CorruptionModel, CorruptionProfile};
 use symfail_phone::device::Phone;
 use symfail_phone::firmware::SymbianVersion;
+use symfail_phone::fleet::{FleetCampaign, StreamingOptions};
 use symfail_phone::repro::{FaultChannel, ReproCampaign};
 use symfail_sim_core::{SimDuration, SimRng, SimTime};
 use symfail_symbian::descriptor::TBuf;
@@ -265,8 +268,8 @@ fn bench(c: &mut Criterion) {
     // One `minimize` probe of a boosted 10-day repro phone, judged under
     // `Core`: simulated afresh against a signature its log does not
     // hold (the log-only harvest a clean probe runs, then a scan of the
-    // whole log), the same with every file written (the harvest a probe
-    // under a damaging profile needs before its corruption), and
+    // whole log), the same with `beats` written too (the harvest a
+    // probe under a damaging profile needs before its corruption), and
     // answered at 5 days from a kept 10-day harvest against a signature
     // of its own (a scan of the kept log's 5-day prefix, in place), as
     // the corruption drop and the day bisections are.
@@ -308,15 +311,59 @@ fn bench(c: &mut Criterion) {
     g.bench_function("fresh_10d", |b| {
         b.iter(|| matches(&absent, probe.harvest().log(10)))
     });
-    let full_flash = ReproCampaign {
+    let with_beats = ReproCampaign {
         corruption: CorruptionProfile::Worst,
         ..probe.clone()
     };
-    g.bench_function("fresh_10d_full_flash", |b| {
-        b.iter(|| matches(&absent, full_flash.harvest().log(10)))
+    g.bench_function("fresh_10d_with_beats", |b| {
+        b.iter(|| matches(&absent, with_beats.harvest().log(10)))
     });
     g.bench_function("cut_5d_of_kept_10d", |b| {
         b.iter(|| matches(&signature, kept.log(5)))
+    });
+    g.finish();
+
+    // A small default fleet end to end at one worker: through the
+    // campaign driver (`run_streaming_opts`: phones that write only the
+    // files it reads, on flash and parse buffers carried from phone to
+    // phone, folded and merged), and as the reference path that keeps
+    // every phone's full flash (`run`) and parses each on fresh buffers.
+    let fleet = FleetCampaign::new(
+        3,
+        CalibrationParams {
+            phones: 4,
+            campaign_days: 60,
+            enrollment_spread_days: 10,
+            attrition_spread_days: 10,
+            ..CalibrationParams::default()
+        },
+    );
+    let registry = PassRegistry::all();
+    let config = fleet.params().analysis_config();
+    let mut g = c.benchmark_group("fleet_path");
+    g.sample_size(10);
+    g.measurement_time(std::time::Duration::from_secs(2));
+    g.warm_up_time(std::time::Duration::from_millis(500));
+    g.throughput(Throughput::Elements(4));
+    g.bench_function("driver_4x60d_w1", |b| {
+        b.iter(|| {
+            fleet
+                .run_streaming_opts(1, config, &registry, &StreamingOptions::default())
+                .expect("no checkpoint to write")
+                .parse_bytes
+        })
+    });
+    g.bench_function("run_then_parse_4x60d", |b| {
+        b.iter(|| {
+            fleet
+                .run()
+                .iter()
+                .map(|h| {
+                    let ds = PhoneDataset::from_flashfs(h.phone_id, &h.flashfs);
+                    ds.defects().records_kept
+                })
+                .sum::<u64>()
+        })
     });
     g.finish();
 }

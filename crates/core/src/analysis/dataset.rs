@@ -165,10 +165,9 @@ pub struct ShutdownEvent {
 /// Everything harvested from one phone, pre-indexed for analysis.
 ///
 /// Log records are split into their panic and boot streams at
-/// construction, shutdown events and freezes are derived eagerly, and
-/// the heartbeat gaps are kept as a sorted array with prefix sums so
-/// [`Self::powered_on_time`] answers any `max_gap` in O(log n). All
-/// accessors return borrowed slices; nothing is re-derived per call.
+/// construction, and shutdown events and freezes are derived eagerly.
+/// All accessors but [`Self::powered_on_time`] return borrowed slices;
+/// nothing else is re-derived per call.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct PhoneDataset {
     phone_id: u32,
@@ -183,10 +182,6 @@ pub struct PhoneDataset {
     // Derived index, built once in `index()`:
     shutdowns: Vec<ShutdownEvent>,
     freezes: Vec<HlEvent>,
-    /// Beat-to-beat gaps in milliseconds, sorted ascending.
-    sorted_gaps_ms: Vec<u64>,
-    /// `gap_prefix_ms[i]` = sum of the first `i` sorted gaps.
-    gap_prefix_ms: Vec<u64>,
     /// Defect accounting from the lossy parse (empty for hand-built
     /// datasets).
     defects: PhoneDefects,
@@ -203,8 +198,6 @@ pub struct ParseScratch {
     beats: Vec<(SimTime, HeartbeatEvent)>,
     shutdowns: Vec<ShutdownEvent>,
     freezes: Vec<HlEvent>,
-    sorted_gaps_ms: Vec<u64>,
-    gap_prefix_ms: Vec<u64>,
 }
 
 impl PhoneDataset {
@@ -331,8 +324,6 @@ impl PhoneDataset {
             beats,
             shutdowns: std::mem::take(&mut scratch.shutdowns),
             freezes: std::mem::take(&mut scratch.freezes),
-            sorted_gaps_ms: std::mem::take(&mut scratch.sorted_gaps_ms),
-            gap_prefix_ms: std::mem::take(&mut scratch.gap_prefix_ms),
             defects,
         };
         ds.index();
@@ -386,8 +377,6 @@ impl PhoneDataset {
         put(&mut scratch.beats, self.beats);
         put(&mut scratch.shutdowns, self.shutdowns);
         put(&mut scratch.freezes, self.freezes);
-        put(&mut scratch.sorted_gaps_ms, self.sorted_gaps_ms);
-        put(&mut scratch.gap_prefix_ms, self.gap_prefix_ms);
     }
 
     /// Derives the event index from the primary streams.
@@ -434,23 +423,6 @@ impl PhoneDataset {
                     kind: HlKind::Freeze,
                 }),
         );
-        // Sorted beat gaps + prefix sums: powered-on time for any
-        // `max_gap` threshold becomes two binary searches.
-        self.sorted_gaps_ms.clear();
-        self.sorted_gaps_ms.extend(
-            self.beats
-                .windows(2)
-                .map(|pair| pair[1].0.saturating_since(pair[0].0).as_millis()),
-        );
-        self.sorted_gaps_ms.sort_unstable();
-        let mut acc = 0u64;
-        self.gap_prefix_ms.clear();
-        self.gap_prefix_ms.push(0);
-        self.gap_prefix_ms
-            .extend(self.sorted_gaps_ms.iter().map(|&g| {
-                acc += g;
-                acc
-            }));
     }
 
     /// Identifier of the phone within the fleet.
@@ -495,13 +467,18 @@ impl PhoneDataset {
 
     /// Total powered-on time, estimated from the heartbeat stream:
     /// the sum of gaps between consecutive beats no longer than
-    /// `max_gap` (larger gaps mean the phone was off or frozen).
-    /// Answered from the sorted-gap prefix sums in O(log beats).
+    /// `max_gap` (larger gaps mean the phone was off or frozen). One
+    /// pass over the beats per call: the analysis asks one threshold
+    /// per phone, once ([`PhoneLens`](super::passes::PhoneLens)).
     pub fn powered_on_time(&self, max_gap: SimDuration) -> SimDuration {
-        let cut = self
-            .sorted_gaps_ms
-            .partition_point(|&g| g <= max_gap.as_millis());
-        SimDuration::from_millis(self.gap_prefix_ms[cut])
+        let max_gap = max_gap.as_millis();
+        let powered: u64 = self
+            .beats
+            .windows(2)
+            .map(|pair| pair[1].0.saturating_since(pair[0].0).as_millis())
+            .filter(|&gap| gap <= max_gap)
+            .sum();
+        SimDuration::from_millis(powered)
     }
 
     /// Defect accounting from the lossy parse. Empty (clean) for

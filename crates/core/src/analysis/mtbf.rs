@@ -102,7 +102,7 @@ impl AnalysisPass for MtbfPass {
         let powered_on = if lens.phone.defects().unusable {
             SimDuration::ZERO
         } else {
-            lens.phone.powered_on_time(lens.config.uptime_gap)
+            lens.powered_on
         };
         MtbfFold {
             powered_on,

@@ -223,6 +223,9 @@ pub struct PhoneLens<'a> {
     pub(super) config: AnalysisConfig,
     /// Shutdowns classified as self-shutdowns by the config threshold.
     pub(super) self_shutdowns: usize,
+    /// The phone's powered-on time under the config's uptime gap,
+    /// summed once here for every pass that reads it.
+    pub(super) powered_on: SimDuration,
     /// Freezes + self-shutdown HL events, time-sorted (freezes first
     /// on ties).
     pub(super) hl: Vec<HlEvent>,
@@ -317,6 +320,7 @@ impl<'a> PhoneLens<'a> {
             names,
             config,
             self_shutdowns,
+            powered_on: phone.powered_on_time(config.uptime_gap),
             hl,
             coalesced,
             coalesced_all,

@@ -616,10 +616,7 @@ impl AnalysisPass for PerPhonePass {
     fn fold_phone(&self, lens: &PhoneLens<'_>) -> Self::Acc {
         vec![PhoneRow {
             phone_id: lens.phone.phone_id(),
-            uptime_hours: lens
-                .phone
-                .powered_on_time(lens.config.uptime_gap)
-                .as_hours_f64(),
+            uptime_hours: lens.powered_on.as_hours_f64(),
             panics: lens.phone.panics().len(),
             freezes: lens.phone.freezes().len(),
             self_shutdowns: lens.self_shutdowns,

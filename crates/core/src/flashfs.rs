@@ -30,6 +30,9 @@ pub struct FlashFs {
     /// files, so one equality scan finds a file faster than a tree
     /// lookup, and the hot append path does exactly one scan.
     files: Vec<(String, Vec<u8>)>,
+    /// Empty buffers a [`Self::clear`] kept, by the name of the file
+    /// that held them; none of them is a file.
+    spare: Vec<(String, Vec<u8>)>,
     bytes_written: u64,
 }
 
@@ -165,6 +168,21 @@ impl FlashFs {
         self.files.iter().map(|(_, b)| b.len() as u64).sum()
     }
 
+    /// Empties the filesystem for the next phone but keeps its
+    /// buffers: every file goes, so it answers every query as a fresh
+    /// filesystem does, and the wear counter restarts at zero; each
+    /// file's buffer, cleared, waits for the next creation of a file of
+    /// the same name, which takes it. A streaming worker carries one
+    /// flash from phone to phone this way, so its buffers grow only
+    /// until they have held its largest phone's files.
+    pub fn clear(&mut self) {
+        for (name, mut buf) in self.files.drain(..) {
+            buf.clear();
+            self.spare.push((name, buf));
+        }
+        self.bytes_written = 0;
+    }
+
     /// Index of `file` in the directory.
     fn position(&self, file: &str) -> Option<usize> {
         self.files.iter().position(|(name, _)| name == file)
@@ -176,15 +194,20 @@ impl FlashFs {
     }
 
     /// The buffer for `file`, creating it at its sorted place if needed
-    /// — the name is allocated only then, never on the (overwhelmingly
+    /// — from the spare buffer of that name when there is one, else
+    /// with a fresh name and buffer; never on the (overwhelmingly
     /// common) existing-file case.
     fn file_mut(&mut self, file: &str) -> &mut Vec<u8> {
         let i = self.position(file).unwrap_or_else(|| {
             if self.files.is_empty() {
                 self.files.reserve(DIRECTORY_SLOTS);
             }
+            let entry = match self.spare.iter().position(|(name, _)| name == file) {
+                Some(j) => self.spare.swap_remove(j),
+                None => (file.to_string(), Vec::new()),
+            };
             let at = self.files.partition_point(|(name, _)| name.as_str() < file);
-            self.files.insert(at, (file.to_string(), Vec::new()));
+            self.files.insert(at, entry);
             at
         });
         &mut self.files[i].1
@@ -283,6 +306,45 @@ mod tests {
         fs.append_line("f", "hello");
         assert_eq!(fs.read_bytes("f").unwrap(), b"hello\n");
         assert!(fs.read_bytes("missing").is_none());
+    }
+
+    /// A cleared flash that held a larger phone's files is a fresh
+    /// one to every reader, and appends to it give a fresh one's bytes.
+    #[test]
+    fn cleared_flash_answers_as_a_fresh_one() {
+        let mut carried = FlashFs::new();
+        for (file, lines) in [("log", 300), ("beats", 900), ("z", 5)] {
+            for i in 0..lines {
+                carried.append_line(file, &format!("{i}|previous phone"));
+            }
+        }
+        carried.clear();
+        let fresh = FlashFs::new();
+        assert!(carried.file_names().is_empty());
+        assert_eq!(carried.bytes_written(), 0, "wear restarts");
+        assert_eq!(carried.total_size(), 0);
+        for file in ["log", "beats", "z", "never"] {
+            assert_eq!(carried.exists(file), fresh.exists(file), "{file}");
+            assert_eq!(carried.read_bytes(file), fresh.read_bytes(file), "{file}");
+            assert_eq!(carried.size_of(file), fresh.size_of(file), "{file}");
+            assert_eq!(carried.last_line(file), fresh.last_line(file), "{file}");
+            assert!(carried.damage(file).is_none(), "{file}");
+        }
+        // The next, smaller phone writes the same bytes as on fresh
+        // flash, and only its own files exist.
+        let mut fresh = fresh;
+        for fs in [&mut carried, &mut fresh] {
+            fs.append_line("beats", "0|ALIVE");
+            fs.append_lines_with("log", |buf| buf.extend_from_slice(b"B|1\nP|2\n"));
+            fs.overwrite_raw("new", b"x\n".to_vec());
+        }
+        assert_eq!(carried.file_names(), fresh.file_names());
+        for file in ["beats", "log", "new", "z"] {
+            assert_eq!(carried.read_bytes(file), fresh.read_bytes(file), "{file}");
+        }
+        assert_eq!(carried.bytes_written(), fresh.bytes_written());
+        assert_eq!(carried.damage("z"), None);
+        assert_eq!(carried.damage("beats").map(|b| b.len()), Some(8));
     }
 
     #[test]

@@ -20,10 +20,11 @@
 //!   heartbeat to classify what ended the previous session.
 //!
 //! [`FailureLogger`] wires the five together behind the narrow hook
-//! API the device simulator drives. A logger built
-//! [`LoggerFiles::LogOnly`] runs every AO on the same schedule but
-//! writes only the consolidated log: the harvest a reader of that file
-//! alone needs.
+//! API the device simulator drives. Every logger runs every AO on the
+//! same schedule; which files it writes is fixed when it is built
+//! ([`LoggerFiles`]): all of them, what the study's analysis reads
+//! (`log`, `beats` and the users' `ureport`), or the consolidated log
+//! alone.
 
 mod dexc;
 mod heartbeat;
@@ -101,23 +102,55 @@ pub struct PhoneContext<'a> {
     pub battery_low: bool,
 }
 
-/// Which flash files a logger writes, fixed when it is built.
+/// Which flash files a logger writes, fixed when it is built. Every
+/// value runs the AOs on the same schedule, and the Heartbeat AO always
+/// remembers its last event, so the boot records, panic records and
+/// every byte of `log` are the same for all three; so are the bytes of
+/// each other file a value writes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LoggerFiles {
     /// Every file: `beats`, `runapp`, `activity`, `power`, the
     /// embedding simulator's `ureport` and the consolidated `log` — the
     /// deployed logger.
     All,
-    /// The consolidated `log` alone. The AOs keep their schedule and
-    /// the Heartbeat AO still remembers its last event, so the boot
-    /// records, panic records and every byte of `log` equal the full
-    /// logger's; only the other files are never written.
+    /// What the study's analysis reads: the consolidated `log`, `beats`
+    /// (powered-on time) and the users' `ureport`. The sampled
+    /// `runapp`, `power` and `activity` files are never written; the
+    /// Panic Detector takes the running applications, the battery and
+    /// the activity from the phone, never from them.
+    Analysis,
+    /// The consolidated `log` alone.
     LogOnly,
 }
 
 impl LoggerFiles {
-    /// `fs`, when files beside the consolidated log are written.
-    pub fn side_files(self, fs: &mut FlashFs) -> Option<&mut FlashFs> {
+    /// The files a logger built this way may write, sorted by name as
+    /// [`FlashFs::file_names`] lists them. A file appears on flash only
+    /// once something is written to it.
+    pub fn names(self) -> &'static [&'static str] {
+        match self {
+            LoggerFiles::All => &[
+                files::ACTIVITY,
+                files::BEATS,
+                files::LOG,
+                files::POWER,
+                files::RUNAPP,
+                UREPORT_FILE,
+            ],
+            LoggerFiles::Analysis => &[files::BEATS, files::LOG, UREPORT_FILE],
+            LoggerFiles::LogOnly => &[files::LOG],
+        }
+    }
+
+    /// `fs`, when the files the analysis reads beside `log` are
+    /// written: `beats` and the embedding simulator's `ureport`.
+    pub fn analysis_files(self, fs: &mut FlashFs) -> Option<&mut FlashFs> {
+        (self != LoggerFiles::LogOnly).then_some(fs)
+    }
+
+    /// `fs`, when the sampled `runapp`, `power` and `activity` files
+    /// are written.
+    pub fn sampled_files(self, fs: &mut FlashFs) -> Option<&mut FlashFs> {
         (self == LoggerFiles::All).then_some(fs)
     }
 }
@@ -212,9 +245,8 @@ impl FailureLogger {
     /// the heartbeat resumes.
     pub fn on_boot(&mut self, fs: &mut FlashFs, now: SimTime, ctx: PhoneContext<'_>) {
         self.panicdet.on_boot(fs, now, self.heartbeat.last_event());
-        let mut side = self.files.side_files(fs);
-        self.heartbeat.beat(side.as_deref_mut(), now);
-        if let Some(fs) = side {
+        self.heartbeat.beat(self.files.analysis_files(fs), now);
+        if let Some(fs) = self.files.sampled_files(fs) {
             self.snapshot(fs, now, ctx);
         }
         self.ticks_since_snapshot = 0;
@@ -242,8 +274,8 @@ impl FailureLogger {
     /// only be its last — the `runapp` and `power` snapshot lines at
     /// that tick. `ctx` is sampled only then, so a caller that steps
     /// its state once per tick samples it only where a snapshot is
-    /// written (never, log-only). The bytes and counters equal those of
-    /// `n` single [`Self::on_tick`] calls.
+    /// written (never, unless the logger writes every file). The bytes
+    /// and counters equal those of `n` single [`Self::on_tick`] calls.
     ///
     /// # Panics
     ///
@@ -264,11 +296,11 @@ impl FailureLogger {
             return;
         }
         let period = self.config.heartbeat_period;
-        let mut side = self.files.side_files(fs);
-        self.heartbeat.beats(side.as_deref_mut(), first, period, n);
+        self.heartbeat
+            .beats(self.files.analysis_files(fs), first, period, n);
         self.ticks_since_snapshot += n;
         if self.ticks_since_snapshot >= self.config.snapshot_every {
-            if let Some(fs) = side {
+            if let Some(fs) = self.files.sampled_files(fs) {
                 self.snapshot(fs, first + period * u64::from(n - 1), ctx());
             }
             self.ticks_since_snapshot = 0;
@@ -284,7 +316,7 @@ impl FailureLogger {
         end: SimTime,
         kind: ActivityKind,
     ) {
-        if let Some(fs) = self.files.side_files(fs) {
+        if let Some(fs) = self.files.sampled_files(fs) {
             self.logengine.record(fs, start, end, kind);
         }
     }
@@ -313,7 +345,7 @@ impl FailureLogger {
             ShutdownKind::LowBattery => HeartbeatEvent::LowBattery,
         };
         self.heartbeat
-            .final_event(self.files.side_files(fs), now, event);
+            .final_event(self.files.analysis_files(fs), now, event);
     }
 
     fn snapshot(&mut self, fs: &mut FlashFs, now: SimTime, ctx: PhoneContext<'_>) {
@@ -443,7 +475,8 @@ mod tests {
 
     /// A log-only logger runs the full one's schedule and writes its
     /// `log` byte for byte, boot classifications included, but no other
-    /// file.
+    /// file; an analysis logger writes the full one's `log` and `beats`
+    /// and no sampled file.
     #[test]
     fn log_only_logger_writes_the_full_loggers_log_alone() {
         let config = LoggerConfig {
@@ -451,7 +484,12 @@ mod tests {
             snapshot_every: 3,
         };
         let p = Panic::new(codes::KERN_EXEC_3, "Messages", "dereferenced NULL");
-        let [full, log_only] = [LoggerFiles::All, LoggerFiles::LogOnly].map(|written| {
+        let written = [
+            LoggerFiles::All,
+            LoggerFiles::Analysis,
+            LoggerFiles::LogOnly,
+        ];
+        let [full, analysis, log_only] = written.map(|written| {
             let mut fs = FlashFs::new();
             let mut lg = FailureLogger::with_files(config, written);
             lg.on_boot(&mut fs, t(0), ctx());
@@ -476,7 +514,15 @@ mod tests {
                 files::RUNAPP
             ]
         );
+        assert_eq!(analysis.1.file_names(), [files::BEATS, files::LOG]);
         assert_eq!(log_only.1.file_names(), [files::LOG]);
+        for (lg, fs) in [&full, &analysis, &log_only] {
+            let names = lg.files().names();
+            assert!(fs.file_names().iter().all(|f| names.contains(f)));
+        }
+        for file in [files::LOG, files::BEATS] {
+            assert_eq!(analysis.1.read_bytes(file), full.1.read_bytes(file));
+        }
         assert_eq!(
             log_only.1.read_bytes(files::LOG),
             full.1.read_bytes(files::LOG)

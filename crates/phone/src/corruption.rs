@@ -66,12 +66,14 @@ impl CorruptionProfile {
 
     /// The files a phone must write when only its consolidated log is
     /// read after damage under this profile: the log alone under
-    /// `none`; every file otherwise, since the injector draws the log's
-    /// damage after the beats file's line count.
+    /// `none`; otherwise also `beats` ([`LoggerFiles::Analysis`]),
+    /// since the injector draws the log's damage after the beats file's
+    /// line count. [`CorruptionModel::inject`] reads and damages those
+    /// two files only.
     pub(crate) fn log_reader_files(self) -> LoggerFiles {
         match self {
             Self::None => LoggerFiles::LogOnly,
-            _ => LoggerFiles::All,
+            _ => LoggerFiles::Analysis,
         }
     }
 

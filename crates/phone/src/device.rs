@@ -8,8 +8,9 @@
 //! freeze silences the heartbeat without a final event, and a clean
 //! shutdown writes one, exactly reproducing the signatures the
 //! paper's boot-time check discriminates. The logger's files are fixed
-//! when the phone is built ([`LoggerFiles`]): a log-only phone draws
-//! every random number a full one draws and writes the same `log`.
+//! when the phone is built ([`LoggerFiles`]): a phone that writes fewer
+//! files draws every random number a full one draws and writes the same
+//! bytes to each file it does write.
 
 use symfail_core::flashfs::FlashFs;
 use symfail_core::logger::{
@@ -129,8 +130,9 @@ impl Phone {
 
     /// Creates a phone with a caller-chosen behaviour profile (the
     /// fleet campaign stratifies traits across phones) whose logger
-    /// writes `files`: [`LoggerFiles::LogOnly`] when the harvest's
-    /// reader reads the consolidated log alone.
+    /// writes `files`: what the harvest's reader reads, such as
+    /// [`LoggerFiles::LogOnly`] for a reader of the consolidated log
+    /// alone.
     ///
     /// # Panics
     ///
@@ -172,6 +174,17 @@ impl Phone {
             booted_once: false,
             queue: Vec::new(),
         }
+    }
+
+    /// Moves the phone onto `fs`, the flash of a phone already
+    /// harvested: emptied here ([`FlashFs::clear`]), so the phone
+    /// starts with no file and a zero wear counter and writes the bytes
+    /// it writes on fresh flash, but each file it creates takes `fs`'s
+    /// buffer of the same name instead of growing one from empty.
+    pub fn with_flash(mut self, mut fs: FlashFs) -> Self {
+        fs.clear();
+        self.fs = fs;
+        self
     }
 
     /// Sets the Symbian OS release (older firmware carries more
@@ -593,7 +606,7 @@ impl Phone {
                             1 => UserReportKind::InputFailure,
                             _ => UserReportKind::UnstableBehavior,
                         };
-                        if let Some(fs) = self.logger.files().side_files(&mut self.fs) {
+                        if let Some(fs) = self.logger.files().analysis_files(&mut self.fs) {
                             self.user_reports.on_user_report(fs, t + delay, kind);
                         }
                         self.stats.user_reports += 1;

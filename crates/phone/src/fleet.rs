@@ -78,7 +78,9 @@ pub struct PhoneMeta {
     pub stats: PhoneStats,
     /// Injected-defect counts for the campaign's corruption profile.
     pub injected: InjectedDefects,
-    /// Flash bytes the phone's filesystem held before it was dropped.
+    /// Flash bytes the campaign driver reads: the phone's `log`,
+    /// `beats` and `ureport` files ([`LoggerFiles::Analysis`]) as
+    /// harvested, whichever other files the harvest also holds.
     pub flash_bytes: u64,
     /// User failure reports parsed out of the flash before the drop.
     pub ureports: Vec<(SimTime, UserReportKind)>,
@@ -96,7 +98,11 @@ impl PhoneMeta {
             device_class: h.device_class,
             stats: h.stats,
             injected: h.injected,
-            flash_bytes: h.flashfs.total_size(),
+            flash_bytes: LoggerFiles::Analysis
+                .names()
+                .iter()
+                .map(|file| h.flashfs.size_of(file))
+                .sum(),
             ureports: UserReportChannel::parse(&h.flashfs),
         }
     }
@@ -538,23 +544,25 @@ impl FleetCampaign {
         }
     }
 
-    /// Simulates phone `id` with a logger that writes `files`, then
-    /// corrupts its harvest under the campaign's profile. A log-only
-    /// harvest is never corrupted: the injector's draws depend on the
-    /// beats file.
-    fn run_phone(&self, id: u32, files: LoggerFiles) -> PhoneHarvest {
+    /// Simulates phone `id` on `flash` (a harvested phone's, whose
+    /// buffers it reuses, or a fresh one) with a logger that writes
+    /// `files`, then corrupts its harvest under the campaign's profile.
+    /// A log-only harvest is never corrupted: the injector's draws
+    /// depend on the beats file.
+    fn run_phone(&self, id: u32, files: LoggerFiles, flash: FlashFs) -> PhoneHarvest {
         assert!(
             id < self.params.phones,
             "phone {id} outside the {}-phone fleet",
             self.params.phones
         );
         debug_assert!(
-            files == LoggerFiles::All || self.corruption == CorruptionProfile::None,
+            files != LoggerFiles::LogOnly || self.corruption == CorruptionProfile::None,
             "a log-only harvest cannot be corrupted as the full one is"
         );
         let (rng, (enrolled_day, retired_day), profile, params) = self.phone_setup(id);
         let device = self.composition.profile(id, self.params.phones);
-        let mut phone = Phone::with_profile(id, params, profile, rng.fork("device", 0), files);
+        let mut phone = Phone::with_profile(id, params, profile, rng.fork("device", 0), files)
+            .with_flash(flash);
         phone.set_firmware(device.firmware);
         for day in enrolled_day..retired_day {
             phone.simulate_day(day);
@@ -586,7 +594,7 @@ impl FleetCampaign {
     /// phone's harvest under any worker count or shard layout
     /// (per-phone RNG forks are independent by construction).
     pub fn run_single(&self, id: u32) -> PhoneHarvest {
-        self.run_phone(id, LoggerFiles::All)
+        self.run_phone(id, LoggerFiles::All, FlashFs::new())
     }
 
     /// Runs exactly one phone of this campaign for a reader of its
@@ -594,11 +602,23 @@ impl FleetCampaign {
     /// campaign the phone's logger writes only `log`
     /// ([`LoggerFiles::LogOnly`]): the harvest's log and stats are
     /// [`Self::run_single`]'s, and no other file exists. A corrupted
-    /// campaign's phone keeps every file, because the injector draws the
-    /// log's damage after the beats file's line count, so its harvest
-    /// is [`Self::run_single`]'s.
+    /// campaign's phone also writes `beats` (and `ureport`,
+    /// [`LoggerFiles::Analysis`]), because the injector draws the log's
+    /// damage after the beats file's line count; it damages only those
+    /// two files, so the harvest's log is [`Self::run_single`]'s after
+    /// the same damage.
     pub fn run_single_for_log(&self, id: u32) -> PhoneHarvest {
-        self.run_phone(id, self.corruption.log_reader_files())
+        self.run_phone(id, self.corruption.log_reader_files(), FlashFs::new())
+    }
+
+    /// Runs exactly one phone of this campaign as the campaign driver
+    /// does ([`Self::run_streaming_opts`]): its logger writes only the
+    /// files the analysis reads ([`LoggerFiles::Analysis`]), and the
+    /// harvest is damaged under the campaign's profile. Those files,
+    /// the stats and the injected defects are [`Self::run_single`]'s,
+    /// and no other file exists.
+    pub fn run_single_for_analysis(&self, id: u32) -> PhoneHarvest {
+        self.run_phone(id, LoggerFiles::Analysis, FlashFs::new())
     }
 
     /// Runs every phone sequentially, retaining every flash — the
@@ -606,18 +626,22 @@ impl FleetCampaign {
     /// materializes. Deterministic in the seed.
     pub fn run(&self) -> Vec<PhoneHarvest> {
         (0..self.params.phones)
-            .map(|id| self.run_phone(id, LoggerFiles::All))
+            .map(|id| self.run_phone(id, LoggerFiles::All, FlashFs::new()))
             .collect()
     }
 
     /// The campaign driver: workers steal contiguous runs of phone ids;
     /// for each phone a worker simulates it, parses its flash, folds
     /// every registered analysis pass into the run's [`FoldShard`],
-    /// then drops **both** the flash and the dataset before the next
-    /// phone. Each finished run crosses into a shared [`StreamMerger`]
-    /// in one lock acquisition, and the merger absorbs runs strictly
-    /// in phone-id order, so the report is byte-identical to
-    /// [`StudyReport::analyze`] over the materialized fleet for any
+    /// then empties **both** the flash and the dataset before the next
+    /// phone. A phone writes only the files the driver reads
+    /// ([`LoggerFiles::Analysis`]: `log`, `beats` and `ureport`), and
+    /// each worker carries its flash and parse buffers from phone to
+    /// phone, so they grow only until they have held the worker's
+    /// largest phone. Each finished run crosses into a shared
+    /// [`StreamMerger`] in one lock acquisition, and the merger absorbs
+    /// runs strictly in phone-id order, so the report is byte-identical
+    /// to [`StudyReport::analyze`] over the materialized fleet for any
     /// worker count and run partition — while peak memory stays
     /// bounded by `workers × per-phone state` plus the folded
     /// summaries instead of the whole fleet.
@@ -735,6 +759,7 @@ impl FleetCampaign {
                             let mut ws = WorkerStats::default();
                             let allocs0 = opts.alloc_counter.map(|f| f());
                             let mut scratch = ParseScratch::default();
+                            let mut flash = FlashFs::new();
                             while let Some(&(run_start, run_end)) =
                                 plan.get(next.fetch_add(1, Ordering::Relaxed))
                             {
@@ -744,7 +769,11 @@ impl FleetCampaign {
                                     // corrupt, parse and fold — is what a
                                     // measured shard plan balances.
                                     let t0 = Instant::now();
-                                    let harvest = self.run_phone(id, LoggerFiles::All);
+                                    let harvest = self.run_phone(
+                                        id,
+                                        LoggerFiles::Analysis,
+                                        std::mem::take(&mut flash),
+                                    );
                                     let t_parse = Instant::now();
                                     let ds = PhoneDataset::from_flashfs_with(
                                         id,
@@ -753,7 +782,9 @@ impl FleetCampaign {
                                     );
                                     let parse_secs = t_parse.elapsed().as_secs_f64();
                                     let meta = PhoneMeta::from_harvest(&harvest);
-                                    drop(harvest);
+                                    // The flash's buffers go to the next
+                                    // phone this worker simulates.
+                                    flash = harvest.flashfs;
                                     let lens = PhoneLens::with_device(
                                         &ds,
                                         config,
@@ -870,8 +901,9 @@ pub struct StreamingRun {
     /// `metas`: the measured cost vector a later `--balance measured`
     /// run can plan from.
     pub phone_seconds: Vec<f64>,
-    /// Total flash bytes parsed; every one of them is freed phone by
-    /// phone, never held for the run's lifetime.
+    /// Total flash bytes parsed: the sum of the metas'
+    /// [`PhoneMeta::flash_bytes`]. No phone's bytes are held past the
+    /// next phone its worker simulates.
     pub parse_bytes: u64,
     /// Live MTBF estimates `(phones_absorbed, estimate)` recorded at
     /// checkpoint boundaries (plus one final entry), strictly

@@ -15,9 +15,10 @@
 //!    signature is a function of the log alone. A probe whose
 //!    corruption profile is `none` therefore simulates a log-only
 //!    phone ([`LoggerFiles::LogOnly`]), which writes that log byte for
-//!    byte and no other file; a corrupted probe simulates every file,
-//!    because the injector draws the log's damage after the beats
-//!    file's line count. The scan
+//!    byte and no other file; a corrupted probe also writes `beats`
+//!    ([`LoggerFiles::Analysis`]), because the injector draws the log's
+//!    damage after the beats file's line count, and it reads and
+//!    damages those two files alone. The scan
 //!    ([`FailureSignature::matches_log`]) decodes only the lines that
 //!    name the signature's raiser; the log is parsed in full
 //!    ([`PhoneDataset::from_log`]) only under `Strict`, after the scan
@@ -42,7 +43,7 @@
 //!    probe scans the kept log's prefix up to the day's length in
 //!    place, and a corrupted one cuts every file at its day's length
 //!    and corrupts the cut from the campaign's own stream — when the
-//!    kept harvest holds every file; a log-only one cannot answer it,
+//!    kept harvest holds `beats`; a log-only one cannot answer it,
 //!    so that probe simulates afresh. The answer is the fresh probe's.
 //! 4. **Greedy channel drop.** Disable fault channels one at a time in
 //!    fixed order, keeping each drop only if the repro still holds
@@ -223,7 +224,8 @@ impl ReproCampaign {
     /// pinned device profile — marking every file's length at the end
     /// of each day. Every verdict reads the log alone, so under profile
     /// `none` the phone writes only `log` ([`LoggerFiles::LogOnly`]); a
-    /// profile that damages flash needs every file.
+    /// profile that damages flash also needs `beats`
+    /// ([`LoggerFiles::Analysis`]).
     pub fn harvest(&self) -> ReproHarvest {
         let params = self
             .device
@@ -726,7 +728,7 @@ struct Prober<'a> {
     /// harvest. A later probe of the same seed and channels and no more
     /// days — the corruption drop and both bisections — is answered
     /// from it at its day count instead of simulating again, unless the
-    /// probe damages flash and the harvest holds only the log.
+    /// probe damages flash and the harvest holds no `beats`.
     kept: Option<(ReproCampaign, ReproHarvest)>,
 }
 
@@ -752,7 +754,8 @@ impl Prober<'_> {
             k.seed == campaign.seed
                 && k.channels == campaign.channels
                 && campaign.days <= k.days
-                && (campaign.corruption == CorruptionProfile::None || h.files == LoggerFiles::All)
+                && (campaign.corruption == CorruptionProfile::None
+                    || h.files != LoggerFiles::LogOnly)
         }) {
             return answer(harvest);
         }
@@ -776,9 +779,9 @@ impl Prober<'_> {
 /// phone runs through [`FleetCampaign::run_single_for_log`]: on a
 /// clean campaign its logger writes only `log`, byte for byte the log
 /// the full phone writes, and skips the beats, snapshot and activity
-/// files nothing here reads. A corrupted campaign's phones write every
-/// file, since the injector draws the log's damage after the beats
-/// file's line count.
+/// files nothing here reads. A corrupted campaign's phones also write
+/// `beats` ([`LoggerFiles::Analysis`]), since the injector draws the
+/// log's damage after the beats file's line count.
 pub fn extract_fleet_signatures(
     campaign: &FleetCampaign,
     config: &AnalysisConfig,

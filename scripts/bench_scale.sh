@@ -8,8 +8,9 @@
 # core count.
 #
 # If a previous document exists (the committed baseline, or $BASELINE),
-# the script gates on it: any phone count whose one-worker parse MB/s
-# falls below MIN_RATIO of the baseline's fails the run. Two within-run
+# the script gates on it: any phone count whose one-worker parsed lines
+# per second fall below MIN_RATIO of the baseline's (its own
+# w1_parse_lines over w1_parse_seconds) fails the run. Two within-run
 # gates cover the streaming driver: at every phone count >=
 # STREAM_GATE_MIN its peak live heap must stay at or under
 # STREAM_PEAK_MAX_BYTES; and across the whole sweep the *last* point's
@@ -171,25 +172,28 @@ fi
 echo "bench_scale: mixed-fleet gate ok: $mixed_mbps MB/s at" \
     "$MIXED_PHONES heterogeneous phones" >&2
 
-# Regression gate: one-worker parse MB/s per phone count vs the
-# baseline.
+# Regression gate: one-worker parsed lines per second per phone count
+# vs the baseline. Lines, not bytes: the driver's byte count moves with
+# the set of files it parses, its line count does not, so the bound on
+# parse seconds is the same whichever files a side parses.
 pairs() {
     awk -F'[:,]' '/"phones"/ { p = $2 + 0 }
-        /"w1_parse_mb_per_s"/ { printf "%d %s\n", p, $2 + 0 }' "$1"
+        /"w1_parse_seconds"/ { s = $2 + 0 }
+        /"w1_parse_lines"/ { printf "%d %.0f\n", p, (s > 0) ? ($2 + 0) / s : 0 }' "$1"
 }
 if [ -f "$BASELINE" ]; then
     fail=0
-    while read -r phones new_mbps; do
-        base_mbps="$(pairs "$BASELINE" | awk -v p="$phones" '$1 == p { print $2 }')"
-        [ -n "$base_mbps" ] || continue
-        if ! awk -v a="$new_mbps" -v b="$base_mbps" -v r="$MIN_RATIO" \
+    while read -r phones new_lps; do
+        base_lps="$(pairs "$BASELINE" | awk -v p="$phones" '$1 == p { print $2 }')"
+        [ -n "$base_lps" ] || continue
+        if ! awk -v a="$new_lps" -v b="$base_lps" -v r="$MIN_RATIO" \
             'BEGIN { exit !(a + 0 >= r * b) }'; then
             echo "bench_scale: REGRESSION at $phones phones:" \
-                "$new_mbps MB/s < $MIN_RATIO x baseline $base_mbps MB/s" >&2
+                "$new_lps lines/s < $MIN_RATIO x baseline $base_lps lines/s" >&2
             fail=1
         else
-            echo "bench_scale: $phones phones: $new_mbps MB/s" \
-                "(baseline $base_mbps MB/s) ok" >&2
+            echo "bench_scale: $phones phones: $new_lps lines/s" \
+                "(baseline $base_lps lines/s) ok" >&2
         fi
     done < <(pairs "$tmp_out")
     [ "$fail" = 0 ] || exit 1

@@ -9,7 +9,7 @@ use symfail::core::analysis::passes::PassRegistry;
 use symfail::core::analysis::report::{AnalysisConfig, StudyReport};
 use symfail::forum::corpus::CorpusGenerator;
 use symfail::phone::calibration::CalibrationParams;
-use symfail::phone::fleet::FleetCampaign;
+use symfail::phone::fleet::{FleetCampaign, PhoneMeta};
 
 fn params(phones: u32) -> CalibrationParams {
     CalibrationParams {
@@ -54,7 +54,7 @@ fn parallel_run_identical_to_sequential() {
         for (x, y) in seq.iter().zip(&par.metas) {
             assert_eq!(x.phone_id, y.phone_id);
             assert_eq!(x.stats, y.stats);
-            assert_eq!(x.flashfs.total_size(), y.flash_bytes);
+            assert_eq!(PhoneMeta::from_harvest(x).flash_bytes, y.flash_bytes);
         }
         assert_eq!(
             par.report.render_all() + &par.report.render_per_phone(),

@@ -554,6 +554,8 @@ enum FsOp {
     Damage(usize, String),
     Truncate(usize),
     Remove(usize),
+    /// Empties the filesystem for the next phone, keeping its buffers.
+    Clear,
 }
 
 /// A few file names, so sequences revisit files; random order creates
@@ -569,6 +571,7 @@ fn fs_op() -> impl Strategy<Value = FsOp> {
         (name.clone(), "[a-z\n]{0,8}").prop_map(|(f, b)| FsOp::Damage(f, b)),
         name.clone().prop_map(FsOp::Truncate),
         name.prop_map(FsOp::Remove),
+        Just(FsOp::Clear),
     ]
 }
 
@@ -617,6 +620,12 @@ proptest! {
                 }
                 FsOp::Remove(f) => {
                     prop_assert_eq!(fs.remove(FS_NAMES[f]), model.remove(FS_NAMES[f]).is_some());
+                }
+                FsOp::Clear => {
+                    // A carried-over flash is a fresh one to every reader.
+                    fs.clear();
+                    model.clear();
+                    written = 0;
                 }
             }
             let names: Vec<&str> = model.keys().map(String::as_str).collect();
@@ -1867,18 +1876,18 @@ proptest! {
                     .harvest()
                 };
                 let log_only = harvest(CorruptionProfile::None);
-                let full = harvest(CorruptionProfile::Worst);
+                let with_beats = harvest(CorruptionProfile::Worst);
                 prop_assert_eq!(log_only.files(), LoggerFiles::LogOnly);
-                prop_assert_eq!(full.files(), LoggerFiles::All);
+                prop_assert_eq!(with_beats.files(), LoggerFiles::Analysis);
                 prop_assert_eq!(log_only.flash().file_names(), vec![files::LOG]);
                 for d in 0..=days {
                     prop_assert!(
-                        log_only.log(d) == full.log(d),
+                        log_only.log(d) == with_beats.log(d),
                         "{} {} log after day {} of {}",
                         class.as_str(), firmware.as_str(), d, days
                     );
                 }
-                prop_assert_eq!(log_only.stats(), full.stats());
+                prop_assert_eq!(log_only.stats(), with_beats.stats());
             }
         }
     }
@@ -1915,5 +1924,183 @@ proptest! {
             );
             prop_assert_eq!(log_only.stats, full.stats);
         }
+    }
+}
+
+// ---------------------------------------------------------------
+// An analysis phone — the campaign driver's, and a corrupted probe's
+// or extraction's — is the full phone without its sampled `runapp`,
+// `power` and `activity` files: it writes the full phone's `log`,
+// `beats` and `ureport` byte for byte and reaches the same
+// ground-truth counters, and the injector, which reads and damages
+// `log` and `beats` alone, damages its harvest as it does the full one.
+// ---------------------------------------------------------------
+
+/// Asserts that `fs` holds no file outside the analysis logger's and
+/// each of those byte for byte as `full` does; `ctx` names the case.
+fn assert_analysis_files_match(fs: &FlashFs, full: &FlashFs, ctx: &str) {
+    use symfail::core::logger::LoggerFiles;
+    let names = LoggerFiles::Analysis.names();
+    for file in fs.file_names() {
+        assert!(
+            names.contains(&file),
+            "{ctx}: {file} is not an analysis file"
+        );
+    }
+    for &file in names {
+        assert!(
+            fs.read_bytes(file) == full.read_bytes(file),
+            "{ctx}: {file} differs from the full phone's"
+        );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn analysis_repro_phones_write_the_full_phones_files_after_every_day(
+        seed in 0u64..1_000_000,
+        mask in 0u32..256,
+        days in 1u32..=12,
+    ) {
+        use symfail::core::logger::LoggerFiles;
+        use symfail::phone::composition::{DeviceClass, DeviceProfile};
+        use symfail::phone::corruption::CorruptionProfile;
+        use symfail::phone::device::Phone;
+        use symfail::phone::firmware::SymbianVersion;
+        use symfail::phone::repro::{repro_params, FaultChannel, ReproCampaign};
+        use symfail::phone::user::UserProfile;
+        let channels: Vec<FaultChannel> = FaultChannel::ALL
+            .into_iter()
+            .enumerate()
+            .filter(|&(i, _)| mask >> i & 1 == 1)
+            .map(|(_, c)| c)
+            .collect();
+        for class in DeviceClass::ALL {
+            for firmware in SymbianVersion::ALL {
+                let device = DeviceProfile { class, firmware };
+                // A damaging profile's harvest (never itself damaged)
+                // is an analysis phone's.
+                let analysis = ReproCampaign {
+                    seed,
+                    days,
+                    channels: channels.clone(),
+                    corruption: CorruptionProfile::Worst,
+                    device,
+                }
+                .harvest();
+                prop_assert_eq!(analysis.files(), LoggerFiles::Analysis);
+                // The same phone, every file written, day by day.
+                let params = device.scale_params(&repro_params(days, &channels));
+                let mut rng = SimRng::seed_from(seed).fork("phone", 0);
+                let profile = UserProfile::sample_with_nightly(&params, &mut rng, false);
+                let mut full =
+                    Phone::with_profile(0, params, profile, rng.fork("device", 0), LoggerFiles::All);
+                full.set_firmware(firmware);
+                for d in 0..=days {
+                    if d > 0 {
+                        full.simulate_day(u64::from(d - 1));
+                    }
+                    let ctx = format!("{} {} after day {d} of {days}", class.as_str(), firmware.as_str());
+                    assert_analysis_files_match(&analysis.cut(d), full.flashfs(), &ctx);
+                }
+                prop_assert_eq!(analysis.stats(), full.stats());
+            }
+        }
+    }
+
+    #[test]
+    fn analysis_fleet_phones_write_the_full_phones_files_and_take_the_same_damage(
+        seed in 0u64..1_000_000,
+        phones in 1u32..=4,
+        days in 5u32..=40,
+        enrollment in 1u32..20,
+        attrition in 1u32..20,
+        mixed in 0usize..2,
+    ) {
+        use symfail::core::logger::files;
+        use symfail::phone::calibration::CalibrationParams;
+        use symfail::phone::composition::FleetComposition;
+        use symfail::phone::corruption::CorruptionProfile;
+        use symfail::phone::fleet::FleetCampaign;
+        let params = CalibrationParams {
+            phones,
+            campaign_days: days,
+            enrollment_spread_days: enrollment.min(days - 1),
+            attrition_spread_days: attrition.min(days - 1),
+            ..CalibrationParams::default()
+        };
+        let composition = FleetComposition::parse(["default", "mixed"][mixed])
+            .expect("a built-in composition");
+        for profile in [
+            CorruptionProfile::None,
+            CorruptionProfile::Light,
+            CorruptionProfile::Moderate,
+            CorruptionProfile::Worst,
+        ] {
+            let campaign = FleetCampaign::new(seed, params)
+                .with_fleet(composition.clone())
+                .with_corruption(profile);
+            for id in 0..phones {
+                let full = campaign.run_single(id);
+                let analysis = campaign.run_single_for_analysis(id);
+                let ctx = format!("{} phone {id} of {phones} over {days} days", profile.as_str());
+                assert_analysis_files_match(&analysis.flashfs, &full.flashfs, &ctx);
+                prop_assert!(analysis.flashfs.exists(files::BEATS));
+                prop_assert_eq!(analysis.stats, full.stats);
+                prop_assert_eq!(analysis.injected, full.injected);
+                // Signature extraction under a damaging profile reads
+                // the same damaged log from either harvest.
+                if profile != CorruptionProfile::None {
+                    let for_log = campaign.run_single_for_log(id);
+                    prop_assert!(
+                        for_log.flashfs.read_bytes(files::LOG) == full.flashfs.read_bytes(files::LOG)
+                    );
+                    prop_assert_eq!(for_log.injected, full.injected);
+                }
+            }
+        }
+    }
+
+    /// Powered-on time is the sum of the time-ordered beat gaps no
+    /// longer than the threshold, whatever order the beats come in,
+    /// with tied timestamps, zero gaps and thresholds equal to a gap.
+    #[test]
+    fn powered_on_time_is_the_brute_force_gap_sum(
+        beats in prop::collection::vec(
+            (prop_oneof![0u64..50, 0u64..5_000_000], 0usize..4),
+            0..60,
+        ),
+        threshold in prop_oneof![
+            (0usize..60).prop_map(Some),
+            Just(None),
+        ],
+        free_threshold in 0u64..6_000_000,
+    ) {
+        let events = [
+            HeartbeatEvent::Alive,
+            HeartbeatEvent::Reboot,
+            HeartbeatEvent::ManualOff,
+            HeartbeatEvent::LowBattery,
+        ];
+        let stream: Vec<(SimTime, HeartbeatEvent)> = beats
+            .iter()
+            .map(|&(ms, e)| (SimTime::from_millis(ms), events[e]))
+            .collect();
+        let mut sorted: Vec<u64> = beats.iter().map(|&(ms, _)| ms).collect();
+        sorted.sort_unstable();
+        let gaps: Vec<u64> = sorted.windows(2).map(|w| w[1] - w[0]).collect();
+        // Half the cases test a threshold equal to one of the gaps.
+        let max_gap = match threshold {
+            Some(i) if !gaps.is_empty() => gaps[i % gaps.len()],
+            _ => free_threshold,
+        };
+        let want: u64 = gaps.iter().filter(|&&g| g <= max_gap).sum();
+        let ds = PhoneDataset::new(0, Vec::new(), stream);
+        prop_assert_eq!(
+            ds.powered_on_time(SimDuration::from_millis(max_gap)),
+            SimDuration::from_millis(want)
+        );
     }
 }
