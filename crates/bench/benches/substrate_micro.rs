@@ -207,7 +207,9 @@ fn bench(c: &mut Criterion) {
     // worker does between phones: once clean, once after worst-profile
     // corruption, whose repeated beats build the duplicate set. Then
     // `PhoneDataset::from_log` over the clean harvest's log alone, the
-    // parse signature extraction and repro probes run.
+    // parse `Strict` repro probes run and, through the same body, the
+    // campaign driver under passes that read the log alone (signature
+    // extraction's `coalesce`).
     let params = CalibrationParams::default();
     let mut phone = Phone::new(0, params, SimRng::seed_from(3));
     for day in 0..u64::from(params.campaign_days) {

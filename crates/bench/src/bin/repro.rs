@@ -41,7 +41,10 @@
 //! (truncation, tail loss, bit-flips, duplicated/reordered heartbeat
 //! blocks) per phone before parsing; `--workers 1` is the determinism
 //! oracle. `--analyses` restricts the pass registry to a comma-list of
-//! pass names. `--defects-json` dumps the fleet parse-defect report;
+//! pass names, and each phone writes and parses only their files: `log`
+//! (and `ureport`), plus `beats` for `mtbf`, `defects` and `perphone`
+//! (or for the injector, unparsed, under a damaging `--corruption`).
+//! `--defects-json` dumps the fleet parse-defect report;
 //! `--timing-json` writes the campaign stage's wall-clock time plus
 //! allocation (cumulative and peak-live), parse-throughput and merge
 //! counters to the given path.
@@ -100,11 +103,11 @@
 //! `repro extract-signatures` distills a campaign into its distinct
 //! fault-signature catalog — panic code, raising component, running
 //! apps, concurrent activity, related high-level event, device class
-//! and firmware line — either by streaming the campaign phone by
-//! phone (no checkpoint needed) or straight from a v5 checkpoint via
-//! `--from-checkpoint`, which never re-simulates; `--analyses` names
-//! the passes that checkpoint was written with and is refused
-//! without it. `repro minimize` takes one signature from that catalog
+//! and firmware line — either by running the campaign driver over the
+//! `coalesce` pass alone or straight from a v5 checkpoint via
+//! `--from-checkpoint`, which never re-simulates; both read the coalesce
+//! section the same way. `--analyses` names the passes that checkpoint
+//! was written with and is refused without it. `repro minimize` takes one signature from that catalog
 //! and runs the ddmin-style search of `symfail_phone::repro`: seed
 //! hunt, corruption drop, day bisection, greedy fault-channel drop,
 //! final re-bisection — every probe a simulate→corrupt→scan run over
@@ -319,8 +322,8 @@ impl CampaignFlags {
     fn take(&mut self, flag: &str, it: &mut ArgIter<'_>) -> Result<(), String> {
         match flag {
             "--seed" => self.seed = value(it, "--seed needs an integer")?,
-            "--phones" => self.phones = value(it, "--phones needs an integer")?,
-            "--days" => self.days = value(it, "--days needs an integer")?,
+            "--phones" => self.phones = positive(it, "--phones needs a positive phone count")?,
+            "--days" => self.days = positive(it, "--days needs a positive day count")?,
             "--corruption" => {
                 self.corruption = corruption_profile(it, "--corruption needs a profile name")?
             }
@@ -952,7 +955,7 @@ fn plan_shards_cmd(argv: &[String]) -> Result<String, String> {
 /// `repro extract-signatures` — distills a campaign into its distinct
 /// fault-signature catalog. With `--from-checkpoint` the signatures
 /// come out of a v5 checkpoint's coalesce accumulators without
-/// re-simulating; otherwise the campaign streams phone by phone.
+/// re-simulating; otherwise the campaign driver runs the coalesce pass.
 fn extract_signatures_cmd(argv: &[String]) -> Result<String, String> {
     let mut flags = CampaignFlags::default();
     let mut analyses: Option<String> = None;
@@ -969,7 +972,10 @@ fn extract_signatures_cmd(argv: &[String]) -> Result<String, String> {
             "--help" | "-h" => {
                 return Err("usage: repro extract-signatures [--signature-json OUT] \
                             [--from-checkpoint PATH] [--seed N] [--phones N] [--days N] \
-                            [--corruption PROFILE] [--fleet SPEC] [--analyses LIST]"
+                            [--corruption PROFILE] [--fleet SPEC] [--analyses LIST]\n\
+                            Runs the campaign driver over the coalesce pass alone, or \
+                            reads the coalesce section of a checkpoint written with the \
+                            --analyses passes (default all)."
                     .to_string())
             }
             flag => flags.take(flag, &mut it)?,

@@ -39,8 +39,40 @@ const REFUSED: &[(&[&str], &str)] = &[
     (&["--exp", "bogus"], "unknown experiment bogus"),
     (&["--seed"], "--seed needs an integer"),
     (&["--seed", "x"], "--seed needs an integer"),
-    (&["--phones", "-1"], "--phones needs an integer"),
-    (&["--days", "x"], "--days needs an integer"),
+    (&["--phones", "-1"], "--phones needs a positive phone count"),
+    (&["--days", "x"], "--days needs a positive day count"),
+    // A campaign of no phones or no days is refused by every
+    // subcommand that takes campaign flags, never run as a one-day or
+    // empty campaign.
+    (&["--phones", "0"], "--phones needs a positive phone count"),
+    (
+        &["--phones", "2", "--days", "0", "--exp", "mtbf"],
+        "--days needs a positive day count",
+    ),
+    (
+        &["merge-checkpoints", "out.bin", "a.bin", "--phones", "0"],
+        "--phones needs a positive phone count",
+    ),
+    (
+        &["merge-checkpoints", "out.bin", "a.bin", "--days", "0"],
+        "--days needs a positive day count",
+    ),
+    (
+        &["plan-shards", "--phones", "0", "--shards", "2"],
+        "--phones needs a positive phone count",
+    ),
+    (
+        &["plan-shards", "--shards", "2", "--days", "0"],
+        "--days needs a positive day count",
+    ),
+    (
+        &["extract-signatures", "--phones", "0"],
+        "--phones needs a positive phone count",
+    ),
+    (
+        &["extract-signatures", "--days", "0"],
+        "--days needs a positive day count",
+    ),
     (&["--workers", "0"], "--workers needs a positive integer"),
     (
         &["--checkpoint-every", "0"],
@@ -174,7 +206,7 @@ const REFUSED: &[(&[&str], &str)] = &[
     ),
     (
         &["extract-signatures", "--phones", "x"],
-        "--phones needs an integer",
+        "--phones needs a positive phone count",
     ),
     (
         &["extract-signatures", "--from-checkpoint"],

@@ -228,7 +228,33 @@ impl PhoneDataset {
         ds
     }
 
-    /// Parses the flash files harvested from one phone.
+    /// Parses the `log` and `beats` files harvested from one phone
+    /// ([`Self::from_files`]).
+    pub fn from_flashfs(phone_id: u32, fs: &FlashFs) -> Self {
+        Self::from_flashfs_with(phone_id, fs, &mut ParseScratch::default())
+    }
+
+    /// [`Self::from_flashfs`] parsing into recycled buffers: event and
+    /// index vectors come from `scratch` (cleared, capacity kept)
+    /// instead of fresh allocations. Pair with [`Self::recycle`] once
+    /// the phone has been folded.
+    pub fn from_flashfs_with(phone_id: u32, fs: &FlashFs, scratch: &mut ParseScratch) -> Self {
+        let file = |name| fs.read_bytes(name).unwrap_or_default();
+        Self::from_files(phone_id, file(files::LOG), file(files::BEATS), scratch)
+    }
+
+    /// Parses only the consolidated log, given as its bytes (a
+    /// harvest's `log` file, or any prefix of it): [`Self::from_files`]
+    /// with no beats, so [`Self::beats`] is empty,
+    /// [`Self::powered_on_time`] is zero and [`Self::defects`] counts
+    /// the log's lines alone — all a fault signature reads.
+    pub fn from_log(phone_id: u32, log: &[u8]) -> Self {
+        Self::from_files(phone_id, log, &[], &mut ParseScratch::default())
+    }
+
+    /// The one parse body: a phone's `log` and `beats` files as bytes
+    /// (empty for a file its reader does not read, as the campaign
+    /// driver passes them), into `scratch`'s buffers.
     ///
     /// The parse is lossy-tolerant, as the field study's had to be:
     /// invalid UTF-8 is flagged instead of panicking (the log is decoded
@@ -240,20 +266,16 @@ impl PhoneDataset {
     /// the dataset; a phone whose flash has content but yields no
     /// record at all is flagged unusable rather than aborting the
     /// fleet build.
-    pub fn from_flashfs(phone_id: u32, fs: &FlashFs) -> Self {
-        Self::from_flashfs_with(phone_id, fs, &mut ParseScratch::default())
-    }
-
-    /// [`Self::from_flashfs`] parsing into recycled buffers: event and
-    /// index vectors come from `scratch` (cleared, capacity kept)
-    /// instead of fresh allocations. Pair with [`Self::recycle`] once
-    /// the phone has been folded.
-    pub fn from_flashfs_with(phone_id: u32, fs: &FlashFs, scratch: &mut ParseScratch) -> Self {
+    pub fn from_files(
+        phone_id: u32,
+        log: &[u8],
+        raw_beats: &[u8],
+        scratch: &mut ParseScratch,
+    ) -> Self {
         let mut defects = PhoneDefects::default();
         let mut names = NameTable::default();
         let mut panics = std::mem::take(&mut scratch.panics);
         let mut boots = std::mem::take(&mut scratch.boots);
-        let log = fs.read_bytes(files::LOG).unwrap_or_default();
         read_log(log, &mut names, &mut panics, &mut boots, &mut defects);
 
         // Beats: an exact `(timestamp, event)` repeat of a kept beat is
@@ -267,7 +289,6 @@ impl PhoneDataset {
         // order before `index` sorts them — the same order the file
         // gives, since a run beat that ties a stray's timestamp always
         // precedes it in the file.
-        let raw_beats = fs.read_bytes(files::BEATS).unwrap_or(&[]);
         let mut beats: Vec<(SimTime, HeartbeatEvent)> = std::mem::take(&mut scratch.beats);
         beats.reserve(raw_beats.len() / 12);
         let mut strays: Vec<(SimTime, HeartbeatEvent)> = Vec::new();
@@ -326,38 +347,6 @@ impl PhoneDataset {
             freezes: std::mem::take(&mut scratch.freezes),
             defects,
         };
-        ds.index();
-        ds
-    }
-
-    /// Parses only the consolidated log, given as its bytes (a
-    /// harvest's `log` file, or any prefix of it): the panics, the boot
-    /// records, and the shutdown events and freezes derived from the
-    /// boots, through the same lossy loop [`Self::from_flashfs`] runs.
-    /// The beats file is not read, so [`Self::beats`] is empty,
-    /// [`Self::powered_on_time`] is zero and [`Self::defects`] counts
-    /// the log's lines alone.
-    ///
-    /// A fault signature is a function of the log alone: the Panic
-    /// Detector writes every panic there with its activity and running
-    /// applications, and the boot-time heartbeat check writes each
-    /// freeze and shutdown into a boot record in the same file. Signature
-    /// extraction parses through here, and so does a `Strict` repro
-    /// probe once its log holds a panic of the signature's core
-    /// identity.
-    pub fn from_log(phone_id: u32, log: &[u8]) -> Self {
-        let mut ds = Self {
-            phone_id,
-            ..Self::default()
-        };
-        read_log(
-            log,
-            &mut ds.names,
-            &mut ds.panics,
-            &mut ds.boots,
-            &mut ds.defects,
-        );
-        ds.defects.unusable = ds.defects.lines_seen > 0 && ds.defects.records_kept == 0;
         ds.index();
         ds
     }

@@ -14,6 +14,7 @@ use std::fmt::Write as _;
 
 use serde::{Deserialize, Serialize};
 
+use crate::logger::LoggerFiles;
 use crate::records::ParseDefect;
 
 use super::checkpoint::{ByteReader, ByteWriter, CheckpointError};
@@ -227,6 +228,7 @@ pub(super) struct DefectsPass;
 impl AnalysisPass for DefectsPass {
     type Acc = Vec<(u32, PhoneDefects)>;
     const NAME: &'static str = "defects";
+    const READS: LoggerFiles = LoggerFiles::LogAndBeats;
 
     fn fold_phone(&self, lens: &PhoneLens<'_>) -> Self::Acc {
         vec![(lens.phone.phone_id(), *lens.phone.defects())]

@@ -13,6 +13,7 @@ use symfail_sim_core::SimDuration;
 use super::checkpoint::{ByteReader, ByteWriter, CheckpointError};
 use super::passes::{AnalysisPass, PhoneLens};
 use super::report::StudyReport;
+use crate::logger::LoggerFiles;
 
 /// Heartbeat-gap ceiling used when reconstructing powered-on time from
 /// the beats stream (gaps longer than this mean off/frozen).
@@ -97,6 +98,7 @@ pub(super) struct MtbfPass;
 impl AnalysisPass for MtbfPass {
     type Acc = MtbfFold;
     const NAME: &'static str = "mtbf";
+    const READS: LoggerFiles = LoggerFiles::LogAndBeats;
 
     fn fold_phone(&self, lens: &PhoneLens<'_>) -> Self::Acc {
         let powered_on = if lens.phone.defects().unusable {

@@ -53,8 +53,6 @@ use std::collections::BTreeMap;
 
 use symfail_sim_core::SimDuration;
 
-use crate::intern::NameTable;
-
 use super::activity::ActivityPass;
 use super::bursts::BurstsPass;
 use super::checkpoint::{
@@ -69,6 +67,8 @@ use super::mtbf::{MtbfAnalysis, MtbfPass};
 use super::report::{AnalysisConfig, PanicDistPass, PerPhonePass, StudyReport};
 use super::runapps::RunningAppsPass;
 use super::shutdown::ShutdownPass;
+use crate::intern::NameTable;
+use crate::logger::LoggerFiles;
 
 /// One section of the study as a typed per-phone fold plus an
 /// associative, phone-ordered merge.
@@ -88,6 +88,11 @@ pub trait AnalysisPass: Send + Sync + 'static {
     /// Whether this pass consumes the per-phone coalescence fold (so
     /// [`PhoneLens::new`] can skip computing it when nothing does).
     const NEEDS_COALESCE: bool = false;
+
+    /// The flash files this pass reads: the log, unless it reads
+    /// powered-on time or the beats file's defects. The driver's phones
+    /// write and parse only what their passes read.
+    const READS: LoggerFiles = LoggerFiles::LogOnly;
 
     /// Folds one phone into a one-phone accumulator. Must not retain
     /// references into the dataset: the streaming driver drops the
@@ -128,6 +133,7 @@ type DynAcc = Box<dyn Any + Send>;
 trait ErasedPass: Send + Sync {
     fn name(&self) -> &'static str;
     fn needs_coalesce(&self) -> bool;
+    fn reads(&self) -> LoggerFiles;
     fn empty(&self) -> DynAcc;
     fn fold_into(&self, acc: &mut DynAcc, lens: &PhoneLens<'_>, remap: Option<&[u16]>);
     fn merge(&self, acc: &mut DynAcc, other: DynAcc, remap: Option<&[u16]>);
@@ -159,6 +165,10 @@ impl<P: AnalysisPass> ErasedPass for P {
 
     fn needs_coalesce(&self) -> bool {
         P::NEEDS_COALESCE
+    }
+
+    fn reads(&self) -> LoggerFiles {
+        P::READS
     }
 
     fn empty(&self) -> DynAcc {
@@ -411,6 +421,13 @@ impl PassRegistry {
     /// Whether any registered pass consumes the coalescence fold.
     pub fn needs_coalesce(&self) -> bool {
         self.passes.iter().any(|p| p.needs_coalesce())
+    }
+
+    /// The flash files the registered passes read: the union of their
+    /// [`AnalysisPass::READS`].
+    pub fn reads(&self) -> LoggerFiles {
+        let reads = self.passes.iter().map(|p| p.reads());
+        reads.fold(LoggerFiles::LogOnly, Ord::max)
     }
 
     /// Fresh accumulators, one per pass, in registry order.
@@ -1357,6 +1374,15 @@ mod tests {
         );
         assert!(!r.needs_coalesce());
         assert!(PassRegistry::select("coalesce").unwrap().needs_coalesce());
+        // Only powered-on time and the beats file's defects come from
+        // `beats`.
+        assert_eq!(r.reads(), LoggerFiles::LogAndBeats);
+        assert_eq!(PassRegistry::all().reads(), LoggerFiles::LogAndBeats);
+        for name in PassRegistry::NAMES {
+            let reads = PassRegistry::select(name).unwrap().reads();
+            let beats = ["mtbf", "defects", "perphone"].contains(&name);
+            assert_eq!(reads == LoggerFiles::LogAndBeats, beats, "{name}");
+        }
         assert!(PassRegistry::select("nope").is_err());
         assert!(PassRegistry::select("").is_err());
     }

@@ -20,6 +20,7 @@ use super::passes::{AnalysisPass, DeviceLabels, PassRegistry, PhoneLens};
 use super::runapps::RunningAppsAnalysis;
 use super::shutdown::{ShutdownAnalysis, SELF_SHUTDOWN_THRESHOLD};
 use super::targets;
+use crate::logger::LoggerFiles;
 
 /// Tunable parameters of the analysis pipeline (the paper's values are
 /// the defaults).
@@ -350,15 +351,18 @@ impl StudyReport {
 
     /// Renders the MTBF headline numbers.
     pub fn render_mtbf(&self) -> String {
+        // An estimate over zero failures is undefined, not zero.
+        let hours = |v: Option<f64>| v.map_or("n/a".into(), |h| format!("{h:.0} h"));
+        let days = self.mtbf.days_between_failures();
         format!(
-            "MTBF: powered-on {:.0} h across fleet | freezes {} (MTBFr {:.0} h) | \
-             self-shutdowns {} (MTBS {:.0} h) | a failure every {:.1} days\n",
+            "MTBF: powered-on {:.0} h across fleet | freezes {} (MTBFr {}) | \
+             self-shutdowns {} (MTBS {}) | a failure every {}\n",
             self.mtbf.total_hours,
             self.mtbf.freezes,
-            self.mtbf.mtbfr_hours.unwrap_or(0.0),
+            hours(self.mtbf.mtbfr_hours),
             self.mtbf.self_shutdowns,
-            self.mtbf.mtbs_hours.unwrap_or(0.0),
-            self.mtbf.days_between_failures().unwrap_or(0.0),
+            hours(self.mtbf.mtbs_hours),
+            days.map_or("n/a".into(), |d| format!("{d:.1} days")),
         )
     }
 
@@ -612,6 +616,7 @@ pub(super) struct PerPhonePass;
 impl AnalysisPass for PerPhonePass {
     type Acc = Vec<PhoneRow>;
     const NAME: &'static str = "perphone";
+    const READS: LoggerFiles = LoggerFiles::LogAndBeats;
 
     fn fold_phone(&self, lens: &PhoneLens<'_>) -> Self::Acc {
         vec![PhoneRow {
@@ -740,6 +745,38 @@ mod tests {
         assert_eq!(t2, 20);
         // This tiny fleet obviously misses the paper's totals.
         assert!(!shape.all_pass());
+    }
+
+    /// An MTBF estimate over zero failures of its kind renders as
+    /// `n/a`, never as `0 h`; a defined one keeps its digits.
+    #[test]
+    fn zero_failure_mtbf_renders_as_not_available() {
+        let hours = SimDuration::from_hours(1200);
+        let render = |freezes, self_shutdowns| {
+            let mut report = StudyReport::empty(AnalysisConfig::default());
+            report.mtbf = MtbfAnalysis::from_totals(hours, freezes, self_shutdowns);
+            report.render_mtbf()
+        };
+        assert_eq!(
+            render(0, 4),
+            "MTBF: powered-on 1200 h across fleet | freezes 0 (MTBFr n/a) | \
+             self-shutdowns 4 (MTBS 300 h) | a failure every n/a\n"
+        );
+        assert_eq!(
+            render(3, 0),
+            "MTBF: powered-on 1200 h across fleet | freezes 3 (MTBFr 400 h) | \
+             self-shutdowns 0 (MTBS n/a) | a failure every n/a\n"
+        );
+        assert_eq!(
+            render(0, 0),
+            "MTBF: powered-on 1200 h across fleet | freezes 0 (MTBFr n/a) | \
+             self-shutdowns 0 (MTBS n/a) | a failure every n/a\n"
+        );
+        assert_eq!(
+            render(3, 4),
+            "MTBF: powered-on 1200 h across fleet | freezes 3 (MTBFr 400 h) | \
+             self-shutdowns 4 (MTBS 300 h) | a failure every 14.6 days\n"
+        );
     }
 
     #[test]

@@ -32,6 +32,7 @@ use super::dataset::{log_text, HlKind, PanicEvent, PhoneDataset};
 use super::passes::{DeviceLabels, PhoneLens};
 use super::report::AnalysisConfig;
 use crate::intern::NameTable;
+use crate::logger::LoggerFiles;
 use crate::records::RecordRef;
 use symfail_symbian::servers::logdb::ActivityKind;
 use symfail_symbian::PanicCode;
@@ -93,6 +94,9 @@ pub struct FailureSignature {
 }
 
 impl FailureSignature {
+    /// The flash files a signature is a function of: the log alone.
+    pub const READS: LoggerFiles = LoggerFiles::LogOnly;
+
     /// Extracts the signature of one panic, resolving every interned
     /// id against `names` (the table the event's ids are valid in).
     pub fn from_panic(

@@ -22,9 +22,8 @@
 //! [`FailureLogger`] wires the five together behind the narrow hook
 //! API the device simulator drives. Every logger runs every AO on the
 //! same schedule; which files it writes is fixed when it is built
-//! ([`LoggerFiles`]): all of them, what the study's analysis reads
-//! (`log`, `beats` and the users' `ureport`), or the consolidated log
-//! alone.
+//! ([`LoggerFiles`]): all of them, the consolidated log and `beats`, or
+//! the consolidated log alone.
 
 mod dexc;
 mod heartbeat;
@@ -102,29 +101,32 @@ pub struct PhoneContext<'a> {
     pub battery_low: bool,
 }
 
-/// Which flash files a logger writes, fixed when it is built. Every
-/// value runs the AOs on the same schedule, and the Heartbeat AO always
-/// remembers its last event, so the boot records, panic records and
-/// every byte of `log` are the same for all three; so are the bytes of
-/// each other file a value writes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Which flash files a phone writes, fixed when its logger is built.
+/// Every value runs the AOs on the same schedule, and the Heartbeat AO
+/// always remembers its last event, so the boot records, panic records
+/// and every byte of `log` are the same for all three; so are the bytes
+/// of each other file a value writes. Every value writes `log` and the
+/// users' `ureport` (the embedding simulator's user report channel).
+/// The values are nested sets, ordered by inclusion, so the union of
+/// two is their `max`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum LoggerFiles {
-    /// Every file: `beats`, `runapp`, `activity`, `power`, the
-    /// embedding simulator's `ureport` and the consolidated `log` — the
-    /// deployed logger.
-    All,
-    /// What the study's analysis reads: the consolidated `log`, `beats`
-    /// (powered-on time) and the users' `ureport`. The sampled
-    /// `runapp`, `power` and `activity` files are never written; the
-    /// Panic Detector takes the running applications, the battery and
-    /// the activity from the phone, never from them.
-    Analysis,
-    /// The consolidated `log` alone.
+    /// The consolidated `log` (and `ureport`): what a reader of panics,
+    /// boots, freezes and shutdowns reads.
     LogOnly,
+    /// `log` and `beats` (and `ureport`): what a reader of powered-on
+    /// time or of the beats file's defects reads. The sampled `runapp`,
+    /// `power` and `activity` files are never written; the Panic
+    /// Detector takes the running applications, the battery and the
+    /// activity from the phone, never from them.
+    LogAndBeats,
+    /// Every file: `beats`, `runapp`, `activity`, `power`, `ureport`
+    /// and the consolidated `log` — the deployed logger.
+    All,
 }
 
 impl LoggerFiles {
-    /// The files a logger built this way may write, sorted by name as
+    /// The files a phone built this way may write, sorted by name as
     /// [`FlashFs::file_names`] lists them. A file appears on flash only
     /// once something is written to it.
     pub fn names(self) -> &'static [&'static str] {
@@ -137,20 +139,25 @@ impl LoggerFiles {
                 files::RUNAPP,
                 UREPORT_FILE,
             ],
-            LoggerFiles::Analysis => &[files::BEATS, files::LOG, UREPORT_FILE],
-            LoggerFiles::LogOnly => &[files::LOG],
+            LoggerFiles::LogAndBeats => &[files::BEATS, files::LOG, UREPORT_FILE],
+            LoggerFiles::LogOnly => &[files::LOG, UREPORT_FILE],
         }
     }
 
-    /// `fs`, when the files the analysis reads beside `log` are
-    /// written: `beats` and the embedding simulator's `ureport`.
-    pub fn analysis_files(self, fs: &mut FlashFs) -> Option<&mut FlashFs> {
+    /// `file`'s bytes on `fs` when this set holds it, else empty.
+    pub fn read<'a>(self, fs: &'a FlashFs, file: &str) -> &'a [u8] {
+        let held = self.names().contains(&file);
+        fs.read_bytes(file).filter(|_| held).unwrap_or_default()
+    }
+
+    /// `fs`, when `beats` is written.
+    fn beats_file(self, fs: &mut FlashFs) -> Option<&mut FlashFs> {
         (self != LoggerFiles::LogOnly).then_some(fs)
     }
 
     /// `fs`, when the sampled `runapp`, `power` and `activity` files
     /// are written.
-    pub fn sampled_files(self, fs: &mut FlashFs) -> Option<&mut FlashFs> {
+    fn sampled_files(self, fs: &mut FlashFs) -> Option<&mut FlashFs> {
         (self == LoggerFiles::All).then_some(fs)
     }
 }
@@ -234,18 +241,13 @@ impl FailureLogger {
         self.config
     }
 
-    /// The files this logger writes.
-    pub fn files(&self) -> LoggerFiles {
-        self.files
-    }
-
     /// Called when the phone (and thus the logger daemon) starts. The
     /// Panic Detector asks the Heartbeat AO for the previous session's
     /// last event to classify how it ended, then writes a boot record;
     /// the heartbeat resumes.
     pub fn on_boot(&mut self, fs: &mut FlashFs, now: SimTime, ctx: PhoneContext<'_>) {
         self.panicdet.on_boot(fs, now, self.heartbeat.last_event());
-        self.heartbeat.beat(self.files.analysis_files(fs), now);
+        self.heartbeat.beat(self.files.beats_file(fs), now);
         if let Some(fs) = self.files.sampled_files(fs) {
             self.snapshot(fs, now, ctx);
         }
@@ -297,7 +299,7 @@ impl FailureLogger {
         }
         let period = self.config.heartbeat_period;
         self.heartbeat
-            .beats(self.files.analysis_files(fs), first, period, n);
+            .beats(self.files.beats_file(fs), first, period, n);
         self.ticks_since_snapshot += n;
         if self.ticks_since_snapshot >= self.config.snapshot_every {
             if let Some(fs) = self.files.sampled_files(fs) {
@@ -345,7 +347,7 @@ impl FailureLogger {
             ShutdownKind::LowBattery => HeartbeatEvent::LowBattery,
         };
         self.heartbeat
-            .final_event(self.files.analysis_files(fs), now, event);
+            .final_event(self.files.beats_file(fs), now, event);
     }
 
     fn snapshot(&mut self, fs: &mut FlashFs, now: SimTime, ctx: PhoneContext<'_>) {
@@ -475,8 +477,8 @@ mod tests {
 
     /// A log-only logger runs the full one's schedule and writes its
     /// `log` byte for byte, boot classifications included, but no other
-    /// file; an analysis logger writes the full one's `log` and `beats`
-    /// and no sampled file.
+    /// file; a log-and-beats logger writes the full one's `log` and
+    /// `beats` and no sampled file.
     #[test]
     fn log_only_logger_writes_the_full_loggers_log_alone() {
         let config = LoggerConfig {
@@ -486,7 +488,7 @@ mod tests {
         let p = Panic::new(codes::KERN_EXEC_3, "Messages", "dereferenced NULL");
         let written = [
             LoggerFiles::All,
-            LoggerFiles::Analysis,
+            LoggerFiles::LogAndBeats,
             LoggerFiles::LogOnly,
         ];
         let [full, analysis, log_only] = written.map(|written| {
@@ -516,9 +518,8 @@ mod tests {
         );
         assert_eq!(analysis.1.file_names(), [files::BEATS, files::LOG]);
         assert_eq!(log_only.1.file_names(), [files::LOG]);
-        for (lg, fs) in [&full, &analysis, &log_only] {
-            let names = lg.files().names();
-            assert!(fs.file_names().iter().all(|f| names.contains(f)));
+        for ((_, fs), files) in [&full, &analysis, &log_only].into_iter().zip(written) {
+            assert!(fs.file_names().iter().all(|f| files.names().contains(f)));
         }
         for file in [files::LOG, files::BEATS] {
             assert_eq!(analysis.1.read_bytes(file), full.1.read_bytes(file));
@@ -532,6 +533,32 @@ mod tests {
         assert_eq!(boots[1].off_duration, Some(SimDuration::from_secs(800)));
         assert!(boots[2].freeze_detected);
         assert_eq!(boots[2].last_event_at, t(990), "the run's last beat");
+    }
+
+    /// The values are nested sets ordered by inclusion, so `max` is
+    /// their union, and every value writes `log` and `ureport`.
+    #[test]
+    fn file_sets_nest_in_their_order() {
+        let sets = [
+            LoggerFiles::LogOnly,
+            LoggerFiles::LogAndBeats,
+            LoggerFiles::All,
+        ];
+        for a in sets {
+            assert!(a.names().contains(&files::LOG) && a.names().contains(&UREPORT_FILE));
+            for b in sets {
+                let (small, big) = (a.min(b), a.max(b));
+                assert!(small.names().iter().all(|f| big.names().contains(f)));
+            }
+        }
+        let mut fs = FlashFs::new();
+        fs.append_line(files::BEATS, "0|ALIVE");
+        assert_eq!(LoggerFiles::LogOnly.read(&fs, files::BEATS), b"");
+        assert_eq!(
+            LoggerFiles::LogAndBeats.read(&fs, files::BEATS),
+            b"0|ALIVE\n"
+        );
+        assert_eq!(LoggerFiles::All.read(&fs, files::LOG), b"");
     }
 
     #[test]

@@ -64,16 +64,15 @@ impl CorruptionProfile {
         }
     }
 
-    /// The files a phone must write when only its consolidated log is
-    /// read after damage under this profile: the log alone under
-    /// `none`; otherwise also `beats` ([`LoggerFiles::Analysis`]),
+    /// The files a phone must write for a reader of `reads` once its
+    /// harvest is damaged under this profile — the one rule for a
+    /// harvest's files: `reads`, plus `beats` under a damaging profile,
     /// since the injector draws the log's damage after the beats file's
-    /// line count. [`CorruptionModel::inject`] reads and damages those
-    /// two files only.
-    pub(crate) fn log_reader_files(self) -> LoggerFiles {
+    /// line count. It reads and damages `log` and `beats` alone.
+    pub fn written_files(self, reads: LoggerFiles) -> LoggerFiles {
         match self {
-            Self::None => LoggerFiles::LogOnly,
-            _ => LoggerFiles::Analysis,
+            Self::None => reads,
+            _ => reads.max(LoggerFiles::LogAndBeats),
         }
     }
 

@@ -129,10 +129,8 @@ impl Phone {
     }
 
     /// Creates a phone with a caller-chosen behaviour profile (the
-    /// fleet campaign stratifies traits across phones) whose logger
-    /// writes `files`: what the harvest's reader reads, such as
-    /// [`LoggerFiles::LogOnly`] for a reader of the consolidated log
-    /// alone.
+    /// fleet campaign stratifies traits across phones) that writes
+    /// `files`, the set its harvest's reader and damage need.
     ///
     /// # Panics
     ///
@@ -606,9 +604,8 @@ impl Phone {
                             1 => UserReportKind::InputFailure,
                             _ => UserReportKind::UnstableBehavior,
                         };
-                        if let Some(fs) = self.logger.files().analysis_files(&mut self.fs) {
-                            self.user_reports.on_user_report(fs, t + delay, kind);
-                        }
+                        self.user_reports
+                            .on_user_report(&mut self.fs, t + delay, kind);
                         self.stats.user_reports += 1;
                     }
                 }

@@ -24,7 +24,8 @@ use symfail_core::analysis::passes::{
 };
 use symfail_core::analysis::report::{AnalysisConfig, StudyReport};
 use symfail_core::flashfs::FlashFs;
-use symfail_core::logger::{LoggerFiles, UserReportChannel, UserReportKind};
+use symfail_core::intern::NameTable;
+use symfail_core::logger::{files, LoggerFiles, UserReportChannel, UserReportKind};
 use symfail_sim_core::{SimRng, SimTime};
 
 use crate::calibration::CalibrationParams;
@@ -78,18 +79,24 @@ pub struct PhoneMeta {
     pub stats: PhoneStats,
     /// Injected-defect counts for the campaign's corruption profile.
     pub injected: InjectedDefects,
-    /// Flash bytes the campaign driver reads: the phone's `log`,
-    /// `beats` and `ureport` files ([`LoggerFiles::Analysis`]) as
-    /// harvested, whichever other files the harvest also holds.
+    /// Flash bytes the campaign driver read from the phone: `ureport`
+    /// and the files its passes read ([`PassRegistry::reads`]: `log`,
+    /// and `beats` when a pass reads it), as harvested.
     pub flash_bytes: u64,
     /// User failure reports parsed out of the flash before the drop.
     pub ureports: Vec<(SimTime, UserReportKind)>,
 }
 
 impl PhoneMeta {
-    /// Captures the keepable parts of a harvest (parsing the user
-    /// report channel now, since the flash is about to go away).
+    /// Captures the keepable parts of a harvest as the driver does under
+    /// the full registry (parsing the user report channel now, since the
+    /// flash is about to go away).
     pub fn from_harvest(h: &PhoneHarvest) -> Self {
+        Self::read(h, PassRegistry::all().reads())
+    }
+
+    /// [`Self::from_harvest`] for a reader of `reads`.
+    fn read(h: &PhoneHarvest, reads: LoggerFiles) -> Self {
         Self {
             phone_id: h.phone_id,
             enrolled_day: h.enrolled_day,
@@ -98,7 +105,7 @@ impl PhoneMeta {
             device_class: h.device_class,
             stats: h.stats,
             injected: h.injected,
-            flash_bytes: LoggerFiles::Analysis
+            flash_bytes: reads
                 .names()
                 .iter()
                 .map(|file| h.flashfs.size_of(file))
@@ -545,19 +552,20 @@ impl FleetCampaign {
     }
 
     /// Simulates phone `id` on `flash` (a harvested phone's, whose
-    /// buffers it reuses, or a fresh one) with a logger that writes
-    /// `files`, then corrupts its harvest under the campaign's profile.
-    /// A log-only harvest is never corrupted: the injector's draws
-    /// depend on the beats file.
+    /// buffers it reuses, or a fresh one) writing `files`, then corrupts
+    /// its harvest under the campaign's profile. `files` must hold what
+    /// the damage needs ([`CorruptionProfile::written_files`]): the
+    /// injector's draws depend on the beats file.
     fn run_phone(&self, id: u32, files: LoggerFiles, flash: FlashFs) -> PhoneHarvest {
         assert!(
             id < self.params.phones,
             "phone {id} outside the {}-phone fleet",
             self.params.phones
         );
-        debug_assert!(
-            files != LoggerFiles::LogOnly || self.corruption == CorruptionProfile::None,
-            "a log-only harvest cannot be corrupted as the full one is"
+        debug_assert_eq!(
+            self.corruption.written_files(files),
+            files,
+            "a harvest without beats cannot be corrupted as the full one is"
         );
         let (rng, (enrolled_day, retired_day), profile, params) = self.phone_setup(id);
         let device = self.composition.profile(id, self.params.phones);
@@ -597,30 +605,6 @@ impl FleetCampaign {
         self.run_phone(id, LoggerFiles::All, FlashFs::new())
     }
 
-    /// Runs exactly one phone of this campaign for a reader of its
-    /// consolidated log alone, such as signature extraction. On a clean
-    /// campaign the phone's logger writes only `log`
-    /// ([`LoggerFiles::LogOnly`]): the harvest's log and stats are
-    /// [`Self::run_single`]'s, and no other file exists. A corrupted
-    /// campaign's phone also writes `beats` (and `ureport`,
-    /// [`LoggerFiles::Analysis`]), because the injector draws the log's
-    /// damage after the beats file's line count; it damages only those
-    /// two files, so the harvest's log is [`Self::run_single`]'s after
-    /// the same damage.
-    pub fn run_single_for_log(&self, id: u32) -> PhoneHarvest {
-        self.run_phone(id, self.corruption.log_reader_files(), FlashFs::new())
-    }
-
-    /// Runs exactly one phone of this campaign as the campaign driver
-    /// does ([`Self::run_streaming_opts`]): its logger writes only the
-    /// files the analysis reads ([`LoggerFiles::Analysis`]), and the
-    /// harvest is damaged under the campaign's profile. Those files,
-    /// the stats and the injected defects are [`Self::run_single`]'s,
-    /// and no other file exists.
-    pub fn run_single_for_analysis(&self, id: u32) -> PhoneHarvest {
-        self.run_phone(id, LoggerFiles::Analysis, FlashFs::new())
-    }
-
     /// Runs every phone sequentially, retaining every flash — the
     /// harvest the reference analysis ([`StudyReport::analyze`])
     /// materializes. Deterministic in the seed.
@@ -634,17 +618,19 @@ impl FleetCampaign {
     /// for each phone a worker simulates it, parses its flash, folds
     /// every registered analysis pass into the run's [`FoldShard`],
     /// then empties **both** the flash and the dataset before the next
-    /// phone. A phone writes only the files the driver reads
-    /// ([`LoggerFiles::Analysis`]: `log`, `beats` and `ureport`), and
-    /// each worker carries its flash and parse buffers from phone to
-    /// phone, so they grow only until they have held the worker's
-    /// largest phone. Each finished run crosses into a shared
-    /// [`StreamMerger`] in one lock acquisition, and the merger absorbs
-    /// runs strictly in phone-id order, so the report is byte-identical
-    /// to [`StudyReport::analyze`] over the materialized fleet for any
-    /// worker count and run partition — while peak memory stays
-    /// bounded by `workers × per-phone state` plus the folded
-    /// summaries instead of the whole fleet.
+    /// phone. A phone writes only the files the registry's passes read
+    /// ([`PassRegistry::reads`]) and `ureport`, joined with `beats` when
+    /// the profile damages flash ([`CorruptionProfile::written_files`]);
+    /// the parse reads only the passes' files. Each worker carries its
+    /// flash and parse buffers from phone to phone, so they grow only
+    /// until they have held the worker's largest phone. Each finished
+    /// run crosses into a shared [`StreamMerger`] in one lock
+    /// acquisition, and the merger absorbs runs strictly in phone-id
+    /// order, so the report is byte-identical to [`StudyReport::analyze`]
+    /// over the materialized fleet for any worker count and run
+    /// partition — while peak memory stays bounded by `workers ×
+    /// per-phone state` plus the folded summaries instead of the whole
+    /// fleet.
     pub fn run_streaming(
         &self,
         workers: usize,
@@ -724,6 +710,8 @@ impl FleetCampaign {
         let start = merger.absorbed().clamp(lo, hi);
         let stop = opts.stop_after_phones.unwrap_or(hi).min(hi);
         let needs_coalesce = registry.needs_coalesce();
+        let reads = registry.reads();
+        let written = self.corruption.written_files(reads);
 
         struct MergeState<'r> {
             merger: StreamMerger<'r>,
@@ -769,19 +757,18 @@ impl FleetCampaign {
                                     // corrupt, parse and fold — is what a
                                     // measured shard plan balances.
                                     let t0 = Instant::now();
-                                    let harvest = self.run_phone(
-                                        id,
-                                        LoggerFiles::Analysis,
-                                        std::mem::take(&mut flash),
-                                    );
+                                    let harvest =
+                                        self.run_phone(id, written, std::mem::take(&mut flash));
                                     let t_parse = Instant::now();
-                                    let ds = PhoneDataset::from_flashfs_with(
+                                    let fs = &harvest.flashfs;
+                                    let ds = PhoneDataset::from_files(
                                         id,
-                                        &harvest.flashfs,
+                                        reads.read(fs, files::LOG),
+                                        reads.read(fs, files::BEATS),
                                         &mut scratch,
                                     );
                                     let parse_secs = t_parse.elapsed().as_secs_f64();
-                                    let meta = PhoneMeta::from_harvest(&harvest);
+                                    let meta = PhoneMeta::read(&harvest, reads);
                                     // The flash's buffers go to the next
                                     // phone this worker simulates.
                                     flash = harvest.flashfs;
@@ -868,9 +855,11 @@ impl FleetCampaign {
         }
         let parse_bytes = metas.iter().map(|m| m.flash_bytes).sum();
         let merge_stats = st.merger.merge_stats();
+        let names = st.merger.names().clone();
         Ok(StreamingRun {
             metas,
             report: st.merger.finish(),
+            names,
             parse_cpu_seconds,
             phone_seconds,
             parse_bytes,
@@ -893,6 +882,9 @@ pub struct StreamingRun {
     /// The finished study report, byte-identical to the reference
     /// analysis.
     pub report: StudyReport,
+    /// The fleet name table the report's coalesced panics resolve
+    /// against (phone-id order, as the reference fleet's).
+    pub names: NameTable,
     /// Seconds spent inside flash parsing, summed across workers (the
     /// parse rate's denominator).
     pub parse_cpu_seconds: f64,
@@ -901,7 +893,7 @@ pub struct StreamingRun {
     /// `metas`: the measured cost vector a later `--balance measured`
     /// run can plan from.
     pub phone_seconds: Vec<f64>,
-    /// Total flash bytes parsed: the sum of the metas'
+    /// Total flash bytes the driver read: the sum of the metas'
     /// [`PhoneMeta::flash_bytes`]. No phone's bytes are held past the
     /// next phone its worker simulates.
     pub parse_bytes: u64,
@@ -1184,6 +1176,176 @@ mod tests {
         for h in c.run() {
             assert!(h.enrolled_day < h.retired_day);
             assert!(h.retired_day <= tiny_params().campaign_days as u64);
+        }
+    }
+
+    const PROFILES: [CorruptionProfile; 4] = [
+        CorruptionProfile::None,
+        CorruptionProfile::Light,
+        CorruptionProfile::Moderate,
+        CorruptionProfile::Worst,
+    ];
+
+    /// A `phones` × `days` campaign under `profile` with enrollment and
+    /// attrition spreads, of the default or the mixed composition.
+    fn spread_campaign(
+        seed: u64,
+        (phones, days, enrollment, attrition): (u32, u32, u32, u32),
+        mixed: bool,
+        profile: CorruptionProfile,
+    ) -> FleetCampaign {
+        let params = CalibrationParams {
+            phones,
+            campaign_days: days,
+            enrollment_spread_days: enrollment.min(days - 1),
+            attrition_spread_days: attrition.min(days - 1),
+            ..CalibrationParams::default()
+        };
+        let composition = if mixed {
+            FleetComposition::mixed()
+        } else {
+            FleetComposition::default()
+        };
+        FleetCampaign::new(seed, params)
+            .with_fleet(composition)
+            .with_corruption(profile)
+    }
+
+    /// Asserts that phone `id` written as `files` holds no other file,
+    /// and each of those byte for byte as the full phone does after the
+    /// same damage, with the full phone's counters and injected
+    /// defects; returns the full phone.
+    fn assert_writes_the_full_phones_files(
+        c: &FleetCampaign,
+        id: u32,
+        files: LoggerFiles,
+    ) -> PhoneHarvest {
+        let (phone, full) = (c.run_phone(id, files, FlashFs::new()), c.run_single(id));
+        let ctx = format!("{} phone {id} writing {files:?}", c.corruption().as_str());
+        for file in phone.flashfs.file_names() {
+            assert!(files.names().contains(&file), "{ctx}: wrote {file}");
+        }
+        for &file in files.names() {
+            assert!(
+                phone.flashfs.read_bytes(file) == full.flashfs.read_bytes(file),
+                "{ctx}: {file} differs from the full phone's"
+            );
+        }
+        assert_eq!(phone.stats, full.stats, "{ctx}");
+        assert_eq!(phone.injected, full.injected, "{ctx}");
+        full
+    }
+
+    /// Renders one section of a report.
+    type Render = fn(&StudyReport) -> String;
+
+    /// One section renderer per pass: what a run whose registry holds
+    /// the pass renders from it.
+    const SECTIONS: [(&str, Render); 11] = [
+        ("shutdown", StudyReport::render_fig2),
+        ("mtbf", StudyReport::render_mtbf),
+        ("bursts", StudyReport::render_fig3),
+        ("coalesce", StudyReport::render_fig5),
+        ("activity", StudyReport::render_table3),
+        ("runapps", StudyReport::render_fig6),
+        ("runapps", StudyReport::render_table4),
+        ("panics", StudyReport::render_table2),
+        ("firmware", StudyReport::render_firmware),
+        ("defects", StudyReport::render_defects),
+        ("perphone", StudyReport::render_per_phone),
+    ];
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
+
+        /// A phone written as the rule gives a reader of the log alone
+        /// or of the log and `beats`, under every profile, is the full
+        /// phone without its other files: the full phone's `log`,
+        /// `ureport` (and `beats`) byte for byte, its counters, and the
+        /// same damage — the injector reads and damages `log` and
+        /// `beats` alone. A clean log-only phone writes no `beats`.
+        #[test]
+        fn rule_file_sets_write_the_full_phones_files_and_take_the_same_damage(
+            seed in 0u64..1_000_000,
+            phones in 1u32..=4,
+            days in 5u32..=40,
+            enrollment in 1u32..20,
+            attrition in 1u32..20,
+            mixed in 0usize..2,
+        ) {
+            for profile in PROFILES {
+                let c = spread_campaign(seed, (phones, days, enrollment, attrition), mixed == 1, profile);
+                for reads in [LoggerFiles::LogOnly, LoggerFiles::LogAndBeats] {
+                    let files = profile.written_files(reads);
+                    proptest::prop_assert!(files >= reads);
+                    proptest::prop_assert_eq!(
+                        files.names().contains(&files::BEATS),
+                        reads == LoggerFiles::LogAndBeats || profile != CorruptionProfile::None
+                    );
+                    for id in 0..phones {
+                        assert_writes_the_full_phones_files(&c, id, files);
+                    }
+                }
+            }
+        }
+
+        /// A run over any non-empty pass subset, under every corruption
+        /// profile and fleet composition, renders each of its passes'
+        /// sections and keeps each phone's counters, injected defects and
+        /// user reports as the full run does, while its phones write
+        /// exactly the rule's files and it reads only its passes' files.
+        #[test]
+        fn pass_subsets_render_the_full_runs_sections_from_the_rules_files(
+            seed in 0u64..1_000_000,
+            mask in 1u32..1024,
+            phones in 1u32..=4,
+            days in 5u32..=40,
+            mixed in 0usize..2,
+        ) {
+            let names: Vec<&str> = PassRegistry::NAMES
+                .into_iter()
+                .enumerate()
+                .filter(|&(i, _)| mask >> i & 1 == 1)
+                .map(|(_, name)| name)
+                .collect();
+            let registry = PassRegistry::select(&names.join(",")).expect("known passes");
+            let config = AnalysisConfig::default();
+            for profile in PROFILES {
+                let c = spread_campaign(seed, (phones, days, 3, 3), mixed == 1, profile);
+                let full = c.run_streaming(1, config, &PassRegistry::all());
+                let subset = c.run_streaming(2, config, &registry);
+                for (pass, render) in SECTIONS {
+                    if names.contains(&pass) {
+                        proptest::prop_assert_eq!(
+                            render(&subset.report),
+                            render(&full.report),
+                            "{} under {}",
+                            pass,
+                            profile.as_str()
+                        );
+                    }
+                }
+                if names.contains(&"coalesce") {
+                    proptest::prop_assert_eq!(&subset.report.hl_events, &full.report.hl_events);
+                }
+                proptest::prop_assert_eq!(&subset.names, &full.names);
+                let files = profile.written_files(registry.reads());
+                for (a, b) in subset.metas.iter().zip(&full.metas) {
+                    proptest::prop_assert_eq!(a.phone_id, b.phone_id);
+                    proptest::prop_assert_eq!(a.stats, b.stats);
+                    proptest::prop_assert_eq!(a.injected, b.injected);
+                    proptest::prop_assert_eq!(&a.ureports, &b.ureports);
+                    let full_phone = assert_writes_the_full_phones_files(&c, a.phone_id, files);
+                    let read: u64 = registry
+                        .reads()
+                        .names()
+                        .iter()
+                        .map(|f| full_phone.flashfs.size_of(f))
+                        .sum();
+                    proptest::prop_assert_eq!(a.flash_bytes, read);
+                }
+                proptest::prop_assert_eq!(subset.metas.len(), full.metas.len());
+            }
         }
     }
 

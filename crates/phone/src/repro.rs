@@ -12,16 +12,17 @@
 //!    simulator-internal shortcut: the Panic Detector writes every
 //!    panic there with its context, and the boot-time heartbeat check
 //!    writes every freeze and shutdown into a boot record there, so a
-//!    signature is a function of the log alone. A probe whose
-//!    corruption profile is `none` therefore simulates a log-only
-//!    phone ([`LoggerFiles::LogOnly`]), which writes that log byte for
-//!    byte and no other file; a corrupted probe also writes `beats`
-//!    ([`LoggerFiles::Analysis`]), because the injector draws the log's
-//!    damage after the beats file's line count, and it reads and
-//!    damages those two files alone. The scan
+//!    signature is a function of the log alone
+//!    ([`FailureSignature::READS`]). A probe's phone writes the files
+//!    the campaign driver's rule gives that reader
+//!    ([`CorruptionProfile::written_files`]): `log` (and `ureport`)
+//!    under profile `none`, byte for byte the full phone's; `beats`
+//!    too under a damaging profile, because the injector draws the
+//!    log's damage after the beats file's line count. The scan
 //!    ([`FailureSignature::matches_log`]) decodes only the lines that
 //!    name the signature's raiser; the log is parsed in full
-//!    ([`PhoneDataset::from_log`]) only under `Strict`, after the scan
+//!    ([`PhoneDataset::from_log`](symfail_core::analysis::dataset::PhoneDataset::from_log))
+//!    only under `Strict`, after the scan
 //!    found a panic of the signature's core identity.
 //! 2. **Corruption drop.** If the starting profile injected flash
 //!    damage, try the clean profile first — damage is part of the
@@ -62,10 +63,9 @@
 
 use std::fmt;
 
-use symfail_core::analysis::dataset::PhoneDataset;
-use symfail_core::analysis::passes::DeviceLabels;
+use symfail_core::analysis::passes::{DeviceLabels, PassRegistry};
 use symfail_core::analysis::report::AnalysisConfig;
-use symfail_core::analysis::signature::{FailureSignature, MatchMode};
+use symfail_core::analysis::signature::{distinct_signatures, FailureSignature, MatchMode};
 use symfail_core::flashfs::FlashFs;
 use symfail_core::logger::{files, LoggerFiles};
 use symfail_sim_core::SimRng;
@@ -219,25 +219,28 @@ impl ReproCampaign {
         }
     }
 
+    /// The files the campaign's phone writes: what every verdict reads,
+    /// the log alone ([`FailureSignature::READS`]), joined with what
+    /// its profile's damage needs ([`CorruptionProfile::written_files`]).
+    pub fn files(&self) -> LoggerFiles {
+        self.corruption.written_files(FailureSignature::READS)
+    }
+
     /// Simulates the campaign's clean harvest — the simulate step
     /// [`FleetCampaign`] applies to each member, with phone id 0 and the
-    /// pinned device profile — marking every file's length at the end
-    /// of each day. Every verdict reads the log alone, so under profile
-    /// `none` the phone writes only `log` ([`LoggerFiles::LogOnly`]); a
-    /// profile that damages flash also needs `beats`
-    /// ([`LoggerFiles::Analysis`]).
+    /// pinned device profile, writing [`Self::files`] — marking every
+    /// file's length at the end of each day.
     pub fn harvest(&self) -> ReproHarvest {
         let params = self
             .device
             .scale_params(&repro_params(self.days, &self.channels));
         let mut rng = SimRng::seed_from(self.seed).fork("phone", 0);
         let profile = UserProfile::sample_with_nightly(&params, &mut rng, false);
-        let files = self.corruption.log_reader_files();
+        let files = self.files();
         let mut phone = Phone::with_profile(0, params, profile, rng.fork("device", 0), files);
         phone.set_firmware(self.device.firmware);
         let mut harvest = ReproHarvest {
             flash: FlashFs::new(),
-            files,
             stats: PhoneStats::default(),
             names: Vec::new(),
             ends: Vec::new(),
@@ -312,8 +315,6 @@ fn log_of(fs: &FlashFs) -> &[u8] {
 pub struct ReproHarvest {
     /// The flash after the last day, before any corruption.
     flash: FlashFs,
-    /// The files the phone's logger wrote.
-    files: LoggerFiles,
     /// The simulator's counters after the last day.
     stats: PhoneStats,
     /// The files the phone wrote, in the order they appeared.
@@ -327,15 +328,10 @@ pub struct ReproHarvest {
 }
 
 impl ReproHarvest {
-    /// The flash after the last simulated day: only its `log` file when
-    /// [`Self::files`] is [`LoggerFiles::LogOnly`].
+    /// The flash after the last simulated day: only the files of its
+    /// campaign's [`ReproCampaign::files`].
     pub fn flash(&self) -> &FlashFs {
         &self.flash
-    }
-
-    /// The files the phone's logger wrote.
-    pub fn files(&self) -> LoggerFiles {
-        self.files
     }
 
     /// The simulator's ground-truth counters after the last day.
@@ -728,7 +724,8 @@ struct Prober<'a> {
     /// harvest. A later probe of the same seed and channels and no more
     /// days — the corruption drop and both bisections — is answered
     /// from it at its day count instead of simulating again, unless the
-    /// probe damages flash and the harvest holds no `beats`.
+    /// harvest lacks a file the probe's phone writes (the `beats` a
+    /// damaging probe needs).
     kept: Option<(ReproCampaign, ReproHarvest)>,
 }
 
@@ -750,12 +747,11 @@ impl Prober<'_> {
             campaign.corrupt(&mut fs);
             campaign.log_matches(log_of(&fs), signature, &opts.config, opts.mode)
         };
-        if let Some((_, harvest)) = self.kept.as_ref().filter(|(k, h)| {
+        if let Some((_, harvest)) = self.kept.as_ref().filter(|(k, _)| {
             k.seed == campaign.seed
                 && k.channels == campaign.channels
                 && campaign.days <= k.days
-                && (campaign.corruption == CorruptionProfile::None
-                    || h.files != LoggerFiles::LogOnly)
+                && campaign.files() <= k.files()
         }) {
             return answer(harvest);
         }
@@ -769,41 +765,26 @@ impl Prober<'_> {
     }
 }
 
-/// Streams the fleet campaign phone by phone and extracts the
-/// distinct-signature catalog — `(signature, occurrences)` sorted by
-/// key — without ever materializing the fleet. Each phone's panics
-/// resolve against its own name table; interner independence makes
-/// the result identical to extraction from the merged fleet.
-///
-/// A signature is a function of the consolidated log alone, so each
-/// phone runs through [`FleetCampaign::run_single_for_log`]: on a
-/// clean campaign its logger writes only `log`, byte for byte the log
-/// the full phone writes, and skips the beats, snapshot and activity
-/// files nothing here reads. A corrupted campaign's phones also write
-/// `beats` ([`LoggerFiles::Analysis`]), since the injector draws the
-/// log's damage after the beats file's line count.
+/// The campaign's distinct-signature catalog — `(signature,
+/// occurrences)` sorted by key — as the campaign driver's output: one
+/// worker over the `coalesce` pass, whose phones write and parse the log
+/// alone, then [`distinct_signatures`] over the finished coalesce
+/// section, as the checkpoint route reads it.
 pub fn extract_fleet_signatures(
     campaign: &FleetCampaign,
     config: &AnalysisConfig,
 ) -> Vec<(FailureSignature, u64)> {
-    let mut out: Vec<(FailureSignature, u64)> = Vec::new();
-    for id in 0..campaign.params().phones {
-        let harvest = campaign.run_single_for_log(id);
-        let phone = PhoneDataset::from_log(id, log_of(&harvest.flashfs));
-        for sig in FailureSignature::from_phone(&phone, config, campaign.device_labels(id)) {
-            match out.iter_mut().find(|(s, _)| *s == sig) {
-                Some((_, n)) => *n += 1,
-                None => out.push((sig, 1)),
-            }
-        }
-    }
-    out.sort_by_key(|(s, _)| s.key());
-    out
+    let registry = PassRegistry::select("coalesce").expect("coalesce is a pass");
+    let run = campaign.run_streaming(1, *config, &registry);
+    distinct_signatures(run.report.coalescence.panics(), &run.names, |id| {
+        campaign.device_labels(id)
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use symfail_core::analysis::dataset::PhoneDataset;
 
     fn some_signature() -> FailureSignature {
         // A cheap fleet slice is guaranteed to panic somewhere under

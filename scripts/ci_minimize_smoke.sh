@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # CI minimize-smoke gate: drive the fault-signature pipeline end to
 # end at CI scale — extract the signature catalog from a 250-phone
-# worst-corruption campaign, minimize one signature under a
-# wall-clock budget, and demand the emitted single-phone repro config
-# is replay-verified, within the day budget, and byte-identical on a
+# worst-corruption campaign, demand the same catalog from that
+# campaign's checkpoint, minimize one signature under a wall-clock
+# budget, and demand the emitted single-phone repro config is
+# replay-verified, within the day budget, and byte-identical on a
 # second run. Shares the temp-dir discipline of ci_gates.sh: an
 # aborted gate leaves no litter behind.
 set -euo pipefail
@@ -30,6 +31,13 @@ echo "minimize_smoke: extracting signatures ($PHONES phones, $DAYS days, worst c
 "$BIN" extract-signatures --seed "$SEED" --phones "$PHONES" --days "$DAYS" \
     --corruption worst --signature-json sigs.json
 grep -q '"signature"' sigs.json
+
+echo "minimize_smoke: the checkpoint route must give the same catalog" >&2
+"$BIN" --exp mtbf --seed "$SEED" --phones "$PHONES" --days "$DAYS" \
+    --corruption worst --checkpoint campaign.ckpt >/dev/null
+"$BIN" extract-signatures --seed "$SEED" --phones "$PHONES" --days "$DAYS" \
+    --corruption worst --from-checkpoint campaign.ckpt --signature-json sigs_ckpt.json
+cmp sigs.json sigs_ckpt.json
 
 echo "minimize_smoke: minimizing signature $SIG_INDEX (budget ${BUDGET_SECS}s)" >&2
 timeout "$BUDGET_SECS" "$BIN" minimize --signature-json sigs.json \

@@ -17,13 +17,16 @@
 //! 4. Every accepted shrink step on the trail is itself a reproducing
 //!    config — ddmin never records a step it did not prove.
 //! 5. Signature extraction from a v5 checkpoint (no re-simulation)
-//!    agrees exactly with extraction by streaming the campaign, clean
-//!    (log-only phones) and under worst-profile corruption (full
-//!    flash).
+//!    agrees exactly with extraction through the campaign driver over
+//!    the `coalesce` pass alone, and both with the serial per-phone
+//!    loop kept here as the oracle, clean (log-only phones) and under
+//!    worst-profile corruption (phones that also write `beats`).
 
+use symfail::core::analysis::dataset::PhoneDataset;
 use symfail::core::analysis::passes::{checkpoint_coalesced, PassRegistry};
 use symfail::core::analysis::report::AnalysisConfig;
-use symfail::core::analysis::signature::distinct_signatures;
+use symfail::core::analysis::signature::{distinct_signatures, FailureSignature};
+use symfail::core::logger::files;
 use symfail::phone::calibration::CalibrationParams;
 use symfail::phone::composition::FleetComposition;
 use symfail::phone::corruption::CorruptionProfile;
@@ -130,10 +133,33 @@ fn scale_campaign_signatures_minimize_and_replay() {
     );
 }
 
+/// The oracle: every phone simulated in full, one at a time, its log
+/// parsed alone, one signature per coalesced panic, counted and sorted
+/// by key.
+fn serial_signatures(
+    campaign: &FleetCampaign,
+    config: &AnalysisConfig,
+) -> Vec<(FailureSignature, u64)> {
+    let mut out: Vec<(FailureSignature, u64)> = Vec::new();
+    for id in 0..campaign.params().phones {
+        let harvest = campaign.run_single(id);
+        let log = harvest.flashfs.read_bytes(files::LOG).unwrap_or_default();
+        let phone = PhoneDataset::from_log(id, log);
+        for sig in FailureSignature::from_phone(&phone, config, campaign.device_labels(id)) {
+            match out.iter_mut().find(|(s, _)| *s == sig) {
+                Some((_, n)) => *n += 1,
+                None => out.push((sig, 1)),
+            }
+        }
+    }
+    out.sort_by_key(|(s, _)| s.key());
+    out
+}
+
 #[test]
 fn checkpoint_extraction_matches_streamed_extraction() {
-    // Clean, extraction simulates log-only phones; under corruption,
-    // full ones. The driver always simulates full phones.
+    // Clean, extraction's phones write the log alone; under
+    // corruption, `beats` too. The checkpointed run reads every file.
     for corruption in [CorruptionProfile::None, CorruptionProfile::Worst] {
         checkpoint_extraction_matches_streamed_extraction_under(corruption);
     }
@@ -188,6 +214,12 @@ fn checkpoint_extraction_matches_streamed_extraction_under(corruption: Corruptio
         from_ckpt,
         streamed,
         "checkpoint-loaded catalog diverges from streamed extraction under {}",
+        corruption.as_str()
+    );
+    assert_eq!(
+        streamed,
+        serial_signatures(&campaign, &config),
+        "streamed extraction diverges from the serial oracle under {}",
         corruption.as_str()
     );
 }

@@ -1834,11 +1834,14 @@ proptest! {
 // ---------------------------------------------------------------
 // A log-only phone is the full phone without its other files. Its
 // logger keeps the tick cadence, the battery drain and every RNG draw,
-// and its boot check asks the Heartbeat AO for the event the full
-// phone's beats file ends with, so it writes the full phone's `log`
-// byte for byte and reaches the same ground-truth counters — the
-// property that lets clean repro probes and clean signature extraction
-// simulate only the log.
+// its boot check asks the Heartbeat AO for the event the full phone's
+// beats file ends with, and its user report channel writes as every
+// phone's does, so it writes the full phone's `log` and `ureport` byte
+// for byte and reaches the same ground-truth counters — the property
+// that lets clean repro probes simulate only the log. The fleet phones'
+// versions of these properties live with the campaign driver
+// (`symfail_phone::fleet`'s unit tests), which alone may pick a fleet
+// phone's files.
 // ---------------------------------------------------------------
 
 proptest! {
@@ -1850,7 +1853,7 @@ proptest! {
         mask in 0u32..256,
         days in 1u32..=12,
     ) {
-        use symfail::core::logger::{files, LoggerFiles};
+        use symfail::core::logger::{files, LoggerFiles, UREPORT_FILE};
         use symfail::phone::composition::{DeviceClass, DeviceProfile};
         use symfail::phone::corruption::CorruptionProfile;
         use symfail::phone::firmware::SymbianVersion;
@@ -1865,86 +1868,47 @@ proptest! {
             for firmware in SymbianVersion::ALL {
                 // A harvest is never damaged; the profile picks the
                 // files the probe's verdict needs.
-                let harvest = |corruption| {
-                    ReproCampaign {
-                        seed,
-                        days,
-                        channels: channels.clone(),
-                        corruption,
-                        device: DeviceProfile { class, firmware },
-                    }
-                    .harvest()
+                let campaign = |corruption| ReproCampaign {
+                    seed,
+                    days,
+                    channels: channels.clone(),
+                    corruption,
+                    device: DeviceProfile { class, firmware },
                 };
-                let log_only = harvest(CorruptionProfile::None);
-                let with_beats = harvest(CorruptionProfile::Worst);
-                prop_assert_eq!(log_only.files(), LoggerFiles::LogOnly);
-                prop_assert_eq!(with_beats.files(), LoggerFiles::Analysis);
-                prop_assert_eq!(log_only.flash().file_names(), vec![files::LOG]);
+                let (clean, worst) = (campaign(CorruptionProfile::None), campaign(CorruptionProfile::Worst));
+                prop_assert_eq!(clean.files(), LoggerFiles::LogOnly);
+                prop_assert_eq!(worst.files(), LoggerFiles::LogAndBeats);
+                let (log_only, with_beats) = (clean.harvest(), worst.harvest());
+                prop_assert!(!log_only.flash().exists(files::BEATS));
                 for d in 0..=days {
-                    prop_assert!(
-                        log_only.log(d) == with_beats.log(d),
-                        "{} {} log after day {} of {}",
-                        class.as_str(), firmware.as_str(), d, days
-                    );
+                    let ctx = format!("{} {} after day {d} of {days}", class.as_str(), firmware.as_str());
+                    prop_assert!(log_only.log(d) == with_beats.log(d), "{} log", ctx);
+                    let (a, b) = (log_only.cut(d), with_beats.cut(d));
+                    prop_assert!(a.read_bytes(UREPORT_FILE) == b.read_bytes(UREPORT_FILE), "{} ureport", ctx);
                 }
                 prop_assert_eq!(log_only.stats(), with_beats.stats());
             }
         }
     }
-
-    #[test]
-    fn log_only_fleet_phones_write_the_full_phones_log(
-        seed in 0u64..1_000_000,
-        phones in 1u32..=4,
-        days in 5u32..=40,
-        enrollment in 1u32..20,
-        attrition in 1u32..20,
-        mixed in 0usize..2,
-    ) {
-        use symfail::core::logger::files;
-        use symfail::phone::calibration::CalibrationParams;
-        use symfail::phone::composition::FleetComposition;
-        use symfail::phone::fleet::FleetCampaign;
-        let params = CalibrationParams {
-            phones,
-            campaign_days: days,
-            enrollment_spread_days: enrollment.min(days - 1),
-            attrition_spread_days: attrition.min(days - 1),
-            ..CalibrationParams::default()
-        };
-        let composition = FleetComposition::parse(["default", "mixed"][mixed])
-            .expect("a built-in composition");
-        let campaign = FleetCampaign::new(seed, params).with_fleet(composition);
-        for id in 0..phones {
-            let (log_only, full) = (campaign.run_single_for_log(id), campaign.run_single(id));
-            prop_assert_eq!(log_only.flashfs.file_names(), vec![files::LOG]);
-            prop_assert!(
-                log_only.flashfs.read_bytes(files::LOG) == full.flashfs.read_bytes(files::LOG),
-                "phone {} of {} over {} days", id, phones, days
-            );
-            prop_assert_eq!(log_only.stats, full.stats);
-        }
-    }
 }
 
 // ---------------------------------------------------------------
-// An analysis phone — the campaign driver's, and a corrupted probe's
-// or extraction's — is the full phone without its sampled `runapp`,
-// `power` and `activity` files: it writes the full phone's `log`,
-// `beats` and `ureport` byte for byte and reaches the same
-// ground-truth counters, and the injector, which reads and damages
-// `log` and `beats` alone, damages its harvest as it does the full one.
+// A log-and-beats phone — a corrupted probe's, and the campaign
+// driver's under passes that read `beats` — is the full phone without
+// its sampled `runapp`, `power` and `activity` files: it writes the
+// full phone's `log`, `beats` and `ureport` byte for byte and reaches
+// the same ground-truth counters.
 // ---------------------------------------------------------------
 
-/// Asserts that `fs` holds no file outside the analysis logger's and
+/// Asserts that `fs` holds no file outside a log-and-beats phone's and
 /// each of those byte for byte as `full` does; `ctx` names the case.
-fn assert_analysis_files_match(fs: &FlashFs, full: &FlashFs, ctx: &str) {
+fn assert_log_and_beats_files_match(fs: &FlashFs, full: &FlashFs, ctx: &str) {
     use symfail::core::logger::LoggerFiles;
-    let names = LoggerFiles::Analysis.names();
+    let names = LoggerFiles::LogAndBeats.names();
     for file in fs.file_names() {
         assert!(
             names.contains(&file),
-            "{ctx}: {file} is not an analysis file"
+            "{ctx}: {file} is not a log-and-beats file"
         );
     }
     for &file in names {
@@ -1981,16 +1945,16 @@ proptest! {
             for firmware in SymbianVersion::ALL {
                 let device = DeviceProfile { class, firmware };
                 // A damaging profile's harvest (never itself damaged)
-                // is an analysis phone's.
-                let analysis = ReproCampaign {
+                // is a log-and-beats phone's.
+                let worst = ReproCampaign {
                     seed,
                     days,
                     channels: channels.clone(),
                     corruption: CorruptionProfile::Worst,
                     device,
-                }
-                .harvest();
-                prop_assert_eq!(analysis.files(), LoggerFiles::Analysis);
+                };
+                prop_assert_eq!(worst.files(), LoggerFiles::LogAndBeats);
+                let with_beats = worst.harvest();
                 // The same phone, every file written, day by day.
                 let params = device.scale_params(&repro_params(days, &channels));
                 let mut rng = SimRng::seed_from(seed).fork("phone", 0);
@@ -2003,62 +1967,9 @@ proptest! {
                         full.simulate_day(u64::from(d - 1));
                     }
                     let ctx = format!("{} {} after day {d} of {days}", class.as_str(), firmware.as_str());
-                    assert_analysis_files_match(&analysis.cut(d), full.flashfs(), &ctx);
+                    assert_log_and_beats_files_match(&with_beats.cut(d), full.flashfs(), &ctx);
                 }
-                prop_assert_eq!(analysis.stats(), full.stats());
-            }
-        }
-    }
-
-    #[test]
-    fn analysis_fleet_phones_write_the_full_phones_files_and_take_the_same_damage(
-        seed in 0u64..1_000_000,
-        phones in 1u32..=4,
-        days in 5u32..=40,
-        enrollment in 1u32..20,
-        attrition in 1u32..20,
-        mixed in 0usize..2,
-    ) {
-        use symfail::core::logger::files;
-        use symfail::phone::calibration::CalibrationParams;
-        use symfail::phone::composition::FleetComposition;
-        use symfail::phone::corruption::CorruptionProfile;
-        use symfail::phone::fleet::FleetCampaign;
-        let params = CalibrationParams {
-            phones,
-            campaign_days: days,
-            enrollment_spread_days: enrollment.min(days - 1),
-            attrition_spread_days: attrition.min(days - 1),
-            ..CalibrationParams::default()
-        };
-        let composition = FleetComposition::parse(["default", "mixed"][mixed])
-            .expect("a built-in composition");
-        for profile in [
-            CorruptionProfile::None,
-            CorruptionProfile::Light,
-            CorruptionProfile::Moderate,
-            CorruptionProfile::Worst,
-        ] {
-            let campaign = FleetCampaign::new(seed, params)
-                .with_fleet(composition.clone())
-                .with_corruption(profile);
-            for id in 0..phones {
-                let full = campaign.run_single(id);
-                let analysis = campaign.run_single_for_analysis(id);
-                let ctx = format!("{} phone {id} of {phones} over {days} days", profile.as_str());
-                assert_analysis_files_match(&analysis.flashfs, &full.flashfs, &ctx);
-                prop_assert!(analysis.flashfs.exists(files::BEATS));
-                prop_assert_eq!(analysis.stats, full.stats);
-                prop_assert_eq!(analysis.injected, full.injected);
-                // Signature extraction under a damaging profile reads
-                // the same damaged log from either harvest.
-                if profile != CorruptionProfile::None {
-                    let for_log = campaign.run_single_for_log(id);
-                    prop_assert!(
-                        for_log.flashfs.read_bytes(files::LOG) == full.flashfs.read_bytes(files::LOG)
-                    );
-                    prop_assert_eq!(for_log.injected, full.injected);
-                }
+                prop_assert_eq!(with_beats.stats(), full.stats());
             }
         }
     }
