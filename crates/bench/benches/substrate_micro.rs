@@ -9,7 +9,7 @@ use symfail_core::analysis::dataset::{ParseScratch, PhoneDataset};
 use symfail_core::analysis::passes::PassRegistry;
 use symfail_core::analysis::signature::{FailureSignature, MatchMode};
 use symfail_core::flashfs::FlashFs;
-use symfail_core::logger::{files, FailureLogger, LoggerConfig, PhoneContext};
+use symfail_core::logger::{files, FailureLogger, LoggerConfig, LoggerFiles, PhoneContext};
 use symfail_core::records::LogRecord;
 use symfail_phone::calibration::CalibrationParams;
 use symfail_phone::composition::{DeviceClass, DeviceProfile};
@@ -18,6 +18,7 @@ use symfail_phone::device::Phone;
 use symfail_phone::firmware::SymbianVersion;
 use symfail_phone::fleet::{FleetCampaign, StreamingOptions};
 use symfail_phone::repro::{FaultChannel, ReproCampaign};
+use symfail_phone::user::UserProfile;
 use symfail_sim_core::{SimDuration, SimRng, SimTime};
 use symfail_symbian::descriptor::TBuf;
 use symfail_symbian::heap::Heap;
@@ -77,7 +78,7 @@ fn bench(c: &mut Criterion) {
             battery_percent: 80,
             battery_low: false,
         };
-        logger.on_boot(&mut fs, SimTime::ZERO, ctx);
+        logger.on_boot(&mut fs, SimTime::ZERO, || ctx);
         let mut t = 0u64;
         b.iter(|| {
             t += 30;
@@ -103,9 +104,12 @@ fn bench(c: &mut Criterion) {
 
     // One powered day at the default 300 s period — 288 heartbeat
     // ticks, with the runapp and power snapshots every 10th — written
-    // as runs cut at the snapshot ticks (what `Phone::advance` does)
-    // and as one `on_tick` per tick. Each iteration starts from a
-    // freshly booted logger on an empty filesystem.
+    // as runs cut at the snapshot ticks (what `Phone::advance` does
+    // for a logger that writes every file) and as one `on_tick` per
+    // tick; then the same day on a logger that writes `log` and
+    // `beats` alone (the campaign driver's), as the one uncut run it
+    // takes. Each iteration starts from a freshly booted logger on an
+    // empty filesystem.
     const DAY_TICKS: u32 = 288;
     let mut g = c.benchmark_group("heartbeat_run");
     g.sample_size(20);
@@ -118,15 +122,19 @@ fn bench(c: &mut Criterion) {
         battery_percent: 80,
         battery_low: false,
     };
-    let booted = || {
+    let booted_with = |files| {
         let mut fs = FlashFs::new();
-        let mut logger = FailureLogger::new(LoggerConfig {
-            heartbeat_period: period,
-            snapshot_every: 10,
-        });
-        logger.on_boot(&mut fs, SimTime::ZERO, ctx);
+        let mut logger = FailureLogger::with_files(
+            LoggerConfig {
+                heartbeat_period: period,
+                snapshot_every: 10,
+            },
+            files,
+        );
+        logger.on_boot(&mut fs, SimTime::ZERO, || ctx);
         (logger, fs)
     };
+    let booted = || booted_with(LoggerFiles::All);
     let tick_at = |i: u32| SimTime::ZERO + period * u64::from(i + 1);
     g.bench_function("runs_288", |b| {
         b.iter_batched(
@@ -150,6 +158,16 @@ fn bench(c: &mut Criterion) {
                 for i in 0..DAY_TICKS {
                     logger.on_tick(&mut fs, tick_at(i), ctx);
                 }
+                fs
+            },
+            BatchSize::LargeInput,
+        )
+    });
+    g.bench_function("log_and_beats_uncut_288", |b| {
+        b.iter_batched(
+            || booted_with(LoggerFiles::LogAndBeats),
+            |(mut logger, mut fs)| {
+                logger.on_ticks(&mut fs, tick_at(0), DAY_TICKS, || ctx);
                 fs
             },
             BatchSize::LargeInput,
@@ -243,6 +261,34 @@ fn bench(c: &mut Criterion) {
     g.throughput(Throughput::Bytes(clean_log.len() as u64));
     g.bench_function("log_only_425d", |b| {
         b.iter(|| PhoneDataset::from_log(0, clean_log).defects().records_kept)
+    });
+    g.finish();
+
+    // `PhoneDataset::from_files` over the `beats` file alone of one
+    // always-on phone's 425 days (no nightly shutdown, so the most
+    // beats a phone writes): the per-beat parse cost, beside the
+    // `heartbeat_run` group's per-beat write cost.
+    let mut rng = SimRng::seed_from(3);
+    let always_on = UserProfile::sample_with_nightly(&params, &mut rng, false);
+    let mut phone = Phone::with_profile(0, params, always_on, rng, LoggerFiles::LogAndBeats);
+    for day in 0..u64::from(params.campaign_days) {
+        phone.simulate_day(day);
+    }
+    let always_on = phone.into_flashfs();
+    let beats = always_on.read_bytes(files::BEATS).unwrap_or_default();
+    let mut g = c.benchmark_group("beats_parse");
+    g.sample_size(20);
+    g.measurement_time(std::time::Duration::from_secs(2));
+    g.warm_up_time(std::time::Duration::from_millis(500));
+    g.throughput(Throughput::Bytes(beats.len() as u64));
+    let mut scratch = ParseScratch::default();
+    g.bench_function("always_on_425d", |b| {
+        b.iter(|| {
+            let ds = PhoneDataset::from_files(0, &[], beats, &mut scratch);
+            let kept = ds.defects().records_kept;
+            ds.recycle(&mut scratch);
+            kept
+        })
     });
     g.finish();
 

@@ -618,7 +618,7 @@ fn run_campaign(
 /// Hand-formats the campaign stage's timing plus the allocation and
 /// parse-throughput counters as JSON (no serializer dependency).
 fn timing_json(args: &Args, run: &StreamingRun, stage: &StageTiming) -> String {
-    let defects = &run.report.defects.fleet;
+    let defects = &run.parse_defects;
     let (total_allocs, total_alloc_bytes) = alloc_now();
     let parse_bytes_per_sec = if run.parse_cpu_seconds > 0.0 {
         run.parse_bytes as f64 / run.parse_cpu_seconds

@@ -177,7 +177,7 @@ mod tests {
             battery_percent: 50,
             battery_low: false,
         };
-        lg.on_boot(&mut fs, SimTime::ZERO, ctx);
+        lg.on_boot(&mut fs, SimTime::ZERO, || ctx);
         lg.on_panic(
             &mut fs,
             SimTime::from_secs(100),
@@ -193,7 +193,7 @@ mod tests {
             None,
         );
         lg.on_clean_shutdown(&mut fs, SimTime::from_secs(210), ShutdownKind::Reboot);
-        lg.on_boot(&mut fs, SimTime::from_secs(300), ctx);
+        lg.on_boot(&mut fs, SimTime::from_secs(300), || ctx);
         FleetDataset::from_phones(vec![PhoneDataset::from_flashfs(0, &fs)])
     }
 

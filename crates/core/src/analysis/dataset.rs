@@ -27,7 +27,7 @@ use crate::intern::{NameId, NameIds, NameTable};
 use crate::logger::files;
 use crate::records::{
     decode_beat, decode_canonical_beat, BootRecord, HeartbeatEvent, LogRecord, PanicRecord,
-    PanicRef, ParseDefect, RecordRef,
+    PanicRef, ParseDefect, RecordRef, ALIVE_TAIL,
 };
 
 /// A panic with its context as stored in the dataset: the hot-path
@@ -224,7 +224,7 @@ impl PhoneDataset {
             beats,
             ..Self::default()
         };
-        ds.index();
+        ds.index(false);
         ds
     }
 
@@ -288,16 +288,17 @@ impl PhoneDataset {
         // it (out of order) go to `strays`, which rejoin the run in file
         // order before `index` sorts them — the same order the file
         // gives, since a run beat that ties a stray's timestamp always
-        // precedes it in the file.
+        // precedes it in the file. With no stray the beats are sorted
+        // already, and `index` leaves them as they are.
         let mut beats: Vec<(SimTime, HeartbeatEvent)> = std::mem::take(&mut scratch.beats);
         beats.reserve(raw_beats.len() / 12);
         let mut strays: Vec<(SimTime, HeartbeatEvent)> = Vec::new();
         let mut stray_set: HashSet<(SimTime, HeartbeatEvent)> = HashSet::new();
         let mut max_at: Option<SimTime> = None;
-        let mut rest = raw_beats;
-        while !rest.is_empty() {
+        let (mut pos, mut width) = (0, 0);
+        while pos < raw_beats.len() {
             defects.lines_seen += 1;
-            let (at, event) = match next_beat(&mut rest) {
+            let (at, event) = match next_beat(raw_beats, &mut pos, &mut width) {
                 Ok(beat) => beat,
                 Err((defect, line)) => {
                     defects.record(defect);
@@ -334,6 +335,7 @@ impl PhoneDataset {
                 beats.push((at, event));
             }
         }
+        let beats_sorted = strays.is_empty();
         beats.append(&mut strays);
 
         defects.unusable = defects.lines_seen > 0 && defects.records_kept == 0;
@@ -347,7 +349,7 @@ impl PhoneDataset {
             freezes: std::mem::take(&mut scratch.freezes),
             defects,
         };
-        ds.index();
+        ds.index(beats_sorted);
         ds
     }
 
@@ -368,16 +370,20 @@ impl PhoneDataset {
         put(&mut scratch.freezes, self.freezes);
     }
 
-    /// Derives the event index from the primary streams.
-    fn index(&mut self) {
+    /// Derives the event index from the primary streams; the beats are
+    /// sorted unless the parse found them `beats_sorted`.
+    fn index(&mut self, beats_sorted: bool) {
         // Normalize to time order (stable, so same-instant records
         // keep file order). Harvested logs are chronological unless
         // flash corruption reordered them; hand-built datasets may not
         // be either, and the analyses' binary searches rely on sorted
-        // streams.
+        // streams. A stable sort allocates scratch of one element per
+        // beat even on sorted input, so sorted beats skip it.
         self.panics.sort_by_key(|p| p.at);
         self.boots.sort_by_key(|b| b.boot_at);
-        self.beats.sort_by_key(|&(at, _)| at);
+        if !beats_sorted {
+            self.beats.sort_by_key(|&(at, _)| at);
+        }
         // Shutdown events whose duration is measurable (the previous
         // session ended with a clean `REBOOT`). `LOWBT` and `MAOFF`
         // shutdowns are excluded: their cause is already known, so
@@ -527,16 +533,28 @@ pub(crate) fn log_text(log: &[u8]) -> Cow<'_, str> {
     }
 }
 
-/// Splits the next line off the front of a beats buffer and decodes
-/// it. A line in the shape the logger writes decodes in place; any
-/// other is cut at its `\n` — dropping a `\r` before it, as
+/// Decodes the line at `buf[pos..]` and moves `pos` past it. A line
+/// of the last `ALIVE` line's `width` decodes through
+/// [`alive_of_width`]; a line in the shape the logger writes decodes in
+/// place ([`decode_canonical_beat`]), and an `ALIVE` one sets `width`;
+/// any other is cut at its `\n` — dropping a `\r` before it, as
 /// `str::lines` does — and classified by [`decode_beat`]. A rejected
 /// line comes back as its defect and its raw bytes.
 fn next_beat<'a>(
-    rest: &mut &'a [u8],
+    buf: &'a [u8],
+    pos: &mut usize,
+    width: &mut usize,
 ) -> Result<(SimTime, HeartbeatEvent), (ParseDefect, &'a [u8])> {
+    if let Some(ms) = alive_of_width(buf, *pos, *width) {
+        *pos += *width + ALIVE_TAIL.len();
+        return Ok((SimTime::from_millis(ms), HeartbeatEvent::Alive));
+    }
+    let rest = &buf[*pos..];
     if let Some((at, event, used)) = decode_canonical_beat(rest) {
-        *rest = &rest[used..];
+        if event == HeartbeatEvent::Alive && rest[used - 1] == b'\n' {
+            *width = used - ALIVE_TAIL.len();
+        }
+        *pos += used;
         return Ok((at, event));
     }
     let (line, used) = match rest.iter().position(|&b| b == b'\n') {
@@ -544,10 +562,60 @@ fn next_beat<'a>(
             let line = &rest[..end];
             (line.strip_suffix(b"\r").unwrap_or(line), end + 1)
         }
-        None => (*rest, rest.len()),
+        None => (rest, rest.len()),
     };
-    *rest = &rest[used..];
+    *pos += used;
     decode_beat(line).map_err(|defect| (defect, line))
+}
+
+/// Byte masks over a 16-byte window read as one integer.
+const BYTES_7F: u128 = u128::from_ne_bytes([0x7f; 16]);
+const BYTES_76: u128 = u128::from_ne_bytes([0x76; 16]);
+const BYTES_80: u128 = u128::from_ne_bytes([0x80; 16]);
+const BYTES_30: u128 = u128::from_ne_bytes([0x30; 16]);
+
+/// The timestamp of the line at `buf[pos..]` when it is `width` (1–16)
+/// ASCII digits then `|ALIVE\n`, and at least 16 bytes of `buf` end
+/// where its digits end; `None` otherwise, and the caller decodes the
+/// line the general way. Those 16 bytes, read as one little-endian
+/// integer, give both the digit check and the value by bit tricks on
+/// all bytes at once (SWAR: SIMD within a register); the tail is one
+/// masked compare of the eight bytes from the last digit. Every line
+/// it accepts, [`decode_canonical_beat`] accepts with the same value:
+/// leading zeros and all, since both read any run of digits that is
+/// not too wide.
+fn alive_of_width(buf: &[u8], pos: usize, width: usize) -> Option<u64> {
+    if width == 0 || width > 16 {
+        return None;
+    }
+    let end = pos + width;
+    // The last digit, then the tail; the digit shifts out.
+    const TAIL: u64 = u64::from_le_bytes(*b"0|ALIVE\n") >> 8;
+    let tail: [u8; 8] = buf.get(end - 1..end + ALIVE_TAIL.len())?.try_into().ok()?;
+    if u64::from_le_bytes(tail) >> 8 != TAIL {
+        return None;
+    }
+    let window: [u8; 16] = buf.get(end.checked_sub(16)?..end)?.try_into().ok()?;
+    // The digits' values (`^ '0'`) in the top `width` bytes; the bytes
+    // before the line are masked off, to zeros that read as leading
+    // zeros.
+    let x = (u128::from_le_bytes(window) ^ BYTES_30) & (u128::MAX << (8 * (16 - width)));
+    // A byte is a digit exactly when its value is below 10: adding
+    // 0x76 to its low seven bits sets its high bit otherwise, with no
+    // carry into the next byte, and a high bit of its own is no digit
+    // either.
+    if (((x & BYTES_7F) + BYTES_76) | x) & BYTES_80 != 0 {
+        return None;
+    }
+    // Eight digit values, the first (most significant) in the lowest
+    // byte, as a number: neighbouring lanes combine into 2-digit values
+    // in 16-bit lanes, then 4 in 32, then 8.
+    fn eight(v: u64) -> u64 {
+        let v = (v * 10 + (v >> 8)) & 0x00ff_00ff_00ff_00ff;
+        let v = (v * 100 + (v >> 16)) & 0x0000_ffff_0000_ffff;
+        (v * 10_000 + (v >> 32)) & 0xffff_ffff
+    }
+    Some(eight(x as u64) * 100_000_000 + eight((x >> 64) as u64))
 }
 
 /// The whole fleet's harvested data: the parsed phones under one
@@ -664,7 +732,7 @@ mod tests {
         let mut fs = FlashFs::new();
         let mut lg = FailureLogger::new(LoggerConfig::default());
         let ctx = PhoneContext::default();
-        lg.on_boot(&mut fs, t(0), ctx);
+        lg.on_boot(&mut fs, t(0), || ctx);
         for i in 1..=10 {
             lg.on_tick(&mut fs, t(30 * i), ctx);
         }
@@ -676,12 +744,12 @@ mod tests {
             None,
         );
         lg.on_clean_shutdown(&mut fs, t(310), ShutdownKind::Reboot);
-        lg.on_boot(&mut fs, t(400), ctx); // 90 s off: a self-shutdown candidate
+        lg.on_boot(&mut fs, t(400), || ctx); // 90 s off: a self-shutdown candidate
         for i in 14..=16 {
             lg.on_tick(&mut fs, t(30 * i), ctx);
         }
         // freeze: no clean shutdown, battery pulled, reboot much later
-        lg.on_boot(&mut fs, t(4000), ctx);
+        lg.on_boot(&mut fs, t(4000), || ctx);
         PhoneDataset::from_flashfs(7, &fs)
     }
 
@@ -769,7 +837,7 @@ mod tests {
         let mut fs = FlashFs::new();
         let mut lg = FailureLogger::new(LoggerConfig::default());
         let ctx = PhoneContext::default();
-        lg.on_boot(&mut fs, t(0), ctx);
+        lg.on_boot(&mut fs, t(0), || ctx);
         for i in 1..=5 {
             lg.on_tick(&mut fs, t(30 * i), ctx);
         }
@@ -827,11 +895,11 @@ mod tests {
         let mut fs = FlashFs::new();
         let mut lg = FailureLogger::new(LoggerConfig::default());
         let ctx = PhoneContext::default();
-        lg.on_boot(&mut fs, t(0), ctx);
+        lg.on_boot(&mut fs, t(0), || ctx);
         lg.on_clean_shutdown(&mut fs, t(10), ShutdownKind::LowBattery);
-        lg.on_boot(&mut fs, t(100), ctx);
+        lg.on_boot(&mut fs, t(100), || ctx);
         lg.on_clean_shutdown(&mut fs, t(110), ShutdownKind::ManualOff);
-        lg.on_boot(&mut fs, t(200), ctx);
+        lg.on_boot(&mut fs, t(200), || ctx);
         let ds = PhoneDataset::from_flashfs(0, &fs);
         assert!(ds.shutdown_events().is_empty());
         assert!(ds.freezes().is_empty());

@@ -153,7 +153,7 @@ mod tests {
         let mut fs = FlashFs::new();
         let mut lg = FailureLogger::new(LoggerConfig::default());
         let ctx = PhoneContext::default();
-        lg.on_boot(&mut fs, SimTime::ZERO, ctx);
+        lg.on_boot(&mut fs, SimTime::ZERO, || ctx);
         let mut now = 0u64;
         while now < 3600 {
             now += 30;
@@ -161,7 +161,7 @@ mod tests {
         }
         lg.on_clean_shutdown(&mut fs, SimTime::from_secs(now + 5), ShutdownKind::Reboot);
         // 80 s self-shutdown-like reboot
-        lg.on_boot(&mut fs, SimTime::from_secs(now + 85), ctx);
+        lg.on_boot(&mut fs, SimTime::from_secs(now + 85), || ctx);
         let base = now + 85;
         let mut t2 = base;
         while t2 < base + 3600 {
@@ -169,7 +169,7 @@ mod tests {
             lg.on_tick(&mut fs, SimTime::from_secs(t2), ctx);
         }
         // freeze + battery pull + late boot
-        lg.on_boot(&mut fs, SimTime::from_secs(t2 + 7200), ctx);
+        lg.on_boot(&mut fs, SimTime::from_secs(t2 + 7200), || ctx);
         FleetDataset::from_phones(vec![PhoneDataset::from_flashfs(0, &fs)])
     }
 

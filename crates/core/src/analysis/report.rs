@@ -683,7 +683,7 @@ mod tests {
                 battery_percent: 70,
                 battery_low: false,
             };
-            lg.on_boot(&mut fs, SimTime::ZERO, ctx);
+            lg.on_boot(&mut fs, SimTime::ZERO, || ctx);
             for i in 1..20 {
                 lg.on_tick(&mut fs, SimTime::from_secs(i * 30), ctx);
             }
@@ -695,7 +695,7 @@ mod tests {
                 None,
             );
             lg.on_clean_shutdown(&mut fs, SimTime::from_secs(600), ShutdownKind::Reboot);
-            lg.on_boot(&mut fs, SimTime::from_secs(680), ctx);
+            lg.on_boot(&mut fs, SimTime::from_secs(680), || ctx);
             phones.push(PhoneDataset::from_flashfs(id, &fs));
         }
         FleetDataset::from_phones(phones)

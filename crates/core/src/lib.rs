@@ -42,7 +42,7 @@
 //!
 //! let mut fs = FlashFs::new();
 //! let mut logger = FailureLogger::new(LoggerConfig::default());
-//! logger.on_boot(&mut fs, SimTime::ZERO, PhoneContext::default());
+//! logger.on_boot(&mut fs, SimTime::ZERO, PhoneContext::default);
 //! logger.on_tick(&mut fs, SimTime::from_secs(30), PhoneContext::default());
 //! assert!(fs.read_lines("beats").count() > 0);
 //! ```

@@ -12,60 +12,154 @@
 use symfail_sim_core::{SimDuration, SimTime};
 
 use crate::flashfs::FlashFs;
-use crate::records::{encode_beat_into, write_u64_digits, HeartbeatEvent};
+use crate::records::{encode_beat_into, write_u64_digits, HeartbeatEvent, ALIVE_TAIL};
 
 use super::files;
 
 /// Decimal digits of the widest timestamp, `u64::MAX` milliseconds.
 const MAX_DIGITS: usize = 20;
 
-/// What follows the timestamp on every `ALIVE` line.
-const ALIVE_TAIL: &[u8] = b"|ALIVE\n";
+/// Room for the widest line, 20 digits and `|ALIVE\n`, as two 16-byte
+/// stores.
+const LINE: usize = 32;
 
-/// A millisecond timestamp as decimal digits that advance in place:
-/// right-aligned in a fixed buffer whose unused high places hold `'0'`.
-/// Adding the period is a carry chain over those ASCII digits — an
-/// odometer — so a run of beats formats no integer after its first.
-struct Odometer {
-    digits: [u8; MAX_DIGITS],
-    /// Index of the most significant digit.
-    start: usize,
+/// The register holds the timestamp's value below this: its low eight
+/// decimal digits.
+const LOW_SPAN: u64 = 100_000_000;
+
+/// `'0'` in every byte: a register of digit values (0–9 per byte) OR
+/// this is their ASCII.
+const ASCII_ZEROS: u64 = 0x3030_3030_3030_3030;
+
+/// `v` (below [`LOW_SPAN`]) as eight decimal digit values, one per
+/// byte, the most significant digit in the most significant byte.
+fn spread_digits(mut v: u64) -> u64 {
+    let mut out = 0;
+    for byte in 0..8 {
+        out |= (v % 10) << (8 * byte);
+        v /= 10;
+    }
+    out
 }
 
-impl Odometer {
-    fn new(ms: u64) -> Self {
-        let mut digits = [b'0'; MAX_DIGITS];
-        let start = write_u64_digits(&mut digits, ms);
-        Self { digits, start }
-    }
+/// Adds two registers of eight decimal digit values with decimal
+/// carries; the flag is the carry out of the top digit. Each byte sum
+/// is at most 18, so the plain addition carries nothing between bytes.
+/// Adding 246 to every byte then makes a byte overflow exactly when
+/// its sum (with the carry from below) reaches 10, leaving that sum
+/// minus 10 and carrying into the next digit up; a byte that did not
+/// overflow still holds the 246 (its high bit is set), taken back off.
+fn add_digits(a: u64, b: u64) -> (u64, bool) {
+    let (biased, carry) = (a + b).overflowing_add(0xF6F6_F6F6_F6F6_F6F6);
+    let unbias = ((biased & 0x8080_8080_8080_8080) >> 7) * 0xF6;
+    (biased - unbias, carry)
+}
 
-    /// Appends one `ALIVE` line at the current timestamp, as two
-    /// appends — the digits, then `|ALIVE\n` — so a fresh file's buffer
-    /// grows through the same capacities as under the per-field beat
-    /// encoder. One append per line would shift every later capacity
-    /// doubling, and with it the peak heap.
-    fn push_alive(&self, buf: &mut Vec<u8>) {
-        buf.extend_from_slice(&self.digits[self.start..]);
-        buf.extend_from_slice(ALIVE_TAIL);
-    }
+/// A period split as [`BeatDigits`] adds it.
+#[derive(Debug, Clone, Copy, Default)]
+struct Step {
+    ms: u64,
+    /// `ms % LOW_SPAN`, spread one digit per byte.
+    low: u64,
+    /// `ms / LOW_SPAN`.
+    high: u64,
+}
 
-    /// Adds `step × 10^skip` milliseconds. The `skip` low places are
-    /// untouched (the period's trailing zeros), so a 300 s period adds
-    /// one digit and carries; a carry past the most significant digit
-    /// lands on a `'0'` place and widens the number (999 → 1000).
-    fn advance(&mut self, step: u64, skip: usize) {
-        let mut i = MAX_DIGITS - 1 - skip;
-        let mut carry = step;
-        loop {
-            let sum = u64::from(self.digits[i] - b'0') + carry % 10;
-            carry = carry / 10 + sum / 10;
-            self.digits[i] = b'0' + (sum % 10) as u8;
-            if carry == 0 {
-                break;
-            }
-            i -= 1;
+impl Step {
+    fn new(period: SimDuration) -> Self {
+        let ms = period.as_millis();
+        Self {
+            ms,
+            low: spread_digits(ms % LOW_SPAN),
+            high: ms / LOW_SPAN,
         }
-        self.start = self.start.min(i);
+    }
+}
+
+/// The last `ALIVE` line written, kept so the next line is the period
+/// added to its digits: the low eight digits sit in one register, one
+/// digit per byte, and a period's low eight digits add to them in one
+/// integer addition whose byte carries are decimal carries (SWAR:
+/// SIMD within a register). A line is a copy of a template holding
+/// the digits above the register and `|ALIVE\n`, with the register
+/// stored over its place; the template is rendered from the integer
+/// only when those digits change — a carry out of the register, or a
+/// timestamp below `10^8` ms, whose leading zeros are not written. So
+/// no line reloads digit bytes it has just stored.
+#[derive(Debug, Clone)]
+struct BeatDigits {
+    /// The timestamp, in milliseconds.
+    at: u64,
+    /// `at / LOW_SPAN`.
+    high: u64,
+    /// `at % LOW_SPAN`, spread one digit per byte.
+    low: u64,
+    /// `<at>|ALIVE\n` as last rendered, zero-padded; while `high > 0`
+    /// its register digits are stale.
+    line: [u8; LINE],
+    /// The line's length.
+    len: usize,
+}
+
+impl BeatDigits {
+    fn new(at: u64) -> Self {
+        let mut digits = Self {
+            at,
+            high: at / LOW_SPAN,
+            low: spread_digits(at % LOW_SPAN),
+            line: [0; LINE],
+            len: 0,
+        };
+        digits.render();
+        digits
+    }
+
+    /// Writes the whole line from `at`.
+    fn render(&mut self) {
+        let mut digits = [b'0'; MAX_DIGITS];
+        let start = write_u64_digits(&mut digits, self.at);
+        let width = MAX_DIGITS - start;
+        self.line = [0; LINE];
+        self.line[..width].copy_from_slice(&digits[start..]);
+        self.line[width..width + ALIVE_TAIL.len()].copy_from_slice(ALIVE_TAIL);
+        self.len = width + ALIVE_TAIL.len();
+    }
+
+    /// Moves to the next beat, one `step` later. The last timestamp
+    /// must fit in a `u64`.
+    fn advance(&mut self, step: &Step) {
+        let (low, carry) = add_digits(self.low, step.low);
+        self.low = low;
+        self.at += step.ms;
+        let high = self.high + step.high + u64::from(carry);
+        if high != self.high || high == 0 {
+            self.high = high;
+            self.render();
+        }
+    }
+
+    /// Appends the line. With room for a whole [`LINE`] in the buffer,
+    /// that is one fixed-size copy of the template, the register stored
+    /// over its digits, cut back to the line; nearer the buffer's end,
+    /// the digits and then `|ALIVE\n`, the appends the per-field
+    /// encoder made, so a growing buffer takes the capacities it always
+    /// took.
+    fn push(&self, buf: &mut Vec<u8>) {
+        let start = buf.len();
+        if buf.capacity() - start >= LINE {
+            buf.extend_from_slice(&self.line);
+            let digits_end = start + self.len - ALIVE_TAIL.len();
+            if self.high > 0 {
+                buf[digits_end - 8..digits_end]
+                    .copy_from_slice(&(self.low | ASCII_ZEROS).to_be_bytes());
+            }
+            buf.truncate(start + self.len);
+        } else {
+            let mut digits = [0; MAX_DIGITS];
+            let first = write_u64_digits(&mut digits, self.at);
+            buf.extend_from_slice(&digits[first..]);
+            buf.extend_from_slice(ALIVE_TAIL);
+        }
     }
 }
 
@@ -75,6 +169,10 @@ pub struct HeartbeatAo {
     beats_written: u64,
     /// The last event emitted, with its time.
     last: Option<(SimTime, HeartbeatEvent)>,
+    /// The last `ALIVE` line written, while it is the file's last line.
+    digits: Option<BeatDigits>,
+    /// The last run's period, split.
+    step: Step,
 }
 
 impl HeartbeatAo {
@@ -89,12 +187,14 @@ impl HeartbeatAo {
     }
 
     /// Writes a run of `n` `ALIVE` beats at `first`, `first + period`,
-    /// … with one file lookup; each timestamp after the first is the
-    /// previous one's digits plus the period, carried in place. The
-    /// bytes are exactly those of `n` single beats at the same times.
-    /// The last timestamp must fit in a `u64`. With `fs` `None` (a
-    /// log-only logger) nothing is written, but the run is counted and
-    /// its last beat remembered all the same.
+    /// … with one file lookup. Each line is the previous one's digits
+    /// plus the period, added in a register; the run's first line continues
+    /// the last run's digits when it starts one period after that run's
+    /// last beat, and formats its timestamp otherwise. The bytes are
+    /// exactly those of `n` single beats at the same times. The last
+    /// timestamp must fit in a `u64`. With `fs` `None` (a log-only
+    /// logger) nothing is written, but the run is counted and its last
+    /// beat remembered all the same.
     pub fn beats(&mut self, fs: Option<&mut FlashFs>, first: SimTime, period: SimDuration, n: u32) {
         if n == 0 {
             return;
@@ -102,21 +202,27 @@ impl HeartbeatAo {
         self.beats_written += u64::from(n);
         self.last = Some((first + period * u64::from(n - 1), HeartbeatEvent::Alive));
         let Some(fs) = fs else { return };
+        if self.step.ms != period.as_millis() {
+            self.step = Step::new(period);
+        }
+        let (step, first) = (self.step, first.as_millis());
+        // The digits work out of a local, which the buffer's byte
+        // stores cannot alias, so they stay in registers over the run.
+        let mut digits = match self.digits.take() {
+            Some(mut digits) if digits.at.checked_add(step.ms) == Some(first) => {
+                digits.advance(&step);
+                digits
+            }
+            _ => BeatDigits::new(first),
+        };
         fs.append_lines_with(files::BEATS, |buf| {
-            let mut at = Odometer::new(first.as_millis());
-            at.push_alive(buf);
-            if n > 1 {
-                let (mut step, mut skip) = (period.as_millis(), 0);
-                while step != 0 && step % 10 == 0 {
-                    step /= 10;
-                    skip += 1;
-                }
-                for _ in 1..n {
-                    at.advance(step, skip);
-                    at.push_alive(buf);
-                }
+            digits.push(buf);
+            for _ in 1..n {
+                digits.advance(&step);
+                digits.push(buf);
             }
         });
+        self.digits = Some(digits);
     }
 
     /// Writes the final event of a clean shutdown; with `fs` `None`,
@@ -124,6 +230,7 @@ impl HeartbeatAo {
     pub fn final_event(&mut self, fs: Option<&mut FlashFs>, now: SimTime, event: HeartbeatEvent) {
         debug_assert!(event != HeartbeatEvent::Alive, "final event is never ALIVE");
         self.last = Some((now, event));
+        self.digits = None;
         if let Some(fs) = fs {
             fs.append_line_with(files::BEATS, |buf| encode_beat_into(buf, now, event));
         }
@@ -173,5 +280,23 @@ mod tests {
                 HeartbeatEvent::Reboot
             ]
         );
+    }
+
+    /// The register's decimal addition against integer addition, on
+    /// every digit count and carry chain (…9999 + 1, 99999999 + 1 out
+    /// of the register).
+    #[test]
+    fn register_addition_carries_in_decimal() {
+        let values = [
+            0u64, 1, 9, 10, 99, 4_321, 300_000, 999_999, 49_999_999, 50_000_000, 99_999_999,
+            12_345_678, 87_654_321,
+        ];
+        for a in values {
+            for b in values {
+                let (sum, carry) = add_digits(spread_digits(a), spread_digits(b));
+                assert_eq!(sum, spread_digits((a + b) % LOW_SPAN), "{a} + {b}");
+                assert_eq!(carry, a + b >= LOW_SPAN, "{a} + {b}");
+            }
+        }
     }
 }

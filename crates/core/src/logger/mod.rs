@@ -193,11 +193,11 @@ pub enum ShutdownKind {
 ///     battery_percent: 80,
 ///     battery_low: false,
 /// };
-/// logger.on_boot(&mut fs, SimTime::ZERO, ctx);
+/// logger.on_boot(&mut fs, SimTime::ZERO, || ctx);
 /// logger.on_tick(&mut fs, SimTime::from_secs(30), ctx);
 /// logger.on_clean_shutdown(&mut fs, SimTime::from_secs(60), ShutdownKind::Reboot);
 /// // Next boot classifies the previous session:
-/// logger.on_boot(&mut fs, SimTime::from_secs(142), ctx);
+/// logger.on_boot(&mut fs, SimTime::from_secs(142), || ctx);
 /// let boots = logger.boot_records(&fs);
 /// assert_eq!(boots.len(), 2);
 /// assert_eq!(boots[1].off_duration.unwrap().as_secs(), 82);
@@ -244,12 +244,19 @@ impl FailureLogger {
     /// Called when the phone (and thus the logger daemon) starts. The
     /// Panic Detector asks the Heartbeat AO for the previous session's
     /// last event to classify how it ended, then writes a boot record;
-    /// the heartbeat resumes.
-    pub fn on_boot(&mut self, fs: &mut FlashFs, now: SimTime, ctx: PhoneContext<'_>) {
+    /// the heartbeat resumes. `ctx` is sampled only for the boot's
+    /// `runapp` and `power` snapshot, so only by a logger that writes
+    /// every file.
+    pub fn on_boot<'a>(
+        &mut self,
+        fs: &mut FlashFs,
+        now: SimTime,
+        ctx: impl FnOnce() -> PhoneContext<'a>,
+    ) {
         self.panicdet.on_boot(fs, now, self.heartbeat.last_event());
         self.heartbeat.beat(self.files.beats_file(fs), now);
         if let Some(fs) = self.files.sampled_files(fs) {
-            self.snapshot(fs, now, ctx);
+            self.snapshot(fs, now, ctx());
         }
         self.ticks_since_snapshot = 0;
     }
@@ -261,9 +268,14 @@ impl FailureLogger {
         self.on_ticks(fs, now, 1, || ctx);
     }
 
-    /// The most ticks the next [`Self::on_ticks`] run may hold: the
-    /// ticks up to and including the next snapshot tick (at least 1).
+    /// The most ticks the next [`Self::on_ticks`] run may hold: for a
+    /// logger that writes every file, the ticks up to and including the
+    /// next snapshot tick (at least 1); for any other, which writes no
+    /// snapshot, `u32::MAX`.
     pub fn ticks_until_snapshot(&self) -> u32 {
+        if self.files != LoggerFiles::All {
+            return u32::MAX;
+        }
         self.config
             .snapshot_every
             .saturating_sub(self.ticks_since_snapshot)
@@ -277,7 +289,8 @@ impl FailureLogger {
     /// that tick. `ctx` is sampled only then, so a caller that steps
     /// its state once per tick samples it only where a snapshot is
     /// written (never, unless the logger writes every file). The bytes
-    /// and counters equal those of `n` single [`Self::on_tick`] calls.
+    /// and counters equal those of `n` single [`Self::on_tick`] calls,
+    /// the snapshot counter included.
     ///
     /// # Panics
     ///
@@ -300,13 +313,17 @@ impl FailureLogger {
         let period = self.config.heartbeat_period;
         self.heartbeat
             .beats(self.files.beats_file(fs), first, period, n);
-        self.ticks_since_snapshot += n;
-        if self.ticks_since_snapshot >= self.config.snapshot_every {
+        let every = self.config.snapshot_every;
+        let since = u64::from(self.ticks_since_snapshot) + u64::from(n);
+        if since >= u64::from(every) {
             if let Some(fs) = self.files.sampled_files(fs) {
                 self.snapshot(fs, first + period * u64::from(n - 1), ctx());
             }
-            self.ticks_since_snapshot = 0;
         }
+        // What runs cut at every snapshot tick would leave; a logger
+        // that writes every file has just reached 0 or stays below
+        // `every`.
+        self.ticks_since_snapshot = (since % u64::from(every.max(1))) as u32;
     }
 
     /// Called when the Database Log Server records a completed
@@ -399,7 +416,7 @@ mod tests {
     fn first_boot_writes_boot_record_and_alive() {
         let mut fs = FlashFs::new();
         let mut lg = FailureLogger::new(LoggerConfig::default());
-        lg.on_boot(&mut fs, t(0), ctx());
+        lg.on_boot(&mut fs, t(0), ctx);
         let boots = lg.boot_records(&fs);
         assert_eq!(boots.len(), 1);
         assert!(!boots[0].freeze_detected, "first boot is not a freeze");
@@ -411,10 +428,10 @@ mod tests {
     fn clean_reboot_yields_off_duration() {
         let mut fs = FlashFs::new();
         let mut lg = FailureLogger::new(LoggerConfig::default());
-        lg.on_boot(&mut fs, t(0), ctx());
+        lg.on_boot(&mut fs, t(0), ctx);
         lg.on_tick(&mut fs, t(30), ctx());
         lg.on_clean_shutdown(&mut fs, t(45), ShutdownKind::Reboot);
-        lg.on_boot(&mut fs, t(125), ctx());
+        lg.on_boot(&mut fs, t(125), ctx);
         let boots = lg.boot_records(&fs);
         assert_eq!(boots.len(), 2);
         let b = boots[1];
@@ -427,11 +444,11 @@ mod tests {
     fn battery_pull_after_freeze_detected() {
         let mut fs = FlashFs::new();
         let mut lg = FailureLogger::new(LoggerConfig::default());
-        lg.on_boot(&mut fs, t(0), ctx());
+        lg.on_boot(&mut fs, t(0), ctx);
         lg.on_tick(&mut fs, t(30), ctx());
         // Phone freezes: no clean shutdown; the user pulls the battery
         // and boots again later.
-        lg.on_boot(&mut fs, t(600), ctx());
+        lg.on_boot(&mut fs, t(600), ctx);
         let b = lg.boot_records(&fs)[1];
         assert!(b.freeze_detected);
         assert_eq!(b.last_event, HeartbeatEvent::Alive);
@@ -443,11 +460,11 @@ mod tests {
     fn low_battery_and_manual_off_classified() {
         let mut fs = FlashFs::new();
         let mut lg = FailureLogger::new(LoggerConfig::default());
-        lg.on_boot(&mut fs, t(0), ctx());
+        lg.on_boot(&mut fs, t(0), ctx);
         lg.on_clean_shutdown(&mut fs, t(10), ShutdownKind::LowBattery);
-        lg.on_boot(&mut fs, t(100), ctx());
+        lg.on_boot(&mut fs, t(100), ctx);
         lg.on_clean_shutdown(&mut fs, t(200), ShutdownKind::ManualOff);
-        lg.on_boot(&mut fs, t(300), ctx());
+        lg.on_boot(&mut fs, t(300), ctx);
         let boots = lg.boot_records(&fs);
         assert_eq!(boots[1].last_event, HeartbeatEvent::LowBattery);
         assert!(!boots[1].freeze_detected);
@@ -458,7 +475,7 @@ mod tests {
     fn panic_consolidates_context() {
         let mut fs = FlashFs::new();
         let mut lg = FailureLogger::new(LoggerConfig::default());
-        lg.on_boot(&mut fs, t(0), ctx());
+        lg.on_boot(&mut fs, t(0), ctx);
         let p = Panic::new(codes::KERN_EXEC_3, "Messages", "dereferenced NULL");
         lg.on_panic(&mut fs, t(33), &p, ctx(), Some(ActivityKind::Message));
         let recs = lg.log_records(&fs);
@@ -494,16 +511,16 @@ mod tests {
         let [full, analysis, log_only] = written.map(|written| {
             let mut fs = FlashFs::new();
             let mut lg = FailureLogger::with_files(config, written);
-            lg.on_boot(&mut fs, t(0), ctx());
+            lg.on_boot(&mut fs, t(0), ctx);
             lg.on_ticks(&mut fs, t(30), 2, ctx);
             lg.on_activity(&mut fs, t(40), t(70), ActivityKind::VoiceCall);
             lg.on_panic(&mut fs, t(75), &p, ctx(), Some(ActivityKind::VoiceCall));
             lg.on_tick(&mut fs, t(90), ctx());
             lg.on_clean_shutdown(&mut fs, t(100), ShutdownKind::LowBattery);
-            lg.on_boot(&mut fs, t(900), ctx());
+            lg.on_boot(&mut fs, t(900), ctx);
             lg.on_ticks(&mut fs, t(930), 3, ctx);
             // A freeze: the session ends without a final event.
-            lg.on_boot(&mut fs, t(2000), ctx());
+            lg.on_boot(&mut fs, t(2000), ctx);
             (lg, fs)
         });
         assert_eq!(
@@ -568,7 +585,7 @@ mod tests {
             heartbeat_period: SimDuration::from_secs(30),
             snapshot_every: 2,
         });
-        lg.on_boot(&mut fs, t(0), ctx()); // snapshot #1
+        lg.on_boot(&mut fs, t(0), ctx); // snapshot #1
         for i in 1..=4 {
             lg.on_tick(&mut fs, t(30 * i), ctx());
         }
@@ -643,7 +660,7 @@ mod tests {
             let (mut one, mut run) = (FailureLogger::new(config), FailureLogger::new(config));
             for lg_fs in [(&mut one, &mut fs_one), (&mut run, &mut fs_run)] {
                 let (lg, fs) = lg_fs;
-                lg.on_boot(fs, SimTime::ZERO, ctx_at(0));
+                lg.on_boot(fs, SimTime::ZERO, || ctx_at(0));
                 for i in 0..u64::from(phase) {
                     lg.on_tick(fs, SimTime::from_millis(i), ctx_at(i));
                 }
@@ -675,11 +692,131 @@ mod tests {
         }
     }
 
+    /// One powered session of a phone's life: the gap before its boot,
+    /// the tick counts of the advances it is driven with, and how it
+    /// ends (0 a freeze, else a clean shutdown of one of the three
+    /// kinds).
+    type Session = (u64, Vec<u32>, u32);
+
+    /// Drives `lg` through `sessions` from `start`, one `on_ticks` run
+    /// per advance, cut at the snapshot ticks when `cut`, with a panic
+    /// after each advance and each session's end between its last beat
+    /// and its next boot. Returns the `ALIVE`/final lines written, as
+    /// the beat encoder writes each one from scratch.
+    fn drive(
+        lg: &mut FailureLogger,
+        fs: &mut FlashFs,
+        start: u64,
+        sessions: &[Session],
+        cut: bool,
+    ) -> Vec<u8> {
+        let period = lg.config().heartbeat_period.as_millis();
+        let p = Panic::new(codes::KERN_EXEC_3, "Messages", "dereferenced NULL");
+        let mut want = Vec::new();
+        let mut line = |at: u64, event| {
+            encode_beat_into(&mut want, SimTime::from_millis(at), event);
+            want.push(b'\n');
+        };
+        let mut now = start;
+        for (gap, advances, end) in sessions {
+            now += gap;
+            lg.on_boot(fs, SimTime::from_millis(now), ctx);
+            line(now, HeartbeatEvent::Alive);
+            let mut next = now + period;
+            for &ticks in advances {
+                let mut done = 0;
+                while done < ticks {
+                    let run = if cut {
+                        lg.ticks_until_snapshot().min(ticks - done)
+                    } else {
+                        ticks - done
+                    };
+                    lg.on_ticks(fs, SimTime::from_millis(next), run, ctx);
+                    for i in 0..u64::from(run) {
+                        line(next + i * period, HeartbeatEvent::Alive);
+                    }
+                    next += u64::from(run) * period;
+                    done += run;
+                }
+                lg.on_panic(fs, SimTime::from_millis(next - 1), &p, ctx(), None);
+            }
+            now = next;
+            let kind = match end {
+                0 => continue,
+                1 => ShutdownKind::Reboot,
+                2 => ShutdownKind::ManualOff,
+                _ => ShutdownKind::LowBattery,
+            };
+            lg.on_clean_shutdown(fs, SimTime::from_millis(now), kind);
+            let event = [
+                HeartbeatEvent::Reboot,
+                HeartbeatEvent::ManualOff,
+                HeartbeatEvent::LowBattery,
+            ][*end as usize - 1];
+            line(now, event);
+            now += 1;
+        }
+        want
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+        /// A logger that writes no sampled file takes each advance as
+        /// one uncut run and writes the `log` and `beats` bytes, and
+        /// keeps the counters and last event, of a full logger cut at
+        /// every snapshot tick; and its beats, whose digits continue
+        /// from run to run, are the lines the encoder formats one by
+        /// one, across gaps, freezes, final events and reboots — a gap
+        /// of 0 boots one period after the last beat, where the digits
+        /// continue across the reboot.
+        #[test]
+        fn uncut_runs_write_what_cut_runs_write(
+            start in prop_oneof![
+                0u64..1_000_000_000_000,
+                (1u32..19, 0u64..2_000).prop_map(|(k, below)| 10u64.pow(k).saturating_sub(1 + below)),
+            ],
+            period_ms in prop_oneof![Just(1u64), Just(300_000u64), 1u64..10_000_000_000],
+            sessions in prop::collection::vec(
+                (
+                    prop_oneof![Just(0u64), 1u64..100_000_000],
+                    prop::collection::vec(0u32..40, 0..4),
+                    0u32..4,
+                ),
+                1..5,
+            ),
+            snapshot_every in prop_oneof![Just(0u32), Just(10u32), 0u32..20],
+        ) {
+            let config = LoggerConfig {
+                heartbeat_period: SimDuration::from_millis(period_ms),
+                snapshot_every,
+            };
+            let mut full = FailureLogger::new(config);
+            let mut full_fs = FlashFs::new();
+            let want = drive(&mut full, &mut full_fs, start, &sessions, true);
+            prop_assert_eq!(full_fs.read_bytes(files::BEATS).unwrap_or_default(), &want[..]);
+            for written in [LoggerFiles::LogOnly, LoggerFiles::LogAndBeats] {
+                let mut lg = FailureLogger::with_files(config, written);
+                let mut fs = FlashFs::new();
+                drive(&mut lg, &mut fs, start, &sessions, false);
+                for file in [files::LOG, files::BEATS] {
+                    prop_assert_eq!(
+                        fs.read_bytes(file),
+                        written.names().contains(&file).then(|| full_fs.read_bytes(file)).flatten(),
+                        "{:?} {}", written, file
+                    );
+                }
+                prop_assert_eq!(lg.heartbeat.beats_written(), full.heartbeat.beats_written());
+                prop_assert_eq!(lg.heartbeat.last_event(), full.heartbeat.last_event());
+                prop_assert_eq!(lg.ticks_since_snapshot, full.ticks_since_snapshot);
+            }
+        }
+    }
+
     #[test]
     fn activity_mirrored() {
         let mut fs = FlashFs::new();
         let mut lg = FailureLogger::new(LoggerConfig::default());
-        lg.on_boot(&mut fs, t(0), ctx());
+        lg.on_boot(&mut fs, t(0), ctx);
         lg.on_activity(&mut fs, t(10), t(70), ActivityKind::VoiceCall);
         assert_eq!(fs.read_lines(files::ACTIVITY).count(), 1);
         let line = fs.last_line(files::ACTIVITY).unwrap();

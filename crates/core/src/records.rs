@@ -782,6 +782,9 @@ pub fn encode_beat(at: SimTime, event: HeartbeatEvent) -> String {
     format!("{}|{}", at.as_millis(), event.token())
 }
 
+/// What follows the timestamp on every `ALIVE` line of the beats file.
+pub(crate) const ALIVE_TAIL: &[u8; 7] = b"|ALIVE\n";
+
 /// Appends one encoded beats-file line (no newline) to `out` —
 /// byte-identical to [`encode_beat`] without the per-beat `String`.
 pub fn encode_beat_into(out: &mut Vec<u8>, at: SimTime, event: HeartbeatEvent) {

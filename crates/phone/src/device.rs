@@ -208,10 +208,14 @@ impl Phone {
     }
 
     /// Advances the heartbeat stream (and battery drain) up to `now`:
-    /// the due ticks go to the logger in runs that end at its snapshot
-    /// ticks. The battery drains once per tick, so its floating-point
-    /// levels do not depend on how the ticks are cut into runs, and
-    /// the logger samples the phone only where it writes a snapshot.
+    /// the due ticks go to the logger in runs, cut at its snapshot
+    /// ticks only when it writes the sampled files
+    /// ([`FailureLogger::ticks_until_snapshot`]), so a logger that does
+    /// not takes them as one run. The battery counts one idle drain per
+    /// tick and applies them only where its level is read, so its
+    /// floating-point levels do not depend on how the ticks are cut into
+    /// runs, and the logger samples the phone only where it writes a
+    /// snapshot.
     fn advance(&mut self, now: SimTime) {
         match self.state {
             PowerState::On => {
@@ -225,10 +229,8 @@ impl Phone {
                     let run = u32::try_from(due)
                         .unwrap_or(u32::MAX)
                         .min(self.logger.ticks_until_snapshot());
-                    for _ in 0..run {
-                        self.battery.drain(period, SimDuration::ZERO);
-                    }
-                    let (apps, battery) = (&self.apps, &self.battery);
+                    self.battery.idle_ticks(period, u64::from(run));
+                    let (apps, battery) = (&self.apps, &mut self.battery);
                     self.logger.on_ticks(&mut self.fs, self.next_beat, run, || {
                         logger_view(apps, battery)
                     });
@@ -247,8 +249,9 @@ impl Phone {
 
     fn power_on(&mut self, at: SimTime) {
         self.apps.reset();
-        let ctx = logger_view(&self.apps, &self.battery);
-        self.logger.on_boot(&mut self.fs, at, ctx);
+        let (apps, battery) = (&self.apps, &mut self.battery);
+        self.logger
+            .on_boot(&mut self.fs, at, || logger_view(apps, battery));
         self.state = PowerState::On;
         self.booted_once = true;
         self.next_beat = at + SimDuration::from_secs(self.params.heartbeat_period_secs);
@@ -323,7 +326,7 @@ impl Phone {
             // The one place the logger records the activity in
             // progress, so the only read of the log database.
             let activity = self.logdb.activity_at(t);
-            let ctx = logger_view(&self.apps, &self.battery);
+            let ctx = logger_view(&self.apps, &mut self.battery);
             self.logger.on_panic(&mut self.fs, t, &panic, ctx, activity);
             self.stats.panics += 1;
             // Kernel recovery: terminate the offending application.
@@ -529,6 +532,8 @@ impl Phone {
                     self.logdb.record(t, end, ActivityKind::VoiceCall);
                     self.logger
                         .on_activity(&mut self.fs, t, end, ActivityKind::VoiceCall);
+                    // Zero elapsed time: the level stays as it is
+                    // (see `Battery::drain`), as for sessions below.
                     self.battery.drain(SimDuration::ZERO, duration);
                     if episode {
                         insert_sorted(
@@ -650,8 +655,9 @@ impl Phone {
 }
 
 /// The borrowed state the logger samples at a hook: the running list
-/// and the battery status, read in place.
-fn logger_view<'a>(apps: &'a AppArchServer, battery: &Battery) -> PhoneContext<'a> {
+/// and the battery status, read in place (a read of the battery's
+/// level, which applies its pending idle drains).
+fn logger_view<'a>(apps: &'a AppArchServer, battery: &mut Battery) -> PhoneContext<'a> {
     PhoneContext {
         running_apps: apps.running(),
         battery_percent: battery.percent(),
@@ -748,6 +754,42 @@ mod tests {
             ..small_params()
         };
         Phone::new(0, params, SimRng::seed_from(1));
+    }
+
+    /// The battery byte of a panic record comes from the lazily drained
+    /// battery: a phone that writes the log alone, whose ticks run
+    /// uncut and whose battery is read only at its panics, records the
+    /// byte of a phone that writes every file and reads the battery at
+    /// every snapshot — also for panics late in a day, after hundreds
+    /// of pending ticks.
+    #[test]
+    fn log_only_phone_records_the_full_phones_battery() {
+        let params = CalibrationParams {
+            background_episode_rate_per_hour: 0.1,
+            ..small_params()
+        };
+        let phone = |files| {
+            let mut rng = SimRng::seed_from(9).fork("phone", 0);
+            let profile = UserProfile::sample(&params, &mut rng);
+            let mut phone = Phone::with_profile(0, params, profile, rng, files);
+            for day in 0..10 {
+                phone.simulate_day(day);
+            }
+            phone
+        };
+        let (full, log_only) = (phone(LoggerFiles::All), phone(LoggerFiles::LogOnly));
+        let log = log_only.flashfs().read_bytes("log");
+        assert_eq!(log, full.flashfs().read_bytes("log"));
+        let batteries: Vec<u8> = log_only
+            .flashfs()
+            .read_lines("log")
+            .filter(|l| l.starts_with("P|"))
+            .map(|l| l.split('|').nth(5).unwrap().parse().unwrap())
+            .collect();
+        assert!(
+            batteries.iter().any(|&b| b < 80),
+            "some panic comes late in a day: {batteries:?}"
+        );
     }
 
     #[test]

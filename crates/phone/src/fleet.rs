@@ -18,6 +18,7 @@ use std::time::Instant;
 
 use symfail_core::analysis::checkpoint::{fnv1a64, CheckpointError, ShardTopology};
 use symfail_core::analysis::dataset::{ParseScratch, PhoneDataset};
+use symfail_core::analysis::defects::PhoneDefects;
 use symfail_core::analysis::mtbf::MtbfAnalysis;
 use symfail_core::analysis::passes::{
     DeviceLabels, FoldShard, MergeStats, PassRegistry, PhoneLens, StreamMerger,
@@ -275,6 +276,8 @@ pub struct WorkerStats {
     /// Allocator calls attributed to this worker thread, when
     /// [`StreamingOptions::alloc_counter`] was supplied.
     pub alloc_calls: Option<u64>,
+    /// The parse's counters summed over the phones this worker parsed.
+    pub parse: PhoneDefects,
 }
 
 /// Cuts `[start, stop)` into contiguous runs with boundaries at every
@@ -768,6 +771,7 @@ impl FleetCampaign {
                                         &mut scratch,
                                     );
                                     let parse_secs = t_parse.elapsed().as_secs_f64();
+                                    ws.parse.merge(ds.defects());
                                     let meta = PhoneMeta::read(&harvest, reads);
                                     // The flash's buffers go to the next
                                     // phone this worker simulates.
@@ -853,6 +857,10 @@ impl FleetCampaign {
             parse_cpu_seconds += parse_secs;
             phone_seconds.push(secs);
         }
+        let mut parse_defects = PhoneDefects::default();
+        for ws in &worker_stats {
+            parse_defects.merge(&ws.parse);
+        }
         let parse_bytes = metas.iter().map(|m| m.flash_bytes).sum();
         let merge_stats = st.merger.merge_stats();
         let names = st.merger.names().clone();
@@ -863,6 +871,7 @@ impl FleetCampaign {
             parse_cpu_seconds,
             phone_seconds,
             parse_bytes,
+            parse_defects,
             mtbf_trace: st.trace,
             resumed_from,
             worker_stats,
@@ -897,6 +906,10 @@ pub struct StreamingRun {
     /// [`PhoneMeta::flash_bytes`]. No phone's bytes are held past the
     /// next phone its worker simulates.
     pub parse_bytes: u64,
+    /// The parse's counters (lines seen, records kept, defects) summed
+    /// over the phones this run parsed, in the files its passes read,
+    /// with or without the `defects` pass: the workers' [`WorkerStats::parse`].
+    pub parse_defects: PhoneDefects,
     /// Live MTBF estimates `(phones_absorbed, estimate)` recorded at
     /// checkpoint boundaries (plus one final entry), strictly
     /// increasing in `phones_absorbed`. Empty unless
@@ -1029,6 +1042,61 @@ mod tests {
     #[test]
     fn parallel_equals_sequential() {
         assert_streamed_metas_match(&FleetCampaign::new(13, tiny_params()));
+    }
+
+    /// The driver's parse counters sum the phones it parsed, in the
+    /// files its passes read: the `defects` pass's fleet counters under
+    /// the full registry; every phone's log alone under passes that
+    /// read only the log, where that pass is absent; and a resumed
+    /// run's suffix alone.
+    #[test]
+    fn parse_counters_sum_the_phones_the_driver_parsed() {
+        let c = FleetCampaign::new(13, tiny_params()).with_corruption(CorruptionProfile::Moderate);
+        let config = AnalysisConfig::default();
+        let full = c.run_streaming(2, config, &PassRegistry::all());
+        assert!(full.parse_defects.lines_seen > 0);
+        assert_eq!(full.parse_defects, full.report.defects.fleet);
+
+        let clean = FleetCampaign::new(13, tiny_params());
+        let subset = PassRegistry::select("shutdown,bursts,coalesce").expect("known passes");
+        let run = clean.run_streaming(2, config, &subset);
+        let mut logs = PhoneDefects::default();
+        for h in clean.run() {
+            let log = h.flashfs.read_bytes(files::LOG).unwrap_or_default();
+            logs.merge(PhoneDataset::from_log(h.phone_id, log).defects());
+        }
+        assert!(logs.lines_seen > 0);
+        assert_eq!(run.parse_defects, logs);
+        assert_eq!(run.report.defects.fleet, PhoneDefects::default());
+
+        let path =
+            std::env::temp_dir().join(format!("symfail-parse-counters-{}.bin", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        let opts = |stop| StreamingOptions {
+            checkpoint: Some(path.clone()),
+            stop_after_phones: stop,
+            ..StreamingOptions::default()
+        };
+        let registry = PassRegistry::all();
+        let first = c.run_streaming_opts(2, config, &registry, &opts(Some(1)));
+        let resumed = c.run_streaming_opts(2, config, &registry, &opts(None));
+        let _ = std::fs::remove_file(&path);
+        let (first, resumed) = (first.expect("first leg"), resumed.expect("resumed leg"));
+        assert_eq!(resumed.resumed_from, Some(1));
+        let mut suffix = PhoneDefects::default();
+        for (_, d) in full
+            .report
+            .defects
+            .per_phone
+            .iter()
+            .filter(|(id, _)| *id >= 1)
+        {
+            suffix.merge(d);
+        }
+        assert_eq!(resumed.parse_defects, suffix);
+        let mut both = first.parse_defects;
+        both.merge(&resumed.parse_defects);
+        assert_eq!(both, full.parse_defects);
     }
 
     #[test]

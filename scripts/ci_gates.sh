@@ -100,6 +100,20 @@ if grep -q "device class" report_stream.txt; then
     exit 1
 fi
 
+echo "ci_gates: log-only pass subset at --workers $WORKERS vs full registry at --workers 1 byte identity" >&2
+# Passes that read the log alone run log-only phones: their batteries
+# drain lazily and their heartbeat ticks run uncut, while the full
+# registry's phones also write beats. Each experiment the subset can
+# render must print the full run's bytes.
+SUBSET=shutdown,bursts,coalesce,activity,runapps,panics,firmware
+for exp in table2 table3 table4 fig2 fig3 fig5 fig6; do
+    "$BIN" --exp "$exp" --seed "$SEED" --phones "$PHONES" --days "$DAYS" \
+        --analyses "$SUBSET" --workers "$WORKERS" > "subset_$exp.txt"
+    "$BIN" --exp "$exp" --seed "$SEED" --phones "$PHONES" --days "$DAYS" \
+        --workers 1 > "full_$exp.txt"
+    cmp "subset_$exp.txt" "full_$exp.txt"
+done
+
 echo "ci_gates: partial merge smoke (shard 2 withheld)" >&2
 # One shard file missing: strict merge must refuse; --partial must
 # exit zero, fold the present shards, and name the hole.

@@ -510,17 +510,87 @@ const BEAT_PIECES: &[&[u8]] = &[
     b"5\xc3\xa9|ALIVE\n",
 ];
 
+/// A run of `ALIVE` lines of one width, as the logger writes them
+/// between two actions, with one line damaged: `n` lines from `start`
+/// (on either side of a digit-count rollover, …999 → …1000) every
+/// `period` ms, line `at % n` damaged by `damage`:
+///
+/// 0. none;
+/// 1. a digit replaced by `byte`, a non-digit: the neighbours of `0`
+///    and `9`, a space, NUL, a high-bit byte;
+/// 2. a leading `+`;
+/// 3. a leading zero, one digit wider with the same value;
+/// 4. `\r\n`;
+/// 5. another token of `ALIVE`'s width, or a near miss of it;
+/// 6. the run's last newline dropped.
+fn alive_run() -> impl Strategy<Value = Vec<u8>> {
+    (
+        (1u32..18, 0u64..3_000, 0u32..2),
+        prop_oneof![Just(1u64), 1u64..5_000],
+        1usize..14,
+        (0usize..14, 0u32..7, 0usize..7, 0usize..20),
+    )
+        .prop_map(
+            |((digits, below, side), period, n, (at, damage, byte, place))| {
+                let start = if side == 0 {
+                    10u64.pow(digits).saturating_sub(1 + below)
+                } else {
+                    10u64.pow(digits - 1) + below
+                };
+                let bad = [b'/', b':', b'x', b' ', 0, 0xb0, 0xb9][byte];
+                let tokens: [&[u8]; 4] = [b"MAOFF", b"LOWBT", b"ALIVX", b"alive"];
+                let at = at % n;
+                let mut run = Vec::new();
+                for i in 0..n {
+                    let mut digits = (start + i as u64 * period).to_string().into_bytes();
+                    let mut token: &[u8] = b"ALIVE";
+                    let mut end: &[u8] = b"\n";
+                    if i == at {
+                        match damage {
+                            1 => {
+                                let place = place % digits.len();
+                                digits[place] = bad;
+                            }
+                            2 => digits.insert(0, b'+'),
+                            3 => digits.insert(0, b'0'),
+                            4 => end = b"\r\n",
+                            5 => token = tokens[place % tokens.len()],
+                            _ => {}
+                        }
+                    }
+                    run.extend_from_slice(&digits);
+                    run.push(b'|');
+                    run.extend_from_slice(token);
+                    run.extend_from_slice(end);
+                }
+                if damage == 6 {
+                    run.pop();
+                }
+                run
+            },
+        )
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(4096))]
 
-    /// For any file glued from [`BEAT_PIECES`], the byte reader and the
-    /// str path keep the same beats in the same order and count the
-    /// same defects, `invalid_utf8` and `unusable` included.
+    /// For any file glued from [`BEAT_PIECES`] and [`alive_run`]s —
+    /// the runs of one width the reader decodes from a 16-byte window,
+    /// with damage inside them, and starting anywhere from the file's
+    /// first byte on — the byte reader and the str path keep the same
+    /// beats in the same order and count the same defects,
+    /// `invalid_utf8` and `unusable` included.
     #[test]
     fn beats_reader_matches_str_path(
-        pieces in prop::collection::vec(0usize..BEAT_PIECES.len(), 0..24),
+        chunks in prop::collection::vec(
+            prop_oneof![
+                (0usize..BEAT_PIECES.len()).prop_map(|i| BEAT_PIECES[i].to_vec()),
+                alive_run(),
+            ],
+            0..24,
+        ),
     ) {
-        let raw: Vec<u8> = pieces.iter().flat_map(|&i| BEAT_PIECES[i].iter().copied()).collect();
+        let raw: Vec<u8> = chunks.concat();
         let mut fs = FlashFs::new();
         fs.overwrite_raw("beats", raw.clone());
         let ds = PhoneDataset::from_flashfs(0, &fs);
