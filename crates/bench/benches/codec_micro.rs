@@ -1,7 +1,6 @@
 //! Micro-benchmarks of the log codec: MB/s through the zero-copy
-//! decoder vs the owned-String oracle, and the append-into-buffer
-//! encoders vs the `format!`-based originals, on clean and
-//! worst-corruption inputs.
+//! decoder on clean and worst-corruption inputs, and through the
+//! append-into-buffer encoder.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use symfail_core::flashfs::FlashFs;
@@ -89,17 +88,6 @@ fn bench(c: &mut Criterion) {
                 black_box(kept)
             })
         });
-        g.bench_function(format!("decode_owned_{label}"), |b| {
-            b.iter(|| {
-                let mut kept = 0u64;
-                for line in text.lines() {
-                    if LogRecord::parse_owned(line).is_ok() {
-                        kept += 1;
-                    }
-                }
-                black_box(kept)
-            })
-        });
     }
 
     g.throughput(Throughput::Bytes(clean.len() as u64));
@@ -112,15 +100,6 @@ fn bench(c: &mut Criterion) {
                 buf.push(b'\n');
             }
             black_box(buf.len())
-        })
-    });
-    g.bench_function("encode_format_strings", |b| {
-        b.iter(|| {
-            let mut total = 0usize;
-            for r in &records {
-                total += r.encode().len() + 1;
-            }
-            black_box(total)
         })
     });
 

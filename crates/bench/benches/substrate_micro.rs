@@ -10,7 +10,7 @@ use symfail_core::analysis::passes::PassRegistry;
 use symfail_core::analysis::signature::{FailureSignature, MatchMode};
 use symfail_core::flashfs::FlashFs;
 use symfail_core::logger::{files, FailureLogger, LoggerConfig, LoggerFiles, PhoneContext};
-use symfail_core::records::LogRecord;
+use symfail_core::records::{LogRecord, RecordRef};
 use symfail_phone::calibration::CalibrationParams;
 use symfail_phone::composition::{DeviceClass, DeviceProfile};
 use symfail_phone::corruption::{CorruptionModel, CorruptionProfile};
@@ -94,9 +94,12 @@ fn bench(c: &mut Criterion) {
             activity: None,
             battery: 67,
         });
+        let mut line = Vec::new();
         b.iter(|| {
-            let line = rec.encode();
-            black_box(LogRecord::decode(&line).unwrap())
+            line.clear();
+            rec.encode_into(&mut line);
+            let line = std::str::from_utf8(&line).unwrap();
+            black_box(RecordRef::decode(line).unwrap().at())
         })
     });
 

@@ -140,7 +140,7 @@ use symfail_phone::calibration::CalibrationParams;
 use symfail_phone::composition::FleetComposition;
 use symfail_phone::corruption::CorruptionProfile;
 use symfail_phone::fleet::{FleetCampaign, ShardSpec, StreamingOptions, StreamingRun};
-use symfail_phone::plan::{BalanceMode, ShardPlan};
+use symfail_phone::plan::{phone_costs_from_json, BalanceMode, ShardPlan};
 use symfail_phone::repro::{extract_fleet_signatures, minimize, MinimizeOptions};
 
 /// `println!` into a command's stdout text, which `main` writes once.
@@ -510,17 +510,12 @@ fn balance_mode(
 /// partial view.
 fn read_costs_json(path: &str, phones: u32) -> Result<Vec<f64>, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    let start = json_u64_field(&text, "phone_cost_start").ok_or(format!(
-        "{path}: no phone_cost_start field (need timing JSON v7+)"
-    ))?;
+    let (start, costs) = phone_costs_from_json(&text).map_err(|e| format!("{path}: {e}"))?;
     if start != 0 {
         return Err(format!(
             "{path}: phone_cost_start is {start}, need a whole-fleet (unsharded) timing file"
         ));
     }
-    let costs = json_f64_array(&text, "phone_costs").ok_or(format!(
-        "{path}: no phone_costs array (need timing JSON v7+)"
-    ))?;
     if costs.len() != phones as usize {
         return Err(format!(
             "{path}: phone_costs has {} entries, --phones says {phones}",
@@ -528,30 +523,6 @@ fn read_costs_json(path: &str, phones: u32) -> Result<Vec<f64>, String> {
         ));
     }
     Ok(costs)
-}
-
-/// Minimal field extraction for the timing JSON this binary itself
-/// writes (flat keys, no nesting inside the values we read) — keeps
-/// the measured-cost path dependency-free.
-fn json_u64_field(text: &str, key: &str) -> Option<u64> {
-    let pat = format!("\"{key}\":");
-    let rest = text[text.find(&pat)? + pat.len()..].trim_start();
-    let end = rest
-        .find(|c: char| !c.is_ascii_digit())
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-fn json_f64_array(text: &str, key: &str) -> Option<Vec<f64>> {
-    let pat = format!("\"{key}\":");
-    let rest = text[text.find(&pat)? + pat.len()..].trim_start();
-    let body = rest.strip_prefix('[')?;
-    let body = &body[..body.find(']')?];
-    let body = body.trim();
-    if body.is_empty() {
-        return Some(Vec::new());
-    }
-    body.split(',').map(|tok| tok.trim().parse().ok()).collect()
 }
 
 /// A predicted shard cost with three decimals, or with as many more as

@@ -1,8 +1,9 @@
 //! The `repro` command-line contract: for every subcommand, which
 //! flags it accepts, the exact message each bad argument earns, and
-//! the exit code. Every case here fails before any campaign runs, so
-//! the table is cheap; one `plan-shards` case pins a full stdout, and
-//! one closes stdout under a running command.
+//! the exit code. Every case in the table fails before any campaign
+//! runs, so it is cheap; one `plan-shards` case pins a full stdout,
+//! one closes stdout under a running command, and one hands
+//! `minimize` the catalog of a one-phone, one-day campaign.
 
 use std::process::{Command, Output, Stdio};
 
@@ -422,5 +423,44 @@ fn plan_shards_prints_the_cut_table() {
          \x20     2  [     4,      7)         3         872.907\n\
          predicted max-shard cost: 872.907\n\
          uniform i/N split would cost 872.907 (1.00x the balanced critical path)\n"
+    );
+}
+
+/// A campaign with no panic writes an empty catalog, which `minimize`
+/// reads as holding no signature; a cut catalog is refused at the byte
+/// where it ends.
+#[test]
+fn minimize_reads_an_empty_catalog_and_refuses_a_cut_one() {
+    let path = std::env::temp_dir().join(format!("symfail-cliargs-{}.json", std::process::id()));
+    let path_str = path.to_str().unwrap();
+    let out = repro(&[
+        "extract-signatures",
+        "--phones",
+        "1",
+        "--days",
+        "1",
+        "--signature-json",
+        path_str,
+    ]);
+    assert_eq!(out.status.code(), Some(0));
+    let catalog = std::fs::read_to_string(&path).unwrap();
+    assert!(catalog.contains("\"signatures\": [\n\n  ]"), "{catalog}");
+    let minimize = || repro(&["minimize", "--signature-json", path_str]);
+    let out = minimize();
+    assert_eq!(out.status.code(), Some(1));
+    assert_eq!(
+        String::from_utf8_lossy(&out.stderr),
+        format!("--signature-index 0 out of range: {path_str} holds 0 signatures\n")
+    );
+    std::fs::write(&path, &catalog[..catalog.len() - 4]).unwrap();
+    let out = minimize();
+    let _ = std::fs::remove_file(&path);
+    assert_eq!(out.status.code(), Some(1));
+    assert_eq!(
+        String::from_utf8_lossy(&out.stderr),
+        format!(
+            "{path_str}: invalid JSON at byte {}: unexpected end of input\n",
+            catalog.len() - 4
+        )
     );
 }

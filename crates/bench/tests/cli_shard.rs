@@ -196,3 +196,48 @@ fn plan_shards_balances_on_a_measured_timing_file() {
         let _ = std::fs::remove_file(p);
     }
 }
+
+/// `phone_cost_start` is a phone id: a timing file that gives it as a
+/// fraction is refused, not read as its integer part.
+#[test]
+fn a_fractional_cost_start_is_refused() {
+    let path = std::env::temp_dir().join(format!(
+        "symfail-clishard-{}-fraction.json",
+        std::process::id()
+    ));
+    let out = repro()
+        .args([
+            "--exp",
+            "mtbf",
+            "--workers",
+            "1",
+            "--phones",
+            "2",
+            "--days",
+            "1",
+        ])
+        .args(["--timing-json", path.to_str().unwrap()])
+        .output()
+        .expect("spawn repro");
+    assert!(out.status.success());
+    let timing = std::fs::read_to_string(&path).unwrap();
+    let fraction = timing.replace("\"phone_cost_start\": 0,", "\"phone_cost_start\": 0.5,");
+    assert_ne!(fraction, timing);
+    std::fs::write(&path, fraction).unwrap();
+    let out = repro()
+        .args(["plan-shards", "--shards", "2", "--balance", "measured"])
+        .args(["--costs-json", path.to_str().unwrap()])
+        .args(["--phones", "2", "--days", "1"])
+        .output()
+        .expect("spawn repro plan-shards");
+    let _ = std::fs::remove_file(&path);
+    assert_eq!(out.status.code(), Some(1));
+    assert_eq!(
+        String::from_utf8_lossy(&out.stderr),
+        format!(
+            "{}: phone_cost_start is not an unsigned integer\n",
+            path.display()
+        )
+    );
+    assert!(out.stdout.is_empty());
+}

@@ -26,8 +26,8 @@ use crate::flashfs::FlashFs;
 use crate::intern::{NameId, NameIds, NameTable};
 use crate::logger::files;
 use crate::records::{
-    decode_beat, decode_canonical_beat, BootRecord, HeartbeatEvent, LogRecord, PanicRecord,
-    PanicRef, ParseDefect, RecordRef, ALIVE_TAIL,
+    decode_beat, BootRecord, HeartbeatEvent, LogRecord, PanicRecord, PanicRef, ParseDefect,
+    RecordRef, ALIVE_TAIL,
 };
 
 /// A panic with its context as stored in the dataset: the hot-path
@@ -291,7 +291,12 @@ impl PhoneDataset {
         // precedes it in the file. With no stray the beats are sorted
         // already, and `index` leaves them as they are.
         let mut beats: Vec<(SimTime, HeartbeatEvent)> = std::mem::take(&mut scratch.beats);
-        beats.reserve(raw_beats.len() / 12);
+        // One slot per line, the most beats the file can hold, taken
+        // at once and exactly: grown by doubling instead, a run's first
+        // phone paid a dozen reallocations and page faults on fresh
+        // scratch, and an amortized reserve overshoots up to twice.
+        let cut = raw_beats.last().is_some_and(|&b| b != b'\n');
+        beats.reserve_exact(newlines(raw_beats) + usize::from(cut));
         let mut strays: Vec<(SimTime, HeartbeatEvent)> = Vec::new();
         let mut stray_set: HashSet<(SimTime, HeartbeatEvent)> = HashSet::new();
         let mut max_at: Option<SimTime> = None;
@@ -533,13 +538,22 @@ pub(crate) fn log_text(log: &[u8]) -> Cow<'_, str> {
     }
 }
 
+/// The number of `\n` bytes in `bytes`. Each chunk of up to 255 bytes
+/// is counted in a `u8`, which cannot overflow there, so the count
+/// runs in byte-wide vector lanes rather than one `usize` add a byte.
+fn newlines(bytes: &[u8]) -> usize {
+    bytes
+        .chunks(255)
+        .map(|chunk| usize::from(chunk.iter().fold(0u8, |n, &b| n + u8::from(b == b'\n'))))
+        .sum()
+}
+
 /// Decodes the line at `buf[pos..]` and moves `pos` past it. A line
 /// of the last `ALIVE` line's `width` decodes through
-/// [`alive_of_width`]; a line in the shape the logger writes decodes in
-/// place ([`decode_canonical_beat`]), and an `ALIVE` one sets `width`;
-/// any other is cut at its `\n` — dropping a `\r` before it, as
-/// `str::lines` does — and classified by [`decode_beat`]. A rejected
-/// line comes back as its defect and its raw bytes.
+/// [`alive_of_width`]; any other is cut at its `\n` — dropping a `\r`
+/// before it, as `str::lines` does — and decoded by [`decode_beat`],
+/// and an `ALIVE` one sets `width`. A rejected line comes back as its
+/// defect and its raw bytes.
 fn next_beat<'a>(
     buf: &'a [u8],
     pos: &mut usize,
@@ -550,13 +564,6 @@ fn next_beat<'a>(
         return Ok((SimTime::from_millis(ms), HeartbeatEvent::Alive));
     }
     let rest = &buf[*pos..];
-    if let Some((at, event, used)) = decode_canonical_beat(rest) {
-        if event == HeartbeatEvent::Alive && rest[used - 1] == b'\n' {
-            *width = used - ALIVE_TAIL.len();
-        }
-        *pos += used;
-        return Ok((at, event));
-    }
     let (line, used) = match rest.iter().position(|&b| b == b'\n') {
         Some(end) => {
             let line = &rest[..end];
@@ -565,7 +572,11 @@ fn next_beat<'a>(
         None => (rest, rest.len()),
     };
     *pos += used;
-    decode_beat(line).map_err(|defect| (defect, line))
+    let beat = decode_beat(line).map_err(|defect| (defect, line))?;
+    if beat.1 == HeartbeatEvent::Alive {
+        *width = line.len() - (ALIVE_TAIL.len() - 1);
+    }
+    Ok(beat)
 }
 
 /// Byte masks over a 16-byte window read as one integer.
@@ -581,9 +592,10 @@ const BYTES_30: u128 = u128::from_ne_bytes([0x30; 16]);
 /// integer, give both the digit check and the value by bit tricks on
 /// all bytes at once (SWAR: SIMD within a register); the tail is one
 /// masked compare of the eight bytes from the last digit. Every line
-/// it accepts, [`decode_canonical_beat`] accepts with the same value:
-/// leading zeros and all, since both read any run of digits that is
-/// not too wide.
+/// it accepts, [`decode_beat`] accepts with the same value: leading
+/// zeros and all, since both read any run of digits that is not too
+/// wide. `width` is only a guess at the next line's shape: a wrong one
+/// makes this refuse, never misread.
 fn alive_of_width(buf: &[u8], pos: usize, width: usize) -> Option<u64> {
     if width == 0 || width > 16 {
         return None;
@@ -887,6 +899,29 @@ mod tests {
             report.mtbf.total_hours,
             uptime_alone.as_hours_f64(),
             "unusable phone contributes no powered-on time"
+        );
+    }
+
+    #[test]
+    fn newlines_counts_every_line_feed() {
+        let text: Vec<u8> = (0..2000)
+            .map(|i| {
+                if i % 7 == 0 || i % 11 == 0 {
+                    b'\n'
+                } else {
+                    b'5'
+                }
+            })
+            .collect();
+        for len in [0, 1, 254, 255, 256, 511, 512, 2000] {
+            let bytes = &text[..len];
+            let naive = bytes.iter().filter(|&&b| b == b'\n').count();
+            assert_eq!(newlines(bytes), naive, "{len} bytes");
+        }
+        assert_eq!(
+            newlines(&[b'\n'; 1000]),
+            1000,
+            "a chunk of 255 feeds fits its u8"
         );
     }
 

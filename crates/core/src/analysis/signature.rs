@@ -32,6 +32,7 @@ use super::dataset::{log_text, HlKind, PanicEvent, PhoneDataset};
 use super::passes::{DeviceLabels, PhoneLens};
 use super::report::AnalysisConfig;
 use crate::intern::NameTable;
+use crate::json::{self, Value};
 use crate::logger::LoggerFiles;
 use crate::records::RecordRef;
 use symfail_symbian::servers::logdb::ActivityKind;
@@ -259,17 +260,41 @@ impl FailureSignature {
         )
     }
 
-    /// Parses one signature object as written by [`Self::to_json`].
+    /// Reads one signature object as [`Self::to_json`] writes it.
     pub fn parse_json(text: &str) -> Result<Self, String> {
+        Self::from_json(&json::parse(text).map_err(|e| format!("signature: {e}"))?)
+    }
+
+    /// The signature a parsed [`Self::to_json`] object holds.
+    pub fn from_json(v: &Value) -> Result<Self, String> {
+        let err = |e| format!("signature: {e}");
+        let text = |key| {
+            v.field(key, "a string", Value::as_str)
+                .map(str::to_string)
+                .map_err(err)
+        };
+        let opt = |key| {
+            v.field(key, "a string or null", |f| match f {
+                Value::Null => Some(None),
+                f => f.as_str().map(|s| Some(s.to_string())),
+            })
+            .map_err(err)
+        };
         Ok(Self {
-            code: json_str_field(text, "code").ok_or("signature: missing code")?,
-            raised_by: json_str_field(text, "raised_by").ok_or("signature: missing raised_by")?,
-            apps: json_str_array(text, "apps").ok_or("signature: missing apps array")?,
-            activity: json_opt_field(text, "activity")?,
-            related: json_opt_field(text, "related")?,
-            device_class: json_str_field(text, "device_class")
-                .ok_or("signature: missing device_class")?,
-            firmware: json_str_field(text, "firmware").ok_or("signature: missing firmware")?,
+            code: text("code")?,
+            raised_by: text("raised_by")?,
+            apps: v
+                .field("apps", "an array of strings", |f| {
+                    f.as_array()?
+                        .iter()
+                        .map(|a| a.as_str().map(str::to_string))
+                        .collect()
+                })
+                .map_err(err)?,
+            activity: opt("activity")?,
+            related: opt("related")?,
+            device_class: text("device_class")?,
+            firmware: text("firmware")?,
         })
     }
 }
@@ -308,47 +333,18 @@ pub fn signatures_to_json(sigs: &[(FailureSignature, u64)]) -> String {
     )
 }
 
-/// Parses every signature object out of a catalog (or any text
-/// holding `to_json` objects), in file order.
+/// Reads a catalog as [`signatures_to_json`] writes it: its signatures,
+/// in file order (none for an empty catalog).
 pub fn signatures_from_json(text: &str) -> Result<Vec<FailureSignature>, String> {
-    let mut out = Vec::new();
-    let mut rest = text;
-    while let Some(at) = rest.find("{\"code\"") {
-        let obj = balanced_object(&rest[at..]).ok_or("unbalanced signature object")?;
-        out.push(FailureSignature::parse_json(obj)?);
-        rest = &rest[at + obj.len()..];
-    }
-    if out.is_empty() {
-        return Err("no signature objects found".to_string());
-    }
-    Ok(out)
-}
-
-/// The balanced `{...}` prefix of `text` (which must start at a brace),
-/// ignoring braces inside JSON strings.
-fn balanced_object(text: &str) -> Option<&str> {
-    let mut depth = 0usize;
-    let mut in_str = false;
-    let mut escape = false;
-    for (i, c) in text.char_indices() {
-        if escape {
-            escape = false;
-            continue;
-        }
-        match c {
-            '\\' if in_str => escape = true,
-            '"' => in_str = !in_str,
-            '{' if !in_str => depth += 1,
-            '}' if !in_str => {
-                depth -= 1;
-                if depth == 0 {
-                    return Some(&text[..i + 1]);
-                }
-            }
-            _ => {}
-        }
-    }
-    None
+    let catalog = json::parse(text).map_err(|e| e.to_string())?;
+    catalog
+        .field("signatures", "an array", Value::as_array)?
+        .iter()
+        .map(|row| {
+            row.field("count", "an unsigned integer", Value::as_u64)?;
+            FailureSignature::from_json(row.field("signature", "an object", Value::as_object)?)
+        })
+        .collect()
 }
 
 /// Whether `value` renders exactly as `text` — `value.to_string() ==
@@ -387,77 +383,6 @@ fn json_opt(v: Option<&str>) -> String {
     match v {
         Some(s) => json_string(s),
         None => "null".to_string(),
-    }
-}
-
-/// Decodes the JSON string starting at `text` (which must start at a
-/// quote); returns the value and the number of input bytes consumed.
-fn json_unstring(text: &str) -> Option<(String, usize)> {
-    let mut out = String::new();
-    let mut chars = text.char_indices();
-    match chars.next() {
-        Some((_, '"')) => {}
-        _ => return None,
-    }
-    while let Some((i, c)) = chars.next() {
-        match c {
-            '"' => return Some((out, i + 1)),
-            '\\' => match chars.next()?.1 {
-                '"' => out.push('"'),
-                '\\' => out.push('\\'),
-                'n' => out.push('\n'),
-                'r' => out.push('\r'),
-                't' => out.push('\t'),
-                'u' => {
-                    let hex: String = (0..4)
-                        .map(|_| chars.next().map(|(_, c)| c))
-                        .collect::<Option<_>>()?;
-                    out.push(char::from_u32(u32::from_str_radix(&hex, 16).ok()?)?);
-                }
-                _ => return None,
-            },
-            c => out.push(c),
-        }
-    }
-    None
-}
-
-/// The raw text after `"key":`, trimmed, or `None` if the key is
-/// absent. Only sound for the flat objects this module writes.
-fn json_value_at<'t>(text: &'t str, key: &str) -> Option<&'t str> {
-    let pat = format!("\"{key}\":");
-    Some(text[text.find(&pat)? + pat.len()..].trim_start())
-}
-
-fn json_str_field(text: &str, key: &str) -> Option<String> {
-    json_unstring(json_value_at(text, key)?).map(|(s, _)| s)
-}
-
-fn json_opt_field(text: &str, key: &str) -> Result<Option<String>, String> {
-    let rest = json_value_at(text, key).ok_or(format!("signature: missing {key}"))?;
-    if rest.starts_with("null") {
-        return Ok(None);
-    }
-    match json_unstring(rest) {
-        Some((s, _)) => Ok(Some(s)),
-        None => Err(format!("signature: bad {key} value")),
-    }
-}
-
-fn json_str_array(text: &str, key: &str) -> Option<Vec<String>> {
-    let mut rest = json_value_at(text, key)?.strip_prefix('[')?.trim_start();
-    let mut out = Vec::new();
-    loop {
-        if let Some(r) = rest.strip_prefix(']') {
-            let _ = r;
-            return Some(out);
-        }
-        let (s, used) = json_unstring(rest)?;
-        out.push(s);
-        rest = rest[used..].trim_start();
-        if let Some(r) = rest.strip_prefix(',') {
-            rest = r.trim_start();
-        }
     }
 }
 

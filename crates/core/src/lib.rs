@@ -53,5 +53,6 @@
 pub mod analysis;
 pub mod flashfs;
 pub mod intern;
+pub mod json;
 pub mod logger;
 pub mod records;

@@ -48,7 +48,7 @@ use symfail_symbian::servers::logdb::ActivityKind;
 use symfail_symbian::Panic;
 
 use crate::flashfs::FlashFs;
-use crate::records::{BootRecord, HeartbeatEvent, LogRecord};
+use crate::records::HeartbeatEvent;
 
 /// Flash file names used by the logger.
 pub mod files {
@@ -181,6 +181,7 @@ pub enum ShutdownKind {
 /// # Example
 ///
 /// ```
+/// use symfail_core::analysis::dataset::PhoneDataset;
 /// use symfail_core::flashfs::FlashFs;
 /// use symfail_core::logger::{FailureLogger, LoggerConfig, PhoneContext, ShutdownKind};
 /// use symfail_sim_core::SimTime;
@@ -198,9 +199,10 @@ pub enum ShutdownKind {
 /// logger.on_clean_shutdown(&mut fs, SimTime::from_secs(60), ShutdownKind::Reboot);
 /// // Next boot classifies the previous session:
 /// logger.on_boot(&mut fs, SimTime::from_secs(142), || ctx);
-/// let boots = logger.boot_records(&fs);
-/// assert_eq!(boots.len(), 2);
-/// assert_eq!(boots[1].off_duration.unwrap().as_secs(), 82);
+/// // Harvesting parses the flash back, as the study did:
+/// let phone = PhoneDataset::from_flashfs(0, &fs);
+/// assert_eq!(phone.boots().len(), 2);
+/// assert_eq!(phone.boots()[1].off_duration.unwrap().as_secs(), 82);
 /// ```
 #[derive(Debug, Clone)]
 pub struct FailureLogger {
@@ -372,31 +374,12 @@ impl FailureLogger {
         self.power
             .snapshot(fs, now, ctx.battery_percent, ctx.battery_low);
     }
-
-    /// Parses the consolidated log file back into records — the
-    /// harvesting step of the study.
-    pub fn log_records(&self, fs: &FlashFs) -> Vec<LogRecord> {
-        fs.read_lines(files::LOG)
-            .filter_map(|line| LogRecord::decode(line).ok())
-            .collect()
-    }
-
-    /// The boot records only.
-    pub fn boot_records(&self, fs: &FlashFs) -> Vec<BootRecord> {
-        self.log_records(fs)
-            .into_iter()
-            .filter_map(|r| match r {
-                LogRecord::Boot(b) => Some(b),
-                LogRecord::Panic(_) => None,
-            })
-            .collect()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::records::encode_beat_into;
+    use crate::records::{encode_beat_into, BootRecord, RecordRef};
     use proptest::prelude::*;
     use symfail_symbian::panic::codes;
 
@@ -412,12 +395,22 @@ mod tests {
         SimTime::from_secs(secs)
     }
 
+    /// The boot records of `fs`'s log, in file order.
+    fn boots(fs: &FlashFs) -> Vec<BootRecord> {
+        fs.read_lines(files::LOG)
+            .filter_map(|line| match RecordRef::decode(line) {
+                Ok(RecordRef::Boot(b)) => Some(b),
+                _ => None,
+            })
+            .collect()
+    }
+
     #[test]
     fn first_boot_writes_boot_record_and_alive() {
         let mut fs = FlashFs::new();
         let mut lg = FailureLogger::new(LoggerConfig::default());
         lg.on_boot(&mut fs, t(0), ctx);
-        let boots = lg.boot_records(&fs);
+        let boots = boots(&fs);
         assert_eq!(boots.len(), 1);
         assert!(!boots[0].freeze_detected, "first boot is not a freeze");
         assert!(boots[0].off_duration.is_none());
@@ -432,7 +425,7 @@ mod tests {
         lg.on_tick(&mut fs, t(30), ctx());
         lg.on_clean_shutdown(&mut fs, t(45), ShutdownKind::Reboot);
         lg.on_boot(&mut fs, t(125), ctx);
-        let boots = lg.boot_records(&fs);
+        let boots = boots(&fs);
         assert_eq!(boots.len(), 2);
         let b = boots[1];
         assert!(!b.freeze_detected);
@@ -449,7 +442,7 @@ mod tests {
         // Phone freezes: no clean shutdown; the user pulls the battery
         // and boots again later.
         lg.on_boot(&mut fs, t(600), ctx);
-        let b = lg.boot_records(&fs)[1];
+        let b = boots(&fs)[1];
         assert!(b.freeze_detected);
         assert_eq!(b.last_event, HeartbeatEvent::Alive);
         assert_eq!(b.last_event_at, t(30));
@@ -465,7 +458,7 @@ mod tests {
         lg.on_boot(&mut fs, t(100), ctx);
         lg.on_clean_shutdown(&mut fs, t(200), ShutdownKind::ManualOff);
         lg.on_boot(&mut fs, t(300), ctx);
-        let boots = lg.boot_records(&fs);
+        let boots = boots(&fs);
         assert_eq!(boots[1].last_event, HeartbeatEvent::LowBattery);
         assert!(!boots[1].freeze_detected);
         assert_eq!(boots[2].last_event, HeartbeatEvent::ManualOff);
@@ -478,16 +471,18 @@ mod tests {
         lg.on_boot(&mut fs, t(0), ctx);
         let p = Panic::new(codes::KERN_EXEC_3, "Messages", "dereferenced NULL");
         lg.on_panic(&mut fs, t(33), &p, ctx(), Some(ActivityKind::Message));
-        let recs = lg.log_records(&fs);
-        let panic_rec = recs
-            .iter()
-            .find_map(|r| match r {
-                LogRecord::Panic(p) => Some(p.clone()),
+        let panic_rec = fs
+            .read_lines(files::LOG)
+            .find_map(|line| match RecordRef::decode(line) {
+                Ok(RecordRef::Panic(r)) => Some(r),
                 _ => None,
             })
             .expect("panic record present");
-        assert_eq!(panic_rec.panic, p);
-        assert_eq!(panic_rec.running_apps, vec!["Messages".to_string()]);
+        assert_eq!(
+            Panic::new(panic_rec.code, panic_rec.raised_by, panic_rec.reason),
+            p
+        );
+        assert_eq!(panic_rec.apps().collect::<Vec<_>>(), ["Messages"]);
         assert_eq!(panic_rec.activity, Some(ActivityKind::Message));
         assert_eq!(panic_rec.battery, 80);
     }
@@ -545,7 +540,7 @@ mod tests {
             log_only.1.read_bytes(files::LOG),
             full.1.read_bytes(files::LOG)
         );
-        let boots = log_only.0.boot_records(&log_only.1);
+        let boots = boots(&log_only.1);
         assert_eq!(boots[1].last_event, HeartbeatEvent::LowBattery);
         assert_eq!(boots[1].off_duration, Some(SimDuration::from_secs(800)));
         assert!(boots[2].freeze_detected);

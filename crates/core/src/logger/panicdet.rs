@@ -111,7 +111,7 @@ impl PanicDetector {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::records::LogRecord;
+    use crate::records::RecordRef;
     use symfail_symbian::panic::codes;
 
     #[test]
@@ -119,9 +119,9 @@ mod tests {
         let mut fs = FlashFs::new();
         let mut pd = PanicDetector::new();
         pd.on_boot(&mut fs, SimTime::from_secs(1), None);
-        let rec = LogRecord::decode(fs.last_line(files::LOG).unwrap()).unwrap();
+        let rec = RecordRef::decode(fs.last_line(files::LOG).unwrap()).unwrap();
         match rec {
-            LogRecord::Boot(b) => {
+            RecordRef::Boot(b) => {
                 assert!(!b.freeze_detected);
                 assert!(b.off_duration.is_none());
             }
@@ -135,8 +135,8 @@ mod tests {
         let mut pd = PanicDetector::new();
         let last = (SimTime::from_secs(100), HeartbeatEvent::Alive);
         pd.on_boot(&mut fs, SimTime::from_secs(400), Some(last));
-        match LogRecord::decode(fs.last_line(files::LOG).unwrap()).unwrap() {
-            LogRecord::Boot(b) => {
+        match RecordRef::decode(fs.last_line(files::LOG).unwrap()).unwrap() {
+            RecordRef::Boot(b) => {
                 assert!(b.freeze_detected);
                 assert_eq!(b.last_event_at, SimTime::from_secs(100));
             }
@@ -150,8 +150,8 @@ mod tests {
         let mut pd = PanicDetector::new();
         let last = (SimTime::from_secs(100), HeartbeatEvent::Reboot);
         pd.on_boot(&mut fs, SimTime::from_secs(182), Some(last));
-        match LogRecord::decode(fs.last_line(files::LOG).unwrap()).unwrap() {
-            LogRecord::Boot(b) => {
+        match RecordRef::decode(fs.last_line(files::LOG).unwrap()).unwrap() {
+            RecordRef::Boot(b) => {
                 assert!(!b.freeze_detected);
                 assert_eq!(b.off_duration.unwrap().as_secs(), 82);
             }

@@ -292,171 +292,11 @@ impl LogRecord {
         }
     }
 
-    /// Encodes the record as one log-file line, ending with a `|cXXXX`
-    /// checksum trailer over the payload.
-    pub fn encode(&self) -> String {
-        let payload = match self {
-            LogRecord::Panic(p) => {
-                debug_assert!(!p.panic.reason.contains('|'));
-                format!(
-                    "P|{}|{}~{}|{}|{}|{}|{}|{}",
-                    p.at.as_millis(),
-                    p.panic.code.category.as_str(),
-                    p.panic.code.panic_type,
-                    p.panic.raised_by,
-                    p.activity.map(activity_code).unwrap_or('-'),
-                    p.battery,
-                    p.running_apps.join(","),
-                    p.panic.reason,
-                )
-            }
-            LogRecord::Boot(b) => format!(
-                "B|{}|{}|{}|{}|{}",
-                b.boot_at.as_millis(),
-                b.last_event.token(),
-                b.last_event_at.as_millis(),
-                b.off_duration
-                    .map(|d| d.as_millis().to_string())
-                    .unwrap_or_else(|| "-".to_string()),
-                u8::from(b.freeze_detected),
-            ),
-        };
-        let check = line_checksum(&payload);
-        format!("{payload}|c{check:04x}")
-    }
-
-    /// Decodes a log-file line: verifies the checksum trailer first,
-    /// then parses the payload.
-    ///
-    /// This delegates to [`Self::parse_owned`]; the allocation-free
-    /// hot path used by the dataset build is [`RecordRef::decode`],
-    /// which is property-tested to agree with this one on every input
-    /// (see `tests/proptests.rs`).
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`RecordParseError`] describing the malformed field
-    /// and carrying its [`ParseDefect`] classification.
-    pub fn decode(line: &str) -> Result<LogRecord, RecordParseError> {
-        Self::parse_owned(line)
-    }
-
-    /// The original owned-`String` decode path, kept verbatim as the
-    /// oracle the zero-copy [`RecordRef::decode`] is verified against.
-    /// Allocates per field; do not use on the hot path.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`RecordParseError`] describing the malformed field
-    /// and carrying its [`ParseDefect`] classification.
-    pub fn parse_owned(line: &str) -> Result<LogRecord, RecordParseError> {
-        let err = |what: &str, defect: ParseDefect| RecordParseError {
-            line: line.to_string(),
-            what: what.to_string(),
-            defect,
-        };
-        let Some((payload, trailer)) = line.rsplit_once('|') else {
-            return Err(err("checksum trailer", ParseDefect::Truncated));
-        };
-        if !is_checksum_shaped(trailer) {
-            // A clean cut anywhere in the line destroys the trailer
-            // shape, so this is the truncation signature.
-            return Err(err("checksum trailer", ParseDefect::Truncated));
-        }
-        let expect = line_checksum(payload);
-        if trailer[1..] != format!("{expect:04x}") {
-            return Err(err("checksum", ParseDefect::ChecksumMismatch));
-        }
-        Self::decode_payload(payload, line)
-    }
-
-    /// Parses the checksum-verified payload of a log-file line.
-    fn decode_payload(payload: &str, line: &str) -> Result<LogRecord, RecordParseError> {
-        let err = |what: &str| RecordParseError {
-            line: line.to_string(),
-            what: what.to_string(),
-            defect: ParseDefect::Truncated,
-        };
-        let mut parts = payload.splitn(8, '|');
-        match parts.next() {
-            Some("P") => {
-                let at = parts
-                    .next()
-                    .and_then(|s| s.parse::<u64>().ok())
-                    .ok_or_else(|| err("timestamp"))?;
-                let code_str = parts.next().ok_or_else(|| err("panic code"))?;
-                let (cat, ty) = code_str.split_once('~').ok_or_else(|| err("panic code"))?;
-                let code =
-                    PanicCode::parse(&format!("{cat} {ty}")).ok_or_else(|| err("panic code"))?;
-                let raised_by = parts.next().ok_or_else(|| err("raised_by"))?.to_string();
-                let activity = parts
-                    .next()
-                    .and_then(activity_from_code)
-                    .ok_or_else(|| err("activity"))?;
-                let battery = parts
-                    .next()
-                    .and_then(|s| s.parse::<u8>().ok())
-                    .ok_or_else(|| err("battery"))?;
-                let apps_field = parts.next().ok_or_else(|| err("running apps"))?;
-                let running_apps: Vec<String> = if apps_field.is_empty() {
-                    Vec::new()
-                } else {
-                    apps_field.split(',').map(str::to_string).collect()
-                };
-                let reason = parts.next().ok_or_else(|| err("reason"))?.to_string();
-                Ok(LogRecord::Panic(PanicRecord {
-                    at: SimTime::from_millis(at),
-                    panic: Panic::new(code, raised_by, reason),
-                    running_apps,
-                    activity,
-                    battery,
-                }))
-            }
-            Some("B") => {
-                let boot_at = parts
-                    .next()
-                    .and_then(|s| s.parse::<u64>().ok())
-                    .ok_or_else(|| err("boot timestamp"))?;
-                let last_event = parts
-                    .next()
-                    .and_then(HeartbeatEvent::parse)
-                    .ok_or_else(|| err("last event"))?;
-                let last_event_at = parts
-                    .next()
-                    .and_then(|s| s.parse::<u64>().ok())
-                    .ok_or_else(|| err("last event timestamp"))?;
-                let off_field = parts.next().ok_or_else(|| err("off duration"))?;
-                let off_duration = match off_field {
-                    "-" => None,
-                    ms => Some(SimDuration::from_millis(
-                        ms.parse::<u64>().map_err(|_| err("off duration"))?,
-                    )),
-                };
-                let freeze = match parts.next() {
-                    Some("0") => false,
-                    Some("1") => true,
-                    _ => return Err(err("freeze flag")),
-                };
-                Ok(LogRecord::Boot(BootRecord {
-                    boot_at: SimTime::from_millis(boot_at),
-                    last_event,
-                    last_event_at: SimTime::from_millis(last_event_at),
-                    off_duration,
-                    freeze_detected: freeze,
-                }))
-            }
-            _ => Err(RecordParseError {
-                line: line.to_string(),
-                what: "record tag".to_string(),
-                defect: ParseDefect::UnknownTag,
-            }),
-        }
-    }
-
     /// Appends the encoded line (checksum trailer included, no
-    /// newline) to `out`. Byte-identical to [`Self::encode`] but
-    /// allocation-free: the logger's write path reuses the flash
-    /// file's own buffer.
+    /// newline) to `out`: the `|`-separated fields, then a `|cXXXX`
+    /// checksum trailer over them. The logger's write path reuses the
+    /// flash file's own buffer; [`RecordRef::decode`] reads the line
+    /// back.
     pub fn encode_into(&self, out: &mut Vec<u8>) {
         match self {
             LogRecord::Panic(p) => {
@@ -533,7 +373,7 @@ pub fn encode_boot_into(out: &mut Vec<u8>, b: &BootRecord) {
 }
 
 /// A zero-copy view of one decoded log line: every string field
-/// borrows from the flash buffer. This is the hot-path twin of
+/// borrows from the flash buffer. It is the only decoded form of a
 /// [`LogRecord`]; the dataset build consumes it directly (interning
 /// the string fields) so owned records are never allocated while
 /// parsing a harvest.
@@ -568,7 +408,7 @@ pub struct PanicRef<'a> {
 
 impl<'a> PanicRef<'a> {
     /// Iterates the running-application names (empty field ⇒ empty
-    /// iterator, matching the owned decode's semantics).
+    /// iterator, the record's empty `running_apps`).
     pub fn apps(&self) -> impl Iterator<Item = &'a str> {
         let field = self.apps;
         (!field.is_empty())
@@ -576,22 +416,10 @@ impl<'a> PanicRef<'a> {
             .into_iter()
             .flatten()
     }
-
-    /// Materializes the owned record (dataset-boundary escape hatch
-    /// and oracle-comparison helper).
-    pub fn to_record(&self) -> PanicRecord {
-        PanicRecord {
-            at: self.at,
-            panic: Panic::new(self.code, self.raised_by, self.reason),
-            running_apps: self.apps().map(str::to_string).collect(),
-            activity: self.activity,
-            battery: self.battery,
-        }
-    }
 }
 
-/// A malformed log line, classified — the allocation-free twin of
-/// [`RecordParseError`] (no line copy, static field name).
+/// A malformed log line, classified, without allocating: a static
+/// field name and the defect.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RefParseError {
     /// Which field failed to parse.
@@ -609,7 +437,7 @@ impl fmt::Display for RefParseError {
 impl std::error::Error for RefParseError {}
 
 /// Reconstructs a [`PanicCode`] from the payload's `cat~ty` halves
-/// with the exact semantics of the owned path's
+/// with the exact semantics of
 /// `PanicCode::parse(&format!("{cat} {ty}"))` — including the corner
 /// where the category itself contains a space ("MSGS Client") — but
 /// without building the combined string. `PanicCode::parse` splits the
@@ -646,20 +474,13 @@ impl<'a> RecordRef<'a> {
         }
     }
 
-    /// Materializes the owned [`LogRecord`].
-    pub fn to_owned_record(&self) -> LogRecord {
-        match self {
-            RecordRef::Panic(p) => LogRecord::Panic(p.to_record()),
-            RecordRef::Boot(b) => LogRecord::Boot(*b),
-        }
-    }
-
     /// Decodes a log-file line without allocating: checksum trailer
     /// first (compared numerically), then the payload, with every
-    /// string field borrowed from `line`. Agrees with
-    /// [`LogRecord::parse_owned`] on every input — accepted records
-    /// match after [`Self::to_owned_record`], rejected lines carry the
-    /// same [`ParseDefect`] class (property-tested).
+    /// string field borrowed from `line`. The one log decoder: the
+    /// owned-`String` decoder it replaced is kept in the tests
+    /// (`tests/oracle/mod.rs`) as its oracle, and the two give the same
+    /// records and the same [`ParseDefect`] class on every input
+    /// (property-tested).
     ///
     /// # Errors
     ///
@@ -751,42 +572,14 @@ impl<'a> RecordRef<'a> {
     }
 }
 
-/// A malformed log line.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RecordParseError {
-    /// The offending line.
-    pub line: String,
-    /// Which field failed to parse.
-    pub what: String,
-    /// Taxonomy classification of the defect.
-    pub defect: ParseDefect,
-}
-
-impl fmt::Display for RecordParseError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "malformed {} ({}) in log line {:?}",
-            self.what, self.defect, self.line
-        )
-    }
-}
-
-impl std::error::Error for RecordParseError {}
-
-/// Encodes a beats-file line. Beats stay checksum-free: they are
-/// written every few minutes for the whole campaign and the compact
-/// `{ms}|{TOKEN}` shape is already self-validating enough (a token is
-/// either whole, a cut prefix, or unknown).
-pub fn encode_beat(at: SimTime, event: HeartbeatEvent) -> String {
-    format!("{}|{}", at.as_millis(), event.token())
-}
-
 /// What follows the timestamp on every `ALIVE` line of the beats file.
 pub(crate) const ALIVE_TAIL: &[u8; 7] = b"|ALIVE\n";
 
-/// Appends one encoded beats-file line (no newline) to `out` —
-/// byte-identical to [`encode_beat`] without the per-beat `String`.
+/// Appends one encoded beats-file line (no newline) to `out`:
+/// `{ms}|{TOKEN}`. Beats stay checksum-free: they are written every few
+/// minutes for the whole campaign and the compact shape is already
+/// self-validating enough (a token is either whole, a cut prefix, or
+/// unknown).
 pub fn encode_beat_into(out: &mut Vec<u8>, at: SimTime, event: HeartbeatEvent) {
     push_u64(out, at.as_millis());
     out.push(b'|');
@@ -841,43 +634,6 @@ pub fn decode_beat(line: &[u8]) -> Result<(SimTime, HeartbeatEvent), ParseDefect
     }
 }
 
-/// Decodes the beats line at the start of `buf` in place when it has
-/// the shape the logger writes: 1–19 digits (never past `u64::MAX`),
-/// `|`, a whole token, then `\n` or the end of the buffer. Returns the
-/// beat and the bytes it spans, newline included; `None` for any other
-/// line, which [`decode_beat`] then classifies after the caller cuts
-/// it at its newline. Agrees with [`decode_beat`] on every line it
-/// accepts.
-pub(crate) fn decode_canonical_beat(buf: &[u8]) -> Option<(SimTime, HeartbeatEvent, usize)> {
-    // Plain indexed loops: this runs once per beat, and unoptimized
-    // test builds pay for every iterator adapter call.
-    let mut ms = 0u64;
-    let mut i = 0;
-    while i < buf.len() && buf[i].is_ascii_digit() {
-        if i == 19 {
-            return None;
-        }
-        ms = ms * 10 + u64::from(buf[i] - b'0');
-        i += 1;
-    }
-    if i == 0 || i == buf.len() || buf[i] != b'|' {
-        return None;
-    }
-    let rest = &buf[i + 1..];
-    for event in HeartbeatEvent::ALL {
-        let token = event.token().as_bytes();
-        if rest.starts_with(token) {
-            let end = i + 1 + token.len();
-            return match buf.get(end) {
-                None => Some((SimTime::from_millis(ms), event, end)),
-                Some(b'\n') => Some((SimTime::from_millis(ms), event, end + 1)),
-                Some(_) => None,
-            };
-        }
-    }
-    None
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -893,12 +649,45 @@ mod tests {
         })
     }
 
+    fn sample_boot() -> LogRecord {
+        LogRecord::Boot(BootRecord {
+            boot_at: SimTime::from_secs(1000),
+            last_event: HeartbeatEvent::Reboot,
+            last_event_at: SimTime::from_secs(900),
+            off_duration: Some(SimDuration::from_secs(82)),
+            freeze_detected: false,
+        })
+    }
+
+    /// The record's line, as the logger writes it.
+    fn encode(rec: &LogRecord) -> String {
+        let mut buf = Vec::new();
+        rec.encode_into(&mut buf);
+        String::from_utf8(buf).unwrap()
+    }
+
+    /// Whether `line` decodes to exactly `rec`.
+    fn decodes_to(line: &str, rec: &LogRecord) -> bool {
+        match (RecordRef::decode(line), rec) {
+            (Ok(RecordRef::Panic(r)), LogRecord::Panic(p)) => {
+                r.at == p.at
+                    && Panic::new(r.code, r.raised_by, r.reason) == p.panic
+                    && r.apps().eq(p.running_apps.iter().map(String::as_str))
+                    && r.activity == p.activity
+                    && r.battery == p.battery
+            }
+            (Ok(RecordRef::Boot(r)), LogRecord::Boot(b)) => r == *b,
+            _ => false,
+        }
+    }
+
     #[test]
     fn panic_record_round_trip() {
         let rec = sample_panic();
-        let line = rec.encode();
-        assert_eq!(LogRecord::decode(&line).unwrap(), rec);
+        let line = encode(&rec);
+        assert!(decodes_to(&line, &rec));
         assert!(line.starts_with("P|123456|KERN-EXEC~3|Camera|V|67|Camera,Log|"));
+        assert_eq!(RecordRef::decode(&line).unwrap().at(), rec.at());
     }
 
     #[test]
@@ -910,12 +699,14 @@ mod tests {
             activity: None,
             battery: 0,
         });
-        let round = LogRecord::decode(&rec.encode()).unwrap();
-        assert_eq!(round, rec);
-        if let LogRecord::Panic(p) = round {
-            assert!(p.running_apps.is_empty());
-            assert!(p.activity.is_none());
-        }
+        let line = encode(&rec);
+        assert!(decodes_to(&line, &rec));
+        let RecordRef::Panic(p) = RecordRef::decode(&line).unwrap() else {
+            panic!("expected panic record");
+        };
+        assert_eq!(p.apps, "");
+        assert_eq!(p.apps().count(), 0, "empty field, no apps");
+        assert!(p.activity.is_none());
     }
 
     #[test]
@@ -932,14 +723,14 @@ mod tests {
                 off_duration: off,
                 freeze_detected: freeze,
             });
-            assert_eq!(LogRecord::decode(&rec.encode()).unwrap(), rec);
+            assert!(decodes_to(&encode(&rec), &rec));
         }
+        assert!(decodes_to(&encode(&sample_boot()), &sample_boot()));
     }
 
     #[test]
     fn decode_rejects_malformed_lines() {
         for bad in [
-            "",
             "X|1|2",
             "P|notanumber|KERN-EXEC~3|a|-|5||r",
             "P|1|KERN-EXEC-3|a|-|5||r",
@@ -949,36 +740,51 @@ mod tests {
             "B|1|ALIVE|2|-|7",
             "B|1|ALIVE|2|xx|1",
         ] {
-            assert!(LogRecord::decode(bad).is_err(), "{bad:?} should fail");
+            // Checksummed, so the payload itself is what fails.
+            let line = format!("{bad}|c{:04x}", line_checksum(bad));
+            assert!(RecordRef::decode(&line).is_err(), "{line:?} should fail");
+            assert!(RecordRef::decode(bad).is_err(), "{bad:?} should fail");
         }
+        assert!(RecordRef::decode("").is_err());
     }
 
     #[test]
     fn encode_appends_checksum_trailer() {
-        let line = sample_panic().encode();
+        let line = encode(&sample_panic());
         let (payload, trailer) = line.rsplit_once('|').unwrap();
         assert!(is_checksum_shaped(trailer), "trailer {trailer:?}");
         assert_eq!(trailer, format!("c{:04x}", line_checksum(payload)));
     }
 
     #[test]
+    fn encode_into_appends_after_existing_content() {
+        let mut buf = b"prefix".to_vec();
+        sample_panic().encode_into(&mut buf);
+        assert_eq!(
+            &buf[6..],
+            encode(&sample_panic()).as_bytes(),
+            "appends after existing content, checksum unaffected"
+        );
+    }
+
+    #[test]
     fn decode_classifies_truncation() {
-        let line = sample_panic().encode();
+        let line = encode(&sample_panic());
         // Any cut that removes at least one byte destroys the cXXXX
         // trailer shape.
         for cut in 1..line.len() {
-            let got = LogRecord::decode(&line[..line.len() - cut]).unwrap_err();
+            let got = RecordRef::decode(&line[..line.len() - cut]).unwrap_err();
             assert_eq!(got.defect, ParseDefect::Truncated, "cut {cut}");
         }
     }
 
     #[test]
     fn decode_classifies_garbled_payload() {
-        let line = sample_panic().encode();
+        let line = encode(&sample_panic());
         let mut bytes = line.clone().into_bytes();
         bytes[2] ^= 0x01; // flip one payload bit
         let garbled = String::from_utf8(bytes).unwrap();
-        let got = LogRecord::decode(&garbled).unwrap_err();
+        let got = RecordRef::decode(&garbled).unwrap_err();
         assert_eq!(got.defect, ParseDefect::ChecksumMismatch);
         // Same for a flip that lands inside the checksum trailer's hex.
         let swapped = line.replace(
@@ -988,22 +794,23 @@ mod tests {
                 .map(|c| if c == '0' { '1' } else { '0' })
                 .collect::<String>(),
         );
-        assert!(LogRecord::decode(&swapped).is_err());
+        assert!(RecordRef::decode(&swapped).is_err());
     }
 
     #[test]
     fn decode_classifies_unknown_tag() {
         let payload = "X|123|whatever";
         let line = format!("{payload}|c{:04x}", line_checksum(payload));
-        let got = LogRecord::decode(&line).unwrap_err();
+        let got = RecordRef::decode(&line).unwrap_err();
         assert_eq!(got.defect, ParseDefect::UnknownTag);
     }
 
     #[test]
     fn beat_decode_classifies_cut_vs_unknown() {
-        let line = encode_beat(SimTime::from_secs(9), HeartbeatEvent::Reboot);
+        let mut line = Vec::new();
+        encode_beat_into(&mut line, SimTime::from_secs(9), HeartbeatEvent::Reboot);
         for cut in 1..line.len() {
-            let got = decode_beat(&line.as_bytes()[..line.len() - cut]).unwrap_err();
+            let got = decode_beat(&line[..line.len() - cut]).unwrap_err();
             assert_eq!(got, ParseDefect::Truncated, "cut {cut}");
         }
         assert_eq!(decode_beat(b"12|NOPE"), Err(ParseDefect::UnknownTag));
@@ -1040,57 +847,12 @@ mod tests {
     }
 
     #[test]
-    fn canonical_beat_agrees_with_decode_beat() {
-        for line in [
-            "0|ALIVE",
-            "42|REBOOT\n7|MAOFF",
-            "1234567890123456789|LOWBT\n",
-            "12345678901234567890|ALIVE",
-            "+1|ALIVE",
-            "|ALIVE",
-            "1|ALIV",
-            "1|ALIVEX",
-            "1|ALIVE\r\n",
-            "1|alive",
-            "1|MAOFF|",
-        ] {
-            let buf = line.as_bytes();
-            let Some((at, event, used)) = decode_canonical_beat(buf) else {
-                continue;
-            };
-            let end = buf.iter().position(|&b| b == b'\n');
-            assert_eq!(used, end.map_or(buf.len(), |i| i + 1), "{line:?}");
-            let cut = &buf[..end.unwrap_or(buf.len())];
-            assert_eq!(decode_beat(cut), Ok((at, event)), "{line:?}");
-        }
-        assert!(decode_canonical_beat(b"12345678901234567890|ALIVE").is_none());
-        assert!(decode_canonical_beat(b"+1|ALIVE").is_none());
-        assert!(decode_canonical_beat(b"1|ALIVE\r\n").is_none());
-        assert_eq!(
-            decode_canonical_beat(b"1234567890123456789|LOWBT"),
-            Some((
-                SimTime::from_millis(1_234_567_890_123_456_789),
-                HeartbeatEvent::LowBattery,
-                25
-            ))
-        );
-    }
-
-    #[test]
-    fn at_accessor() {
-        assert_eq!(sample_panic().at(), SimTime::from_millis(123456));
-    }
-
-    #[test]
     fn beat_codec_round_trip() {
-        for ev in [
-            HeartbeatEvent::Alive,
-            HeartbeatEvent::Reboot,
-            HeartbeatEvent::ManualOff,
-            HeartbeatEvent::LowBattery,
-        ] {
-            let line = encode_beat(SimTime::from_secs(42), ev);
-            let (t, e) = decode_beat(line.as_bytes()).unwrap();
+        for ev in HeartbeatEvent::ALL {
+            let mut line = Vec::new();
+            encode_beat_into(&mut line, SimTime::from_secs(42), ev);
+            assert_eq!(line, format!("42000|{ev}").into_bytes());
+            let (t, e) = decode_beat(&line).unwrap();
             assert_eq!(t, SimTime::from_secs(42));
             assert_eq!(e, ev);
         }
@@ -1107,38 +869,6 @@ mod tests {
         assert_eq!(HeartbeatEvent::LowBattery.token(), "LOWBT");
     }
 
-    fn sample_boot() -> LogRecord {
-        LogRecord::Boot(BootRecord {
-            boot_at: SimTime::from_secs(1000),
-            last_event: HeartbeatEvent::Reboot,
-            last_event_at: SimTime::from_secs(900),
-            off_duration: Some(SimDuration::from_secs(82)),
-            freeze_detected: false,
-        })
-    }
-
-    #[test]
-    fn encode_into_matches_format_encoders() {
-        for rec in [sample_panic(), sample_boot()] {
-            let mut buf = Vec::new();
-            rec.encode_into(&mut buf);
-            assert_eq!(buf, rec.encode().into_bytes());
-        }
-        let mut buf = b"prefix".to_vec();
-        sample_panic().encode_into(&mut buf);
-        assert_eq!(
-            &buf[6..],
-            sample_panic().encode().as_bytes(),
-            "appends after existing content, checksum unaffected"
-        );
-        let mut beat = Vec::new();
-        encode_beat_into(&mut beat, SimTime::from_secs(42), HeartbeatEvent::ManualOff);
-        assert_eq!(
-            beat,
-            encode_beat(SimTime::from_secs(42), HeartbeatEvent::ManualOff).into_bytes()
-        );
-    }
-
     #[test]
     fn push_u64_matches_display() {
         // Every digit-count boundary: 10^k - 1, 10^k and 10^k + 1 for
@@ -1153,18 +883,8 @@ mod tests {
     }
 
     #[test]
-    fn record_ref_round_trips_owned_records() {
-        for rec in [sample_panic(), sample_boot()] {
-            let line = rec.encode();
-            let r = RecordRef::decode(&line).unwrap();
-            assert_eq!(r.to_owned_record(), rec);
-            assert_eq!(r.at(), rec.at());
-        }
-    }
-
-    #[test]
     fn record_ref_borrows_and_splits_apps() {
-        let line = sample_panic().encode();
+        let line = encode(&sample_panic());
         let RecordRef::Panic(p) = RecordRef::decode(&line).unwrap() else {
             panic!("expected panic record");
         };
@@ -1172,26 +892,12 @@ mod tests {
         assert_eq!(p.reason, "dereferenced NULL");
         assert_eq!(p.apps, "Camera,Log");
         assert_eq!(p.apps().collect::<Vec<_>>(), ["Camera", "Log"]);
-        // Empty apps field ⇒ empty iterator, like the owned decode.
-        let bare = LogRecord::Panic(PanicRecord {
-            at: SimTime::ZERO,
-            panic: Panic::new(codes::USER_11, "descriptor", "overflow"),
-            running_apps: Vec::new(),
-            activity: None,
-            battery: 0,
-        });
-        let line = bare.encode();
-        let RecordRef::Panic(p) = RecordRef::decode(&line).unwrap() else {
-            panic!("expected panic record");
-        };
-        assert_eq!(p.apps().count(), 0);
     }
 
     #[test]
     fn record_ref_handles_spaced_category() {
-        // "MSGS Client" contains a space; the owned path re-joins
-        // cat~ty with a space and rsplits, so the zero-copy path must
-        // reproduce that quirk exactly.
+        // "MSGS Client" contains a space: `cat~ty` must split as
+        // `PanicCode::parse` splits "{cat} {ty}", at the last space.
         let rec = LogRecord::Panic(PanicRecord {
             at: SimTime::from_millis(7),
             panic: Panic::new(
@@ -1203,33 +909,8 @@ mod tests {
             activity: None,
             battery: 50,
         });
-        let line = rec.encode();
+        let line = encode(&rec);
         assert!(line.contains("MSGS Client~11"));
-        assert_eq!(RecordRef::decode(&line).unwrap().to_owned_record(), rec);
-        assert_eq!(LogRecord::parse_owned(&line).unwrap(), rec);
-    }
-
-    #[test]
-    fn record_ref_classifies_like_owned_decode() {
-        let line = sample_panic().encode();
-        for cut in 1..line.len() {
-            let short = &line[..line.len() - cut];
-            let zc = RecordRef::decode(short).unwrap_err();
-            let owned = LogRecord::parse_owned(short).unwrap_err();
-            assert_eq!(zc.defect, owned.defect, "cut {cut}");
-        }
-        let mut bytes = line.clone().into_bytes();
-        bytes[2] ^= 0x01;
-        let garbled = String::from_utf8(bytes).unwrap();
-        assert_eq!(
-            RecordRef::decode(&garbled).unwrap_err().defect,
-            ParseDefect::ChecksumMismatch
-        );
-        let payload = "X|123|whatever";
-        let unknown = format!("{payload}|c{:04x}", line_checksum(payload));
-        assert_eq!(
-            RecordRef::decode(&unknown).unwrap_err().defect,
-            ParseDefect::UnknownTag
-        );
+        assert!(decodes_to(&line, &rec));
     }
 }

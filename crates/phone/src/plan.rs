@@ -28,6 +28,7 @@
 //! unchanged.
 
 use symfail_core::analysis::checkpoint::ShardTopology;
+use symfail_core::json::{self, Value};
 
 /// How a sharded run assigns phones to shards.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -145,6 +146,18 @@ impl ShardPlan {
             end,
         }
     }
+}
+
+/// The `phone_cost_start` and `phone_costs` of a `repro --timing-json`
+/// file (schema v7 on): the first phone's id and each phone's measured
+/// seconds from there, for [`BalanceMode::Measured`].
+pub fn phone_costs_from_json(text: &str) -> Result<(u64, Vec<f64>), String> {
+    let timing = json::parse(text).map_err(|e| e.to_string())?;
+    let start = timing.field("phone_cost_start", "an unsigned integer", Value::as_u64)?;
+    let costs = timing.field("phone_costs", "an array of finite numbers", |f| {
+        f.as_array()?.iter().map(Value::as_f64).collect()
+    })?;
+    Ok((start, costs))
 }
 
 fn sanitize(c: f64) -> f64 {

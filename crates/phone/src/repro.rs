@@ -67,6 +67,7 @@ use symfail_core::analysis::passes::{DeviceLabels, PassRegistry};
 use symfail_core::analysis::report::AnalysisConfig;
 use symfail_core::analysis::signature::{distinct_signatures, FailureSignature, MatchMode};
 use symfail_core::flashfs::FlashFs;
+use symfail_core::json::{self, Value};
 use symfail_core::logger::{files, LoggerFiles};
 use symfail_sim_core::SimRng;
 
@@ -451,80 +452,43 @@ impl ReproConfig {
         )
     }
 
-    /// Parses a config written by [`Self::to_json`].
+    /// Reads a config as [`Self::to_json`] writes it.
     pub fn parse_json(text: &str) -> Result<Self, String> {
-        let seed = json_u64(text, "seed").ok_or("repro config: missing seed")?;
-        let days = json_u64(text, "days").ok_or("repro config: missing days")?;
-        let days = u32::try_from(days).map_err(|_| "repro config: days out of range")?;
-        let channels = json_name_array(text, "channels")
-            .ok_or("repro config: missing channels")?
-            .iter()
-            .map(|name| {
-                FaultChannel::parse(name).ok_or(format!("repro config: unknown channel {name}"))
+        let err = |e| format!("repro config: {e}");
+        let v = json::parse(text).map_err(|e| err(e.to_string()))?;
+        let name = |key| v.field(key, "a string", Value::as_str).map_err(err);
+        let count = |key| {
+            v.field(key, "an unsigned integer", Value::as_u64)
+                .map_err(err)
+        };
+        let days = u32::try_from(count("days")?).map_err(|_| err("days out of range".into()))?;
+        let channels = v
+            .field("channels", "an array of strings", |f| {
+                f.as_array()?
+                    .iter()
+                    .map(Value::as_str)
+                    .collect::<Option<Vec<_>>>()
             })
-            .collect::<Result<Vec<_>, _>>()?;
-        let corruption_name =
-            json_name(text, "corruption").ok_or("repro config: missing corruption")?;
-        let corruption = CorruptionProfile::parse(&corruption_name).ok_or(format!(
-            "repro config: unknown corruption {corruption_name}"
-        ))?;
-        let mode_name = json_name(text, "match").ok_or("repro config: missing match mode")?;
-        let mode = MatchMode::parse(&mode_name)
-            .ok_or(format!("repro config: unknown match mode {mode_name}"))?;
-        let sig_at = text
-            .find("\"signature\":")
-            .ok_or("repro config: missing signature")?;
-        let mut signatures =
-            symfail_core::analysis::signature::signatures_from_json(&text[sig_at..])
-                .map_err(|e| format!("repro config: {e}"))?;
-        if signatures.len() != 1 {
-            return Err("repro config: expected exactly one signature".to_string());
-        }
+            .map_err(err)?;
+        let (corruption, mode) = (name("corruption")?, name("match")?);
         Ok(Self {
-            seed,
+            seed: count("seed")?,
             days,
-            channels,
-            corruption,
-            mode,
-            signature: signatures.remove(0),
+            channels: channels
+                .into_iter()
+                .map(|c| FaultChannel::parse(c).ok_or_else(|| err(format!("unknown channel {c}"))))
+                .collect::<Result<_, _>>()?,
+            corruption: CorruptionProfile::parse(corruption)
+                .ok_or_else(|| err(format!("unknown corruption {corruption}")))?,
+            mode: MatchMode::parse(mode)
+                .ok_or_else(|| err(format!("unknown match mode {mode}")))?,
+            signature: FailureSignature::from_json(
+                v.field("signature", "an object", Value::as_object)
+                    .map_err(err)?,
+            )
+            .map_err(err)?,
         })
     }
-}
-
-/// Reads a bare unsigned integer field from flat JSON text.
-fn json_u64(text: &str, key: &str) -> Option<u64> {
-    let pat = format!("\"{key}\":");
-    let at = text.find(&pat)? + pat.len();
-    let rest = text[at..].trim_start();
-    let end = rest
-        .find(|c: char| !c.is_ascii_digit())
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-/// Reads a quoted enum-name field (no escapes) from flat JSON text.
-fn json_name(text: &str, key: &str) -> Option<String> {
-    let pat = format!("\"{key}\":");
-    let at = text.find(&pat)? + pat.len();
-    let rest = text[at..].trim_start().strip_prefix('"')?;
-    Some(rest[..rest.find('"')?].to_string())
-}
-
-/// Reads an array of quoted enum names from flat JSON text.
-fn json_name_array(text: &str, key: &str) -> Option<Vec<String>> {
-    let pat = format!("\"{key}\":");
-    let at = text.find(&pat)? + pat.len();
-    let rest = text[at..].trim_start().strip_prefix('[')?;
-    let body = &rest[..rest.find(']')?];
-    let mut out = Vec::new();
-    for part in body.split(',') {
-        let part = part.trim();
-        if part.is_empty() {
-            continue;
-        }
-        out.push(part.strip_prefix('"')?.strip_suffix('"')?.to_string());
-    }
-    Some(out)
 }
 
 /// Tuning knobs of [`minimize`].

@@ -5,8 +5,10 @@
 # campaign's checkpoint, minimize one signature under a wall-clock
 # budget, and demand the emitted single-phone repro config is
 # replay-verified, within the day budget, and byte-identical on a
-# second run. Shares the temp-dir discipline of ci_gates.sh: an
-# aborted gate leaves no litter behind.
+# second run and from a reformatted copy of the catalog; a truncated
+# catalog must be refused with the byte offset where it breaks.
+# Shares the temp-dir discipline of ci_gates.sh: an aborted gate
+# leaves no litter behind.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 ROOT="$(pwd)"
@@ -52,5 +54,28 @@ echo "minimize_smoke: re-minimize must be byte-identical" >&2
 timeout "$BUDGET_SECS" "$BIN" minimize --signature-json sigs.json \
     --signature-index "$SIG_INDEX" --out min_b.json 2>/dev/null
 cmp min_a.json min_b.json
+
+echo "minimize_smoke: a reformatted catalog must minimize to the same bytes" >&2
+# Re-indent every line, put each signature's `{` and `"code"` on
+# separate lines, and space every `:` (no signature string holds `": `).
+sed -e 's/^ */&&/' -e 's/{"code"/{\n        "code"/g' -e 's/": /" : /g' \
+    sigs.json >sigs_reformatted.json
+if cmp -s sigs.json sigs_reformatted.json; then
+    echo "minimize_smoke: the reformatted catalog is unchanged" >&2
+    exit 1
+fi
+timeout "$BUDGET_SECS" "$BIN" minimize --signature-json sigs_reformatted.json \
+    --signature-index "$SIG_INDEX" --out min_c.json 2>/dev/null
+cmp min_a.json min_c.json
+
+echo "minimize_smoke: a truncated catalog must be refused at a byte position" >&2
+head -c "$(( $(wc -c <sigs.json) / 2 ))" sigs.json >sigs_cut.json
+if "$BIN" minimize --signature-json sigs_cut.json --signature-index "$SIG_INDEX" \
+    2>cut.log; then
+    echo "minimize_smoke: a truncated catalog was accepted" >&2
+    exit 1
+fi
+cat cut.log >&2
+grep -Eq '^sigs_cut\.json: invalid JSON at byte [0-9]+: ' cut.log
 
 echo "minimize_smoke: ok" >&2

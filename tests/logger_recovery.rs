@@ -133,7 +133,7 @@ fn raw_flash_lines_all_parse() {
         decode_beat(line.as_bytes()).expect("every beat line parses");
     }
     for line in fs.read_lines("log") {
-        symfail::core::records::LogRecord::decode(line).expect("every log line parses");
+        symfail::core::records::RecordRef::decode(line).expect("every log line parses");
     }
     assert!(fs.read_lines("log").count() > 10);
 }

@@ -1,5 +1,7 @@
 //! Property-based tests over the core invariants of the suite.
 
+mod oracle;
+
 use proptest::prelude::*;
 use proptest::test_runner::Config as ProptestConfig;
 
@@ -8,7 +10,7 @@ use symfail::core::analysis::dataset::{FleetDataset, HlEvent, HlKind, PhoneDatas
 use symfail::core::analysis::defects::PhoneDefects;
 use symfail::core::flashfs::FlashFs;
 use symfail::core::records::{
-    decode_beat, encode_beat, push_u64, BootRecord, HeartbeatEvent, LogRecord, PanicRecord,
+    decode_beat, encode_beat_into, push_u64, BootRecord, HeartbeatEvent, LogRecord, PanicRecord,
     ParseDefect, RecordRef,
 };
 use symfail::sim::{SimDuration, SimRng, SimTime};
@@ -253,7 +255,11 @@ proptest! {
             activity,
             battery,
         });
-        let decoded = LogRecord::decode(&rec.encode()).unwrap();
+        let mut line = Vec::new();
+        rec.encode_into(&mut line);
+        let line = String::from_utf8(line).unwrap();
+        prop_assert_eq!(&line, &oracle::encode(&rec));
+        let decoded = oracle::to_owned_record(&RecordRef::decode(&line).unwrap());
         prop_assert_eq!(decoded, rec);
     }
 
@@ -265,7 +271,10 @@ proptest! {
             HeartbeatEvent::ManualOff,
             HeartbeatEvent::LowBattery,
         ][which];
-        let (t, e) = decode_beat(encode_beat(SimTime::from_millis(at), ev).as_bytes()).unwrap();
+        let mut line = Vec::new();
+        encode_beat_into(&mut line, SimTime::from_millis(at), ev);
+        prop_assert_eq!(&line, oracle::encode_beat(SimTime::from_millis(at), ev).as_bytes());
+        let (t, e) = decode_beat(&line).unwrap();
         prop_assert_eq!(t, SimTime::from_millis(at));
         prop_assert_eq!(e, ev);
     }
@@ -294,10 +303,45 @@ proptest! {
     }
 }
 
+/// The writers append exactly the oracle's `format!` lines: a panic
+/// with context, a boot, a line appended after existing bytes (whose
+/// checksum covers only its own payload), and a beat.
+#[test]
+fn encode_into_matches_format_encoders() {
+    let panic = LogRecord::Panic(PanicRecord {
+        at: SimTime::from_millis(123456),
+        panic: Panic::new(codes::KERN_EXEC_3, "Camera", "dereferenced NULL"),
+        running_apps: vec!["Camera".into(), "Log".into()],
+        activity: Some(ActivityKind::VoiceCall),
+        battery: 67,
+    });
+    let boot = LogRecord::Boot(BootRecord {
+        boot_at: SimTime::from_secs(1000),
+        last_event: HeartbeatEvent::Reboot,
+        last_event_at: SimTime::from_secs(900),
+        off_duration: Some(SimDuration::from_secs(82)),
+        freeze_detected: false,
+    });
+    for rec in [&panic, &boot] {
+        let mut buf = Vec::new();
+        rec.encode_into(&mut buf);
+        assert_eq!(buf, oracle::encode(rec).into_bytes());
+    }
+    let mut buf = b"prefix".to_vec();
+    panic.encode_into(&mut buf);
+    assert_eq!(&buf[6..], oracle::encode(&panic).as_bytes());
+    let mut beat = Vec::new();
+    encode_beat_into(&mut beat, SimTime::from_secs(42), HeartbeatEvent::ManualOff);
+    assert_eq!(
+        beat,
+        oracle::encode_beat(SimTime::from_secs(42), HeartbeatEvent::ManualOff).into_bytes()
+    );
+}
+
 // ---------------------------------------------------------------
 // Zero-copy decode oracle: `RecordRef::decode` must agree with the
-// owned-String `LogRecord::parse_owned` path on every line — accepted
-// records value-identical, rejected lines carrying the same
+// owned-String decoder (`oracle::parse_owned`) on every line —
+// accepted records value-identical, rejected lines carrying the same
 // `ParseDefect` class — under arbitrary damage.
 // ---------------------------------------------------------------
 
@@ -325,7 +369,7 @@ proptest! {
         byte in 0x20u8..0x7f,
         garbage in "[ -~]{0,40}",
     ) {
-        let line = if is_boot == 1 {
+        let line = oracle::encode(&if is_boot == 1 {
             LogRecord::Boot(BootRecord {
                 boot_at: SimTime::from_millis(at + gap),
                 last_event: [
@@ -338,7 +382,6 @@ proptest! {
                 off_duration: (flags & 1 == 0).then(|| SimDuration::from_millis(off)),
                 freeze_detected: flags & 2 == 0,
             })
-            .encode()
         } else {
             LogRecord::Panic(PanicRecord {
                 at: SimTime::from_millis(at),
@@ -352,8 +395,7 @@ proptest! {
                 ][ev_which],
                 battery,
             })
-            .encode()
-        };
+        });
         // Encoded lines are pure ASCII, so the byte-level surgery
         // below stays valid UTF-8 and every index is a char boundary.
         prop_assert!(line.is_ascii());
@@ -374,16 +416,16 @@ proptest! {
             3 => garbage,
             _ => line,
         };
-        match (RecordRef::decode(&damaged), LogRecord::parse_owned(&damaged)) {
-            (Ok(r), Ok(o)) => prop_assert_eq!(r.to_owned_record(), o),
+        match (RecordRef::decode(&damaged), oracle::parse_owned(&damaged)) {
+            (Ok(r), Ok(o)) => prop_assert_eq!(oracle::to_owned_record(&r), o),
             (Err(z), Err(o)) => prop_assert_eq!(
-                z.defect, o.defect,
+                z.defect, o,
                 "defect class diverged on {:?}", damaged
             ),
             (z, o) => prop_assert!(
                 false,
                 "verdict diverged on {:?}: zero-copy {:?} vs owned {:?}",
-                damaged, z.map(|r| r.to_owned_record()), o
+                damaged, z.map(|r| oracle::to_owned_record(&r)), o
             ),
         }
     }

@@ -103,10 +103,11 @@ fn dataset(phone_id: u32, rows: &[Row], rot: usize) -> PhoneDataset {
 
 /// The phone [`records`] describes, as its consolidated log's bytes.
 fn log(rows: &[Row], rot: usize) -> Vec<u8> {
-    records(rows, rot)
-        .iter()
-        .flat_map(|rec| rec.encode().into_bytes().into_iter().chain([b'\n']))
-        .collect()
+    records(rows, rot).iter().fold(Vec::new(), |mut log, rec| {
+        rec.encode_into(&mut log);
+        log.push(b'\n');
+        log
+    })
 }
 
 /// The distinct-signature histogram of one phone, keyed for
