@@ -240,29 +240,6 @@ fn alloc_peak() -> u64 {
     ALLOC_PEAK.load(Ordering::Relaxed)
 }
 
-/// Which cost model the shard planner balances on (the CLI-facing
-/// selector; [`BalanceMode`] carries the resolved cost vector).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-enum Balance {
-    /// Fixed `i/N` formula split (the pre-planner behaviour).
-    #[default]
-    Uniform,
-    /// Static per-phone cost estimates from the campaign config.
-    Static,
-    /// Measured per-phone seconds from a `--costs-json` file.
-    Measured,
-}
-
-impl Balance {
-    fn as_str(self) -> &'static str {
-        match self {
-            Balance::Uniform => "uniform",
-            Balance::Static => "static",
-            Balance::Measured => "measured",
-        }
-    }
-}
-
 /// The remaining command-line arguments of one subcommand.
 type ArgIter<'a> = std::slice::Iter<'a, String>;
 
@@ -369,7 +346,7 @@ struct Args {
     mtbf_trace_json: Option<String>,
     shard: Option<ShardSpec>,
     /// `None` when `--balance` was not given: uniform.
-    balance: Option<Balance>,
+    balance: Option<BalanceMode>,
     costs_json: Option<String>,
 }
 
@@ -457,49 +434,53 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
             other => args.campaign.take(other, &mut it)?,
         }
     }
-    check_balance(args.balance.unwrap_or_default(), args.costs_json.as_deref())?;
+    check_balance(args.balance.as_ref(), args.costs_json.as_deref())?;
     Ok(args)
 }
 
-fn parse_balance(v: Option<&str>) -> Result<Balance, String> {
-    match v {
-        Some("uniform") => Ok(Balance::Uniform),
-        Some("static") => Ok(Balance::Static),
-        Some("measured") => Ok(Balance::Measured),
-        Some(other) => Err(format!(
-            "--balance needs uniform, static or measured, got {other}"
-        )),
-        None => Err("--balance needs uniform, static or measured".to_string()),
-    }
+/// Parses a `--balance` value by its [`BalanceMode::as_str`] label.
+/// `measured` comes back without costs: [`balance_mode`] reads them.
+fn parse_balance(v: Option<&str>) -> Result<BalanceMode, String> {
+    let modes = [
+        BalanceMode::Uniform,
+        BalanceMode::Static,
+        BalanceMode::Measured(Vec::new()),
+    ];
+    let v = v.ok_or("--balance needs uniform, static or measured")?;
+    modes
+        .into_iter()
+        .find(|mode| mode.as_str() == v)
+        .ok_or_else(|| format!("--balance needs uniform, static or measured, got {v}"))
 }
 
 /// Refuses a `--balance` / `--costs-json` pair that cannot go
 /// together: measured balancing needs the cost file, and the cost file
-/// means nothing to the other modes.
-fn check_balance(balance: Balance, costs_json: Option<&str>) -> Result<(), String> {
+/// means nothing to the other modes. `None` is uniform.
+fn check_balance(balance: Option<&BalanceMode>, costs_json: Option<&str>) -> Result<(), String> {
     match (balance, costs_json) {
-        (Balance::Measured, None) => Err("--balance measured needs --costs-json PATH".to_string()),
-        (Balance::Uniform | Balance::Static, Some(_)) => {
+        (Some(BalanceMode::Measured(_)), None) => {
+            Err("--balance measured needs --costs-json PATH".to_string())
+        }
+        (None | Some(BalanceMode::Uniform | BalanceMode::Static), Some(_)) => {
             Err("--costs-json only applies with --balance measured".to_string())
         }
         _ => Ok(()),
     }
 }
 
-/// Resolves the CLI balance selector into a [`BalanceMode`], reading
-/// and validating the measured cost vector when one is named.
+/// `balance` with the measured cost vector read and validated when it
+/// is `measured`.
 fn balance_mode(
-    balance: Balance,
+    balance: BalanceMode,
     costs_json: Option<&str>,
     phones: u32,
 ) -> Result<BalanceMode, String> {
     match balance {
-        Balance::Uniform => Ok(BalanceMode::Uniform),
-        Balance::Static => Ok(BalanceMode::Static),
-        Balance::Measured => {
+        BalanceMode::Measured(_) => {
             let path = costs_json.ok_or("--balance measured needs --costs-json PATH")?;
             Ok(BalanceMode::Measured(read_costs_json(path, phones)?))
         }
+        mode => Ok(mode),
     }
 }
 
@@ -565,7 +546,7 @@ fn run_campaign(
         alloc_counter: Some(thread_alloc_calls),
         shard: args.shard,
         balance: balance_mode(
-            args.balance.unwrap_or_default(),
+            args.balance.clone().unwrap_or_default(),
             args.costs_json.as_deref(),
             args.campaign.phones,
         )?,
@@ -665,7 +646,10 @@ fn timing_json(args: &Args, run: &StreamingRun, stage: &StageTiming) -> String {
         topology.count,
         shard_lo,
         shard_hi,
-        args.balance.unwrap_or_default().as_str(),
+        args.balance
+            .as_ref()
+            .unwrap_or(&BalanceMode::Uniform)
+            .as_str(),
         shard_plan.join(",\n"),
         phone_cost_start,
         phone_costs.join(", "),
@@ -853,7 +837,7 @@ fn merge_checkpoints_cmd(argv: &[String]) -> Result<String, String> {
 fn plan_shards_cmd(argv: &[String]) -> Result<String, String> {
     let mut flags = CampaignFlags::default();
     let mut shards: u32 = 0;
-    let mut balance = Balance::Static;
+    let mut balance = BalanceMode::Static;
     let mut costs_json: Option<String> = None;
     let mut it = argv.iter();
     while let Some(arg) = it.next() {
@@ -874,19 +858,16 @@ fn plan_shards_cmd(argv: &[String]) -> Result<String, String> {
     if shards == 0 {
         return Err("plan-shards needs --shards N (e.g. --shards 4)".to_string());
     }
-    check_balance(balance, costs_json.as_deref())?;
+    check_balance(Some(&balance), costs_json.as_deref())?;
     let phones = flags.phones;
     let mode = balance_mode(balance, costs_json.as_deref(), phones)?;
     let campaign = flags.campaign();
+    let plan = campaign.shard_plan(shards, &mode);
     // Cost the uniform comparison under the SAME vector the chosen
     // mode balances on, so the printed ratio is apples to apples.
     let costs = match &mode {
         BalanceMode::Measured(costs) => costs.clone(),
         _ => campaign.estimate_phone_costs(),
-    };
-    let plan = match balance {
-        Balance::Uniform => ShardPlan::uniform(&costs, shards),
-        _ => ShardPlan::from_costs(&costs, shards),
     };
     let uniform = ShardPlan::uniform(&costs, shards);
     let mut out = String::new();
@@ -897,7 +878,7 @@ fn plan_shards_cmd(argv: &[String]) -> Result<String, String> {
         flags.days,
         flags.corruption.as_str(),
         flags.fleet.spec_string(),
-        balance.as_str()
+        mode.as_str()
     );
     outln!(out, "  shard  interval            phones  predicted_cost");
     for i in 0..plan.count() {
@@ -912,7 +893,7 @@ fn plan_shards_cmd(argv: &[String]) -> Result<String, String> {
     let best = plan.max_predicted_cost();
     let flat = uniform.max_predicted_cost();
     outln!(out, "predicted max-shard cost: {}", fmt_cost(best));
-    if balance != Balance::Uniform && best > 0.0 {
+    if mode != BalanceMode::Uniform && best > 0.0 {
         outln!(
             out,
             "uniform i/N split would cost {} ({:.2}x the balanced critical path)",

@@ -114,13 +114,11 @@ impl AnalysisPass for ActivityPass {
     }
 
     fn snapshot(&self, acc: &Self::Acc, out: &mut ByteWriter) {
-        out.usize(acc.groups.len());
-        for (label, a) in &acc.groups {
-            out.str(label);
+        acc.snapshot(out, |out, a| {
             write_table(out, a.table());
             out.usize(a.total());
             out.usize(a.real_time);
-        }
+        });
     }
 
     fn restore(&self, src: &mut ByteReader<'_>) -> Result<Self::Acc, CheckpointError> {

@@ -70,16 +70,6 @@ pub fn phone_cascades(phone_id: u32, panics: &[PanicEvent], gap: SimDuration) ->
 }
 
 impl BurstAnalysis {
-    /// The detected cascades.
-    pub fn cascades(&self) -> &[Cascade] {
-        &self.cascades
-    }
-
-    /// Total number of panics in the dataset.
-    pub fn total_panics(&self) -> usize {
-        self.total_panics
-    }
-
     /// The Figure 3 series: fraction of *panics* (not cascades) that
     /// belong to a cascade of each size. Label "1" holds the isolated
     /// panics.
@@ -203,8 +193,8 @@ mod tests {
     #[test]
     fn isolated_panics_form_singleton_cascades() {
         let b = bursts(&[&[10, 500, 1000]]);
-        assert_eq!(b.cascades().len(), 3);
-        assert!(b.cascades().iter().all(|c| c.size == 1));
+        assert_eq!(b.cascades.len(), 3);
+        assert!(b.cascades.iter().all(|c| c.size == 1));
         assert_eq!(b.cascaded_fraction(), 0.0);
     }
 
@@ -212,24 +202,24 @@ mod tests {
     fn close_panics_cascade() {
         // 10,20,30 form one cascade of 3; 500 isolated.
         let b = bursts(&[&[10, 20, 30, 500]]);
-        let sizes: Vec<usize> = b.cascades().iter().map(|c| c.size).collect();
+        let sizes: Vec<usize> = b.cascades.iter().map(|c| c.size).collect();
         assert_eq!(sizes, vec![3, 1]);
-        assert_eq!(b.total_panics(), 4);
+        assert_eq!(b.total_panics, 4);
         assert!((b.cascaded_fraction() - 0.75).abs() < 1e-12);
     }
 
     #[test]
     fn gap_boundary_inclusive() {
         let b = bursts(&[&[0, 60]]);
-        assert_eq!(b.cascades().len(), 1);
+        assert_eq!(b.cascades.len(), 1);
         let b = bursts(&[&[0, 61]]);
-        assert_eq!(b.cascades().len(), 2);
+        assert_eq!(b.cascades.len(), 2);
     }
 
     #[test]
     fn cascades_do_not_cross_phones() {
         let b = bursts(&[&[0], &[10]]);
-        assert_eq!(b.cascades().len(), 2);
+        assert_eq!(b.cascades.len(), 2);
         assert_eq!(b.cascaded_fraction(), 0.0);
     }
 
@@ -245,7 +235,7 @@ mod tests {
     #[test]
     fn empty_dataset() {
         let b = bursts(&[]);
-        assert_eq!(b.total_panics(), 0);
+        assert_eq!(b.total_panics, 0);
         assert_eq!(b.cascaded_fraction(), 0.0);
     }
 }

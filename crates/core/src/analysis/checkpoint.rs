@@ -50,6 +50,7 @@
 //! distinguishable [`CheckpointError`] and a tampered file can never
 //! panic or silently resume.
 
+use std::collections::BTreeMap;
 use std::fmt;
 
 use symfail_stats::{CategoricalDist, ContingencyTable};
@@ -346,16 +347,6 @@ impl ByteWriter {
         Self::default()
     }
 
-    /// Bytes written so far.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// True when nothing has been written.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
     /// Consumes the writer, yielding the encoded bytes.
     pub fn into_bytes(self) -> Vec<u8> {
         self.buf
@@ -495,6 +486,26 @@ impl<'a> ByteReader<'a> {
 // are shared. Labels are written in the types' own (sorted) iteration
 // order, so equal values always encode to equal bytes.
 
+/// Reads a count, then that many keyed entries, refusing a repeated
+/// key as [`CheckpointError::Corrupt`] (`duplicate`). Every writer
+/// emits each key once, so a repeat is damage; folding it in would
+/// load a value whose re-encoding differs from the file.
+pub(super) fn read_map<K: Ord, V>(
+    r: &mut ByteReader<'_>,
+    duplicate: &'static str,
+    mut entry: impl FnMut(&mut ByteReader<'_>) -> Result<(K, V), CheckpointError>,
+) -> Result<BTreeMap<K, V>, CheckpointError> {
+    let n = r.usize()?;
+    let mut map = BTreeMap::new();
+    for _ in 0..n {
+        let (key, value) = entry(r)?;
+        if map.insert(key, value).is_some() {
+            return Err(CheckpointError::Corrupt(duplicate));
+        }
+    }
+    Ok(map)
+}
+
 pub(super) fn write_dist(w: &mut ByteWriter, d: &CategoricalDist) {
     let entries: Vec<(&str, u64)> = d.iter().collect();
     w.usize(entries.len());
@@ -505,11 +516,11 @@ pub(super) fn write_dist(w: &mut ByteWriter, d: &CategoricalDist) {
 }
 
 pub(super) fn read_dist(r: &mut ByteReader<'_>) -> Result<CategoricalDist, CheckpointError> {
-    let n = r.usize()?;
+    let counts = read_map(r, "duplicate distribution label", |r| {
+        Ok((r.str()?, r.u64()?))
+    })?;
     let mut d = CategoricalDist::new();
-    for _ in 0..n {
-        let label = r.str()?;
-        let count = r.u64()?;
+    for (label, count) in counts {
         d.add_n(label, count);
     }
     Ok(d)
@@ -526,12 +537,11 @@ pub(super) fn write_table(w: &mut ByteWriter, t: &ContingencyTable) {
 }
 
 pub(super) fn read_table(r: &mut ByteReader<'_>) -> Result<ContingencyTable, CheckpointError> {
-    let n = r.usize()?;
+    let cells = read_map(r, "duplicate table cell", |r| {
+        Ok(((r.str()?, r.str()?), r.u64()?))
+    })?;
     let mut t = ContingencyTable::new();
-    for _ in 0..n {
-        let row = r.str()?;
-        let col = r.str()?;
-        let count = r.u64()?;
+    for ((row, col), count) in cells {
         t.add_n(row, col, count);
     }
     Ok(t)
@@ -588,6 +598,52 @@ mod tests {
         let bytes = w.into_bytes();
         let mut r = ByteReader::new(&bytes);
         assert!(matches!(r.str(), Err(CheckpointError::Corrupt(_))));
+    }
+
+    /// A repeated distribution label or table cell is refused, even
+    /// where its counts would overflow a sum, and even after a zero
+    /// count; each first copy alone reads back.
+    #[test]
+    fn repeated_labels_and_cells_are_corrupt() {
+        let dist = |entries: &[(&str, u64)]| {
+            let mut w = ByteWriter::new();
+            w.usize(entries.len());
+            for &(label, n) in entries {
+                w.str(label);
+                w.u64(n);
+            }
+            w.into_bytes()
+        };
+        let table = |entries: &[(&str, &str, u64)]| {
+            let mut w = ByteWriter::new();
+            w.usize(entries.len());
+            for &(row, col, n) in entries {
+                w.str(row);
+                w.str(col);
+                w.u64(n);
+            }
+            w.into_bytes()
+        };
+        let read_d = |bytes: Vec<u8>| read_dist(&mut ByteReader::new(&bytes));
+        let read_t = |bytes: Vec<u8>| read_table(&mut ByteReader::new(&bytes));
+        let dup_label = Err(CheckpointError::Corrupt("duplicate distribution label"));
+        let dup_cell = Err(CheckpointError::Corrupt("duplicate table cell"));
+
+        assert_eq!(read_d(dist(&[("a", u64::MAX), ("a", 1)])), dup_label);
+        assert_eq!(read_d(dist(&[("a", 0), ("b", 2), ("a", 3)])), dup_label);
+        let d = read_d(dist(&[("a", u64::MAX), ("b", 0)])).unwrap();
+        assert_eq!(d.iter().collect::<Vec<_>>(), [("a", u64::MAX), ("b", 0)]);
+
+        assert_eq!(
+            read_t(table(&[("r", "c", u64::MAX), ("r", "c", 1)])),
+            dup_cell
+        );
+        assert_eq!(
+            read_t(table(&[("r", "c", 0), ("r", "d", 1), ("r", "c", 0)])),
+            dup_cell
+        );
+        let t = read_t(table(&[("r", "c", u64::MAX), ("c", "r", 1)])).unwrap();
+        assert_eq!((t.count("r", "c"), t.count("c", "r")), (u64::MAX, 1));
     }
 
     #[test]

@@ -254,15 +254,6 @@ impl CoalescenceAnalysis {
         self.hl_with_panic
     }
 
-    /// Fraction of HL events that are isolated (no panic near them) —
-    /// the failures whose low-level cause left no panic trace.
-    pub fn isolated_hl_fraction(&self) -> f64 {
-        if self.hl_total == 0 {
-            return 0.0;
-        }
-        (self.hl_total - self.hl_with_panic) as f64 / self.hl_total as f64
-    }
-
     /// Figure 5a: per panic category, how many panics related to an HL
     /// event vs stayed isolated. Returns `(related, isolated)`
     /// distributions keyed by category string.
@@ -396,14 +387,6 @@ impl CoalescenceGaps {
     pub fn hl_with_panic(&self, window: SimDuration) -> usize {
         self.hl_gaps_ms
             .partition_point(|&g| g <= window.as_millis())
-    }
-
-    /// Fraction of HL events with no panic within `window`.
-    pub fn isolated_hl_fraction(&self, window: SimDuration) -> f64 {
-        if self.hl_gaps_ms.is_empty() {
-            return 0.0;
-        }
-        (self.hl_gaps_ms.len() - self.hl_with_panic(window)) as f64 / self.hl_gaps_ms.len() as f64
     }
 }
 
@@ -659,7 +642,6 @@ mod tests {
         assert_eq!(a.related_fraction(), 1.0);
         assert_eq!(a.panics()[0].related, Some(HlKind::Freeze));
         assert_eq!(a.hl_with_panic(), 1);
-        assert_eq!(a.isolated_hl_fraction(), 0.0);
         assert_matches_brute(&f, &events, COALESCENCE_WINDOW);
     }
 
@@ -674,7 +656,7 @@ mod tests {
         let far = [hl(0, 1000 + 301, HlKind::Freeze)];
         let a = coalesce(&f, &far, COALESCENCE_WINDOW);
         assert_eq!(a.related_fraction(), 0.0);
-        assert_eq!(a.isolated_hl_fraction(), 1.0);
+        assert_eq!(a.hl_with_panic(), 0);
         assert_matches_brute(&f, &before, COALESCENCE_WINDOW);
         assert_matches_brute(&f, &far, COALESCENCE_WINDOW);
     }
@@ -776,10 +758,6 @@ mod tests {
             let full = coalesce(&f, &events, window);
             assert_eq!(gaps.related_fraction(window), full.related_fraction());
             assert_eq!(gaps.hl_with_panic(window), full.hl_with_panic());
-            assert_eq!(
-                gaps.isolated_hl_fraction(window),
-                full.isolated_hl_fraction()
-            );
         }
     }
 
@@ -787,10 +765,9 @@ mod tests {
     fn empty_inputs() {
         let a = CoalescenceAnalysis::default();
         assert_eq!(a.related_fraction(), 0.0);
-        assert_eq!(a.isolated_hl_fraction(), 0.0);
         assert_eq!(a.hl_total(), 0);
         let gaps = CoalescenceGaps::new(&a, &[]);
         assert_eq!(gaps.related_fraction(COALESCENCE_WINDOW), 0.0);
-        assert_eq!(gaps.isolated_hl_fraction(COALESCENCE_WINDOW), 0.0);
+        assert_eq!(gaps.hl_with_panic(COALESCENCE_WINDOW), 0);
     }
 }

@@ -695,16 +695,6 @@ impl FleetDataset {
         }
     }
 
-    /// Number of phones.
-    pub fn len(&self) -> usize {
-        self.phones.len()
-    }
-
-    /// True when the fleet is empty.
-    pub fn is_empty(&self) -> bool {
-        self.phones.is_empty()
-    }
-
     /// Per-phone datasets, in harvest order.
     pub fn phones(&self) -> &[PhoneDataset] {
         &self.phones
@@ -826,9 +816,8 @@ mod tests {
         let a = session();
         let b = session();
         let fleet = FleetDataset::from_phones(vec![a, b]);
-        assert_eq!(fleet.len(), 2);
+        assert_eq!(fleet.phones().len(), 2);
         assert_eq!(fleet.panics().len(), 2);
-        assert!(!fleet.is_empty());
         let report = StudyReport::analyze(&fleet, AnalysisConfig::default());
         assert_eq!(report.shutdowns.all_events().len(), 2);
         assert_eq!(report.mtbf.freezes, 2);

@@ -12,7 +12,9 @@ use std::collections::BTreeMap;
 
 use symfail_stats::ContingencyTable;
 
-use super::checkpoint::{read_table, write_table, ByteReader, ByteWriter, CheckpointError};
+use super::checkpoint::{
+    read_map, read_table, write_table, ByteReader, ByteWriter, CheckpointError,
+};
 use super::passes::{AnalysisPass, PhoneLens};
 use super::report::StudyReport;
 
@@ -76,18 +78,10 @@ impl AnalysisPass for FirmwarePass {
     }
 
     fn restore(&self, src: &mut ByteReader<'_>) -> Result<Self::Acc, CheckpointError> {
-        let n = src.usize()?;
-        let mut versions = BTreeMap::new();
-        for _ in 0..n {
-            let label = src.str()?;
-            let phones = src.u64()?;
-            let panics = src.u64()?;
-            if versions.insert(label, (phones, panics)).is_some() {
-                return Err(CheckpointError::Corrupt("duplicate firmware label"));
-            }
-        }
         Ok(FirmwareBreakdown {
-            versions,
+            versions: read_map(src, "duplicate firmware label", |r| {
+                Ok((r.str()?, (r.u64()?, r.u64()?)))
+            })?,
             class_failures: read_table(src)?,
         })
     }

@@ -44,11 +44,6 @@ impl OutputFailureAnalysis {
         Self { reports, by_kind }
     }
 
-    /// All reports as `(phone, time, kind)`.
-    pub fn reports(&self) -> &[(u32, SimTime, UserReportKind)] {
-        &self.reports
-    }
-
     /// Number of reports.
     pub fn len(&self) -> usize {
         self.reports.len()
@@ -140,9 +135,9 @@ mod tests {
         assert_eq!(analysis.count_of(UserReportKind::UnstableBehavior), 0);
         assert!(!analysis.is_empty());
         // Sorted per phone, then time.
-        assert_eq!(analysis.reports()[0].0, 0);
+        assert_eq!(analysis.reports[0].0, 0);
         assert_eq!(
-            analysis.reports()[1],
+            analysis.reports[1],
             (1, SimTime::from_secs(5), UserReportKind::OutputFailure)
         );
     }

@@ -56,8 +56,8 @@ use symfail_sim_core::SimDuration;
 use super::activity::ActivityPass;
 use super::bursts::BurstsPass;
 use super::checkpoint::{
-    self, ByteReader, ByteWriter, CheckpointError, MergeError, ShardTopology, CHECKPOINT_MAGIC,
-    CHECKPOINT_SCHEMA_VERSION,
+    self, read_map, ByteReader, ByteWriter, CheckpointError, MergeError, ShardTopology,
+    CHECKPOINT_MAGIC, CHECKPOINT_SCHEMA_VERSION,
 };
 use super::coalesce::{coalesce_phone, CoalescePass, CoalescedPanic, CoalescenceAnalysis};
 use super::dataset::{HlEvent, HlKind, PhoneDataset, ShutdownEvent};
@@ -1269,20 +1269,24 @@ impl<A: Additive> Grouped<A> {
         (total, self.groups.into_iter().collect())
     }
 
+    /// Writes the grouped blob, each group's table through `write`.
+    pub(super) fn snapshot(&self, out: &mut ByteWriter, write: impl Fn(&mut ByteWriter, &A)) {
+        out.usize(self.groups.len());
+        for (label, a) in &self.groups {
+            out.str(label);
+            write(out, a);
+        }
+    }
+
+    /// Reads what [`Self::snapshot`] writes, each group's table through
+    /// `read`.
     pub(super) fn restore(
         src: &mut ByteReader<'_>,
         read: impl Fn(&mut ByteReader<'_>) -> Result<A, CheckpointError>,
     ) -> Result<Self, CheckpointError> {
-        let n = src.usize()?;
-        let mut grouped = Self::default();
-        for _ in 0..n {
-            let label = src.str()?;
-            let a = read(src)?;
-            if grouped.groups.insert(label, a).is_some() {
-                return Err(CheckpointError::Corrupt("duplicate group label"));
-            }
-        }
-        Ok(grouped)
+        Ok(Self {
+            groups: read_map(src, "duplicate group label", |r| Ok((r.str()?, read(r)?)))?,
+        })
     }
 }
 
@@ -1526,6 +1530,51 @@ mod tests {
         assert_eq!(
             checkpoint_coalesced(&registry, config, 7, "default", &bytes).err(),
             Some(corrupt)
+        );
+    }
+
+    /// A re-sealed checkpoint whose `panics` blob repeats a label is
+    /// refused as corrupt, not summed into a distribution whose
+    /// re-encoding differs from the file; the same surgery without
+    /// the repeat resumes.
+    #[test]
+    fn repeated_panic_label_is_refused_as_corrupt() {
+        let registry = PassRegistry::select("panics").unwrap();
+        let config = AnalysisConfig::default();
+        let bytes = StreamMerger::new(&registry, config).snapshot(7, "default", TOPO);
+        let reseal = |labels: &[&str]| {
+            // The last 32 bytes are the empty `panics` blob (its length
+            // and its zero entry count), the pending-shard count and
+            // the checksum.
+            let mut blob = ByteWriter::new();
+            blob.usize(labels.len());
+            for label in labels {
+                blob.str(label);
+                blob.u64(u64::MAX);
+            }
+            let blob = blob.into_bytes();
+            let mut out = bytes[..bytes.len() - 32].to_vec();
+            out.extend_from_slice(&(blob.len() as u64).to_le_bytes());
+            out.extend_from_slice(&blob);
+            out.extend_from_slice(&0u64.to_le_bytes());
+            let checksum = checkpoint::fnv1a64(&out);
+            out.extend_from_slice(&checksum.to_le_bytes());
+            out
+        };
+        let distinct = reseal(&["KERN-EXEC 3", "USER 11"]);
+        let resumed = StreamMerger::resume(&registry, config, 7, "default", TOPO, &distinct);
+        assert_eq!(
+            resumed
+                .unwrap()
+                .finish()
+                .panic_distribution
+                .count("USER 11"),
+            u64::MAX
+        );
+        let repeated = reseal(&["KERN-EXEC 3", "USER 11", "KERN-EXEC 3"]);
+        assert_eq!(
+            StreamMerger::resume(&registry, config, 7, "default", TOPO, &repeated).err(),
+            Some(CheckpointError::Corrupt("duplicate distribution label"))
         );
     }
 

@@ -158,14 +158,12 @@ impl AnalysisPass for RunningAppsPass {
     }
 
     fn snapshot(&self, acc: &Self::Acc, out: &mut ByteWriter) {
-        out.usize(acc.groups.len());
-        for (label, a) in &acc.groups {
-            out.str(label);
+        acc.snapshot(out, |out, a| {
             write_dist(out, a.concurrency());
             write_table(out, a.table());
             write_dist(out, &a.app_share);
             out.usize(a.total_panics());
-        }
+        });
     }
 
     fn restore(&self, src: &mut ByteReader<'_>) -> Result<Self::Acc, CheckpointError> {

@@ -13,38 +13,11 @@
 
 use serde::{Deserialize, Serialize};
 
-use symfail_stats::CategoricalDist;
-
-/// Severity grade of one detected failure (user-recovery scale).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum FailureSeverity {
-    /// Recovery needed the service center (not auto-detectable; the
-    /// logger never produces this grade — it exists for completeness
-    /// with the Section 4 scale).
-    High,
-    /// Recovery was a reboot or a battery pull.
-    Medium,
-    /// The failure recovered by itself.
-    Low,
-}
-
-impl FailureSeverity {
-    /// Label used in tables.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            FailureSeverity::High => "high",
-            FailureSeverity::Medium => "medium",
-            FailureSeverity::Low => "low",
-        }
-    }
-}
-
 /// Severity summary of a campaign, including the *user burden*: how
 /// many disruptive recoveries (battery pulls, unwanted reboots) the
 /// fleet's users performed per phone-month.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct SeverityAnalysis {
-    distribution: CategoricalDist,
     battery_pulls: usize,
     unwanted_reboots: usize,
     burden_per_phone_month: Option<f64>,
@@ -57,24 +30,13 @@ impl SeverityAnalysis {
     /// [`StudyReport`](super::report::StudyReport)'s MTBF section
     /// carries all three.
     pub fn from_counts(battery_pulls: usize, unwanted_reboots: usize, total_hours: f64) -> Self {
-        let mut distribution = CategoricalDist::new();
-        distribution.add_n(
-            FailureSeverity::Medium.as_str(),
-            (battery_pulls + unwanted_reboots) as u64,
-        );
         let burden_per_phone_month = (total_hours > 0.0)
             .then(|| (battery_pulls + unwanted_reboots) as f64 / (total_hours / (30.44 * 24.0)));
         Self {
-            distribution,
             battery_pulls,
             unwanted_reboots,
             burden_per_phone_month,
         }
-    }
-
-    /// Severity distribution of the detected failures.
-    pub fn distribution(&self) -> &CategoricalDist {
-        &self.distribution
     }
 
     /// Freezes, i.e. battery pulls the users performed.
@@ -148,8 +110,6 @@ mod tests {
         let s = severity(730.0);
         assert_eq!(s.battery_pulls(), 1);
         assert_eq!(s.unwanted_reboots(), 1);
-        assert_eq!(s.distribution().count("medium"), 2);
-        assert_eq!(s.distribution().count("high"), 0);
         // 730 h ≈ one phone-month: burden ≈ 2 per phone-month.
         let b = s.burden_per_phone_month().unwrap();
         assert!((b - 2.0).abs() < 0.05, "burden {b}");

@@ -166,7 +166,6 @@ impl BeatDigits {
 /// The heartbeat writer.
 #[derive(Debug, Clone, Default)]
 pub struct HeartbeatAo {
-    beats_written: u64,
     /// The last event emitted, with its time.
     last: Option<(SimTime, HeartbeatEvent)>,
     /// The last `ALIVE` line written, while it is the file's last line.
@@ -193,13 +192,12 @@ impl HeartbeatAo {
     /// last beat, and formats its timestamp otherwise. The bytes are
     /// exactly those of `n` single beats at the same times. The last
     /// timestamp must fit in a `u64`. With `fs` `None` (a log-only
-    /// logger) nothing is written, but the run is counted and its last
-    /// beat remembered all the same.
+    /// logger) nothing is written, but the run's last beat is
+    /// remembered all the same.
     pub fn beats(&mut self, fs: Option<&mut FlashFs>, first: SimTime, period: SimDuration, n: u32) {
         if n == 0 {
             return;
         }
-        self.beats_written += u64::from(n);
         self.last = Some((first + period * u64::from(n - 1), HeartbeatEvent::Alive));
         let Some(fs) = fs else { return };
         if self.step.ms != period.as_millis() {
@@ -242,12 +240,6 @@ impl HeartbeatAo {
     pub fn last_event(&self) -> Option<(SimTime, HeartbeatEvent)> {
         self.last
     }
-
-    /// Number of ALIVE beats emitted, whether or not written
-    /// (log-volume metric).
-    pub fn beats_written(&self) -> u64 {
-        self.beats_written
-    }
 }
 
 #[cfg(test)]
@@ -267,7 +259,6 @@ mod tests {
             Some((SimTime::from_secs(2), HeartbeatEvent::Alive))
         );
         hb.final_event(Some(&mut fs), SimTime::from_secs(3), HeartbeatEvent::Reboot);
-        assert_eq!(hb.beats_written(), 2);
         let events: Vec<HeartbeatEvent> = fs
             .read_lines(files::BEATS)
             .map(|l| decode_beat(l.as_bytes()).unwrap().1)

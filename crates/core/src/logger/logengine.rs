@@ -14,14 +14,12 @@ use super::files;
 
 /// The activity mirror.
 #[derive(Debug, Clone, Default)]
-pub struct LogEngine {
-    records: u64,
-}
+pub struct LogEngine;
 
 impl LogEngine {
     /// Creates the active object.
     pub fn new() -> Self {
-        Self::default()
+        Self
     }
 
     /// Writes one activity line: `<start_ms>|<end_ms>|<code>`.
@@ -38,30 +36,6 @@ impl LogEngine {
             buf.push(b'|');
             buf.push(code as u8);
         });
-        self.records += 1;
-    }
-
-    /// Number of activity records written.
-    pub fn records(&self) -> u64 {
-        self.records
-    }
-
-    /// Parses every activity record from the file.
-    pub fn parse_all(fs: &FlashFs) -> Vec<(SimTime, SimTime, ActivityKind)> {
-        fs.read_lines(files::ACTIVITY)
-            .filter_map(|line| {
-                let mut it = line.split('|');
-                let start = SimTime::from_millis(it.next()?.parse().ok()?);
-                let end = SimTime::from_millis(it.next()?.parse().ok()?);
-                let kind = match it.next()? {
-                    "V" => ActivityKind::VoiceCall,
-                    "M" => ActivityKind::Message,
-                    "D" => ActivityKind::DataSession,
-                    _ => return None,
-                };
-                Some((start, end, kind))
-            })
-            .collect()
     }
 }
 
@@ -70,7 +44,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn record_and_parse() {
+    fn record_writes_one_line_per_activity() {
         let mut fs = FlashFs::new();
         let mut le = LogEngine::new();
         le.record(
@@ -85,10 +59,7 @@ mod tests {
             SimTime::from_secs(4),
             ActivityKind::DataSession,
         );
-        assert_eq!(le.records(), 2);
-        let all = LogEngine::parse_all(&fs);
-        assert_eq!(all.len(), 2);
-        assert_eq!(all[0].2, ActivityKind::VoiceCall);
-        assert_eq!(all[1].2, ActivityKind::DataSession);
+        let lines: Vec<&str> = fs.read_lines(files::ACTIVITY).collect();
+        assert_eq!(lines, ["1000|2000|V", "3000|4000|D"]);
     }
 }

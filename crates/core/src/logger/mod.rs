@@ -11,9 +11,8 @@
 //!   the `runapp` file;
 //! * [`LogEngine`] — collects phone activity (calls, messages) from
 //!   the Database Log Server into the `activity` file;
-//! * [`PowerManager`] — records battery status from the System Agent
-//!   Server into the `power` file, so low-battery shutdowns can be
-//!   told apart from failures;
+//! * [`PowerManager`] — records battery status (the System Agent
+//!   Server's, in the paper) into the `power` file;
 //! * [`PanicDetector`] — receives panic notifications (the `RDebug`
 //!   hook of the Kernel Server), consolidates the other AOs' data into
 //!   the single consolidated log file, and at boot inspects the last
@@ -238,11 +237,6 @@ impl FailureLogger {
         }
     }
 
-    /// The configuration in effect.
-    pub fn config(&self) -> LoggerConfig {
-        self.config
-    }
-
     /// Called when the phone (and thus the logger daemon) starts. The
     /// Panic Detector asks the Heartbeat AO for the previous session's
     /// last event to classify how it ended, then writes a boot record;
@@ -291,8 +285,8 @@ impl FailureLogger {
     /// that tick. `ctx` is sampled only then, so a caller that steps
     /// its state once per tick samples it only where a snapshot is
     /// written (never, unless the logger writes every file). The bytes
-    /// and counters equal those of `n` single [`Self::on_tick`] calls,
-    /// the snapshot counter included.
+    /// and the snapshot counter equal those of `n` single
+    /// [`Self::on_tick`] calls.
     ///
     /// # Panics
     ///
@@ -626,7 +620,7 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
         /// Tick runs cut at the snapshot ticks write the same `beats`,
-        /// `runapp` and `power` bytes, wear and logger counters as one
+        /// `runapp` and `power` bytes, wear and logger state as one
         /// `on_tick` per tick, across digit-count rollovers of the
         /// timestamp (…999 → 1…000, up to 20 digits), any period,
         /// snapshot cadence and starting snapshot phase.
@@ -705,7 +699,7 @@ mod tests {
         sessions: &[Session],
         cut: bool,
     ) -> Vec<u8> {
-        let period = lg.config().heartbeat_period.as_millis();
+        let period = lg.config.heartbeat_period.as_millis();
         let p = Panic::new(codes::KERN_EXEC_3, "Messages", "dereferenced NULL");
         let mut want = Vec::new();
         let mut line = |at: u64, event| {
@@ -758,12 +752,12 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(256))]
         /// A logger that writes no sampled file takes each advance as
         /// one uncut run and writes the `log` and `beats` bytes, and
-        /// keeps the counters and last event, of a full logger cut at
-        /// every snapshot tick; and its beats, whose digits continue
-        /// from run to run, are the lines the encoder formats one by
-        /// one, across gaps, freezes, final events and reboots — a gap
-        /// of 0 boots one period after the last beat, where the digits
-        /// continue across the reboot.
+        /// keeps the last event and snapshot counter, of a full logger
+        /// cut at every snapshot tick; and its beats, whose digits
+        /// continue from run to run, are the lines the encoder formats
+        /// one by one, across gaps, freezes, final events and reboots —
+        /// a gap of 0 boots one period after the last beat, where the
+        /// digits continue across the reboot.
         #[test]
         fn uncut_runs_write_what_cut_runs_write(
             start in prop_oneof![
@@ -800,7 +794,6 @@ mod tests {
                         "{:?} {}", written, file
                     );
                 }
-                prop_assert_eq!(lg.heartbeat.beats_written(), full.heartbeat.beats_written());
                 prop_assert_eq!(lg.heartbeat.last_event(), full.heartbeat.last_event());
                 prop_assert_eq!(lg.ticks_since_snapshot, full.ticks_since_snapshot);
             }

@@ -32,19 +32,12 @@ use super::{files, PhoneContext};
 
 /// The panic collector and boot-time classifier.
 #[derive(Debug, Clone, Default)]
-pub struct PanicDetector {
-    panics_recorded: u64,
-}
+pub struct PanicDetector;
 
 impl PanicDetector {
     /// Creates the active object.
     pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Number of panic records written.
-    pub fn panics_recorded(&self) -> u64 {
-        self.panics_recorded
+        Self
     }
 
     /// Consolidates a notified panic with the context sampled from the
@@ -68,7 +61,6 @@ impl PanicDetector {
                 ctx.battery_percent,
             );
         });
-        self.panics_recorded += 1;
     }
 
     /// The boot-time heartbeat check. Writes a [`BootRecord`]
@@ -171,7 +163,6 @@ mod tests {
             PhoneContext::default(),
             None,
         );
-        assert_eq!(pd.panics_recorded(), 1);
         assert!(fs
             .last_line(files::LOG)
             .unwrap()

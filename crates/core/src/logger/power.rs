@@ -1,9 +1,11 @@
 //! The Power Manager active object.
 //!
-//! Records battery status (gathered from the System Agent Server)
-//! into the `power` file, enabling the analysis to differentiate
-//! self-shutdowns due to failures from those due to a drained
-//! battery.
+//! Records battery status (gathered from the System Agent Server in
+//! the paper, from the [`super::PhoneContext`] here) into the `power`
+//! file. Nothing reads the file back: the Panic Detector takes the
+//! battery level from the context, and the analysis tells low-battery
+//! shutdowns apart from failures by the `LOWBT` event in the boot
+//! records of the consolidated log.
 
 use symfail_sim_core::SimTime;
 
@@ -14,14 +16,12 @@ use super::files;
 
 /// The battery-status sampler.
 #[derive(Debug, Clone, Default)]
-pub struct PowerManager {
-    samples: u64,
-}
+pub struct PowerManager;
 
 impl PowerManager {
     /// Creates the active object.
     pub fn new() -> Self {
-        Self::default()
+        Self
     }
 
     /// Writes one sample line: `<ms>|<percent>|<LOW or OK>`.
@@ -33,26 +33,6 @@ impl PowerManager {
             buf.push(b'|');
             buf.extend_from_slice(if low { b"LOW" } else { b"OK" });
         });
-        self.samples += 1;
-    }
-
-    /// Number of samples written.
-    pub fn samples(&self) -> u64 {
-        self.samples
-    }
-
-    /// Parses the most recent battery sample.
-    pub fn latest(fs: &FlashFs) -> Option<(SimTime, u8, bool)> {
-        let line = fs.last_line(files::POWER)?;
-        let mut it = line.split('|');
-        let at = SimTime::from_millis(it.next()?.parse().ok()?);
-        let pct: u8 = it.next()?.parse().ok()?;
-        let low = match it.next()? {
-            "LOW" => true,
-            "OK" => false,
-            _ => return None,
-        };
-        Some((at, pct, low))
     }
 }
 
@@ -61,20 +41,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn sample_round_trip() {
+    fn snapshot_writes_one_line_per_sample() {
         let mut fs = FlashFs::new();
         let mut pm = PowerManager::new();
         pm.snapshot(&mut fs, SimTime::from_secs(9), 42, false);
         pm.snapshot(&mut fs, SimTime::from_secs(10), 4, true);
-        assert_eq!(pm.samples(), 2);
-        let (at, pct, low) = PowerManager::latest(&fs).unwrap();
-        assert_eq!(at, SimTime::from_secs(10));
-        assert_eq!(pct, 4);
-        assert!(low);
-    }
-
-    #[test]
-    fn latest_on_empty_is_none() {
-        assert!(PowerManager::latest(&FlashFs::new()).is_none());
+        let lines: Vec<&str> = fs.read_lines(files::POWER).collect();
+        assert_eq!(lines, ["9000|42|OK", "10000|4|LOW"]);
     }
 }

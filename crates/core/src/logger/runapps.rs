@@ -2,9 +2,10 @@
 //!
 //! Periodically stores the list of applications running on the phone
 //! (obtained from the Application Architecture Server) into the
-//! `runapp` file. At panic time the Panic Detector folds the freshest
-//! snapshot into the consolidated record — this is what makes the
-//! Table 4 / Figure 6 analyses possible.
+//! `runapp` file. Nothing reads the file back: at panic time the Panic
+//! Detector takes the running list from the [`super::PhoneContext`]
+//! and writes it into the consolidated record, which is what the
+//! Table 4 / Figure 6 analyses read.
 
 use symfail_sim_core::SimTime;
 
@@ -15,14 +16,12 @@ use super::files;
 
 /// The running-applications snapshotter.
 #[derive(Debug, Clone, Default)]
-pub struct RunningAppsDetector {
-    snapshots: u64,
-}
+pub struct RunningAppsDetector;
 
 impl RunningAppsDetector {
     /// Creates the active object.
     pub fn new() -> Self {
-        Self::default()
+        Self
     }
 
     /// Writes one snapshot line: `<ms>|app1,app2,…`.
@@ -37,25 +36,6 @@ impl RunningAppsDetector {
                 buf.extend_from_slice(app.as_bytes());
             }
         });
-        self.snapshots += 1;
-    }
-
-    /// Number of snapshots taken.
-    pub fn snapshots(&self) -> u64 {
-        self.snapshots
-    }
-
-    /// Parses the most recent snapshot from the file.
-    pub fn latest(fs: &FlashFs) -> Option<(SimTime, Vec<String>)> {
-        let line = fs.last_line(files::RUNAPP)?;
-        let (ms, apps) = line.split_once('|')?;
-        let at = SimTime::from_millis(ms.parse().ok()?);
-        let list = if apps.is_empty() {
-            Vec::new()
-        } else {
-            apps.split(',').map(str::to_string).collect()
-        };
-        Some((at, list))
     }
 }
 
@@ -64,19 +44,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn snapshot_round_trip() {
+    fn snapshot_writes_one_line_per_call() {
         let mut fs = FlashFs::new();
         let mut det = RunningAppsDetector::new();
         det.snapshot(&mut fs, SimTime::from_secs(5), &["A", "B"]);
         det.snapshot(&mut fs, SimTime::from_secs(10), &[]);
-        assert_eq!(det.snapshots(), 2);
-        let (at, apps) = RunningAppsDetector::latest(&fs).unwrap();
-        assert_eq!(at, SimTime::from_secs(10));
-        assert!(apps.is_empty());
-    }
-
-    #[test]
-    fn latest_on_empty_fs_is_none() {
-        assert!(RunningAppsDetector::latest(&FlashFs::new()).is_none());
+        let lines: Vec<&str> = fs.read_lines(files::RUNAPP).collect();
+        assert_eq!(lines, ["5000|A,B", "10000|"]);
     }
 }

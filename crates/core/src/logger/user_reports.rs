@@ -72,19 +72,12 @@ impl UserReportKind {
 /// assert_eq!(UserReportChannel::parse(&fs).len(), 1);
 /// ```
 #[derive(Debug, Clone, Default)]
-pub struct UserReportChannel {
-    reports: u64,
-}
+pub struct UserReportChannel;
 
 impl UserReportChannel {
     /// Creates the channel.
     pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Number of reports filed.
-    pub fn reports(&self) -> u64 {
-        self.reports
+        Self
     }
 
     /// Files a user report.
@@ -93,7 +86,6 @@ impl UserReportChannel {
             UREPORT_FILE,
             &format!("{}|{}", now.as_millis(), kind.token()),
         );
-        self.reports += 1;
     }
 
     /// Parses the filed reports.
@@ -128,7 +120,6 @@ mod tests {
             SimTime::from_secs(9),
             UserReportKind::UnstableBehavior,
         );
-        assert_eq!(ch.reports(), 2);
         let parsed = UserReportChannel::parse(&fs);
         assert_eq!(
             parsed,

@@ -7,7 +7,9 @@
 //! `black_box`, and the `criterion_group!`/`criterion_main!` macros —
 //! backed by plain `Instant` timing. `cargo bench -- --test` runs each
 //! benchmark body once as a smoke pass, mirroring criterion's test
-//! mode. Statistical analysis and HTML reports are out of scope; each
+//! mode, and `cargo bench -- NAME` runs only the benchmarks whose
+//! `group/function` id contains `NAME`, as criterion's filter does.
+//! Statistical analysis and HTML reports are out of scope; each
 //! benchmark prints its median per-iteration time.
 
 use std::time::{Duration, Instant};
@@ -50,28 +52,45 @@ impl Default for Settings {
 }
 
 /// Benchmark driver. `--test` in the argv (as passed by
-/// `cargo bench -- --test`) switches to a single-shot smoke mode.
+/// `cargo bench -- --test`) switches to a single-shot smoke mode; the
+/// first argument that is not a flag filters benchmarks by id.
 pub struct Criterion {
     test_mode: bool,
+    filter: Option<String>,
     settings: Settings,
 }
 
 impl Default for Criterion {
     fn default() -> Self {
-        Criterion {
-            test_mode: std::env::args().any(|a| a == "--test"),
-            settings: Settings::default(),
-        }
+        Criterion::from_args(std::env::args())
     }
 }
 
 impl Criterion {
+    /// The `Criterion` for a bench binary's argv (program name first).
+    fn from_args(args: impl IntoIterator<Item = String>) -> Self {
+        let mut test_mode = false;
+        let mut filter = None;
+        for arg in args.into_iter().skip(1) {
+            if arg == "--test" {
+                test_mode = true;
+            } else if !arg.starts_with('-') && filter.is_none() {
+                filter = Some(arg);
+            }
+        }
+        Criterion {
+            test_mode,
+            filter,
+            settings: Settings::default(),
+        }
+    }
+
     pub fn benchmark_group(&mut self, name: impl Into<String>) -> BenchmarkGroup<'_> {
         BenchmarkGroup {
             name: name.into(),
             test_mode: self.test_mode,
+            filter: self.filter.as_deref(),
             settings: self.settings,
-            _parent: std::marker::PhantomData,
         }
     }
 
@@ -80,16 +99,25 @@ impl Criterion {
         name: impl Into<String>,
         f: impl FnMut(&mut Bencher),
     ) -> &mut Self {
-        run_benchmark(&name.into(), self.test_mode, self.settings, f);
+        let id = name.into();
+        if selected(self.filter.as_deref(), &id) {
+            run_benchmark(&id, self.test_mode, self.settings, f);
+        }
         self
     }
+}
+
+/// Whether benchmark `id` passes the name filter: a substring match,
+/// as criterion's is.
+fn selected(filter: Option<&str>, id: &str) -> bool {
+    filter.is_none_or(|f| id.contains(f))
 }
 
 pub struct BenchmarkGroup<'a> {
     name: String,
     test_mode: bool,
+    filter: Option<&'a str>,
     settings: Settings,
-    _parent: std::marker::PhantomData<&'a ()>,
 }
 
 impl BenchmarkGroup<'_> {
@@ -118,7 +146,9 @@ impl BenchmarkGroup<'_> {
         f: impl FnMut(&mut Bencher),
     ) -> &mut Self {
         let full = format!("{}/{}", self.name, name.into());
-        run_benchmark(&full, self.test_mode, self.settings, f);
+        if selected(self.filter, &full) {
+            run_benchmark(&full, self.test_mode, self.settings, f);
+        }
         self
     }
 
@@ -247,4 +277,60 @@ macro_rules! criterion_main {
             $( $group(); )+
         }
     };
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The ids a `Criterion` built from `argv` runs, out of two groups and
+    /// an ungrouped benchmark.
+    fn ran(argv: &[&str]) -> Vec<String> {
+        let mut c = Criterion::from_args(argv.iter().map(|a| a.to_string()));
+        assert!(c.test_mode, "every case runs in test mode");
+        let mut ran = Vec::new();
+        for group in ["parse", "corrupt"] {
+            let mut g = c.benchmark_group(group);
+            for name in ["clean_phone", "worst_phone"] {
+                g.bench_function(name, |b| {
+                    ran.push(format!("{group}/{name}"));
+                    b.iter(|| ());
+                });
+            }
+            g.finish();
+        }
+        c.bench_function("beats_parse", |b| {
+            ran.push("beats_parse".to_string());
+            b.iter(|| ());
+        });
+        ran
+    }
+
+    #[test]
+    fn first_non_flag_argument_filters_ids_by_substring() {
+        assert_eq!(
+            ran(&["bench", "--bench", "--test", "parse/clean"]),
+            ["parse/clean_phone"]
+        );
+        assert_eq!(
+            ran(&["bench", "--test", "worst", "parse"]),
+            ["parse/worst_phone", "corrupt/worst_phone"]
+        );
+        assert_eq!(ran(&["bench", "beats_parse", "--test"]), ["beats_parse"]);
+        assert!(ran(&["bench", "--test", "nothing"]).is_empty());
+    }
+
+    #[test]
+    fn without_a_filter_every_benchmark_runs() {
+        assert_eq!(
+            ran(&["bench", "--bench", "--test"]),
+            [
+                "parse/clean_phone",
+                "parse/worst_phone",
+                "corrupt/clean_phone",
+                "corrupt/worst_phone",
+                "beats_parse",
+            ]
+        );
+    }
 }

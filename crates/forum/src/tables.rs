@@ -73,24 +73,9 @@ impl ForumStudy {
         &self.table1
     }
 
-    /// Severity distribution over the classified failures.
-    pub fn severity(&self) -> &CategoricalDist {
-        &self.severity
-    }
-
-    /// Activity-mention distribution.
-    pub fn activity(&self) -> &CategoricalDist {
-        &self.activity
-    }
-
     /// Failure-type marginal distribution.
     pub fn failure_types(&self) -> &CategoricalDist {
         &self.failure_types
-    }
-
-    /// Total posts in the corpus.
-    pub fn total_posts(&self) -> usize {
-        self.total_posts
     }
 
     /// Posts classified as failures.
@@ -241,7 +226,7 @@ mod tests {
             "the classifier must agree with the ground truth on this corpus"
         );
         assert_eq!(s.failure_posts(), 466);
-        assert_eq!(s.total_posts(), 533);
+        assert_eq!(s.total_posts, 533);
     }
 
     #[test]
@@ -292,8 +277,8 @@ mod tests {
         let s = study();
         // service phone column total = high severity count
         let service_total: u64 = s.table1().col_total("service phone");
-        assert_eq!(s.severity().count("high"), service_total);
+        assert_eq!(s.severity.count("high"), service_total);
         let medium = s.table1().col_total("reboot") + s.table1().col_total("battery removal");
-        assert_eq!(s.severity().count("medium"), medium);
+        assert_eq!(s.severity.count("medium"), medium);
     }
 }

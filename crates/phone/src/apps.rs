@@ -80,11 +80,6 @@ pub const CATALOG: [AppSpec; 9] = [
     },
 ];
 
-/// Looks up an app by name.
-pub fn by_name(name: &str) -> Option<&'static AppSpec> {
-    CATALOG.iter().find(|a| a.name == name)
-}
-
 /// The launch weights, aligned with [`CATALOG`] order (built at
 /// compile time, so drawing an application allocates nothing).
 pub const LAUNCH_WEIGHTS: [f64; CATALOG.len()] = {
@@ -116,12 +111,6 @@ mod tests {
             .max_by(|a, b| a.launch_weight.partial_cmp(&b.launch_weight).unwrap())
             .unwrap();
         assert_eq!(max.name, "Messages");
-    }
-
-    #[test]
-    fn lookup() {
-        assert!(by_name("Camera").is_some());
-        assert!(by_name("Nope").is_none());
     }
 
     #[test]

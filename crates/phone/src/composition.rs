@@ -329,11 +329,6 @@ impl FleetComposition {
             .join(",")
     }
 
-    /// The `(class, share)` mix, canonical order.
-    pub fn shares(&self) -> &[(DeviceClass, f64)] {
-        &self.shares
-    }
-
     /// Stratified class assignment for phone `id` of `fleet` phones:
     /// the same fixed-coprime-permutation shape as
     /// [`SymbianVersion::assign`] (different constants, so class and
@@ -394,7 +389,7 @@ mod tests {
             *counts.entry(comp.assign(id, fleet)).or_insert(0u32) += 1;
         }
         assert_eq!(counts.len(), 3, "all classes present: {counts:?}");
-        for &(class, share) in comp.shares() {
+        for &(class, share) in &comp.shares {
             let expected = share * fleet as f64;
             let got = counts[&class] as f64;
             assert!(
@@ -431,7 +426,7 @@ mod tests {
     fn parse_round_trips_and_normalizes() {
         let comp = FleetComposition::parse("smartphone:2, communicator:2").unwrap();
         assert_eq!(
-            comp.shares(),
+            &comp.shares,
             &[
                 (DeviceClass::Communicator, 0.5),
                 (DeviceClass::Smartphone, 0.5)
@@ -449,7 +444,7 @@ mod tests {
         );
         // A zero-weight class drops out; a lone survivor owns it all.
         let solo = FleetComposition::parse("communicator:3,entry-level:0").unwrap();
-        assert_eq!(solo.shares(), &[(DeviceClass::Communicator, 1.0)]);
+        assert_eq!(solo.shares, &[(DeviceClass::Communicator, 1.0)]);
     }
 
     #[test]

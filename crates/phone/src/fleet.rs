@@ -256,14 +256,6 @@ impl ShardSpec {
         }
         Ok(Self { index, count })
     }
-
-    /// The uniform (`i/N` formula) topology of this shard over a
-    /// `fleet_phones`-phone campaign — the [`BalanceMode::Uniform`]
-    /// partition. Cost-balanced runs derive their topology from
-    /// [`FleetCampaign::shard_plan`] instead.
-    pub fn topology(self, fleet_phones: u32) -> ShardTopology {
-        ShardTopology::uniform(self.index, self.count, fleet_phones)
-    }
 }
 
 /// Per-worker counters from a streaming run, for throughput
@@ -394,11 +386,6 @@ impl FleetCampaign {
         self
     }
 
-    /// The fleet composition in effect.
-    pub fn composition(&self) -> &FleetComposition {
-        &self.composition
-    }
-
     /// Enables flash-log corruption injection on every harvested
     /// phone. Each phone's damage is drawn from its own fork of the
     /// campaign seed (`fork("corruption", id)`), so the parallel
@@ -406,11 +393,6 @@ impl FleetCampaign {
     pub fn with_corruption(mut self, profile: CorruptionProfile) -> Self {
         self.corruption = profile;
         self
-    }
-
-    /// The corruption profile in effect.
-    pub fn corruption(&self) -> CorruptionProfile {
-        self.corruption
     }
 
     /// The calibration parameters in use.
@@ -936,15 +918,6 @@ pub struct StreamingRun {
     pub plan: Option<ShardPlan>,
 }
 
-/// Aggregate injected-defect counters across a campaign.
-pub fn total_injected(metas: &[PhoneMeta]) -> InjectedDefects {
-    let mut total = InjectedDefects::default();
-    for m in metas {
-        total.merge(&m.injected);
-    }
-    total
-}
-
 /// Aggregate ground-truth counters across a campaign (validation only).
 pub fn total_stats(metas: &[PhoneMeta]) -> PhoneStats {
     let mut total = PhoneStats::default();
@@ -1107,7 +1080,7 @@ mod tests {
         let a = dirty.run();
         let b = clean.run();
         assert!(
-            total_injected(&harvest_metas(&a)).total_observable() > 0,
+            a.iter().map(|h| h.injected.total_observable()).sum::<u64>() > 0,
             "worst profile must inject something"
         );
         for (x, y) in a.iter().zip(&b) {
@@ -1227,7 +1200,7 @@ mod tests {
         let costs = mixed.estimate_phone_costs();
         let mean_of = |class: DeviceClass| {
             let picked: Vec<f64> = (0..params.phones)
-                .filter(|&id| mixed.composition().assign(id, params.phones) == class)
+                .filter(|&id| mixed.composition.assign(id, params.phones) == class)
                 .map(|id| costs[id as usize])
                 .collect();
             picked.iter().sum::<f64>() / picked.len() as f64
@@ -1289,7 +1262,7 @@ mod tests {
         files: LoggerFiles,
     ) -> PhoneHarvest {
         let (phone, full) = (c.run_phone(id, files, FlashFs::new()), c.run_single(id));
-        let ctx = format!("{} phone {id} writing {files:?}", c.corruption().as_str());
+        let ctx = format!("{} phone {id} writing {files:?}", c.corruption.as_str());
         for file in phone.flashfs.file_names() {
             assert!(files.names().contains(&file), "{ctx}: wrote {file}");
         }

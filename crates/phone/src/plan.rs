@@ -115,11 +115,6 @@ impl ShardPlan {
         *self.cuts.last().expect("cuts never empty")
     }
 
-    /// The ascending cut points (`count + 1` of them).
-    pub fn cuts(&self) -> &[u32] {
-        &self.cuts
-    }
-
     /// The interval `[start, end)` of shard `index`.
     pub fn interval(&self, index: u32) -> (u32, u32) {
         (self.cuts[index as usize], self.cuts[index as usize + 1])
@@ -273,7 +268,7 @@ mod tests {
         ];
         for &(costs, count) in cases {
             let plan = ShardPlan::from_costs(costs, count);
-            assert_partition(plan.cuts(), count, costs.len() as u32);
+            assert_partition(&plan.cuts, count, costs.len() as u32);
             let best = brute_force_best(costs, count);
             let got = plan.max_predicted_cost();
             assert!(
@@ -290,7 +285,7 @@ mod tests {
         for count in [2, 4, 8] {
             let balanced = ShardPlan::from_costs(&costs, count);
             let uniform = ShardPlan::uniform(&costs, count);
-            assert_partition(balanced.cuts(), count, 1000);
+            assert_partition(&balanced.cuts, count, 1000);
             // At 2 shards the optimum is total/2 = 1000.5 vs uniform's
             // 1250.5 — a 0.80 ratio exactly; larger counts do better.
             assert!(

@@ -45,14 +45,6 @@ pub fn kernel_decision(code: PanicCode) -> KernelDecision {
     }
 }
 
-impl KernelDecision {
-    /// True when this decision can produce a user-perceived high-level
-    /// failure (freeze or self-shutdown).
-    pub fn can_cause_hl_event(self) -> bool {
-        !matches!(self, KernelDecision::TerminateApplication)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -80,9 +72,7 @@ mod tests {
             codes::KERN_SVR_0,
             codes::KERN_SVR_70,
         ] {
-            let d = kernel_decision(code);
-            assert_eq!(d, KernelDecision::TerminateApplication);
-            assert!(!d.can_cause_hl_event());
+            assert_eq!(kernel_decision(code), KernelDecision::TerminateApplication);
         }
     }
 
@@ -102,9 +92,10 @@ mod tests {
             codes::USER_11,
             codes::VIEWSRV_11,
         ] {
-            let d = kernel_decision(code);
-            assert_eq!(d, KernelDecision::TerminateWithEscalationRisk);
-            assert!(d.can_cause_hl_event());
+            assert_eq!(
+                kernel_decision(code),
+                KernelDecision::TerminateWithEscalationRisk
+            );
         }
     }
 

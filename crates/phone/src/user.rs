@@ -83,11 +83,6 @@ impl UserProfile {
         }
     }
 
-    /// Waking span of the day.
-    pub fn waking_span(&self) -> SimDuration {
-        SimDuration::from_secs(self.sleep_secs.saturating_sub(self.wake_secs))
-    }
-
     /// Night span (sleep to next wake).
     pub fn night_span(&self) -> SimDuration {
         SimDuration::from_secs(24 * 3600 - self.sleep_secs + self.wake_secs)
@@ -110,7 +105,7 @@ mod tests {
             let p = sample(seed);
             assert!(p.wake_secs >= 6 * 3600 && p.wake_secs <= 9 * 3600);
             assert!(p.sleep_secs >= 22 * 3600 && p.sleep_secs < 24 * 3600);
-            let span = p.waking_span();
+            let span = SimDuration::from_secs(p.sleep_secs - p.wake_secs);
             assert!(span >= SimDuration::from_hours(13));
             assert!(span <= SimDuration::from_hours(18));
             let night = p.night_span();

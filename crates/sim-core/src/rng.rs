@@ -84,11 +84,6 @@ impl SimRng {
         SimRng::seed_from(h)
     }
 
-    /// The root seed this stream derives from.
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
     /// Next raw 64-bit value.
     pub fn next_u64(&mut self) -> u64 {
         self.inner.next_u64()
@@ -97,16 +92,6 @@ impl SimRng {
     /// Uniform value in `[0, 1)` with 53 bits of precision.
     pub fn uniform(&mut self) -> f64 {
         (self.inner.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
-    }
-
-    /// Uniform value in `[lo, hi)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lo >= hi`.
-    pub fn uniform_range(&mut self, lo: f64, hi: f64) -> f64 {
-        assert!(lo < hi, "uniform_range requires lo < hi");
-        lo + (hi - lo) * self.uniform()
     }
 
     /// Uniform integer in `[0, n)`.
@@ -169,36 +154,6 @@ impl SimRng {
             "lognormal requires median > 0, sigma >= 0"
         );
         (median.ln() + sigma * self.standard_normal()).exp()
-    }
-
-    /// Poisson-distributed count with the given mean (Knuth's
-    /// multiplication method; switch to a normal approximation above
-    /// mean 60 where the product underflows).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `mean` is negative or not finite.
-    pub fn poisson(&mut self, mean: f64) -> u64 {
-        assert!(
-            mean >= 0.0 && mean.is_finite(),
-            "poisson requires mean >= 0"
-        );
-        if mean == 0.0 {
-            return 0;
-        }
-        if mean > 60.0 {
-            // Normal approximation with continuity correction.
-            let x = mean + mean.sqrt() * self.standard_normal();
-            return x.round().max(0.0) as u64;
-        }
-        let limit = (-mean).exp();
-        let mut product = self.uniform();
-        let mut count = 0;
-        while product > limit {
-            product *= self.uniform();
-            count += 1;
-        }
-        count
     }
 
     /// Chooses an index with probability proportional to `weights`.
@@ -333,37 +288,6 @@ mod tests {
         let var = xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / n as f64;
         assert!(mean.abs() < 0.05, "mean was {mean}");
         assert!((var - 1.0).abs() < 0.05, "var was {var}");
-    }
-
-    #[test]
-    fn poisson_moments_converge() {
-        let mut r = SimRng::seed_from(21);
-        for mean in [0.5, 3.0, 20.0, 150.0] {
-            let n = 20_000;
-            let xs: Vec<u64> = (0..n).map(|_| r.poisson(mean)).collect();
-            let m = xs.iter().sum::<u64>() as f64 / n as f64;
-            let var = xs.iter().map(|&x| (x as f64 - m).powi(2)).sum::<f64>() / n as f64;
-            assert!(
-                (m - mean).abs() < mean * 0.05 + 0.05,
-                "mean {mean}: got {m}"
-            );
-            assert!(
-                (var - mean).abs() < mean * 0.12 + 0.1,
-                "mean {mean}: var {var}"
-            );
-        }
-    }
-
-    #[test]
-    fn poisson_zero_mean_is_zero() {
-        let mut r = SimRng::seed_from(1);
-        assert_eq!(r.poisson(0.0), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "poisson requires mean >= 0")]
-    fn poisson_rejects_negative() {
-        SimRng::seed_from(1).poisson(-1.0);
     }
 
     #[test]

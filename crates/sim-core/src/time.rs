@@ -75,10 +75,6 @@ impl SimDuration {
     pub const ZERO: SimDuration = SimDuration(0);
     /// One second.
     pub const SECOND: SimDuration = SimDuration(1000);
-    /// One minute.
-    pub const MINUTE: SimDuration = SimDuration(60 * 1000);
-    /// One hour.
-    pub const HOUR: SimDuration = SimDuration(3_600_000);
     /// One 24-hour day.
     pub const DAY: SimDuration = SimDuration(24 * 3_600_000);
 
@@ -136,24 +132,9 @@ impl SimDuration {
         self.0 as f64 / 3_600_000.0
     }
 
-    /// True when the duration is zero.
-    pub const fn is_zero(self) -> bool {
-        self.0 == 0
-    }
-
     /// Saturating subtraction.
     pub fn saturating_sub(self, other: SimDuration) -> SimDuration {
         SimDuration(self.0.saturating_sub(other.0))
-    }
-
-    /// The smaller of two durations.
-    pub fn min(self, other: SimDuration) -> SimDuration {
-        SimDuration(self.0.min(other.0))
-    }
-
-    /// The larger of two durations.
-    pub fn max(self, other: SimDuration) -> SimDuration {
-        SimDuration(self.0.max(other.0))
     }
 }
 
@@ -286,8 +267,8 @@ mod tests {
         let t2 = t + SimDuration::from_secs(50);
         assert_eq!((t2 - t).as_secs(), 50);
         assert_eq!((t2 - SimDuration::from_secs(25)).as_secs(), 125);
-        assert_eq!(SimDuration::from_secs(10) * 6, SimDuration::MINUTE);
-        assert_eq!(SimDuration::MINUTE / 60, SimDuration::SECOND);
+        assert_eq!(SimDuration::from_secs(10) * 6, SimDuration::from_mins(1));
+        assert_eq!(SimDuration::from_mins(1) / 60, SimDuration::SECOND);
     }
 
     #[test]
@@ -308,15 +289,13 @@ mod tests {
     #[test]
     fn ordering() {
         assert!(SimTime::from_secs(1) < SimTime::from_secs(2));
-        assert!(SimDuration::HOUR > SimDuration::MINUTE);
+        let minute = SimDuration::from_mins(1);
+        assert!(SimDuration::from_hours(1) > minute);
         assert_eq!(
-            SimDuration::from_secs(30).min(SimDuration::MINUTE),
+            SimDuration::from_secs(30).min(minute),
             SimDuration::from_secs(30)
         );
-        assert_eq!(
-            SimDuration::from_secs(30).max(SimDuration::MINUTE),
-            SimDuration::MINUTE
-        );
+        assert_eq!(SimDuration::from_secs(30).max(minute), minute);
     }
 
     #[test]

@@ -58,16 +58,6 @@ impl CategoricalDist {
         self.counts.values().sum()
     }
 
-    /// Number of distinct labels.
-    pub fn len(&self) -> usize {
-        self.counts.len()
-    }
-
-    /// True when no label has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.counts.is_empty()
-    }
-
     /// Percentage (0–100) of the total held by `label`.
     ///
     /// Returns `None` when the distribution is empty.
@@ -127,40 +117,6 @@ impl CategoricalDist {
             d += (pa - pb).abs();
         }
         Ok(d / 2.0)
-    }
-
-    /// Pearson chi-square goodness-of-fit statistic of this observed
-    /// distribution against `expected` (interpreted as proportions).
-    /// Labels with zero expected probability contribute infinity if
-    /// observed; such labels are reported via `Err` instead.
-    ///
-    /// # Errors
-    ///
-    /// [`StatsError::EmptyData`] if either side is empty;
-    /// [`StatsError::UnknownLabel`] if a label observed here has zero
-    /// expected probability.
-    pub fn chi_square_gof(&self, expected: &CategoricalDist) -> Result<f64, StatsError> {
-        let (to, te) = (self.total(), expected.total());
-        if to == 0 || te == 0 {
-            return Err(StatsError::EmptyData);
-        }
-        let mut stat = 0.0;
-        for (label, observed) in self.iter() {
-            let e = expected.count(label) as f64 / te as f64 * to as f64;
-            if e == 0.0 {
-                return Err(StatsError::UnknownLabel(label.to_string()));
-            }
-            let diff = observed as f64 - e;
-            stat += diff * diff / e;
-        }
-        // Labels expected but never observed still contribute (0-e)^2/e.
-        for (label, exp_count) in expected.iter() {
-            if self.count(label) == 0 {
-                let e = exp_count as f64 / te as f64 * to as f64;
-                stat += e;
-            }
-        }
-        Ok(stat)
     }
 }
 
@@ -250,39 +206,6 @@ mod tests {
         let d1 = a.total_variation(&b).unwrap();
         let d2 = b.total_variation(&a).unwrap();
         assert!((d1 - d2).abs() < 1e-12);
-    }
-
-    #[test]
-    fn chi_square_zero_for_proportional() {
-        let a = sample();
-        let mut b = CategoricalDist::new();
-        b.add_n("a", 60);
-        b.add_n("b", 30);
-        b.add_n("c", 10);
-        assert!(a.chi_square_gof(&b).unwrap() < 1e-12);
-    }
-
-    #[test]
-    fn chi_square_flags_unexpected_label() {
-        let a = sample();
-        let mut b = CategoricalDist::new();
-        b.add_n("a", 1);
-        assert!(matches!(
-            a.chi_square_gof(&b),
-            Err(StatsError::UnknownLabel(_))
-        ));
-    }
-
-    #[test]
-    fn chi_square_counts_missing_labels() {
-        let mut obs = CategoricalDist::new();
-        obs.add_n("a", 10);
-        let mut exp = CategoricalDist::new();
-        exp.add_n("a", 5);
-        exp.add_n("b", 5);
-        // expected under n=10: a=5, b=5; observed a=10, b=0
-        let stat = obs.chi_square_gof(&exp).unwrap();
-        assert!((stat - (25.0 / 5.0 + 5.0)).abs() < 1e-12);
     }
 
     #[test]

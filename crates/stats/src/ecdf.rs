@@ -1,9 +1,7 @@
 //! Empirical cumulative distribution functions.
 //!
 //! Used for exact (un-binned) quantiles — e.g. the median
-//! self-shutdown duration of Figure 2 — and for Kolmogorov–Smirnov
-//! distances between a measured distribution and the paper's target
-//! shape.
+//! self-shutdown duration of Figure 2.
 
 use serde::{Deserialize, Serialize};
 
@@ -17,8 +15,7 @@ use crate::StatsError;
 /// use symfail_stats::Ecdf;
 ///
 /// let e = Ecdf::from_samples([80.0, 75.0, 90.0, 30000.0])?;
-/// assert_eq!(e.len(), 4);
-/// assert!((e.eval(90.0) - 0.75).abs() < 1e-12);
+/// assert_eq!(e.median(), 85.0);
 /// # Ok::<(), symfail_stats::StatsError>(())
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -48,23 +45,6 @@ impl Ecdf {
         Ok(Self { sorted })
     }
 
-    /// Number of samples.
-    pub fn len(&self) -> usize {
-        self.sorted.len()
-    }
-
-    /// Always false: an ECDF holds at least one sample.
-    pub fn is_empty(&self) -> bool {
-        false
-    }
-
-    /// The proportion of samples `<= x`.
-    pub fn eval(&self, x: f64) -> f64 {
-        // partition_point gives the count of samples <= x.
-        let n = self.sorted.partition_point(|&v| v <= x);
-        n as f64 / self.sorted.len() as f64
-    }
-
     /// Exact sample quantile with linear interpolation (type 7, the R
     /// default).
     ///
@@ -90,31 +70,6 @@ impl Ecdf {
     pub fn median(&self) -> f64 {
         self.quantile(0.5).expect("0.5 is a valid probability")
     }
-
-    /// Smallest sample.
-    pub fn min(&self) -> f64 {
-        self.sorted[0]
-    }
-
-    /// Largest sample.
-    pub fn max(&self) -> f64 {
-        *self.sorted.last().expect("non-empty by construction")
-    }
-
-    /// Two-sample Kolmogorov–Smirnov statistic: the supremum of the
-    /// absolute difference between the two ECDFs.
-    pub fn ks_distance(&self, other: &Ecdf) -> f64 {
-        let mut d: f64 = 0.0;
-        for &x in self.sorted.iter().chain(other.sorted.iter()) {
-            d = d.max((self.eval(x) - other.eval(x)).abs());
-        }
-        d
-    }
-
-    /// Borrow of the sorted samples.
-    pub fn samples(&self) -> &[f64] {
-        &self.sorted
-    }
 }
 
 #[cfg(test)]
@@ -125,22 +80,6 @@ mod tests {
     fn rejects_empty_and_nonfinite() {
         assert!(matches!(Ecdf::from_samples([]), Err(StatsError::EmptyData)));
         assert!(Ecdf::from_samples([1.0, f64::NAN]).is_err());
-    }
-
-    #[test]
-    fn eval_step_function() {
-        let e = Ecdf::from_samples([1.0, 2.0, 3.0, 4.0]).unwrap();
-        assert_eq!(e.eval(0.5), 0.0);
-        assert_eq!(e.eval(1.0), 0.25);
-        assert_eq!(e.eval(2.5), 0.5);
-        assert_eq!(e.eval(4.0), 1.0);
-        assert_eq!(e.eval(100.0), 1.0);
-    }
-
-    #[test]
-    fn eval_with_ties() {
-        let e = Ecdf::from_samples([1.0, 1.0, 1.0, 2.0]).unwrap();
-        assert_eq!(e.eval(1.0), 0.75);
     }
 
     #[test]
@@ -164,26 +103,5 @@ mod tests {
         let e = Ecdf::from_samples([42.0]).unwrap();
         assert_eq!(e.median(), 42.0);
         assert_eq!(e.quantile(0.99).unwrap(), 42.0);
-    }
-
-    #[test]
-    fn ks_distance_identical_is_zero() {
-        let a = Ecdf::from_samples([1.0, 2.0, 3.0]).unwrap();
-        assert_eq!(a.ks_distance(&a), 0.0);
-    }
-
-    #[test]
-    fn ks_distance_disjoint_is_one() {
-        let a = Ecdf::from_samples([1.0, 2.0]).unwrap();
-        let b = Ecdf::from_samples([10.0, 20.0]).unwrap();
-        assert_eq!(a.ks_distance(&b), 1.0);
-        assert_eq!(b.ks_distance(&a), 1.0);
-    }
-
-    #[test]
-    fn min_max() {
-        let e = Ecdf::from_samples([9.0, -3.0, 4.0]).unwrap();
-        assert_eq!(e.min(), -3.0);
-        assert_eq!(e.max(), 9.0);
     }
 }

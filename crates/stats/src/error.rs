@@ -15,19 +15,10 @@ pub enum StatsError {
     },
     /// Zero bins (or another zero-sized shape parameter) was requested.
     ZeroBins,
-    /// An index referred to a bin, row or column that does not exist.
-    IndexOutOfBounds {
-        /// The offending index.
-        index: usize,
-        /// Number of valid entries.
-        len: usize,
-    },
     /// An operation that requires data was invoked on an empty dataset.
     EmptyData,
     /// A probability or fraction argument was outside `[0, 1]`.
     InvalidProbability(f64),
-    /// A label was not present in a labelled collection.
-    UnknownLabel(String),
 }
 
 impl fmt::Display for StatsError {
@@ -37,14 +28,10 @@ impl fmt::Display for StatsError {
                 write!(f, "invalid range: lo {lo} must be finite and below hi {hi}")
             }
             StatsError::ZeroBins => write!(f, "at least one bin is required"),
-            StatsError::IndexOutOfBounds { index, len } => {
-                write!(f, "index {index} out of bounds for length {len}")
-            }
             StatsError::EmptyData => write!(f, "operation requires at least one observation"),
             StatsError::InvalidProbability(p) => {
                 write!(f, "probability {p} outside the unit interval")
             }
-            StatsError::UnknownLabel(l) => write!(f, "unknown label: {l}"),
         }
     }
 }
@@ -60,10 +47,8 @@ mod tests {
         let errs = [
             StatsError::InvalidRange { lo: 3.0, hi: 1.0 },
             StatsError::ZeroBins,
-            StatsError::IndexOutOfBounds { index: 9, len: 3 },
             StatsError::EmptyData,
             StatsError::InvalidProbability(1.5),
-            StatsError::UnknownLabel("freeze".into()),
         ];
         for e in errs {
             let s = e.to_string();

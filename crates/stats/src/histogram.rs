@@ -21,14 +21,6 @@ pub struct HistogramBin {
     pub count: u64,
 }
 
-impl HistogramBin {
-    /// Midpoint of the bin, useful as the representative x value when
-    /// plotting.
-    pub fn midpoint(&self) -> f64 {
-        0.5 * (self.lo + self.hi)
-    }
-}
-
 /// A fixed-width histogram over the half-open range `[lo, hi)`.
 ///
 /// The final bin is closed on the right so that `hi` itself is counted
@@ -83,22 +75,6 @@ impl Histogram {
         })
     }
 
-    /// Creates a histogram whose bin width is exactly `width`,
-    /// covering `[lo, hi)` with as many bins as needed (the top bin may
-    /// extend past `hi`).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StatsError::InvalidRange`] on an empty or non-finite
-    /// range or a non-positive `width`.
-    pub fn with_bin_width(lo: f64, hi: f64, width: f64) -> Result<Self, StatsError> {
-        if !(lo.is_finite() && hi.is_finite()) || lo >= hi || width <= 0.0 || width.is_nan() {
-            return Err(StatsError::InvalidRange { lo, hi });
-        }
-        let bins = ((hi - lo) / width).ceil() as usize;
-        Self::with_bins(lo, lo + bins as f64 * width, bins.max(1))
-    }
-
     /// Records one observation. Values below the range increment the
     /// underflow counter, values above it the overflow counter;
     /// non-finite values count as overflow.
@@ -107,15 +83,6 @@ impl Histogram {
             BinSlot::Under => self.underflow += 1,
             BinSlot::Over => self.overflow += 1,
             BinSlot::In(i) => self.counts[i] += 1,
-        }
-    }
-
-    /// Records `n` identical observations at once.
-    pub fn record_n(&mut self, value: f64, n: u64) {
-        match self.bin_index(value) {
-            BinSlot::Under => self.underflow += n,
-            BinSlot::Over => self.overflow += n,
-            BinSlot::In(i) => self.counts[i] += n,
         }
     }
 
@@ -144,16 +111,6 @@ impl Histogram {
     /// the public API, but kept for the `len`/`is_empty` pairing).
     pub fn is_empty(&self) -> bool {
         self.counts.is_empty()
-    }
-
-    /// Lower edge of the histogram range.
-    pub fn lo(&self) -> f64 {
-        self.lo
-    }
-
-    /// Upper edge of the histogram range.
-    pub fn hi(&self) -> f64 {
-        self.hi
     }
 
     /// Count in bin `i`.
@@ -198,33 +155,6 @@ impl Histogram {
             })
     }
 
-    /// Fraction of in-range observations in each bin. Returns an empty
-    /// vector if nothing was recorded in range.
-    pub fn normalized(&self) -> Vec<f64> {
-        let total = self.total_in_range();
-        if total == 0 {
-            return Vec::new();
-        }
-        self.counts
-            .iter()
-            .map(|&c| c as f64 / total as f64)
-            .collect()
-    }
-
-    /// The bin with the highest count (first one on ties), or `None`
-    /// if nothing landed in range.
-    pub fn mode_bin(&self) -> Option<HistogramBin> {
-        if self.total_in_range() == 0 {
-            return None;
-        }
-        let (idx, _) = self
-            .counts
-            .iter()
-            .enumerate()
-            .max_by(|a, b| a.1.cmp(b.1).then(b.0.cmp(&a.0)))?;
-        self.bins().nth(idx)
-    }
-
     /// Local maxima of the binned distribution: bins whose count is at
     /// least `min_count` and strictly greater than both neighbours
     /// (boundary bins need only beat their single neighbour). This is
@@ -244,58 +174,6 @@ impl Histogram {
             }
         }
         out
-    }
-
-    /// Approximate quantile of the in-range data using the binned
-    /// distribution (linear interpolation within the bin).
-    ///
-    /// # Errors
-    ///
-    /// [`StatsError::InvalidProbability`] if `q` is outside `[0, 1]`,
-    /// [`StatsError::EmptyData`] if no observation landed in range.
-    pub fn quantile(&self, q: f64) -> Result<f64, StatsError> {
-        if !(0.0..=1.0).contains(&q) {
-            return Err(StatsError::InvalidProbability(q));
-        }
-        let total = self.total_in_range();
-        if total == 0 {
-            return Err(StatsError::EmptyData);
-        }
-        let target = q * total as f64;
-        let mut acc = 0.0;
-        for bin in self.bins() {
-            let next = acc + bin.count as f64;
-            if next >= target {
-                let frac = if bin.count == 0 {
-                    0.0
-                } else {
-                    (target - acc) / bin.count as f64
-                };
-                return Ok(bin.lo + frac * (bin.hi - bin.lo));
-            }
-            acc = next;
-        }
-        Ok(self.hi)
-    }
-
-    /// Merges another histogram with identical shape into this one.
-    ///
-    /// # Errors
-    ///
-    /// [`StatsError::InvalidRange`] if ranges or bin counts differ.
-    pub fn merge(&mut self, other: &Histogram) -> Result<(), StatsError> {
-        if self.lo != other.lo || self.hi != other.hi || self.counts.len() != other.counts.len() {
-            return Err(StatsError::InvalidRange {
-                lo: other.lo,
-                hi: other.hi,
-            });
-        }
-        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
-            *a += b;
-        }
-        self.underflow += other.underflow;
-        self.overflow += other.overflow;
-        Ok(())
     }
 }
 
@@ -342,13 +220,6 @@ mod tests {
     }
 
     #[test]
-    fn with_bin_width_covers_range() {
-        let h = Histogram::with_bin_width(0.0, 95.0, 10.0).unwrap();
-        assert_eq!(h.len(), 10);
-        assert_eq!(h.hi(), 100.0);
-    }
-
-    #[test]
     fn bin_assignment_edges() {
         let mut h = hist();
         h.record(0.0);
@@ -375,80 +246,16 @@ mod tests {
     }
 
     #[test]
-    fn record_n_equivalent_to_loop() {
-        let mut a = hist();
-        let mut b = hist();
-        a.record_n(42.0, 7);
-        for _ in 0..7 {
-            b.record(42.0);
-        }
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn normalized_sums_to_one() {
-        let mut h = hist();
-        for v in [1.0, 2.0, 50.0, 50.0, 99.0] {
-            h.record(v);
-        }
-        let sum: f64 = h.normalized().iter().sum();
-        assert!((sum - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn mode_bin_finds_heaviest() {
-        let mut h = hist();
-        h.record_n(55.0, 10);
-        h.record_n(5.0, 3);
-        let m = h.mode_bin().unwrap();
-        assert_eq!(m.lo, 50.0);
-        assert_eq!(m.count, 10);
-    }
-
-    #[test]
-    fn mode_bin_none_when_empty() {
-        assert!(hist().mode_bin().is_none());
-    }
-
-    #[test]
     fn local_maxima_detects_bimodality() {
         let mut h = hist();
-        h.record_n(15.0, 50); // peak in bin 1
-        h.record_n(25.0, 10);
-        h.record_n(75.0, 40); // peak in bin 7
-        h.record_n(65.0, 5);
+        h.extend([15.0; 50]); // peak in bin 1
+        h.extend([25.0; 10]);
+        h.extend([75.0; 40]); // peak in bin 7
+        h.extend([65.0; 5]);
         let peaks = h.local_maxima(2);
         assert_eq!(peaks.len(), 2);
         assert_eq!(peaks[0].lo, 10.0);
         assert_eq!(peaks[1].lo, 70.0);
-    }
-
-    #[test]
-    fn quantile_median_of_uniform_block() {
-        let mut h = hist();
-        h.record_n(5.0, 100);
-        let med = h.quantile(0.5).unwrap();
-        assert!(med > 0.0 && med < 10.0);
-        assert!(matches!(
-            h.quantile(1.5),
-            Err(StatsError::InvalidProbability(_))
-        ));
-    }
-
-    #[test]
-    fn quantile_empty_errors() {
-        assert!(matches!(hist().quantile(0.5), Err(StatsError::EmptyData)));
-    }
-
-    #[test]
-    fn merge_requires_same_shape() {
-        let mut a = hist();
-        let b = Histogram::with_bins(0.0, 100.0, 20).unwrap();
-        assert!(a.merge(&b).is_err());
-        let mut c = hist();
-        c.record(3.0);
-        a.merge(&c).unwrap();
-        assert_eq!(a.total(), 1);
     }
 
     #[test]

@@ -44,5 +44,5 @@ pub use ecdf::Ecdf;
 pub use error::StatsError;
 pub use histogram::{Histogram, HistogramBin};
 pub use render::{render_bar_chart, AsciiTable, CellAlign};
-pub use summary::{OnlineSummary, Summary};
+pub use summary::OnlineSummary;
 pub use tolerance::{within_pct, within_pts, ShapeReport, TargetCheck};

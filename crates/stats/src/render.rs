@@ -60,16 +60,6 @@ impl AsciiTable {
         self
     }
 
-    /// Number of data rows.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// True when no data rows were added.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
     /// Renders the table with a separator under the header.
     pub fn render(&self) -> String {
         let ncols = self.header.len();
@@ -184,7 +174,6 @@ mod tests {
     #[test]
     fn empty_table_renders_header_only() {
         let t = AsciiTable::new(vec!["h".into()]);
-        assert!(t.is_empty());
         let s = t.render();
         assert!(s.starts_with('h'));
         assert_eq!(s.lines().count(), 2);

@@ -1,8 +1,6 @@
-//! Scalar summary statistics (mean, variance, confidence intervals).
+//! Scalar summary statistics (mean, variance).
 
 use serde::{Deserialize, Serialize};
-
-use crate::StatsError;
 
 /// Streaming mean/variance accumulator using Welford's algorithm, so
 /// per-phone statistics can be folded without keeping raw samples.
@@ -24,20 +22,12 @@ pub struct OnlineSummary {
     count: u64,
     mean: f64,
     m2: f64,
-    min: f64,
-    max: f64,
 }
 
 impl OnlineSummary {
     /// Creates an empty accumulator.
     pub fn new() -> Self {
-        Self {
-            count: 0,
-            mean: 0.0,
-            m2: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
+        Self::default()
     }
 
     /// Records one observation.
@@ -46,8 +36,6 @@ impl OnlineSummary {
         let delta = value - self.mean;
         self.mean += delta / self.count as f64;
         self.m2 += delta * (value - self.mean);
-        self.min = self.min.min(value);
-        self.max = self.max.max(value);
     }
 
     /// Number of recorded observations.
@@ -70,16 +58,6 @@ impl OnlineSummary {
         self.variance().map(f64::sqrt)
     }
 
-    /// Smallest observation, `None` when empty.
-    pub fn min(&self) -> Option<f64> {
-        (self.count > 0).then_some(self.min)
-    }
-
-    /// Largest observation, `None` when empty.
-    pub fn max(&self) -> Option<f64> {
-        (self.count > 0).then_some(self.max)
-    }
-
     /// Merges another accumulator (Chan et al. parallel combination).
     pub fn merge(&mut self, other: &OnlineSummary) {
         if other.count == 0 {
@@ -96,26 +74,6 @@ impl OnlineSummary {
         self.mean += delta * n2 / total;
         self.m2 += other.m2 + delta * delta * n1 * n2 / total;
         self.count += other.count;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-
-    /// Freezes into an immutable [`Summary`].
-    ///
-    /// # Errors
-    ///
-    /// [`StatsError::EmptyData`] when nothing was recorded.
-    pub fn finish(&self) -> Result<Summary, StatsError> {
-        if self.count == 0 {
-            return Err(StatsError::EmptyData);
-        }
-        Ok(Summary {
-            count: self.count,
-            mean: self.mean,
-            stddev: self.stddev().unwrap_or(0.0),
-            min: self.min,
-            max: self.max,
-        })
     }
 }
 
@@ -135,30 +93,6 @@ impl FromIterator<f64> for OnlineSummary {
     }
 }
 
-/// Immutable summary of a sample.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct Summary {
-    /// Number of observations.
-    pub count: u64,
-    /// Sample mean.
-    pub mean: f64,
-    /// Sample standard deviation (0 for a single sample).
-    pub stddev: f64,
-    /// Minimum observation.
-    pub min: f64,
-    /// Maximum observation.
-    pub max: f64,
-}
-
-impl Summary {
-    /// Normal-approximation confidence interval for the mean at the
-    /// given z value (1.96 for 95%). Returns `(lo, hi)`.
-    pub fn mean_ci(&self, z: f64) -> (f64, f64) {
-        let half = z * self.stddev / (self.count as f64).sqrt();
-        (self.mean - half, self.mean + half)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -168,7 +102,6 @@ mod tests {
         let s = OnlineSummary::new();
         assert_eq!(s.mean(), None);
         assert_eq!(s.variance(), None);
-        assert!(s.finish().is_err());
     }
 
     #[test]
@@ -176,10 +109,6 @@ mod tests {
         let s: OnlineSummary = [7.0].into_iter().collect();
         assert_eq!(s.mean(), Some(7.0));
         assert_eq!(s.variance(), None);
-        let f = s.finish().unwrap();
-        assert_eq!(f.stddev, 0.0);
-        assert_eq!(f.min, 7.0);
-        assert_eq!(f.max, 7.0);
     }
 
     #[test]
@@ -201,8 +130,6 @@ mod tests {
         assert_eq!(a.count(), whole.count());
         assert!((a.mean().unwrap() - whole.mean().unwrap()).abs() < 1e-12);
         assert!((a.variance().unwrap() - whole.variance().unwrap()).abs() < 1e-12);
-        assert_eq!(a.min(), whole.min());
-        assert_eq!(a.max(), whole.max());
     }
 
     #[test]
@@ -214,20 +141,5 @@ mod tests {
         let mut e = OnlineSummary::new();
         e.merge(&before);
         assert_eq!(e, before);
-    }
-
-    #[test]
-    fn confidence_interval_shrinks_with_n() {
-        let mut few = OnlineSummary::new();
-        let mut many = OnlineSummary::new();
-        for i in 0..10 {
-            few.record((i % 3) as f64);
-        }
-        for i in 0..1000 {
-            many.record((i % 3) as f64);
-        }
-        let (flo, fhi) = few.finish().unwrap().mean_ci(1.96);
-        let (mlo, mhi) = many.finish().unwrap().mean_ci(1.96);
-        assert!(mhi - mlo < fhi - flo);
     }
 }

@@ -170,11 +170,6 @@ impl ShapeReport {
     pub fn failures(&self) -> Vec<&TargetCheck> {
         self.checks.iter().filter(|c| !c.passes()).collect()
     }
-
-    /// Merges another report into this one.
-    pub fn merge(&mut self, other: ShapeReport) {
-        self.checks.extend(other.checks);
-    }
 }
 
 impl fmt::Display for ShapeReport {
@@ -236,16 +231,5 @@ mod tests {
         let display = r.to_string();
         assert!(display.contains("1/2 targets"));
         assert!(display.contains("MISS"));
-    }
-
-    #[test]
-    fn report_merge() {
-        let mut a = ShapeReport::new();
-        a.push(TargetCheck::relative("x", 1.0, 1.0, 1.0));
-        let mut b = ShapeReport::new();
-        b.push(TargetCheck::relative("y", 1.0, 1.0, 1.0));
-        a.merge(b);
-        assert_eq!(a.len(), 2);
-        assert!(a.all_pass());
     }
 }

@@ -82,20 +82,6 @@ impl PanicCategory {
         Self::ALL.into_iter().find(|c| c.as_str() == s)
     }
 
-    /// True for panics raised by system-level components (kernel,
-    /// CBase runtime, descriptors used inside servers, view server) —
-    /// the ones the paper found to usually lead to a high-level
-    /// failure event.
-    pub fn is_system_level(&self) -> bool {
-        matches!(
-            self,
-            PanicCategory::KernExec
-                | PanicCategory::E32UserCBase
-                | PanicCategory::User
-                | PanicCategory::ViewSrv
-        )
-    }
-
     /// True for panics of the two core built-in applications whose
     /// failure always reboots the phone (Section 6, Fig. 5 analysis).
     pub fn is_core_application(&self) -> bool {
@@ -137,22 +123,6 @@ impl PanicCode {
             category,
             panic_type,
         }
-    }
-
-    /// The documentation text for this code (from the Symbian OS
-    /// documentation excerpts reproduced in Table 2), or a generic
-    /// fallback for codes outside the taxonomy.
-    pub fn documentation(&self) -> &'static str {
-        codes::ALL
-            .iter()
-            .find(|(c, _)| c == self)
-            .map(|(_, doc)| *doc)
-            .unwrap_or("not documented")
-    }
-
-    /// True if this is one of the twenty codes observed in the study.
-    pub fn is_in_taxonomy(&self) -> bool {
-        codes::ALL.iter().any(|(c, _)| c == self)
     }
 
     /// Parses strings of the form `"KERN-EXEC 3"`.
@@ -332,30 +302,20 @@ mod tests {
     }
 
     #[test]
-    fn level_classification_is_a_partition() {
+    fn core_and_application_level_classes_are_disjoint() {
         for cat in PanicCategory::ALL {
-            let flags = [
-                cat.is_system_level(),
-                cat.is_core_application(),
-                cat.is_application_level(),
-            ];
-            assert_eq!(
-                flags.iter().filter(|&&f| f).count(),
-                1,
-                "{cat} must be in exactly one class"
+            assert!(
+                !(cat.is_core_application() && cat.is_application_level()),
+                "{cat} must be in at most one class"
             );
         }
     }
 
     #[test]
     fn documentation_present_for_taxonomy() {
-        for (code, _) in codes::ALL {
-            assert!(code.is_in_taxonomy());
-            assert!(!code.documentation().is_empty());
+        for (_, doc) in codes::ALL {
+            assert!(!doc.is_empty());
         }
-        let outside = PanicCode::new(PanicCategory::User, 999);
-        assert!(!outside.is_in_taxonomy());
-        assert_eq!(outside.documentation(), "not documented");
     }
 
     #[test]

@@ -8,15 +8,18 @@
 //!   running-applications list the logger snapshots;
 //! * [`logdb`] — the Database Log Server, recording phone activity
 //!   (voice calls, messages) the logger correlates panics with;
-//! * [`sysagent`] — the System Agent Server, source of battery status;
 //! * [`ui`] — the EIKON UI framework pieces (listbox, edwin) with
 //!   their application-level panics;
 //! * [`media`] — the multimedia framework audio client;
 //! * [`telephony`] — the built-in Phone application.
+//!
+//! The System Agent Server, from which the paper's Power Manager reads
+//! battery status, has no model here: the phone simulator's battery
+//! (`symfail_phone::battery::Battery`) hands the logger its level
+//! through `PhoneContext`.
 
 pub mod applist;
 pub mod logdb;
 pub mod media;
-pub mod sysagent;
 pub mod telephony;
 pub mod ui;

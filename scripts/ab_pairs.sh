@@ -28,8 +28,9 @@
 #
 # A faster side runs more passes in the same SECONDS, and perfbench
 # keeps every pass's op latencies, so its `peak_heap_mb` can read
-# higher for that alone. Nothing is left behind: the temp directory
-# goes on exit.
+# higher for that alone. Nothing is left behind: on exit, and at once
+# on INT or TERM, the running build or perfbench is stopped and the
+# temp directory removed.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 ROOT="$(pwd)"
@@ -54,15 +55,48 @@ done
 BASE_SHA="$(git rev-parse --short "$BASE_REV^{commit}")"
 
 TMP="$(mktemp -d "${TMPDIR:-/tmp}/symfail-ab.XXXXXX")"
-trap 'rm -rf "$TMP"' EXIT
+CHILD=
+# Stops the running child (a build or a perfbench run) and its own
+# children, then removes the temp directory.
+cleanup() {
+    if [ -n "$CHILD" ]; then
+        pkill -TERM -P "$CHILD" 2>/dev/null || true
+        kill -TERM "$CHILD" 2>/dev/null || true
+        wait "$CHILD" 2>/dev/null || true
+    fi
+    rm -rf "$TMP"
+}
+trap cleanup EXIT
+trap 'exit 130' INT
+trap 'exit 143' TERM
+
+# Runs a command in the background and waits for it: a trapped signal
+# ends the wait at once, where a foreground child would first run to
+# its end.
+child() {
+    local status=0
+    "$@" &
+    CHILD=$!
+    wait "$CHILD" || status=$?
+    CHILD=
+    return "$status"
+}
 
 echo "ab_pairs: building perfbench at $BASE_SHA and at the working tree" >&2
 mkdir "$TMP/base"
 git archive "$BASE_SHA" | tar -x -C "$TMP/base"
-CARGO_TARGET_DIR="$TMP/base-target" cargo build --release --quiet --offline \
+child env CARGO_TARGET_DIR="$TMP/base-target" cargo build --release --quiet --offline \
     --manifest-path "$TMP/base/perfbench/Cargo.toml"
-CARGO_TARGET_DIR="$TMP/change-target" cargo build --release --quiet --offline \
+child env CARGO_TARGET_DIR="$TMP/change-target" cargo build --release --quiet --offline \
     --manifest-path "$ROOT/perfbench/Cargo.toml"
+
+# One untraced perfbench run of SIDE on SEED from DIR, its stdout into
+# run.out.
+perfbench_run() {
+    local dir="$1" side="$2" seed="$3"
+    cd "$dir" && exec "$TMP/$side-target/release/perfbench" --workload "$WORKLOAD" \
+        --seed "$seed" --seconds "$SECONDS_PER_RUN" --trace 0 >"$TMP/run.out" 2>/dev/null
+}
 
 # One untraced run of SIDE on SEED: appends "SIDE SEED METRIC VALUE"
 # rows to runs.txt (with the run's pass and op counts as `passes` and
@@ -71,8 +105,8 @@ run() {
     local side="$1" seed="$2" dir out
     if [ "$side" = base ]; then dir="$TMP/base"; else dir="$ROOT"; fi
     # A run whose oracle fails exits non-zero; its metrics still count.
-    out="$(cd "$dir" && "$TMP/$side-target/release/perfbench" --workload "$WORKLOAD" \
-        --seed "$seed" --seconds "$SECONDS_PER_RUN" --trace 0 2>/dev/null | tail -2)" || true
+    child perfbench_run "$dir" "$side" "$seed" || true
+    out="$(tail -2 "$TMP/run.out")"
     awk -v side="$side" -v seed="$seed" -v cores="$TMP/cores.txt" '
         function field(key) {
             if (!match($0, "\"" key "\": [0-9]+")) return ""
