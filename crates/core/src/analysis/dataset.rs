@@ -26,8 +26,8 @@ use crate::flashfs::FlashFs;
 use crate::intern::{NameId, NameIds, NameTable};
 use crate::logger::files;
 use crate::records::{
-    decode_beat, BootRecord, HeartbeatEvent, LogRecord, PanicRecord, PanicRef, ParseDefect,
-    RecordRef, ALIVE_TAIL,
+    add_digits, decode_beat, spread_digits, BootRecord, HeartbeatEvent, LogRecord, PanicRecord,
+    PanicRef, ParseDefect, RecordRef, ALIVE_TAIL, LOW_SPAN,
 };
 
 /// A panic with its context as stored in the dataset: the hot-path
@@ -166,8 +166,8 @@ pub struct ShutdownEvent {
 ///
 /// Log records are split into their panic and boot streams at
 /// construction, and shutdown events and freezes are derived eagerly.
-/// All accessors but [`Self::powered_on_time`] return borrowed slices;
-/// nothing else is re-derived per call.
+/// All accessors but [`Self::beats`] and [`Self::powered_on_time`]
+/// return borrowed slices; nothing else is re-derived per call.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct PhoneDataset {
     phone_id: u32,
@@ -178,7 +178,8 @@ pub struct PhoneDataset {
     /// remapped to it) takes over resolution.
     names: NameTable,
     boots: Vec<BootRecord>,
-    beats: Vec<(SimTime, HeartbeatEvent)>,
+    /// The heartbeat stream, in time order, as runs.
+    beats: Vec<BeatRun>,
     // Derived index, built once in `index()`:
     shutdowns: Vec<ShutdownEvent>,
     freezes: Vec<HlEvent>,
@@ -195,7 +196,7 @@ pub struct PhoneDataset {
 pub struct ParseScratch {
     panics: Vec<PanicEvent>,
     boots: Vec<BootRecord>,
-    beats: Vec<(SimTime, HeartbeatEvent)>,
+    beats: Vec<BeatRun>,
     shutdowns: Vec<ShutdownEvent>,
     freezes: Vec<HlEvent>,
 }
@@ -205,7 +206,7 @@ impl PhoneDataset {
     pub fn new(
         phone_id: u32,
         records: Vec<LogRecord>,
-        beats: Vec<(SimTime, HeartbeatEvent)>,
+        mut beats: Vec<(SimTime, HeartbeatEvent)>,
     ) -> Self {
         let mut names = NameTable::default();
         let mut panics = Vec::new();
@@ -216,15 +217,21 @@ impl PhoneDataset {
                 LogRecord::Boot(b) => boots.push(b),
             }
         }
+        // Stable, so same-instant beats keep their given order.
+        beats.sort_by_key(|&(at, _)| at);
+        let mut runs = Vec::new();
+        for (at, event) in beats {
+            push_beat(&mut runs, at.as_millis(), event);
+        }
         let mut ds = Self {
             phone_id,
             panics,
             names,
             boots,
-            beats,
+            beats: runs,
             ..Self::default()
         };
-        ds.index(false);
+        ds.index();
         ds
     }
 
@@ -261,9 +268,9 @@ impl PhoneDataset {
     /// lossily, a beats line holding it is rejected), every
     /// malformed line is skipped and classified into the
     /// [`ParseDefect`] taxonomy, exact duplicate beats are dropped,
-    /// and out-of-order records are kept but flagged (the index
-    /// re-sorts them). The resulting [`PhoneDefects`] ride along on
-    /// the dataset; a phone whose flash has content but yields no
+    /// and out-of-order records are kept but flagged (the index holds
+    /// them in time order). The resulting [`PhoneDefects`] ride along
+    /// on the dataset; a phone whose flash has content but yields no
     /// record at all is flagged unusable rather than aborting the
     /// fleet build.
     pub fn from_files(
@@ -277,72 +284,7 @@ impl PhoneDataset {
         let mut panics = std::mem::take(&mut scratch.panics);
         let mut boots = std::mem::take(&mut scratch.boots);
         read_log(log, &mut names, &mut panics, &mut boots, &mut defects);
-
-        // Beats: an exact `(timestamp, event)` repeat of a kept beat is
-        // a duplicate and dropped — checked before the order check, so
-        // a duplicated block is counted as duplication, not also as
-        // reordering. A beat past the running maximum cannot repeat
-        // anything kept, so it is kept at once: that is every beat of a
-        // clean harvest. Beats kept at or past the maximum form a
-        // non-decreasing run, searched by bisection; the few kept below
-        // it (out of order) go to `strays`, which rejoin the run in file
-        // order before `index` sorts them — the same order the file
-        // gives, since a run beat that ties a stray's timestamp always
-        // precedes it in the file. With no stray the beats are sorted
-        // already, and `index` leaves them as they are.
-        let mut beats: Vec<(SimTime, HeartbeatEvent)> = std::mem::take(&mut scratch.beats);
-        // One slot per line, the most beats the file can hold, taken
-        // at once and exactly: grown by doubling instead, a run's first
-        // phone paid a dozen reallocations and page faults on fresh
-        // scratch, and an amortized reserve overshoots up to twice.
-        let cut = raw_beats.last().is_some_and(|&b| b != b'\n');
-        beats.reserve_exact(newlines(raw_beats) + usize::from(cut));
-        let mut strays: Vec<(SimTime, HeartbeatEvent)> = Vec::new();
-        let mut stray_set: HashSet<(SimTime, HeartbeatEvent)> = HashSet::new();
-        let mut max_at: Option<SimTime> = None;
-        let (mut pos, mut width) = (0, 0);
-        while pos < raw_beats.len() {
-            defects.lines_seen += 1;
-            let (at, event) = match next_beat(raw_beats, &mut pos, &mut width) {
-                Ok(beat) => beat,
-                Err((defect, line)) => {
-                    defects.record(defect);
-                    // A decoded beat is ASCII, so only a rejected line
-                    // can hold the invalid UTF-8 of a garbled file.
-                    defects.invalid_utf8 |= std::str::from_utf8(line).is_err();
-                    continue;
-                }
-            };
-            let max = match max_at {
-                Some(max) if at <= max => max,
-                _ => {
-                    max_at = Some(at);
-                    defects.records_kept += 1;
-                    beats.push((at, event));
-                    continue;
-                }
-            };
-            let from = beats.partition_point(|&(t, _)| t < at);
-            let in_run = beats[from..]
-                .iter()
-                .take_while(|&&(t, _)| t == at)
-                .any(|&(_, e)| e == event);
-            if in_run || stray_set.contains(&(at, event)) {
-                defects.record(ParseDefect::Duplicate);
-                continue;
-            }
-            defects.records_kept += 1;
-            if at < max {
-                defects.record(ParseDefect::OutOfOrder);
-                stray_set.insert((at, event));
-                strays.push((at, event));
-            } else {
-                beats.push((at, event));
-            }
-        }
-        let beats_sorted = strays.is_empty();
-        beats.append(&mut strays);
-
+        let beats = read_beats(raw_beats, std::mem::take(&mut scratch.beats), &mut defects);
         defects.unusable = defects.lines_seen > 0 && defects.records_kept == 0;
         let mut ds = Self {
             phone_id,
@@ -354,7 +296,7 @@ impl PhoneDataset {
             freezes: std::mem::take(&mut scratch.freezes),
             defects,
         };
-        ds.index(beats_sorted);
+        ds.index();
         ds
     }
 
@@ -375,20 +317,17 @@ impl PhoneDataset {
         put(&mut scratch.freezes, self.freezes);
     }
 
-    /// Derives the event index from the primary streams; the beats are
-    /// sorted unless the parse found them `beats_sorted`.
-    fn index(&mut self, beats_sorted: bool) {
+    /// Derives the event index from the primary streams. The beats are
+    /// in time order already: the parse and [`Self::new`] build their
+    /// runs in order.
+    fn index(&mut self) {
         // Normalize to time order (stable, so same-instant records
         // keep file order). Harvested logs are chronological unless
         // flash corruption reordered them; hand-built datasets may not
         // be either, and the analyses' binary searches rely on sorted
-        // streams. A stable sort allocates scratch of one element per
-        // beat even on sorted input, so sorted beats skip it.
+        // streams.
         self.panics.sort_by_key(|p| p.at);
         self.boots.sort_by_key(|b| b.boot_at);
-        if !beats_sorted {
-            self.beats.sort_by_key(|&(at, _)| at);
-        }
         // Shutdown events whose duration is measurable (the previous
         // session ended with a clean `REBOOT`). `LOWBT` and `MAOFF`
         // shutdowns are excluded: their cause is already known, so
@@ -448,9 +387,12 @@ impl PhoneDataset {
         &self.boots
     }
 
-    /// The heartbeat stream, in time order.
-    pub fn beats(&self) -> &[(SimTime, HeartbeatEvent)] {
-        &self.beats
+    /// The heartbeat stream, in time order, beat by beat: at equal
+    /// timestamps, in file order.
+    pub fn beats(&self) -> impl Iterator<Item = (SimTime, HeartbeatEvent)> + '_ {
+        self.beats.iter().flat_map(|run| {
+            (0..run.count).map(move |i| (SimTime::from_millis(run.first + i * run.step), run.event))
+        })
     }
 
     /// Measurable shutdown events (see [`Self::new`] for the
@@ -468,17 +410,25 @@ impl PhoneDataset {
     /// Total powered-on time, estimated from the heartbeat stream:
     /// the sum of gaps between consecutive beats no longer than
     /// `max_gap` (larger gaps mean the phone was off or frozen). One
-    /// pass over the beats per call: the analysis asks one threshold
-    /// per phone, once ([`PhoneLens`](super::passes::PhoneLens)).
+    /// pass over the runs per call: a run's gaps are its step, and
+    /// each run's first beat follows the previous run's last. The
+    /// analysis asks one threshold per phone, once
+    /// ([`PhoneLens`](super::passes::PhoneLens)).
     pub fn powered_on_time(&self, max_gap: SimDuration) -> SimDuration {
         let max_gap = max_gap.as_millis();
-        let powered: u64 = self
+        let within: u64 = self
+            .beats
+            .iter()
+            .filter(|run| run.step <= max_gap)
+            .map(|run| run.last() - run.first)
+            .sum();
+        let between: u64 = self
             .beats
             .windows(2)
-            .map(|pair| pair[1].0.saturating_since(pair[0].0).as_millis())
+            .map(|pair| pair[1].first.saturating_sub(pair[0].last()))
             .filter(|&gap| gap <= max_gap)
             .sum();
-        SimDuration::from_millis(powered)
+        SimDuration::from_millis(within + between)
     }
 
     /// Defect accounting from the lossy parse. Empty (clean) for
@@ -538,96 +488,290 @@ pub(crate) fn log_text(log: &[u8]) -> Cow<'_, str> {
     }
 }
 
-/// The number of `\n` bytes in `bytes`. Each chunk of up to 255 bytes
-/// is counted in a `u8`, which cannot overflow there, so the count
-/// runs in byte-wide vector lanes rather than one `usize` add a byte.
-fn newlines(bytes: &[u8]) -> usize {
-    bytes
-        .chunks(255)
-        .map(|chunk| usize::from(chunk.iter().fold(0u8, |n, &b| n + u8::from(b == b'\n'))))
-        .sum()
+/// `count` beats of one `event`, `step` ms apart from `first` on: how
+/// a dataset holds its heartbeat stream. Between two actions the
+/// logger writes an `ALIVE` line every period, so a phone's tens of
+/// thousands of beats make a few hundred runs. A run of two or more
+/// beats has a positive step; a run of one has any step.
+#[derive(Debug, Clone, Copy)]
+struct BeatRun {
+    first: u64,
+    step: u64,
+    count: u64,
+    event: HeartbeatEvent,
 }
 
-/// Decodes the line at `buf[pos..]` and moves `pos` past it. A line
-/// of the last `ALIVE` line's `width` decodes through
-/// [`alive_of_width`]; any other is cut at its `\n` — dropping a `\r`
-/// before it, as `str::lines` does — and decoded by [`decode_beat`],
-/// and an `ALIVE` one sets `width`. A rejected line comes back as its
-/// defect and its raw bytes.
-fn next_beat<'a>(
-    buf: &'a [u8],
-    pos: &mut usize,
-    width: &mut usize,
-) -> Result<(SimTime, HeartbeatEvent), (ParseDefect, &'a [u8])> {
-    if let Some(ms) = alive_of_width(buf, *pos, *width) {
-        *pos += *width + ALIVE_TAIL.len();
-        return Ok((SimTime::from_millis(ms), HeartbeatEvent::Alive));
-    }
-    let rest = &buf[*pos..];
-    let (line, used) = match rest.iter().position(|&b| b == b'\n') {
-        Some(end) => {
-            let line = &rest[..end];
-            (line.strip_suffix(b"\r").unwrap_or(line), end + 1)
+impl BeatRun {
+    fn single(at: u64, event: HeartbeatEvent) -> Self {
+        Self {
+            first: at,
+            step: 0,
+            count: 1,
+            event,
         }
-        None => (rest, rest.len()),
-    };
-    *pos += used;
-    let beat = decode_beat(line).map_err(|defect| (defect, line))?;
-    if beat.1 == HeartbeatEvent::Alive {
-        *width = line.len() - (ALIVE_TAIL.len() - 1);
     }
-    Ok(beat)
+
+    fn last(&self) -> u64 {
+        self.first + (self.count - 1) * self.step
+    }
 }
 
-/// Byte masks over a 16-byte window read as one integer.
-const BYTES_7F: u128 = u128::from_ne_bytes([0x7f; 16]);
-const BYTES_76: u128 = u128::from_ne_bytes([0x76; 16]);
-const BYTES_80: u128 = u128::from_ne_bytes([0x80; 16]);
-const BYTES_30: u128 = u128::from_ne_bytes([0x30; 16]);
+/// Appends a beat at or after the last one in `runs`: it extends the
+/// last run when it has the run's event and lands one step past its
+/// end (any later time makes a one-beat run's step), and starts a run
+/// otherwise.
+fn push_beat(runs: &mut Vec<BeatRun>, at: u64, event: HeartbeatEvent) {
+    let extends = |run: &&mut BeatRun| {
+        run.event == event && at > run.last() && (run.count == 1 || at - run.last() == run.step)
+    };
+    match runs.last_mut().filter(extends) {
+        Some(run) => {
+            run.step = at - run.last();
+            run.count += 1;
+        }
+        None => runs.push(BeatRun::single(at, event)),
+    }
+}
 
-/// The timestamp of the line at `buf[pos..]` when it is `width` (1–16)
-/// ASCII digits then `|ALIVE\n`, and at least 16 bytes of `buf` end
-/// where its digits end; `None` otherwise, and the caller decodes the
-/// line the general way. Those 16 bytes, read as one little-endian
-/// integer, give both the digit check and the value by bit tricks on
-/// all bytes at once (SWAR: SIMD within a register); the tail is one
-/// masked compare of the eight bytes from the last digit. Every line
-/// it accepts, [`decode_beat`] accepts with the same value: leading
-/// zeros and all, since both read any run of digits that is not too
-/// wide. `width` is only a guess at the next line's shape: a wrong one
-/// makes this refuse, never misread.
-fn alive_of_width(buf: &[u8], pos: usize, width: usize) -> Option<u64> {
-    if width == 0 || width > 16 {
-        return None;
+/// Whether the time-ordered `runs` hold a beat of `event` at `at`:
+/// bisection to the first run that ends at or after `at`, then the few
+/// runs from there that start at or before it. Each run starts where
+/// the one before it ends or later, so `at` lies in every such run's
+/// span, and it is a beat of the run when it is a whole number of
+/// steps from its first.
+fn runs_hold(runs: &[BeatRun], at: u64, event: HeartbeatEvent) -> bool {
+    let from = runs.partition_point(|run| run.last() < at);
+    runs[from..]
+        .iter()
+        .take_while(|run| run.first <= at)
+        .any(|run| run.event == event && (at - run.first).is_multiple_of(run.step))
+}
+
+/// The time-ordered `runs` with the time-ordered `strays` in their
+/// places: each stray after every run beat at or before its time, and
+/// after the strays before it. A stray inside a run's span splits the
+/// run; no run is expanded.
+fn merge_strays(runs: &[BeatRun], strays: &[(u64, HeartbeatEvent)]) -> Vec<BeatRun> {
+    let mut merged = Vec::with_capacity(runs.len() + 2 * strays.len());
+    let mut strays = strays.iter().copied().peekable();
+    for &run in runs {
+        let mut run = run;
+        while let Some(&(at, event)) = strays.peek() {
+            if at >= run.last() {
+                break;
+            }
+            if at >= run.first {
+                // The beats up to `at` stay ahead of the stray.
+                let head = (at - run.first) / run.step + 1;
+                merged.push(BeatRun { count: head, ..run });
+                run.first += head * run.step;
+                run.count -= head;
+            }
+            merged.push(BeatRun::single(at, event));
+            strays.next();
+        }
+        merged.push(run);
     }
-    let end = pos + width;
-    // The last digit, then the tail; the digit shifts out.
-    const TAIL: u64 = u64::from_le_bytes(*b"0|ALIVE\n") >> 8;
-    let tail: [u8; 8] = buf.get(end - 1..end + ALIVE_TAIL.len())?.try_into().ok()?;
-    if u64::from_le_bytes(tail) >> 8 != TAIL {
-        return None;
+    merged.extend(strays.map(|(at, event)| BeatRun::single(at, event)));
+    merged
+}
+
+/// Reads the `beats` file into `runs` (empty, a recycled buffer), in
+/// time order, counting its lines into `defects`.
+///
+/// Each line is first compared with the line the last run predicts
+/// ([`NextAlive`]); on a match, the run grows by one beat. Any other
+/// line — a run's first two, and every damaged, duplicated, displaced,
+/// `\r\n` or zero-padded one — is cut at its `\n`, loses a `\r` before
+/// that `\n` (as `str::lines` does) and goes to [`decode_beat`].
+///
+/// An exact `(timestamp, event)` repeat of a kept beat is a duplicate
+/// and dropped — checked before the order check, so a duplicated block
+/// is counted as duplication, not also as reordering. A beat past the
+/// last run's end cannot repeat anything kept, so it is kept at once:
+/// that is every beat of a clean harvest. The beats kept at or past
+/// that end form the runs, which [`runs_hold`] searches; the few kept
+/// below it (out of order) are strays, held aside in file order and
+/// put in their places by [`merge_strays`] at the end. A run beat that
+/// ties a stray's timestamp always came first in the file, so that
+/// order is the file's at equal timestamps.
+fn read_beats(raw: &[u8], mut runs: Vec<BeatRun>, defects: &mut PhoneDefects) -> Vec<BeatRun> {
+    let mut strays: Vec<(u64, HeartbeatEvent)> = Vec::new();
+    let mut stray_set: HashSet<(u64, HeartbeatEvent)> = HashSet::new();
+    let mut next: Option<NextAlive> = None;
+    let mut pos = 0;
+    while pos < raw.len() {
+        if let (Some(alive), Some(run)) = (next.as_mut(), runs.last_mut()) {
+            let (grown, live) = alive.follow(raw, &mut pos);
+            run.count += grown;
+            defects.lines_seen += grown;
+            defects.records_kept += grown;
+            if !live {
+                next = None;
+            }
+            if pos == raw.len() {
+                break;
+            }
+        }
+        defects.lines_seen += 1;
+        let rest = &raw[pos..];
+        let (line, used) = match rest.iter().position(|&b| b == b'\n') {
+            Some(end) => {
+                let line = &rest[..end];
+                (line.strip_suffix(b"\r").unwrap_or(line), end + 1)
+            }
+            None => (rest, rest.len()),
+        };
+        pos += used;
+        let (at, event) = match decode_beat(line) {
+            Ok((at, event)) => (at.as_millis(), event),
+            Err(defect) => {
+                defects.record(defect);
+                // A decoded beat is ASCII, so only a rejected line can
+                // hold the invalid UTF-8 of a garbled file.
+                defects.invalid_utf8 |= std::str::from_utf8(line).is_err();
+                continue;
+            }
+        };
+        if let Some(end) = runs.last().map(BeatRun::last).filter(|&end| at <= end) {
+            if runs_hold(&runs, at, event) || stray_set.contains(&(at, event)) {
+                defects.record(ParseDefect::Duplicate);
+                continue;
+            }
+            if at < end {
+                defects.records_kept += 1;
+                defects.record(ParseDefect::OutOfOrder);
+                stray_set.insert((at, event));
+                strays.push((at, event));
+                continue;
+            }
+        }
+        defects.records_kept += 1;
+        push_beat(&mut runs, at, event);
+        next = runs
+            .last()
+            .filter(|run| run.event == HeartbeatEvent::Alive && run.count > 1)
+            .and_then(|run| NextAlive::after(run.last(), run.step));
     }
-    let window: [u8; 16] = buf.get(end.checked_sub(16)?..end)?.try_into().ok()?;
-    // The digits' values (`^ '0'`) in the top `width` bytes; the bytes
-    // before the line are masked off, to zeros that read as leading
-    // zeros.
-    let x = (u128::from_le_bytes(window) ^ BYTES_30) & (u128::MAX << (8 * (16 - width)));
-    // A byte is a digit exactly when its value is below 10: adding
-    // 0x76 to its low seven bits sets its high bit otherwise, with no
-    // carry into the next byte, and a high bit of its own is no digit
-    // either.
-    if (((x & BYTES_7F) + BYTES_76) | x) & BYTES_80 != 0 {
-        return None;
+    if strays.is_empty() {
+        return runs;
     }
-    // Eight digit values, the first (most significant) in the lowest
-    // byte, as a number: neighbouring lanes combine into 2-digit values
-    // in 16-bit lanes, then 4 in 32, then 8.
-    fn eight(v: u64) -> u64 {
-        let v = (v * 10 + (v >> 8)) & 0x00ff_00ff_00ff_00ff;
-        let v = (v * 100 + (v >> 16)) & 0x0000_ffff_0000_ffff;
-        (v * 10_000 + (v >> 32)) & 0xffff_ffff
+    // Stable, so strays at one timestamp keep file order.
+    strays.sort_by_key(|&(at, _)| at);
+    merge_strays(&runs, &strays)
+}
+
+/// `'0'` in every byte of a 16-byte window.
+const ZEROS: u128 = u128::from_ne_bytes([b'0'; 16]);
+
+/// Timestamps below this, sixteen digits, are predicted.
+const PREDICTED_SPAN: u64 = LOW_SPAN * LOW_SPAN;
+
+/// The line that continues an `ALIVE` run: its last timestamp plus its
+/// step, as the heartbeat writer writes it. The timestamp's digits sit
+/// in two digit registers, one digit value per byte
+/// ([`spread_digits`]), and each beat adds the step's registers to them
+/// with decimal carries ([`add_digits`]), so a prediction costs no
+/// division. The whole value is kept beside them, and gives the line's
+/// width without waiting on the registers; a timestamp of more than
+/// sixteen digits is not predicted, and its line is decoded the
+/// general way.
+#[derive(Debug)]
+struct NextAlive {
+    /// The predicted timestamp.
+    at: u64,
+    /// Its digit count, 1–16.
+    width: usize,
+    /// `10^width`: the timestamp that widens the line.
+    widen_at: u64,
+    /// The timestamp's low eight digits.
+    low: u64,
+    /// Its next eight digits.
+    high: u64,
+    /// The run's step.
+    step: u64,
+    /// The step's low eight digits.
+    step_low: u64,
+    /// The step's next eight digits.
+    step_high: u64,
+}
+
+impl NextAlive {
+    /// The line one `step` (positive) after `last`; `None` past sixteen
+    /// digits.
+    fn after(last: u64, step: u64) -> Option<Self> {
+        let at = last
+            .checked_add(step)
+            .filter(|&at| step > 0 && at < PREDICTED_SPAN)?;
+        let mut next = Self {
+            at,
+            width: 1,
+            widen_at: 10,
+            low: spread_digits(at % LOW_SPAN),
+            high: spread_digits(at / LOW_SPAN),
+            step,
+            step_low: spread_digits(step % LOW_SPAN),
+            step_high: spread_digits(step / LOW_SPAN),
+        };
+        next.widen();
+        Some(next)
     }
-    Some(eight(x as u64) * 100_000_000 + eight((x >> 64) as u64))
+
+    /// Brings `width` up to the timestamp's digit count.
+    fn widen(&mut self) {
+        while self.at >= self.widen_at {
+            self.width += 1;
+            self.widen_at *= 10;
+        }
+    }
+
+    /// Moves `pos` past the lines from there on that continue the run
+    /// and returns how many, and whether the line after them is still
+    /// predicted: `false` once it has more than sixteen digits.
+    fn follow(&mut self, raw: &[u8], pos: &mut usize) -> (u64, bool) {
+        let mut grown = 0;
+        while self.is_at(raw, *pos) {
+            *pos += self.width + ALIVE_TAIL.len();
+            grown += 1;
+            self.at += self.step;
+            if self.at >= self.widen_at {
+                if self.at >= PREDICTED_SPAN {
+                    return (grown, false);
+                }
+                self.widen();
+            }
+            let (low, carry) = add_digits(self.low, self.step_low);
+            self.low = low;
+            if carry || self.step_high != 0 {
+                self.high = add_digits(self.high, self.step_high + u64::from(carry)).0;
+            }
+        }
+        (grown, true)
+    }
+
+    /// Whether the line at `raw[pos..]` is this one. The 16 bytes that
+    /// end where its digits end, read as one big-endian integer, hold
+    /// its last digit in the lowest byte, as the registers do; masked
+    /// to the line's `width` bytes they must equal the registers'
+    /// ASCII, and the eight bytes from the last digit on, the digit
+    /// shifted out, `|ALIVE\n`. A line that ends its digits fewer than
+    /// 16 bytes into the file is not compared.
+    fn is_at(&self, raw: &[u8], pos: usize) -> bool {
+        const TAIL: u64 = u64::from_le_bytes(*b"0|ALIVE\n") >> 8;
+        let end = pos + self.width;
+        if end < 16 || end + ALIVE_TAIL.len() > raw.len() {
+            return false;
+        }
+        let (Ok(window), Ok(tail)) = (
+            <[u8; 16]>::try_from(&raw[end - 16..end]),
+            <[u8; 8]>::try_from(&raw[end - 1..end + ALIVE_TAIL.len()]),
+        ) else {
+            return false;
+        };
+        let digits = (u128::from(self.high) << 64 | u128::from(self.low)) | ZEROS;
+        let mask = u128::MAX >> (8 * (16 - self.width));
+        (u128::from_be_bytes(window) ^ digits) & mask == 0 && u64::from_le_bytes(tail) >> 8 == TAIL
+    }
 }
 
 /// The whole fleet's harvested data: the parsed phones under one
@@ -761,7 +905,7 @@ mod tests {
         assert_eq!(ds.phone_id(), 7);
         assert_eq!(ds.panics().len(), 1);
         assert_eq!(ds.boots().len(), 3);
-        assert!(ds.beats().len() > 10);
+        assert!(ds.beats().count() > 10);
     }
 
     #[test]
@@ -801,7 +945,8 @@ mod tests {
         for gap_secs in [0u64, 1, 29, 30, 31, 90, 600, 4000, 100_000] {
             let max_gap = SimDuration::from_secs(gap_secs);
             let mut linear = SimDuration::ZERO;
-            for pair in ds.beats().windows(2) {
+            let beats: Vec<_> = ds.beats().collect();
+            for pair in beats.windows(2) {
                 let gap = pair[1].0.saturating_since(pair[0].0);
                 if gap <= max_gap {
                     linear += gap;
@@ -829,7 +974,7 @@ mod tests {
         assert!(ds.defects().is_clean(), "{:?}", ds.defects());
         assert_eq!(
             ds.defects().records_kept,
-            (ds.panics().len() + ds.boots().len() + ds.beats().len()) as u64
+            (ds.panics().len() + ds.boots().len() + ds.beats().count()) as u64
         );
     }
 
@@ -865,7 +1010,7 @@ mod tests {
         assert!(!d.unusable);
         // Surviving records still drive the analyses.
         assert_eq!(ds.panics().len(), 1);
-        assert!(ds.beats().len() >= 5);
+        assert!(ds.beats().count() >= 5);
         assert!(ds.powered_on_time(SimDuration::from_mins(5)) > SimDuration::ZERO);
     }
 
@@ -888,29 +1033,6 @@ mod tests {
             report.mtbf.total_hours,
             uptime_alone.as_hours_f64(),
             "unusable phone contributes no powered-on time"
-        );
-    }
-
-    #[test]
-    fn newlines_counts_every_line_feed() {
-        let text: Vec<u8> = (0..2000)
-            .map(|i| {
-                if i % 7 == 0 || i % 11 == 0 {
-                    b'\n'
-                } else {
-                    b'5'
-                }
-            })
-            .collect();
-        for len in [0, 1, 254, 255, 256, 511, 512, 2000] {
-            let bytes = &text[..len];
-            let naive = bytes.iter().filter(|&&b| b == b'\n').count();
-            assert_eq!(newlines(bytes), naive, "{len} bytes");
-        }
-        assert_eq!(
-            newlines(&[b'\n'; 1000]),
-            1000,
-            "a chunk of 255 feeds fits its u8"
         );
     }
 

@@ -82,12 +82,22 @@ impl FlashFs {
         self.bytes_written += (buf.len() - start) as u64;
     }
 
-    /// Iterator over the lines of `file` (empty for a missing file).
+    /// Iterator over the lines of `file` (empty for a missing file), cut
+    /// as `str::lines` cuts text: at each `\n`, dropping a `\r` before
+    /// it. A line that is not UTF-8, as flash damage can leave, is
+    /// skipped. A `\n` never sits inside a multi-byte sequence, so the
+    /// other lines are exactly those of the valid text.
     pub fn read_lines(&self, file: &str) -> impl Iterator<Item = &str> {
-        self.file(file)
-            .map(|b| std::str::from_utf8(b).expect("flashfs content is UTF-8"))
-            .unwrap_or("")
-            .lines()
+        self.read_bytes(file)
+            .unwrap_or_default()
+            .split_inclusive(|&b| b == b'\n')
+            .filter_map(|line| {
+                let line = match line.strip_suffix(b"\n") {
+                    Some(line) => line.strip_suffix(b"\r").unwrap_or(line),
+                    None => line,
+                };
+                std::str::from_utf8(line).ok()
+            })
     }
 
     /// The last line of `file`, if the file exists and is non-empty —
@@ -101,10 +111,11 @@ impl FlashFs {
         // A '\n' is never inside a multi-byte sequence, so the tail is
         // a whole number of characters; `lines` then applies the same
         // `\r\n` rule to it that it applies to every line of the file.
-        std::str::from_utf8(&buf[start..])
-            .expect("flashfs content is UTF-8")
-            .lines()
-            .next()
+        match std::str::from_utf8(&buf[start..]) {
+            Ok(tail) => tail.lines().next(),
+            // `read_lines` skips a last line that is not UTF-8.
+            Err(_) => self.read_lines(file).last(),
+        }
     }
 
     /// Raw content of a file as bytes (borrowed; no copy).
@@ -255,6 +266,17 @@ mod tests {
             assert_eq!(fs.last_line(name), fs.read_lines(name).last(), "{name}");
         }
         assert_eq!(fs.last_line("missing"), None);
+    }
+
+    #[test]
+    fn lines_that_are_not_utf8_are_skipped() {
+        let mut fs = FlashFs::new();
+        fs.overwrite_raw("ureport", b"5|OUT\n\xff\xfe\n7|OUT\n".to_vec());
+        let lines: Vec<&str> = fs.read_lines("ureport").collect();
+        assert_eq!(lines, vec!["5|OUT", "7|OUT"]);
+        fs.overwrite_raw("cut", b"a\r\nb\n\xc3".to_vec());
+        assert_eq!(fs.read_lines("cut").collect::<Vec<_>>(), vec!["a", "b"]);
+        assert_eq!(fs.last_line("cut"), Some("b"));
     }
 
     #[test]

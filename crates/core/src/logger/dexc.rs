@@ -64,7 +64,8 @@ impl DExcLogger {
         });
     }
 
-    /// Parses the collected panic stream.
+    /// Parses the collected panic stream, skipping a line that is
+    /// malformed or not UTF-8.
     pub fn parse(fs: &FlashFs) -> Vec<(SimTime, PanicCode)> {
         fs.read_lines(DEXC_FILE)
             .filter_map(|line| {
@@ -121,5 +122,18 @@ mod tests {
         fs.append_line(DEXC_FILE, "123|KERN-EXEC~3");
         fs.append_line(DEXC_FILE, "x|KERN-EXEC~3");
         assert_eq!(DExcLogger::parse(&fs).len(), 1);
+    }
+
+    #[test]
+    fn parse_skips_a_line_that_is_not_utf8() {
+        let mut fs = FlashFs::new();
+        fs.overwrite_raw(DEXC_FILE, b"5|USER~11\n\xff\xfe\n7|USER~11\n".to_vec());
+        assert_eq!(
+            DExcLogger::parse(&fs),
+            vec![
+                (SimTime::from_millis(5), codes::USER_11),
+                (SimTime::from_millis(7), codes::USER_11),
+            ]
+        );
     }
 }

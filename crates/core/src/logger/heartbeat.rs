@@ -12,7 +12,10 @@
 use symfail_sim_core::{SimDuration, SimTime};
 
 use crate::flashfs::FlashFs;
-use crate::records::{encode_beat_into, write_u64_digits, HeartbeatEvent, ALIVE_TAIL};
+use crate::records::{
+    add_digits, encode_beat_into, spread_digits, write_u64_digits, HeartbeatEvent, ALIVE_TAIL,
+    LOW_SPAN,
+};
 
 use super::files;
 
@@ -23,37 +26,9 @@ const MAX_DIGITS: usize = 20;
 /// stores.
 const LINE: usize = 32;
 
-/// The register holds the timestamp's value below this: its low eight
-/// decimal digits.
-const LOW_SPAN: u64 = 100_000_000;
-
 /// `'0'` in every byte: a register of digit values (0–9 per byte) OR
 /// this is their ASCII.
 const ASCII_ZEROS: u64 = 0x3030_3030_3030_3030;
-
-/// `v` (below [`LOW_SPAN`]) as eight decimal digit values, one per
-/// byte, the most significant digit in the most significant byte.
-fn spread_digits(mut v: u64) -> u64 {
-    let mut out = 0;
-    for byte in 0..8 {
-        out |= (v % 10) << (8 * byte);
-        v /= 10;
-    }
-    out
-}
-
-/// Adds two registers of eight decimal digit values with decimal
-/// carries; the flag is the carry out of the top digit. Each byte sum
-/// is at most 18, so the plain addition carries nothing between bytes.
-/// Adding 246 to every byte then makes a byte overflow exactly when
-/// its sum (with the carry from below) reaches 10, leaving that sum
-/// minus 10 and carrying into the next digit up; a byte that did not
-/// overflow still holds the 246 (its high bit is set), taken back off.
-fn add_digits(a: u64, b: u64) -> (u64, bool) {
-    let (biased, carry) = (a + b).overflowing_add(0xF6F6_F6F6_F6F6_F6F6);
-    let unbias = ((biased & 0x8080_8080_8080_8080) >> 7) * 0xF6;
-    (biased - unbias, carry)
-}
 
 /// A period split as [`BeatDigits`] adds it.
 #[derive(Debug, Clone, Copy, Default)]
@@ -271,23 +246,5 @@ mod tests {
                 HeartbeatEvent::Reboot
             ]
         );
-    }
-
-    /// The register's decimal addition against integer addition, on
-    /// every digit count and carry chain (…9999 + 1, 99999999 + 1 out
-    /// of the register).
-    #[test]
-    fn register_addition_carries_in_decimal() {
-        let values = [
-            0u64, 1, 9, 10, 99, 4_321, 300_000, 999_999, 49_999_999, 50_000_000, 99_999_999,
-            12_345_678, 87_654_321,
-        ];
-        for a in values {
-            for b in values {
-                let (sum, carry) = add_digits(spread_digits(a), spread_digits(b));
-                assert_eq!(sum, spread_digits((a + b) % LOW_SPAN), "{a} + {b}");
-                assert_eq!(carry, a + b >= LOW_SPAN, "{a} + {b}");
-            }
-        }
     }
 }

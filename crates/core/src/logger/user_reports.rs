@@ -88,7 +88,8 @@ impl UserReportChannel {
         );
     }
 
-    /// Parses the filed reports.
+    /// Parses the filed reports, skipping a line that is malformed or
+    /// not UTF-8.
     pub fn parse(fs: &FlashFs) -> Vec<(SimTime, UserReportKind)> {
         fs.read_lines(UREPORT_FILE)
             .filter_map(|line| {
@@ -149,5 +150,18 @@ mod tests {
         fs.append_line(UREPORT_FILE, "5|OUT");
         fs.append_line(UREPORT_FILE, "6|NOPE");
         assert_eq!(UserReportChannel::parse(&fs).len(), 1);
+    }
+
+    #[test]
+    fn parse_skips_a_line_that_is_not_utf8() {
+        let mut fs = FlashFs::new();
+        fs.overwrite_raw(UREPORT_FILE, b"5|OUT\n\xff\xfe\n7|OUT\n".to_vec());
+        assert_eq!(
+            UserReportChannel::parse(&fs),
+            vec![
+                (SimTime::from_millis(5), UserReportKind::OutputFailure),
+                (SimTime::from_millis(7), UserReportKind::OutputFailure),
+            ]
+        );
     }
 }

@@ -178,6 +178,38 @@ pub(crate) fn write_u64_digits(digits: &mut [u8], mut v: u64) -> usize {
     i
 }
 
+/// What a digit register holds: a value below this, its eight decimal
+/// digits. The heartbeat writer advances a beat's digits in registers
+/// ([`add_digits`]), and the beats reader predicts the next beat's the
+/// same way.
+pub(crate) const LOW_SPAN: u64 = 100_000_000;
+
+/// `v` (below [`LOW_SPAN`]) as eight decimal digit values, one per
+/// byte, the most significant digit in the most significant byte.
+pub(crate) fn spread_digits(mut v: u64) -> u64 {
+    let mut out = 0;
+    for byte in 0..8 {
+        out |= (v % 10) << (8 * byte);
+        v /= 10;
+    }
+    out
+}
+
+/// Adds two registers of eight decimal digit values with decimal
+/// carries; the flag is the carry out of the top digit. Each byte sum
+/// is at most 18 (19 in the lowest byte, which takes no carry: room
+/// for a carry from a register below), so the plain addition carries
+/// nothing between bytes. Adding 246 to every byte then makes a byte
+/// overflow exactly when its sum (with the carry from below) reaches
+/// 10, leaving that sum minus 10 and carrying into the next digit up;
+/// a byte that did not overflow still holds the 246 (its high bit is
+/// set), taken back off.
+pub(crate) fn add_digits(a: u64, b: u64) -> (u64, bool) {
+    let (biased, carry) = (a + b).overflowing_add(0xF6F6_F6F6_F6F6_F6F6);
+    let unbias = ((biased & 0x8080_8080_8080_8080) >> 7) * 0xF6;
+    (biased - unbias, carry)
+}
+
 /// Appends `v` as exactly four lowercase hex digits (the checksum
 /// trailer's `XXXX`).
 fn push_hex4(out: &mut Vec<u8>, v: u16) {
@@ -815,6 +847,32 @@ mod tests {
         }
         assert_eq!(decode_beat(b"12|NOPE"), Err(ParseDefect::UnknownTag));
         assert_eq!(decode_beat(b"12|"), Err(ParseDefect::Truncated));
+    }
+
+    /// The register's decimal addition against integer addition, on
+    /// every digit count and carry chain (…9999 + 1, 99999999 + 1 out
+    /// of the register), with and without a carry from a register
+    /// below.
+    #[test]
+    fn register_addition_carries_in_decimal() {
+        let values = [
+            0u64, 1, 9, 10, 99, 4_321, 300_000, 999_999, 49_999_999, 50_000_000, 99_999_999,
+            12_345_678, 87_654_321,
+        ];
+        for a in values {
+            for b in values {
+                for carry_in in [0, 1] {
+                    let (sum, carry) = add_digits(spread_digits(a), spread_digits(b) + carry_in);
+                    let total = a + b + carry_in;
+                    assert_eq!(
+                        sum,
+                        spread_digits(total % LOW_SPAN),
+                        "{a} + {b} + {carry_in}"
+                    );
+                    assert_eq!(carry, total >= LOW_SPAN, "{a} + {b} + {carry_in}");
+                }
+            }
+        }
     }
 
     #[test]

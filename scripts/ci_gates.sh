@@ -60,6 +60,25 @@ awk -F'[:,]' -v floor="$LINES_PER_S_FLOOR" '/"parse_seconds":/ { s = $2 + 0 }
       exit !(lps >= floor)
     }' stream_250.json >&2
 
+# The parse holds each phone's heartbeat stream as runs of evenly
+# spaced beats, never one slot per beat. One worker's peak allocation
+# over the default 25 x 425 campaign repeats to within a few bytes
+# whatever the host's speed: 2,768,570 B clean and 2,679,316 B under
+# worst mixed-fleet corruption at seed 2005, where one slot per beat
+# read 4,557,498 and 6,027,871 B.
+PEAK_ALLOC_CEILING=3500000
+for fleet in "" "--fleet mixed --corruption worst"; do
+    echo "ci_gates: one-worker peak allocation ceiling ($PEAK_ALLOC_CEILING B, 25 x 425${fleet:+, $fleet})" >&2
+    # shellcheck disable=SC2086 # $fleet is a list of flags
+    "$BIN" --exp mtbf --seed "$SEED" --phones 25 --days 425 --workers 1 $fleet \
+        --timing-json peak.json > /dev/null
+    awk -F'[:,]' -v ceiling="$PEAK_ALLOC_CEILING" '/"peak_alloc_bytes":/ { peak = $2 + 0; seen = 1 }
+        END {
+          printf "ci_gates: peak allocation: %d B (ceiling %d)\n", peak, ceiling
+          exit !(seen && peak <= ceiling)
+        }' peak.json >&2
+done
+
 echo "ci_gates: checkpoint interrupt/resume byte identity (kill at phone 97)" >&2
 "$BIN" --exp all --seed "$SEED" --phones "$PHONES" --days "$DAYS" \
     --corruption worst --workers "$WORKERS" \

@@ -1,10 +1,15 @@
 //! Reference implementations of the flash log codec, kept as oracles:
 //! the `format!` encoders and the owned-`String` decoder the program
-//! once shipped beside its zero-copy codec. The program has one codec
+//! once shipped beside its zero-copy codec, and the str path that once
+//! read a phone's `log` and `beats` files. The program has one codec
 //! per format — the `encode_*_into` writers and `RecordRef::decode` /
-//! `decode_beat` — and the property tests check it against these on
-//! every line they generate.
+//! `decode_beat` — and one parse, `PhoneDataset::from_files`; the
+//! property and mutation tests check them against these on every line
+//! and file they generate.
 
+use std::collections::HashSet;
+
+use symfail::core::analysis::defects::PhoneDefects;
 use symfail::core::records::{
     line_checksum, BootRecord, HeartbeatEvent, LogRecord, PanicRecord, ParseDefect, RecordRef,
 };
@@ -171,4 +176,97 @@ pub fn to_owned_record(r: &RecordRef<'_>) -> LogRecord {
         }),
         RecordRef::Boot(b) => LogRecord::Boot(*b),
     }
+}
+
+/// The replaced `&str` beat decoder, verbatim in behaviour.
+fn str_decode_beat(line: &str) -> Result<(SimTime, HeartbeatEvent), ParseDefect> {
+    let (ms, token) = line.split_once('|').ok_or(ParseDefect::Truncated)?;
+    let at = ms.parse::<u64>().map_err(|_| ParseDefect::Truncated)?;
+    let is_token_prefix = ["ALIVE", "REBOOT", "MAOFF", "LOWBT"]
+        .iter()
+        .any(|t| t.len() > token.len() && t.starts_with(token));
+    match HeartbeatEvent::parse(token) {
+        Some(e) => Ok((SimTime::from_millis(at), e)),
+        None if is_token_prefix => Err(ParseDefect::Truncated),
+        None => Err(ParseDefect::UnknownTag),
+    }
+}
+
+/// The replaced beats read over a flash holding only this beats file
+/// ([`str_path_phone`] with an empty log).
+pub fn str_path_beats(raw: &[u8]) -> (Vec<(SimTime, HeartbeatEvent)>, PhoneDefects) {
+    str_path_phone(&[], raw)
+}
+
+/// The str path over a phone's `log` and `beats`, as the parse once
+/// read them. The log: lossy text, `str::lines`, [`parse_owned`], and
+/// an out-of-order count against a running maximum that a displaced
+/// record does not advance. The beats: lossy text, `str::lines`, a
+/// `&str` beat decoder and a lazily built set of every kept beat for
+/// the duplicate check. Returns the beats in the dataset's order
+/// (stably sorted by time) and the phone's defects.
+pub fn str_path_phone(log: &[u8], raw: &[u8]) -> (Vec<(SimTime, HeartbeatEvent)>, PhoneDefects) {
+    let mut defects = PhoneDefects::default();
+    let text = String::from_utf8_lossy(log);
+    defects.invalid_utf8 |= matches!(text, std::borrow::Cow::Owned(_));
+    let mut last_ms: Option<u64> = None;
+    for line in text.lines() {
+        defects.lines_seen += 1;
+        match parse_owned(line) {
+            Ok(rec) => {
+                let ms = rec.at().as_millis();
+                if last_ms.is_some_and(|max| ms < max) {
+                    defects.record(ParseDefect::OutOfOrder);
+                } else {
+                    last_ms = Some(ms);
+                }
+                defects.records_kept += 1;
+            }
+            Err(defect) => defects.record(defect),
+        }
+    }
+
+    let text = String::from_utf8_lossy(raw);
+    defects.invalid_utf8 |= matches!(text, std::borrow::Cow::Owned(_));
+    let mut beats = Vec::new();
+    let mut seen: Option<HashSet<(u64, HeartbeatEvent)>> = None;
+    let mut last_ms: Option<u64> = None;
+    for line in text.lines() {
+        defects.lines_seen += 1;
+        match str_decode_beat(line) {
+            Ok((at, event)) => {
+                let ms = at.as_millis();
+                if seen.is_none() {
+                    if last_ms.is_none_or(|max| ms > max) {
+                        last_ms = Some(ms);
+                        defects.records_kept += 1;
+                        beats.push((at, event));
+                        continue;
+                    }
+                    seen = Some(
+                        beats
+                            .iter()
+                            .map(|&(t, e): &(SimTime, _)| (t.as_millis(), e))
+                            .collect(),
+                    );
+                }
+                let set = seen.as_mut().expect("just materialized");
+                if !set.insert((ms, event)) {
+                    defects.record(ParseDefect::Duplicate);
+                    continue;
+                }
+                if last_ms.is_some_and(|max| ms < max) {
+                    defects.record(ParseDefect::OutOfOrder);
+                } else {
+                    last_ms = Some(ms);
+                }
+                defects.records_kept += 1;
+                beats.push((at, event));
+            }
+            Err(defect) => defects.record(defect),
+        }
+    }
+    defects.unusable = defects.lines_seen > 0 && defects.records_kept == 0;
+    beats.sort_by_key(|&(at, _)| at);
+    (beats, defects)
 }

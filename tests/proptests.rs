@@ -7,11 +7,10 @@ use proptest::test_runner::Config as ProptestConfig;
 
 use symfail::core::analysis::coalesce::{coalesce_phone, CoalescenceAnalysis};
 use symfail::core::analysis::dataset::{FleetDataset, HlEvent, HlKind, PhoneDataset};
-use symfail::core::analysis::defects::PhoneDefects;
 use symfail::core::flashfs::FlashFs;
 use symfail::core::records::{
     decode_beat, encode_beat_into, push_u64, BootRecord, HeartbeatEvent, LogRecord, PanicRecord,
-    ParseDefect, RecordRef,
+    RecordRef,
 };
 use symfail::sim::{SimDuration, SimRng, SimTime};
 use symfail::stats::{CategoricalDist, Histogram, OnlineSummary};
@@ -433,75 +432,9 @@ proptest! {
 
 // ---------------------------------------------------------------
 // Beats reader oracle: the one-pass byte reader must give the same
-// beats and the same defect counters as the str path it replaced —
-// whole-file `String::from_utf8_lossy`, `str::lines`, a `&str` beat
-// decoder and a hash set of every kept beat — on any byte file.
+// beats and the same defect counters as the str path it replaced
+// (`oracle::str_path_beats`) on any byte file.
 // ---------------------------------------------------------------
-
-/// The replaced `&str` beat decoder, verbatim in behaviour.
-fn str_decode_beat(line: &str) -> Result<(SimTime, HeartbeatEvent), ParseDefect> {
-    let (ms, token) = line.split_once('|').ok_or(ParseDefect::Truncated)?;
-    let at = ms.parse::<u64>().map_err(|_| ParseDefect::Truncated)?;
-    let is_token_prefix = ["ALIVE", "REBOOT", "MAOFF", "LOWBT"]
-        .iter()
-        .any(|t| t.len() > token.len() && t.starts_with(token));
-    match HeartbeatEvent::parse(token) {
-        Some(e) => Ok((SimTime::from_millis(at), e)),
-        None if is_token_prefix => Err(ParseDefect::Truncated),
-        None => Err(ParseDefect::UnknownTag),
-    }
-}
-
-/// The replaced beats read: lossy text, `str::lines`, and a lazily
-/// built set of every kept beat for the duplicate check. Returns the
-/// beats in the dataset's order (stably sorted by time) and the
-/// defects of a flash holding only this beats file.
-fn str_path_beats(raw: &[u8]) -> (Vec<(SimTime, HeartbeatEvent)>, PhoneDefects) {
-    let mut defects = PhoneDefects::default();
-    let text = String::from_utf8_lossy(raw);
-    defects.invalid_utf8 = matches!(text, std::borrow::Cow::Owned(_));
-    let mut beats = Vec::new();
-    let mut seen: Option<std::collections::HashSet<(u64, HeartbeatEvent)>> = None;
-    let mut last_ms: Option<u64> = None;
-    for line in text.lines() {
-        defects.lines_seen += 1;
-        match str_decode_beat(line) {
-            Ok((at, event)) => {
-                let ms = at.as_millis();
-                if seen.is_none() {
-                    if last_ms.is_none_or(|max| ms > max) {
-                        last_ms = Some(ms);
-                        defects.records_kept += 1;
-                        beats.push((at, event));
-                        continue;
-                    }
-                    seen = Some(
-                        beats
-                            .iter()
-                            .map(|&(t, e): &(SimTime, _)| (t.as_millis(), e))
-                            .collect(),
-                    );
-                }
-                let set = seen.as_mut().expect("just materialized");
-                if !set.insert((ms, event)) {
-                    defects.record(ParseDefect::Duplicate);
-                    continue;
-                }
-                if last_ms.is_some_and(|max| ms < max) {
-                    defects.record(ParseDefect::OutOfOrder);
-                } else {
-                    last_ms = Some(ms);
-                }
-                defects.records_kept += 1;
-                beats.push((at, event));
-            }
-            Err(defect) => defects.record(defect),
-        }
-    }
-    defects.unusable = defects.lines_seen > 0 && defects.records_kept == 0;
-    beats.sort_by_key(|&(at, _)| at);
-    (beats, defects)
-}
 
 /// Fragments a beats file is built from: canonical lines of every
 /// token on a few shared timestamps (so sequences repeat and swap
@@ -565,7 +498,7 @@ const BEAT_PIECES: &[&[u8]] = &[
 /// 4. `\r\n`;
 /// 5. another token of `ALIVE`'s width, or a near miss of it;
 /// 6. the run's last newline dropped.
-fn alive_run() -> impl Strategy<Value = Vec<u8>> {
+fn alive_run() -> impl Strategy<Value = BeatChunk> {
     (
         (1u32..18, 0u64..3_000, 0u32..2),
         prop_oneof![Just(1u64), 1u64..5_000],
@@ -608,36 +541,133 @@ fn alive_run() -> impl Strategy<Value = Vec<u8>> {
                 if damage == 6 {
                     run.pop();
                 }
-                run
+                BeatChunk::Run {
+                    bytes: run,
+                    start,
+                    period,
+                    n,
+                }
             },
         )
+}
+
+/// A piece of a beats file: bytes, an [`alive_run`] with the grid its
+/// lines sit on, or an echo of the last run before it.
+#[derive(Debug, Clone)]
+enum BeatChunk {
+    Bytes(Vec<u8>),
+    Run {
+        bytes: Vec<u8>,
+        start: u64,
+        period: u64,
+        n: usize,
+    },
+    /// `ALIVE` lines at `len` of the last run's beats from its `skip`-th
+    /// on, in one of three forms:
+    ///
+    /// 0. on its grid: duplicates that run membership must find;
+    /// 1. `shift` ms off its grid: strays inside the run's span, which
+    ///    split it;
+    /// 2. on its grid, then a final event at the first echoed beat's
+    ///    timestamp: a tie the merge must order run beat first.
+    Echo {
+        form: u32,
+        skip: usize,
+        len: usize,
+        shift: u64,
+        token: usize,
+    },
+}
+
+fn echo() -> impl Strategy<Value = BeatChunk> {
+    (0u32..3, 0usize..14, 1usize..6, 1u64..5_000, 0usize..3).prop_map(
+        |(form, skip, len, shift, token)| BeatChunk::Echo {
+            form,
+            skip,
+            len,
+            shift,
+            token,
+        },
+    )
+}
+
+/// The beats file `chunks` make, each echo re-emitting the last run
+/// before it (none before the first run).
+fn beats_file(chunks: &[BeatChunk]) -> Vec<u8> {
+    let mut raw = Vec::new();
+    let mut grid = None;
+    for chunk in chunks {
+        match chunk {
+            BeatChunk::Bytes(bytes) => raw.extend_from_slice(bytes),
+            BeatChunk::Run {
+                bytes,
+                start,
+                period,
+                n,
+            } => {
+                raw.extend_from_slice(bytes);
+                grid = Some((*start, *period, *n));
+            }
+            &BeatChunk::Echo {
+                form,
+                skip,
+                len,
+                shift,
+                token,
+            } => {
+                let Some((start, period, n)) = grid else {
+                    continue;
+                };
+                let skip = skip % n;
+                // Off the grid, when the period leaves room between
+                // beats.
+                let shift = if form == 1 && period > 1 {
+                    1 + shift % (period - 1)
+                } else {
+                    0
+                };
+                for i in skip..(skip + len).min(n) {
+                    let at = start + i as u64 * period + shift;
+                    raw.extend_from_slice(format!("{at}|ALIVE\n").as_bytes());
+                }
+                if form == 2 {
+                    let at = start + skip as u64 * period;
+                    let token = ["REBOOT", "MAOFF", "LOWBT"][token];
+                    raw.extend_from_slice(format!("{at}|{token}\n").as_bytes());
+                }
+            }
+        }
+    }
+    raw
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(4096))]
 
-    /// For any file glued from [`BEAT_PIECES`] and [`alive_run`]s —
-    /// the runs of one width the reader decodes from a 16-byte window,
+    /// For any file glued from [`BEAT_PIECES`], [`alive_run`]s — the
+    /// runs the reader grows line by line from their predicted bytes,
     /// with damage inside them, and starting anywhere from the file's
-    /// first byte on — the byte reader and the str path keep the same
-    /// beats in the same order and count the same defects,
+    /// first byte on — and echoes of those runs that repeat, displace
+    /// and tie their beats, the byte reader and the str path keep the
+    /// same beats in the same order and count the same defects,
     /// `invalid_utf8` and `unusable` included.
     #[test]
     fn beats_reader_matches_str_path(
         chunks in prop::collection::vec(
             prop_oneof![
-                (0usize..BEAT_PIECES.len()).prop_map(|i| BEAT_PIECES[i].to_vec()),
+                (0usize..BEAT_PIECES.len()).prop_map(|i| BeatChunk::Bytes(BEAT_PIECES[i].to_vec())),
                 alive_run(),
+                echo(),
             ],
             0..24,
         ),
     ) {
-        let raw: Vec<u8> = chunks.concat();
+        let raw = beats_file(&chunks);
         let mut fs = FlashFs::new();
         fs.overwrite_raw("beats", raw.clone());
         let ds = PhoneDataset::from_flashfs(0, &fs);
-        let (beats, defects) = str_path_beats(&raw);
-        prop_assert_eq!(ds.beats(), &beats[..], "beats diverged on {:?}", String::from_utf8_lossy(&raw));
+        let (beats, defects) = oracle::str_path_beats(&raw);
+        prop_assert_eq!(ds.beats().collect::<Vec<_>>(), beats, "beats diverged on {:?}", String::from_utf8_lossy(&raw));
         prop_assert_eq!(ds.defects(), &defects, "defects diverged on {:?}", String::from_utf8_lossy(&raw));
     }
 

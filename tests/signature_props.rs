@@ -343,7 +343,7 @@ fn check_log_only(
         "{what}: shutdowns"
     );
     assert_eq!(log.freezes(), full.freezes(), "{what}: freezes");
-    assert!(log.beats().is_empty(), "{what}: beats are not read");
+    assert!(log.beats().next().is_none(), "{what}: beats are not read");
     let sigs = FailureSignature::from_phone(&full, &config, device);
     assert_eq!(
         FailureSignature::from_phone(&log, &config, device),
