@@ -6,15 +6,18 @@
 //!   the tuning discussed in the logger's companion paper [1]).
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use symfail_bench::{bench_analysis_config, bench_fleet, bench_params};
+use symfail_bench::{bench_analysis_config, bench_params, bench_phones, fold};
 use symfail_core::analysis::passes::PassRegistry;
-use symfail_core::analysis::report::StudyReport;
-use symfail_core::analysis::{COALESCENCE_ABLATION_WINDOWS_SECS, SHUTDOWN_THRESHOLD_SWEEP_SECS};
+use symfail_core::analysis::SHUTDOWN_THRESHOLD_SWEEP_SECS;
 use symfail_phone::fleet::FleetCampaign;
+
+/// Coalescence windows (seconds) bracketing the paper's 300 s choice at
+/// log-ish spacing.
+const WINDOWS_SECS: [u64; 5] = [10, 60, 300, 1800, 36_000];
 
 fn bench(c: &mut Criterion) {
     let registry = PassRegistry::select("shutdown,coalesce").expect("known passes");
-    let report = StudyReport::analyze_with(&bench_fleet(2005), bench_analysis_config(), &registry);
+    let report = fold(&bench_phones(2005), bench_analysis_config(), &registry);
     let (shutdowns, coalesced, hl) = (&report.shutdowns, &report.coalescence, &report.hl_events);
 
     // Print the ablation artifacts once.
@@ -23,7 +26,7 @@ fn bench(c: &mut Criterion) {
         println!("  threshold {th:>5} s -> {n} self-shutdowns");
     }
     println!("--- coalescence window sweep ---");
-    for (w, frac) in coalesced.window_sweep(hl, &COALESCENCE_ABLATION_WINDOWS_SECS) {
+    for (w, frac) in coalesced.window_sweep(hl, &WINDOWS_SECS) {
         println!("  window {w:>6} s -> {:.1}% related", 100.0 * frac);
     }
     println!("--- heartbeat period vs log volume (30-day single phone) ---");
@@ -32,8 +35,10 @@ fn bench(c: &mut Criterion) {
         params.phones = 1;
         params.campaign_days = 30;
         params.heartbeat_period_secs = period;
-        let harvest = FleetCampaign::new(7, params).run();
-        let bytes = harvest[0].flashfs.bytes_written();
+        let bytes = FleetCampaign::new(7, params)
+            .run_single(0)
+            .flashfs
+            .bytes_written();
         println!("  period {period:>4} s -> {bytes:>8} bytes of flash written");
     }
 
@@ -45,13 +50,13 @@ fn bench(c: &mut Criterion) {
         b.iter(|| shutdowns.threshold_sweep(&SHUTDOWN_THRESHOLD_SWEEP_SECS))
     });
     g.bench_function("window_sweep", |b| {
-        b.iter(|| coalesced.window_sweep(hl, &COALESCENCE_ABLATION_WINDOWS_SECS))
+        b.iter(|| coalesced.window_sweep(hl, &WINDOWS_SECS))
     });
     g.bench_function("campaign_30d_single_phone", |b| {
         let mut params = bench_params();
         params.phones = 1;
         params.campaign_days = 30;
-        b.iter(|| FleetCampaign::new(7, params).run())
+        b.iter(|| FleetCampaign::new(7, params).run_single(0))
     });
     g.finish();
 }

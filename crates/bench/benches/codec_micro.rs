@@ -5,7 +5,10 @@
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use symfail_core::flashfs::FlashFs;
 use symfail_core::logger::files;
-use symfail_core::records::{BootRecord, HeartbeatEvent, LogRecord, PanicRecord, RecordRef};
+use symfail_core::records::{
+    encode_boot_into, encode_panic_into, BootRecord, HeartbeatEvent, LogRecord, PanicRecord,
+    RecordRef,
+};
 use symfail_phone::corruption::{CorruptionModel, CorruptionProfile};
 use symfail_sim_core::{SimDuration, SimRng, SimTime};
 use symfail_symbian::panic::codes;
@@ -51,15 +54,25 @@ fn corpus_records(n: usize) -> Vec<LogRecord> {
         .collect()
 }
 
+/// Appends `rec`'s line to `out` through the logger's writers.
+fn encode_into(rec: &LogRecord, out: &mut Vec<u8>) {
+    match rec {
+        LogRecord::Panic(p) => {
+            encode_panic_into(out, p.at, &p.panic, &p.running_apps, p.activity, p.battery)
+        }
+        LogRecord::Boot(b) => encode_boot_into(out, b),
+    }
+}
+
 /// Encodes the corpus into a log file and optionally damages it with
 /// the named corruption profile, returning the resulting text.
 fn corpus_text(records: &[LogRecord], profile: CorruptionProfile) -> String {
     let mut fs = FlashFs::new();
     for r in records {
-        fs.append_line_with(files::LOG, |buf| r.encode_into(buf));
+        fs.append_line_with(files::LOG, |buf| encode_into(r, buf));
     }
     if profile != CorruptionProfile::None {
-        let model = CorruptionModel::from_profile(profile);
+        let model = CorruptionModel::new(profile.rates());
         model.inject(&mut fs, &mut SimRng::seed_from(9));
     }
     String::from_utf8_lossy(fs.read_bytes(files::LOG).unwrap_or(&[])).into_owned()
@@ -96,7 +109,7 @@ fn bench(c: &mut Criterion) {
         b.iter(|| {
             buf.clear();
             for r in &records {
-                r.encode_into(&mut buf);
+                encode_into(r, &mut buf);
                 buf.push(b'\n');
             }
             black_box(buf.len())

@@ -2,15 +2,15 @@
 //! the campaign logs, at the paper's gap and at two others.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use symfail_bench::{bench_analysis_config, bench_fleet};
+use symfail_bench::{bench_analysis_config, bench_phones, fold};
 use symfail_core::analysis::passes::PassRegistry;
-use symfail_core::analysis::report::{AnalysisConfig, StudyReport};
+use symfail_core::analysis::report::AnalysisConfig;
 use symfail_sim_core::SimDuration;
 
 fn bench(c: &mut Criterion) {
-    let fleet = bench_fleet(2005);
+    let phones = bench_phones(2005);
     let config = bench_analysis_config();
-    let report = StudyReport::analyze(&fleet, config);
+    let report = fold(&phones, config, &PassRegistry::all());
     println!("{}", report.render_fig3());
 
     let registry = PassRegistry::select("bursts").expect("known pass");
@@ -19,7 +19,7 @@ fn bench(c: &mut Criterion) {
     g.measurement_time(std::time::Duration::from_secs(2));
     g.warm_up_time(std::time::Duration::from_millis(500));
     g.bench_function("detect_cascades", |b| {
-        b.iter(|| StudyReport::analyze_with(black_box(&fleet), config, &registry))
+        b.iter(|| fold(black_box(&phones), config, &registry))
     });
     for gap_secs in [10u64, 60, 300] {
         let config = AnalysisConfig {
@@ -27,7 +27,7 @@ fn bench(c: &mut Criterion) {
             ..config
         };
         g.bench_function(format!("gap_{gap_secs}s"), |b| {
-            b.iter(|| StudyReport::analyze_with(&fleet, config, &registry))
+            b.iter(|| fold(&phones, config, &registry))
         });
     }
     let analysis = &report.bursts;

@@ -2,14 +2,13 @@
 //! counts the running applications at panic time.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use symfail_bench::{bench_analysis_config, bench_fleet};
+use symfail_bench::{bench_analysis_config, bench_phones, fold};
 use symfail_core::analysis::passes::PassRegistry;
-use symfail_core::analysis::report::StudyReport;
 
 fn bench(c: &mut Criterion) {
-    let fleet = bench_fleet(2005);
+    let phones = bench_phones(2005);
     let config = bench_analysis_config();
-    let report = StudyReport::analyze(&fleet, config);
+    let report = fold(&phones, config, &PassRegistry::all());
     println!("{}", report.render_fig6());
 
     let registry = PassRegistry::select("runapps").expect("known pass");
@@ -19,7 +18,7 @@ fn bench(c: &mut Criterion) {
     g.warm_up_time(std::time::Duration::from_millis(500));
     g.bench_function("concurrency_distribution", |b| {
         b.iter(|| {
-            StudyReport::analyze_with(black_box(&fleet), config, &registry)
+            fold(black_box(&phones), config, &registry)
                 .runapps
                 .modal_concurrency()
         })

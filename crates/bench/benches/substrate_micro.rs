@@ -10,7 +10,7 @@ use symfail_core::analysis::passes::PassRegistry;
 use symfail_core::analysis::signature::{FailureSignature, MatchMode};
 use symfail_core::flashfs::FlashFs;
 use symfail_core::logger::{files, FailureLogger, LoggerConfig, LoggerFiles, PhoneContext};
-use symfail_core::records::{LogRecord, RecordRef};
+use symfail_core::records::{encode_panic_into, RecordRef};
 use symfail_phone::calibration::CalibrationParams;
 use symfail_phone::composition::{DeviceClass, DeviceProfile};
 use symfail_phone::corruption::{CorruptionModel, CorruptionProfile};
@@ -40,7 +40,7 @@ fn bench(c: &mut Criterion) {
                 let cell = heap.alloc("app", 64).unwrap();
                 heap.free(cell).unwrap();
             }
-            black_box(heap.total_allocs())
+            black_box(heap.used())
         })
     });
 
@@ -61,7 +61,7 @@ fn bench(c: &mut Criterion) {
                 let h = idx.open("app", ObjectKind::Session);
                 idx.close(h).unwrap();
             }
-            black_box(idx.len())
+            black_box(idx)
         })
     });
 
@@ -82,22 +82,17 @@ fn bench(c: &mut Criterion) {
         let mut t = 0u64;
         b.iter(|| {
             t += 30;
-            logger.on_tick(&mut fs, SimTime::from_secs(t), ctx);
+            logger.on_ticks(&mut fs, SimTime::from_secs(t), 1, || ctx);
         })
     });
 
     g.bench_function("log_record_encode_decode", |b| {
-        let rec = LogRecord::Panic(symfail_core::records::PanicRecord {
-            at: SimTime::from_secs(123),
-            panic: Panic::new(codes::KERN_EXEC_3, "Messages", "dereferenced NULL"),
-            running_apps: vec!["Messages".into(), "Log".into()],
-            activity: None,
-            battery: 67,
-        });
+        let panic = Panic::new(codes::KERN_EXEC_3, "Messages", "dereferenced NULL");
+        let at = SimTime::from_secs(123);
         let mut line = Vec::new();
         b.iter(|| {
             line.clear();
-            rec.encode_into(&mut line);
+            encode_panic_into(&mut line, at, &panic, &["Messages", "Log"], None, 67);
             let line = std::str::from_utf8(&line).unwrap();
             black_box(RecordRef::decode(line).unwrap().at())
         })
@@ -108,7 +103,7 @@ fn bench(c: &mut Criterion) {
     // One powered day at the default 300 s period — 288 heartbeat
     // ticks, with the runapp and power snapshots every 10th — written
     // as runs cut at the snapshot ticks (what `Phone::advance` does
-    // for a logger that writes every file) and as one `on_tick` per
+    // for a logger that writes every file) and as one one-tick run per
     // tick; then the same day on a logger that writes `log` and
     // `beats` alone (the campaign driver's), as the one uncut run it
     // takes. Each iteration starts from a freshly booted logger on an
@@ -159,7 +154,7 @@ fn bench(c: &mut Criterion) {
             booted,
             |(mut logger, mut fs)| {
                 for i in 0..DAY_TICKS {
-                    logger.on_tick(&mut fs, tick_at(i), ctx);
+                    logger.on_ticks(&mut fs, tick_at(i), 1, || ctx);
                 }
                 fs
             },
@@ -238,10 +233,13 @@ fn bench(c: &mut Criterion) {
     }
     let clean = phone.into_flashfs();
     let mut worst = clean.clone();
-    CorruptionModel::from_profile(CorruptionProfile::Worst)
+    CorruptionModel::new(CorruptionProfile::Worst.rates())
         .inject(&mut worst, &mut SimRng::seed_from(3).fork("corruption", 0));
     assert!(
-        PhoneDataset::from_flashfs(0, &worst).defects().duplicate > 0,
+        PhoneDataset::from_flashfs_with(0, &worst, &mut ParseScratch::default())
+            .defects()
+            .duplicate
+            > 0,
         "the worst-profile harvest must repeat beats"
     );
     let mut g = c.benchmark_group("parse");
@@ -303,7 +301,7 @@ fn bench(c: &mut Criterion) {
     g.measurement_time(std::time::Duration::from_secs(2));
     g.warm_up_time(std::time::Duration::from_millis(500));
     g.throughput(Throughput::Bytes(clean.total_size()));
-    let worst_model = CorruptionModel::from_profile(CorruptionProfile::Worst);
+    let worst_model = CorruptionModel::new(CorruptionProfile::Worst.rates());
     g.bench_function("worst_phone_425d", |b| {
         b.iter_batched(
             || (clean.clone(), SimRng::seed_from(3).fork("corruption", 0)),
@@ -377,8 +375,9 @@ fn bench(c: &mut Criterion) {
     // A small default fleet end to end at one worker: through the
     // campaign driver (`run_streaming_opts`: phones that write only the
     // files it reads, on flash and parse buffers carried from phone to
-    // phone, folded and merged), and as the reference path that keeps
-    // every phone's full flash (`run`) and parses each on fresh buffers.
+    // phone, folded and merged), and as the reference path that
+    // simulates each phone alone with every file (`run_single`) and
+    // parses it on fresh buffers.
     let fleet = FleetCampaign::new(
         3,
         CalibrationParams {
@@ -406,11 +405,14 @@ fn bench(c: &mut Criterion) {
     });
     g.bench_function("run_then_parse_4x60d", |b| {
         b.iter(|| {
-            fleet
-                .run()
-                .iter()
-                .map(|h| {
-                    let ds = PhoneDataset::from_flashfs(h.phone_id, &h.flashfs);
+            (0..4)
+                .map(|id| {
+                    let h = fleet.run_single(id);
+                    let ds = PhoneDataset::from_flashfs_with(
+                        id,
+                        &h.flashfs,
+                        &mut ParseScratch::default(),
+                    );
                     ds.defects().records_kept
                 })
                 .sum::<u64>()

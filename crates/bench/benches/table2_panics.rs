@@ -3,8 +3,8 @@
 //! campaign's consolidated logs.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
-use symfail_bench::{bench_analysis_config, bench_fleet};
-use symfail_core::analysis::report::StudyReport;
+use symfail_bench::{bench_analysis_config, bench_phones, fold};
+use symfail_core::analysis::passes::PassRegistry;
 use symfail_phone::calibration::{CalibrationParams, EpisodeContext};
 use symfail_phone::faults::{execute_fault, plan_episode};
 use symfail_sim_core::SimRng;
@@ -12,8 +12,8 @@ use symfail_stats::CategoricalDist;
 use symfail_symbian::panic::codes;
 
 fn bench(c: &mut Criterion) {
-    let fleet = bench_fleet(2005);
-    let report = StudyReport::analyze(&fleet, bench_analysis_config());
+    let phones = bench_phones(2005);
+    let report = fold(&phones, bench_analysis_config(), &PassRegistry::all());
     println!("{}", report.render_table2());
 
     let mut g = c.benchmark_group("table2_panics");
@@ -34,14 +34,18 @@ fn bench(c: &mut Criterion) {
         let mut rng = SimRng::seed_from(2);
         b.iter(|| {
             (0..1000)
-                .map(|_| plan_episode(&params, EpisodeContext::Background, &mut rng).panic_count())
+                .map(|_| {
+                    1 + plan_episode(&params, EpisodeContext::Background, &mut rng)
+                        .cascade
+                        .len()
+                })
                 .sum::<usize>()
         })
     });
     g.bench_function("accumulate_distribution", |b| {
         b.iter(|| {
             let mut d = CategoricalDist::new();
-            for (_, p) in fleet.panics() {
+            for p in phones.iter().flat_map(|phone| phone.panics()) {
                 d.add(p.code.to_string());
             }
             black_box(d.total())

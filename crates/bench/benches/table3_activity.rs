@@ -2,14 +2,13 @@
 //! over HL-related panics.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use symfail_bench::{bench_analysis_config, bench_fleet};
+use symfail_bench::{bench_analysis_config, bench_phones, fold};
 use symfail_core::analysis::passes::PassRegistry;
-use symfail_core::analysis::report::StudyReport;
 
 fn bench(c: &mut Criterion) {
-    let fleet = bench_fleet(2005);
+    let phones = bench_phones(2005);
     let config = bench_analysis_config();
-    let report = StudyReport::analyze(&fleet, config);
+    let report = fold(&phones, config, &PassRegistry::all());
     println!("{}", report.render_table3());
 
     let registry = PassRegistry::select("activity").expect("known pass");
@@ -18,7 +17,7 @@ fn bench(c: &mut Criterion) {
     g.measurement_time(std::time::Duration::from_secs(2));
     g.warm_up_time(std::time::Duration::from_millis(500));
     g.bench_function("build_activity_table", |b| {
-        b.iter(|| StudyReport::analyze_with(black_box(&fleet), config, &registry))
+        b.iter(|| fold(black_box(&phones), config, &registry))
     });
     let analysis = &report.activity;
     g.bench_function("chi_square_independence", |b| {

@@ -141,7 +141,7 @@ use symfail_phone::composition::FleetComposition;
 use symfail_phone::corruption::CorruptionProfile;
 use symfail_phone::fleet::{FleetCampaign, ShardSpec, StreamingOptions, StreamingRun};
 use symfail_phone::plan::{phone_costs_from_json, BalanceMode, ShardPlan};
-use symfail_phone::repro::{extract_fleet_signatures, minimize, MinimizeOptions};
+use symfail_phone::repro::{extract_fleet_signatures, minimize, MinimizeOptions, ReproConfig};
 
 /// `println!` into a command's stdout text, which `main` writes once.
 macro_rules! outln {
@@ -1022,7 +1022,13 @@ fn minimize_cmd(argv: &[String]) -> Result<String, String> {
     ))?;
     eprintln!("minimizing signature {index}: {}", sig.key());
     let min = minimize(sig, &opts).map_err(|e| e.to_string())?;
-    if !min.config.replay(&opts.config).map_err(|e| e.to_string())? {
+    // Verify the text this command writes: read back, it must replay.
+    let json = min.config.to_json();
+    let replays = match ReproConfig::parse_json(&json) {
+        Ok(written) => written.replay(&opts.config)?,
+        Err(_) => false,
+    };
+    if !replays {
         return Err("internal error: minimized config failed replay verification".to_string());
     }
     let channels: Vec<&str> = min.config.channels.iter().map(|c| c.as_str()).collect();
@@ -1037,7 +1043,6 @@ fn minimize_cmd(argv: &[String]) -> Result<String, String> {
         min.simulated,
         min.trail.len()
     );
-    let json = min.config.to_json();
     match &out {
         Some(path) => {
             std::fs::write(path, &json).map_err(|e| format!("cannot write {path}: {e}"))?;

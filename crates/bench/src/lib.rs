@@ -1,19 +1,20 @@
 //! Shared fixtures for the symfail benchmark suite.
 //!
-//! Every table/figure bench times the pass that builds its artifact,
-//! as the reference driver runs it: `StudyReport::analyze_with` over a
-//! pre-built fleet with the registry narrowed to that pass (a pass
-//! that reads coalesced panics also pays for the per-phone coalescence
-//! its lens computes), then the queries over the finished section.
-//! Building the harvest is benchmarked separately in the
+//! Every table/figure bench times the pass that builds its artifact
+//! as the campaign driver folds it: `FoldShard::absorb_phone` over a
+//! seed's parsed phones with the registry narrowed to that pass (a
+//! pass that reads coalesced panics also pays for the per-phone
+//! coalescence its lens computes), then the queries over the finished
+//! section. Building the harvest is benchmarked separately in the
 //! `substrate_micro` group. The `repro` binary in `src/bin` prints the
 //! artifacts themselves.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use symfail_core::analysis::dataset::FleetDataset;
-use symfail_core::analysis::report::AnalysisConfig;
+use symfail_core::analysis::dataset::{ParseScratch, PhoneDataset};
+use symfail_core::analysis::passes::{FoldShard, PassRegistry, PhoneLens, StreamMerger};
+use symfail_core::analysis::report::{AnalysisConfig, StudyReport};
 use symfail_phone::calibration::CalibrationParams;
 use symfail_phone::fleet::FleetCampaign;
 
@@ -40,8 +41,32 @@ pub fn bench_analysis_config() -> AnalysisConfig {
     bench_params().analysis_config()
 }
 
-/// Runs the bench campaign and parses the harvest into a dataset.
-pub fn bench_fleet(seed: u64) -> FleetDataset {
-    let harvest = FleetCampaign::new(seed, bench_params()).run();
-    FleetDataset::from_flash(harvest.iter().map(|h| (h.phone_id, &h.flashfs)))
+/// Runs the bench campaign: each phone simulated alone and parsed from
+/// every file it wrote, in id order.
+pub fn bench_phones(seed: u64) -> Vec<PhoneDataset> {
+    let campaign = FleetCampaign::new(seed, bench_params());
+    (0..bench_params().phones)
+        .map(|id| {
+            let harvest = campaign.run_single(id);
+            PhoneDataset::from_flashfs_with(id, &harvest.flashfs, &mut ParseScratch::default())
+        })
+        .collect()
+}
+
+/// The report `registry` finishes from `phones` (consecutive ids from
+/// 0): each phone folded into one shard as the driver folds it, the
+/// shard finished through a [`StreamMerger`].
+pub fn fold(
+    phones: &[PhoneDataset],
+    config: AnalysisConfig,
+    registry: &PassRegistry,
+) -> StudyReport {
+    let mut shard = FoldShard::new(registry, 0);
+    for phone in phones {
+        let lens = PhoneLens::new(phone, config, registry.needs_coalesce());
+        shard.absorb_phone(registry, &lens);
+    }
+    let mut merger = StreamMerger::new(registry, config);
+    merger.push_shard(shard);
+    merger.finish()
 }

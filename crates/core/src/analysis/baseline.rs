@@ -160,7 +160,9 @@ impl BaselineComparison {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::analysis::dataset::{FleetDataset, PhoneDataset};
+    use crate::analysis::dataset::{ParseScratch, PhoneDataset};
+    use crate::analysis::passes::tests::fold_phones;
+    use crate::analysis::passes::PassRegistry;
     use crate::analysis::report::AnalysisConfig;
     use crate::flashfs::FlashFs;
     use crate::logger::{FailureLogger, LoggerConfig, PhoneContext, ShutdownKind};
@@ -169,7 +171,7 @@ mod tests {
     use symfail_symbian::servers::logdb::ActivityKind;
     use symfail_symbian::Panic;
 
-    fn fleet() -> FleetDataset {
+    fn fleet() -> Vec<PhoneDataset> {
         let mut fs = FlashFs::new();
         let mut lg = FailureLogger::new(LoggerConfig::default());
         let ctx = PhoneContext {
@@ -194,13 +196,17 @@ mod tests {
         );
         lg.on_clean_shutdown(&mut fs, SimTime::from_secs(210), ShutdownKind::Reboot);
         lg.on_boot(&mut fs, SimTime::from_secs(300), || ctx);
-        FleetDataset::from_phones(vec![PhoneDataset::from_flashfs(0, &fs)])
+        vec![PhoneDataset::from_flashfs_with(
+            0,
+            &fs,
+            &mut ParseScratch::default(),
+        )]
     }
 
     #[test]
     fn comparison_counts_context() {
         let f = fleet();
-        let report = StudyReport::analyze(&f, AnalysisConfig::default());
+        let report = fold_phones(&f, AnalysisConfig::default(), &PassRegistry::all());
         let cmp = BaselineComparison::new(&report);
         assert_eq!(cmp.panics_collected, 2);
         assert_eq!(cmp.panics_with_activity, 1);
@@ -216,7 +222,7 @@ mod tests {
     #[test]
     fn render_contains_matrix() {
         let f = fleet();
-        let report = StudyReport::analyze(&f, AnalysisConfig::default());
+        let report = fold_phones(&f, AnalysisConfig::default(), &PassRegistry::all());
         let s = BaselineComparison::new(&report).render();
         assert!(s.contains("D_EXC"));
         assert!(s.contains("Table 2"));

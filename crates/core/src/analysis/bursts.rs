@@ -152,7 +152,8 @@ impl AnalysisPass for BurstsPass {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::analysis::dataset::{FleetDataset, PhoneDataset};
+    use crate::analysis::dataset::PhoneDataset;
+    use crate::analysis::passes::tests::fold_phones;
     use crate::analysis::passes::PassRegistry;
     use crate::analysis::report::AnalysisConfig;
     use crate::records::{LogRecord, PanicRecord};
@@ -173,21 +174,19 @@ mod tests {
     /// The `bursts` section of a fleet with one phone per entry of
     /// `times`, at the paper's 60 s gap.
     fn bursts(times: &[&[u64]]) -> BurstAnalysis {
-        let fleet = FleetDataset::from_phones(
-            times
-                .iter()
-                .enumerate()
-                .map(|(i, ts)| {
-                    PhoneDataset::new(
-                        i as u32,
-                        ts.iter().map(|&t| panic_at(t)).collect(),
-                        Vec::new(),
-                    )
-                })
-                .collect(),
-        );
+        let phones: Vec<PhoneDataset> = times
+            .iter()
+            .enumerate()
+            .map(|(i, ts)| {
+                PhoneDataset::new(
+                    i as u32,
+                    ts.iter().map(|&t| panic_at(t)).collect(),
+                    Vec::new(),
+                )
+            })
+            .collect();
         let registry = PassRegistry::select("bursts").unwrap();
-        StudyReport::analyze_with(&fleet, AnalysisConfig::default(), &registry).bursts
+        fold_phones(&phones, AnalysisConfig::default(), &registry).bursts
     }
 
     #[test]

@@ -15,13 +15,12 @@
 //! [`coalesce_phone`] is the kernel the `coalesce` pass runs on every
 //! phone: it merges the phone's time-sorted panics against the phone's
 //! time-sorted HL events, each panic binary-searching the HL slice for
-//! its nearest neighbour — O((P+H)·log H) instead of the O(P×H) scan
-//! kept as the oracle in [`CoalescenceAnalysis::new_brute_force`]. A
-//! phone's result is a [`CoalescenceAnalysis`] of its own, and
+//! its nearest neighbour — O((P+H)·log H) instead of an O(P×H) scan
+//! (the tests keep that scan as their oracle). A phone's result is a [`CoalescenceAnalysis`] of its own, and
 //! [`CoalescenceAnalysis::absorb`] concatenates phones in phone order:
 //! the section is its pass's accumulator. The window sweep goes
-//! further: each panic's nearest-HL gap (and each HL event's
-//! nearest-panic gap) is computed **once** into a sorted array
+//! further: each panic's nearest-HL gap is computed **once** into a
+//! sorted array
 //! ([`CoalescenceGaps`]), after which any window is answered by one
 //! binary search — the whole Fig 4/5 sweep costs a single merge pass.
 //! The sweep reads its panics from a finished analysis (which holds
@@ -39,7 +38,7 @@ use symfail_symbian::PanicCode;
 use crate::intern::NameId;
 
 use super::checkpoint::{ByteReader, ByteWriter, CheckpointError};
-use super::dataset::{FleetDataset, HlEvent, HlKind, PanicEvent};
+use super::dataset::{HlEvent, HlKind, PanicEvent};
 use super::passes::{AnalysisPass, PhoneLens};
 use super::report::StudyReport;
 
@@ -136,7 +135,7 @@ fn phone_slice(hl: &[HlEvent], phone_id: u32) -> &[HlEvent] {
 /// HL slice within `window`: the per-phone kernel of the `coalesce`
 /// pass. If several HL events fall in the window, the closest wins;
 /// equidistant (or same-instant) events resolve to the earliest in
-/// slice order, which is what the brute-force oracle's `min_by_key`
+/// slice order, which is what a `min_by_key` scan over every event
 /// picks for sorted input.
 pub fn coalesce_phone(
     phone_id: u32,
@@ -176,58 +175,6 @@ impl CoalescenceAnalysis {
         self.panics.extend(other.panics);
         self.hl_total += other.hl_total;
         self.hl_with_panic += other.hl_with_panic;
-    }
-
-    /// The O(P×H) reference implementation [`coalesce_phone`] is
-    /// verified against (property tests and the `fig5_coalescence`
-    /// bench). Scans every HL event per panic; do not use outside
-    /// tests/benches.
-    pub fn new_brute_force(
-        fleet: &FleetDataset,
-        hl_events: &[HlEvent],
-        window: SimDuration,
-    ) -> Self {
-        let mut panics = Vec::new();
-        for (phone_id, rec) in fleet.panics() {
-            let related = hl_events
-                .iter()
-                .filter(|e| e.phone_id == phone_id)
-                .filter_map(|e| {
-                    let gap = if e.at >= rec.at {
-                        e.at.saturating_since(rec.at)
-                    } else {
-                        rec.at.saturating_since(e.at)
-                    };
-                    (gap <= window).then_some((gap, e.kind))
-                })
-                .min_by_key(|(gap, _)| *gap)
-                .map(|(_, kind)| kind);
-            panics.push(CoalescedPanic {
-                phone_id,
-                panic: rec.clone(),
-                related,
-            });
-        }
-        let hl_with_panic = hl_events
-            .iter()
-            .filter(|e| {
-                panics.iter().any(|p| {
-                    p.phone_id == e.phone_id && {
-                        let gap = if e.at >= p.panic.at {
-                            e.at.saturating_since(p.panic.at)
-                        } else {
-                            p.panic.at.saturating_since(e.at)
-                        };
-                        gap <= window
-                    }
-                })
-            })
-            .count();
-        Self {
-            panics,
-            hl_total: hl_events.len(),
-            hl_with_panic,
-        }
     }
 
     /// All panics with their outcome.
@@ -270,19 +217,6 @@ impl CoalescenceAnalysis {
         (related, isolated)
     }
 
-    /// Figure 5b: per panic *code*, counts split by the HL kind the
-    /// panic coalesced with. Keys are `"<code>|freeze"` and
-    /// `"<code>|self-shutdown"`.
-    pub fn by_code_and_kind(&self) -> CategoricalDist {
-        let mut d = CategoricalDist::new();
-        for p in &self.panics {
-            if let Some(kind) = p.related {
-                d.add(format!("{}|{}", p.panic.code, kind.as_str()));
-            }
-        }
-        d
-    }
-
     /// The window-size sweep that justifies the five-minute choice:
     /// `(window_secs, related_fraction)` for each candidate window,
     /// over this analysis's panics and the HL stream it was coalesced
@@ -296,44 +230,18 @@ impl CoalescenceAnalysis {
             .map(|&w| (w, gaps.related_fraction(SimDuration::from_secs(w))))
             .collect()
     }
-
-    /// Per-window brute-force sweep, the oracle for
-    /// [`Self::window_sweep`]; used by the `fig5_coalescence` bench
-    /// to quantify the speedup.
-    pub fn window_sweep_brute_force(
-        fleet: &FleetDataset,
-        hl_events: &[HlEvent],
-        windows_secs: &[u64],
-    ) -> Vec<(u64, f64)> {
-        windows_secs
-            .iter()
-            .map(|&w| {
-                let a = CoalescenceAnalysis::new_brute_force(
-                    fleet,
-                    hl_events,
-                    SimDuration::from_secs(w),
-                );
-                (w, a.related_fraction())
-            })
-            .collect()
-    }
 }
 
 /// Nearest-neighbour gap index: every panic's distance to its nearest
-/// same-phone HL event, and every HL event's distance to its nearest
-/// same-phone panic, computed once and kept sorted. Any coalescence
-/// window is then answered by thresholding — `related_fraction` and
-/// `hl_with_panic` become O(log n) per window, which is what turns
-/// the Fig 4/5 window sweep (and the ablation sweep) into a single
-/// pass over the data.
+/// same-phone HL event, computed once and kept sorted. Any coalescence
+/// window is then answered by thresholding — `related_fraction`
+/// becomes O(log n) per window, which is what turns the Fig 4/5 window
+/// sweep (and the ablation sweep) into a single pass over the data.
 #[derive(Debug, Clone)]
 pub struct CoalescenceGaps {
     /// Sorted nearest-HL gap (ms) per panic; `u64::MAX` when the
     /// phone has no HL event.
     panic_gaps_ms: Vec<u64>,
-    /// Sorted nearest-panic gap (ms) per HL event; `u64::MAX` when
-    /// the phone has no panic.
-    hl_gaps_ms: Vec<u64>,
 }
 
 impl CoalescenceGaps {
@@ -351,21 +259,8 @@ impl CoalescenceGaps {
                 nearest_hl(slice, p.panic.at).map_or(u64::MAX, |(gap, _)| gap)
             })
             .collect();
-        // HL events on phones without panics can never coalesce.
-        let mut hl_gaps_ms: Vec<u64> = hl
-            .iter()
-            .map(|e| {
-                let lo = panics.partition_point(|p| p.phone_id < e.phone_id);
-                let hi = panics.partition_point(|p| p.phone_id <= e.phone_id);
-                nearest_gap(&panics[lo..hi], |p| p.panic.at, e.at).unwrap_or(u64::MAX)
-            })
-            .collect();
         panic_gaps_ms.sort_unstable();
-        hl_gaps_ms.sort_unstable();
-        Self {
-            panic_gaps_ms,
-            hl_gaps_ms,
-        }
+        Self { panic_gaps_ms }
     }
 
     /// Panics whose nearest HL event lies within `window`.
@@ -381,12 +276,6 @@ impl CoalescenceGaps {
             return 0.0;
         }
         self.related_panics(window) as f64 / self.panic_gaps_ms.len() as f64
-    }
-
-    /// HL events with at least one panic within `window`.
-    pub fn hl_with_panic(&self, window: SimDuration) -> usize {
-        self.hl_gaps_ms
-            .partition_point(|&g| g <= window.as_millis())
     }
 }
 
@@ -604,17 +493,21 @@ mod tests {
         }
     }
 
-    fn fleet(panics: Vec<LogRecord>) -> FleetDataset {
-        FleetDataset::from_phones(vec![PhoneDataset::new(0, panics, Vec::new())])
+    fn fleet(panics: Vec<LogRecord>) -> Vec<PhoneDataset> {
+        vec![PhoneDataset::new(0, panics, Vec::new())]
     }
 
     /// The fold the `coalesce` pass performs: each phone's panics
     /// against its own slice of the `(phone, time)`-sorted HL events,
     /// absorbed in phone order.
-    fn coalesce(f: &FleetDataset, events: &[HlEvent], window: SimDuration) -> CoalescenceAnalysis {
+    fn coalesce(
+        f: &[PhoneDataset],
+        events: &[HlEvent],
+        window: SimDuration,
+    ) -> CoalescenceAnalysis {
         let hl = sorted_hl(events);
         let mut acc = CoalescenceAnalysis::default();
-        for phone in f.phones() {
+        for phone in f {
             let slice = phone_slice(&hl, phone.phone_id());
             acc.absorb(coalesce_phone(
                 phone.phone_id(),
@@ -626,14 +519,6 @@ mod tests {
         acc
     }
 
-    fn assert_matches_brute(f: &FleetDataset, events: &[HlEvent], window: SimDuration) {
-        let fast = coalesce(f, events, window);
-        let brute = CoalescenceAnalysis::new_brute_force(f, events, window);
-        assert_eq!(fast.panics(), brute.panics());
-        assert_eq!(fast.hl_total(), brute.hl_total());
-        assert_eq!(fast.hl_with_panic(), brute.hl_with_panic());
-    }
-
     #[test]
     fn panic_relates_to_nearby_hl() {
         let f = fleet(vec![panic_rec(100, codes::KERN_EXEC_3)]);
@@ -642,7 +527,6 @@ mod tests {
         assert_eq!(a.related_fraction(), 1.0);
         assert_eq!(a.panics()[0].related, Some(HlKind::Freeze));
         assert_eq!(a.hl_with_panic(), 1);
-        assert_matches_brute(&f, &events, COALESCENCE_WINDOW);
     }
 
     #[test]
@@ -657,8 +541,6 @@ mod tests {
         let a = coalesce(&f, &far, COALESCENCE_WINDOW);
         assert_eq!(a.related_fraction(), 0.0);
         assert_eq!(a.hl_with_panic(), 0);
-        assert_matches_brute(&f, &before, COALESCENCE_WINDOW);
-        assert_matches_brute(&f, &far, COALESCENCE_WINDOW);
     }
 
     #[test]
@@ -670,7 +552,6 @@ mod tests {
         ];
         let a = coalesce(&f, &events, COALESCENCE_WINDOW);
         assert_eq!(a.panics()[0].related, Some(HlKind::SelfShutdown));
-        assert_matches_brute(&f, &events, COALESCENCE_WINDOW);
     }
 
     #[test]
@@ -684,25 +565,22 @@ mod tests {
         ];
         let a = coalesce(&f, &events, COALESCENCE_WINDOW);
         assert_eq!(a.panics()[0].related, Some(HlKind::SelfShutdown));
-        assert_matches_brute(&f, &events, COALESCENCE_WINDOW);
         // Two events at the same instant: the first in sorted order.
         let same = [hl(0, 990, HlKind::Freeze), hl(0, 990, HlKind::SelfShutdown)];
         let a = coalesce(&f, &same, COALESCENCE_WINDOW);
         assert_eq!(a.panics()[0].related, Some(HlKind::Freeze));
-        assert_matches_brute(&f, &same, COALESCENCE_WINDOW);
     }
 
     #[test]
     fn other_phones_events_do_not_match() {
         // Phone 9 logs an HL event at the instant phone 0 panics.
-        let f = FleetDataset::from_phones(vec![
+        let f = [
             PhoneDataset::new(0, vec![panic_rec(1000, codes::KERN_EXEC_3)], Vec::new()),
             PhoneDataset::new(9, Vec::new(), Vec::new()),
-        ]);
+        ];
         let events = [hl(9, 1000, HlKind::Freeze)];
         let a = coalesce(&f, &events, COALESCENCE_WINDOW);
         assert_eq!(a.related_fraction(), 0.0);
-        assert_matches_brute(&f, &events, COALESCENCE_WINDOW);
     }
 
     #[test]
@@ -716,9 +594,13 @@ mod tests {
         let (related, isolated) = a.by_category();
         assert_eq!(related.count("KERN-EXEC"), 1);
         assert_eq!(isolated.count("EIKON-LISTBOX"), 1);
-        let bk = a.by_code_and_kind();
-        assert_eq!(bk.count("KERN-EXEC 3|freeze"), 1);
-        assert_eq!(bk.total(), 1);
+        // Figure 5b's split: by code, then by the HL kind.
+        let related: Vec<_> = a
+            .panics()
+            .iter()
+            .filter_map(|p| Some((p.panic.code, p.related?)))
+            .collect();
+        assert_eq!(related, [(codes::KERN_EXEC_3, HlKind::Freeze)]);
     }
 
     #[test]
@@ -734,10 +616,6 @@ mod tests {
             assert!(pair[1].1 >= pair[0].1);
         }
         assert_eq!(sweep.last().unwrap().1, 1.0);
-        assert_eq!(
-            sweep,
-            CoalescenceAnalysis::window_sweep_brute_force(&f, &events, &[30, 60, 300, 2000])
-        );
     }
 
     #[test]
@@ -757,7 +635,6 @@ mod tests {
             let window = SimDuration::from_secs(w);
             let full = coalesce(&f, &events, window);
             assert_eq!(gaps.related_fraction(window), full.related_fraction());
-            assert_eq!(gaps.hl_with_panic(window), full.hl_with_panic());
         }
     }
 
@@ -768,6 +645,5 @@ mod tests {
         assert_eq!(a.hl_total(), 0);
         let gaps = CoalescenceGaps::new(&a, &[]);
         assert_eq!(gaps.related_fraction(COALESCENCE_WINDOW), 0.0);
-        assert_eq!(gaps.hl_with_panic(COALESCENCE_WINDOW), 0);
     }
 }

@@ -7,9 +7,9 @@
 //! at a time through a [`PhoneLens`](super::passes::PhoneLens) that
 //! borrows slices out of that index instead of re-scanning and
 //! re-allocating event vectors, which is what lets the same code scale
-//! from the paper's 25 phones to fleets of thousands. A
-//! [`FleetDataset`] is only the parsed phones under one merged name
-//! table, which the reference driver folds phone by phone.
+//! from the paper's 25 phones to fleets of thousands. No fleet-wide
+//! dataset exists: the campaign driver folds each parsed phone and
+//! drops it before the next.
 
 use std::borrow::Cow;
 use std::collections::HashSet;
@@ -19,7 +19,7 @@ use serde::{Deserialize, Serialize};
 use symfail_sim_core::{SimDuration, SimTime};
 
 use symfail_symbian::servers::logdb::ActivityKind;
-use symfail_symbian::{Panic, PanicCode};
+use symfail_symbian::PanicCode;
 
 use crate::analysis::defects::PhoneDefects;
 use crate::flashfs::FlashFs;
@@ -35,8 +35,8 @@ use crate::records::{
 /// interned into the dataset's [`NameTable`]. Intern ids keep the
 /// event small and comparison/grouping cheap; the running-app list is
 /// a [`NameIds`] (inline up to 10 entries, no heap allocation for
-/// essentially every real record). Use [`Self::to_record`] /
-/// [`Self::to_panic`] at boundaries that need owned strings.
+/// essentially every real record). Names resolve through the
+/// [`NameTable`] the ids were interned into.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct PanicEvent {
     /// When the panic was notified.
@@ -80,30 +80,6 @@ impl PanicEvent {
             activity: rec.activity,
             battery: rec.battery,
         }
-    }
-
-    /// Materializes the owned [`PanicRecord`].
-    pub fn to_record(&self, names: &NameTable) -> PanicRecord {
-        PanicRecord {
-            at: self.at,
-            panic: self.to_panic(names),
-            running_apps: self
-                .apps
-                .iter()
-                .map(|id| names.resolve(id).to_string())
-                .collect(),
-            activity: self.activity,
-            battery: self.battery,
-        }
-    }
-
-    /// Materializes the owned [`Panic`].
-    pub fn to_panic(&self, names: &NameTable) -> Panic {
-        Panic::new(
-            self.code,
-            names.resolve(self.raised_by),
-            names.resolve(self.reason),
-        )
     }
 
     /// Rewrites every intern id through `remap` (as produced by
@@ -172,10 +148,9 @@ pub struct ShutdownEvent {
 pub struct PhoneDataset {
     phone_id: u32,
     panics: Vec<PanicEvent>,
-    /// Intern table the panic events' ids resolve against. Built
-    /// per-phone during the parse; emptied when the phone joins a
-    /// [`FleetDataset`], whose merged table (the panics' ids are
-    /// remapped to it) takes over resolution.
+    /// Intern table the panic events' ids resolve against, built
+    /// per-phone during the parse. A fold absorbs it into the fleet
+    /// table and remaps the ids it keeps.
     names: NameTable,
     boots: Vec<BootRecord>,
     /// The heartbeat stream, in time order, as runs.
@@ -236,15 +211,10 @@ impl PhoneDataset {
     }
 
     /// Parses the `log` and `beats` files harvested from one phone
-    /// ([`Self::from_files`]).
-    pub fn from_flashfs(phone_id: u32, fs: &FlashFs) -> Self {
-        Self::from_flashfs_with(phone_id, fs, &mut ParseScratch::default())
-    }
-
-    /// [`Self::from_flashfs`] parsing into recycled buffers: event and
-    /// index vectors come from `scratch` (cleared, capacity kept)
-    /// instead of fresh allocations. Pair with [`Self::recycle`] once
-    /// the phone has been folded.
+    /// ([`Self::from_files`]) into recycled buffers: event and index
+    /// vectors come from `scratch` (cleared, capacity kept) instead of
+    /// fresh allocations. Pair with [`Self::recycle`] once the phone
+    /// has been folded.
     pub fn from_flashfs_with(phone_id: u32, fs: &FlashFs, scratch: &mut ParseScratch) -> Self {
         let file = |name| fs.read_bytes(name).unwrap_or_default();
         Self::from_files(phone_id, file(files::LOG), file(files::BEATS), scratch)
@@ -375,9 +345,6 @@ impl PhoneDataset {
     }
 
     /// The intern table the panic events' name ids resolve against.
-    /// Empty for phones inside a [`FleetDataset`] — their panics carry
-    /// fleet ids, resolved through [`FleetDataset::names`] (the batch
-    /// analysis driver threads that table through its `PhoneLens`).
     pub fn names(&self) -> &NameTable {
         &self.names
     }
@@ -774,97 +741,12 @@ impl NextAlive {
     }
 }
 
-/// The whole fleet's harvested data: the parsed phones under one
-/// merged name table — what the reference driver
-/// ([`StudyReport::analyze`](super::report::StudyReport::analyze))
-/// folds phone by phone.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub struct FleetDataset {
-    phones: Vec<PhoneDataset>,
-    /// The merged fleet-wide intern table (per-phone tables absorbed
-    /// in phone order, so the ids are identical for any parse-worker
-    /// count).
-    names: NameTable,
-    /// `(phone index, panic index)` pairs in `(phone, time)` order —
-    /// a flat view over the per-phone panic storage.
-    panic_locs: Vec<(u32, u32)>,
-}
-
-impl FleetDataset {
-    /// Builds a fleet dataset from per-phone flash filesystems.
-    pub fn from_flash<'a, I>(filesystems: I) -> Self
-    where
-        I: IntoIterator<Item = (u32, &'a FlashFs)>,
-    {
-        Self::from_phones(
-            filesystems
-                .into_iter()
-                .map(|(id, fs)| PhoneDataset::from_flashfs(id, fs))
-                .collect(),
-        )
-    }
-
-    /// Builds a fleet dataset from already-parsed phones, merging the
-    /// per-phone intern tables.
-    ///
-    /// The merge absorbs tables in phone (vector) order, so the
-    /// resulting fleet ids depend only on the phones' own contents —
-    /// never on how many workers parsed them. Member phones' panic ids
-    /// become fleet ids and their own tables are dropped (resolving a
-    /// member's names goes through [`Self::names`]; handing every
-    /// phone a clone of the merged table made fleet construction
-    /// O(phones × fleet vocabulary) in allocations). The emptied
-    /// tables make any stale per-phone resolution fail loudly instead
-    /// of returning the wrong name.
-    pub fn from_phones(mut phones: Vec<PhoneDataset>) -> Self {
-        let mut names = NameTable::default();
-        for phone in &mut phones {
-            let remap = names.absorb(&phone.names);
-            let identity = remap.iter().enumerate().all(|(i, &n)| n as usize == i);
-            if !identity {
-                for p in &mut phone.panics {
-                    p.remap(&remap);
-                }
-            }
-            phone.names = NameTable::default();
-        }
-        let mut panic_locs = Vec::new();
-        for (pi, phone) in phones.iter().enumerate() {
-            panic_locs.extend((0..phone.panics.len()).map(|ri| (pi as u32, ri as u32)));
-        }
-        Self {
-            phones,
-            names,
-            panic_locs,
-        }
-    }
-
-    /// Per-phone datasets, in harvest order.
-    pub fn phones(&self) -> &[PhoneDataset] {
-        &self.phones
-    }
-
-    /// The merged fleet-wide intern table.
-    pub fn names(&self) -> &NameTable {
-        &self.names
-    }
-
-    /// All panics across the fleet as `(phone_id, event)` pairs,
-    /// `(phone, time)`-ordered. Borrows the per-phone index — no
-    /// allocation; the iterator is exact-size (`.len()` works).
-    pub fn panics(&self) -> impl ExactSizeIterator<Item = (u32, &PanicEvent)> + Clone + '_ {
-        self.panic_locs.iter().map(move |&(pi, ri)| {
-            let phone = &self.phones[pi as usize];
-            (phone.phone_id, &phone.panics[ri as usize])
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::analysis::passes::tests::fold_phones;
     use crate::analysis::passes::PassRegistry;
-    use crate::analysis::report::{AnalysisConfig, StudyReport};
+    use crate::analysis::report::AnalysisConfig;
     use crate::logger::{FailureLogger, LoggerConfig, PhoneContext, ShutdownKind};
     use symfail_symbian::panic::codes;
     use symfail_symbian::Panic;
@@ -873,14 +755,20 @@ mod tests {
         SimTime::from_secs(s)
     }
 
-    /// Drives a small logger session and parses it back.
-    fn session() -> PhoneDataset {
+    /// Parses the `log` and `beats` files of `fs`.
+    fn parse(phone_id: u32, fs: &FlashFs) -> PhoneDataset {
+        PhoneDataset::from_flashfs_with(phone_id, fs, &mut ParseScratch::default())
+    }
+
+    /// Drives a small logger session and parses it back as phone
+    /// `phone_id`.
+    fn session_of(phone_id: u32) -> PhoneDataset {
         let mut fs = FlashFs::new();
         let mut lg = FailureLogger::new(LoggerConfig::default());
         let ctx = PhoneContext::default();
         lg.on_boot(&mut fs, t(0), || ctx);
         for i in 1..=10 {
-            lg.on_tick(&mut fs, t(30 * i), ctx);
+            lg.on_ticks(&mut fs, t(30 * i), 1, || ctx);
         }
         lg.on_panic(
             &mut fs,
@@ -892,11 +780,15 @@ mod tests {
         lg.on_clean_shutdown(&mut fs, t(310), ShutdownKind::Reboot);
         lg.on_boot(&mut fs, t(400), || ctx); // 90 s off: a self-shutdown candidate
         for i in 14..=16 {
-            lg.on_tick(&mut fs, t(30 * i), ctx);
+            lg.on_ticks(&mut fs, t(30 * i), 1, || ctx);
         }
         // freeze: no clean shutdown, battery pulled, reboot much later
         lg.on_boot(&mut fs, t(4000), || ctx);
-        PhoneDataset::from_flashfs(7, &fs)
+        parse(phone_id, &fs)
+    }
+
+    fn session() -> PhoneDataset {
+        session_of(7)
     }
 
     #[test]
@@ -958,12 +850,9 @@ mod tests {
 
     #[test]
     fn fleet_aggregation() {
-        let a = session();
-        let b = session();
-        let fleet = FleetDataset::from_phones(vec![a, b]);
-        assert_eq!(fleet.phones().len(), 2);
-        assert_eq!(fleet.panics().len(), 2);
-        let report = StudyReport::analyze(&fleet, AnalysisConfig::default());
+        let phones = [session_of(7), session_of(8)];
+        let report = fold_phones(&phones, AnalysisConfig::default(), &PassRegistry::all());
+        assert_eq!(report.panic_distribution.total(), 2);
         assert_eq!(report.shutdowns.all_events().len(), 2);
         assert_eq!(report.mtbf.freezes, 2);
     }
@@ -985,7 +874,7 @@ mod tests {
         let ctx = PhoneContext::default();
         lg.on_boot(&mut fs, t(0), || ctx);
         for i in 1..=5 {
-            lg.on_tick(&mut fs, t(30 * i), ctx);
+            lg.on_ticks(&mut fs, t(30 * i), 1, || ctx);
         }
         lg.on_panic(
             &mut fs,
@@ -1001,7 +890,7 @@ mod tests {
         let mut raw = fs.read_bytes("log").unwrap().to_vec();
         raw.extend_from_slice(&[0xff, 0xfe, b'\n']); // invalid UTF-8 line
         fs.overwrite_raw("log", raw);
-        let ds = PhoneDataset::from_flashfs(1, &fs);
+        let ds = parse(1, &fs);
         let d = ds.defects();
         assert_eq!(d.truncated, 2, "{d:?}"); // hand cut + UTF-8 garbage line
         assert_eq!(d.duplicate, 1, "{d:?}");
@@ -1019,15 +908,14 @@ mod tests {
         let mut dead_fs = FlashFs::new();
         dead_fs.append_line("log", "garbage");
         dead_fs.append_line("beats", "more garbage");
-        let dead = PhoneDataset::from_flashfs(9, &dead_fs);
+        let dead = parse(9, &dead_fs);
         assert!(dead.defects().unusable);
 
         let good = session();
         let config = AnalysisConfig::default();
         let uptime_alone = good.powered_on_time(config.uptime_gap);
-        let fleet = FleetDataset::from_phones(vec![good, dead]);
         let registry = PassRegistry::select("mtbf,defects").unwrap();
-        let report = StudyReport::analyze_with(&fleet, config, &registry);
+        let report = fold_phones(&[good, dead], config, &registry);
         assert_eq!(report.defects.unusable_phones, vec![9]);
         assert_eq!(
             report.mtbf.total_hours,
@@ -1046,7 +934,7 @@ mod tests {
         lg.on_boot(&mut fs, t(100), || ctx);
         lg.on_clean_shutdown(&mut fs, t(110), ShutdownKind::ManualOff);
         lg.on_boot(&mut fs, t(200), || ctx);
-        let ds = PhoneDataset::from_flashfs(0, &fs);
+        let ds = parse(0, &fs);
         assert!(ds.shutdown_events().is_empty());
         assert!(ds.freezes().is_empty());
     }

@@ -65,26 +65,10 @@ impl InterArrivalAnalysis {
         })
     }
 
-    /// Number of inter-arrival gaps pooled.
-    pub fn len(&self) -> usize {
-        self.gaps_hours.len()
-    }
-
-    /// Never empty: construction returns `None` instead.
-    pub fn is_empty(&self) -> bool {
-        false
-    }
-
     /// Mean time between failures, hours (the exponential MLE rate is
     /// its reciprocal).
     pub fn mean_hours(&self) -> f64 {
         self.mean_hours
-    }
-
-    /// Coefficient of variation of the gaps. 1 for a Poisson process;
-    /// substantially above 1 indicates clustering/burstiness.
-    pub fn coefficient_of_variation(&self) -> f64 {
-        self.cv
     }
 
     /// KS distance between the empirical gap distribution and the
@@ -97,7 +81,7 @@ impl InterArrivalAnalysis {
     pub fn render(&self, label: &str) -> String {
         format!(
             "inter-arrival of {label}: n={} mean={:.0} h cv={:.2} KS-to-exponential={:.3}\n",
-            self.len(),
+            self.gaps_hours.len(),
             self.mean_hours,
             self.cv,
             self.ks_to_exponential
@@ -145,7 +129,7 @@ mod tests {
     fn gaps_are_per_phone() {
         let events = [event(0, 0), event(0, 10), event(1, 5), event(1, 25)];
         let a = InterArrivalAnalysis::new(&events).unwrap();
-        assert_eq!(a.len(), 2);
+        assert_eq!(a.gaps_hours.len(), 2);
         assert!((a.mean_hours() - 15.0).abs() < 1e-9);
     }
 
@@ -153,7 +137,7 @@ mod tests {
     fn regular_gaps_have_zero_cv_and_large_ks() {
         let events: Vec<HlEvent> = (0..20).map(|i| event(0, 10 * i)).collect();
         let a = InterArrivalAnalysis::new(&events).unwrap();
-        assert!(a.coefficient_of_variation() < 1e-9);
+        assert!(a.cv < 1e-9);
         // A deterministic process is far from exponential.
         assert!(a.ks_to_exponential() > 0.3);
     }
@@ -173,11 +157,7 @@ mod tests {
             });
         }
         let a = InterArrivalAnalysis::new(&events).unwrap();
-        assert!(
-            (a.coefficient_of_variation() - 1.0).abs() < 0.1,
-            "cv {}",
-            a.cv
-        );
+        assert!((a.cv - 1.0).abs() < 0.1, "cv {}", a.cv);
         assert!(a.ks_to_exponential() < 0.05, "ks {}", a.ks_to_exponential);
         assert!((a.mean_hours() - 100.0).abs() < 10.0);
     }

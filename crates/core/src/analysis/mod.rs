@@ -4,8 +4,8 @@
 //! never sees simulator internals — and reproduces every analysis step
 //! of the paper:
 //!
-//! 1. [`dataset`] parses per-phone flash files into a
-//!    [`dataset::FleetDataset`];
+//! 1. [`dataset`] parses each phone's flash files into a
+//!    [`dataset::PhoneDataset`];
 //! 2. [`shutdown`] builds the reboot-duration histogram and applies
 //!    the 360 s filter identifying self-shutdowns (Figure 2);
 //! 3. [`mtbf`] estimates powered-on time from the heartbeat stream and
@@ -21,10 +21,9 @@
 //!    compares it against the paper's numbers ([`targets`]).
 //!
 //! Every step is expressed as an [`passes::AnalysisPass`] — a
-//! per-phone fold with a phone-ordered merge — so the same code runs
-//! both as the reference driver over a materialized
-//! [`dataset::FleetDataset`] and inside the streaming campaign driver
-//! (peak memory bounded by `workers × per-phone state`). Each step's
+//! per-phone fold with a phone-ordered merge — which the campaign
+//! driver runs on each phone as it parses it, so peak memory is
+//! bounded by `workers × per-phone state`, never by the fleet. Each step's
 //! pass lives in the step's own module, beside the section it builds;
 //! [`passes`] holds the framework they share.
 
@@ -53,10 +52,6 @@ pub mod targets;
 /// `fig5_coalescence` bench.
 pub const COALESCENCE_SWEEP_WINDOWS_SECS: [u64; 9] =
     [10, 30, 60, 120, 300, 600, 1800, 7200, 36_000];
-
-/// Reduced window list used by the ablation benches, bracketing the
-/// paper's 300 s choice at log-ish spacing.
-pub const COALESCENCE_ABLATION_WINDOWS_SECS: [u64; 5] = [10, 60, 300, 1800, 36_000];
 
 /// Candidate self-shutdown thresholds (seconds) for the Figure 2
 /// classification ablation, bracketing the paper's 360 s choice.

@@ -141,7 +141,8 @@ impl AnalysisPass for MtbfPass {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::analysis::dataset::{FleetDataset, PhoneDataset};
+    use crate::analysis::dataset::{ParseScratch, PhoneDataset};
+    use crate::analysis::passes::tests::fold_phones;
     use crate::analysis::passes::PassRegistry;
     use crate::analysis::report::AnalysisConfig;
     use crate::flashfs::FlashFs;
@@ -149,7 +150,7 @@ mod tests {
     use symfail_sim_core::SimTime;
 
     /// One phone, ~2 hours powered, one freeze and one fast reboot.
-    fn fleet() -> FleetDataset {
+    fn fleet() -> Vec<PhoneDataset> {
         let mut fs = FlashFs::new();
         let mut lg = FailureLogger::new(LoggerConfig::default());
         let ctx = PhoneContext::default();
@@ -157,7 +158,7 @@ mod tests {
         let mut now = 0u64;
         while now < 3600 {
             now += 30;
-            lg.on_tick(&mut fs, SimTime::from_secs(now), ctx);
+            lg.on_ticks(&mut fs, SimTime::from_secs(now), 1, || ctx);
         }
         lg.on_clean_shutdown(&mut fs, SimTime::from_secs(now + 5), ShutdownKind::Reboot);
         // 80 s self-shutdown-like reboot
@@ -166,19 +167,23 @@ mod tests {
         let mut t2 = base;
         while t2 < base + 3600 {
             t2 += 30;
-            lg.on_tick(&mut fs, SimTime::from_secs(t2), ctx);
+            lg.on_ticks(&mut fs, SimTime::from_secs(t2), 1, || ctx);
         }
         // freeze + battery pull + late boot
         lg.on_boot(&mut fs, SimTime::from_secs(t2 + 7200), || ctx);
-        FleetDataset::from_phones(vec![PhoneDataset::from_flashfs(0, &fs)])
+        vec![PhoneDataset::from_flashfs_with(
+            0,
+            &fs,
+            &mut ParseScratch::default(),
+        )]
     }
 
     /// The `mtbf` section at the paper's 5-minute uptime gap.
-    fn mtbf(fleet: &FleetDataset) -> MtbfAnalysis {
+    fn mtbf(phones: &[PhoneDataset]) -> MtbfAnalysis {
         let config = AnalysisConfig::default();
         assert_eq!(config.uptime_gap, DEFAULT_UPTIME_GAP);
         let registry = PassRegistry::select("mtbf").unwrap();
-        StudyReport::analyze_with(fleet, config, &registry).mtbf
+        fold_phones(phones, config, &registry).mtbf
     }
 
     #[test]
@@ -196,7 +201,7 @@ mod tests {
 
     #[test]
     fn zero_failures_give_none() {
-        let m = mtbf(&FleetDataset::default());
+        let m = mtbf(&[]);
         assert!(m.mtbfr_hours.is_none());
         assert!(m.mtbs_hours.is_none());
         assert!(m.mtbf_any_hours.is_none());

@@ -44,16 +44,6 @@ impl OutputFailureAnalysis {
         Self { reports, by_kind }
     }
 
-    /// Number of reports.
-    pub fn len(&self) -> usize {
-        self.reports.len()
-    }
-
-    /// True when no reports were filed.
-    pub fn is_empty(&self) -> bool {
-        self.reports.is_empty()
-    }
-
     /// Reports of a specific kind.
     pub fn count_of(&self, kind: UserReportKind) -> u64 {
         self.by_kind.count(kind.token())
@@ -63,14 +53,14 @@ impl OutputFailureAnalysis {
     /// (available only in simulation): the fraction the users actually
     /// reported.
     pub fn coverage_against(&self, ground_truth: u64) -> Option<f64> {
-        (ground_truth > 0).then(|| self.len() as f64 / ground_truth as f64)
+        (ground_truth > 0).then(|| self.reports.len() as f64 / ground_truth as f64)
     }
 
     /// Renders the summary.
     pub fn render(&self, ground_truth: Option<u64>) -> String {
         let mut out = format!(
             "user-reported failures (future-work extension): {} reports\n",
-            self.len()
+            self.reports.len()
         );
         for (kind, label) in [
             (UserReportKind::OutputFailure, "output failures"),
@@ -129,11 +119,11 @@ mod tests {
             (8, UserReportKind::InputFailure),
         ]);
         let analysis = from_flash(&[&a, &b]);
-        assert_eq!(analysis.len(), 3);
+        assert_eq!(analysis.reports.len(), 3);
         assert_eq!(analysis.count_of(UserReportKind::OutputFailure), 2);
         assert_eq!(analysis.count_of(UserReportKind::InputFailure), 1);
         assert_eq!(analysis.count_of(UserReportKind::UnstableBehavior), 0);
-        assert!(!analysis.is_empty());
+        assert!(!analysis.reports.is_empty());
         // Sorted per phone, then time.
         assert_eq!(analysis.reports[0].0, 0);
         assert_eq!(

@@ -21,8 +21,9 @@
 //!   interned [`NameId`](crate::intern::NameId)s. A merge receives the
 //!   absorbed run's remap table (built by absorbing its [`NameTable`]
 //!   into the receiving table in phone-id order), so streamed ids are
-//!   bit-identical to the batch fleet table's. Passes that need strings
-//!   (running apps) resolve them at fold time instead.
+//!   bit-identical to those of one serial fold over the whole fleet.
+//!   Passes that need strings (running apps) resolve them at fold time
+//!   instead.
 //!
 //! Each pass lives with the section it builds, together with its
 //! accumulator and checkpoint codec: `shutdown`, `mtbf`, `bursts`,
@@ -42,9 +43,8 @@
 //! table) and hands the whole shard to the [`StreamMerger`] in one
 //! [`StreamMerger::push_shard`]. The merger buffers out-of-order
 //! shards and absorbs strictly in phone-id order, so the report is
-//! byte-identical for any worker count and run partition — and to the
-//! reference driver ([`StudyReport::analyze`]), which runs the *same*
-//! passes over a materialized fleet with an identity remap.
+//! byte-identical for any worker count and run partition — and to one
+//! shard that folds every phone serially, which is the tests' oracle.
 //! [`tree_merge_shards`] exploits the same associativity to reduce
 //! shards pairwise.
 
@@ -101,8 +101,8 @@ pub trait AnalysisPass: Send + Sync + 'static {
 
     /// Merges the accumulator of a later, disjoint phone run into
     /// `acc`. `remap[other_id] = acc_id` maps `other`'s interner ids
-    /// into `acc`'s; `None` when they already agree (the reference
-    /// driver, or an identity remap).
+    /// into `acc`'s; `None` when they already agree (an identity
+    /// remap).
     fn merge(&self, acc: &mut Self::Acc, other: Self::Acc, remap: Option<&[u16]>);
 
     /// Finishes the accumulator into the pass's section of `report`,
@@ -226,10 +226,6 @@ impl Default for DeviceLabels {
 /// fields directly.
 pub struct PhoneLens<'a> {
     pub(super) phone: &'a PhoneDataset,
-    /// Table the phone's panic ids resolve against: the phone's own
-    /// for standalone datasets, the merged fleet table for fleet
-    /// members (whose panics carry fleet ids).
-    pub(super) names: &'a NameTable,
     pub(super) config: AnalysisConfig,
     /// Shutdowns classified as self-shutdowns by the config threshold.
     pub(super) self_shutdowns: usize,
@@ -261,20 +257,6 @@ impl<'a> PhoneLens<'a> {
     /// drivers attach the composition's per-phone assignment here.
     pub fn with_device(
         phone: &'a PhoneDataset,
-        config: AnalysisConfig,
-        needs_coalesce: bool,
-        device: DeviceLabels,
-    ) -> Self {
-        Self::with_names_device(phone, phone.names(), config, needs_coalesce, device)
-    }
-
-    /// [`Self::with_device`] with an explicit resolve table — the
-    /// reference driver's entry point. It passes the merged fleet
-    /// table: fleet members' panics carry fleet ids, and a fleet member
-    /// holds no table of its own.
-    pub fn with_names_device(
-        phone: &'a PhoneDataset,
-        names: &'a NameTable,
         config: AnalysisConfig,
         needs_coalesce: bool,
         device: DeviceLabels,
@@ -327,7 +309,6 @@ impl<'a> PhoneLens<'a> {
         };
         Self {
             phone,
-            names,
             config,
             self_shutdowns,
             powered_on: phone.powered_on_time(config.uptime_gap),
@@ -436,7 +417,7 @@ impl PassRegistry {
     }
 
     /// Folds one phone and merges it straight into `accs` — the inner
-    /// loop of both the reference driver and [`FoldShard::absorb_phone`].
+    /// loop of [`FoldShard::absorb_phone`].
     pub(crate) fn fold_merge(
         &self,
         lens: &PhoneLens<'_>,
@@ -495,10 +476,10 @@ fn absorb_names(into: &mut NameTable, names: &NameTable) -> Option<Vec<u16>> {
 ///
 /// The contiguous-run invariant: a shard's phones are consecutive ids
 /// folded in ascending order, so merging whole shards in `start` order
-/// performs exactly the fold the reference driver performs phone by
-/// phone — every pass's merge is associative over phone-id order, and
-/// the interner absorbs shard tables in the same order it would have
-/// absorbed the phones' own.
+/// performs exactly the fold of one shard over every phone — every
+/// pass's merge is associative over phone-id order, and the interner
+/// absorbs shard tables in the same order it would have absorbed the
+/// phones' own.
 pub struct FoldShard {
     start: u32,
     end: u32,
@@ -544,7 +525,7 @@ impl FoldShard {
     pub fn absorb_phone(&mut self, registry: &PassRegistry, lens: &PhoneLens<'_>) {
         let id = lens.phone.phone_id();
         assert_eq!(id, self.end, "shard phones must be contiguous");
-        let remap = absorb_names(&mut self.names, lens.names);
+        let remap = absorb_names(&mut self.names, lens.phone.names());
         registry.fold_merge(lens, &mut self.accs, remap.as_deref());
         self.end = self.end.saturating_add(1);
     }
@@ -591,10 +572,9 @@ pub fn tree_merge_shards(registry: &PassRegistry, mut shards: Vec<FoldShard>) ->
 
 /// Phone-ordered streaming merge: accepts [`FoldShard`]s in *any*
 /// arrival order, buffers out-of-order shards, and absorbs strictly by
-/// ascending phone id — the same discipline
-/// [`FleetDataset::from_phones`](super::dataset::FleetDataset::from_phones)
-/// uses for the name interner, which is what makes streamed reports
-/// byte-identical for any worker count.
+/// ascending phone id, so the name interner absorbs tables in phone-id
+/// order, which is what makes streamed reports byte-identical for any
+/// worker count.
 pub struct StreamMerger<'r> {
     registry: &'r PassRegistry,
     config: AnalysisConfig,
@@ -721,7 +701,7 @@ impl<'r> StreamMerger<'r> {
     /// A live MTBF estimate over the phones absorbed so far, straight
     /// from the `mtbf` pass's running totals (integer-millisecond sums,
     /// so the estimate at absorbed == fleet size is bit-identical to
-    /// the reference driver's). `None` when the registry has no `mtbf`
+    /// the finished report's). `None` when the registry has no `mtbf`
     /// pass.
     pub fn mtbf_estimate(&self) -> Option<MtbfAnalysis> {
         let slot = self.registry.position(MtbfPass::NAME)?;
@@ -1291,9 +1271,8 @@ impl<A: Additive> Grouped<A> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use crate::analysis::dataset::FleetDataset;
     use crate::records::{LogRecord, PanicRecord};
     use symfail_sim_core::SimTime;
     use symfail_symbian::panic::codes;
@@ -1355,15 +1334,32 @@ mod tests {
         report.render_all() + &report.render_per_phone()
     }
 
-    /// The reference driver's rendering of busy phones `ids`, folded
-    /// over the materialized fleet.
+    /// The report of hand-built `phones` (ascending ids, gaps
+    /// allowed): each phone folded as a one-phone shard into one fleet
+    /// shard, in order — the fold the unit tests read sections from.
+    pub(crate) fn fold_phones(
+        phones: &[PhoneDataset],
+        config: AnalysisConfig,
+        registry: &PassRegistry,
+    ) -> StudyReport {
+        let mut fleet = FoldShard::new(registry, 0);
+        for phone in phones {
+            let mut shard = FoldShard::new(registry, phone.phone_id());
+            let lens = PhoneLens::new(phone, config, registry.needs_coalesce());
+            shard.absorb_phone(registry, &lens);
+            fleet.absorb_shard(registry, shard);
+        }
+        registry.finish(fleet.accs, config)
+    }
+
+    /// The serial fold's rendering of busy phones `ids`.
     fn reference(
         registry: &PassRegistry,
         config: AnalysisConfig,
         ids: std::ops::Range<u32>,
     ) -> String {
-        let fleet = FleetDataset::from_phones(ids.map(busy_phone).collect());
-        rendered(&StudyReport::analyze_with(&fleet, config, registry))
+        let phones: Vec<PhoneDataset> = ids.map(busy_phone).collect();
+        rendered(&fold_phones(&phones, config, registry))
     }
 
     #[test]

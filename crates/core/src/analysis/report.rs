@@ -12,11 +12,11 @@ use super::activity::ActivityAnalysis;
 use super::bursts::{BurstAnalysis, DEFAULT_BURST_GAP};
 use super::checkpoint::{read_dist, write_dist, ByteReader, ByteWriter, CheckpointError};
 use super::coalesce::{CoalescenceAnalysis, COALESCENCE_WINDOW};
-use super::dataset::{FleetDataset, HlEvent};
+use super::dataset::HlEvent;
 use super::defects::DefectReport;
 use super::firmware::FirmwareBreakdown;
 use super::mtbf::{MtbfAnalysis, DEFAULT_UPTIME_GAP};
-use super::passes::{AnalysisPass, DeviceLabels, PassRegistry, PhoneLens};
+use super::passes::{AnalysisPass, PhoneLens};
 use super::runapps::RunningAppsAnalysis;
 use super::shutdown::{ShutdownAnalysis, SELF_SHUTDOWN_THRESHOLD};
 use super::targets;
@@ -102,54 +102,6 @@ pub struct StudyReport {
 }
 
 impl StudyReport {
-    /// Runs the whole pipeline over the fleet dataset: the reference
-    /// driver over the full [`PassRegistry`]. It folds the same passes
-    /// the streaming campaign driver does, with an identity name
-    /// remap, which is what keeps the two byte-identical by
-    /// construction.
-    pub fn analyze(fleet: &FleetDataset, config: AnalysisConfig) -> Self {
-        Self::analyze_with(fleet, config, &PassRegistry::all())
-    }
-
-    /// The reference driver over a selected pass registry: folds each
-    /// phone in fleet order and merges immediately. The fleet dataset
-    /// already interned names fleet-wide, so no merge needs a remap.
-    pub fn analyze_with(
-        fleet: &FleetDataset,
-        config: AnalysisConfig,
-        registry: &PassRegistry,
-    ) -> Self {
-        Self::analyze_with_labels(fleet, config, registry, |_| DeviceLabels::default())
-    }
-
-    /// The reference driver with per-phone device labels: `labels`
-    /// maps each phone id to its device class and firmware version,
-    /// which the class-aware passes use to slice their tables. The
-    /// streaming driver feeds the same labels through [`PhoneLens`],
-    /// keeping the two byte-identical for any composition.
-    pub fn analyze_with_labels(
-        fleet: &FleetDataset,
-        config: AnalysisConfig,
-        registry: &PassRegistry,
-        labels: impl Fn(u32) -> DeviceLabels,
-    ) -> Self {
-        let needs_coalesce = registry.needs_coalesce();
-        let mut accs = registry.new_accs();
-        for phone in fleet.phones() {
-            // Member panics carry fleet ids; resolve against the
-            // merged table (phones no longer own copies of it).
-            let lens = PhoneLens::with_names_device(
-                phone,
-                fleet.names(),
-                config,
-                needs_coalesce,
-                labels(phone.phone_id()),
-            );
-            registry.fold_merge(&lens, &mut accs, None);
-        }
-        registry.finish(accs, config)
-    }
-
     /// The report of a zero-phone fleet: every section empty. A
     /// registry's `finish` starts from it and each pass writes its own
     /// section, so sections whose pass was not selected stay empty.
@@ -666,14 +618,16 @@ impl AnalysisPass for PerPhonePass {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::analysis::dataset::PhoneDataset;
+    use crate::analysis::dataset::{ParseScratch, PhoneDataset};
+    use crate::analysis::passes::tests::fold_phones;
+    use crate::analysis::passes::PassRegistry;
     use crate::flashfs::FlashFs;
     use crate::logger::{FailureLogger, LoggerConfig, PhoneContext, ShutdownKind};
     use symfail_sim_core::SimTime;
     use symfail_symbian::panic::codes;
     use symfail_symbian::Panic;
 
-    fn small_fleet() -> FleetDataset {
+    fn small_fleet_report() -> StudyReport {
         let mut phones = Vec::new();
         for id in 0..2u32 {
             let mut fs = FlashFs::new();
@@ -685,7 +639,7 @@ mod tests {
             };
             lg.on_boot(&mut fs, SimTime::ZERO, || ctx);
             for i in 1..20 {
-                lg.on_tick(&mut fs, SimTime::from_secs(i * 30), ctx);
+                lg.on_ticks(&mut fs, SimTime::from_secs(i * 30), 1, || ctx);
             }
             lg.on_panic(
                 &mut fs,
@@ -696,14 +650,18 @@ mod tests {
             );
             lg.on_clean_shutdown(&mut fs, SimTime::from_secs(600), ShutdownKind::Reboot);
             lg.on_boot(&mut fs, SimTime::from_secs(680), || ctx);
-            phones.push(PhoneDataset::from_flashfs(id, &fs));
+            phones.push(PhoneDataset::from_flashfs_with(
+                id,
+                &fs,
+                &mut ParseScratch::default(),
+            ));
         }
-        FleetDataset::from_phones(phones)
+        fold_phones(&phones, AnalysisConfig::default(), &PassRegistry::all())
     }
 
     #[test]
     fn analyze_produces_consistent_report() {
-        let report = StudyReport::analyze(&small_fleet(), AnalysisConfig::default());
+        let report = small_fleet_report();
         assert_eq!(report.panic_distribution.total(), 2);
         assert_eq!(report.shutdowns.self_shutdowns().len(), 2);
         assert_eq!(report.mtbf.self_shutdowns, 2);
@@ -715,7 +673,7 @@ mod tests {
 
     #[test]
     fn renders_contain_headlines() {
-        let report = StudyReport::analyze(&small_fleet(), AnalysisConfig::default());
+        let report = small_fleet_report();
         let all = report.render_all();
         for needle in [
             "Figure 2",
@@ -735,7 +693,7 @@ mod tests {
 
     #[test]
     fn shape_report_covers_all_table2_rows() {
-        let report = StudyReport::analyze(&small_fleet(), AnalysisConfig::default());
+        let report = small_fleet_report();
         let shape = report.shape_report();
         let t2 = shape
             .checks()
@@ -744,7 +702,7 @@ mod tests {
             .count();
         assert_eq!(t2, 20);
         // This tiny fleet obviously misses the paper's totals.
-        assert!(!shape.all_pass());
+        assert!(shape.checks().iter().any(|c| !c.passes()));
     }
 
     /// An MTBF estimate over zero failures of its kind renders as

@@ -142,7 +142,7 @@ impl AnalysisPass for RunningAppsPass {
         Grouped::single(
             lens.device.device_class,
             RunningAppsAnalysis::from_events(
-                lens.names,
+                lens.phone.names(),
                 lens.phone.panics().iter(),
                 lens.coalesced.panics(),
             ),

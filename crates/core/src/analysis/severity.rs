@@ -73,14 +73,15 @@ impl SeverityAnalysis {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::analysis::dataset::{FleetDataset, PhoneDataset};
+    use crate::analysis::dataset::{ParseScratch, PhoneDataset};
+    use crate::analysis::passes::tests::fold_phones;
     use crate::analysis::passes::PassRegistry;
-    use crate::analysis::report::{AnalysisConfig, StudyReport};
+    use crate::analysis::report::AnalysisConfig;
     use crate::flashfs::FlashFs;
     use crate::logger::{FailureLogger, LoggerConfig, PhoneContext, ShutdownKind};
     use symfail_sim_core::SimTime;
 
-    fn fleet() -> FleetDataset {
+    fn fleet() -> Vec<PhoneDataset> {
         let mut fs = FlashFs::new();
         let mut lg = FailureLogger::new(LoggerConfig::default());
         let ctx = PhoneContext::default();
@@ -90,14 +91,18 @@ mod tests {
         lg.on_boot(&mut fs, SimTime::from_secs(680), || ctx);
         // ...and one freeze (battery pull).
         lg.on_boot(&mut fs, SimTime::from_secs(5000), || ctx);
-        FleetDataset::from_phones(vec![PhoneDataset::from_flashfs(0, &fs)])
+        vec![PhoneDataset::from_flashfs_with(
+            0,
+            &fs,
+            &mut ParseScratch::default(),
+        )]
     }
 
     /// The severity summary of the fixture's counted failures over
     /// `total_hours` of use.
     fn severity(total_hours: f64) -> SeverityAnalysis {
         let registry = PassRegistry::select("shutdown,mtbf").unwrap();
-        let report = StudyReport::analyze_with(&fleet(), AnalysisConfig::default(), &registry);
+        let report = fold_phones(&fleet(), AnalysisConfig::default(), &registry);
         SeverityAnalysis::from_counts(
             report.mtbf.freezes,
             report.shutdowns.self_shutdowns().len(),

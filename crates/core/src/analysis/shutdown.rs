@@ -178,7 +178,8 @@ fn read_shutdown_event(r: &mut ByteReader<'_>) -> Result<ShutdownEvent, Checkpoi
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::analysis::dataset::{FleetDataset, HlKind, PhoneDataset};
+    use crate::analysis::dataset::{HlKind, ParseScratch, PhoneDataset};
+    use crate::analysis::passes::tests::fold_phones;
     use crate::analysis::passes::PassRegistry;
     use crate::analysis::report::AnalysisConfig;
     use crate::flashfs::FlashFs;
@@ -191,7 +192,7 @@ mod tests {
 
     /// A phone with three reboots: 80 s (self), 90 s (self), 30000 s
     /// (night).
-    fn fleet() -> FleetDataset {
+    fn fleet() -> Vec<PhoneDataset> {
         let mut fs = FlashFs::new();
         let mut lg = FailureLogger::new(LoggerConfig::default());
         let ctx = PhoneContext::default();
@@ -203,19 +204,23 @@ mod tests {
             now += off;
             lg.on_boot(&mut fs, t(now), || ctx);
         }
-        FleetDataset::from_phones(vec![PhoneDataset::from_flashfs(1, &fs)])
+        vec![PhoneDataset::from_flashfs_with(
+            1,
+            &fs,
+            &mut ParseScratch::default(),
+        )]
     }
 
     /// The report sections of `passes` over `fleet`, at the paper's
     /// 360 s threshold.
-    fn report(fleet: &FleetDataset, passes: &str) -> StudyReport {
+    fn report(phones: &[PhoneDataset], passes: &str) -> StudyReport {
         let config = AnalysisConfig::default();
         assert_eq!(config.self_shutdown_threshold, SELF_SHUTDOWN_THRESHOLD);
-        StudyReport::analyze_with(fleet, config, &PassRegistry::select(passes).unwrap())
+        fold_phones(phones, config, &PassRegistry::select(passes).unwrap())
     }
 
-    fn analysis(fleet: &FleetDataset) -> ShutdownAnalysis {
-        report(fleet, "shutdown").shutdowns
+    fn analysis(phones: &[PhoneDataset]) -> ShutdownAnalysis {
+        report(phones, "shutdown").shutdowns
     }
 
     #[test]
@@ -234,7 +239,7 @@ mod tests {
 
     #[test]
     fn empty_fleet_degenerates_gracefully() {
-        let a = analysis(&FleetDataset::default());
+        let a = analysis(&[]);
         assert_eq!(a.self_shutdown_fraction(), 0.0);
         assert!(a.median_self_shutdown_secs().is_none());
     }

@@ -21,8 +21,7 @@ const DIRECTORY_SLOTS: usize = 8;
 /// let mut fs = FlashFs::new();
 /// fs.append_line("beats", "0|ALIVE");
 /// fs.append_line("beats", "30000|ALIVE");
-/// assert_eq!(fs.read_lines("beats").count(), 2);
-/// assert_eq!(fs.last_line("beats"), Some("30000|ALIVE"));
+/// assert_eq!(fs.read_lines("beats").last(), Some("30000|ALIVE"));
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct FlashFs {
@@ -100,24 +99,6 @@ impl FlashFs {
             })
     }
 
-    /// The last line of `file`, if the file exists and is non-empty —
-    /// exactly `read_lines(file).last()`, but it scans back from the
-    /// end of the buffer and UTF-8-checks only that line, so reading a
-    /// file's latest record costs the same on day 400 as on day 1.
-    pub fn last_line(&self, file: &str) -> Option<&str> {
-        let buf = self.file(file)?.as_slice();
-        let body = buf.strip_suffix(b"\n").unwrap_or(buf);
-        let start = body.iter().rposition(|&b| b == b'\n').map_or(0, |i| i + 1);
-        // A '\n' is never inside a multi-byte sequence, so the tail is
-        // a whole number of characters; `lines` then applies the same
-        // `\r\n` rule to it that it applies to every line of the file.
-        match std::str::from_utf8(&buf[start..]) {
-            Ok(tail) => tail.lines().next(),
-            // `read_lines` skips a last line that is not UTF-8.
-            Err(_) => self.read_lines(file).last(),
-        }
-    }
-
     /// Raw content of a file as bytes (borrowed; no copy).
     pub fn read_bytes(&self, file: &str) -> Option<&[u8]> {
         self.file(file).map(Vec::as_slice)
@@ -144,18 +125,6 @@ impl FlashFs {
     /// True when the file exists.
     pub fn exists(&self, file: &str) -> bool {
         self.file(file).is_some()
-    }
-
-    /// Removes a file; returns true if it existed.
-    pub fn remove(&mut self, file: &str) -> bool {
-        self.position(file).map(|i| self.files.remove(i)).is_some()
-    }
-
-    /// Truncates a file to zero length, keeping it in the directory.
-    pub fn truncate(&mut self, file: &str) {
-        if let Some(i) = self.position(file) {
-            self.files[i].1.clear();
-        }
     }
 
     /// Names of all files, sorted.
@@ -236,20 +205,20 @@ mod tests {
         fs.append_line("log", "b");
         let lines: Vec<&str> = fs.read_lines("log").collect();
         assert_eq!(lines, vec!["a", "b"]);
-        assert_eq!(fs.last_line("log"), Some("b"));
+        assert_eq!(fs.read_lines("log").last(), Some("b"));
     }
 
     #[test]
     fn missing_file_reads_empty() {
         let fs = FlashFs::new();
         assert_eq!(fs.read_lines("nope").count(), 0);
-        assert_eq!(fs.last_line("nope"), None);
+        assert_eq!(fs.read_lines("nope").last(), None);
         assert!(!fs.exists("nope"));
         assert_eq!(fs.size_of("nope"), 0);
     }
 
     #[test]
-    fn last_line_edge_cases_match_read_lines() {
+    fn read_lines_edge_cases() {
         let mut fs = FlashFs::new();
         let cases: [(&str, &[u8], Option<&str>); 7] = [
             ("empty", b"", None),
@@ -262,10 +231,9 @@ mod tests {
         ];
         for (name, bytes, want) in cases {
             fs.overwrite_raw(name, bytes.to_vec());
-            assert_eq!(fs.last_line(name), want, "{name}");
-            assert_eq!(fs.last_line(name), fs.read_lines(name).last(), "{name}");
+            assert_eq!(fs.read_lines(name).last(), want, "{name}");
         }
-        assert_eq!(fs.last_line("missing"), None);
+        assert_eq!(fs.read_lines("missing").last(), None);
     }
 
     #[test]
@@ -276,27 +244,7 @@ mod tests {
         assert_eq!(lines, vec!["5|OUT", "7|OUT"]);
         fs.overwrite_raw("cut", b"a\r\nb\n\xc3".to_vec());
         assert_eq!(fs.read_lines("cut").collect::<Vec<_>>(), vec!["a", "b"]);
-        assert_eq!(fs.last_line("cut"), Some("b"));
-    }
-
-    #[test]
-    fn truncate_keeps_file_and_wear_counter() {
-        let mut fs = FlashFs::new();
-        fs.append_line("beats", "0|ALIVE");
-        let wear = fs.bytes_written();
-        fs.truncate("beats");
-        assert!(fs.exists("beats"));
-        assert_eq!(fs.read_lines("beats").count(), 0);
-        assert_eq!(fs.bytes_written(), wear, "wear counter survives truncation");
-    }
-
-    #[test]
-    fn remove() {
-        let mut fs = FlashFs::new();
-        fs.append_line("x", "1");
-        assert!(fs.remove("x"));
-        assert!(!fs.remove("x"));
-        assert!(!fs.exists("x"));
+        assert_eq!(fs.read_lines("cut").last(), Some("b"));
     }
 
     #[test]
@@ -349,7 +297,11 @@ mod tests {
             assert_eq!(carried.exists(file), fresh.exists(file), "{file}");
             assert_eq!(carried.read_bytes(file), fresh.read_bytes(file), "{file}");
             assert_eq!(carried.size_of(file), fresh.size_of(file), "{file}");
-            assert_eq!(carried.last_line(file), fresh.last_line(file), "{file}");
+            assert_eq!(
+                carried.read_lines(file).last(),
+                fresh.read_lines(file).last(),
+                "{file}"
+            );
             assert!(carried.damage(file).is_none(), "{file}");
         }
         // The next, smaller phone writes the same bytes as on fresh

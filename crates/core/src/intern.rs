@@ -12,9 +12,9 @@
 //!
 //! Per-phone tables are built independently (so the parallel parse
 //! needs no shared state) and merged deterministically — in phone-id
-//! order, via [`NameTable::absorb`] — into one fleet table when the
-//! [`FleetDataset`](crate::analysis::dataset::FleetDataset) is
-//! assembled, so the resulting ids are identical for any worker count.
+//! order, via [`NameTable::absorb`] — into one fleet table as the
+//! campaign driver's folds merge, so the resulting ids are identical
+//! for any worker count.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -81,11 +81,6 @@ impl NameTable {
         self.index.insert(Arc::clone(&name), id);
         self.names.push(name);
         NameId(id)
-    }
-
-    /// The id of `name`, if it is already interned.
-    pub fn lookup(&self, name: &str) -> Option<NameId> {
-        self.index.get(name).copied().map(NameId)
     }
 
     /// The name behind an id.
@@ -241,8 +236,8 @@ mod tests {
         );
         assert_eq!(t.len(), 3);
         assert_eq!(t.resolve(NameId(2)), "c");
-        assert_eq!(t.lookup("b"), Some(NameId(1)));
-        assert_eq!(t.lookup("zz"), None);
+        assert_eq!(t.index.get("b"), Some(&1));
+        assert_eq!(t.index.get("zz"), None);
         assert_eq!(t.iter().collect::<Vec<_>>(), vec!["a", "b", "c"]);
     }
 

@@ -91,7 +91,7 @@ mod tests {
         let mut dexc = DExcLogger::new();
         let p = Panic::new(codes::USER_11, "Messages", "overflow with secret context");
         dexc.on_panic(&mut fs, SimTime::from_secs(5), &p);
-        let line = fs.last_line(DEXC_FILE).unwrap();
+        let line = fs.read_lines(DEXC_FILE).last().unwrap();
         assert_eq!(line, "5000|USER~11");
         assert!(!line.contains("Messages"), "no component context");
     }

@@ -180,7 +180,7 @@ pub enum ShutdownKind {
 /// # Example
 ///
 /// ```
-/// use symfail_core::analysis::dataset::PhoneDataset;
+/// use symfail_core::analysis::dataset::{ParseScratch, PhoneDataset};
 /// use symfail_core::flashfs::FlashFs;
 /// use symfail_core::logger::{FailureLogger, LoggerConfig, PhoneContext, ShutdownKind};
 /// use symfail_sim_core::SimTime;
@@ -194,12 +194,12 @@ pub enum ShutdownKind {
 ///     battery_low: false,
 /// };
 /// logger.on_boot(&mut fs, SimTime::ZERO, || ctx);
-/// logger.on_tick(&mut fs, SimTime::from_secs(30), ctx);
+/// logger.on_ticks(&mut fs, SimTime::from_secs(30), 1, || ctx);
 /// logger.on_clean_shutdown(&mut fs, SimTime::from_secs(60), ShutdownKind::Reboot);
 /// // Next boot classifies the previous session:
 /// logger.on_boot(&mut fs, SimTime::from_secs(142), || ctx);
 /// // Harvesting parses the flash back, as the study did:
-/// let phone = PhoneDataset::from_flashfs(0, &fs);
+/// let phone = PhoneDataset::from_flashfs_with(0, &fs, &mut ParseScratch::default());
 /// assert_eq!(phone.boots().len(), 2);
 /// assert_eq!(phone.boots()[1].off_duration.unwrap().as_secs(), 82);
 /// ```
@@ -257,13 +257,6 @@ impl FailureLogger {
         self.ticks_since_snapshot = 0;
     }
 
-    /// Periodic heartbeat tick; also drives the lower-frequency
-    /// snapshots of the auxiliary files. The one-tick run of
-    /// [`Self::on_ticks`].
-    pub fn on_tick(&mut self, fs: &mut FlashFs, now: SimTime, ctx: PhoneContext<'_>) {
-        self.on_ticks(fs, now, 1, || ctx);
-    }
-
     /// The most ticks the next [`Self::on_ticks`] run may hold: for a
     /// logger that writes every file, the ticks up to and including the
     /// next snapshot tick (at least 1); for any other, which writes no
@@ -285,8 +278,7 @@ impl FailureLogger {
     /// that tick. `ctx` is sampled only then, so a caller that steps
     /// its state once per tick samples it only where a snapshot is
     /// written (never, unless the logger writes every file). The bytes
-    /// and the snapshot counter equal those of `n` single
-    /// [`Self::on_tick`] calls.
+    /// and the snapshot counter equal those of `n` one-tick runs.
     ///
     /// # Panics
     ///
@@ -408,7 +400,7 @@ mod tests {
         assert_eq!(boots.len(), 1);
         assert!(!boots[0].freeze_detected, "first boot is not a freeze");
         assert!(boots[0].off_duration.is_none());
-        assert_eq!(fs.last_line(files::BEATS), Some("0|ALIVE"));
+        assert_eq!(fs.read_lines(files::BEATS).last(), Some("0|ALIVE"));
     }
 
     #[test]
@@ -416,7 +408,7 @@ mod tests {
         let mut fs = FlashFs::new();
         let mut lg = FailureLogger::new(LoggerConfig::default());
         lg.on_boot(&mut fs, t(0), ctx);
-        lg.on_tick(&mut fs, t(30), ctx());
+        lg.on_ticks(&mut fs, t(30), 1, ctx);
         lg.on_clean_shutdown(&mut fs, t(45), ShutdownKind::Reboot);
         lg.on_boot(&mut fs, t(125), ctx);
         let boots = boots(&fs);
@@ -432,7 +424,7 @@ mod tests {
         let mut fs = FlashFs::new();
         let mut lg = FailureLogger::new(LoggerConfig::default());
         lg.on_boot(&mut fs, t(0), ctx);
-        lg.on_tick(&mut fs, t(30), ctx());
+        lg.on_ticks(&mut fs, t(30), 1, ctx);
         // Phone freezes: no clean shutdown; the user pulls the battery
         // and boots again later.
         lg.on_boot(&mut fs, t(600), ctx);
@@ -504,7 +496,7 @@ mod tests {
             lg.on_ticks(&mut fs, t(30), 2, ctx);
             lg.on_activity(&mut fs, t(40), t(70), ActivityKind::VoiceCall);
             lg.on_panic(&mut fs, t(75), &p, ctx(), Some(ActivityKind::VoiceCall));
-            lg.on_tick(&mut fs, t(90), ctx());
+            lg.on_ticks(&mut fs, t(90), 1, ctx);
             lg.on_clean_shutdown(&mut fs, t(100), ShutdownKind::LowBattery);
             lg.on_boot(&mut fs, t(900), ctx);
             lg.on_ticks(&mut fs, t(930), 3, ctx);
@@ -576,7 +568,7 @@ mod tests {
         });
         lg.on_boot(&mut fs, t(0), ctx); // snapshot #1
         for i in 1..=4 {
-            lg.on_tick(&mut fs, t(30 * i), ctx());
+            lg.on_ticks(&mut fs, t(30 * i), 1, ctx);
         }
         // boot snapshot + ticks 2 and 4
         assert_eq!(fs.read_lines(files::RUNAPP).count(), 3);
@@ -621,7 +613,7 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(256))]
         /// Tick runs cut at the snapshot ticks write the same `beats`,
         /// `runapp` and `power` bytes, wear and logger state as one
-        /// `on_tick` per tick, across digit-count rollovers of the
+        /// one-tick run per tick, across digit-count rollovers of the
         /// timestamp (…999 → 1…000, up to 20 digits), any period,
         /// snapshot cadence and starting snapshot phase.
         #[test]
@@ -651,11 +643,11 @@ mod tests {
                 let (lg, fs) = lg_fs;
                 lg.on_boot(fs, SimTime::ZERO, || ctx_at(0));
                 for i in 0..u64::from(phase) {
-                    lg.on_tick(fs, SimTime::from_millis(i), ctx_at(i));
+                    lg.on_ticks(fs, SimTime::from_millis(i), 1, || ctx_at(i));
                 }
             }
             for i in 0..n {
-                one.on_tick(&mut fs_one, SimTime::from_millis(start + i * period_ms), ctx_at(i));
+                one.on_ticks(&mut fs_one, SimTime::from_millis(start + i * period_ms), 1, || ctx_at(i));
             }
             let run_from = fs_run.size_of(files::BEATS) as usize;
             let mut done = 0;
@@ -807,7 +799,7 @@ mod tests {
         lg.on_boot(&mut fs, t(0), ctx);
         lg.on_activity(&mut fs, t(10), t(70), ActivityKind::VoiceCall);
         assert_eq!(fs.read_lines(files::ACTIVITY).count(), 1);
-        let line = fs.last_line(files::ACTIVITY).unwrap();
+        let line = fs.read_lines(files::ACTIVITY).last().unwrap();
         assert!(line.contains('V'), "{line}");
     }
 }

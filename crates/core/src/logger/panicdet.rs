@@ -111,7 +111,7 @@ mod tests {
         let mut fs = FlashFs::new();
         let mut pd = PanicDetector::new();
         pd.on_boot(&mut fs, SimTime::from_secs(1), None);
-        let rec = RecordRef::decode(fs.last_line(files::LOG).unwrap()).unwrap();
+        let rec = RecordRef::decode(fs.read_lines(files::LOG).last().unwrap()).unwrap();
         match rec {
             RecordRef::Boot(b) => {
                 assert!(!b.freeze_detected);
@@ -127,7 +127,7 @@ mod tests {
         let mut pd = PanicDetector::new();
         let last = (SimTime::from_secs(100), HeartbeatEvent::Alive);
         pd.on_boot(&mut fs, SimTime::from_secs(400), Some(last));
-        match RecordRef::decode(fs.last_line(files::LOG).unwrap()).unwrap() {
+        match RecordRef::decode(fs.read_lines(files::LOG).last().unwrap()).unwrap() {
             RecordRef::Boot(b) => {
                 assert!(b.freeze_detected);
                 assert_eq!(b.last_event_at, SimTime::from_secs(100));
@@ -142,7 +142,7 @@ mod tests {
         let mut pd = PanicDetector::new();
         let last = (SimTime::from_secs(100), HeartbeatEvent::Reboot);
         pd.on_boot(&mut fs, SimTime::from_secs(182), Some(last));
-        match RecordRef::decode(fs.last_line(files::LOG).unwrap()).unwrap() {
+        match RecordRef::decode(fs.read_lines(files::LOG).last().unwrap()).unwrap() {
             RecordRef::Boot(b) => {
                 assert!(!b.freeze_detected);
                 assert_eq!(b.off_duration.unwrap().as_secs(), 82);
@@ -164,7 +164,8 @@ mod tests {
             None,
         );
         assert!(fs
-            .last_line(files::LOG)
+            .read_lines(files::LOG)
+            .last()
             .unwrap()
             .starts_with("P|5000|ViewSrv~11|Clock"));
     }

@@ -323,20 +323,6 @@ impl LogRecord {
             LogRecord::Boot(b) => b.boot_at,
         }
     }
-
-    /// Appends the encoded line (checksum trailer included, no
-    /// newline) to `out`: the `|`-separated fields, then a `|cXXXX`
-    /// checksum trailer over them. The logger's write path reuses the
-    /// flash file's own buffer; [`RecordRef::decode`] reads the line
-    /// back.
-    pub fn encode_into(&self, out: &mut Vec<u8>) {
-        match self {
-            LogRecord::Panic(p) => {
-                encode_panic_into(out, p.at, &p.panic, &p.running_apps, p.activity, p.battery)
-            }
-            LogRecord::Boot(b) => encode_boot_into(out, b),
-        }
-    }
 }
 
 /// Appends the `|cXXXX` checksum trailer over the payload written
@@ -691,10 +677,20 @@ mod tests {
         })
     }
 
+    /// Appends the record's line to `out`, as the logger writes it.
+    fn encode_into(rec: &LogRecord, out: &mut Vec<u8>) {
+        match rec {
+            LogRecord::Panic(p) => {
+                encode_panic_into(out, p.at, &p.panic, &p.running_apps, p.activity, p.battery)
+            }
+            LogRecord::Boot(b) => encode_boot_into(out, b),
+        }
+    }
+
     /// The record's line, as the logger writes it.
     fn encode(rec: &LogRecord) -> String {
         let mut buf = Vec::new();
-        rec.encode_into(&mut buf);
+        encode_into(rec, &mut buf);
         String::from_utf8(buf).unwrap()
     }
 
@@ -791,7 +787,7 @@ mod tests {
     #[test]
     fn encode_into_appends_after_existing_content() {
         let mut buf = b"prefix".to_vec();
-        sample_panic().encode_into(&mut buf);
+        encode_into(&sample_panic(), &mut buf);
         assert_eq!(
             &buf[6..],
             encode(&sample_panic()).as_bytes(),

@@ -23,15 +23,6 @@ pub enum FailureType {
 }
 
 impl FailureType {
-    /// All types in the paper's Table 1 row order.
-    pub const ALL: [FailureType; 5] = [
-        FailureType::Freeze,
-        FailureType::SelfShutdown,
-        FailureType::OutputFailure,
-        FailureType::InputFailure,
-        FailureType::UnstableBehavior,
-    ];
-
     /// Table label.
     pub fn as_str(self) -> &'static str {
         match self {

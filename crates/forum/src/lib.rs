@@ -25,7 +25,7 @@
 //! let corpus = CorpusGenerator::paper_sized(7).generate();
 //! assert_eq!(corpus.len(), 533);
 //! let study = ForumStudy::classify(&corpus);
-//! assert!(study.table1().grand_total() > 400);
+//! assert!(study.render_table1().contains("Table 1"));
 //! ```
 
 #![forbid(unsafe_code)]

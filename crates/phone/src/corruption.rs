@@ -182,11 +182,6 @@ impl CorruptionModel {
         Self { rates }
     }
 
-    /// An injector with a named profile's rates.
-    pub fn from_profile(profile: CorruptionProfile) -> Self {
-        Self::new(profile.rates())
-    }
-
     /// Damages `fs` in place, consuming randomness only from `rng`.
     /// Returns the expected-observable defect counts.
     ///
@@ -528,7 +523,7 @@ mod tests {
     fn none_profile_is_identity() {
         let mut fs = beats_fs(10);
         let before = fs.read_bytes(files::BEATS).unwrap().to_vec();
-        let model = CorruptionModel::from_profile(CorruptionProfile::None);
+        let model = CorruptionModel::new(CorruptionProfile::None.rates());
         let injected = model.inject(&mut fs, &mut SimRng::seed_from(1));
         assert_eq!(injected, InjectedDefects::default());
         assert_eq!(fs.read_bytes(files::BEATS).unwrap(), &before[..]);
@@ -536,7 +531,7 @@ mod tests {
 
     #[test]
     fn injection_is_deterministic_in_the_seed() {
-        let model = CorruptionModel::from_profile(CorruptionProfile::Worst);
+        let model = CorruptionModel::new(CorruptionProfile::Worst.rates());
         let mut a = beats_fs(50);
         let mut b = beats_fs(50);
         let ia = model.inject(&mut a, &mut SimRng::seed_from(99));
@@ -552,7 +547,7 @@ mod tests {
     fn worst_profile_damages_beats() {
         let mut fs = beats_fs(50);
         let before = fs.read_bytes(files::BEATS).unwrap().to_vec();
-        let model = CorruptionModel::from_profile(CorruptionProfile::Worst);
+        let model = CorruptionModel::new(CorruptionProfile::Worst.rates());
         let injected = model.inject(&mut fs, &mut SimRng::seed_from(7));
         assert!(injected.total_observable() > 0, "{injected:?}");
         assert_ne!(fs.read_bytes(files::BEATS).unwrap(), &before[..]);
@@ -562,7 +557,7 @@ mod tests {
     fn wear_counter_untouched_by_damage() {
         let mut fs = beats_fs(20);
         let wear = fs.bytes_written();
-        CorruptionModel::from_profile(CorruptionProfile::Worst)
+        CorruptionModel::new(CorruptionProfile::Worst.rates())
             .inject(&mut fs, &mut SimRng::seed_from(3));
         assert_eq!(fs.bytes_written(), wear);
     }

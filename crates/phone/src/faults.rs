@@ -60,13 +60,6 @@ pub struct FaultEpisode {
     pub escalation: Option<Escalation>,
 }
 
-impl FaultEpisode {
-    /// Total number of panics the episode produces.
-    pub fn panic_count(&self) -> usize {
-        1 + self.cascade.len()
-    }
-}
-
 fn sample_code(weights: &[(PanicCode, f64)], rng: &mut SimRng) -> PanicCode {
     let ws: Vec<f64> = weights.iter().map(|(_, w)| *w).collect();
     weights[rng.weighted_index(&ws)].0
@@ -199,13 +192,13 @@ fn raise(code: PanicCode, app: &str, rng: &mut SimRng) -> Panic {
         }
         c if c == codes::E32USER_CBASE_46 => {
             let mut sched = ActiveScheduler::new(app, SimDuration::from_secs(10));
-            let ao = sched.add("worker", 0, true);
+            let ao = sched.add("worker", true);
             // The bug: a completion signalled with no request pending.
             sched.signal(ao).expect_err("stray signal panics")
         }
         c if c == codes::E32USER_CBASE_47 => {
             let mut sched = ActiveScheduler::new(app, SimDuration::from_secs(10));
-            let ao = sched.add("careless", 0, false);
+            let ao = sched.add("careless", false);
             sched.set_active(ao).expect("set active ok");
             sched.signal(ao).expect("signal ok");
             sched
@@ -255,7 +248,7 @@ fn raise(code: PanicCode, app: &str, rng: &mut SimRng) -> Panic {
         }
         c if c == codes::VIEWSRV_11 => {
             let mut sched = ActiveScheduler::new(app, SimDuration::from_secs(10));
-            let ao = sched.add("spinner", 0, true);
+            let ao = sched.add("spinner", true);
             sched.set_active(ao).expect("set active ok");
             sched.signal(ao).expect("signal ok");
             let spin = SimDuration::from_secs(11 + rng.next_u64() % 30);
@@ -344,7 +337,7 @@ mod tests {
             if ep.escalation.is_none() {
                 assert!(ep.cascade.is_empty(), "cascades accompany escalation");
             }
-            assert!(ep.panic_count() <= 7);
+            assert!(ep.cascade.len() <= 6, "at most 7 panics per episode");
         }
     }
 

@@ -116,13 +116,6 @@ impl PhoneMeta {
     }
 }
 
-/// Metadata for every harvest, in the same order — the bridge from a
-/// retained harvest ([`FleetCampaign::run`]) to meta-based
-/// aggregations.
-pub fn harvest_metas(harvest: &[PhoneHarvest]) -> Vec<PhoneMeta> {
-    harvest.iter().map(PhoneMeta::from_harvest).collect()
-}
-
 /// Options for a checkpointed streaming run
 /// ([`FleetCampaign::run_streaming_opts`]).
 #[derive(Debug, Clone, Default)]
@@ -590,15 +583,6 @@ impl FleetCampaign {
         self.run_phone(id, LoggerFiles::All, FlashFs::new())
     }
 
-    /// Runs every phone sequentially, retaining every flash — the
-    /// harvest the reference analysis ([`StudyReport::analyze`])
-    /// materializes. Deterministic in the seed.
-    pub fn run(&self) -> Vec<PhoneHarvest> {
-        (0..self.params.phones)
-            .map(|id| self.run_phone(id, LoggerFiles::All, FlashFs::new()))
-            .collect()
-    }
-
     /// The campaign driver: workers steal contiguous runs of phone ids;
     /// for each phone a worker simulates it, parses its flash, folds
     /// every registered analysis pass into the run's [`FoldShard`],
@@ -611,11 +595,11 @@ impl FleetCampaign {
     /// until they have held the worker's largest phone. Each finished
     /// run crosses into a shared [`StreamMerger`] in one lock
     /// acquisition, and the merger absorbs runs strictly in phone-id
-    /// order, so the report is byte-identical to [`StudyReport::analyze`]
-    /// over the materialized fleet for any worker count and run
-    /// partition — while peak memory stays bounded by `workers ×
-    /// per-phone state` plus the folded summaries instead of the whole
-    /// fleet.
+    /// order, so the report is byte-identical for any worker count and
+    /// run partition to one serial fold of every phone, each simulated
+    /// alone ([`Self::run_single`]) — while peak memory stays bounded
+    /// by `workers × per-phone state` plus the folded summaries instead
+    /// of the whole fleet.
     pub fn run_streaming(
         &self,
         workers: usize,
@@ -637,8 +621,7 @@ impl FleetCampaign {
     /// at the end of the run; since absorption happens strictly in
     /// phone-id order, boundary phones — and therefore checkpoint
     /// bytes and the MTBF trace — are identical for any worker count.
-    /// The final report stays byte-identical to an uninterrupted run
-    /// (and to the reference analysis).
+    /// The final report stays byte-identical to an uninterrupted run.
     ///
     /// A resumed run's `metas`/parse counters cover only the phones it
     /// simulated itself (the resumed suffix); the report covers the
@@ -870,11 +853,10 @@ impl FleetCampaign {
 pub struct StreamingRun {
     /// Per-phone metadata, sorted by phone id.
     pub metas: Vec<PhoneMeta>,
-    /// The finished study report, byte-identical to the reference
-    /// analysis.
+    /// The finished study report.
     pub report: StudyReport,
     /// The fleet name table the report's coalesced panics resolve
-    /// against (phone-id order, as the reference fleet's).
+    /// against (per-phone tables absorbed in phone-id order).
     pub names: NameTable,
     /// Seconds spent inside flash parsing, summed across workers (the
     /// parse rate's denominator).
@@ -938,7 +920,6 @@ pub fn total_stats(metas: &[PhoneMeta]) -> PhoneStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use symfail_core::analysis::dataset::FleetDataset;
 
     fn tiny_params() -> CalibrationParams {
         CalibrationParams {
@@ -948,6 +929,16 @@ mod tests {
             attrition_spread_days: 5,
             ..CalibrationParams::default()
         }
+    }
+
+    /// Every phone of `c` simulated alone, in id order, writing every
+    /// file on fresh flash.
+    fn harvest(c: &FleetCampaign) -> Vec<PhoneHarvest> {
+        (0..c.params.phones).map(|id| c.run_single(id)).collect()
+    }
+
+    fn metas(harvest: &[PhoneHarvest]) -> Vec<PhoneMeta> {
+        harvest.iter().map(PhoneMeta::from_harvest).collect()
     }
 
     #[test]
@@ -982,8 +973,8 @@ mod tests {
     #[test]
     fn campaign_is_deterministic() {
         let c = FleetCampaign::new(11, tiny_params());
-        let a = c.run();
-        let b = c.run();
+        let a = harvest(&c);
+        let b = harvest(&c);
         assert_eq!(a.len(), b.len());
         for (x, y) in a.iter().zip(&b) {
             assert_eq!(x.stats, y.stats);
@@ -994,7 +985,7 @@ mod tests {
     /// The streaming driver's per-phone metadata equals the sequential
     /// harvest's, for any worker count.
     fn assert_streamed_metas_match(c: &FleetCampaign) {
-        let seq = harvest_metas(&c.run());
+        let seq = metas(&harvest(c));
         for workers in [1, 2, 3] {
             let run = c.run_streaming(workers, AnalysisConfig::default(), &PassRegistry::all());
             assert_eq!(run.metas.len(), seq.len());
@@ -1034,7 +1025,7 @@ mod tests {
         let subset = PassRegistry::select("shutdown,bursts,coalesce").expect("known passes");
         let run = clean.run_streaming(2, config, &subset);
         let mut logs = PhoneDefects::default();
-        for h in clean.run() {
+        for h in harvest(&clean) {
             let log = h.flashfs.read_bytes(files::LOG).unwrap_or_default();
             logs.merge(PhoneDataset::from_log(h.phone_id, log).defects());
         }
@@ -1077,8 +1068,8 @@ mod tests {
         let params = tiny_params();
         let dirty = FleetCampaign::new(11, params).with_corruption(CorruptionProfile::Worst);
         let clean = FleetCampaign::new(11, params);
-        let a = dirty.run();
-        let b = clean.run();
+        let a = harvest(&dirty);
+        let b = harvest(&clean);
         assert!(
             a.iter().map(|h| h.injected.total_observable()).sum::<u64>() > 0,
             "worst profile must inject something"
@@ -1102,31 +1093,9 @@ mod tests {
     }
 
     #[test]
-    fn streaming_report_matches_batch() {
-        let c = FleetCampaign::new(13, tiny_params()).with_corruption(CorruptionProfile::Worst);
-        let config = AnalysisConfig::default();
-        let registry = PassRegistry::all();
-        let batch = {
-            let harvest = c.run();
-            let fleet = FleetDataset::from_flash(harvest.iter().map(|h| (h.phone_id, &h.flashfs)));
-            StudyReport::analyze_with(&fleet, config, &registry)
-        };
-        for workers in [1, 2, 3] {
-            let streamed = c.run_streaming(workers, config, &registry);
-            assert_eq!(
-                streamed.report.render_all(),
-                batch.render_all(),
-                "streaming ({workers} workers) must be byte-identical to batch"
-            );
-            assert_eq!(streamed.metas.len(), 3);
-            assert!(streamed.parse_bytes > 0);
-        }
-    }
-
-    #[test]
     fn mixed_fleet_is_deterministic_and_classed() {
         let c = FleetCampaign::new(13, tiny_params()).with_fleet(FleetComposition::mixed());
-        let a = c.run();
+        let a = harvest(&c);
         // Phones simulated one at a time in reverse order: a phone's
         // bytes and class never depend on what ran before it.
         let mut b: Vec<PhoneHarvest> = (0..3).rev().map(|id| c.run_single(id)).collect();
@@ -1150,36 +1119,10 @@ mod tests {
         let explicit =
             FleetCampaign::new(11, tiny_params()).with_fleet(FleetComposition::default());
         assert_eq!(plain.fingerprint(), explicit.fingerprint());
-        for (x, y) in plain.run().iter().zip(&explicit.run()) {
+        for (x, y) in harvest(&plain).iter().zip(&harvest(&explicit)) {
             assert_eq!(x.device_class, DeviceClass::Smartphone);
             assert_eq!(x.stats, y.stats);
             assert_eq!(x.flashfs.read_bytes("log"), y.flashfs.read_bytes("log"));
-        }
-    }
-
-    #[test]
-    fn mixed_fleet_streaming_matches_labeled_batch() {
-        let c = FleetCampaign::new(13, tiny_params())
-            .with_fleet(FleetComposition::mixed())
-            .with_corruption(CorruptionProfile::Worst);
-        let config = AnalysisConfig::default();
-        let registry = PassRegistry::all();
-        let batch = {
-            let harvest = c.run();
-            let fleet = FleetDataset::from_flash(harvest.iter().map(|h| (h.phone_id, &h.flashfs)));
-            StudyReport::analyze_with_labels(&fleet, config, &registry, |id| c.device_labels(id))
-        };
-        assert!(
-            batch.render_all().contains("device class"),
-            "a mixed fleet renders the device-class section"
-        );
-        for workers in [1, 2, 3] {
-            let streamed = c.run_streaming(workers, config, &registry);
-            assert_eq!(
-                streamed.report.render_all(),
-                batch.render_all(),
-                "mixed-fleet streaming ({workers} workers) must match labeled batch"
-            );
         }
     }
 
@@ -1214,7 +1157,7 @@ mod tests {
     #[test]
     fn enrollment_windows_within_campaign() {
         let c = FleetCampaign::new(17, tiny_params());
-        for h in c.run() {
+        for h in harvest(&c) {
             assert!(h.enrolled_day < h.retired_day);
             assert!(h.retired_day <= tiny_params().campaign_days as u64);
         }
@@ -1393,9 +1336,9 @@ mod tests {
     #[test]
     fn stats_aggregate() {
         let c = FleetCampaign::new(19, tiny_params());
-        let harvest = c.run();
-        let total = total_stats(&harvest_metas(&harvest));
-        let manual: u64 = harvest.iter().map(|h| h.stats.calls).sum();
+        let fleet = harvest(&c);
+        let total = total_stats(&metas(&fleet));
+        let manual: u64 = fleet.iter().map(|h| h.stats.calls).sum();
         assert_eq!(total.calls, manual);
         assert!(total.calls > 0);
     }

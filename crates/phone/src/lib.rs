@@ -19,13 +19,14 @@
 //! freezes the device or reboots it.
 //!
 //! [`fleet::FleetCampaign`] runs the 25-phone / 14-month campaign with
-//! staggered enrollment and per-user behaviour profiles; its output is
-//! one harvested flash filesystem per phone, ready for
-//! `symfail_core::analysis`.
+//! staggered enrollment and per-user behaviour profiles: each phone's
+//! harvested flash filesystem is parsed and folded by
+//! `symfail_core::analysis` as soon as it is simulated.
 //!
 //! # Example
 //!
 //! ```
+//! use symfail_core::analysis::passes::PassRegistry;
 //! use symfail_phone::calibration::CalibrationParams;
 //! use symfail_phone::fleet::FleetCampaign;
 //!
@@ -35,8 +36,10 @@
 //! params.campaign_days = 30;
 //! params.enrollment_spread_days = 5;
 //! let campaign = FleetCampaign::new(42, params);
-//! let harvest = campaign.run();
-//! assert_eq!(harvest.len(), 3);
+//! let run = campaign.run_streaming(1, params.analysis_config(), &PassRegistry::all());
+//! assert_eq!(run.metas.len(), 3);
+//! // One phone alone, as the campaign simulates it:
+//! assert_eq!(campaign.run_single(0).phone_id, 0);
 //! ```
 
 #![forbid(unsafe_code)]

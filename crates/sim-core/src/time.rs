@@ -47,11 +47,6 @@ impl SimTime {
         self.0 / 1000
     }
 
-    /// Fractional hours since the epoch.
-    pub fn as_hours_f64(self) -> f64 {
-        self.0 as f64 / 3_600_000.0
-    }
-
     /// Elapsed duration since `earlier`, saturating at zero if
     /// `earlier` is in the future.
     pub fn saturating_since(self, earlier: SimTime) -> SimDuration {
@@ -73,8 +68,6 @@ impl SimTime {
 impl SimDuration {
     /// The zero duration.
     pub const ZERO: SimDuration = SimDuration(0);
-    /// One second.
-    pub const SECOND: SimDuration = SimDuration(1000);
     /// One 24-hour day.
     pub const DAY: SimDuration = SimDuration(24 * 3_600_000);
 
@@ -268,7 +261,7 @@ mod tests {
         assert_eq!((t2 - t).as_secs(), 50);
         assert_eq!((t2 - SimDuration::from_secs(25)).as_secs(), 125);
         assert_eq!(SimDuration::from_secs(10) * 6, SimDuration::from_mins(1));
-        assert_eq!(SimDuration::from_mins(1) / 60, SimDuration::SECOND);
+        assert_eq!(SimDuration::from_mins(1) / 60, SimDuration::from_secs(1));
     }
 
     #[test]
@@ -312,6 +305,5 @@ mod tests {
     #[test]
     fn as_hours() {
         assert!((SimDuration::from_hours(313).as_hours_f64() - 313.0).abs() < 1e-12);
-        assert!((SimTime::from_secs(3600).as_hours_f64() - 1.0).abs() < 1e-12);
     }
 }

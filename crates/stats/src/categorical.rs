@@ -2,13 +2,11 @@
 //!
 //! The workhorse behind Table 2 (panic categories), the forum
 //! failure-type marginals and the Figure 3/5/6 series: a multiset of
-//! labels with percentage views, ranking and distance measures.
+//! labels with percentage views and ranking.
 
 use std::collections::BTreeMap;
 
 use serde::{Deserialize, Serialize};
-
-use crate::StatsError;
 
 /// A count distribution over string-labelled categories.
 ///
@@ -91,33 +89,6 @@ impl CategoricalDist {
             self.add_n(label, count);
         }
     }
-
-    /// Total-variation distance (half the L1 distance between the two
-    /// probability vectors, 0 = identical, 1 = disjoint). Useful for
-    /// comparing a measured distribution against the paper's target.
-    ///
-    /// # Errors
-    ///
-    /// [`StatsError::EmptyData`] if either distribution is empty.
-    pub fn total_variation(&self, other: &CategoricalDist) -> Result<f64, StatsError> {
-        let (ta, tb) = (self.total(), other.total());
-        if ta == 0 || tb == 0 {
-            return Err(StatsError::EmptyData);
-        }
-        let mut labels: Vec<&str> = self.counts.keys().map(String::as_str).collect();
-        for l in other.counts.keys() {
-            if !self.counts.contains_key(l) {
-                labels.push(l);
-            }
-        }
-        let mut d = 0.0;
-        for l in labels {
-            let pa = self.count(l) as f64 / ta as f64;
-            let pb = other.count(l) as f64 / tb as f64;
-            d += (pa - pb).abs();
-        }
-        Ok(d / 2.0)
-    }
 }
 
 impl<S: Into<String>> FromIterator<S> for CategoricalDist {
@@ -185,27 +156,6 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.count("a"), 12);
         assert_eq!(a.total(), 20);
-    }
-
-    #[test]
-    fn total_variation_bounds() {
-        let a = sample();
-        assert_eq!(a.total_variation(&a).unwrap(), 0.0);
-        let mut disjoint = CategoricalDist::new();
-        disjoint.add_n("zzz", 4);
-        assert!((a.total_variation(&disjoint).unwrap() - 1.0).abs() < 1e-12);
-        assert!(a.total_variation(&CategoricalDist::new()).is_err());
-    }
-
-    #[test]
-    fn total_variation_symmetric() {
-        let a = sample();
-        let mut b = CategoricalDist::new();
-        b.add_n("a", 1);
-        b.add_n("b", 9);
-        let d1 = a.total_variation(&b).unwrap();
-        let d2 = b.total_variation(&a).unwrap();
-        assert!((d1 - d2).abs() < 1e-12);
     }
 
     #[test]

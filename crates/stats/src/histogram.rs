@@ -102,22 +102,11 @@ impl Histogram {
         BinSlot::In(raw.min(self.counts.len() - 1))
     }
 
-    /// Number of bins.
-    pub fn len(&self) -> usize {
-        self.counts.len()
-    }
-
-    /// True if the histogram has zero bins (never constructible via
-    /// the public API, but kept for the `len`/`is_empty` pairing).
-    pub fn is_empty(&self) -> bool {
-        self.counts.is_empty()
-    }
-
     /// Count in bin `i`.
     ///
     /// # Panics
     ///
-    /// Panics if `i >= self.len()`.
+    /// Panics if `i` is not below the bin count.
     pub fn count(&self, i: usize) -> u64 {
         self.counts[i]
     }
@@ -153,27 +142,6 @@ impl Histogram {
                 hi: self.lo + (i + 1) as f64 * width,
                 count,
             })
-    }
-
-    /// Local maxima of the binned distribution: bins whose count is at
-    /// least `min_count` and strictly greater than both neighbours
-    /// (boundary bins need only beat their single neighbour). This is
-    /// how the bimodality of the Figure 2 reboot-duration histogram is
-    /// detected programmatically.
-    pub fn local_maxima(&self, min_count: u64) -> Vec<HistogramBin> {
-        let n = self.counts.len();
-        let mut out = Vec::new();
-        for (i, bin) in self.bins().enumerate() {
-            if bin.count < min_count.max(1) {
-                continue;
-            }
-            let left_ok = i == 0 || self.counts[i - 1] < bin.count;
-            let right_ok = i + 1 == n || self.counts[i + 1] < bin.count;
-            if left_ok && right_ok {
-                out.push(bin);
-            }
-        }
-        out
     }
 }
 
@@ -243,19 +211,6 @@ mod tests {
         assert_eq!(h.overflow(), 3);
         assert_eq!(h.total(), 4);
         assert_eq!(h.total_in_range(), 0);
-    }
-
-    #[test]
-    fn local_maxima_detects_bimodality() {
-        let mut h = hist();
-        h.extend([15.0; 50]); // peak in bin 1
-        h.extend([25.0; 10]);
-        h.extend([75.0; 40]); // peak in bin 7
-        h.extend([65.0; 5]);
-        let peaks = h.local_maxima(2);
-        assert_eq!(peaks.len(), 2);
-        assert_eq!(peaks[0].lo, 10.0);
-        assert_eq!(peaks[1].lo, 70.0);
     }
 
     #[test]

@@ -151,21 +151,6 @@ impl ShapeReport {
         &self.checks
     }
 
-    /// Number of checks.
-    pub fn len(&self) -> usize {
-        self.checks.len()
-    }
-
-    /// True when no checks were added.
-    pub fn is_empty(&self) -> bool {
-        self.checks.is_empty()
-    }
-
-    /// True when every check passes.
-    pub fn all_pass(&self) -> bool {
-        self.checks.iter().all(TargetCheck::passes)
-    }
-
     /// The failing checks.
     pub fn failures(&self) -> Vec<&TargetCheck> {
         self.checks.iter().filter(|c| !c.passes()).collect()
@@ -225,7 +210,7 @@ mod tests {
         let mut r = ShapeReport::new();
         r.push(TargetCheck::relative("a", 10.0, 10.5, 10.0));
         r.push(TargetCheck::relative("b", 10.0, 20.0, 10.0));
-        assert!(!r.all_pass());
+        assert!(r.checks().iter().any(|c| !c.passes()));
         assert_eq!(r.failures().len(), 1);
         assert_eq!(r.failures()[0].name, "b");
         let display = r.to_string();

@@ -55,7 +55,6 @@ pub enum RunOutcome {
 #[derive(Debug, Clone, Serialize, Deserialize)]
 struct AoRecord {
     name: String,
-    priority: i32,
     state: AoState,
     /// Whether the application replaced the scheduler's `Error()`
     /// virtual function for this AO's leaves.
@@ -71,12 +70,10 @@ struct AoRecord {
 /// use symfail_symbian::active::{ActiveScheduler, RunOutcome};
 ///
 /// let mut sched = ActiveScheduler::new("Messages", SimDuration::from_secs(10));
-/// let ao = sched.add("receive-sms", 0, true);
+/// let ao = sched.add("receive-sms", true);
 /// sched.set_active(ao)?;
 /// sched.signal(ao)?;
-/// let picked = sched.next_ready().unwrap();
-/// assert_eq!(picked, ao);
-/// sched.run(picked, RunOutcome::Ok, SimDuration::from_millis(5))?;
+/// sched.run(ao, RunOutcome::Ok, SimDuration::from_millis(5))?;
 /// # Ok::<(), symfail_symbian::Panic>(())
 /// ```
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -85,7 +82,6 @@ pub struct ActiveScheduler {
     viewsrv_timeout: SimDuration,
     aos: BTreeMap<u32, AoRecord>,
     next_id: u32,
-    runs: u64,
 }
 
 impl ActiveScheduler {
@@ -99,51 +95,24 @@ impl ActiveScheduler {
             viewsrv_timeout,
             aos: BTreeMap::new(),
             next_id: 0,
-            runs: 0,
         }
     }
 
     /// Registers an active object. `handles_errors` records whether
     /// the application replaced the scheduler's `Error()` function for
     /// this AO (well-written applications always do).
-    pub fn add(&mut self, name: &str, priority: i32, handles_errors: bool) -> AoId {
+    pub fn add(&mut self, name: &str, handles_errors: bool) -> AoId {
         let id = self.next_id;
         self.next_id += 1;
         self.aos.insert(
             id,
             AoRecord {
                 name: name.to_string(),
-                priority,
                 state: AoState::Idle,
                 handles_errors,
             },
         );
         AoId(id)
-    }
-
-    /// The application this scheduler belongs to.
-    pub fn app(&self) -> &str {
-        &self.app
-    }
-
-    /// Number of registered active objects.
-    pub fn len(&self) -> usize {
-        self.aos.len()
-    }
-
-    /// True when no AOs are registered.
-    pub fn is_empty(&self) -> bool {
-        self.aos.is_empty()
-    }
-
-    /// Number of handler dispatches performed.
-    pub fn runs(&self) -> u64 {
-        self.runs
-    }
-
-    /// State of an AO, if it exists.
-    pub fn state(&self, id: AoId) -> Option<AoState> {
-        self.aos.get(&id.0).map(|r| r.state)
     }
 
     /// Issues a request on behalf of the AO (`SetActive`).
@@ -185,18 +154,6 @@ impl ActiveScheduler {
         }
     }
 
-    /// The highest-priority signalled AO, if any (ties broken by
-    /// registration order — the scheduler walks its list in order).
-    pub fn next_ready(&self) -> Option<AoId> {
-        self.aos
-            .iter()
-            .filter(|(_, r)| r.state == AoState::Signalled)
-            .max_by(|a, b| {
-                a.1.priority.cmp(&b.1.priority).then(b.0.cmp(a.0)) // earlier id wins ties
-            })
-            .map(|(&id, _)| AoId(id))
-    }
-
     /// Dispatches the AO's `RunL()` with the outcome and duration the
     /// embedding simulation determined.
     ///
@@ -221,7 +178,6 @@ impl ActiveScheduler {
         record.state = AoState::Idle;
         let name = record.name.clone();
         let handles_errors = record.handles_errors;
-        self.runs += 1;
         if duration > self.viewsrv_timeout {
             return Err(Panic::new(
                 codes::VIEWSRV_11,
@@ -265,10 +221,16 @@ mod tests {
         ActiveScheduler::new("TestApp", SimDuration::from_secs(10))
     }
 
+    impl ActiveScheduler {
+        fn state(&self, id: AoId) -> Option<AoState> {
+            self.aos.get(&id.0).map(|r| r.state)
+        }
+    }
+
     #[test]
     fn request_signal_run_cycle() {
         let mut s = sched();
-        let ao = s.add("worker", 0, true);
+        let ao = s.add("worker", true);
         assert_eq!(s.state(ao), Some(AoState::Idle));
         s.set_active(ao).unwrap();
         assert_eq!(s.state(ao), Some(AoState::Active));
@@ -277,39 +239,12 @@ mod tests {
         s.run(ao, RunOutcome::Ok, SimDuration::from_millis(1))
             .unwrap();
         assert_eq!(s.state(ao), Some(AoState::Idle));
-        assert_eq!(s.runs(), 1);
-    }
-
-    #[test]
-    fn priority_dispatch_order() {
-        let mut s = sched();
-        let low = s.add("low", 0, true);
-        let high = s.add("high", 10, true);
-        for ao in [low, high] {
-            s.set_active(ao).unwrap();
-            s.signal(ao).unwrap();
-        }
-        assert_eq!(s.next_ready(), Some(high));
-        s.run(high, RunOutcome::Ok, SimDuration::ZERO).unwrap();
-        assert_eq!(s.next_ready(), Some(low));
-    }
-
-    #[test]
-    fn equal_priority_ties_broken_by_registration_order() {
-        let mut s = sched();
-        let first = s.add("first", 5, true);
-        let second = s.add("second", 5, true);
-        for ao in [second, first] {
-            s.set_active(ao).unwrap();
-            s.signal(ao).unwrap();
-        }
-        assert_eq!(s.next_ready(), Some(first));
     }
 
     #[test]
     fn stray_signal_on_idle_ao_is_cbase_46() {
         let mut s = sched();
-        let ao = s.add("worker", 0, true);
+        let ao = s.add("worker", true);
         let p = s.signal(ao).unwrap_err();
         assert_eq!(p.code, codes::E32USER_CBASE_46);
         assert_eq!(p.raised_by, "TestApp");
@@ -327,7 +262,7 @@ mod tests {
     #[test]
     fn unhandled_leave_is_cbase_47() {
         let mut s = sched();
-        let ao = s.add("careless", 0, false);
+        let ao = s.add("careless", false);
         s.set_active(ao).unwrap();
         s.signal(ao).unwrap();
         let p = s
@@ -344,7 +279,7 @@ mod tests {
     #[test]
     fn handled_leave_is_fine() {
         let mut s = sched();
-        let ao = s.add("careful", 0, true);
+        let ao = s.add("careful", true);
         s.set_active(ao).unwrap();
         s.signal(ao).unwrap();
         s.run(
@@ -358,7 +293,7 @@ mod tests {
     #[test]
     fn monopolizing_handler_is_viewsrv_11() {
         let mut s = sched();
-        let ao = s.add("spinner", 0, true);
+        let ao = s.add("spinner", true);
         s.set_active(ao).unwrap();
         s.signal(ao).unwrap();
         let p = s
@@ -371,7 +306,7 @@ mod tests {
     #[test]
     fn run_on_unsignalled_ao_is_stray() {
         let mut s = sched();
-        let ao = s.add("worker", 0, true);
+        let ao = s.add("worker", true);
         let p = s.run(ao, RunOutcome::Ok, SimDuration::ZERO).unwrap_err();
         assert_eq!(p.code, codes::E32USER_CBASE_46);
     }
@@ -379,7 +314,7 @@ mod tests {
     #[test]
     fn set_active_twice_is_tolerated() {
         let mut s = sched();
-        let ao = s.add("worker", 0, true);
+        let ao = s.add("worker", true);
         s.set_active(ao).unwrap();
         s.set_active(ao).unwrap();
         assert_eq!(s.state(ao), Some(AoState::Active));

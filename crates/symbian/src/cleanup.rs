@@ -58,39 +58,9 @@ impl CleanupStack {
         self.items.len()
     }
 
-    /// Nesting depth of installed trap harnesses.
-    pub fn trap_depth(&self) -> usize {
-        self.trap_marks.len()
-    }
-
     /// Pushes a heap cell (`CleanupStack::PushL`).
     pub fn push(&mut self, cell: CellId) {
         self.items.push(cell);
-    }
-
-    /// Pops the most recent cell without destroying it
-    /// (`CleanupStack::Pop`). Returns `None` on an empty stack.
-    pub fn pop(&mut self) -> Option<CellId> {
-        self.items.pop()
-    }
-
-    /// Pops the most recent cell and frees it
-    /// (`CleanupStack::PopAndDestroy`).
-    ///
-    /// # Errors
-    ///
-    /// Propagates heap panics (`E32USER-CBase 91/92`) if the cell was
-    /// already freed behind the stack's back, and raises
-    /// `E32USER-CBase 69` when the stack is empty.
-    pub fn pop_and_destroy(&mut self, heap: &mut Heap) -> Result<(), Panic> {
-        match self.items.pop() {
-            Some(cell) => heap.free(cell),
-            None => Err(Panic::new(
-                codes::E32USER_CBASE_69,
-                "cleanup",
-                "PopAndDestroy on empty cleanup stack",
-            )),
-        }
     }
 
     /// Runs `body` under a trap harness (`TRAP`). If the body leaves,
@@ -141,33 +111,6 @@ impl CleanupStack {
             Ok(code)
         }
     }
-
-    /// Two-phase construction (`NewL`/`ConstructL`): phase one
-    /// allocates the object shell and pushes it on the cleanup stack;
-    /// phase two allocates the dynamic extension. If phase two leaves,
-    /// the shell is freed via the cleanup stack — the object never
-    /// leaks. On success both cells are returned and the shell is
-    /// popped.
-    ///
-    /// # Errors
-    ///
-    /// The inner `Err` is the phase-two leave; the outer [`Panic`]
-    /// only occurs on heap corruption during unwinding.
-    pub fn construct_two_phase(
-        &mut self,
-        heap: &mut Heap,
-        owner: &str,
-        shell_size: u64,
-        extension_size: u64,
-    ) -> Result<Result<(CellId, CellId), LeaveCode>, Panic> {
-        self.trap(heap, |cs, heap| {
-            let shell = heap.alloc(owner, shell_size)?;
-            cs.push(shell);
-            let extension = heap.alloc(owner, extension_size)?;
-            cs.pop();
-            Ok((shell, extension))
-        })
-    }
 }
 
 #[cfg(test)]
@@ -181,27 +124,8 @@ mod tests {
         let a = heap.alloc("app", 10).unwrap();
         cs.push(a);
         assert_eq!(cs.depth(), 1);
-        assert_eq!(cs.pop(), Some(a));
-        assert_eq!(cs.pop(), None);
-    }
-
-    #[test]
-    fn pop_and_destroy_frees() {
-        let mut heap = Heap::with_capacity(100);
-        let mut cs = CleanupStack::new();
-        let a = heap.alloc("app", 10).unwrap();
-        cs.push(a);
-        cs.pop_and_destroy(&mut heap).unwrap();
-        assert_eq!(heap.used(), 0);
-        assert!(!heap.is_live(a));
-    }
-
-    #[test]
-    fn pop_and_destroy_empty_is_cbase_69() {
-        let mut heap = Heap::with_capacity(100);
-        let mut cs = CleanupStack::new();
-        let p = cs.pop_and_destroy(&mut heap).unwrap_err();
-        assert_eq!(p.code, codes::E32USER_CBASE_69);
+        assert_eq!(cs.items.pop(), Some(a));
+        assert_eq!(cs.items.pop(), None);
     }
 
     #[test]
@@ -212,13 +136,14 @@ mod tests {
             .trap(&mut heap, |cs, heap| {
                 let c = heap.alloc("app", 10)?;
                 cs.push(c);
-                cs.pop();
+                cs.items.pop();
                 Ok(c)
             })
             .unwrap()
             .unwrap();
-        assert!(heap.is_live(cell));
         assert_eq!(cs.depth(), 0);
+        // A live cell frees cleanly; a freed one raises CBase 91.
+        assert!(heap.free(cell).is_ok());
     }
 
     #[test]
@@ -235,9 +160,12 @@ mod tests {
             })
             .unwrap();
         assert_eq!(r, Err(LeaveCode::General));
-        assert!(heap.is_live(outer), "cells pushed before the trap survive");
         assert_eq!(heap.used(), 10);
         assert_eq!(cs.depth(), 1);
+        assert!(
+            heap.free(outer).is_ok(),
+            "cells pushed before the trap survive"
+        );
     }
 
     #[test]
@@ -281,29 +209,6 @@ mod tests {
             })
             .unwrap();
         assert_eq!(r, Err(LeaveCode::TimedOut));
-    }
-
-    #[test]
-    fn two_phase_construction_success() {
-        let mut heap = Heap::with_capacity(100);
-        let mut cs = CleanupStack::new();
-        let (shell, ext) = cs
-            .construct_two_phase(&mut heap, "app", 10, 20)
-            .unwrap()
-            .unwrap();
-        assert!(heap.is_live(shell));
-        assert!(heap.is_live(ext));
-        assert_eq!(cs.depth(), 0);
-    }
-
-    #[test]
-    fn two_phase_construction_failure_frees_shell() {
-        let mut heap = Heap::with_capacity(25);
-        let mut cs = CleanupStack::new();
-        let r = cs.construct_two_phase(&mut heap, "app", 10, 20).unwrap();
-        assert_eq!(r, Err(LeaveCode::NoMemory));
-        assert_eq!(heap.used(), 0, "shell freed when extension failed");
-        assert_eq!(cs.depth(), 0);
     }
 
     #[test]

@@ -67,11 +67,6 @@ impl TBuf {
         self.max_length
     }
 
-    /// True when the descriptor holds no data.
-    pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
-    }
-
     /// The content as a `String`.
     pub fn as_str(&self) -> String {
         self.data.iter().collect()
@@ -158,65 +153,6 @@ impl TBuf {
         Ok(())
     }
 
-    /// Replaces `len` characters at `pos` with `s` (`Replace()`).
-    ///
-    /// # Errors
-    ///
-    /// Raises `USER 10` for an out-of-bounds range, `USER 11` if the
-    /// result exceeds the maximum length.
-    pub fn replace(&mut self, pos: usize, len: usize, s: &str) -> Result<(), Panic> {
-        if pos > self.data.len() || pos + len > self.data.len() {
-            return Err(self.out_of_bounds("Replace", pos + len));
-        }
-        let extra: Vec<char> = s.chars().collect();
-        let new_len = self.data.len() - len + extra.len();
-        if new_len > self.max_length {
-            return Err(self.overflow("Replace", new_len));
-        }
-        self.data.splice(pos..pos + len, extra);
-        Ok(())
-    }
-
-    /// Fills the descriptor with `len` copies of `ch` (`Fill()`).
-    ///
-    /// # Errors
-    ///
-    /// Raises `USER 11` if `len` exceeds the maximum length.
-    pub fn fill(&mut self, ch: char, len: usize) -> Result<(), Panic> {
-        if len > self.max_length {
-            return Err(self.overflow("Fill", len));
-        }
-        self.data = vec![ch; len];
-        Ok(())
-    }
-
-    /// Sets the length directly (`SetLength()`): truncates, or
-    /// extends with NUL characters.
-    ///
-    /// # Errors
-    ///
-    /// Raises `USER 11` if `len` exceeds the maximum length.
-    pub fn set_length(&mut self, len: usize) -> Result<(), Panic> {
-        if len > self.max_length {
-            return Err(self.overflow("SetLength", len));
-        }
-        self.data.resize(len, '\0');
-        Ok(())
-    }
-
-    /// Appends a NUL terminator (`ZeroTerminate()`).
-    ///
-    /// # Errors
-    ///
-    /// Raises `USER 11` if there is no room for the terminator.
-    pub fn zero_terminate(&mut self) -> Result<(), Panic> {
-        if self.data.len() + 1 > self.max_length {
-            return Err(self.overflow("ZeroTerminate", self.data.len() + 1));
-        }
-        self.data.push('\0');
-        Ok(())
-    }
-
     /// The leftmost `len` characters (`Left()`).
     ///
     /// # Errors
@@ -227,18 +163,6 @@ impl TBuf {
             return Err(self.out_of_bounds("Left", len));
         }
         Ok(self.data[..len].iter().collect())
-    }
-
-    /// The rightmost `len` characters (`Right()`).
-    ///
-    /// # Errors
-    ///
-    /// Raises `USER 10` if `len > length`.
-    pub fn right(&self, len: usize) -> Result<String, Panic> {
-        if len > self.data.len() {
-            return Err(self.out_of_bounds("Right", len));
-        }
-        Ok(self.data[self.data.len() - len..].iter().collect())
     }
 
     /// `len` characters starting at `pos` (`Mid()`).
@@ -267,10 +191,9 @@ mod tests {
         let b = buf("abc", 10);
         assert_eq!(b.length(), 3);
         assert_eq!(b.max_length(), 10);
-        assert!(!b.is_empty());
         assert_eq!(b.as_str(), "abc");
         assert!(TBuf::from_str("abcd", 3).is_err());
-        assert!(TBuf::with_max_length(0).is_empty());
+        assert_eq!(TBuf::with_max_length(0).length(), 0);
     }
 
     #[test]
@@ -310,53 +233,15 @@ mod tests {
         assert_eq!(b.as_str(), "adef");
         assert_eq!(b.delete(3, 2).unwrap_err().code, codes::USER_10);
         b.delete(0, 4).unwrap();
-        assert!(b.is_empty());
+        assert_eq!(b.length(), 0);
     }
 
     #[test]
-    fn replace_grows_and_shrinks() {
-        let mut b = buf("hello", 8);
-        b.replace(0, 5, "bye").unwrap();
-        assert_eq!(b.as_str(), "bye");
-        b.replace(3, 0, "-now").unwrap();
-        assert_eq!(b.as_str(), "bye-now");
-        assert_eq!(b.replace(0, 99, "x").unwrap_err().code, codes::USER_10);
-        assert_eq!(
-            b.replace(0, 1, "toolongforit").unwrap_err().code,
-            codes::USER_11
-        );
-    }
-
-    #[test]
-    fn fill_and_set_length() {
-        let mut b = TBuf::with_max_length(5);
-        b.fill('x', 5).unwrap();
-        assert_eq!(b.as_str(), "xxxxx");
-        assert_eq!(b.fill('y', 6).unwrap_err().code, codes::USER_11);
-        b.set_length(2).unwrap();
-        assert_eq!(b.as_str(), "xx");
-        b.set_length(4).unwrap();
-        assert_eq!(b.length(), 4);
-        assert_eq!(b.set_length(9).unwrap_err().code, codes::USER_11);
-    }
-
-    #[test]
-    fn zero_terminate() {
-        let mut b = buf("ab", 3);
-        b.zero_terminate().unwrap();
-        assert_eq!(b.length(), 3);
-        let mut full = buf("abc", 3);
-        assert_eq!(full.zero_terminate().unwrap_err().code, codes::USER_11);
-    }
-
-    #[test]
-    fn left_right_mid() {
+    fn left_mid() {
         let b = buf("abcdef", 10);
         assert_eq!(b.left(3).unwrap(), "abc");
-        assert_eq!(b.right(2).unwrap(), "ef");
         assert_eq!(b.mid(2, 3).unwrap(), "cde");
         assert_eq!(b.left(7).unwrap_err().code, codes::USER_10);
-        assert_eq!(b.right(7).unwrap_err().code, codes::USER_10);
         assert_eq!(b.mid(5, 2).unwrap_err().code, codes::USER_10);
         assert_eq!(b.mid(0, 0).unwrap(), "");
     }

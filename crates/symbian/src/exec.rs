@@ -85,11 +85,6 @@ impl MemoryMap {
         }
     }
 
-    /// The process this map belongs to.
-    pub fn process(&self) -> &str {
-        &self.process
-    }
-
     /// Performs the kernel executive access check for `addr`.
     ///
     /// # Errors
@@ -126,22 +121,6 @@ impl MemoryMap {
                 ))),
             },
         }
-    }
-
-    /// Performs an aligned access check: `addr` must be a multiple of
-    /// `align` in addition to being mapped.
-    ///
-    /// # Errors
-    ///
-    /// Raises `KERN-EXEC 3` ("alignment check") for misaligned
-    /// addresses, and the [`Self::check`] errors otherwise.
-    pub fn check_aligned(&self, addr: Address, access: Access, align: u64) -> Result<(), Panic> {
-        if align > 1 && !addr.is_multiple_of(align) {
-            return Err(self.kern_exec_3(format!(
-                "unhandled exception: alignment check failed at {addr:#x} (align {align})"
-            )));
-        }
-        self.check(addr, access)
     }
 
     fn kern_exec_3(&self, reason: String) -> Panic {
@@ -203,16 +182,6 @@ mod tests {
     fn execute_data_is_invalid_instruction() {
         let p = map().check(0x1_0000, Access::Execute).unwrap_err();
         assert!(p.reason.contains("invalid instruction"));
-    }
-
-    #[test]
-    fn alignment_check() {
-        let m = map();
-        assert!(m.check_aligned(0x1_0004, Access::Read, 4).is_ok());
-        let p = m.check_aligned(0x1_0002, Access::Read, 4).unwrap_err();
-        assert!(p.reason.contains("alignment"));
-        // align 1 never faults on alignment
-        assert!(m.check_aligned(0x1_0003, Access::Read, 1).is_ok());
     }
 
     #[test]

@@ -56,8 +56,6 @@ pub struct Heap {
     /// Cells that were freed; retained so double frees are
     /// distinguishable from never-allocated cells.
     freed: Vec<u64>,
-    peak_used: u64,
-    total_allocs: u64,
 }
 
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -76,8 +74,6 @@ impl Heap {
             next_cell: 0,
             live: BTreeMap::new(),
             freed: Vec::new(),
-            peak_used: 0,
-            total_allocs: 0,
         }
     }
 
@@ -106,8 +102,6 @@ impl Heap {
             },
         );
         self.used += size;
-        self.peak_used = self.peak_used.max(self.used);
-        self.total_allocs += 1;
         Ok(CellId(id))
     }
 
@@ -162,65 +156,9 @@ impl Heap {
         }
     }
 
-    /// True if the cell is currently allocated.
-    pub fn is_live(&self, cell: CellId) -> bool {
-        self.live.contains_key(&cell.0)
-    }
-
     /// Bytes currently allocated.
     pub fn used(&self) -> u64 {
         self.used
-    }
-
-    /// Total heap capacity in bytes.
-    pub fn capacity(&self) -> u64 {
-        self.capacity
-    }
-
-    /// Bytes still available.
-    pub fn available(&self) -> u64 {
-        self.capacity - self.used
-    }
-
-    /// High-water mark of allocation.
-    pub fn peak_used(&self) -> u64 {
-        self.peak_used
-    }
-
-    /// Number of allocations performed over the heap's lifetime.
-    pub fn total_allocs(&self) -> u64 {
-        self.total_allocs
-    }
-
-    /// Number of currently live cells.
-    pub fn live_cells(&self) -> usize {
-        self.live.len()
-    }
-
-    /// Live cells owned by `owner` — the leak-detection primitive:
-    /// cells still live when their owner exits are leaks.
-    pub fn cells_owned_by(&self, owner: &str) -> Vec<CellId> {
-        self.live
-            .iter()
-            .filter(|(_, c)| c.owner == owner)
-            .map(|(&id, _)| CellId(id))
-            .collect()
-    }
-
-    /// Frees every live cell owned by `owner`, returning the number of
-    /// bytes reclaimed. This is what the kernel does when it
-    /// terminates an application.
-    pub fn reclaim_owner(&mut self, owner: &str) -> u64 {
-        let cells = self.cells_owned_by(owner);
-        let mut reclaimed = 0;
-        for cell in cells {
-            if let Some(c) = self.live.remove(&cell.0) {
-                self.used -= c.size;
-                reclaimed += c.size;
-                self.freed.push(cell.0);
-            }
-        }
-        reclaimed
     }
 }
 
@@ -235,14 +173,12 @@ mod tests {
         let a = h.alloc("app", 40).unwrap();
         let b = h.alloc("app", 40).unwrap();
         assert_eq!(h.used(), 80);
-        assert_eq!(h.available(), 20);
-        assert_eq!(h.live_cells(), 2);
+        assert_eq!(h.capacity - h.used, 20);
+        assert_eq!(h.live.len(), 2);
         h.free(a).unwrap();
         assert_eq!(h.used(), 40);
         h.free(b).unwrap();
         assert_eq!(h.used(), 0);
-        assert_eq!(h.peak_used(), 80);
-        assert_eq!(h.total_allocs(), 2);
     }
 
     #[test]
@@ -251,7 +187,7 @@ mod tests {
         h.alloc("app", 90).unwrap();
         assert_eq!(h.alloc("app", 20), Err(LeaveCode::NoMemory));
         // A leave is recoverable: freeing makes room again.
-        assert_eq!(h.live_cells(), 1);
+        assert_eq!(h.live.len(), 1);
     }
 
     #[test]
@@ -301,28 +237,5 @@ mod tests {
         let a = h.alloc("app", 10).unwrap();
         h.free(a).unwrap();
         assert!(!h.corrupt_header(a));
-    }
-
-    #[test]
-    fn leak_detection_by_owner() {
-        let mut h = Heap::with_capacity(100);
-        let _a = h.alloc("Messages", 10).unwrap();
-        let b = h.alloc("Camera", 20).unwrap();
-        let _c = h.alloc("Messages", 5).unwrap();
-        assert_eq!(h.cells_owned_by("Messages").len(), 2);
-        assert_eq!(h.cells_owned_by("Camera"), vec![b]);
-        assert_eq!(h.cells_owned_by("Clock").len(), 0);
-    }
-
-    #[test]
-    fn reclaim_owner_frees_everything() {
-        let mut h = Heap::with_capacity(100);
-        h.alloc("Messages", 10).unwrap();
-        h.alloc("Messages", 15).unwrap();
-        let keep = h.alloc("Camera", 20).unwrap();
-        assert_eq!(h.reclaim_owner("Messages"), 25);
-        assert_eq!(h.used(), 20);
-        assert!(h.is_live(keep));
-        assert_eq!(h.reclaim_owner("Messages"), 0);
     }
 }

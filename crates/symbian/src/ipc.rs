@@ -34,11 +34,6 @@ impl RMessagePtr {
     pub fn null() -> Self {
         RMessagePtr(None)
     }
-
-    /// True when the pointer is null.
-    pub fn is_null(&self) -> bool {
-        self.0.is_none()
-    }
 }
 
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -68,7 +63,6 @@ pub struct ServerPort {
     max_outstanding: usize,
     inflight: BTreeMap<u64, InFlight>,
     next_id: u64,
-    completed: u64,
 }
 
 impl ServerPort {
@@ -80,23 +74,7 @@ impl ServerPort {
             max_outstanding,
             inflight: BTreeMap::new(),
             next_id: 0,
-            completed: 0,
         }
-    }
-
-    /// The server's name.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// Number of requests currently in flight.
-    pub fn outstanding(&self) -> usize {
-        self.inflight.len()
-    }
-
-    /// Number of requests completed over the port's lifetime.
-    pub fn completed(&self) -> u64 {
-        self.completed
     }
 
     /// Sends a request from `client` with the given opcode;
@@ -169,23 +147,7 @@ impl ServerPort {
                 ),
             )
         })?;
-        self.completed += 1;
         Ok(buf)
-    }
-
-    /// Drops every in-flight request from `client` (the client died).
-    /// Returns how many were discarded.
-    pub fn disconnect_client(&mut self, client: &str) -> usize {
-        let ids: Vec<u64> = self
-            .inflight
-            .iter()
-            .filter(|(_, m)| m.client == client)
-            .map(|(&id, _)| id)
-            .collect();
-        for id in &ids {
-            self.inflight.remove(id);
-        }
-        ids.len()
     }
 }
 
@@ -199,8 +161,7 @@ mod tests {
         let m = port.send("Battery", 7, 16).unwrap();
         let reply = port.complete(m, "78%").unwrap();
         assert_eq!(reply.as_str(), "78%");
-        assert_eq!(port.outstanding(), 0);
-        assert_eq!(port.completed(), 1);
+        assert_eq!(port.inflight.len(), 0);
     }
 
     #[test]
@@ -235,23 +196,5 @@ mod tests {
         let mut port = ServerPort::new("Busy", 1);
         let _m = port.send("a", 0, 8).unwrap();
         assert_eq!(port.send("b", 0, 8), Err(LeaveCode::ServerBusy));
-    }
-
-    #[test]
-    fn disconnect_client_drops_inflight() {
-        let mut port = ServerPort::new("S", 10);
-        port.send("dead", 0, 8).unwrap();
-        port.send("dead", 1, 8).unwrap();
-        let live = port.send("alive", 2, 8).unwrap();
-        assert_eq!(port.disconnect_client("dead"), 2);
-        assert_eq!(port.outstanding(), 1);
-        assert!(port.complete(live, "ok").is_ok());
-    }
-
-    #[test]
-    fn null_ptr_helpers() {
-        assert!(RMessagePtr::null().is_null());
-        let mut port = ServerPort::new("S", 1);
-        assert!(!port.send("c", 0, 1).unwrap().is_null());
     }
 }

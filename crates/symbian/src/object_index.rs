@@ -128,18 +128,6 @@ impl ObjectIndex {
             .ok_or_else(|| self.exec_lookup_failure(handle))
     }
 
-    /// Current reference count of the object behind `handle`.
-    ///
-    /// # Errors
-    ///
-    /// Raises `KERN-EXEC 0` when the handle does not resolve.
-    pub fn refcount(&self, handle: Handle) -> Result<u32, Panic> {
-        self.objects
-            .get(&handle.0)
-            .map(|o| o.refcount)
-            .ok_or_else(|| self.exec_lookup_failure(handle))
-    }
-
     /// Closes a handle on the Kernel Server path
     /// (`RHandleBase::Close()`), decrementing the reference count and
     /// destroying the object when it reaches zero.
@@ -192,36 +180,6 @@ impl ObjectIndex {
         }
     }
 
-    /// Number of live kernel objects.
-    pub fn len(&self) -> usize {
-        self.objects.len()
-    }
-
-    /// True when no objects are live.
-    pub fn is_empty(&self) -> bool {
-        self.objects.is_empty()
-    }
-
-    /// Handles of all objects owned by `owner`.
-    pub fn handles_owned_by(&self, owner: &str) -> Vec<Handle> {
-        self.objects
-            .iter()
-            .filter(|(_, o)| o.owner == owner)
-            .map(|(&h, _)| Handle(h))
-            .collect()
-    }
-
-    /// Force-closes everything owned by `owner` (kernel cleanup when
-    /// an application is terminated). Returns the number of objects
-    /// destroyed.
-    pub fn reclaim_owner(&mut self, owner: &str) -> usize {
-        let handles = self.handles_owned_by(owner);
-        for h in &handles {
-            self.objects.remove(&h.0);
-        }
-        handles.len()
-    }
-
     fn exec_lookup_failure(&self, handle: Handle) -> Panic {
         Panic::new(
             codes::KERN_EXEC_0,
@@ -240,9 +198,9 @@ mod tests {
         let mut idx = ObjectIndex::new();
         let h = idx.open("app", ObjectKind::Timer);
         assert_eq!(idx.kind_of(h).unwrap(), ObjectKind::Timer);
-        assert_eq!(idx.refcount(h).unwrap(), 1);
+        assert_eq!(idx.objects[&h.0].refcount, 1);
         idx.close(h).unwrap();
-        assert!(idx.is_empty());
+        assert!(idx.objects.is_empty());
     }
 
     #[test]
@@ -265,11 +223,11 @@ mod tests {
         let mut idx = ObjectIndex::new();
         let h = idx.open("app", ObjectKind::Session);
         idx.duplicate(h).unwrap();
-        assert_eq!(idx.refcount(h).unwrap(), 2);
+        assert_eq!(idx.objects[&h.0].refcount, 2);
         idx.close(h).unwrap();
-        assert_eq!(idx.refcount(h).unwrap(), 1);
+        assert_eq!(idx.objects[&h.0].refcount, 1);
         idx.close(h).unwrap();
-        assert!(idx.is_empty());
+        assert!(idx.objects.is_empty());
         assert!(idx.duplicate(h).is_err());
     }
 
@@ -282,7 +240,7 @@ mod tests {
         assert_eq!(p.code, codes::E32USER_CBASE_33);
         assert_eq!(p.raised_by, "Log");
         // The object survives the failed destruction attempt.
-        assert_eq!(idx.refcount(h).unwrap(), 2);
+        assert_eq!(idx.objects[&h.0].refcount, 2);
     }
 
     #[test]
@@ -290,19 +248,7 @@ mod tests {
         let mut idx = ObjectIndex::new();
         let h = idx.open("app", ObjectKind::Mutex);
         idx.destroy_cobject(h).unwrap();
-        assert!(idx.is_empty());
+        assert!(idx.objects.is_empty());
         assert_eq!(idx.destroy_cobject(h).unwrap_err().code, codes::KERN_EXEC_0);
-    }
-
-    #[test]
-    fn reclaim_owner() {
-        let mut idx = ObjectIndex::new();
-        idx.open("Messages", ObjectKind::Session);
-        idx.open("Messages", ObjectKind::Timer);
-        let keep = idx.open("Camera", ObjectKind::Chunk);
-        assert_eq!(idx.reclaim_owner("Messages"), 2);
-        assert_eq!(idx.len(), 1);
-        assert!(idx.kind_of(keep).is_ok());
-        assert_eq!(idx.reclaim_owner("Messages"), 0);
     }
 }

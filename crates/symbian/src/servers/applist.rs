@@ -21,7 +21,7 @@ use serde::{Deserialize, Serialize};
 /// apps.notify_started("Camera");
 /// assert_eq!(apps.running(), ["Camera", "Messages"]);
 /// apps.notify_exited("Camera");
-/// assert_eq!(apps.count(), 1);
+/// assert_eq!(apps.running().len(), 1);
 /// ```
 ///
 /// Application names are `'static`: every application a phone runs
@@ -59,20 +59,10 @@ impl AppArchServer {
         self.find(app).map(|at| self.running.remove(at)).is_ok()
     }
 
-    /// True when the application is currently running.
-    pub fn is_running(&self, app: &str) -> bool {
-        self.find(app).is_ok()
-    }
-
     /// The running applications, sorted (borrowed: the logger samples
     /// it on every snapshot without copying).
     pub fn running(&self) -> &[&'static str] {
         &self.running
-    }
-
-    /// Number of running applications.
-    pub fn count(&self) -> usize {
-        self.running.len()
     }
 
     /// Clears the registry (device reboot).
@@ -91,11 +81,11 @@ mod tests {
         s.notify_started("Clock");
         s.notify_started("Messages");
         s.notify_started("Clock"); // duplicate start ignored
-        assert_eq!(s.count(), 2);
-        assert!(s.is_running("Clock"));
+        assert_eq!(s.running().len(), 2);
+        assert!(s.running().contains(&"Clock"));
         assert!(s.notify_exited("Clock"));
         assert!(!s.notify_exited("Clock"));
-        assert!(!s.is_running("Clock"));
+        assert!(!s.running().contains(&"Clock"));
     }
 
     #[test]
@@ -112,6 +102,6 @@ mod tests {
         let mut s = AppArchServer::new();
         s.notify_started("x");
         s.reset();
-        assert_eq!(s.count(), 0);
+        assert_eq!(s.running().len(), 0);
     }
 }

@@ -169,27 +169,6 @@ impl LogDbServer {
             .reduce(|latest, r| if r.start > latest.start { r } else { latest })
             .map(|r| r.kind)
     }
-
-    /// All records overlapping `[from, to]`, in recording order.
-    pub fn records_between(&self, from: SimTime, to: SimTime) -> Vec<ActivityRecord> {
-        let mut hits: Vec<ActivityRecord> = self
-            .retained_rev()
-            .filter(|r| r.start <= to && r.end >= from)
-            .copied()
-            .collect();
-        hits.reverse();
-        hits
-    }
-
-    /// Number of retained records.
-    pub fn len(&self) -> usize {
-        self.retained_rev().count()
-    }
-
-    /// True when no records are retained.
-    pub fn is_empty(&self) -> bool {
-        self.retained_rev().next().is_none()
-    }
 }
 
 #[cfg(test)]
@@ -257,26 +236,7 @@ mod tests {
             SimTime::from_secs(510),
             ActivityKind::Message,
         );
-        assert_eq!(d.len(), 1, "old record pruned");
-    }
-
-    #[test]
-    fn records_between() {
-        let mut d = db();
-        d.record(
-            SimTime::from_secs(10),
-            SimTime::from_secs(20),
-            ActivityKind::Message,
-        );
-        d.record(
-            SimTime::from_secs(30),
-            SimTime::from_secs(40),
-            ActivityKind::VoiceCall,
-        );
-        let hits = d.records_between(SimTime::from_secs(15), SimTime::from_secs(35));
-        assert_eq!(hits.len(), 2);
-        let none = d.records_between(SimTime::from_secs(21), SimTime::from_secs(29));
-        assert!(none.is_empty());
+        assert_eq!(d.retained_rev().count(), 1, "old record pruned");
     }
 
     #[test]
@@ -318,14 +278,6 @@ mod tests {
                 .max_by_key(|r| r.start)
                 .map(|r| r.kind)
         }
-
-        fn records_between(&self, from: SimTime, to: SimTime) -> Vec<ActivityRecord> {
-            self.records
-                .iter()
-                .filter(|r| r.start <= to && r.end >= from)
-                .copied()
-                .collect()
-        }
     }
 
     const KINDS: [ActivityKind; 3] = [
@@ -355,13 +307,10 @@ mod tests {
                 let (start, end) = (SimTime::from_secs(start), SimTime::from_secs(end));
                 db.record(start, end, KINDS[kind]);
                 eager.record(start, end, KINDS[kind]);
-                prop_assert_eq!(db.len(), eager.records.len());
-                prop_assert_eq!(db.is_empty(), eager.records.is_empty());
-                for (i, &p) in probes.iter().enumerate() {
+                prop_assert_eq!(db.retained_rev().count(), eager.records.len());
+                for &p in &probes {
                     let t = SimTime::from_secs(p);
                     prop_assert_eq!(db.activity_at(t), eager.activity_at(t), "at {}", p);
-                    let to = SimTime::from_secs(probes[(i + 1) % probes.len()]);
-                    prop_assert_eq!(db.records_between(t, to), eager.records_between(t, to));
                 }
             }
         }

@@ -26,7 +26,6 @@ use crate::panic::{codes, Panic};
 pub struct AudioClient {
     app: String,
     volume: i32,
-    playing: bool,
 }
 
 impl AudioClient {
@@ -38,13 +37,7 @@ impl AudioClient {
         Self {
             app: app.to_string(),
             volume: 5,
-            playing: false,
         }
-    }
-
-    /// Current volume.
-    pub fn volume(&self) -> i32 {
-        self.volume
     }
 
     /// Sets the playback volume (`SetVolume(TInt)`).
@@ -64,21 +57,6 @@ impl AudioClient {
         self.volume = volume.max(0);
         Ok(())
     }
-
-    /// Starts playback.
-    pub fn play(&mut self) {
-        self.playing = true;
-    }
-
-    /// Stops playback.
-    pub fn stop(&mut self) {
-        self.playing = false;
-    }
-
-    /// True while audio is playing.
-    pub fn is_playing(&self) -> bool {
-        self.playing
-    }
 }
 
 #[cfg(test)]
@@ -90,26 +68,16 @@ mod tests {
         let mut a = AudioClient::new("Ringtone");
         a.set_volume(0).unwrap();
         a.set_volume(9).unwrap();
-        assert_eq!(a.volume(), 9);
+        assert_eq!(a.volume, 9);
         let p = a.set_volume(10).unwrap_err();
         assert_eq!(p.code, codes::MMF_AUDIO_CLIENT_4);
-        assert_eq!(a.volume(), 9, "failed set leaves volume unchanged");
+        assert_eq!(a.volume, 9, "failed set leaves volume unchanged");
     }
 
     #[test]
     fn negative_volume_clamped() {
         let mut a = AudioClient::new("Ringtone");
         a.set_volume(-3).unwrap();
-        assert_eq!(a.volume(), 0);
-    }
-
-    #[test]
-    fn playback_state() {
-        let mut a = AudioClient::new("Player");
-        assert!(!a.is_playing());
-        a.play();
-        assert!(a.is_playing());
-        a.stop();
-        assert!(!a.is_playing());
+        assert_eq!(a.volume, 0);
     }
 }

@@ -4,9 +4,8 @@
 //! Phone.app is one of the two *core* applications (with the messaging
 //! server): the paper found that when either panics, the kernel always
 //! reboots the phone. The model drives a small call state machine;
-//! a state-machine violation — answering with no call, ending a call
-//! twice, a second outgoing call colliding with signalling — raises
-//! the panic.
+//! a state-machine violation — a second outgoing call, or incoming
+//! signalling colliding with an outgoing call — raises the panic.
 
 use serde::{Deserialize, Serialize};
 
@@ -21,8 +20,6 @@ pub enum CallState {
     Dialing,
     /// Incoming call alerting.
     Ringing,
-    /// Call connected.
-    Connected,
 }
 
 /// The Phone application.
@@ -30,19 +27,17 @@ pub enum CallState {
 /// # Example
 ///
 /// ```
-/// use symfail_symbian::servers::telephony::{CallState, PhoneApp};
+/// use symfail_symbian::servers::telephony::PhoneApp;
 ///
 /// let mut phone = PhoneApp::new();
 /// phone.dial()?;
-/// phone.connect()?;
-/// assert_eq!(phone.state(), CallState::Connected);
-/// phone.hang_up()?;
+/// // Incoming signalling while dialing violates the state machine:
+/// assert!(phone.incoming().is_err());
 /// # Ok::<(), symfail_symbian::Panic>(())
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct PhoneApp {
     state: CallState,
-    calls_completed: u64,
 }
 
 impl PhoneApp {
@@ -50,18 +45,7 @@ impl PhoneApp {
     pub fn new() -> Self {
         Self {
             state: CallState::Idle,
-            calls_completed: 0,
         }
-    }
-
-    /// Current call state.
-    pub fn state(&self) -> CallState {
-        self.state
-    }
-
-    /// Calls completed since start.
-    pub fn calls_completed(&self) -> u64 {
-        self.calls_completed
     }
 
     /// Starts an outgoing call.
@@ -97,42 +81,6 @@ impl PhoneApp {
         }
     }
 
-    /// Connects the in-progress call (dialing answered / ringing
-    /// accepted).
-    ///
-    /// # Errors
-    ///
-    /// Raises `Phone.app 2` when no call is being established.
-    pub fn connect(&mut self) -> Result<(), Panic> {
-        match self.state {
-            CallState::Dialing | CallState::Ringing => {
-                self.state = CallState::Connected;
-                Ok(())
-            }
-            other => Err(self.internal_error(format!("connect in state {other:?}"))),
-        }
-    }
-
-    /// Ends the call.
-    ///
-    /// # Errors
-    ///
-    /// Raises `Phone.app 2` when no call exists.
-    pub fn hang_up(&mut self) -> Result<(), Panic> {
-        match self.state {
-            CallState::Idle => Err(self.internal_error("hang up with no call".to_string())),
-            CallState::Connected => {
-                self.state = CallState::Idle;
-                self.calls_completed += 1;
-                Ok(())
-            }
-            _ => {
-                self.state = CallState::Idle;
-                Ok(())
-            }
-        }
-    }
-
     fn internal_error(&self, reason: String) -> Panic {
         Panic::new(
             codes::PHONE_APP_2,
@@ -156,30 +104,14 @@ mod tests {
     fn outgoing_call_lifecycle() {
         let mut p = PhoneApp::new();
         p.dial().unwrap();
-        assert_eq!(p.state(), CallState::Dialing);
-        p.connect().unwrap();
-        p.hang_up().unwrap();
-        assert_eq!(p.state(), CallState::Idle);
-        assert_eq!(p.calls_completed(), 1);
+        assert_eq!(p.state, CallState::Dialing);
     }
 
     #[test]
     fn incoming_call_lifecycle() {
         let mut p = PhoneApp::new();
         p.incoming().unwrap();
-        assert_eq!(p.state(), CallState::Ringing);
-        p.connect().unwrap();
-        p.hang_up().unwrap();
-        assert_eq!(p.calls_completed(), 1);
-    }
-
-    #[test]
-    fn abandoning_before_connect_completes_nothing() {
-        let mut p = PhoneApp::new();
-        p.dial().unwrap();
-        p.hang_up().unwrap();
-        assert_eq!(p.calls_completed(), 0);
-        assert_eq!(p.state(), CallState::Idle);
+        assert_eq!(p.state, CallState::Ringing);
     }
 
     #[test]
@@ -188,15 +120,5 @@ mod tests {
         p.dial().unwrap();
         assert_eq!(p.dial().unwrap_err().code, codes::PHONE_APP_2);
         assert_eq!(p.incoming().unwrap_err().code, codes::PHONE_APP_2);
-        p.connect().unwrap();
-        assert_eq!(p.connect().unwrap_err().code, codes::PHONE_APP_2);
-    }
-
-    #[test]
-    fn hang_up_idle_raises() {
-        let mut p = PhoneApp::new();
-        let e = p.hang_up().unwrap_err();
-        assert_eq!(e.code, codes::PHONE_APP_2);
-        assert_eq!(e.raised_by, "Phone.app");
     }
 }

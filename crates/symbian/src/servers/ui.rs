@@ -61,21 +61,6 @@ impl ListBox {
         self.has_view = true;
     }
 
-    /// Detaches the view (e.g. the containing pane was destroyed).
-    pub fn detach_view(&mut self) {
-        self.has_view = false;
-    }
-
-    /// Number of items.
-    pub fn len(&self) -> usize {
-        self.items.len()
-    }
-
-    /// True when the listbox holds no items.
-    pub fn is_empty(&self) -> bool {
-        self.items.is_empty()
-    }
-
     /// Sets the current item index.
     ///
     /// # Errors
@@ -149,11 +134,6 @@ impl Edwin {
         }
     }
 
-    /// Current text.
-    pub fn text(&self) -> &str {
-        &self.text
-    }
-
     /// Begins an inline edit over `[start, end)` of the current text.
     ///
     /// # Errors
@@ -225,8 +205,7 @@ mod tests {
         lb.attach_view();
         lb.set_current_item_index(2).unwrap();
         assert_eq!(lb.draw().unwrap(), "c");
-        assert_eq!(lb.len(), 3);
-        assert!(!lb.is_empty());
+        assert_eq!(lb.items.len(), 3);
     }
 
     #[test]
@@ -237,8 +216,6 @@ mod tests {
         assert_eq!(p.code, codes::EIKON_LISTBOX_3);
         lb.attach_view();
         assert!(lb.draw().is_ok());
-        lb.detach_view();
-        assert!(lb.draw().is_err());
     }
 
     #[test]
@@ -271,7 +248,7 @@ mod tests {
         e.set_text("hello wrld");
         e.begin_inline_edit(6, 10).unwrap();
         e.commit_inline_edit("world").unwrap();
-        assert_eq!(e.text(), "hello world");
+        assert_eq!(e.text, "hello world");
     }
 
     #[test]

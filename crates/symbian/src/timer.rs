@@ -23,7 +23,7 @@ use crate::panic::{codes, Panic};
 /// let due = t.after(SimTime::ZERO, SimDuration::from_secs(10))?;
 /// assert_eq!(due.as_secs(), 10);
 /// // A second request while the first is pending panics:
-/// let p = t.after(SimTime::from_secs(1), SimDuration::SECOND).unwrap_err();
+/// let p = t.after(SimTime::from_secs(1), SimDuration::from_secs(1)).unwrap_err();
 /// assert_eq!(p.code, codes::KERN_EXEC_15);
 /// # Ok::<(), symfail_symbian::Panic>(())
 /// ```
@@ -68,23 +68,6 @@ impl RTimer {
         self.pending = Some(due);
         Ok(due)
     }
-
-    /// The due time of the outstanding request, if any.
-    pub fn pending(&self) -> Option<SimTime> {
-        self.pending
-    }
-
-    /// Completes the outstanding request (the kernel delivered the
-    /// event). Returns the due time that completed, or `None` if
-    /// nothing was pending.
-    pub fn complete(&mut self) -> Option<SimTime> {
-        self.pending.take()
-    }
-
-    /// Cancels the outstanding request (`Cancel()`); always safe.
-    pub fn cancel(&mut self) {
-        self.pending = None;
-    }
 }
 
 #[cfg(test)]
@@ -92,13 +75,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn request_complete_request() {
+    fn request_sets_pending() {
         let mut t = RTimer::new("app");
+        assert!(t.pending.is_none());
         t.after(SimTime::ZERO, SimDuration::from_secs(5)).unwrap();
-        assert_eq!(t.pending(), Some(SimTime::from_secs(5)));
-        assert_eq!(t.complete(), Some(SimTime::from_secs(5)));
-        assert!(t.pending().is_none());
-        t.after(SimTime::from_secs(5), SimDuration::SECOND).unwrap();
+        assert_eq!(t.pending, Some(SimTime::from_secs(5)));
     }
 
     #[test]
@@ -109,22 +90,6 @@ mod tests {
         assert_eq!(p.code, codes::KERN_EXEC_15);
         assert_eq!(p.raised_by, "Clock");
         // The original request is untouched.
-        assert_eq!(t.pending(), Some(SimTime::from_secs(1)));
-    }
-
-    #[test]
-    fn cancel_clears_pending() {
-        let mut t = RTimer::new("app");
-        t.at(SimTime::from_secs(1)).unwrap();
-        t.cancel();
-        assert!(t.pending().is_none());
-        t.cancel(); // idempotent
-        assert!(t.at(SimTime::from_secs(2)).is_ok());
-    }
-
-    #[test]
-    fn complete_when_idle_is_none() {
-        let mut t = RTimer::new("app");
-        assert_eq!(t.complete(), None);
+        assert_eq!(t.pending, Some(SimTime::from_secs(1)));
     }
 }

@@ -23,8 +23,8 @@ fn descriptors_only_raise_user_panics() {
         let ops: [Result<(), _>; 4] = [
             buf.copy("abcdefgh"),
             buf.insert(rng.index(10), "xy"),
-            buf.set_length(rng.index(12)),
-            buf.fill('z', rng.index(12)),
+            buf.delete(rng.index(12), rng.index(4)),
+            buf.append(&"z".repeat(rng.index(12))),
         ];
         for r in ops {
             if let Err(p) = r {
@@ -129,7 +129,7 @@ fn scheduler_raises_exactly_its_three_codes() {
     let mut rng = SimRng::seed_from(4);
     let mut sched = ActiveScheduler::new("App", SimDuration::from_secs(10));
     let mut aos: Vec<AoId> = (0..6)
-        .map(|i| sched.add(&format!("ao{i}"), i, i % 2 == 0))
+        .map(|i| sched.add(&format!("ao{i}"), i % 2 == 0))
         .collect();
     for _ in 0..3000 {
         let ao = aos[rng.index(aos.len())];
@@ -159,7 +159,7 @@ fn scheduler_raises_exactly_its_three_codes() {
             }
         }
     }
-    aos.push(sched.add("late", 0, true));
+    aos.push(sched.add("late", true));
 }
 
 #[test]
@@ -169,9 +169,10 @@ fn timers_memory_and_ipc_attribution() {
     let mut timer = RTimer::new("Clock");
     for _ in 0..200 {
         if rng.chance(0.5) {
-            timer.complete();
+            // A fresh timer has no request outstanding.
+            timer = RTimer::new("Clock");
         }
-        if let Err(p) = timer.after(SimTime::ZERO, SimDuration::SECOND) {
+        if let Err(p) = timer.after(SimTime::ZERO, SimDuration::from_secs(1)) {
             assert_eq!(p.code, codes::KERN_EXEC_15);
         }
     }
@@ -222,17 +223,16 @@ fn cleanup_stack_full_protocol_under_random_drive() {
         let r = cs.trap(&mut heap, |cs, heap| {
             for _ in 0..allocs {
                 let c = heap.alloc("app", 16)?;
-                cs.push(c);
+                if leave {
+                    cs.push(c);
+                } else {
+                    // The success path frees what it allocates.
+                    let _ = heap.free(c);
+                }
             }
             if leave {
                 Err(LeaveCode::General)
             } else {
-                // Clean up properly on the success path.
-                for _ in 0..allocs {
-                    if let Some(c) = cs.pop() {
-                        let _ = heap.free(c);
-                    }
-                }
                 Ok(())
             }
         });

@@ -13,13 +13,13 @@
 //! collector, and shows side by side what each tool lets you conclude.
 
 use symfail::core::analysis::baseline::BaselineComparison;
-use symfail::core::analysis::dataset::FleetDataset;
-use symfail::core::analysis::report::StudyReport;
+use symfail::core::analysis::passes::PassRegistry;
 use symfail::core::flashfs::FlashFs;
 use symfail::core::logger::DExcLogger;
 use symfail::phone::calibration::CalibrationParams;
 use symfail::phone::fleet::FleetCampaign;
 use symfail::stats::CategoricalDist;
+use symfail::symbian::Panic;
 
 fn main() {
     let params = CalibrationParams {
@@ -31,17 +31,27 @@ fn main() {
         p_episode_per_call: 0.03,
         ..CalibrationParams::default()
     };
-    let harvest = FleetCampaign::new(7, params).run();
-    let fleet = FleetDataset::from_flash(harvest.iter().map(|h| (h.phone_id, &h.flashfs)));
-    let config = params.analysis_config();
-    let report = StudyReport::analyze(&fleet, config);
+    let workers = 2;
+    let run = FleetCampaign::new(7, params).run_streaming(
+        workers,
+        params.analysis_config(),
+        &PassRegistry::all(),
+    );
+    let report = &run.report;
 
-    // Replay the same panic notifications into a D_EXC collector —
-    // the same RDebug hook, none of the context.
+    // Replay the same panic notifications — every panic the
+    // coalescence section holds, in phone and time order — into a
+    // D_EXC collector: the same RDebug hook, none of the context.
     let mut dexc_fs = FlashFs::new();
     let mut dexc = DExcLogger::new();
-    for (_, event) in fleet.panics() {
-        dexc.on_panic(&mut dexc_fs, event.at, &event.to_panic(fleet.names()));
+    for p in report.coalescence.panics() {
+        let event = &p.panic;
+        let panic = Panic::new(
+            event.code,
+            run.names.resolve(event.raised_by),
+            run.names.resolve(event.reason),
+        );
+        dexc.on_panic(&mut dexc_fs, event.at, &panic);
     }
     let collected = DExcLogger::parse(&dexc_fs);
     let dexc_dist: CategoricalDist = collected.iter().map(|(_, c)| c.to_string()).collect();
@@ -55,5 +65,5 @@ fn main() {
 
     println!("=== what the paper's logger gives you ===");
     println!("{}", report.render_mtbf());
-    println!("{}", BaselineComparison::new(&report).render());
+    println!("{}", BaselineComparison::new(report).render());
 }

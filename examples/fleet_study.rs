@@ -42,7 +42,7 @@ fn main() {
     println!("=== paper-vs-measured shape report ===");
     let shape = report.shape_report();
     println!("{shape}");
-    if shape.all_pass() {
+    if shape.failures().is_empty() {
         println!("\nevery target within tolerance — the study reproduces.");
     } else {
         println!("\nsome targets missed — see deviations above.");

@@ -12,6 +12,7 @@
 //! pull — and prints the raw flash files after each, so you can see
 //! exactly what the Panic Detector reads when the phone comes back up.
 
+use symfail::core::analysis::dataset::{ParseScratch, PhoneDataset};
 use symfail::core::flashfs::FlashFs;
 use symfail::core::logger::{files, FailureLogger, LoggerConfig, PhoneContext, ShutdownKind};
 use symfail::sim::{SimDuration, SimTime};
@@ -49,7 +50,7 @@ fn main() {
     // Scenario 1: normal session ending in a clean user reboot.
     logger.on_boot(&mut fs, t(0), || ctx);
     for i in 1..=3 {
-        logger.on_tick(&mut fs, t(30 * i), ctx);
+        logger.on_ticks(&mut fs, t(30 * i), 1, || ctx);
     }
     logger.on_clean_shutdown(&mut fs, t(100), ShutdownKind::Reboot);
     logger.on_boot(&mut fs, t(190), || ctx);
@@ -71,7 +72,7 @@ fn main() {
     );
 
     // Scenario 3: low battery.
-    logger.on_tick(&mut fs, t(372), ctx);
+    logger.on_ticks(&mut fs, t(372), 1, || ctx);
     logger.on_clean_shutdown(&mut fs, t(400), ShutdownKind::LowBattery);
     logger.on_boot(&mut fs, t(4000), || ctx);
     dump(
@@ -80,8 +81,8 @@ fn main() {
     );
 
     // Scenario 4: freeze. The heartbeat just stops; no final event.
-    logger.on_tick(&mut fs, t(4030), ctx);
-    logger.on_tick(&mut fs, t(4060), ctx);
+    logger.on_ticks(&mut fs, t(4030), 1, || ctx);
+    logger.on_ticks(&mut fs, t(4060), 1, || ctx);
     // ... the phone is frozen here; the user pulls the battery ...
     logger.on_boot(&mut fs, t(4500), || ctx);
     dump(
@@ -90,7 +91,7 @@ fn main() {
     );
 
     // What the analysis extracts from all this:
-    let dataset = symfail::core::analysis::dataset::PhoneDataset::from_flashfs(0, &fs);
+    let dataset = PhoneDataset::from_flashfs_with(0, &fs, &mut ParseScratch::default());
     println!("analysis view:");
     println!(
         "  measurable shutdown events : {:?}",

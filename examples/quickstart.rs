@@ -12,8 +12,9 @@
 //! logger recorded: heartbeats, panic records with their context, and
 //! the boot-time freeze/self-shutdown classification.
 
-use symfail::core::analysis::dataset::PhoneDataset;
-use symfail::core::records::LogRecord;
+use symfail::core::analysis::dataset::{ParseScratch, PhoneDataset};
+use symfail::core::logger::files;
+use symfail::core::records::RecordRef;
 use symfail::phone::calibration::CalibrationParams;
 use symfail::phone::device::Phone;
 use symfail::sim::SimRng;
@@ -52,33 +53,23 @@ fn main() {
         println!("  {name:<10} {:>8} bytes", fs.size_of(name));
     }
 
-    // Parse the consolidated log back and narrate it.
-    let dataset = PhoneDataset::from_flashfs(0, fs);
+    // Decode the consolidated log, in the order the logger wrote it,
+    // and narrate it.
     println!("\n=== consolidated log ===");
-    let mut timeline: Vec<LogRecord> = dataset
-        .panics()
-        .iter()
-        .map(|e| LogRecord::Panic(e.to_record(dataset.names())))
-        .chain(dataset.boots().iter().cloned().map(LogRecord::Boot))
-        .collect();
-    timeline.sort_by_key(|r| match r {
-        LogRecord::Panic(p) => p.at,
-        LogRecord::Boot(b) => b.boot_at,
-    });
-    for record in &timeline {
-        match record {
-            LogRecord::Panic(p) => {
+    for line in fs.read_lines(files::LOG) {
+        match RecordRef::decode(line) {
+            Ok(RecordRef::Panic(p)) => {
                 println!(
                     "{}  PANIC {:<18} by {:<10} apps={:?} activity={:?} battery={}%",
                     p.at,
-                    p.panic.code.to_string(),
-                    p.panic.raised_by,
-                    p.running_apps,
+                    p.code.to_string(),
+                    p.raised_by,
+                    p.apps().collect::<Vec<_>>(),
                     p.activity,
                     p.battery
                 );
             }
-            LogRecord::Boot(b) => {
+            Ok(RecordRef::Boot(b)) => {
                 let verdict = if b.freeze_detected {
                     "FREEZE (battery was pulled)".to_string()
                 } else {
@@ -89,9 +80,12 @@ fn main() {
                 };
                 println!("{}  BOOT   last={} -> {verdict}", b.boot_at, b.last_event);
             }
+            Err(defect) => println!("undecodable line ({defect:?}): {line}"),
         }
     }
 
+    // Parse the files back, as the study's analysis did.
+    let dataset = PhoneDataset::from_flashfs_with(0, fs, &mut ParseScratch::default());
     println!(
         "\nshutdown events with measurable duration: {}",
         dataset.shutdown_events().len()

@@ -13,17 +13,20 @@
 # own tree's root (perfbench reads `tests/golden/report_default.txt`).
 # Prints every run's pass and op counts and metrics, each pair in the
 # order it ran, then for each end-to-end metric of BENCHMARK.json both
-# sides' quartiles and median, the median ratio (change / base), how
-# many pairs the change won (ties count for neither side), the spread
-# and a verdict, plus the runs' core count. Quartiles interpolate
-# linearly between order statistics. The spread is the wider side's
-# quartile distance (p75 - p25) as a fraction of the base median. The
-# verdict weighs both against the metric's `bound` in BENCHMARK.json:
+# sides' quartiles and median, the median of the per-pair ratios
+# (change / base, one per seed), how many pairs the change won (ties
+# count for neither side), the spread and a verdict, plus the runs'
+# core count. Quartiles interpolate linearly between order statistics.
+# The spread is the quartile distance (p75 - p25) of the per-pair
+# ratios: both sides of a pair run back to back, so a host that speeds
+# up or slows down in the middle of a batch moves both and leaves their
+# ratio. The verdict weighs both against the metric's `bound` in
+# BENCHMARK.json:
 #
-#   worse       the change median is worse than the base median by more
-#               than the bound;
-#   unresolved  otherwise, the spread exceeds the bound, unless every
-#               change run beats every base run;
+#   worse       the median ratio is worse than 1 by more than the
+#               bound;
+#   unresolved  otherwise, the spread exceeds the bound and the change
+#               did not win every pair;
 #   within      otherwise.
 #
 # A faster side runs more passes in the same SECONDS, and perfbench
@@ -162,9 +165,9 @@ awk -v base="$BASE_SHA" -v workload="$WORKLOAD" -v pairs="$PAIRS" \
     }
     FILENAME ~ /cores.txt$/ { cores[$1] = 1; next }
     FILENAME ~ /first.txt$/ { first[$1] = $2; next }
-    # A difference as a fraction of the base median; any difference
-    # from a zero median counts as unbounded.
-    function frac(x, m) { return m != 0 ? x / (m < 0 ? -m : m) : (x == 0 ? 0 : 1e300) }
+    # The change / base ratio of one pair; any change from a zero base
+    # counts as unbounded.
+    function ratio(b, c) { return b != 0 ? c / b : (c == 0 ? 1 : (c > 0 ? 1e300 : -1e300)) }
     FILENAME ~ /metrics.txt$/ { order[++nm] = $1; better[$1] = $2; bound[$1] = $3; next }
     { v[$1, $2, $3] = $4 }
     END {
@@ -192,27 +195,27 @@ awk -v base="$BASE_SHA" -v workload="$WORKLOAD" -v pairs="$PAIRS" \
             "spread", "verdict"
         for (m = 1; m <= nm; m++) {
             name = order[m]; n = 0; wins = 0
+            lower = (better[name] == "lower")
             for (s = seed0; s < seed0 + pairs; s++) {
                 if (!(("base", s, name) in v) || !(("change", s, name) in v)) continue
                 bv[++n] = v["base", s, name]; cv[n] = v["change", s, name]
-                if (better[name] == "lower" ? cv[n] < bv[n] : cv[n] > bv[n]) wins++
+                rv[n] = ratio(bv[n], cv[n])
+                if (lower ? cv[n] < bv[n] : cv[n] > bv[n]) wins++
             }
             if (n == 0) { printf "%-17s %-6s (no runs reported it)\n", name, better[name]; continue }
-            sort(bv, n); sort(cv, n)
+            sort(bv, n); sort(cv, n); sort(rv, n)
             bm = quantile(bv, n, 0.5); cm = quantile(cv, n, 0.5)
             b25 = quantile(bv, n, 0.25); b75 = quantile(bv, n, 0.75)
             c25 = quantile(cv, n, 0.25); c75 = quantile(cv, n, 0.75)
-            spread = frac((b75 - b25 > c75 - c25) ? b75 - b25 : c75 - c25, bm)
-            lower = (better[name] == "lower")
-            # Every change run beats every base run.
-            apart = lower ? (cv[n] < bv[1]) : (cv[1] > bv[n])
-            if (frac(lower ? cm - bm : bm - cm, bm) > bound[name]) verdict = "worse"
-            else if (spread > bound[name] && !apart) verdict = "unresolved"
+            rm = quantile(rv, n, 0.5)
+            spread = quantile(rv, n, 0.75) - quantile(rv, n, 0.25)
+            if ((lower ? rm - 1 : 1 - rm) > bound[name]) verdict = "worse"
+            else if (spread > bound[name] && wins < n) verdict = "unresolved"
             else verdict = "within"
             printf "%-17s %-6s %-6s %-32s %-32s %-8s %-6s %-7s %s\n", name, better[name],
                 bound[name], sprintf("%.4g / %.4g / %.4g", b25, bm, b75),
                 sprintf("%.4g / %.4g / %.4g", c25, cm, c75),
-                bm == 0 ? "-" : sprintf("%.3f", cm / bm), wins "/" n,
+                (rm >= 1e300 || rm <= -1e300) ? "inf" : sprintf("%.3f", rm), wins "/" n,
                 (spread >= 1e300) ? "inf" : sprintf("%.3f", spread), verdict
         }
     }' "$TMP/cores.txt" "$TMP/first.txt" "$TMP/metrics.txt" "$TMP/runs.txt"

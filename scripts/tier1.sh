@@ -28,8 +28,10 @@ cargo bench --workspace -- --test
 # The benchmark (perfbench/) is a workspace of its own that drives the
 # public library API: build it and run its tests here, so a library
 # change that breaks a call it makes fails tier-1 instead of the next
-# benchmark run.
-cargo test -q --offline --manifest-path perfbench/Cargo.toml
+# benchmark run. `--locked`: a library change that would make its
+# build rewrite perfbench/Cargo.lock fails here too, instead of
+# dirtying the benchmark's files when the benchmark builds.
+cargo test -q --locked --offline --manifest-path perfbench/Cargo.toml
 
 # `--gates` additionally runs CI's rustdoc check (the rest of its lint
 # job is fmt and clippy above; rustdoc stays off the default path

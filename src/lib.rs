@@ -24,18 +24,21 @@
 //! Run the 25-phone, 14-month campaign and reproduce the study:
 //!
 //! ```
-//! use symfail::core::analysis::dataset::FleetDataset;
-//! use symfail::core::analysis::report::{AnalysisConfig, StudyReport};
+//! use symfail::core::analysis::passes::PassRegistry;
+//! use symfail::core::analysis::report::AnalysisConfig;
 //! use symfail::phone::calibration::CalibrationParams;
 //! use symfail::phone::fleet::FleetCampaign;
 //!
 //! let mut params = CalibrationParams::default();
 //! params.phones = 2;          // keep the doctest fast
 //! params.campaign_days = 30;
-//! let harvest = FleetCampaign::new(42, params).run();
-//! let fleet = FleetDataset::from_flash(harvest.iter().map(|h| (h.phone_id, &h.flashfs)));
-//! let report = StudyReport::analyze(&fleet, AnalysisConfig::default());
-//! assert!(report.shutdowns.all_events().len() < 1000);
+//! let workers = 1;
+//! let run = FleetCampaign::new(42, params).run_streaming(
+//!     workers,
+//!     AnalysisConfig::default(),
+//!     &PassRegistry::all(),
+//! );
+//! assert!(run.report.shutdowns.all_events().len() < 1000);
 //! ```
 //!
 //! See `crates/bench/src/bin/repro.rs` (the `repro` binary) for the

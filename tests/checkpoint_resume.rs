@@ -9,10 +9,11 @@
 //! like a crash between two phone absorptions would. A committed
 //! checkpoint fixture pins the schema-v5 byte layout across releases.
 
+mod oracle;
+
 use std::path::PathBuf;
 
 use symfail::core::analysis::checkpoint::CheckpointError;
-use symfail::core::analysis::dataset::FleetDataset;
 use symfail::core::analysis::passes::PassRegistry;
 use symfail::core::analysis::report::{AnalysisConfig, StudyReport};
 use symfail::phone::calibration::CalibrationParams;
@@ -47,13 +48,9 @@ fn render(report: &StudyReport) -> String {
     report.render_all() + &report.render_per_phone()
 }
 
-/// The reference analysis over the campaign's sequential harvest.
+/// The reference fold of the campaign (`tests/oracle`).
 fn reference(campaign: &FleetCampaign, config: AnalysisConfig) -> StudyReport {
-    let harvest = campaign.run();
-    let fleet = FleetDataset::from_flash(harvest.iter().map(|h| (h.phone_id, &h.flashfs)));
-    StudyReport::analyze_with_labels(&fleet, config, &PassRegistry::all(), |id| {
-        campaign.device_labels(id)
-    })
+    oracle::reference(campaign, config, &PassRegistry::all()).report
 }
 
 /// Unique checkpoint path per (test, scenario): tests run in parallel

@@ -4,9 +4,10 @@
 //! seeds differ; and adding a phone to the fleet never perturbs the
 //! other phones' streams.
 
-use symfail::core::analysis::dataset::FleetDataset;
+mod oracle;
+
 use symfail::core::analysis::passes::PassRegistry;
-use symfail::core::analysis::report::{AnalysisConfig, StudyReport};
+use symfail::core::analysis::report::AnalysisConfig;
 use symfail::forum::corpus::CorpusGenerator;
 use symfail::phone::calibration::CalibrationParams;
 use symfail::phone::fleet::{FleetCampaign, PhoneMeta};
@@ -24,8 +25,8 @@ fn params(phones: u32) -> CalibrationParams {
 
 #[test]
 fn equal_seeds_identical_harvest() {
-    let a = FleetCampaign::new(5, params(4)).run();
-    let b = FleetCampaign::new(5, params(4)).run();
+    let a = oracle::harvest(&FleetCampaign::new(5, params(4)));
+    let b = oracle::harvest(&FleetCampaign::new(5, params(4)));
     for (x, y) in a.iter().zip(&b) {
         for file in ["beats", "log", "runapp", "activity", "power"] {
             assert_eq!(
@@ -45,9 +46,9 @@ fn equal_seeds_identical_harvest() {
 fn parallel_run_identical_to_sequential() {
     let campaign = FleetCampaign::new(6, params(5));
     let config = AnalysisConfig::default();
-    let seq = campaign.run();
-    let fleet = FleetDataset::from_flash(seq.iter().map(|h| (h.phone_id, &h.flashfs)));
-    let reference = StudyReport::analyze(&fleet, config);
+    let seq = oracle::harvest(&campaign);
+    let fleet = oracle::parse(&seq);
+    let reference = oracle::analyze(&fleet, config);
     for workers in [1, 2, 5, 16] {
         let par = campaign.run_streaming(workers, config, &PassRegistry::all());
         assert_eq!(par.metas.len(), seq.len());
@@ -66,8 +67,8 @@ fn parallel_run_identical_to_sequential() {
 
 #[test]
 fn different_seeds_differ() {
-    let a = FleetCampaign::new(1, params(2)).run();
-    let b = FleetCampaign::new(2, params(2)).run();
+    let a = oracle::harvest(&FleetCampaign::new(1, params(2)));
+    let b = oracle::harvest(&FleetCampaign::new(2, params(2)));
     assert_ne!(
         a[0].flashfs.read_bytes("beats"),
         b[0].flashfs.read_bytes("beats")
@@ -81,8 +82,8 @@ fn growing_the_fleet_preserves_profiles_streams() {
     // of the fleet size. (Exact day-by-day traces still shift because
     // enrollment windows and the stratified nightly quota depend on
     // the fleet size — but the random streams themselves must not.)
-    let small = FleetCampaign::new(9, params(2)).run();
-    let big = FleetCampaign::new(9, params(3)).run();
+    let small = oracle::harvest(&FleetCampaign::new(9, params(2)));
+    let big = oracle::harvest(&FleetCampaign::new(9, params(3)));
     for (s, b) in small.iter().zip(big.iter()) {
         assert_eq!(s.phone_id, b.phone_id);
         // Calls/messages volumes derive from the same per-phone stream.
@@ -99,10 +100,10 @@ fn growing_the_fleet_preserves_profiles_streams() {
 
 #[test]
 fn analysis_is_deterministic_too() {
-    let harvest = FleetCampaign::new(10, params(3)).run();
-    let fleet = FleetDataset::from_flash(harvest.iter().map(|h| (h.phone_id, &h.flashfs)));
-    let a = StudyReport::analyze(&fleet, AnalysisConfig::default());
-    let b = StudyReport::analyze(&fleet, AnalysisConfig::default());
+    let harvest = oracle::harvest(&FleetCampaign::new(10, params(3)));
+    let fleet = oracle::parse(&harvest);
+    let a = oracle::analyze(&fleet, AnalysisConfig::default());
+    let b = oracle::analyze(&fleet, AnalysisConfig::default());
     assert_eq!(a.render_all(), b.render_all());
     assert_eq!(
         format!("{}", a.shape_report()),

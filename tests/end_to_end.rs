@@ -3,10 +3,12 @@
 //! with the simulator's ground-truth counters, and internal totals
 //! must be conserved at every stage.
 
-use symfail::core::analysis::dataset::{FleetDataset, HlKind};
+mod oracle;
+
+use symfail::core::analysis::dataset::{HlKind, PhoneDataset};
 use symfail::core::analysis::report::StudyReport;
 use symfail::phone::calibration::CalibrationParams;
-use symfail::phone::fleet::{harvest_metas, total_stats, FleetCampaign};
+use symfail::phone::fleet::{total_stats, FleetCampaign, PhoneMeta};
 
 fn small_params() -> CalibrationParams {
     CalibrationParams {
@@ -29,14 +31,15 @@ fn analyze(
 ) -> (
     StudyReport,
     symfail::phone::device::PhoneStats,
-    FleetDataset,
+    Vec<PhoneDataset>,
 ) {
     let campaign = FleetCampaign::new(seed, small_params());
-    let harvest = campaign.run();
-    let truth = total_stats(&harvest_metas(&harvest));
-    let fleet = FleetDataset::from_flash(harvest.iter().map(|h| (h.phone_id, &h.flashfs)));
+    let harvest = oracle::harvest(&campaign);
+    let metas: Vec<PhoneMeta> = harvest.iter().map(PhoneMeta::from_harvest).collect();
+    let truth = total_stats(&metas);
+    let fleet = oracle::parse(&harvest);
     let config = small_params().analysis_config();
-    (StudyReport::analyze(&fleet, config), truth, fleet)
+    (oracle::analyze(&fleet, config), truth, fleet)
 }
 
 #[test]
@@ -44,7 +47,8 @@ fn analysis_agrees_with_simulator_ground_truth() {
     let (report, truth, fleet) = analyze(11);
     // Every panic raised must be recorded and parsed back.
     assert_eq!(report.panic_distribution.total(), truth.panics);
-    assert_eq!(fleet.panics().len() as u64, truth.panics);
+    let parsed: usize = fleet.iter().map(|p| p.panics().len()).sum();
+    assert_eq!(parsed as u64, truth.panics);
     // Every freeze leaves exactly one flagged boot record — except a
     // freeze at the very end of the campaign, whose reboot never
     // happened (at most one pending per phone).
@@ -84,8 +88,16 @@ fn coalescence_identities_hold() {
     let (rel_dist, iso_dist) = co.by_category();
     assert_eq!(rel_dist.total() as usize, related);
     assert_eq!(iso_dist.total() as usize, isolated);
-    // by_code_and_kind only covers related panics.
-    assert_eq!(co.by_code_and_kind().total() as usize, related);
+    // Figure 5b's split by code and HL kind covers the related panics
+    // only: each falls under exactly one (code, kind) key.
+    let mut by_code_and_kind = std::collections::BTreeMap::new();
+    for p in co.panics() {
+        if let Some(kind) = p.related {
+            let key = format!("{}|{}", p.panic.code, kind.as_str());
+            *by_code_and_kind.entry(key).or_insert(0) += 1;
+        }
+    }
+    assert_eq!(by_code_and_kind.values().sum::<usize>(), related);
     // The all-shutdowns variant can only increase relatedness.
     assert!(report.coalescence_all_shutdowns.related_fraction() >= co.related_fraction() - 1e-12);
 }
@@ -107,7 +119,7 @@ fn activity_and_runapps_totals_consistent() {
     // Freeze timestamps come from the last ALIVE beat, so every freeze
     // HL event predates its phone's reboot.
     let (_, _, fleet) = analyze(17);
-    for f in fleet.phones().iter().flat_map(|p| p.freezes()) {
+    for f in fleet.iter().flat_map(|p| p.freezes()) {
         assert_eq!(f.kind, HlKind::Freeze);
     }
 }
@@ -123,7 +135,7 @@ fn renders_are_complete_on_small_campaigns() {
     }
     // The shape report always produces the full check list, even when
     // a small campaign misses the targets.
-    assert_eq!(report.shape_report().len(), 32);
+    assert_eq!(report.shape_report().checks().len(), 32);
 }
 
 #[test]
@@ -131,9 +143,9 @@ fn mtbf_scales_with_observation_time() {
     let (short_report, _, _) = analyze(23);
     let mut long_params = small_params();
     long_params.campaign_days = 240;
-    let harvest = FleetCampaign::new(23, long_params).run();
-    let fleet = FleetDataset::from_flash(harvest.iter().map(|h| (h.phone_id, &h.flashfs)));
-    let long_report = StudyReport::analyze(&fleet, long_params.analysis_config());
+    let harvest = oracle::harvest(&FleetCampaign::new(23, long_params));
+    let fleet = oracle::parse(&harvest);
+    let long_report = oracle::analyze(&fleet, long_params.analysis_config());
     // Double observation, same rates: total hours roughly double while
     // MTBF stays in the same band.
     assert!(long_report.mtbf.total_hours > short_report.mtbf.total_hours * 1.5);

@@ -5,7 +5,8 @@
 //! 425-day campaign. Every path to the report must match it byte for
 //! byte:
 //!
-//! - the reference analysis over the materialized fleet dataset,
+//! - the reference fold: every phone simulated alone, parsed, and
+//!   folded serially (`tests/oracle`),
 //! - the streaming campaign driver,
 //! - a multi-process campaign: three `--shard i/3` checkpoint files
 //!   merged with `merge_shard_checkpoints`.
@@ -17,7 +18,7 @@
 //!
 //! The coalescence window sweep, which the fixture does not render,
 //! is pinned here too: swept from the streamed report, it must equal
-//! the brute-force sweep over the reference fleet.
+//! the brute-force sweep over the reference phones.
 //!
 //! Below the report, the harvests themselves are pinned: a digest of
 //! every flash byte and the simulator's ground-truth counters, for the
@@ -26,11 +27,12 @@
 //! moved RNG draw changes them. A deliberate change of the simulated
 //! dataset updates the constants, and the diff shows up in review.
 
+mod oracle;
+
 use std::path::PathBuf;
 use std::sync::OnceLock;
 
-use symfail::core::analysis::coalesce::CoalescenceAnalysis;
-use symfail::core::analysis::dataset::{FleetDataset, HlEvent, HlKind};
+use symfail::core::analysis::dataset::{HlEvent, HlKind, PhoneDataset};
 use symfail::core::analysis::passes::{merge_shard_checkpoints, PassRegistry};
 use symfail::core::analysis::report::{AnalysisConfig, StudyReport};
 use symfail::core::analysis::COALESCENCE_SWEEP_WINDOWS_SECS;
@@ -132,25 +134,23 @@ const MIXED_WORST_HARVEST: HarvestDigest = HarvestDigest {
     },
 };
 
-/// The reference fleet: the campaign's sequential harvest,
-/// materialized, with the harvest's digest.
-fn fleet_of(campaign: &FleetCampaign) -> (FleetDataset, HarvestDigest) {
-    let harvest = campaign.run();
-    let digest = HarvestDigest::of(&harvest);
-    let fleet = FleetDataset::from_flash(harvest.iter().map(|h| (h.phone_id, &h.flashfs)));
-    (fleet, digest)
+/// The reference phones: each of the campaign's phones simulated
+/// alone and parsed, with the harvest's digest.
+fn fleet_of(campaign: &FleetCampaign) -> (Vec<PhoneDataset>, HarvestDigest) {
+    let harvest = oracle::harvest(campaign);
+    (oracle::parse(&harvest), HarvestDigest::of(&harvest))
 }
 
 /// The default campaign's reference fleet and streamed report, built
 /// once and shared by the tests below.
-fn default_fleet() -> &'static (FleetDataset, HarvestDigest) {
-    static FLEET: OnceLock<(FleetDataset, HarvestDigest)> = OnceLock::new();
+fn default_fleet() -> &'static (Vec<PhoneDataset>, HarvestDigest) {
+    static FLEET: OnceLock<(Vec<PhoneDataset>, HarvestDigest)> = OnceLock::new();
     FLEET.get_or_init(|| fleet_of(&campaign()))
 }
 
 /// The mixed/worst campaign's reference fleet, built once.
-fn mixed_worst_fleet() -> &'static (FleetDataset, HarvestDigest) {
-    static FLEET: OnceLock<(FleetDataset, HarvestDigest)> = OnceLock::new();
+fn mixed_worst_fleet() -> &'static (Vec<PhoneDataset>, HarvestDigest) {
+    static FLEET: OnceLock<(Vec<PhoneDataset>, HarvestDigest)> = OnceLock::new();
     FLEET.get_or_init(|| fleet_of(&mixed_worst()))
 }
 
@@ -209,7 +209,10 @@ fn assert_matches_golden(engine: &str, got: &str) {
 
 #[test]
 fn batch_engine_matches_golden_report() {
-    let report = StudyReport::analyze(&default_fleet().0, config());
+    let reference = oracle::fold_phones(&default_fleet().0, config(), &PassRegistry::all(), |id| {
+        campaign().device_labels(id)
+    });
+    let report = reference.report;
     let rendered = render(&report);
     if std::env::var_os("GOLDEN_REGEN").is_some() {
         let path = fixture_path();
@@ -231,9 +234,8 @@ fn streaming_shard_merge_matches_golden_report() {
 /// freeze, then every self-shutdown the config's threshold keeps (timed
 /// when the phone went down), stable-sorted by `(phone, time)` — so on
 /// a tie a freeze comes first.
-fn hl_stream(fleet: &FleetDataset) -> Vec<HlEvent> {
+fn hl_stream(phones: &[PhoneDataset]) -> Vec<HlEvent> {
     let threshold = config().self_shutdown_threshold;
-    let phones = fleet.phones();
     let mut hl: Vec<HlEvent> = phones
         .iter()
         .flat_map(|p| p.freezes())
@@ -257,18 +259,18 @@ fn hl_stream(fleet: &FleetDataset) -> Vec<HlEvent> {
 /// The sweep `repro --exp fig5 --sweep` and `--exp ablations` print:
 /// the streamed report's coalescence panics against its merged HL
 /// stream must sweep exactly like the brute-force oracle over the
-/// reference fleet, on the default campaign and on the 250-phone ×
+/// reference phones, on the default campaign and on the 250-phone ×
 /// 60-day mixed-fleet, worst-corruption one (most of its phones log HL
 /// events but no panic).
 #[test]
 fn streamed_window_sweep_matches_brute_force_on_real_campaigns() {
-    let assert_sweep = |what: &str, fleet: &FleetDataset, report: &StudyReport| {
-        let hl = hl_stream(fleet);
+    let assert_sweep = |what: &str, phones: &[PhoneDataset], report: &StudyReport| {
+        let hl = hl_stream(phones);
         assert_eq!(report.hl_events, hl, "{what}: streamed HL stream");
         let windows = &COALESCENCE_SWEEP_WINDOWS_SECS;
         assert_eq!(
             report.coalescence.window_sweep(&report.hl_events, windows),
-            CoalescenceAnalysis::window_sweep_brute_force(fleet, &hl, windows),
+            oracle::window_sweep_brute_force(phones, &hl, windows),
             "{what}: sweep"
         );
     };

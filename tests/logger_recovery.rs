@@ -13,14 +13,11 @@
 //! * flash damage to those files gives the str path's reading, never a
 //!   panic.
 
-// The oracles serve several test files; this one reads the flash
-// files' str path alone.
-#[allow(dead_code)]
 mod oracle;
 
 use std::panic::catch_unwind;
 
-use symfail::core::analysis::dataset::PhoneDataset;
+use symfail::core::analysis::dataset::{ParseScratch, PhoneDataset};
 use symfail::core::logger::{UserReportChannel, UserReportKind, UREPORT_FILE};
 use symfail::core::records::{decode_beat, HeartbeatEvent};
 use symfail::phone::calibration::CalibrationParams;
@@ -54,7 +51,7 @@ fn run_phone(seed: u64) -> PhoneDataset {
     for day in 0..90 {
         phone.simulate_day(day);
     }
-    PhoneDataset::from_flashfs(0, phone.flashfs())
+    PhoneDataset::from_flashfs_with(0, phone.flashfs(), &mut ParseScratch::default())
 }
 
 #[test]
@@ -225,8 +222,9 @@ fn mutated_flash_files_parse_as_the_str_path_does() {
             }
             fs.overwrite_raw(file, bytes);
         }
-        let ds = catch_unwind(|| PhoneDataset::from_flashfs(0, &fs))
-            .unwrap_or_else(|_| panic!("mutant {mutant}: the parse panicked"));
+        let ds =
+            catch_unwind(|| PhoneDataset::from_flashfs_with(0, &fs, &mut ParseScratch::default()))
+                .unwrap_or_else(|_| panic!("mutant {mutant}: the parse panicked"));
         let reports = catch_unwind(|| UserReportChannel::parse(&fs))
             .unwrap_or_else(|_| panic!("mutant {mutant}: the report reader panicked"));
         let file = |name| fs.read_bytes(name).unwrap_or_default();

@@ -15,6 +15,8 @@
 //! unless the caller opts into a best-effort partial merge, which
 //! instead names every missing interval.
 
+mod oracle;
+
 use std::ops::Range;
 use std::path::PathBuf;
 
@@ -22,7 +24,7 @@ use proptest::prelude::*;
 use proptest::test_runner::Config as ProptestConfig;
 
 use symfail::core::analysis::checkpoint::{CheckpointError, MergeError, ShardTopology};
-use symfail::core::analysis::dataset::{FleetDataset, PhoneDataset};
+use symfail::core::analysis::dataset::PhoneDataset;
 use symfail::core::analysis::passes::{
     merge_shard_checkpoints, merge_shard_checkpoints_partial, FoldShard, PassRegistry, PhoneLens,
     StreamMerger,
@@ -339,12 +341,9 @@ fn fold_run(
     shard
 }
 
-/// The reference driver's rendering of hand-built phones.
+/// The reference fold's rendering of hand-built phones.
 fn reference(config: AnalysisConfig, phones: &[PhoneDataset]) -> String {
-    render(&StudyReport::analyze(
-        &FleetDataset::from_phones(phones.to_vec()),
-        config,
-    ))
+    render(&oracle::analyze(phones, config))
 }
 
 /// Folds `ids` into a shard-scoped merger and snapshots it under a

@@ -1,18 +1,39 @@
-//! Reference implementations of the flash log codec, kept as oracles:
-//! the `format!` encoders and the owned-`String` decoder the program
-//! once shipped beside its zero-copy codec, and the str path that once
-//! read a phone's `log` and `beats` files. The program has one codec
-//! per format — the `encode_*_into` writers and `RecordRef::decode` /
-//! `decode_beat` — and one parse, `PhoneDataset::from_files`; the
-//! property and mutation tests check them against these on every line
-//! and file they generate.
+//! Reference implementations kept as oracles for the program's tests.
+//!
+//! - The flash log codec: the `format!` encoders and the owned-`String`
+//!   decoder the program once shipped beside its zero-copy codec, and
+//!   the str path that once read a phone's `log` and `beats` files. The
+//!   program has one codec per format — the `encode_*_into` writers and
+//!   `RecordRef::decode` / `decode_beat` — and one parse,
+//!   `PhoneDataset::from_files`; the property and mutation tests check
+//!   them against these on every line and file they generate.
+//! - The reference campaign: every phone simulated alone with every
+//!   file on fresh flash, parsed, and folded serially in phone-id order
+//!   into one accumulator ([`reference`], [`fold_phones`]). The campaign
+//!   driver's runs, threads, buffering, checkpoints and written-files
+//!   rule must all reproduce it.
+//! - The O(P×H) coalescence scan ([`coalesce_brute_force`],
+//!   [`window_sweep_brute_force`]) the per-phone kernel and the gap
+//!   index are checked against.
+
+// Each test binary that includes this module uses part of it.
+#![allow(dead_code)]
 
 use std::collections::HashSet;
 
+use symfail::core::analysis::coalesce::CoalescedPanic;
+use symfail::core::analysis::dataset::{HlEvent, ParseScratch, PhoneDataset};
 use symfail::core::analysis::defects::PhoneDefects;
-use symfail::core::records::{
-    line_checksum, BootRecord, HeartbeatEvent, LogRecord, PanicRecord, ParseDefect, RecordRef,
+use symfail::core::analysis::passes::{
+    DeviceLabels, FoldShard, PassRegistry, PhoneLens, StreamMerger,
 };
+use symfail::core::analysis::report::{AnalysisConfig, StudyReport};
+use symfail::core::intern::NameTable;
+use symfail::core::records::{
+    encode_boot_into, encode_panic_into, line_checksum, BootRecord, HeartbeatEvent, LogRecord,
+    PanicRecord, ParseDefect, RecordRef,
+};
+use symfail::phone::fleet::{FleetCampaign, PhoneHarvest};
 use symfail::sim::{SimDuration, SimTime};
 use symfail::symbian::panic::{Panic, PanicCode};
 use symfail::symbian::servers::logdb::ActivityKind;
@@ -64,6 +85,17 @@ pub fn encode(rec: &LogRecord) -> String {
     };
     let check = line_checksum(&payload);
     format!("{payload}|c{check:04x}")
+}
+
+/// Appends `rec`'s line to `out` through the program's writers, which
+/// take a record's fields rather than an owned record.
+pub fn encode_into(rec: &LogRecord, out: &mut Vec<u8>) {
+    match rec {
+        LogRecord::Panic(p) => {
+            encode_panic_into(out, p.at, &p.panic, &p.running_apps, p.activity, p.battery)
+        }
+        LogRecord::Boot(b) => encode_boot_into(out, b),
+    }
 }
 
 /// Encodes a beats-file line.
@@ -269,4 +301,154 @@ pub fn str_path_phone(log: &[u8], raw: &[u8]) -> (Vec<(SimTime, HeartbeatEvent)>
     defects.unusable = defects.lines_seen > 0 && defects.records_kept == 0;
     beats.sort_by_key(|&(at, _)| at);
     (beats, defects)
+}
+
+/// Every phone of the campaign simulated alone, in id order, writing
+/// every file on fresh flash.
+pub fn harvest(campaign: &FleetCampaign) -> Vec<PhoneHarvest> {
+    (0..campaign.params().phones)
+        .map(|id| campaign.run_single(id))
+        .collect()
+}
+
+/// Each harvested phone parsed on its own, from every file it wrote.
+pub fn parse(harvest: &[PhoneHarvest]) -> Vec<PhoneDataset> {
+    harvest
+        .iter()
+        .map(|h| {
+            PhoneDataset::from_flashfs_with(h.phone_id, &h.flashfs, &mut ParseScratch::default())
+        })
+        .collect()
+}
+
+/// A finished reference fold: the report and the fleet name table its
+/// coalesced panics resolve against.
+pub struct Reference {
+    pub report: StudyReport,
+    pub names: NameTable,
+}
+
+/// Folds `phones` (consecutive ids, ascending) serially into one
+/// [`FoldShard`], each under the device labels `labels` gives its id,
+/// and finishes the shard through a [`StreamMerger`].
+pub fn fold_phones(
+    phones: &[PhoneDataset],
+    config: AnalysisConfig,
+    registry: &PassRegistry,
+    labels: impl Fn(u32) -> DeviceLabels,
+) -> Reference {
+    let start = phones.first().map_or(0, PhoneDataset::phone_id);
+    let mut shard = FoldShard::new(registry, start);
+    for phone in phones {
+        let lens = PhoneLens::with_device(
+            phone,
+            config,
+            registry.needs_coalesce(),
+            labels(phone.phone_id()),
+        );
+        shard.absorb_phone(registry, &lens);
+    }
+    let mut merger = StreamMerger::new_at(registry, config, start);
+    merger.push_shard(shard);
+    let names = merger.names().clone();
+    Reference {
+        report: merger.finish(),
+        names,
+    }
+}
+
+/// [`fold_phones`] under the homogeneous fleet's labels and every pass.
+pub fn analyze(phones: &[PhoneDataset], config: AnalysisConfig) -> StudyReport {
+    fold_phones(phones, config, &PassRegistry::all(), |_| {
+        DeviceLabels::default()
+    })
+    .report
+}
+
+/// The reference campaign: [`harvest`], [`parse`], then
+/// [`fold_phones`] under the campaign's device labels.
+pub fn reference(
+    campaign: &FleetCampaign,
+    config: AnalysisConfig,
+    registry: &PassRegistry,
+) -> Reference {
+    let phones = parse(&harvest(campaign));
+    fold_phones(&phones, config, registry, |id| campaign.device_labels(id))
+}
+
+/// The outcome of [`coalesce_brute_force`]: what `CoalescenceAnalysis`
+/// reports through `panics()`, `hl_total()` and `hl_with_panic()`.
+#[derive(Debug, PartialEq)]
+pub struct BruteCoalescence {
+    pub panics: Vec<CoalescedPanic>,
+    pub hl_total: usize,
+    pub hl_with_panic: usize,
+}
+
+impl BruteCoalescence {
+    /// Fraction of panics related to an HL event.
+    pub fn related_fraction(&self) -> f64 {
+        if self.panics.is_empty() {
+            return 0.0;
+        }
+        let related = self.panics.iter().filter(|p| p.related.is_some()).count();
+        related as f64 / self.panics.len() as f64
+    }
+}
+
+/// The O(P×H) coalescence scan: every panic of `phones`, in phone
+/// order, against every HL event of its phone; the nearest within
+/// `window` wins, the first in `hl_events` order on a tie.
+pub fn coalesce_brute_force(
+    phones: &[PhoneDataset],
+    hl_events: &[HlEvent],
+    window: SimDuration,
+) -> BruteCoalescence {
+    let gap = |a: SimTime, b: SimTime| a.saturating_since(b).max(b.saturating_since(a));
+    let mut panics = Vec::new();
+    for phone in phones {
+        let phone_id = phone.phone_id();
+        for rec in phone.panics() {
+            let related = hl_events
+                .iter()
+                .filter(|e| e.phone_id == phone_id)
+                .map(|e| (gap(e.at, rec.at), e.kind))
+                .filter(|&(g, _)| g <= window)
+                .min_by_key(|&(g, _)| g)
+                .map(|(_, kind)| kind);
+            panics.push(CoalescedPanic {
+                phone_id,
+                panic: rec.clone(),
+                related,
+            });
+        }
+    }
+    let hl_with_panic = hl_events
+        .iter()
+        .filter(|e| {
+            panics
+                .iter()
+                .any(|p| p.phone_id == e.phone_id && gap(e.at, p.panic.at) <= window)
+        })
+        .count();
+    BruteCoalescence {
+        panics,
+        hl_total: hl_events.len(),
+        hl_with_panic,
+    }
+}
+
+/// [`coalesce_brute_force`]'s related fraction at each window.
+pub fn window_sweep_brute_force(
+    phones: &[PhoneDataset],
+    hl_events: &[HlEvent],
+    windows_secs: &[u64],
+) -> Vec<(u64, f64)> {
+    windows_secs
+        .iter()
+        .map(|&w| {
+            let a = coalesce_brute_force(phones, hl_events, SimDuration::from_secs(w));
+            (w, a.related_fraction())
+        })
+        .collect()
 }

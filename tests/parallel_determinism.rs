@@ -2,16 +2,20 @@
 //! produce byte-identical results for any worker count and any run
 //! partition. Phones own forked, independent RNG streams, so the
 //! thread schedule cannot leak into any phone's bytes — these tests
-//! pin that contract against the sequential harvest and the reference
-//! analysis over it.
+//! pin that contract against the reference fold (`tests/oracle`):
+//! every phone simulated alone, parsed, and folded serially.
 
-use symfail::core::analysis::dataset::FleetDataset;
+mod oracle;
+
+use symfail::core::analysis::dataset::PanicEvent;
 use symfail::core::analysis::passes::PassRegistry;
 use symfail::core::analysis::report::{AnalysisConfig, StudyReport};
 use symfail::core::flashfs::FlashFs;
+use symfail::core::intern::NameTable;
 use symfail::phone::calibration::CalibrationParams;
+use symfail::phone::composition::FleetComposition;
 use symfail::phone::corruption::CorruptionProfile;
-use symfail::phone::fleet::{harvest_metas, FleetCampaign, PhoneHarvest, StreamingOptions};
+use symfail::phone::fleet::{FleetCampaign, PhoneHarvest, PhoneMeta, StreamingOptions};
 
 fn params() -> CalibrationParams {
     CalibrationParams {
@@ -30,16 +34,9 @@ fn render(report: &StudyReport) -> String {
     report.render_all() + &report.render_per_phone()
 }
 
-/// The reference analysis: the sequential harvest, materialized.
+/// The reference fold's rendering.
 fn reference(campaign: &FleetCampaign, config: AnalysisConfig) -> String {
-    let harvest = campaign.run();
-    let fleet = FleetDataset::from_flash(harvest.iter().map(|h| (h.phone_id, &h.flashfs)));
-    render(&StudyReport::analyze_with_labels(
-        &fleet,
-        config,
-        &PassRegistry::all(),
-        |id| campaign.device_labels(id),
-    ))
+    render(&oracle::reference(campaign, config, &PassRegistry::all()).report)
 }
 
 fn render_study(campaign: &FleetCampaign, workers: usize) -> String {
@@ -66,14 +63,14 @@ fn assert_harvest_identical(
     campaign: &FleetCampaign,
     worker_counts: &[usize],
 ) -> Vec<PhoneHarvest> {
-    let seq = campaign.run();
+    let seq = oracle::harvest(campaign);
     for h in seq.iter().rev() {
         let single = campaign.run_single(h.phone_id);
         let ctx = format!("phone {} run alone", h.phone_id);
         assert_eq!(h.injected, single.injected, "{ctx}");
         assert_flash_identical(&h.flashfs, &single.flashfs, &ctx);
     }
-    let metas = harvest_metas(&seq);
+    let metas: Vec<PhoneMeta> = seq.iter().map(PhoneMeta::from_harvest).collect();
     for &workers in worker_counts {
         let run = campaign.run_streaming(workers, AnalysisConfig::default(), &PassRegistry::all());
         assert_eq!(metas.len(), run.metas.len());
@@ -205,6 +202,134 @@ fn sharded_merge_report_identical_to_serial_for_any_worker_count_and_run_len() {
             assert_eq!(
                 serial, sharded,
                 "sharded study differs from serial with {workers} workers, run_len {run_len}"
+            );
+        }
+    }
+}
+
+/// The names behind a panic's ids in `names`: raising component,
+/// reason and running apps.
+fn resolve(names: &NameTable, p: &PanicEvent) -> (String, String, Vec<String>) {
+    let name = |id| names.resolve(id).to_string();
+    (
+        name(p.raised_by),
+        name(p.reason),
+        p.apps.iter().map(name).collect(),
+    )
+}
+
+/// A 3-phone × 20-day campaign with enrollment and attrition spreads.
+fn tiny_params() -> CalibrationParams {
+    CalibrationParams {
+        phones: 3,
+        campaign_days: 20,
+        enrollment_spread_days: 5,
+        attrition_spread_days: 5,
+        ..CalibrationParams::default()
+    }
+}
+
+#[test]
+fn streaming_report_matches_batch() {
+    let c = FleetCampaign::new(13, tiny_params()).with_corruption(CorruptionProfile::Worst);
+    let config = AnalysisConfig::default();
+    let batch = reference(&c, config);
+    for workers in [1, 2, 3] {
+        let streamed = c.run_streaming(workers, config, &PassRegistry::all());
+        assert_eq!(
+            render(&streamed.report),
+            batch,
+            "streaming ({workers} workers) must be byte-identical to batch"
+        );
+        assert_eq!(streamed.metas.len(), 3);
+        assert!(streamed.parse_bytes > 0);
+    }
+}
+
+#[test]
+fn mixed_fleet_streaming_matches_labeled_batch() {
+    let c = FleetCampaign::new(13, tiny_params())
+        .with_fleet(FleetComposition::mixed())
+        .with_corruption(CorruptionProfile::Worst);
+    let config = AnalysisConfig::default();
+    let batch = reference(&c, config);
+    assert!(
+        batch.contains("device class"),
+        "a mixed fleet renders the device-class section"
+    );
+    for workers in [1, 2, 3] {
+        let streamed = c.run_streaming(workers, config, &PassRegistry::all());
+        assert_eq!(
+            render(&streamed.report),
+            batch,
+            "mixed-fleet streaming ({workers} workers) must match labeled batch"
+        );
+    }
+}
+
+/// No rendered section resolves a coalesced panic's name ids, so the
+/// driver's fleet name table and every coalesced panic of both
+/// coalescence variants — raw ids included — must equal the reference
+/// fold's at any worker count: per-phone tables absorbed in phone-id
+/// order, each run's ids remapped as its shard merges.
+#[test]
+fn driver_name_ids_match_the_reference_fold() {
+    // A short campaign with accelerated faults: every panic interns its
+    // reason text, so the fleet table grows with the panics.
+    let params = CalibrationParams {
+        phones: 8,
+        campaign_days: 45,
+        enrollment_spread_days: 5,
+        attrition_spread_days: 5,
+        background_episode_rate_per_hour: 0.05,
+        p_episode_per_call: 0.1,
+        p_episode_per_message: 0.02,
+        ..CalibrationParams::default()
+    };
+    let default = FleetCampaign::new(2005, params);
+    let mixed_worst = FleetCampaign::new(7, params)
+        .with_fleet(FleetComposition::mixed())
+        .with_corruption(CorruptionProfile::Worst);
+    let config = params.analysis_config();
+    let registry = PassRegistry::all();
+    for (what, campaign) in [("default", default), ("mixed/worst", mixed_worst)] {
+        let phones = oracle::parse(&oracle::harvest(&campaign));
+        let oracle::Reference { report, names } =
+            oracle::fold_phones(&phones, config, &registry, |id| campaign.device_labels(id));
+        assert!(
+            names.len() > 200 && report.coalescence.panics().len() > 300,
+            "{what}: {} names, {} coalesced panics",
+            names.len(),
+            report.coalescence.panics().len()
+        );
+        // The fold applies the same remaps the driver does, so check the
+        // oracle on its own first: resolved through the fleet table,
+        // every coalesced panic names what its phone's own parse names.
+        let own: Vec<_> = phones
+            .iter()
+            .flat_map(|phone| phone.panics().iter().map(|p| resolve(phone.names(), p)))
+            .collect();
+        for coalesced in [&report.coalescence, &report.coalescence_all_shutdowns] {
+            let fleet: Vec<_> = coalesced
+                .panics()
+                .iter()
+                .map(|c| resolve(&names, &c.panic))
+                .collect();
+            assert_eq!(fleet, own, "{what}: names behind the coalesced panics' ids");
+        }
+        for workers in 1..=4 {
+            let run = campaign.run_streaming(workers, config, &registry);
+            let ctx = format!("{what}, {workers} workers");
+            assert_eq!(run.names, names, "{ctx}: fleet name table");
+            assert_eq!(
+                run.report.coalescence.panics(),
+                report.coalescence.panics(),
+                "{ctx}: coalesced panics"
+            );
+            assert_eq!(
+                run.report.coalescence_all_shutdowns.panics(),
+                report.coalescence_all_shutdowns.panics(),
+                "{ctx}: coalesced panics against every shutdown"
             );
         }
     }

@@ -5,15 +5,15 @@ mod oracle;
 use proptest::prelude::*;
 use proptest::test_runner::Config as ProptestConfig;
 
-use symfail::core::analysis::coalesce::{coalesce_phone, CoalescenceAnalysis};
-use symfail::core::analysis::dataset::{FleetDataset, HlEvent, HlKind, PhoneDataset};
+use symfail::core::analysis::coalesce::{coalesce_phone, CoalescenceAnalysis, COALESCENCE_WINDOW};
+use symfail::core::analysis::dataset::{HlEvent, HlKind, ParseScratch, PhoneDataset};
 use symfail::core::flashfs::FlashFs;
 use symfail::core::records::{
     decode_beat, encode_beat_into, push_u64, BootRecord, HeartbeatEvent, LogRecord, PanicRecord,
     RecordRef,
 };
 use symfail::sim::{SimDuration, SimRng, SimTime};
-use symfail::stats::{CategoricalDist, Histogram, OnlineSummary};
+use symfail::stats::{Histogram, OnlineSummary};
 use symfail::symbian::cleanup::CleanupStack;
 use symfail::symbian::descriptor::TBuf;
 use symfail::symbian::heap::Heap;
@@ -48,9 +48,6 @@ enum DescOp {
     Append(String),
     Insert(usize, String),
     Delete(usize, usize),
-    Replace(usize, usize, String),
-    Fill(char, usize),
-    SetLength(usize),
 }
 
 fn desc_op() -> impl Strategy<Value = DescOp> {
@@ -59,9 +56,6 @@ fn desc_op() -> impl Strategy<Value = DescOp> {
         "[a-z]{0,12}".prop_map(DescOp::Append),
         (0usize..16, "[a-z]{0,6}").prop_map(|(p, s)| DescOp::Insert(p, s)),
         (0usize..16, 0usize..16).prop_map(|(p, l)| DescOp::Delete(p, l)),
-        (0usize..16, 0usize..16, "[a-z]{0,6}").prop_map(|(p, l, s)| DescOp::Replace(p, l, s)),
-        (proptest::char::range('a', 'z'), 0usize..16).prop_map(|(c, l)| DescOp::Fill(c, l)),
-        (0usize..16).prop_map(DescOp::SetLength),
     ]
 }
 
@@ -79,9 +73,6 @@ proptest! {
                 DescOp::Append(s) => buf.append(&s),
                 DescOp::Insert(p, s) => buf.insert(p, &s),
                 DescOp::Delete(p, l) => buf.delete(p, l),
-                DescOp::Replace(p, l, s) => buf.replace(p, l, &s),
-                DescOp::Fill(c, l) => buf.fill(c, l),
-                DescOp::SetLength(l) => buf.set_length(l),
             };
             prop_assert!(buf.length() <= buf.max_length());
             match result {
@@ -170,7 +161,8 @@ proptest! {
         prop_assert_eq!(r, Err(LeaveCode::General));
         prop_assert_eq!(heap.used(), used_before, "inner cells all freed");
         for c in outer_cells {
-            prop_assert!(heap.is_live(c), "outer cells untouched");
+            // A live cell frees cleanly; a freed one raises CBase 91.
+            prop_assert!(heap.free(c).is_ok(), "outer cells untouched");
         }
     }
 }
@@ -187,7 +179,7 @@ proptest! {
             h.record(v);
         }
         prop_assert_eq!(h.total(), values.len() as u64);
-        let binned: u64 = (0..h.len()).map(|i| h.count(i)).sum();
+        let binned: u64 = h.bins().map(|b| b.count).sum();
         prop_assert_eq!(binned + h.underflow() + h.overflow(), values.len() as u64);
     }
 
@@ -201,25 +193,6 @@ proptest! {
         merged.merge(&b.iter().copied().collect());
         prop_assert_eq!(merged.count(), whole.count());
         prop_assert!((merged.mean().unwrap() - whole.mean().unwrap()).abs() < 1e-9);
-    }
-
-    #[test]
-    fn categorical_total_variation_is_metric_like(
-        xs in prop::collection::vec(0u64..20, 3),
-        ys in prop::collection::vec(0u64..20, 3),
-    ) {
-        prop_assume!(xs.iter().sum::<u64>() > 0 && ys.iter().sum::<u64>() > 0);
-        let mut a = CategoricalDist::new();
-        let mut b = CategoricalDist::new();
-        for (i, (&x, &y)) in xs.iter().zip(&ys).enumerate() {
-            a.add_n(format!("l{i}"), x);
-            b.add_n(format!("l{i}"), y);
-        }
-        let d_ab = a.total_variation(&b).unwrap();
-        let d_ba = b.total_variation(&a).unwrap();
-        prop_assert!((d_ab - d_ba).abs() < 1e-12);
-        prop_assert!((0.0..=1.0).contains(&d_ab));
-        prop_assert!(a.total_variation(&a).unwrap() < 1e-12);
     }
 }
 
@@ -255,7 +228,7 @@ proptest! {
             battery,
         });
         let mut line = Vec::new();
-        rec.encode_into(&mut line);
+        oracle::encode_into(&rec, &mut line);
         let line = String::from_utf8(line).unwrap();
         prop_assert_eq!(&line, &oracle::encode(&rec));
         let decoded = oracle::to_owned_record(&RecordRef::decode(&line).unwrap());
@@ -276,29 +249,6 @@ proptest! {
         let (t, e) = decode_beat(&line).unwrap();
         prop_assert_eq!(t, SimTime::from_millis(at));
         prop_assert_eq!(e, ev);
-    }
-
-    /// The backward-scanning `last_line` is exactly the last of
-    /// `read_lines` for any ASCII file: blank lines, bare and `\r\n`
-    /// carriage returns, with or without a final newline, and for a
-    /// file grown by appends.
-    #[test]
-    fn flash_last_line_matches_read_lines(
-        lines in prop::collection::vec("[ -~\r]{0,12}", 0..8),
-        trailing_newline in 0usize..2,
-    ) {
-        let mut fs = FlashFs::new();
-        let mut raw = lines.join("\n");
-        if trailing_newline == 1 {
-            raw.push('\n');
-        }
-        fs.overwrite_raw("raw", raw.into_bytes());
-        prop_assert_eq!(fs.last_line("raw"), fs.read_lines("raw").last());
-        for line in &lines {
-            fs.append_line("appended", line);
-            prop_assert_eq!(fs.last_line("appended"), fs.read_lines("appended").last());
-        }
-        prop_assert_eq!(fs.last_line("missing"), None);
     }
 }
 
@@ -323,11 +273,11 @@ fn encode_into_matches_format_encoders() {
     });
     for rec in [&panic, &boot] {
         let mut buf = Vec::new();
-        rec.encode_into(&mut buf);
+        oracle::encode_into(rec, &mut buf);
         assert_eq!(buf, oracle::encode(rec).into_bytes());
     }
     let mut buf = b"prefix".to_vec();
-    panic.encode_into(&mut buf);
+    oracle::encode_into(&panic, &mut buf);
     assert_eq!(&buf[6..], oracle::encode(&panic).as_bytes());
     let mut beat = Vec::new();
     encode_beat_into(&mut beat, SimTime::from_secs(42), HeartbeatEvent::ManualOff);
@@ -665,7 +615,7 @@ proptest! {
         let raw = beats_file(&chunks);
         let mut fs = FlashFs::new();
         fs.overwrite_raw("beats", raw.clone());
-        let ds = PhoneDataset::from_flashfs(0, &fs);
+        let ds = PhoneDataset::from_flashfs_with(0, &fs, &mut ParseScratch::default());
         let (beats, defects) = oracle::str_path_beats(&raw);
         prop_assert_eq!(ds.beats().collect::<Vec<_>>(), beats, "beats diverged on {:?}", String::from_utf8_lossy(&raw));
         prop_assert_eq!(ds.defects(), &defects, "defects diverged on {:?}", String::from_utf8_lossy(&raw));
@@ -694,8 +644,6 @@ enum FsOp {
     AppendLineWith(usize, String),
     OverwriteRaw(usize, String),
     Damage(usize, String),
-    Truncate(usize),
-    Remove(usize),
     /// Empties the filesystem for the next phone, keeping its buffers.
     Clear,
 }
@@ -710,9 +658,7 @@ fn fs_op() -> impl Strategy<Value = FsOp> {
         (name.clone(), "[a-z0-9|]{0,8}").prop_map(|(f, l)| FsOp::AppendLine(f, l)),
         (name.clone(), "[a-z0-9|]{0,8}").prop_map(|(f, l)| FsOp::AppendLineWith(f, l)),
         (name.clone(), "[a-z\n]{0,8}").prop_map(|(f, b)| FsOp::OverwriteRaw(f, b)),
-        (name.clone(), "[a-z\n]{0,8}").prop_map(|(f, b)| FsOp::Damage(f, b)),
-        name.clone().prop_map(FsOp::Truncate),
-        name.prop_map(FsOp::Remove),
+        (name, "[a-z\n]{0,8}").prop_map(|(f, b)| FsOp::Damage(f, b)),
         Just(FsOp::Clear),
     ]
 }
@@ -754,15 +700,6 @@ proptest! {
                         buf.extend_from_slice(bytes.as_bytes());
                     }
                 }
-                FsOp::Truncate(f) => {
-                    fs.truncate(FS_NAMES[f]);
-                    if let Some(buf) = model.get_mut(FS_NAMES[f]) {
-                        buf.clear();
-                    }
-                }
-                FsOp::Remove(f) => {
-                    prop_assert_eq!(fs.remove(FS_NAMES[f]), model.remove(FS_NAMES[f]).is_some());
-                }
                 FsOp::Clear => {
                     // A carried-over flash is a fresh one to every reader.
                     fs.clear();
@@ -788,17 +725,17 @@ proptest! {
 // event layouts.
 // ---------------------------------------------------------------
 
-/// The `coalesce` pass's fold over `fleet`: each phone's panics
+/// The `coalesce` pass's fold over `phones`: each phone's panics
 /// coalesced by the per-phone kernel against that phone's HL events in
 /// time order (stable, so same-instant events keep their input order),
 /// absorbed in phone order.
 fn coalesce_fleet(
-    fleet: &FleetDataset,
+    phones: &[PhoneDataset],
     events: &[HlEvent],
     window: SimDuration,
 ) -> CoalescenceAnalysis {
     let mut acc = CoalescenceAnalysis::default();
-    for phone in fleet.phones() {
+    for phone in phones {
         let mut hl: Vec<HlEvent> = events
             .iter()
             .filter(|e| e.phone_id == phone.phone_id())
@@ -815,6 +752,74 @@ fn coalesce_fleet(
     acc
 }
 
+/// The hand-made layouts the per-phone kernel's unit tests pin — a
+/// nearby event, one before and one beyond the window, the closest of
+/// two, an equidistant tie, a same-instant tie and another phone's
+/// event — agree with the brute-force oracle, and so does the gap
+/// index's sweep of them.
+#[test]
+fn hand_built_coalescence_matches_brute_force() {
+    let phone = |id: u32, secs: &[u64]| {
+        let records = secs
+            .iter()
+            .map(|&t| {
+                LogRecord::Panic(PanicRecord {
+                    at: SimTime::from_secs(t),
+                    panic: Panic::new(codes::KERN_EXEC_3, "X", "r"),
+                    running_apps: Vec::new(),
+                    activity: None,
+                    battery: 50,
+                })
+            })
+            .collect();
+        PhoneDataset::new(id, records, Vec::new())
+    };
+    let hl = |phone_id: u32, secs: u64, kind: HlKind| HlEvent {
+        phone_id,
+        at: SimTime::from_secs(secs),
+        kind,
+    };
+    let (freeze, shutdown) = (HlKind::Freeze, HlKind::SelfShutdown);
+    let cases = [
+        (vec![phone(0, &[100])], vec![hl(0, 150, freeze)]),
+        (vec![phone(0, &[1000])], vec![hl(0, 800, shutdown)]),
+        (vec![phone(0, &[1000])], vec![hl(0, 1301, freeze)]),
+        (
+            vec![phone(0, &[1000])],
+            vec![hl(0, 1200, freeze), hl(0, 1050, shutdown)],
+        ),
+        (
+            vec![phone(0, &[1000])],
+            vec![hl(0, 950, shutdown), hl(0, 1050, freeze)],
+        ),
+        (
+            vec![phone(0, &[1000])],
+            vec![hl(0, 990, freeze), hl(0, 990, shutdown)],
+        ),
+        (
+            vec![phone(0, &[1000]), phone(9, &[])],
+            vec![hl(9, 1000, freeze)],
+        ),
+        (
+            vec![phone(0, &[100, 10_000])],
+            vec![hl(0, 160, freeze), hl(0, 11_000, freeze)],
+        ),
+    ];
+    for (phones, events) in &cases {
+        let fast = coalesce_fleet(phones, events, COALESCENCE_WINDOW);
+        let brute = oracle::coalesce_brute_force(phones, events, COALESCENCE_WINDOW);
+        assert_eq!(fast.panics(), &brute.panics[..], "{events:?}");
+        assert_eq!(fast.hl_total(), brute.hl_total, "{events:?}");
+        assert_eq!(fast.hl_with_panic(), brute.hl_with_panic, "{events:?}");
+        let windows = [30, 60, 300, 2000];
+        assert_eq!(
+            fast.window_sweep(events, &windows),
+            oracle::window_sweep_brute_force(phones, events, &windows),
+            "{events:?}"
+        );
+    }
+}
+
 proptest! {
     #[test]
     fn coalescence_monotone_in_window(
@@ -822,7 +827,7 @@ proptest! {
         hl_times in prop::collection::vec(0u64..500_000, 0..20),
     ) {
         // Phone 1 logs no panic of its own.
-        let fleet = FleetDataset::from_phones(vec![
+        let fleet = [
             PhoneDataset::new(
                 0,
                 panic_times
@@ -838,7 +843,7 @@ proptest! {
                 Vec::new(),
             ),
             PhoneDataset::new(1, Vec::new(), Vec::new()),
-        ]);
+        ];
         let events: Vec<HlEvent> = hl_times
             .iter()
             .map(|&t| HlEvent {
@@ -882,10 +887,10 @@ proptest! {
             activity: None,
             battery: 50,
         });
-        let fleet = FleetDataset::from_phones(vec![
+        let fleet = [
             PhoneDataset::new(0, panics0.iter().map(rec).collect(), Vec::new()),
             PhoneDataset::new(1, panics1.iter().map(rec).collect(), Vec::new()),
-        ]);
+        ];
         let mut events: Vec<HlEvent> = hl0
             .iter()
             .map(|&t| HlEvent { phone_id: 0, at: SimTime::from_secs(t), kind: HlKind::Freeze })
@@ -901,10 +906,10 @@ proptest! {
         events.sort_by_key(|e| (e.phone_id, e.at));
         let w = SimDuration::from_secs(window);
         let fast = coalesce_fleet(&fleet, &events, w);
-        let brute = CoalescenceAnalysis::new_brute_force(&fleet, &events, w);
-        prop_assert_eq!(fast.panics(), brute.panics());
-        prop_assert_eq!(fast.hl_total(), brute.hl_total());
-        prop_assert_eq!(fast.hl_with_panic(), brute.hl_with_panic());
+        let brute = oracle::coalesce_brute_force(&fleet, &events, w);
+        prop_assert_eq!(fast.panics(), &brute.panics[..]);
+        prop_assert_eq!(fast.hl_total(), brute.hl_total);
+        prop_assert_eq!(fast.hl_with_panic(), brute.hl_with_panic);
     }
 
     /// The single-pass gap-array sweep over a finished analysis returns
@@ -916,7 +921,7 @@ proptest! {
         hl_times in prop::collection::vec(0u64..100_000, 0..15),
         windows in prop::collection::vec(1u64..20_000, 1..8),
     ) {
-        let fleet = FleetDataset::from_phones(vec![PhoneDataset::new(
+        let fleet = [PhoneDataset::new(
             0,
             panic_times
                 .iter()
@@ -929,7 +934,7 @@ proptest! {
                 }))
                 .collect(),
             Vec::new(),
-        )]);
+        )];
         let mut events: Vec<HlEvent> = hl_times
             .iter()
             .map(|&t| HlEvent { phone_id: 0, at: SimTime::from_secs(t), kind: HlKind::Freeze })
@@ -939,7 +944,7 @@ proptest! {
         ws.sort_unstable();
         let analysis = coalesce_fleet(&fleet, &events, SimDuration::from_mins(5));
         let sweep = analysis.window_sweep(&events, &ws);
-        let brute = CoalescenceAnalysis::window_sweep_brute_force(&fleet, &events, &ws);
+        let brute = oracle::window_sweep_brute_force(&fleet, &events, &ws);
         prop_assert_eq!(sweep.len(), brute.len());
         for (&(w_fast, f_fast), &(w_brute, f_brute)) in sweep.iter().zip(&brute) {
             prop_assert_eq!(w_fast, w_brute);
@@ -976,7 +981,7 @@ proptest! {
         order_sel in 0u8..3,
     ) {
         use symfail::core::analysis::passes::{PassRegistry, StreamMerger};
-        use symfail::core::analysis::report::{AnalysisConfig, StudyReport};
+        use symfail::core::analysis::report::AnalysisConfig;
         // Disjoint-ish per-phone vocabularies force non-identity
         // interner remaps when phones merge.
         let apps = ["Messages", "Camera", "Clock", "Browser", "Log"];
@@ -1003,8 +1008,7 @@ proptest! {
         let config = AnalysisConfig::default();
         let registry = PassRegistry::all();
         let batch = {
-            let fleet = FleetDataset::from_phones(phones.clone());
-            let report = StudyReport::analyze_with(&fleet, config, &registry);
+            let report = oracle::analyze(&phones, config);
             report.render_all() + &report.render_per_phone()
         };
         let mut order: Vec<usize> = (0..phones.len()).collect();
@@ -1131,7 +1135,7 @@ proptest! {
         worst in 0u8..2,
     ) {
         use symfail::core::analysis::passes::PassRegistry;
-        use symfail::core::analysis::report::{AnalysisConfig, StudyReport};
+        use symfail::core::analysis::report::AnalysisConfig;
         use symfail::phone::calibration::CalibrationParams;
         use symfail::phone::corruption::CorruptionProfile;
         use symfail::phone::fleet::{FleetCampaign, StreamingOptions};
@@ -1154,9 +1158,7 @@ proptest! {
             run.report.render_all() + &run.report.render_per_phone()
         };
         let serial = render(&StreamingOptions::default(), 1);
-        let harvest = campaign.run();
-        let fleet = FleetDataset::from_flash(harvest.iter().map(|h| (h.phone_id, &h.flashfs)));
-        let reference = StudyReport::analyze_with(&fleet, config, &registry);
+        let reference = oracle::reference(&campaign, config, &registry).report;
         prop_assert_eq!(&serial, &(reference.render_all() + &reference.render_per_phone()));
         let sharded = render(
             &StreamingOptions { checkpoint_every: run_len, ..StreamingOptions::default() },
@@ -1187,7 +1189,7 @@ proptest! {
     #[test]
     fn campaign_panics_conserved_for_any_seed(seed in 0u64..10_000) {
         use symfail::phone::calibration::CalibrationParams;
-        use symfail::phone::fleet::{harvest_metas, total_stats, FleetCampaign};
+        use symfail::phone::fleet::{total_stats, FleetCampaign, PhoneMeta};
         let params = CalibrationParams {
             phones: 2,
             campaign_days: 25,
@@ -1196,12 +1198,11 @@ proptest! {
             background_episode_rate_per_hour: 0.02,
             ..CalibrationParams::default()
         };
-        let harvest = FleetCampaign::new(seed, params).run();
-        let truth = total_stats(&harvest_metas(&harvest));
-        let fleet = FleetDataset::from_flash(
-            harvest.iter().map(|h| (h.phone_id, &h.flashfs)),
-        );
-        prop_assert_eq!(fleet.panics().len() as u64, truth.panics);
+        let harvest = oracle::harvest(&FleetCampaign::new(seed, params));
+        let metas: Vec<PhoneMeta> = harvest.iter().map(PhoneMeta::from_harvest).collect();
+        let truth = total_stats(&metas);
+        let parsed: usize = oracle::parse(&harvest).iter().map(|p| p.panics().len()).sum();
+        prop_assert_eq!(parsed as u64, truth.panics);
     }
 }
 
@@ -1224,8 +1225,8 @@ fn inject_and_parse(
     symfail::phone::corruption::InjectedDefects,
     symfail::core::analysis::defects::PhoneDefects,
 ) {
-    use symfail::core::analysis::passes::PassRegistry;
-    use symfail::core::analysis::report::{AnalysisConfig, StudyReport};
+    use symfail::core::analysis::passes::{DeviceLabels, PassRegistry};
+    use symfail::core::analysis::report::AnalysisConfig;
     use symfail::phone::calibration::CalibrationParams;
     use symfail::phone::corruption::{CorruptionModel, InjectedDefects};
     use symfail::phone::fleet::FleetCampaign;
@@ -1238,16 +1239,19 @@ fn inject_and_parse(
         background_episode_rate_per_hour: 0.02,
         ..CalibrationParams::default()
     };
-    let mut harvest = FleetCampaign::new(seed, params).run();
+    let mut harvest = oracle::harvest(&FleetCampaign::new(seed, params));
     let model = CorruptionModel::new(rates);
     let mut injected = InjectedDefects::default();
     for h in &mut harvest {
         let mut rng = SimRng::seed_from(seed).fork("proptest-corruption", h.phone_id as u64);
         injected.merge(&model.inject(&mut h.flashfs, &mut rng));
     }
-    let fleet = FleetDataset::from_flash(harvest.iter().map(|h| (h.phone_id, &h.flashfs)));
+    let fleet = oracle::parse(&harvest);
     let registry = PassRegistry::select("defects").expect("known pass");
-    let report = StudyReport::analyze_with(&fleet, AnalysisConfig::default(), &registry);
+    let report = oracle::fold_phones(&fleet, AnalysisConfig::default(), &registry, |_| {
+        DeviceLabels::default()
+    })
+    .report;
     (injected, report.defects.fleet)
 }
 
@@ -1258,7 +1262,7 @@ proptest! {
     /// and the rendered report carries a defects section.
     #[test]
     fn corrupted_campaign_never_panics(seed in 0u64..10_000) {
-        use symfail::core::analysis::report::{AnalysisConfig, StudyReport};
+        use symfail::core::analysis::report::AnalysisConfig;
         use symfail::phone::calibration::CalibrationParams;
         use symfail::phone::corruption::CorruptionProfile;
         use symfail::phone::fleet::FleetCampaign;
@@ -1270,13 +1274,9 @@ proptest! {
             background_episode_rate_per_hour: 0.02,
             ..CalibrationParams::default()
         };
-        let harvest = FleetCampaign::new(seed, params)
-            .with_corruption(CorruptionProfile::Worst)
-            .run();
-        let fleet = FleetDataset::from_flash(
-            harvest.iter().map(|h| (h.phone_id, &h.flashfs)),
-        );
-        let report = StudyReport::analyze(&fleet, AnalysisConfig::default());
+        let campaign = FleetCampaign::new(seed, params).with_corruption(CorruptionProfile::Worst);
+        let fleet = oracle::parse(&oracle::harvest(&campaign));
+        let report = oracle::analyze(&fleet, AnalysisConfig::default());
         prop_assert!(report.render_all().contains("Parse defects"));
     }
 

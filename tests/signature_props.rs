@@ -3,19 +3,22 @@
 //! interner numbering, app-vocabulary order, or which side of a shard
 //! merge the panic was folded on.
 
+mod oracle;
+
 use std::collections::BTreeMap;
 
 use proptest::prelude::*;
 use proptest::test_runner::Config as ProptestConfig;
 
 use symfail::core::analysis::checkpoint::ShardTopology;
-use symfail::core::analysis::dataset::{HlKind, PanicEvent, PhoneDataset};
+use symfail::core::analysis::dataset::{HlKind, PanicEvent, ParseScratch, PhoneDataset};
 use symfail::core::analysis::passes::{
     checkpoint_coalesced, DeviceLabels, FoldShard, PassRegistry, PhoneLens, StreamMerger,
 };
 use symfail::core::analysis::report::AnalysisConfig;
 use symfail::core::analysis::signature::{distinct_signatures, FailureSignature, MatchMode};
 use symfail::core::flashfs::FlashFs;
+use symfail::core::intern::NameId;
 use symfail::core::logger::files;
 use symfail::core::records::{encode_panic_into, line_checksum, LogRecord, PanicRecord};
 use symfail::phone::calibration::CalibrationParams;
@@ -104,7 +107,7 @@ fn dataset(phone_id: u32, rows: &[Row], rot: usize) -> PhoneDataset {
 /// The phone [`records`] describes, as its consolidated log's bytes.
 fn log(rows: &[Row], rot: usize) -> Vec<u8> {
     records(rows, rot).iter().fold(Vec::new(), |mut log, rec| {
-        rec.encode_into(&mut log);
+        oracle::encode_into(rec, &mut log);
         log.push(b'\n');
         log
     })
@@ -223,9 +226,10 @@ fn phone_matches(
     let Some(code) = sig.panic_code().filter(|c| c.to_string() == sig.code) else {
         return false;
     };
-    let Some(raised_by) = phone.names().lookup(&sig.raised_by) else {
+    let Some(raised_by) = phone.names().iter().position(|n| n == sig.raised_by) else {
         return false;
     };
+    let raised_by = NameId(raised_by as u16);
     let core = |p: &PanicEvent| {
         p.code == code
             && p.raised_by == raised_by
@@ -331,7 +335,7 @@ fn check_log_only(
     extra: &[FailureSignature],
 ) -> Vec<FailureSignature> {
     let config = CalibrationParams::default().analysis_config();
-    let full = PhoneDataset::from_flashfs(3, fs);
+    let full = PhoneDataset::from_flashfs_with(3, fs, &mut ParseScratch::default());
     let bytes = fs.read_bytes(files::LOG).unwrap_or_default();
     let log = PhoneDataset::from_log(3, bytes);
     assert_eq!(log.panics(), full.panics(), "{what}: panics");
@@ -388,8 +392,8 @@ fn log_only_parse_and_matcher_agree_on_fleet_phones() {
             .with_fleet(FleetComposition::mixed())
             .with_corruption(profile);
         let mut seen: Vec<FailureSignature> = Vec::new();
-        for harvest in campaign.run() {
-            let id = harvest.phone_id;
+        for id in 0..params.phones {
+            let harvest = campaign.run_single(id);
             let what = format!("fleet phone {id}, corruption {}", profile.as_str());
             let labels = campaign.device_labels(id);
             let sigs = check_log_only(&what, &harvest.flashfs, labels, &seen);
